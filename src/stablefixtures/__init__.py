@@ -18,12 +18,13 @@ from .core import (
     repair_negative,
     solve_payoff_system,
 )
-from .errors import StableFixturesError
+from .errors import InternalError, StableFixturesError
 from .instance import Generated, Instance, generate, induced, validate
 from .matching import (
     BipartiteDualCertificate,
     HalfBMatching,
     bipartite_max_weight_b_matching_with_duals,
+    bipartite_optimum_with_duals,
     duplicated_instance,
     is_b_matching,
     max_half_b_matching_weight,

@@ -2,7 +2,8 @@
 
 Exit codes: 0 = stable solution found / allocation in core / success,
 3 = no stable solution / core violation, 1 = malformed input,
-2 = precondition failure (invalid instance, b > 2 without --brute-force, ...).
+2 = precondition failure (invalid instance, b > 2 without --brute-force, ...),
+4 = internal error (an engine's own certificate check failed).
 
 Standard output carries JSON only; diagnostics go to standard error.
 """
@@ -18,7 +19,7 @@ from . import core as core_mod
 from . import matching as matching_mod
 from . import solver as solver_mod
 from . import stability as stability_mod
-from .errors import InputError, PreconditionError, StableFixturesError
+from .errors import InputError, InternalError, PreconditionError, StableFixturesError
 from .instance import (
     Instance,
     allocation_from_json,
@@ -34,6 +35,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_PRECONDITION = 2
 EXIT_NEGATIVE = 3
+EXIT_INTERNAL = 4
 
 
 def _load_json(path: str):
@@ -255,6 +257,9 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except InternalError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except StableFixturesError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

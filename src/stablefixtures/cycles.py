@@ -27,8 +27,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-import networkx as nx
-
 from .errors import PreconditionError
 from .rationals import common_denominator
 
@@ -41,6 +39,8 @@ def _min_weight_perfect_matching(nodes: Sequence, weighted_edges) -> set[frozens
         return set()
     if len(nodes) % 2:
         return None
+    import networkx as nx
+
     graph = nx.Graph()
     graph.add_nodes_from(nodes)
     top = 0
@@ -212,6 +212,8 @@ def min_path_cycle_system(
     scale = 2 * common_denominator(list(weights.values()) + list(x.values()))
     wx = {v: int(x[v] * scale) for v in vertices}
     ww = {e: int(w * scale) for e, w in weights.items()}
+
+    import networkx as nx
 
     graph = nx.Graph()
     slot_edges: dict[tuple, list] = {}

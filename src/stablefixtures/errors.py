@@ -63,3 +63,7 @@ class DualityGapError(PreconditionError):
 
 class ComponentSumError(PreconditionError):
     """Allocation does not sum to the matching weight on some component."""
+
+
+class InternalError(StableFixturesError):
+    """An engine's own certificate check failed: a bug, not bad input."""

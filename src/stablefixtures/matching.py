@@ -3,8 +3,8 @@
 Two engines, both exact over rationals:
 
 * the general-graph engine expands the instance to unit capacities and runs
-  a blossom-style primal-dual matching solver (networkx) on integer-scaled
-  weights, then projects the result back;
+  a blossom-style primal-dual matching solver (networkx, imported only when
+  this engine runs) on integer-scaled weights, then projects the result back;
 * the bipartite engine runs successive shortest paths with vertex potentials
   on a small flow network, which additionally yields an optimal LP dual
   certificate (potentials + slacks).
@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-import networkx as nx
-
 from .errors import (
     BoundExceededError,
+    InternalError,
     NotBipartiteError,
     UnknownEdgeError,
 )
@@ -106,6 +105,8 @@ def max_weight_b_matching(inst: Instance) -> tuple[frozenset[Edge], Fraction]:
 
 
 def _general_matching(inst: Instance) -> frozenset[Edge]:
+    import networkx as nx
+
     from .reduction import reduce_instance
 
     reduced = reduce_instance(inst)
@@ -260,13 +261,18 @@ def duplicated_instance(inst: Instance) -> DuplicatedInstance:
     return DuplicatedInstance(dup, left, right, origin)
 
 
-def max_half_b_matching_weight(inst: Instance) -> tuple[Fraction, HalfBMatching]:
-    """Maximum weight over half-b-matchings, with a witness.
+def max_half_b_matching_weight(
+    inst: Instance, _dup: DuplicatedInstance | None = None
+) -> tuple[Fraction, HalfBMatching]:
+    """Maximum weight over half-b-matchings, with the tie-broken witness.
 
-    Computed as the maximum-weight b-matching of the duplicated instance:
-    f(ij) = (x(i'j'') + x(i''j')) / 2 preserves the weight exactly.
+    Computed as the maximum-weight b-matching of the duplicated instance
+    (one perturbed pass on the double cover; `_dup` reuses a cover already
+    built for `inst`): f(ij) = (x(i'j'') + x(i''j')) / 2 preserves the
+    weight exactly. Callers that need only the value should use
+    `bipartite_optimum_with_duals` on the cover, which skips the perturbation.
     """
-    dup = duplicated_instance(inst)
+    dup = duplicated_instance(inst) if _dup is None else _dup
     matching, dup_weight = max_weight_b_matching(dup.instance)
     values: dict[Edge, Fraction] = {}
     for (i, j) in inst.edges:
@@ -276,8 +282,10 @@ def max_half_b_matching_weight(inst: Instance) -> tuple[Fraction, HalfBMatching]
                 hits += 1
         values[(i, j)] = Fraction(hits, 2)
     witness = HalfBMatching(values)
-    assert is_half_b_matching(inst, values)
-    assert witness.weight(inst) == dup_weight
+    if not is_half_b_matching(inst, values) or witness.weight(inst) != dup_weight:
+        raise InternalError(
+            "double-cover matching does not fold to a half-b-matching of its weight"
+        )
     return dup_weight, witness
 
 
@@ -333,19 +341,48 @@ def bipartite_max_weight_b_matching_with_duals(
 ) -> tuple[frozenset[Edge], BipartiteDualCertificate]:
     """Exact primal/dual pair for a bipartite instance.
 
-    The matching is the tie-broken optimum; the certificate comes from an
-    unperturbed second pass so that it certifies the true weights. Both
-    passes are integer-exact.
+    Runs two integer-exact passes: the perturbed pass yields the returned
+    tie-broken matching, and one unperturbed pass yields the certificate,
+    which is checked against the returned matching. Callers that need only
+    the optimum weight and a dual should use `bipartite_optimum_with_duals`,
+    which runs the unperturbed pass alone.
     """
+    coloring = _require_coloring(inst)
+    matching = _bipartite_matching(inst, _perturbed_int_weights(inst), coloring)
+    _, cert = _plain_pass(inst, coloring)
+    _verify_certificate(inst, matching, cert)
+    return matching, cert
+
+
+def bipartite_optimum_with_duals(
+    inst: Instance,
+) -> tuple[Fraction, BipartiteDualCertificate]:
+    """Maximum b-matching weight and an optimal LP dual of a bipartite
+    instance, from one unperturbed pass.
+
+    The certificate is checked against the pass's own matching: complementary
+    slackness holds between any optimal primal and any optimal dual, so the
+    check certifies both the weight and the dual without a tie-broken pass.
+    """
+    coloring = _require_coloring(inst)
+    matching, cert = _plain_pass(inst, coloring)
+    return _verify_certificate(inst, matching, cert), cert
+
+
+def _require_coloring(inst: Instance) -> dict[str, int]:
     inst.require_valid()
     coloring = inst.two_coloring()
     if coloring is None:
         raise NotBipartiteError("instance is not bipartite")
+    return coloring
 
-    matching = _bipartite_matching(inst, _perturbed_int_weights(inst), coloring)
 
+def _plain_pass(
+    inst: Instance, coloring: dict[str, int]
+) -> tuple[frozenset[Edge], BipartiteDualCertificate]:
+    """An unperturbed optimum and the dual read off its potentials."""
     base, scale = _int_weights(inst)
-    _, raw_y = _ssp_flow(inst, base, coloring)
+    matching, raw_y = _ssp_flow(inst, base, coloring)
     y = {p: Fraction(q, scale) for p, q in raw_y.items()}
     for p in inst.players:
         # Capacity-0 players never match; price them high enough to cover
@@ -358,12 +395,18 @@ def bipartite_max_weight_b_matching_with_duals(
     for (u, v) in inst.edges:
         gap = inst.weight(u, v) - y[u] - y[v]
         slacks[(u, v)] = gap if gap > 0 else Fraction(0)
-
-    _verify_certificate(inst, matching, y, slacks)
     return matching, BipartiteDualCertificate(potentials=y, slacks=slacks)
 
 
-def _verify_certificate(inst, matching, y, slacks) -> None:
+def _verify_certificate(
+    inst: Instance, matching: frozenset[Edge], cert: BipartiteDualCertificate
+) -> Fraction:
+    """Check dual feasibility, zero duality gap and complementary slackness
+    between `matching` and `cert`; return the certified optimum.
+
+    Raises InternalError on any failure, also under `python -O`.
+    """
+    y, slacks = cert.potentials, cert.slacks
     deg: dict[str, int] = {p: 0 for p in inst.players}
     for (u, v) in matching:
         deg[u] += 1
@@ -371,17 +414,26 @@ def _verify_certificate(inst, matching, y, slacks) -> None:
     primal = weight(inst, matching)
     dual = sum((Fraction(inst.b(p)) * y[p] for p in inst.players), Fraction(0))
     dual += sum(slacks.values(), Fraction(0))
-    assert primal == dual, "duality gap in bipartite engine"
+    if primal != dual:
+        raise InternalError(
+            f"duality gap in bipartite engine: primal {format_rational(primal)}, "
+            f"dual {format_rational(dual)}"
+        )
     for p in inst.players:
-        assert y[p] >= 0
-        assert deg[p] == inst.b(p) or y[p] == 0, f"unsaturated {p} has price {y[p]}"
+        if y[p] < 0:
+            raise InternalError(f"negative price {format_rational(y[p])} on {p}")
+        if deg[p] != inst.b(p) and y[p] != 0:
+            raise InternalError(f"unsaturated {p} has price {format_rational(y[p])}")
     for (u, v) in inst.edges:
         tight = y[u] + y[v] + slacks[(u, v)]
-        assert tight >= inst.weight(u, v)
+        if tight < inst.weight(u, v):
+            raise InternalError(f"dual constraint of {u}-{v} violated")
         if (u, v) in matching:
-            assert tight == inst.weight(u, v)
-        else:
-            assert slacks[(u, v)] == 0
+            if tight != inst.weight(u, v):
+                raise InternalError(f"matched edge {u}-{v} is not tight")
+        elif slacks[(u, v)] != 0:
+            raise InternalError(f"unmatched edge {u}-{v} has slack")
+    return primal
 
 
 def _bipartite_matching(

@@ -23,13 +23,16 @@ from typing import Iterable, Mapping
 from .errors import (
     DualityGapError,
     InputError,
+    InternalError,
     NotMaximumWeightError,
     PreconditionError,
 )
 from .instance import Edge, Instance
 from .matching import (
+    BipartiteDualCertificate,
+    DuplicatedInstance,
     HalfBMatching,
-    bipartite_max_weight_b_matching_with_duals,
+    bipartite_optimum_with_duals,
     duplicated_instance,
     is_b_matching,
     max_half_b_matching_weight,
@@ -138,13 +141,20 @@ def tighten_d(inst: Instance, y: Mapping[str, Fraction]) -> dict[Edge, Fraction]
 def dual_from_duplicated(inst: Instance) -> DualSolution:
     """Optimal dual of Dual-(G, b, w) from the bipartite double cover.
 
-    Folding the cover's dual certificate (y(i) = y(i') + y(i''), likewise for
-    slacks) is feasible for the original dual and attains the half-b-matching
-    optimum, which is the LP optimum.
+    Runs one unperturbed pass on the cover. Folding the cover's dual
+    certificate (y(i) = y(i') + y(i''), likewise for slacks) is feasible for
+    the original dual and attains the half-b-matching optimum, which is the
+    LP optimum.
     """
     inst.require_valid()
     dup = duplicated_instance(inst)
-    _, cert = bipartite_max_weight_b_matching_with_duals(dup.instance)
+    _, cert = bipartite_optimum_with_duals(dup.instance)
+    return _fold_dual(inst, dup, cert)
+
+
+def _fold_dual(
+    inst: Instance, dup: DuplicatedInstance, cert: BipartiteDualCertificate
+) -> DualSolution:
     y = {
         i: cert.potentials[dup.left[i]] + cert.potentials[dup.right[i]]
         for i in inst.players
@@ -156,16 +166,28 @@ def dual_from_duplicated(inst: Instance) -> DualSolution:
             total += cert.slacks[dup.instance.edge_key(a, b)]
         d[(i, j)] = total
     dual = DualSolution(y=y, d=d)
-    assert is_dual_feasible(inst, dual).feasible
+    if not is_dual_feasible(inst, dual).feasible:
+        raise InternalError("folded double-cover dual is infeasible")
     return dual
 
 
+def _check_half_at_least(half: Fraction, integral: Fraction) -> None:
+    if half < integral:
+        raise InternalError(
+            f"half-b-matching optimum {format_rational(half)} below "
+            f"b-matching optimum {format_rational(integral)}"
+        )
+
+
 def has_stable_solution(inst: Instance) -> bool:
-    """Exact equality test between the integral and fractional optima."""
+    """Exact equality test between the integral and fractional optima.
+
+    The fractional optimum comes from one unperturbed double-cover pass.
+    """
     inst.require_valid()
     _, integral = max_weight_b_matching(inst)
-    half, _ = max_half_b_matching_weight(inst)
-    assert half >= integral
+    half, _ = bipartite_optimum_with_duals(duplicated_instance(inst).instance)
+    _check_half_at_least(half, integral)
     return integral == half
 
 
@@ -249,19 +271,31 @@ def solve(
     sellers: Iterable[str] | None = None,
 ) -> SolveOutcome:
     """Decide and construct: stable solution + dual certificate, or the
-    heavier half-b-matching witness proving none exists."""
+    heavier half-b-matching witness proving none exists.
+
+    One unperturbed double-cover pass gives the half-b-matching optimum and
+    the optimal dual; the perturbed cover pass runs only when no stable
+    solution exists, to produce the tie-broken witness.
+    """
     inst.require_valid()
     matching, integral = max_weight_b_matching(inst)
-    half, witness = max_half_b_matching_weight(inst)
+    dup = duplicated_instance(inst)
+    half, cert = bipartite_optimum_with_duals(dup.instance)
+    _check_half_at_least(half, integral)
     if integral != half:
-        assert half > integral
+        witness_weight, witness = max_half_b_matching_weight(inst, _dup=dup)
+        if witness_weight != half:
+            raise InternalError(
+                f"half-b-matching witness weighs {format_rational(witness_weight)}, "
+                f"optimum is {format_rational(half)}"
+            )
         return SolveOutcome(
             stable=False,
             matching_weight=integral,
             half_weight=half,
             witness=witness,
         )
-    dual = dual_from_duplicated(inst)
+    dual = _fold_dual(inst, dup, cert)
     sol = stable_from_dual(
         inst, matching, dual, split_rule=split_rule, sellers=sellers, _known_optimum=integral
     )

@@ -1,0 +1,223 @@
+"""The solve pipeline runs each engine once per fact.
+
+* One unperturbed double-cover pass gives the half-b-matching optimum and the
+  optimal dual; the perturbed cover pass runs only for a no-stable witness.
+* networkx is imported only when blossom runs.
+* A differential test pins `solve` to the older composition (perturbed cover
+  pass for the half weight, perturbed plus unperturbed cover passes for the
+  dual), kept here as an oracle.
+"""
+
+import json
+import os
+import random
+import subprocess
+import sys
+from fractions import Fraction as F
+from pathlib import Path
+
+import stablefixtures
+from stablefixtures import generate, matching
+from stablefixtures.instance import Instance, instance_to_json
+from stablefixtures.matching import (
+    _int_weights,
+    _perturbed_int_weights,
+    bipartite_max_weight_b_matching_with_duals,
+    duplicated_instance,
+    max_half_b_matching_weight,
+    max_weight_b_matching,
+)
+from stablefixtures.randomgen import random_instance
+from stablefixtures.solver import (
+    DualSolution,
+    SolveOutcome,
+    has_stable_solution,
+    outcome_to_json,
+    solve,
+    stable_from_dual,
+)
+
+# ---------------------------------------------------------------------------
+# networkx stays unloaded until blossom runs
+# ---------------------------------------------------------------------------
+
+_NETWORKX_PROBE = """
+import contextlib, io, json, sys
+from stablefixtures.cli import main
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+bip, sol, general = sys.argv[1:4]
+codes = []
+code, out = run("solve", bip)
+codes.append(code)
+with open(sol, "w", encoding="utf-8") as fh:
+    json.dump(json.loads(out)["solution"], fh)
+codes.append(run("verify-stable", bip, sol)[0])
+before = "networkx" in sys.modules
+codes.append(run("solve", general)[0])
+print(json.dumps({"codes": codes, "before": before, "after": "networkx" in sys.modules}))
+"""
+
+
+def test_networkx_loaded_only_when_blossom_runs(tmp_path):
+    bip = tmp_path / "example2.json"
+    bip.write_text(json.dumps(instance_to_json(generate("example2").instance)))
+    general = tmp_path / "diamond.json"
+    general.write_text(json.dumps(instance_to_json(generate("diamond").instance)))
+    src = Path(stablefixtures.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NETWORKX_PROBE, str(bip), str(tmp_path / "sol.json"), str(general)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result == {"codes": [0, 0, 3], "before": False, "after": True}
+
+
+# ---------------------------------------------------------------------------
+# Pass counts
+# ---------------------------------------------------------------------------
+
+
+def _spy_passes(monkeypatch, fn, inst, **kwargs):
+    """Run fn(inst) and classify every SSP pass it makes."""
+    real = matching._ssp_flow
+    calls = []
+
+    def spy(net, int_weights, coloring):
+        calls.append((net, dict(int_weights)))
+        return real(net, int_weights, coloring)
+
+    monkeypatch.setattr(matching, "_ssp_flow", spy)
+    result = fn(inst, **kwargs)
+    cover_players = duplicated_instance(inst).instance.players
+    kinds = []
+    for net, int_weights in calls:
+        where = "cover" if net.players == cover_players else "instance"
+        if int_weights == _int_weights(net)[0]:
+            kinds.append((where, "plain"))
+        else:
+            assert int_weights == _perturbed_int_weights(net)
+            kinds.append((where, "perturbed"))
+    return result, kinds
+
+
+def test_stable_bipartite_solve_makes_one_cover_pass(monkeypatch, example2):
+    inst, _, _ = example2
+    outcome, kinds = _spy_passes(monkeypatch, solve, inst)
+    assert outcome.stable
+    assert sorted(kinds) == [("cover", "plain"), ("instance", "perturbed")]
+
+
+def test_stable_general_solve_makes_one_cover_pass(monkeypatch):
+    inst = Instance(
+        ["a", "b", "c"], {p: 1 for p in "abc"}, [("a", "b", 4), ("b", "c", 1), ("a", "c", 1)]
+    )
+    assert not inst.is_bipartite()
+    outcome, kinds = _spy_passes(monkeypatch, solve, inst)
+    assert outcome.stable
+    assert kinds == [("cover", "plain")]
+
+
+def test_no_stable_solve_adds_one_perturbed_cover_pass(monkeypatch, diamond):
+    outcome, kinds = _spy_passes(monkeypatch, solve, diamond)
+    assert not outcome.stable
+    assert kinds == [("cover", "plain"), ("cover", "perturbed")]
+
+
+def test_has_stable_solution_makes_one_plain_cover_pass(monkeypatch, diamond):
+    stable, kinds = _spy_passes(monkeypatch, has_stable_solution, diamond)
+    assert not stable
+    assert kinds == [("cover", "plain")]
+
+
+# ---------------------------------------------------------------------------
+# Differential test against the older composition
+# ---------------------------------------------------------------------------
+
+
+def _old_dual_from_duplicated(inst):
+    dup = duplicated_instance(inst)
+    _, cert = bipartite_max_weight_b_matching_with_duals(dup.instance)
+    y = {i: cert.potentials[dup.left[i]] + cert.potentials[dup.right[i]] for i in inst.players}
+    d = {}
+    for (i, j) in inst.edges:
+        d[(i, j)] = sum(
+            (
+                cert.slacks[dup.instance.edge_key(a, b)]
+                for (a, b) in ((dup.left[i], dup.right[j]), (dup.left[j], dup.right[i]))
+            ),
+            F(0),
+        )
+    return DualSolution(y=y, d=d)
+
+
+def _old_solve(inst, split_rule="half", sellers=None):
+    matching_, integral = max_weight_b_matching(inst)
+    half, witness = max_half_b_matching_weight(inst)
+    if integral != half:
+        return SolveOutcome(
+            stable=False, matching_weight=integral, half_weight=half, witness=witness
+        )
+    dual = _old_dual_from_duplicated(inst)
+    sol = stable_from_dual(
+        inst, matching_, dual, split_rule=split_rule, sellers=sellers, _known_optimum=integral
+    )
+    return SolveOutcome(
+        stable=True, matching_weight=integral, half_weight=half, solution=sol, dual=dual
+    )
+
+
+def _adversarial_instance(rng, bipartite):
+    """Zero capacities, capacities above degree, non-integer weights and,
+    on general graphs, sometimes a heavy capacity-1 triangle."""
+    base = random_instance(
+        rng, n_range=(2, 7), max_extra_edges=5, b_range=(0, 3),
+        bipartite=bipartite, allow_zero_capacity=True,
+    )
+    players = list(base.players)
+    capacity = {p: base.b(p) for p in players}
+    edges = [
+        (u, v, F(rng.randint(0, 24), rng.choice((1, 1, 2, 3, 4, 7))))
+        for (u, v) in base.edges
+    ]
+    for p in players:
+        if rng.random() < 0.15:
+            capacity[p] = len(base.neighbors(p)) + rng.randint(1, 2)
+    if not bipartite and rng.random() < 0.4:
+        tri = ["t1", "t2", "t3"]
+        heavy = F(rng.randint(30, 60), rng.choice((1, 2, 3)))
+        players += tri
+        capacity.update({t: 1 for t in tri})
+        edges += [("t1", "t2", heavy), ("t2", "t3", heavy), ("t1", "t3", heavy)]
+        if players[0] not in tri:
+            edges.append((players[0], "t1", F(rng.randint(0, 5))))
+    return Instance(players, capacity, edges)
+
+
+def test_solve_matches_old_composition():
+    rng = random.Random(20240)
+    counts = {"stable": 0, "no_stable": 0, "bipartite": 0, "general": 0}
+    for k in range(520):
+        bipartite = k % 3 == 0
+        inst = _adversarial_instance(rng, bipartite)
+        new = outcome_to_json(inst, solve(inst))
+        assert new == outcome_to_json(inst, _old_solve(inst)), instance_to_json(inst)
+        counts[new["status"]] += 1
+        counts["bipartite" if inst.is_bipartite() else "general"] += 1
+        if bipartite and inst.m:
+            coloring = inst.two_coloring()
+            sellers = [p for p in inst.players if coloring[p] == 0]
+            new = outcome_to_json(inst, solve(inst, split_rule="seller_side", sellers=sellers))
+            old = _old_solve(inst, split_rule="seller_side", sellers=sellers)
+            assert new == outcome_to_json(inst, old), instance_to_json(inst)
+    assert counts["no_stable"] >= 50
+    assert counts["stable"] >= 300
+    assert counts["bipartite"] >= 150 and counts["general"] >= 150
