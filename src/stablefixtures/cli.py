@@ -44,7 +44,8 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer past Python's digit limit.
         raise InputError(f"{path} is not valid JSON: {exc}") from None
 
 
@@ -88,7 +89,7 @@ def _cmd_core_check(args) -> int:
     if args.brute_force:
         verdict = core_mod.core_membership_bruteforce(inst, x)
     else:
-        verdict = core_mod.core_membership_b2(inst, x, jobs=args.jobs)
+        verdict = core_mod.core_membership_b2(inst, x)
     _emit(core_mod.verdict_to_json(inst, verdict))
     return EXIT_OK if verdict.in_core else EXIT_NEGATIVE
 
@@ -216,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("allocation")
     p.add_argument("--brute-force", action="store_true", dest="brute_force")
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=_cmd_core_check)
 
     p = sub.add_parser("reduce", help="expand to the unit-capacity instance")

@@ -21,6 +21,7 @@ from .errors import (
     CapacityTooLargeError,
     ComponentSumError,
     InputError,
+    InternalError,
     NotMaximumWeightError,
     PreconditionError,
 )
@@ -97,9 +98,7 @@ def _violation(inst: Instance, x: Mapping[str, Fraction], coalition) -> CoreVerd
     value, witness = game_value_with_witness(inst, members)
     total = _coalition_total(inst, x, members)
     if not total < value:
-        raise AssertionError(
-            f"claimed violation fails certification: x(S)={total} >= v(S)={value}"
-        )
+        raise InternalError(f"claimed violation by {list(members)} fails certification")
     return CoreVerdict(
         kind="violation",
         coalition=members,
@@ -202,9 +201,8 @@ def solve_payoff_system(
         live[i] = Fraction(0)
         drop(i, j)
 
-    assert total_payoff(inst, payoffs) == {
-        p: x[p] for p in inst.players
-    }, "decomposition row sums disagree with the allocation"
+    if total_payoff(inst, payoffs) != {p: x[p] for p in inst.players}:
+        raise InternalError("decomposition row sums disagree with the allocation")
     return payoffs
 
 
@@ -314,7 +312,8 @@ def repair_negative(
     negative_count = None
     for _ in range(max_rounds):
         negative = [t for t in entries() if p.get(t, Fraction(0)) < 0]
-        assert negative_count is None or len(negative) <= negative_count
+        if negative_count is not None and len(negative) > negative_count:
+            raise InternalError("repair increased the number of negative payoffs")
         negative_count = len(negative)
         if not negative:
             break
@@ -348,15 +347,18 @@ def repair_negative(
             cycle_arcs.append((parent[node], node))
             node = parent[node]
         eps = min(p.get((v, u), Fraction(0)) for (u, v) in cycle_arcs)
-        assert eps > 0
+        if eps <= 0:
+            raise InternalError("repair cycle has no positive slack")
         for (u, v) in cycle_arcs:
             p[(u, v)] = p.get((u, v), Fraction(0)) + eps
             p[(v, u)] = p.get((v, u), Fraction(0)) - eps
     else:
-        raise AssertionError("repair did not terminate within its round bound")
+        raise InternalError("repair did not terminate within its round bound")
 
-    assert total_payoff(inst, p) == {q: Fraction(x[q]) for q in inst.players}
-    assert all(q >= 0 for q in p.values())
+    if total_payoff(inst, p) != {q: Fraction(x[q]) for q in inst.players}:
+        raise InternalError("repair changed the row sums of the payoffs")
+    if any(q < 0 for q in p.values()):
+        raise InternalError("repair left a negative payoff")
     return p
 
 
@@ -382,18 +384,13 @@ def allocation_to_payoff(
 # ---------------------------------------------------------------------------
 
 
-def core_membership_b2(
-    inst: Instance, x: Mapping[str, Fraction], jobs: int = 1
-) -> CoreVerdict:
+def core_membership_b2(inst: Instance, x: Mapping[str, Fraction]) -> CoreVerdict:
     """Polynomial core membership for b <= 2 with violation certificates.
 
     Stages: singletons x(i) >= 0; efficiency x(N) = v(N); capacity-0
     players forced to zero and dropped; negative cycles among capacity-2
     players; then the exact minimum path/cycle system. Any violating
     component is returned as its coalition after engine re-certification.
-
-    jobs > 1 runs the two independent constraint detectors concurrently;
-    results merge in the fixed stage order, so the verdict is unchanged.
     """
     inst.require_valid()
     heavy = [p for p in inst.players if inst.b(p) > 2]
@@ -419,7 +416,7 @@ def core_membership_b2(
                 return _violation(inst, x, [q for q in inst.players if q != p])
     work = induced(inst, [p for p in inst.players if inst.b(p) > 0])
 
-    verdict = _b2_constraint_search(work, x, jobs)
+    verdict = _b2_constraint_search(work, x)
     if verdict is not None:
         return _violation(inst, x, verdict)
 
@@ -430,44 +427,29 @@ def core_membership_b2(
     return CoreVerdict(kind="in_core")
 
 
-def _b2_constraint_search(inst: Instance, x, jobs: int = 1) -> tuple[str, ...] | None:
+def _b2_constraint_search(inst: Instance, x) -> tuple[str, ...] | None:
     """First violated path/cycle coalition among b in {1, 2} players."""
-
-    def cycle_stage():
-        two = [p for p in inst.players if inst.b(p) == 2]
-        two_set = set(two)
-        cycle_costs = {
-            (u, v): (x[u] + x[v]) / 2 - inst.weight(u, v)
-            for (u, v) in inst.edges
-            if u in two_set and v in two_set
-        }
-        return cycles.negative_cycle(two, cycle_costs)
-
-    def system_stage():
-        return cycles.min_path_cycle_system(
-            inst.players,
-            {p: inst.b(p) for p in inst.players},
-            inst.edge_weights(),
-            {p: x[p] for p in inst.players},
-        )
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            cycle_future = pool.submit(cycle_stage)
-            system_future = pool.submit(system_stage)
-            cycle = cycle_future.result()
-            total, components = system_future.result()
-    else:
-        cycle = cycle_stage()
-        total, components = (Fraction(0), []) if cycle is not None else system_stage()
-
+    two = [p for p in inst.players if inst.b(p) == 2]
+    two_set = set(two)
+    cycle_costs = {
+        (u, v): (x[u] + x[v]) / 2 - inst.weight(u, v)
+        for (u, v) in inst.edges
+        if u in two_set and v in two_set
+    }
+    cycle = cycles.negative_cycle(two, cycle_costs)
     if cycle is not None:
         return tuple(sorted({p for e in cycle for p in e}, key=inst.index))
+
+    total, components = cycles.min_path_cycle_system(
+        inst.players,
+        {p: inst.b(p) for p in inst.players},
+        inst.edge_weights(),
+        {p: x[p] for p in inst.players},
+    )
     if total < 0:
         worst = components[0]
-        assert worst.cost < 0
+        if worst.cost >= 0:
+            raise InternalError("negative path/cycle system has no negative component")
         return tuple(sorted(worst.vertices, key=inst.index))
     return None
 

@@ -2,9 +2,10 @@
 
 Two engines, both exact over rationals:
 
-* the general-graph engine expands the instance to unit capacities and runs
-  a blossom-style primal-dual matching solver (networkx, imported only when
-  this engine runs) on integer-scaled weights, then projects the result back;
+* the general-graph engine replaces every edge by a 2-vertex gadget between
+  the copies of its ends (min(b, deg) copies per player), runs a blossom-style
+  primal-dual matching solver (networkx, imported only when this engine runs)
+  on integer-scaled weights, and reads the b-matching off the gadgets;
 * the bipartite engine runs successive shortest paths with vertex potentials
   on a small flow network, which additionally yields an optimal LP dual
   certificate (potentials + slacks).
@@ -83,7 +84,7 @@ def _perturbed_int_weights(inst: Instance) -> dict[Edge, int]:
 
 
 # ---------------------------------------------------------------------------
-# General-graph engine: unit-capacity expansion + blossom matching
+# General-graph engine: 2-vertex edge gadgets + blossom matching
 # ---------------------------------------------------------------------------
 
 
@@ -91,7 +92,7 @@ def max_weight_b_matching(inst: Instance) -> tuple[frozenset[Edge], Fraction]:
     """A maximum-weight b-matching and its exact weight.
 
     Bipartite instances go through the flow engine; general instances through
-    the unit-capacity expansion and an exact integer blossom matching.
+    the edge-gadget graph and an exact integer blossom matching.
     """
     inst.require_valid()
     if inst.m == 0:
@@ -105,43 +106,32 @@ def max_weight_b_matching(inst: Instance) -> tuple[frozenset[Edge], Fraction]:
 
 
 def _general_matching(inst: Instance) -> frozenset[Edge]:
+    """The tie-broken optimum through the 2-vertex edge gadget.
+
+    Player i gets copies (i, 0), ..., (i, min(b(i), deg(i)) - 1); edge ij
+    gets end vertices (i, ij) and (j, ij), joined to each other and to the
+    copies of their players, all with the perturbed weight of ij. An optimum
+    matches one or two edges of every gadget, and ij is selected iff two.
+    """
     import networkx as nx
 
-    from .reduction import reduce_instance
-
-    reduced = reduce_instance(inst)
     perturbed = _perturbed_int_weights(inst)
-
+    copies = {p: min(inst.b(p), len(inst.neighbors(p))) for p in inst.players}
     graph = nx.Graph()
-    graph.add_nodes_from(reduced.instance.players)
-    gadget_owner: dict[Edge, Edge] = {}
-    for (a, b) in reduced.instance.edges:
-        tag_a, tag_b = reduced.origin[a], reduced.origin[b]
-        owner = tag_a if tag_a[0] != "copy" else tag_b
-        e = inst.edge_key(owner[1], owner[2])
-        gadget_owner[(a, b)] = e
-        graph.add_edge(a, b, weight=perturbed[e])
+    for (i, j), w in perturbed.items():
+        end_i, end_j = (i, (i, j)), (j, (i, j))
+        graph.add_edge(end_i, end_j, weight=w)
+        for end, p in ((end_i, i), (end_j, j)):
+            for s in range(copies[p]):
+                graph.add_edge(end, (p, s), weight=w)
 
-    mate = nx.max_weight_matching(graph)
-    selected_count: dict[Edge, int] = {e: 0 for e in inst.edges}
-    total = 0
-    for (a, b) in mate:
-        key = reduced.instance.edge_key(a, b)
-        selected_count[gadget_owner[key]] += 1
-        total += perturbed[gadget_owner[key]]
-
-    matched = []
-    repaired_total = 0
-    for e in inst.edges:
-        count = selected_count[e]
-        # With strictly positive perturbed weights the optimum touches every
-        # edge gadget with 2 edges (unselected) or 3 (selected).
-        assert count in (2, 3), f"unexpected gadget state {count} on {e}"
-        if count == 3:
-            matched.append(e)
-        repaired_total += count * perturbed[e]
-    assert repaired_total == total, "gadget repair changed the matching weight"
-    return frozenset(matched)
+    count = dict.fromkeys(perturbed, 0)
+    for (a, b) in nx.max_weight_matching(graph):
+        # Copies are (player, int); every gadget edge has an end vertex.
+        count[a[1] if isinstance(a[1], tuple) else b[1]] += 1
+    if any(c not in (1, 2) for c in count.values()):
+        raise InternalError(f"unexpected edge gadget states {sorted(set(count.values()))}")
+    return frozenset(e for e, c in count.items() if c == 2)
 
 
 # ---------------------------------------------------------------------------

@@ -10,26 +10,38 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import InputError
+from .errors import InputError, PreconditionError
+
+# Largest rational literal accepted, in decimal digits: the digits written
+# plus the magnitude of any exponent ("1e400" counts 401). Python renders
+# integers of up to 4300 digits, so values built from accepted literals stay
+# printable, and literals like "1e10000000" are refused before they are built.
+MAX_LITERAL_DIGITS = 1000
 
 
 def parse_rational(value) -> Fraction:
     """Parse an int, Fraction, or string like "4", "7/2", "0.5" into a Fraction.
 
     Floats are rejected: a JSON literal like 0.1 has no exact binary value and
-    would silently poison exact comparisons downstream.
+    would silently poison exact comparisons downstream. Literals longer than
+    MAX_LITERAL_DIGITS raise PreconditionError.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise InputError(f"not a rational: {value!r}")
     if isinstance(value, int):
+        if abs(value) >= 10**MAX_LITERAL_DIGITS:
+            raise PreconditionError(f"integer literal exceeds {MAX_LITERAL_DIGITS} digits")
         return Fraction(value)
     if isinstance(value, float):
         raise InputError(
             f"float {value!r} rejected; write rationals as strings like \"7/2\""
         )
     if isinstance(value, str):
+        if _literal_digits(value) > MAX_LITERAL_DIGITS:
+            shown = value if len(value) <= 20 else value[:20] + "..."
+            raise PreconditionError(f"rational literal {shown!r} exceeds {MAX_LITERAL_DIGITS} digits")
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:
@@ -37,9 +49,23 @@ def parse_rational(value) -> Fraction:
     raise InputError(f"not a rational: {value!r}")
 
 
+def _literal_digits(text: str) -> int:
+    """Digits written in `text` plus the magnitude of its exponent, if any."""
+    mantissa, _, exponent = text.replace("_", "").lower().partition("e")
+    digits = sum(ch.isdecimal() for ch in mantissa)
+    magnitude = exponent.strip().lstrip("+-")
+    if magnitude.isdecimal():
+        # Any exponent of more than nine digits is past the bound anyway.
+        digits += int(magnitude) if len(magnitude) <= 9 else 10**9
+    return digits
+
+
 def format_rational(q: Fraction) -> str:
     """Render as "num/den" (bare integer when the denominator is 1)."""
-    return str(Fraction(q))
+    try:
+        return str(Fraction(q))
+    except ValueError:
+        raise PreconditionError("value has too many digits to render") from None
 
 
 def common_denominator(values) -> int:

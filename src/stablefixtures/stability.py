@@ -19,6 +19,7 @@ from typing import Iterable, Mapping
 from .errors import (
     IncompatibleSolutionError,
     InputError,
+    InternalError,
     NotMaximumWeightError,
     PreconditionError,
     UnknownEdgeError,
@@ -192,20 +193,20 @@ def are_equivalent(inst: Instance, sol_a: Solution, sol_b: Solution) -> bool:
 def rematch(inst: Instance, sol: Solution, new_matching: Iterable[tuple[str, str]]) -> Solution:
     """Move a stable solution onto another maximum-weight b-matching.
 
-    Routed through the unit-capacity expansion: the stable payoffs are pushed
-    down to the expanded instance, re-seated on the expansion of the target
-    matching, and read back from the per-edge payoff vertices. The result is
-    stable and equivalent to the input.
+    By the equivalence theorem the moved solution keeps p on the edges that
+    M and M' share and pays (u(i), u(j)) on each edge ij of M' outside M.
+    The result is checked to be stable and equivalent to the input.
     """
     from . import matching as matching_mod
-    from . import reduction
 
     inst.require_valid()
-    require_stable(inst, sol)
+    u = require_stable(inst, sol).utilities
     target = inst.canonical_edge_set(new_matching)
     if not matching_mod.is_b_matching(inst, target):
         raise PreconditionError("target edge set is not a b-matching")
-    _, optimum = matching_mod.max_weight_b_matching(inst)
+    # The matching of a stable solution has maximum weight (its utilities
+    # give a dual of equal value), so it measures the target.
+    optimum = matching_mod.weight(inst, sol.matching)
     if matching_mod.weight(inst, target) != optimum:
         raise NotMaximumWeightError(
             "target matching weight "
@@ -213,20 +214,16 @@ def rematch(inst: Instance, sol: Solution, new_matching: Iterable[tuple[str, str
             f"{format_rational(optimum)}"
         )
 
-    reduced = reduction.reduce_instance(inst)
-    reduced_sol = reduction.reduce_solution(inst, sol, reduced)
-    target_reduced = reduction.reduce_matching(inst, target, reduced)
-    moved = reduction.srp_rematch(reduced.instance, reduced_sol, target_reduced)
-    vertex_pay = total_payoff(reduced.instance, moved.payoffs)
-
     payoffs: PayoffMatrix = {}
     for (i, j) in target:
-        payoffs[(i, j)] = vertex_pay[reduced.inner[(i, j)]]
-        payoffs[(j, i)] = vertex_pay[reduced.inner[(j, i)]]
+        shared = (i, j) in sol.matching
+        payoffs[(i, j)] = sol.payoff(i, j) if shared else u[i]
+        payoffs[(j, i)] = sol.payoff(j, i) if shared else u[j]
     out = Solution(matching=target, payoffs=payoffs)
-    require_stable(inst, out)
+    if check_solution(inst, out) or not is_stable(inst, out).stable:
+        raise InternalError("rematch produced an incompatible or unstable solution")
     if not are_equivalent(inst, sol, out):
-        raise AssertionError("rematch produced a non-equivalent payoff vector")
+        raise InternalError("rematch produced a non-equivalent payoff vector")
     return out
 
 

@@ -174,6 +174,36 @@ def test_invalid_instance_exit2(tmp_path):
     assert main(["solve", str(bad)]) == 2
 
 
+def _edge_file(tmp_path, w):
+    path = tmp_path / "edge.json"
+    edge = {"u": "i", "v": "j", "w": w}
+    path.write_text(json.dumps({"players": ["i", "j"], "capacity": {"i": 1, "j": 1}, "edges": [edge]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("literal", ["1e5000", "1e10000000", "1" * 1001, "1e-1001"])
+def test_oversized_literal_exit2_before_any_work(capsys, tmp_path, literal):
+    assert main(["solve", _edge_file(tmp_path, literal)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: rational literal") and "1000 digits" in captured.err
+
+
+def test_large_literal_within_bound_solves(capsys, tmp_path):
+    code, data = run(capsys, "solve", _edge_file(tmp_path, "1e400"))
+    assert code == 0
+    assert data["b_matching_weight"] == "1" + "0" * 400
+
+
+def test_json_integer_past_digit_limit_exit1(capsys, tmp_path):
+    path = tmp_path / "huge.json"
+    huge = "1" + "0" * 5000
+    path.write_text('{"players": ["i"], "capacity": {"i": 1}, "edges": [], "x": ' + huge + "}")
+    assert main(["solve", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_oracle_commands(capsys, diamond_file, tmp_path):
     code, data = run(capsys, "oracle", "b-matching", diamond_file)
     assert code == 0 and data["weight"] == "3"

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from stablefixtures import generate
+from stablefixtures import core, generate
 from stablefixtures.core import (
     CoreViolationError,
     allocation_to_payoff,
@@ -19,6 +19,7 @@ from stablefixtures.errors import (
     BoundExceededError,
     CapacityTooLargeError,
     ComponentSumError,
+    InternalError,
 )
 from stablefixtures.instance import Instance
 from stablefixtures.matching import max_weight_b_matching_bruteforce
@@ -136,6 +137,34 @@ def test_repair_negative_detects_violation():
     verdict = err.value.verdict
     assert verdict.coalition == ("b", "c")
     assert verdict.coalition_total < verdict.coalition_value
+
+
+def test_uncertified_violation_is_internal_error(diamond):
+    x = {"s1": F(1), "s2": F(1), "s3": F(1), "u": F(0)}  # in the core
+    with pytest.raises(InternalError, match="certification"):
+        core._violation(diamond, x, ["s1", "s2"])
+
+
+def test_wrong_row_sums_are_internal_errors(monkeypatch):
+    inst = Instance(["a", "b"], {"a": 1, "b": 1}, [("a", "b", 4)])
+    x = {"a": F(1), "b": F(3)}
+    signed = solve_payoff_system(inst, inst.edges, x)
+    monkeypatch.setattr(core, "total_payoff", lambda inst_, p: {q: F(0) for q in inst_.players})
+    with pytest.raises(InternalError, match="row sums"):
+        solve_payoff_system(inst, inst.edges, x)
+    with pytest.raises(InternalError, match="row sums"):
+        repair_negative(inst, inst.edges, signed, x)
+
+
+def test_repair_round_bound_is_internal_error(monkeypatch):
+    inst = Instance(["a", "b", "c"], {"a": 1, "b": 2, "c": 1}, [("a", "b", 2), ("b", "c", 2)])
+    x = {"a": F(3), "b": F(0), "c": F(1)}
+    signed = solve_payoff_system(inst, inst.edges, x)
+    assert any(q < 0 for q in signed.values())
+    # An empty round budget leaves the negative entry in place.
+    monkeypatch.setattr(core, "range", lambda n: (), raising=False)
+    with pytest.raises(InternalError, match="round bound"):
+        repair_negative(inst, inst.edges, signed, x)
 
 
 def test_allocation_to_payoff_diamond(diamond):
@@ -305,13 +334,6 @@ def test_oracle_agreement_random():
         fast = core_membership_b2(inst, x)
         slow = core_membership_bruteforce(inst, x)
         assert fast.kind == slow.kind
-
-
-def test_jobs_parameter_same_verdict():
-    gen = generate("example4", alpha=2)
-    seq = core_membership_b2(gen.instance, gen.allocation, jobs=1)
-    par = core_membership_b2(gen.instance, gen.allocation, jobs=2)
-    assert seq == par
 
 
 def test_cycle_ratio_diagnostics(diamond):

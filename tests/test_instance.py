@@ -9,6 +9,7 @@ from stablefixtures.errors import InputError, NotBipartiteError, PreconditionErr
 from stablefixtures.instance import Instance, instance_from_json, instance_to_json
 from stablefixtures.matching import max_weight_b_matching_bruteforce
 from stablefixtures.randomgen import random_instance
+from stablefixtures.rationals import MAX_LITERAL_DIGITS, format_rational, parse_rational
 
 
 def test_validate_triangle_clean():
@@ -153,6 +154,21 @@ def test_json_rejects_floats():
             "edges": [{"u": "a", "v": "b", "w": 0.1}]}
     with pytest.raises(InputError):
         instance_from_json(data)
+
+
+def test_parse_rational_digit_bound():
+    assert parse_rational("1e999") == 10**999
+    assert parse_rational(10**MAX_LITERAL_DIGITS - 1) == 10**MAX_LITERAL_DIGITS - 1
+    for literal in ("1e1000", "1_0e999", "1e-1000", 10**MAX_LITERAL_DIGITS, "1e" + "9" * 40):
+        with pytest.raises(PreconditionError):
+            parse_rational(literal)
+    with pytest.raises(InputError):
+        parse_rational("1e")
+
+
+def test_format_rational_past_digit_limit():
+    with pytest.raises(PreconditionError):
+        format_rational(F(1, 10**5000))
 
 
 def test_json_rational_strings():

@@ -3,10 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from stablefixtures import generate
+from stablefixtures import generate, stability
 from stablefixtures.errors import (
     IncompatibleSolutionError,
+    InternalError,
     NotBipartiteError,
+    NotMaximumWeightError,
     PreconditionError,
     UnstableSolutionError,
 )
@@ -190,6 +192,36 @@ def test_rematch_rejects_unstable(example3):
     )
     with pytest.raises(UnstableSolutionError):
         rematch(inst, unstable, unstable.matching)
+
+
+def test_rematch_rejects_bad_targets(example2):
+    inst, sol, _ = example2
+    with pytest.raises(NotMaximumWeightError, match="< optimum 16"):
+        rematch(inst, sol, [("u1", "v1"), ("u2", "v1")])
+    with pytest.raises(PreconditionError, match="not a b-matching"):
+        rematch(inst, sol, [("u1", "v1"), ("u2", "v1"), ("u3", "v1")])
+
+
+def test_rematch_failed_equivalence_is_internal_error(monkeypatch, example2):
+    inst, sol, alt = example2
+    monkeypatch.setattr(stability, "are_equivalent", lambda *args: False)
+    with pytest.raises(InternalError, match="non-equivalent"):
+        rematch(inst, sol, alt.matching)
+
+
+def test_rematch_unstable_result_is_internal_error(monkeypatch, example2):
+    # Utilities read one unit low make the direct formula underpay new edges.
+    inst, sol, alt = example2
+    real = stability.require_stable
+
+    def low(inst_, sol_):
+        verdict = real(inst_, sol_)
+        u = {p: q - 1 for p, q in verdict.utilities.items()}
+        return stability.StabilityVerdict(verdict.stable, verdict.blocking_pairs, u)
+
+    monkeypatch.setattr(stability, "require_stable", low)
+    with pytest.raises(InternalError, match="incompatible or unstable"):
+        rematch(inst, sol, alt.matching)
 
 
 def test_resolve_sides_explicit_and_auto(example2):
