@@ -28,10 +28,16 @@ from .errors import (
     BoundExceededError,
     InternalError,
     NotBipartiteError,
+    PreconditionError,
     UnknownEdgeError,
 )
 from .instance import Edge, Instance, _fresh_name
-from .rationals import common_denominator, format_rational, parse_rational
+from .rationals import (
+    MAX_SCALE_DIGITS,
+    common_denominator,
+    format_rational,
+    parse_rational,
+)
 
 BRUTE_FORCE_EDGE_BOUND = 22
 HALF_BRUTE_FORCE_EDGE_BOUND = 12
@@ -65,7 +71,16 @@ def weight(inst: Instance, edges: Iterable[tuple[str, str]]) -> Fraction:
 
 
 def _int_weights(inst: Instance) -> tuple[dict[Edge, int], int]:
+    """Weights times their common denominator, and that denominator.
+
+    Raises PreconditionError when the denominator exceeds MAX_SCALE_DIGITS,
+    before any engine spends time on the scaled weights.
+    """
     scale = common_denominator(inst.edge_weights().values())
+    if scale >= 10**MAX_SCALE_DIGITS:
+        raise PreconditionError(
+            f"common denominator of the weights exceeds {MAX_SCALE_DIGITS} digits"
+        )
     return {e: int(w * scale) for e, w in inst.edge_weights().items()}, scale
 
 
@@ -101,7 +116,8 @@ def max_weight_b_matching(inst: Instance) -> tuple[frozenset[Edge], Fraction]:
         matching = _bipartite_matching(inst, _perturbed_int_weights(inst))
     else:
         matching = _general_matching(inst)
-    assert is_b_matching(inst, matching)
+    if not is_b_matching(inst, matching):
+        raise InternalError("matching engine overfilled a player")
     return matching, weight(inst, matching)
 
 
@@ -247,7 +263,8 @@ def duplicated_instance(inst: Instance) -> DuplicatedInstance:
         edges.append((left[i], right[j], half))
         edges.append((left[j], right[i], half))
     dup = Instance(players, capacity, edges)
-    assert dup.is_bipartite()
+    if not dup.is_bipartite():
+        raise InternalError("double cover is not bipartite")
     return DuplicatedInstance(dup, left, right, origin)
 
 
@@ -506,8 +523,10 @@ def _ssp_flow(
             for arc in adj[node]:
                 if cap[arc] <= 0:
                     continue
-                nd = d + cost[arc] + pi[node] - pi[to[arc]]
-                assert cost[arc] + pi[node] - pi[to[arc]] >= 0
+                reduced = cost[arc] + pi[node] - pi[to[arc]]
+                if reduced < 0:
+                    raise InternalError("negative reduced cost in the SSP engine")
+                nd = d + reduced
                 if nd < dist[to[arc]]:
                     dist[to[arc]] = nd
                     parent[to[arc]] = arc

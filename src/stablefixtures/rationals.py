@@ -18,6 +18,13 @@ from .errors import InputError, PreconditionError
 # printable, and literals like "1e10000000" are refused before they are built.
 MAX_LITERAL_DIGITS = 1000
 
+# Largest common denominator of an instance's weights, in decimal digits.
+# Engines scale every weight by it; a numerator of at most MAX_LITERAL_DIGITS
+# digits over this denominator keeps every derived value (duals, payoffs,
+# optima) within Python's 4300-digit rendering limit. Coprime denominators
+# multiply, so 15 weights 1/(10**899 + k) already reach about 13,500 digits.
+MAX_SCALE_DIGITS = 3000
+
 
 def parse_rational(value) -> Fraction:
     """Parse an int, Fraction, or string like "4", "7/2", "0.5" into a Fraction.

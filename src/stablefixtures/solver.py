@@ -182,13 +182,54 @@ def _check_half_at_least(half: Fraction, integral: Fraction) -> None:
 def has_stable_solution(inst: Instance) -> bool:
     """Exact equality test between the integral and fractional optima.
 
-    The fractional optimum comes from one unperturbed double-cover pass.
+    The fractional optimum and an optimal dual come from one unperturbed
+    double-cover pass; the instance is stable iff a b-matching of the
+    complementary-slack residual reaches it.
     """
     inst.require_valid()
-    _, integral = max_weight_b_matching(inst)
-    half, _ = bipartite_optimum_with_duals(duplicated_instance(inst).instance)
-    _check_half_at_least(half, integral)
-    return integral == half
+    dup = duplicated_instance(inst)
+    half, cert = bipartite_optimum_with_duals(dup.instance)
+    return _stable_matching(inst, _fold_dual(inst, dup, cert), half) is not None
+
+
+def _stable_matching(
+    inst: Instance, dual: DualSolution, half: Fraction
+) -> frozenset[Edge] | None:
+    """The tie-broken maximum-weight b-matching if it attains the half
+    optimum `half`, read off the optimal dual (y, d); None if the game has no
+    stable solution.
+
+    By complementary slackness, edges with d > 0 are forced, and the rest of
+    the matching uses tight edges (d = 0, y(u) + y(v) = w(uv)) within the
+    capacity the forced edges leave free. When the game is stable its optimal
+    b-matchings are exactly the forced edges plus a maximum-weight b-matching
+    of that residual, so the lexicographic tie-break on the residual (same
+    edge order) picks the same set as on the whole game.
+    """
+    forced = frozenset(e for e in inst.edges if dual.d[e] > 0)
+    free = {p: inst.b(p) for p in inst.players}
+    for (u, v) in forced:
+        free[u] -= 1
+        free[v] -= 1
+    if any(c < 0 for c in free.values()):
+        return None
+    tight = [
+        (u, v, inst.weight(u, v))
+        for (u, v) in inst.edges
+        if dual.d[(u, v)] == 0
+        and free[u]
+        and free[v]
+        and dual.y[u] + dual.y[v] == inst.weight(u, v)
+    ]
+    chosen, residual_weight = max_weight_b_matching(Instance(inst.players, free, tight))
+    total = weight(inst, forced) + residual_weight
+    _check_half_at_least(half, total)
+    if total != half:
+        return None
+    matching = forced | chosen
+    if not is_b_matching(inst, matching):
+        raise InternalError("forced and residual edges overfill a player")
+    return matching
 
 
 def stable_from_dual(
@@ -239,7 +280,8 @@ def stable_from_dual(
         payoffs[(u, v)] = dual.y[u] + xi_u
         payoffs[(v, u)] = dual.y[v] + (d_uv - xi_u)
         # Complementary slackness makes the matched constraint tight.
-        assert payoffs[(u, v)] + payoffs[(v, u)] == inst.weight(u, v)
+        if payoffs[(u, v)] + payoffs[(v, u)] != inst.weight(u, v):
+            raise InternalError(f"payoffs on {u}-{v} do not split its weight")
     sol = Solution(matching=m, payoffs=payoffs)
     require_stable(inst, sol)
     return sol
@@ -260,8 +302,10 @@ def dual_from_stable(inst: Instance, sol: Solution) -> DualSolution:
         if inst.b(p) == 0:
             y[p] = max([Fraction(0)] + [inst.weight(p, q) for q in inst.neighbors(p)])
     dual = DualSolution(y=y, d=tighten_d(inst, y))
-    assert is_dual_feasible(inst, dual).feasible
-    assert dual_objective(inst, dual) == weight(inst, sol.matching)
+    if not is_dual_feasible(inst, dual).feasible:
+        raise InternalError("dual read off a stable solution is infeasible")
+    if dual_objective(inst, dual) != weight(inst, sol.matching):
+        raise InternalError("dual read off a stable solution misses the matching weight")
     return dual
 
 
@@ -274,15 +318,25 @@ def solve(
     heavier half-b-matching witness proving none exists.
 
     One unperturbed double-cover pass gives the half-b-matching optimum and
-    the optimal dual; the perturbed cover pass runs only when no stable
-    solution exists, to produce the tie-broken witness.
+    an optimal dual; the stable matching is matched on the complementary-slack
+    residual of that dual alone, and the dual objective check of
+    `stable_from_dual` certifies it. Only when the residual falls short does
+    the full-graph engine run (for the b-matching optimum), together with the
+    perturbed cover pass for the tie-broken witness.
     """
     inst.require_valid()
-    matching, integral = max_weight_b_matching(inst)
     dup = duplicated_instance(inst)
     half, cert = bipartite_optimum_with_duals(dup.instance)
-    _check_half_at_least(half, integral)
-    if integral != half:
+    dual = _fold_dual(inst, dup, cert)
+    matching = _stable_matching(inst, dual, half)
+    if matching is None:
+        _, integral = max_weight_b_matching(inst)
+        _check_half_at_least(half, integral)
+        if integral == half:
+            raise InternalError(
+                "a b-matching attains the half optimum, but none is "
+                "complementary-slack with the optimal dual"
+            )
         witness_weight, witness = max_half_b_matching_weight(inst, _dup=dup)
         if witness_weight != half:
             raise InternalError(
@@ -295,13 +349,12 @@ def solve(
             half_weight=half,
             witness=witness,
         )
-    dual = _fold_dual(inst, dup, cert)
     sol = stable_from_dual(
-        inst, matching, dual, split_rule=split_rule, sellers=sellers, _known_optimum=integral
+        inst, matching, dual, split_rule=split_rule, sellers=sellers, _known_optimum=half
     )
     return SolveOutcome(
         stable=True,
-        matching_weight=integral,
+        matching_weight=half,
         half_weight=half,
         solution=sol,
         dual=dual,

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from stablefixtures import generate
+from stablefixtures.instance import Instance
 from stablefixtures.stability import make_solution
 
 
@@ -85,3 +86,12 @@ def example3():
 @pytest.fixture
 def diamond():
     return generate("diamond").instance
+
+
+@pytest.fixture
+def heavy_edge_triangle():
+    """Stable and non-bipartite; its complementary-slack residual is the
+    single tight edge a-b, so the residual is bipartite."""
+    return Instance(
+        ["a", "b", "c"], {p: 1 for p in "abc"}, [("a", "b", 4), ("b", "c", 1), ("a", "c", 1)]
+    )

@@ -1,9 +1,12 @@
+import itertools
 import json
 
 import pytest
 
+from stablefixtures import matching
 from stablefixtures.cli import main
 from stablefixtures.instance import generate, instance_to_json
+from stablefixtures.rationals import MAX_SCALE_DIGITS
 
 
 @pytest.fixture
@@ -217,3 +220,32 @@ def test_outputs_render_rationals_as_fractions(capsys, diamond_file):
     code, data = run(capsys, "solve", diamond_file)
     text = json.dumps(data)
     assert "." not in text.replace(".json", "")  # no decimal literals
+
+
+def _clique_file(tmp_path, n, digits):
+    """K_n with capacity 1 and weights 1/(10**digits + k): every denominator
+    fits a literal, but the common denominator has about m * digits digits."""
+    players = [f"p{k}" for k in range(n)]
+    edges = [
+        {"u": u, "v": v, "w": f"1/{10**digits + k}"}
+        for k, (u, v) in enumerate(itertools.combinations(players, 2))
+    ]
+    path = tmp_path / "clique.json"
+    path.write_text(json.dumps({"players": players, "capacity": dict.fromkeys(players, 1), "edges": edges}))
+    return str(path)
+
+
+def test_derived_denominator_past_bound_exit2_before_any_engine(capsys, tmp_path, monkeypatch):
+    passes = []
+    monkeypatch.setattr(matching, "_ssp_flow", lambda *args: passes.append(args))
+    assert main(["solve", _clique_file(tmp_path, 6, 899)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and passes == []
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: common denominator")
+    assert f"{MAX_SCALE_DIGITS} digits" in captured.err
+
+
+def test_derived_denominator_within_bound_solves(capsys, tmp_path):
+    code, data = run(capsys, "solve", _clique_file(tmp_path, 6, 99))
+    assert code in (0, 3) and data["half_b_matching_weight"]

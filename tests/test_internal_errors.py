@@ -2,15 +2,18 @@
 
 Once the half-b-matching optimum comes from a single unperturbed pass, the
 dual certificate check is the only guard on it, so it must not be an
-`assert`. pytest rewrites the asserts of test modules into explicit checks,
-so this module also tests something when pytest itself runs under
-`python -O` (as the CI does).
+`assert`. The same holds for the checks on the stable answer read off the
+dual: the residual matching, the payoff split and the SSP reduced costs.
+pytest rewrites the asserts of test modules into explicit checks, so this
+module also tests something when pytest itself runs under `python -O` (as
+the CI does).
 """
 
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -19,7 +22,7 @@ import stablefixtures
 from stablefixtures import generate, matching, solver
 from stablefixtures.cli import EXIT_INTERNAL, main
 from stablefixtures.errors import InternalError, StableFixturesError
-from stablefixtures.instance import instance_to_json
+from stablefixtures.instance import Instance, instance_to_json
 
 
 def _overpriced_ssp(monkeypatch):
@@ -134,3 +137,119 @@ def test_certificate_checks_survive_python_O(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["True", "True", str(EXIT_INTERNAL)]
     assert proc.stderr.startswith("error: internal: duality gap")
+
+
+# ---------------------------------------------------------------------------
+# Checks on the stable path: residual matching, payoff split, dual read-back
+# ---------------------------------------------------------------------------
+
+
+def test_overfilling_residual_matching_fails_solve(
+    monkeypatch, capsys, tmp_path, heavy_edge_triangle
+):
+    inst = heavy_edge_triangle
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(instance_to_json(inst)))
+    real = solver.max_weight_b_matching
+
+    def extra(net):
+        # The residual engine adds a-c at the same weight.
+        chosen, value = real(net)
+        return chosen | {("a", "c")}, value
+
+    monkeypatch.setattr(solver, "max_weight_b_matching", extra)
+    with pytest.raises(InternalError, match="overfill"):
+        solver.solve(inst)
+    with pytest.raises(InternalError, match="overfill"):
+        solver.has_stable_solution(inst)
+    assert main(["solve", str(path)]) == EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith("error: internal: forced and residual")
+
+
+def test_unsplit_payoffs_fail_stable_from_dual(monkeypatch, heavy_edge_triangle):
+    inst = heavy_edge_triangle
+    outcome = solver.solve(inst)
+    d = dict(outcome.dual.d)
+    d[("a", "b")] += 1
+    loose = solver.DualSolution(y=outcome.dual.y, d=d)
+    # Only a lying objective lets a loose matched edge reach the split.
+    monkeypatch.setattr(solver, "dual_objective", lambda inst, dual: F(4))
+    with pytest.raises(InternalError, match="split"):
+        solver.stable_from_dual(inst, outcome.solution.matching, loose)
+
+
+@pytest.mark.parametrize(
+    "shift, message", [({"a": -100}, "infeasible"), ({p: 1 for p in "abc"}, "matching weight")]
+)
+def test_wrong_utilities_fail_dual_from_stable(monkeypatch, heavy_edge_triangle, shift, message):
+    inst = heavy_edge_triangle
+    sol = solver.solve(inst).solution
+    real = solver.utilities
+
+    def shifted(inst, sol):
+        u = real(inst, sol)
+        return {p: q + shift.get(p, 0) for p, q in u.items()}
+
+    monkeypatch.setattr(solver, "utilities", shifted)
+    with pytest.raises(InternalError, match=message):
+        solver.dual_from_stable(inst, sol)
+
+
+def test_negative_reduced_cost_fails_ssp():
+    inst = Instance(["a", "b"], {"a": 1, "b": 1}, [("a", "b", 3)])
+    # A coloring that puts both ends on the source side breaks the potentials.
+    with pytest.raises(InternalError, match="reduced cost"):
+        matching._ssp_flow(inst, {("a", "b"): 3}, {"a": 0, "b": 0})
+
+
+_STABLE_PATH_PROBE = """
+import sys
+from fractions import Fraction
+from stablefixtures import matching, solver
+from stablefixtures.cli import main
+from stablefixtures.errors import InternalError
+from stablefixtures.instance import Instance
+
+inst = Instance(["a", "b", "c"], {p: 1 for p in "abc"},
+                [("a", "b", 4), ("b", "c", 1), ("a", "c", 1)])
+outcome = solver.solve(inst)
+d = dict(outcome.dual.d)
+d[("a", "b")] += 1
+real_objective, real_utilities, real_engine = (
+    solver.dual_objective, solver.utilities, solver.max_weight_b_matching)
+
+def raises(call):
+    try:
+        call()
+    except InternalError:
+        return True
+    return False
+
+solver.dual_objective = lambda inst, dual: Fraction(4)
+split = raises(lambda: solver.stable_from_dual(
+    inst, outcome.solution.matching, solver.DualSolution(y=outcome.dual.y, d=d)))
+solver.dual_objective = real_objective
+solver.utilities = lambda inst, sol: {p: q + 1 for p, q in real_utilities(inst, sol).items()}
+read_back = raises(lambda: solver.dual_from_stable(inst, outcome.solution))
+solver.utilities = real_utilities
+ssp = raises(lambda: matching._ssp_flow(
+    Instance(["a", "b"], {"a": 1, "b": 1}, [("a", "b", 3)]), {("a", "b"): 3}, {"a": 0, "b": 0}))
+solver.max_weight_b_matching = lambda net: (
+    real_engine(net)[0] | {("a", "c")}, real_engine(net)[1])
+print(split, read_back, ssp, main(["solve", sys.argv[1]]))
+"""
+
+
+def test_stable_path_checks_survive_python_O(tmp_path, heavy_edge_triangle):
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(instance_to_json(heavy_edge_triangle)))
+    src = Path(stablefixtures.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _STABLE_PATH_PROBE, str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True", "True", str(EXIT_INTERNAL)]
+    assert proc.stderr.startswith("error: internal: forced and residual")

@@ -156,8 +156,9 @@ def test_high_capacity_costs_nothing(blossom_sizes):
         return Instance(tri.players, capacity, edges)
 
     heavy = with_capacity(200000)
+    max_weight_b_matching(heavy)
+    assert len(blossom_sizes) == 1 and blossom_sizes[0] <= _gadget_bound(heavy)
     out = outcome_to_json(heavy, solve(heavy))
-    assert blossom_sizes and max(blossom_sizes) <= _gadget_bound(heavy)
     # Any capacity at or above the degree leaves a unsaturated, so the answer
     # is that of b(a) = 3; b(a) = 2 would saturate a and change its dual.
     assert out == outcome_to_json(with_capacity(3), solve(with_capacity(3)))

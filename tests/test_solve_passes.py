@@ -1,11 +1,14 @@
 """The solve pipeline runs each engine once per fact.
 
 * One unperturbed double-cover pass gives the half-b-matching optimum and the
-  optimal dual; the perturbed cover pass runs only for a no-stable witness.
+  optimal dual; a stable game is then matched on the dual's complementary-slack
+  residual alone, and the perturbed cover pass runs only for a no-stable
+  witness.
 * networkx is imported only when blossom runs.
-* A differential test pins `solve` to the older composition (perturbed cover
-  pass for the half weight, perturbed plus unperturbed cover passes for the
-  dual), kept here as an oracle.
+* A differential test pins `solve` to the older composition (full-graph
+  engine for the matching, perturbed cover pass for the half weight,
+  perturbed plus unperturbed cover passes for the dual), kept here as an
+  oracle.
 """
 
 import json
@@ -51,34 +54,43 @@ def run(*argv):
         code = main(list(argv))
     return code, out.getvalue()
 
-bip, sol, general = sys.argv[1:4]
+bip, sol, stable_general, no_stable = sys.argv[1:5]
 codes = []
 code, out = run("solve", bip)
 codes.append(code)
 with open(sol, "w", encoding="utf-8") as fh:
     json.dump(json.loads(out)["solution"], fh)
 codes.append(run("verify-stable", bip, sol)[0])
+codes.append(run("solve", stable_general)[0])
 before = "networkx" in sys.modules
-codes.append(run("solve", general)[0])
+codes.append(run("solve", no_stable)[0])
 print(json.dumps({"codes": codes, "before": before, "after": "networkx" in sys.modules}))
 """
 
 
-def test_networkx_loaded_only_when_blossom_runs(tmp_path):
-    bip = tmp_path / "example2.json"
-    bip.write_text(json.dumps(instance_to_json(generate("example2").instance)))
-    general = tmp_path / "diamond.json"
-    general.write_text(json.dumps(instance_to_json(generate("diamond").instance)))
+def test_networkx_loaded_only_when_blossom_runs(tmp_path, heavy_edge_triangle):
+    """A stable general game whose residual is bipartite never loads networkx;
+    the no-stable diamond runs the full-graph engine and does."""
+    paths = []
+    for name, inst in (
+        ("example2", generate("example2").instance),
+        ("triangle", heavy_edge_triangle),
+        ("diamond", generate("diamond").instance),
+    ):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(instance_to_json(inst)))
+    bip, stable_general, no_stable = map(str, paths)
     src = Path(stablefixtures.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", _NETWORKX_PROBE, str(bip), str(tmp_path / "sol.json"), str(general)],
+        [sys.executable, "-c", _NETWORKX_PROBE, bip, str(tmp_path / "sol.json"),
+         stable_general, no_stable],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
         check=True,
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result == {"codes": [0, 0, 3], "before": False, "after": True}
+    assert result == {"codes": [0, 0, 0, 3], "before": False, "after": True}
 
 
 # ---------------------------------------------------------------------------
@@ -116,14 +128,19 @@ def test_stable_bipartite_solve_makes_one_cover_pass(monkeypatch, example2):
     assert sorted(kinds) == [("cover", "plain"), ("instance", "perturbed")]
 
 
-def test_stable_general_solve_makes_one_cover_pass(monkeypatch):
-    inst = Instance(
-        ["a", "b", "c"], {p: 1 for p in "abc"}, [("a", "b", 4), ("b", "c", 1), ("a", "c", 1)]
-    )
+def test_stable_general_solve_makes_one_cover_pass(monkeypatch, heavy_edge_triangle):
+    """One plain cover pass, then one perturbed pass on the bipartite residual."""
+    inst = heavy_edge_triangle
     assert not inst.is_bipartite()
+    blossom = []
+    real = matching._general_matching
+    monkeypatch.setattr(
+        matching, "_general_matching", lambda net: blossom.append(net) or real(net)
+    )
     outcome, kinds = _spy_passes(monkeypatch, solve, inst)
     assert outcome.stable
-    assert kinds == [("cover", "plain")]
+    assert kinds == [("cover", "plain"), ("instance", "perturbed")]
+    assert blossom == []
 
 
 def test_no_stable_solve_adds_one_perturbed_cover_pass(monkeypatch, diamond):
@@ -202,6 +219,27 @@ def _adversarial_instance(rng, bipartite):
     return Instance(players, capacity, edges)
 
 
+TIE_HEAVY_IDS = ["a", "a'", "a^1", "a''", "b", "b''", "b'", "a^1'"]
+
+
+def _tie_heavy_instance(rng, bipartite):
+    """Weights in {0, 1, 2}, so most games have many optimal b-matchings;
+    zero and over-degree capacities; ids that collide with the double
+    cover's primed names and with gadget names."""
+    base = random_instance(
+        rng, n_range=(2, 8), max_extra_edges=8, b_range=(0, 2), max_weight=2,
+        bipartite=bipartite, allow_zero_capacity=True,
+    )
+    names = dict(zip(base.players, rng.sample(TIE_HEAVY_IDS, len(TIE_HEAVY_IDS))))
+    capacity = {}
+    for p in base.players:
+        capacity[names[p]] = rng.choice(
+            (0, base.b(p), base.b(p), len(base.neighbors(p)) + rng.randint(1, 2))
+        )
+    edges = [(names[u], names[v], base.weight(u, v)) for (u, v) in base.edges]
+    return Instance([names[p] for p in base.players], capacity, edges)
+
+
 def test_solve_matches_old_composition():
     rng = random.Random(20240)
     counts = {"stable": 0, "no_stable": 0, "bipartite": 0, "general": 0}
@@ -221,3 +259,20 @@ def test_solve_matches_old_composition():
     assert counts["no_stable"] >= 50
     assert counts["stable"] >= 300
     assert counts["bipartite"] >= 150 and counts["general"] >= 150
+
+    # Tie-heavy block: the residual's tie-break must pick the whole game's.
+    ties = {"stable": 0, "no_stable": 0, "general": 0, "tied": 0}
+    for k in range(400):
+        inst = _tie_heavy_instance(rng, bipartite=k % 4 == 0)
+        new = outcome_to_json(inst, solve(inst))
+        assert new == outcome_to_json(inst, _old_solve(inst)), instance_to_json(inst)
+        ties[new["status"]] += 1
+        ties["general"] += not inst.is_bipartite()
+        ties["tied"] += len(set(inst.edge_weights().values())) < inst.m
+        if k % 4 == 0 and inst.m:
+            coloring = inst.two_coloring()
+            sellers = [p for p in inst.players if coloring[p] == 0]
+            new = outcome_to_json(inst, solve(inst, split_rule="seller_side", sellers=sellers))
+            old = _old_solve(inst, split_rule="seller_side", sellers=sellers)
+            assert new == outcome_to_json(inst, old), instance_to_json(inst)
+    assert ties["stable"] >= 300 and ties["general"] >= 150 and ties["tied"] >= 250
