@@ -138,7 +138,6 @@ def solve_payoff_system(
     the weight of one edge to each side; trees are peeled leaf by leaf,
     always at the smallest-index leaf.
     """
-    inst.require_valid()
     m = inst.canonical_edge_set(matching)
     if not is_b_matching(inst, m):
         raise PreconditionError("edge set is not a b-matching")
@@ -293,7 +292,6 @@ def repair_negative(
     the negative entry's endpoint cannot be reached, the unreachable side is
     a violating coalition and x was not in the core (CoreViolationError).
     """
-    inst.require_valid()
     m = inst.canonical_edge_set(matching)
     p = dict(payoffs)
 
@@ -370,7 +368,6 @@ def allocation_to_payoff(
     """Express a core allocation as nonnegative payoffs on a maximum-weight
     b-matching: decomposition followed by repair. Row sums equal x exactly.
     """
-    inst.require_valid()
     m = inst.canonical_edge_set(matching)
     _, optimum = max_weight_b_matching(inst)
     if weight(inst, m) != optimum:
@@ -392,7 +389,6 @@ def core_membership_b2(inst: Instance, x: Mapping[str, Fraction]) -> CoreVerdict
     players; then the exact minimum path/cycle system. Any violating
     component is returned as its coalition after engine re-certification.
     """
-    inst.require_valid()
     heavy = [p for p in inst.players if inst.b(p) > 2]
     if heavy:
         raise CapacityTooLargeError(f"players with b > 2: {heavy}")
@@ -464,7 +460,6 @@ def cycle_ratio_diagnostics(
     diagnostics. Returns (None, None) when the capacity-2 subgraph is
     acyclic, and (None, cycle) when the ratio is unbounded.
     """
-    inst.require_valid()
     two = [p for p in inst.players if inst.b(p) == 2]
     two_set = set(two)
     profit = {}
@@ -495,7 +490,6 @@ def core_membership_bruteforce(
     path fully independent of the main engines (violations are still
     re-certified against the engine before being returned).
     """
-    inst.require_valid()
     if inst.n > max_players:
         raise BoundExceededError(
             f"{inst.n} players exceed the brute-force bound {max_players}"

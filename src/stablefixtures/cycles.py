@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import PreconditionError
+from .errors import InternalError, PreconditionError
 from .rationals import common_denominator
 
 Pair = tuple[str, str]
@@ -98,7 +98,8 @@ def negative_cycle(
                 if b in dist[a]
             ],
         )
-        assert matching is not None, "odd-degree terminals must pair up per component"
+        if matching is None:
+            raise InternalError("odd-degree terminals must pair up per component")
         for pair in sorted(matching, key=sorted):
             a, b = sorted(pair)
             node = b
@@ -114,7 +115,7 @@ def negative_cycle(
     for cycle in _peel_cycles(even_subgraph):
         if sum(cost[e] for e in cycle) < 0:
             return cycle
-    raise AssertionError("negative even subgraph without a negative cycle")
+    raise InternalError("negative even subgraph without a negative cycle")
 
 
 def _dijkstra(adj, cost, source):
@@ -168,7 +169,8 @@ def _peel_cycles(edges: set[Pair]) -> list[list[Pair]]:
                     stack_nodes.append(nxt)
                     stack_edges.append(edge)
                     node = nxt
-    assert not unused
+    if unused:
+        raise InternalError("even-degree edge set not split into cycles")
     return cycles
 
 
@@ -247,7 +249,8 @@ def min_path_cycle_system(
     mate = _min_weight_perfect_matching(
         list(graph.nodes), [(a, b, d["weight"]) for a, b, d in graph.edges(data=True)]
     )
-    assert mate is not None, "the all-unused state is always a perfect matching"
+    if mate is None:
+        raise InternalError("the all-unused state is always a perfect matching")
 
     selected = [
         e
@@ -281,7 +284,8 @@ def _split_components(selected, x, weights) -> list[SystemComponent]:
         seen |= comp_nodes
         comp_edges = sorted({e for v in comp_nodes for e in adj[v]})
         kind = "cycle" if len(comp_edges) == len(comp_nodes) else "path"
-        assert len(comp_edges) in (len(comp_nodes), len(comp_nodes) - 1)
+        if len(comp_edges) not in (len(comp_nodes), len(comp_nodes) - 1):
+            raise InternalError(f"component at {start} is neither a path nor a cycle")
         cost = sum((x[v] for v in comp_nodes), Fraction(0)) - sum(
             (weights[e] for e in comp_edges), Fraction(0)
         )
@@ -344,9 +348,10 @@ def max_profit_cost_ratio(
         # An improving cycle has positive total cost: zero-cost cycles with
         # positive profit cannot reach this point.
         nxt_ratio = _cycle_ratio(nxt, profit, cost)
-        assert nxt_ratio > ratio
+        if nxt_ratio <= ratio:
+            raise InternalError("Newton step did not raise the cycle ratio")
         best, ratio = nxt, nxt_ratio
-    raise AssertionError("ratio search failed to converge")
+    raise InternalError("ratio search failed to converge")
 
 
 def _cycle_ratio(cycle, profit, cost) -> Fraction:

@@ -4,15 +4,17 @@ An instance (G, b, w) describes a multiple partners matching game: players may
 form pairwise partnerships along edges, player i takes part in at most b(i) of
 them, and a partnership ij is worth w(ij) to be split between its two ends.
 
-Instances are immutable after construction and safe to share between threads.
-Construction normalises types but does not reject bad data; `validate`
-reports every model violation and engines call `require_valid` up front.
+Construction validates: `Instance(...)` raises InvalidInstanceError listing
+every model violation, so an Instance is valid for its whole life and no
+engine checks it again. Instances are immutable (capacities are a read-only
+mapping) and safe to share between threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -35,7 +37,7 @@ class Instance:
     for canonical edge keys, deterministic iteration, and tie-breaking.
     """
 
-    __slots__ = ("players", "capacity", "_index", "_weights", "_adj", "raw_edges")
+    __slots__ = ("players", "capacity", "_index", "_weights", "_adj")
 
     def __init__(
         self,
@@ -44,23 +46,16 @@ class Instance:
         edges: Iterable[tuple[str, str, object]],
     ):
         self.players: tuple[str, ...] = tuple(players)
-        self._index = {}
-        for k, p in enumerate(self.players):
-            self._index.setdefault(p, k)
-        self.capacity = dict(capacity)
-        # Raw edges are kept verbatim so validate() can report loops,
-        # duplicates, unknown endpoints and negative weights.
-        self.raw_edges: tuple[tuple[str, str, Fraction], ...] = tuple(
-            (u, v, parse_rational(w)) for (u, v, w) in edges
-        )
+        self.capacity: Mapping[str, int] = MappingProxyType(dict(capacity))
+        parsed = [(u, v, parse_rational(w)) for (u, v, w) in edges]
+        report = validate(self.players, self.capacity, parsed)
+        if not report.ok:
+            raise InvalidInstanceError(report.violations)
+        self._index = {p: k for k, p in enumerate(self.players)}
         self._weights: dict[Edge, Fraction] = {}
         self._adj: dict[str, list[str]] = {p: [] for p in self.players}
-        for u, v, w in self.raw_edges:
-            if u == v or u not in self._index or v not in self._index:
-                continue
+        for u, v, w in parsed:
             key = self._key(u, v)
-            if key in self._weights:
-                continue
             self._weights[key] = w
             self._adj[key[0]].append(key[1])
             self._adj[key[1]].append(key[0])
@@ -85,7 +80,7 @@ class Instance:
 
     def b(self, p: str) -> int:
         self.index(p)
-        return self.capacity.get(p, 0)
+        return self.capacity[p]
 
     def _key(self, u: str, v: str) -> Edge:
         return (u, v) if self._index[u] <= self._index[v] else (v, u)
@@ -129,16 +124,6 @@ class Instance:
     def canonical_edge_set(self, pairs: Iterable[tuple[str, str]]) -> frozenset[Edge]:
         """Canonicalise a collection of vertex pairs into an edge set."""
         return frozenset(self.edge_key(u, v) for (u, v) in pairs)
-
-    # -- validation ------------------------------------------------------
-
-    def validate(self) -> "ValidationReport":
-        return validate(self)
-
-    def require_valid(self) -> None:
-        report = validate(self)
-        if not report.ok:
-            raise InvalidInstanceError(report.violations)
 
     # -- structure -------------------------------------------------------
 
@@ -191,6 +176,11 @@ class Instance:
     def induced(self, coalition: Iterable[str]) -> "Instance":
         return induced(self, coalition)
 
+    def __reduce__(self):
+        # Pickle through the constructor: a mapping proxy cannot be pickled.
+        edges = [(u, v, w) for (u, v), w in self._weights.items()]
+        return Instance, (self.players, dict(self.capacity), edges)
+
     def __repr__(self) -> str:
         return f"Instance(n={self.n}, m={self.m})"
 
@@ -213,28 +203,35 @@ class ValidationReport:
         return not self.violations
 
 
-def validate(inst: Instance) -> ValidationReport:
-    """Report every model violation; an empty report means a valid instance."""
+def validate(
+    players: Sequence[str],
+    capacity: Mapping[str, int],
+    edges: Iterable[tuple[str, str, Fraction]],
+) -> ValidationReport:
+    """Report every model violation of the parts of an instance (weights
+    already parsed); an empty report means a valid instance. Violations come
+    in the order players, capacities, missing capacities, edges.
+    """
     out: list[str] = []
     seen_players: set[str] = set()
-    for p in inst.players:
+    for p in players:
         if not isinstance(p, str) or not p:
             out.append(f"player id {p!r} is not a non-empty string")
         elif p in seen_players:
             out.append(f"duplicate player {p!r}")
         seen_players.add(p)
-    for p, c in inst.capacity.items():
+    for p, c in capacity.items():
         if p not in seen_players:
             out.append(f"capacity given for unknown player {p!r}")
         elif not isinstance(c, int) or isinstance(c, bool):
             out.append(f"capacity of {p!r} is not an integer")
         elif c < 0:
             out.append(f"negative capacity b({p}) = {c}")
-    for p in inst.players:
-        if p not in inst.capacity:
+    for p in players:
+        if p not in capacity:
             out.append(f"missing capacity for player {p!r}")
     seen_edges: set[frozenset[str]] = set()
-    for u, v, w in inst.raw_edges:
+    for u, v, w in edges:
         if u == v:
             out.append(f"loop at {u!r}")
             continue
@@ -261,7 +258,7 @@ def induced(inst: Instance, coalition: Iterable[str]) -> Instance:
         inst.index(p)
         members.add(p)
     players = [p for p in inst.players if p in members]
-    capacity = {p: inst.capacity[p] for p in players if p in inst.capacity}
+    capacity = {p: inst.capacity[p] for p in players}
     edges = [
         (u, v, w)
         for (u, v), w in inst.edge_weights().items()
@@ -460,7 +457,6 @@ def _cubic_gadget(graph=None, **params) -> Generated:
         graph = graph.instance
     if not isinstance(graph, Instance):
         raise PreconditionError("cubic_gadget input must be an Instance")
-    graph.require_valid()
     if not graph.is_bipartite():
         raise NotBipartiteError("cubic_gadget input graph must be bipartite")
     n = graph.n

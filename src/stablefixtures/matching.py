@@ -109,11 +109,11 @@ def max_weight_b_matching(inst: Instance) -> tuple[frozenset[Edge], Fraction]:
     Bipartite instances go through the flow engine; general instances through
     the edge-gadget graph and an exact integer blossom matching.
     """
-    inst.require_valid()
     if inst.m == 0:
         return frozenset(), Fraction(0)
-    if inst.is_bipartite():
-        matching = _bipartite_matching(inst, _perturbed_int_weights(inst))
+    coloring = inst.two_coloring()
+    if coloring is not None:
+        matching = _bipartite_matching(inst, _perturbed_int_weights(inst), coloring)
     else:
         matching = _general_matching(inst)
     if not is_b_matching(inst, matching):
@@ -159,7 +159,6 @@ def max_weight_b_matching_bruteforce(
     inst: Instance, max_edges: int = BRUTE_FORCE_EDGE_BOUND
 ) -> tuple[frozenset[Edge], Fraction]:
     """Exhaustive optimum by branching over every edge subset."""
-    inst.require_valid()
     if inst.m > max_edges:
         raise BoundExceededError(f"{inst.m} edges exceed brute-force bound {max_edges}")
     edges = inst.edges
@@ -240,7 +239,6 @@ class DuplicatedInstance:
 
 
 def duplicated_instance(inst: Instance) -> DuplicatedInstance:
-    inst.require_valid()
     used: set[str] = set()
     players: list[str] = []
     left: dict[str, str] = {}
@@ -300,7 +298,6 @@ def max_half_b_matching_bruteforce(
     inst: Instance, max_edges: int = HALF_BRUTE_FORCE_EDGE_BOUND
 ) -> Fraction:
     """Test oracle: enumerate all 3^m half-assignments."""
-    inst.require_valid()
     if inst.m > max_edges:
         raise BoundExceededError(f"{inst.m} edges exceed half brute-force bound {max_edges}")
     edges = inst.edges
@@ -377,7 +374,6 @@ def bipartite_optimum_with_duals(
 
 
 def _require_coloring(inst: Instance) -> dict[str, int]:
-    inst.require_valid()
     coloring = inst.two_coloring()
     if coloring is None:
         raise NotBipartiteError("instance is not bipartite")
@@ -444,12 +440,8 @@ def _verify_certificate(
 
 
 def _bipartite_matching(
-    inst: Instance, int_weights: dict[Edge, int], coloring: dict[str, int] | None = None
+    inst: Instance, int_weights: dict[Edge, int], coloring: dict[str, int]
 ) -> frozenset[Edge]:
-    if coloring is None:
-        coloring = inst.two_coloring()
-        if coloring is None:
-            raise NotBipartiteError("instance is not bipartite")
     matching, _ = _ssp_flow(inst, int_weights, coloring)
     return matching
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import NotMaximumWeightError, PreconditionError
+from .errors import InternalError, NotMaximumWeightError, PreconditionError
 from .instance import Edge, Instance, _fresh_name
 from .rationals import format_rational
 from .stability import (
@@ -55,7 +55,6 @@ def reduce_instance(inst: Instance) -> ReducedInstance:
 
     |N'| = sum_i b(i) + 4m and |E'| = sum_{ij} (b(i) + b(j) + 3).
     """
-    inst.require_valid()
     used: set[str] = set()
     players: list[str] = []
     copies: dict[tuple[str, int], str] = {}
@@ -97,8 +96,10 @@ def reduce_instance(inst: Instance) -> ReducedInstance:
             edges.append((out_j, copies[(j, t)], w))
 
     reduced = Instance(players, {p: 1 for p in players}, edges)
-    assert reduced.n == sum(inst.b(p) for p in inst.players) + 4 * inst.m
-    assert reduced.m == sum(inst.b(u) + inst.b(v) + 3 for (u, v) in inst.edges)
+    n = sum(inst.b(p) for p in inst.players) + 4 * inst.m
+    m = sum(inst.b(u) + inst.b(v) + 3 for (u, v) in inst.edges)
+    if (reduced.n, reduced.m) != (n, m):
+        raise InternalError(f"expanded instance has the wrong size {reduced.n}/{reduced.m}, not {n}/{m}")
     return ReducedInstance(reduced, copies, inner, outer, origin)
 
 
@@ -208,7 +209,6 @@ def srp_rematch(
     """
     from .matching import is_b_matching, max_weight_b_matching, weight
 
-    g.require_valid()
     if any(g.b(p) != 1 for p in g.players):
         raise PreconditionError("srp_rematch requires unit capacities")
     require_stable(g, sol)

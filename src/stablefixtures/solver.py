@@ -146,7 +146,6 @@ def dual_from_duplicated(inst: Instance) -> DualSolution:
     the original dual and attains the half-b-matching optimum, which is the
     LP optimum.
     """
-    inst.require_valid()
     dup = duplicated_instance(inst)
     _, cert = bipartite_optimum_with_duals(dup.instance)
     return _fold_dual(inst, dup, cert)
@@ -186,7 +185,6 @@ def has_stable_solution(inst: Instance) -> bool:
     double-cover pass; the instance is stable iff a b-matching of the
     complementary-slack residual reaches it.
     """
-    inst.require_valid()
     dup = duplicated_instance(inst)
     half, cert = bipartite_optimum_with_duals(dup.instance)
     return _stable_matching(inst, _fold_dual(inst, dup, cert), half) is not None
@@ -249,7 +247,6 @@ def stable_from_dual(
     """
     if split_rule not in SPLIT_RULES:
         raise InputError(f"split_rule must be one of {SPLIT_RULES}")
-    inst.require_valid()
     m = inst.canonical_edge_set(matching)
     if not is_b_matching(inst, m):
         raise PreconditionError("given edge set is not a b-matching")
@@ -295,7 +292,6 @@ def dual_from_stable(inst: Instance, sol: Solution) -> DualSolution:
     (infinite blocking utility, zero objective coefficient) are priced at
     their heaviest incident edge so every such edge keeps zero slack.
     """
-    inst.require_valid()
     require_stable(inst, sol)
     y = utilities(inst, sol)
     for p in inst.players:
@@ -324,7 +320,6 @@ def solve(
     the full-graph engine run (for the b-matching optimum), together with the
     perturbed cover pass for the tie-broken witness.
     """
-    inst.require_valid()
     dup = duplicated_instance(inst)
     half, cert = bipartite_optimum_with_duals(dup.instance)
     dual = _fold_dual(inst, dup, cert)

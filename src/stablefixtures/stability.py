@@ -199,7 +199,6 @@ def rematch(inst: Instance, sol: Solution, new_matching: Iterable[tuple[str, str
     """
     from . import matching as matching_mod
 
-    inst.require_valid()
     u = require_stable(inst, sol).utilities
     target = inst.canonical_edge_set(new_matching)
     if not matching_mod.is_b_matching(inst, target):

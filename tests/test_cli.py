@@ -177,6 +177,33 @@ def test_invalid_instance_exit2(tmp_path):
     assert main(["solve", str(bad)]) == 2
 
 
+INVALID_EDGES = {
+    "multi-edge": [{"u": "a", "v": "b", "w": "1"}, {"u": "b", "v": "a", "w": "9"}],
+    "loop": [{"u": "a", "v": "b", "w": "1"}, {"u": "a", "v": "a", "w": "1"}],
+}
+
+
+@pytest.mark.parametrize("shape", sorted(INVALID_EDGES))
+@pytest.mark.parametrize(
+    "argv",
+    [["verify-stable", "{inst}", "{sol}"], ["value", "{inst}", "--coalition", "a,b"]],
+    ids=["verify-stable", "value"],
+)
+def test_verify_stable_and_value_reject_invalid_instance(capsys, tmp_path, shape, argv):
+    inst = tmp_path / "bad.json"
+    inst.write_text(
+        json.dumps({"players": ["a", "b"], "capacity": {"a": 1, "b": 1}, "edges": INVALID_EDGES[shape]})
+    )
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"matching": [], "payoffs": []}))
+    assert main([arg.format(inst=inst, sol=sol) for arg in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: invalid instance: ")
+    assert shape in captured.err
+
+
 def _edge_file(tmp_path, w):
     path = tmp_path / "edge.json"
     edge = {"u": "i", "v": "j", "w": w}

@@ -1,6 +1,10 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
+from stablefixtures import cycles
+from stablefixtures.errors import InternalError
 from stablefixtures.cycles import (
     min_path_cycle_system,
     negative_cycle,
@@ -161,3 +165,25 @@ def test_ratio_basic():
     # Triangle abc: 9/3 = 3; cycle bcd: 14/21; quad abdc...: smaller.
     assert ratio == 3
     assert set(cycle) == {("a", "b"), ("b", "c"), ("a", "c")}
+
+
+def test_failed_gadget_matching_raises_internal_error(monkeypatch):
+    monkeypatch.setattr(cycles, "_min_weight_perfect_matching", lambda nodes, edges: None)
+    costs = {("a", "b"): F(-4), ("b", "c"): F(1), ("c", "d"): F(-4), ("d", "a"): F(1)}
+    with pytest.raises(InternalError, match="terminals"):
+        negative_cycle(["a", "b", "c", "d"], costs)
+    with pytest.raises(InternalError, match="perfect matching"):
+        min_path_cycle_system(["a", "b"], {"a": 1, "b": 1}, {("a", "b"): F(5)}, {"a": F(1), "b": F(1)})
+
+
+def test_component_that_is_no_path_or_cycle_raises_internal_error():
+    k4 = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
+    with pytest.raises(InternalError, match="neither a path nor a cycle"):
+        cycles._split_components(k4, dict.fromkeys("abcd", F(0)), dict.fromkeys(k4, F(1)))
+
+
+def test_stalled_newton_step_raises_internal_error(monkeypatch):
+    triangle = [("a", "b"), ("b", "c"), ("a", "c")]
+    monkeypatch.setattr(cycles, "negative_cycle", lambda vertices, costs: list(triangle))
+    with pytest.raises(InternalError, match="Newton step"):
+        max_profit_cost_ratio(["a", "b", "c"], dict.fromkeys(triangle, F(3)), dict.fromkeys(triangle, F(1)))

@@ -1,11 +1,17 @@
 import json
+import pickle
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from stablefixtures import generate, induced, validate
-from stablefixtures.errors import InputError, NotBipartiteError, PreconditionError
+from stablefixtures.errors import (
+    InputError,
+    InvalidInstanceError,
+    NotBipartiteError,
+    PreconditionError,
+)
 from stablefixtures.instance import Instance, instance_from_json, instance_to_json
 from stablefixtures.matching import max_weight_b_matching_bruteforce
 from stablefixtures.randomgen import random_instance
@@ -13,33 +19,75 @@ from stablefixtures.rationals import MAX_LITERAL_DIGITS, format_rational, parse_
 
 
 def test_validate_triangle_clean():
-    inst = generate("triangle").instance
-    assert validate(inst).ok
+    players = ["a", "b", "c"]
+    edges = [("a", "b", 1), ("a", "c", 1), ("b", "c", 1)]
+    assert validate(players, {p: 1 for p in players}, edges).ok
 
 
 def test_validate_loop():
-    inst = Instance(["a", "b"], {"a": 1, "b": 1}, [("a", "a", 1)])
-    report = validate(inst)
+    report = validate(["a", "b"], {"a": 1, "b": 1}, [("a", "a", 1)])
     assert any("loop" in v for v in report.violations)
 
 
 def test_validate_negative_weight():
-    inst = Instance(["a", "b"], {"a": 1, "b": 1}, [("a", "b", -1)])
-    assert any("negative weight" in v for v in validate(inst).violations)
+    report = validate(["a", "b"], {"a": 1, "b": 1}, [("a", "b", -1)])
+    assert any("negative weight" in v for v in report.violations)
 
 
 def test_validate_multi_edge_and_unknown_endpoint():
-    inst = Instance(["a", "b"], {"a": 1, "b": 1}, [("a", "b", 1), ("b", "a", 2), ("a", "c", 1)])
-    report = validate(inst)
+    edges = [("a", "b", 1), ("b", "a", 2), ("a", "c", 1)]
+    report = validate(["a", "b"], {"a": 1, "b": 1}, edges)
     assert any("multi-edge" in v for v in report.violations)
     assert any("undeclared" in v for v in report.violations)
 
 
 def test_validate_capacity_issues():
-    inst = Instance(["a", "b"], {"a": -1}, [])
-    report = validate(inst)
+    report = validate(["a", "b"], {"a": -1}, [])
     assert any("negative capacity" in v for v in report.violations)
     assert any("missing capacity" in v for v in report.violations)
+
+
+def test_construction_rejects_every_violation_in_order():
+    with pytest.raises(InvalidInstanceError) as info:
+        Instance(
+            ["a", "b", "", "a", "c"],
+            {"a": -1, "b": True, "z": 1, "": 1},
+            [("a", "b", 1), ("b", "a", "9"), ("c", "c", 1), ("a", "x", 1), ("b", "c", "-1/2")],
+        )
+    assert info.value.violations == [
+        "player id '' is not a non-empty string",
+        "duplicate player 'a'",
+        "negative capacity b(a) = -1",
+        "capacity of 'b' is not an integer",
+        "capacity given for unknown player 'z'",
+        "missing capacity for player 'c'",
+        "multi-edge 'b'-'a'",
+        "loop at 'c'",
+        "edge 'a'-'x' has an undeclared endpoint",
+        "negative weight w(b,c) = -1/2",
+    ]
+    assert str(info.value).startswith("invalid instance: player id '' is")
+
+
+def test_construction_parses_weights_before_model_checks():
+    with pytest.raises(InputError):
+        Instance(["a"], {"a": -1}, [("a", "a", 0.5)])
+
+
+def test_capacity_is_read_only():
+    inst = generate("triangle").instance
+    with pytest.raises(TypeError):
+        inst.capacity["a"] = 5
+    assert inst.b("a") == 1
+
+
+def test_pickle_round_trip(example2):
+    inst, _, _ = example2
+    back = pickle.loads(pickle.dumps(inst))
+    assert back.players == inst.players
+    assert back.capacity == inst.capacity
+    assert back.edges == inst.edges and back.edge_weights() == inst.edge_weights()
+    assert [back.neighbors(p) for p in back.players] == [inst.neighbors(p) for p in inst.players]
 
 
 def test_induced_example2(example2):

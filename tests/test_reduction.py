@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from stablefixtures import generate
-from stablefixtures.errors import NotMaximumWeightError, PreconditionError
+from stablefixtures import generate, reduction
+from stablefixtures.errors import InternalError, NotMaximumWeightError, PreconditionError
 from stablefixtures.instance import Instance
 from stablefixtures.matching import max_weight_b_matching, weight
 from stablefixtures.randomgen import random_instance
@@ -69,6 +69,15 @@ def test_size_formulas_random():
         assert reduced.instance.m == sum(
             inst.b(u) + inst.b(v) + 3 for (u, v) in inst.edges
         )
+
+
+def test_wrong_expansion_size_raises_internal_error(monkeypatch):
+    def lossy(players, capacity, edges):
+        return Instance(players, capacity, edges[:-1])
+
+    monkeypatch.setattr(reduction, "Instance", lossy)
+    with pytest.raises(InternalError, match="wrong size"):
+        reduce_instance(fig2_instance())
 
 
 def test_weight_identity_empty_matching(diamond):
