@@ -12,10 +12,10 @@ Two primitives back the polynomial core-membership test:
 * `min_path_cycle_system` minimises sum over components of x(V(C)) - w(C)
   over subgraphs whose components are simple paths (endpoints anywhere,
   inner vertices restricted to capacity-2 players) and simple cycles (on
-  capacity-2 players only). Each vertex and edge is modelled by a small
-  matching gadget, so one minimum-weight perfect matching solves the whole
-  system exactly. A negative optimum exhibits a violated path or cycle core
-  constraint and a nonnegative optimum proves there is none.
+  capacity-2 players only), by one maximum-weight matching on the 2-vertex
+  edge gadget (Shiloach 1981; Gabow 1983). A negative optimum exhibits a
+  violated path or cycle core constraint and a nonnegative optimum proves
+  there is none.
 
 All arithmetic is integer after a common-denominator scaling.
 """
@@ -35,10 +35,6 @@ Pair = tuple[str, str]
 
 def _min_weight_perfect_matching(nodes: Sequence, weighted_edges) -> set[frozenset] | None:
     """Minimum-weight perfect matching with integer weights, or None."""
-    if not nodes:
-        return set()
-    if len(nodes) % 2:
-        return None
     import networkx as nx
 
     graph = nx.Graph()
@@ -197,15 +193,21 @@ def min_path_cycle_system(
     packings; returns the optimum and the components of a minimiser.
 
     Admissible: paths may end anywhere but pass only through capacity-2
-    vertices; cycles consist of capacity-2 vertices. The empty packing is
-    always admissible, so the optimum is at most 0.
+    vertices; cycles consist of capacity-2 vertices. So a packing is an edge
+    set F with deg_F <= capacity that pays x(v) at each vertex it touches.
+    The empty packing is admissible, so the optimum is at most 0.
 
-    Gadget: a capacity-2 vertex gets two partner slots, a balancer edge
-    (degree 0), and a half-price helper that buys out the second slot when
-    the vertex is a path endpoint; a capacity-1 vertex gets one full-price
-    slot. Helpers freed by endpoints pair up in a zero-cost pool (endpoint
-    count is even). Each edge is a 4-vertex chain whose middle carries -w(e)
-    and is matched exactly when the edge is selected.
+    Gadget: the 2-vertex edge gadget for degree-constrained subgraphs
+    (Shiloach 1981; Gabow 1983) under one maximum-weight matching. A
+    capacity-2 vertex v has two mandatory slots joined at profit 0 (degree
+    0) and an optional helper at -x(v)/2 to each, which pays the second half
+    of x(v) when v ends a path; a capacity-1 vertex has one optional slot.
+    Edge uv has two mandatory ends joined at 0 (unused), each joined to the
+    slots of its player at w(uv)/2 minus the slot's price: x/2 on a
+    capacity-2 slot, x on a capacity-1 slot. uv is selected iff its ends
+    are not matched together. A bonus B = 1 + sum |profit| per mandatory
+    endpoint makes every optimum cover the mandatory vertices, as the
+    all-unused state does.
     """
     for v in vertices:
         if capacity[v] not in (1, 2):
@@ -215,48 +217,37 @@ def min_path_cycle_system(
     wx = {v: int(x[v] * scale) for v in vertices}
     ww = {e: int(w * scale) for e, w in weights.items()}
 
-    import networkx as nx
-
-    graph = nx.Graph()
-    slot_edges: dict[tuple, list] = {}
-    pool = []
+    slots: dict[str, list[tuple[tuple, int]]] = {}
+    profits: list[tuple[tuple, tuple, int]] = []
+    mandatory: set[tuple] = set()
     for v in vertices:
         if capacity[v] == 2:
-            graph.add_edge(("slot", v, 1), ("slot", v, 2), weight=0)
-            graph.add_edge(("helper", v), ("slot", v, 1), weight=wx[v] // 2)
-            graph.add_edge(("helper", v), ("slot", v, 2), weight=wx[v] // 2)
-            graph.add_edge(("helper", v), ("rest", v), weight=0)
-            pool.append(("rest", v))
-            slot_edges[v] = [(("slot", v, 1), wx[v] // 2), (("slot", v, 2), wx[v] // 2)]
+            s1, s2, helper = ("slot", v, 1), ("slot", v, 2), ("helper", v)
+            mandatory |= {s1, s2}
+            profits += [(s1, s2, 0), (helper, s1, -(wx[v] // 2)), (helper, s2, -(wx[v] // 2))]
+            slots[v] = [(s1, wx[v] // 2), (s2, wx[v] // 2)]
         else:
-            graph.add_edge(("slot", v, 1), ("rest", v), weight=0)
-            pool.append(("rest", v))
-            slot_edges[v] = [(("slot", v, 1), wx[v])]
-    for k, a in enumerate(pool):
-        for b in pool[k + 1 :]:
-            graph.add_edge(a, b, weight=0)
-    for (u, v) in ww:
-        au, bu = ("outer", (u, v), u), ("inner", (u, v), u)
-        av, bv = ("outer", (u, v), v), ("inner", (u, v), v)
-        graph.add_edge(au, bu, weight=0)
-        graph.add_edge(av, bv, weight=0)
-        graph.add_edge(bu, bv, weight=-ww[(u, v)])
-        for (slot, price) in slot_edges[u]:
-            graph.add_edge(slot, au, weight=price)
-        for (slot, price) in slot_edges[v]:
-            graph.add_edge(slot, av, weight=price)
+            slots[v] = [(("slot", v, 1), wx[v])]
+    for (u, v), w in ww.items():
+        ends = {u: ("end", (u, v), u), v: ("end", (u, v), v)}
+        mandatory |= set(ends.values())
+        profits.append((ends[u], ends[v], 0))
+        for p, end in ends.items():
+            profits += [(end, slot, w // 2 - price) for (slot, price) in slots[p]]
 
-    mate = _min_weight_perfect_matching(
-        list(graph.nodes), [(a, b, d["weight"]) for a, b, d in graph.edges(data=True)]
-    )
-    if mate is None:
-        raise InternalError("the all-unused state is always a perfect matching")
+    import networkx as nx
 
-    selected = [
-        e
-        for e in ww
-        if frozenset((("inner", e, e[0]), ("inner", e, e[1]))) in mate
-    ]
+    bonus = 1 + sum(abs(c) for (_, _, c) in profits)
+    graph = nx.Graph()
+    for (a, b, c) in profits:
+        graph.add_edge(a, b, weight=c + bonus * ((a in mandatory) + (b in mandatory)))
+    mate: dict[tuple, tuple] = {}
+    for (a, b) in nx.max_weight_matching(graph):
+        mate[a], mate[b] = b, a
+    if not mandatory <= mate.keys():
+        raise InternalError("path/cycle gadget matching leaves a mandatory vertex uncovered")
+
+    selected = [e for e in ww if mate[("end", e, e[0])] != ("end", e, e[1])]
     components = _split_components(selected, x, weights)
     total = sum((c.cost for c in components), Fraction(0))
     return total, components

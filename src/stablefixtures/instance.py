@@ -219,7 +219,8 @@ def validate(
             out.append(f"player id {p!r} is not a non-empty string")
         elif p in seen_players:
             out.append(f"duplicate player {p!r}")
-        seen_players.add(p)
+        if isinstance(p, str):
+            seen_players.add(p)
     for p, c in capacity.items():
         if p not in seen_players:
             out.append(f"capacity given for unknown player {p!r}")
@@ -228,10 +229,13 @@ def validate(
         elif c < 0:
             out.append(f"negative capacity b({p}) = {c}")
     for p in players:
-        if p not in capacity:
+        if isinstance(p, str) and p not in capacity:
             out.append(f"missing capacity for player {p!r}")
     seen_edges: set[frozenset[str]] = set()
     for u, v, w in edges:
+        if not isinstance(u, str) or not isinstance(v, str):
+            out.append(f"edge {u!r}-{v!r} has a non-string endpoint")
+            continue
         if u == v:
             out.append(f"loop at {u!r}")
             continue

@@ -266,18 +266,15 @@ def duplicated_instance(inst: Instance) -> DuplicatedInstance:
     return DuplicatedInstance(dup, left, right, origin)
 
 
-def max_half_b_matching_weight(
-    inst: Instance, _dup: DuplicatedInstance | None = None
-) -> tuple[Fraction, HalfBMatching]:
+def max_half_b_matching_weight(inst: Instance) -> tuple[Fraction, HalfBMatching]:
     """Maximum weight over half-b-matchings, with the tie-broken witness.
 
     Computed as the maximum-weight b-matching of the duplicated instance
-    (one perturbed pass on the double cover; `_dup` reuses a cover already
-    built for `inst`): f(ij) = (x(i'j'') + x(i''j')) / 2 preserves the
-    weight exactly. Callers that need only the value should use
+    (one perturbed pass on the double cover): f(ij) = (x(i'j'') + x(i''j')) / 2
+    preserves the weight exactly. Callers that need only the value should use
     `bipartite_optimum_with_duals` on the cover, which skips the perturbation.
     """
-    dup = duplicated_instance(inst) if _dup is None else _dup
+    dup = duplicated_instance(inst)
     matching, dup_weight = max_weight_b_matching(dup.instance)
     values: dict[Edge, Fraction] = {}
     for (i, j) in inst.edges:

@@ -187,22 +187,26 @@ def has_stable_solution(inst: Instance) -> bool:
     """
     dup = duplicated_instance(inst)
     half, cert = bipartite_optimum_with_duals(dup.instance)
-    return _stable_matching(inst, _fold_dual(inst, dup, cert), half) is not None
+    _, integral = _stable_matching(inst, _fold_dual(inst, dup, cert), half)
+    return integral == half
 
 
 def _stable_matching(
     inst: Instance, dual: DualSolution, half: Fraction
-) -> frozenset[Edge] | None:
-    """The tie-broken maximum-weight b-matching if it attains the half
-    optimum `half`, read off the optimal dual (y, d); None if the game has no
-    stable solution.
+) -> tuple[frozenset[Edge], Fraction | None]:
+    """A b-matching read off the optimal dual (y, d) and the game's maximum
+    b-matching weight, or (empty set, None) where the dual does not settle
+    that weight. The game is stable iff the weight is the half optimum
+    `half`, and the b-matching is then its tie-broken optimum.
 
     By complementary slackness, edges with d > 0 are forced, and the rest of
     the matching uses tight edges (d = 0, y(u) + y(v) = w(uv)) within the
     capacity the forced edges leave free. When the game is stable its optimal
     b-matchings are exactly the forced edges plus a maximum-weight b-matching
     of that residual, so the lexicographic tie-break on the residual (same
-    edge order) picks the same set as on the whole game.
+    edge order) picks the same set as on the whole game. If the dual cuts
+    nothing (no forced edge, every edge between players with capacity tight),
+    the residual is the whole game and its optimum is the game's anyway.
     """
     forced = frozenset(e for e in inst.edges if dual.d[e] > 0)
     free = {p: inst.b(p) for p in inst.players}
@@ -210,7 +214,7 @@ def _stable_matching(
         free[u] -= 1
         free[v] -= 1
     if any(c < 0 for c in free.values()):
-        return None
+        return frozenset(), None
     tight = [
         (u, v, inst.weight(u, v))
         for (u, v) in inst.edges
@@ -223,11 +227,14 @@ def _stable_matching(
     total = weight(inst, forced) + residual_weight
     _check_half_at_least(half, total)
     if total != half:
-        return None
+        whole = not forced and len(tight) == sum(
+            1 for (u, v) in inst.edges if inst.b(u) and inst.b(v)
+        )
+        return frozenset(), total if whole else None
     matching = forced | chosen
     if not is_b_matching(inst, matching):
         raise InternalError("forced and residual edges overfill a player")
-    return matching
+    return matching, total
 
 
 def stable_from_dual(
@@ -236,7 +243,6 @@ def stable_from_dual(
     dual: DualSolution,
     split_rule: str = "half",
     sellers: Iterable[str] | None = None,
-    _known_optimum: Fraction | None = None,
 ) -> Solution:
     """Assemble stable payoffs from a maximum-weight b-matching and an
     optimal dual: p(i,j) = y(i) + xi(i,j) on matched edges, zero elsewhere.
@@ -253,15 +259,14 @@ def stable_from_dual(
     feas = is_dual_feasible(inst, dual)
     if not feas.feasible:
         raise PreconditionError(f"infeasible dual: {feas}")
-    optimum = _known_optimum
-    if optimum is None:
-        _, optimum = max_weight_b_matching(inst)
+    # Weak duality: a feasible dual at objective w(M) certifies M maximum.
     w_m = weight(inst, m)
-    if w_m != optimum:
-        raise NotMaximumWeightError(
-            f"matching weight {format_rational(w_m)} below optimum {format_rational(optimum)}"
-        )
     if dual_objective(inst, dual) != w_m:
+        _, optimum = max_weight_b_matching(inst)
+        if w_m != optimum:
+            raise NotMaximumWeightError(
+                f"matching weight {format_rational(w_m)} below optimum {format_rational(optimum)}"
+            )
         raise DualityGapError(
             "dual objective differs from the matching weight; no stable solution"
         )
@@ -316,23 +321,24 @@ def solve(
     One unperturbed double-cover pass gives the half-b-matching optimum and
     an optimal dual; the stable matching is matched on the complementary-slack
     residual of that dual alone, and the dual objective check of
-    `stable_from_dual` certifies it. Only when the residual falls short does
-    the full-graph engine run (for the b-matching optimum), together with the
-    perturbed cover pass for the tie-broken witness.
+    `stable_from_dual` certifies it. Otherwise the perturbed cover pass gives
+    the witness, and the full-graph engine the b-matching optimum unless the
+    residual was the whole game.
     """
     dup = duplicated_instance(inst)
     half, cert = bipartite_optimum_with_duals(dup.instance)
     dual = _fold_dual(inst, dup, cert)
-    matching = _stable_matching(inst, dual, half)
-    if matching is None:
-        _, integral = max_weight_b_matching(inst)
+    matching, integral = _stable_matching(inst, dual, half)
+    if integral != half:
+        if integral is None:
+            _, integral = max_weight_b_matching(inst)
         _check_half_at_least(half, integral)
         if integral == half:
             raise InternalError(
                 "a b-matching attains the half optimum, but none is "
                 "complementary-slack with the optimal dual"
             )
-        witness_weight, witness = max_half_b_matching_weight(inst, _dup=dup)
+        witness_weight, witness = max_half_b_matching_weight(inst)
         if witness_weight != half:
             raise InternalError(
                 f"half-b-matching witness weighs {format_rational(witness_weight)}, "
@@ -344,9 +350,7 @@ def solve(
             half_weight=half,
             witness=witness,
         )
-    sol = stable_from_dual(
-        inst, matching, dual, split_rule=split_rule, sellers=sellers, _known_optimum=half
-    )
+    sol = stable_from_dual(inst, matching, dual, split_rule=split_rule, sellers=sellers)
     return SolveOutcome(
         stable=True,
         matching_weight=half,

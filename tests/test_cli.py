@@ -204,6 +204,28 @@ def test_verify_stable_and_value_reject_invalid_instance(capsys, tmp_path, shape
     assert shape in captured.err
 
 
+UNHASHABLE_IDS = {
+    "player": {"players": ["a", ["b"]], "capacity": {"a": 1}, "edges": []},
+    "endpoint": {
+        "players": ["a", "b"],
+        "capacity": {"a": 1, "b": 1},
+        "edges": [{"u": "a", "v": ["b"], "w": "1"}],
+    },
+}
+
+
+@pytest.mark.parametrize("shape", sorted(UNHASHABLE_IDS))
+def test_unhashable_id_exit2_with_one_error_line(capsys, tmp_path, shape):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(UNHASHABLE_IDS[shape]))
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: invalid instance: ")
+    assert "['b']" in captured.err
+
+
 def _edge_file(tmp_path, w):
     path = tmp_path / "edge.json"
     edge = {"u": "i", "v": "j", "w": w}

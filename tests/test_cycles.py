@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction as F
 
+import networkx
 import pytest
 
 from stablefixtures import cycles
@@ -135,6 +136,82 @@ def test_min_system_ignores_edge_doubling():
     assert total == 0  # the u-v edge alone costs +0 only via x(u)+x(v)-w = 0
 
 
+def brute_min_system(vertices, capacity, weights, x):
+    """Enumerate every edge subset whose components are admissible paths and
+    cycles: with all degrees at most 2 each component is a path or a cycle,
+    and its degree-2 vertices (inner path vertices, cycle vertices) must
+    have capacity 2, so admissible means deg(v) <= capacity(v)."""
+    edges = list(weights)
+    best = F(0)
+    for mask in range(1 << len(edges)):
+        chosen = [e for k, e in enumerate(edges) if mask >> k & 1]
+        deg = dict.fromkeys(vertices, 0)
+        for (u, v) in chosen:
+            deg[u] += 1
+            deg[v] += 1
+        if all(deg[v] <= capacity[v] for v in vertices):
+            touched = sum((x[v] for v in vertices if deg[v]), F(0))
+            best = min(best, touched - sum((weights[e] for e in chosen), F(0)))
+    return best
+
+
+def _random_system(rng):
+    n = rng.randint(0, 7)
+    vertices = [f"v{k}" for k in range(n)]
+    pairs = [(vertices[a], vertices[b]) for a in range(n) for b in range(a + 1, n)]
+    rng.shuffle(pairs)
+    edges = sorted(pairs[: rng.randint(0, min(11, len(pairs)))], key=sorted)
+    capacity = {v: rng.choice((1, 2)) for v in vertices}
+    weights = {e: F(rng.randint(0, 3)) for e in edges}
+    x = {v: F(rng.randint(0, 6), 2) for v in vertices}
+    return vertices, capacity, weights, x
+
+
+def _check_system(capacity, weights, x, total, comps):
+    used = [v for c in comps for v in c.vertices]
+    assert len(used) == len(set(used))
+    for c in comps:
+        assert all(e in weights for e in c.edges)
+        deg = {v: sum(v in e for e in c.edges) for v in c.vertices}
+        assert all(deg[v] <= capacity[v] for v in c.vertices)
+        assert len(c.edges) == len(c.vertices) - (c.kind == "path")
+        assert c.cost == sum(x[v] for v in c.vertices) - sum(weights[e] for e in c.edges)
+    assert total == sum((c.cost for c in comps), F(0))
+
+
+def test_min_system_agrees_with_enumeration():
+    rng = random.Random(7)
+    shapes = set()
+    for _ in range(600):
+        vertices, capacity, weights, x = _random_system(rng)
+        shapes.add((len(vertices) == 0, len(weights) == 0))
+        total, comps = min_path_cycle_system(vertices, capacity, weights, x)
+        assert total == brute_min_system(vertices, capacity, weights, x), (capacity, weights, x)
+        _check_system(capacity, weights, x, total, comps)
+    assert shapes == {(True, True), (False, True), (False, False)}
+
+
+def test_min_system_gadget_is_linear(monkeypatch):
+    sizes = []
+    real = networkx.max_weight_matching
+
+    def spy(graph, **kwargs):
+        sizes.append((graph.number_of_nodes(), kwargs))
+        return real(graph, **kwargs)
+
+    monkeypatch.setattr(networkx, "max_weight_matching", spy)
+    rng = random.Random(20)
+    vertices = [f"p{k}" for k in range(20)]
+    pairs = [(a, b) for k, a in enumerate(vertices) for b in vertices[k + 1 :]]
+    weights = {e: F(rng.randint(0, 9), 2) for e in rng.sample(pairs, 50)}
+    capacity = {v: rng.choice((1, 2)) for v in vertices}
+    x = {v: F(rng.randint(0, 9), 3) for v in vertices}
+    min_path_cycle_system(vertices, capacity, weights, x)
+    [(nodes, kwargs)] = sizes
+    assert nodes <= 3 * len(vertices) + 2 * len(weights)
+    assert kwargs == {}  # a plain maximum-weight matching, no perfect-matching detour
+
+
 def test_ratio_unbounded_zero_cost_cycle():
     ratio, cycle = max_profit_cost_ratio(
         ["a", "b", "c"],
@@ -172,8 +249,10 @@ def test_failed_gadget_matching_raises_internal_error(monkeypatch):
     costs = {("a", "b"): F(-4), ("b", "c"): F(1), ("c", "d"): F(-4), ("d", "a"): F(1)}
     with pytest.raises(InternalError, match="terminals"):
         negative_cycle(["a", "b", "c", "d"], costs)
-    with pytest.raises(InternalError, match="perfect matching"):
-        min_path_cycle_system(["a", "b"], {"a": 1, "b": 1}, {("a", "b"): F(5)}, {"a": F(1), "b": F(1)})
+    # An empty matching leaves the mandatory edge ends and slots uncovered.
+    monkeypatch.setattr(networkx, "max_weight_matching", lambda graph: set())
+    with pytest.raises(InternalError, match="uncovered"):
+        min_path_cycle_system(["a", "b"], {"a": 2, "b": 1}, {("a", "b"): F(5)}, {"a": F(1), "b": F(1)})
 
 
 def test_component_that_is_no_path_or_cycle_raises_internal_error():

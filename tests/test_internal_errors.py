@@ -75,8 +75,8 @@ def test_half_below_integral_fails_solve(monkeypatch):
 def test_witness_weight_mismatch_fails_solve(monkeypatch):
     real = solver.max_half_b_matching_weight
 
-    def heavy(inst, _dup=None):
-        value, witness = real(inst, _dup=_dup)
+    def heavy(inst):
+        value, witness = real(inst)
         return value + 1, witness
 
     monkeypatch.setattr(solver, "max_half_b_matching_weight", heavy)

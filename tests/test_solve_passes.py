@@ -184,9 +184,7 @@ def _old_solve(inst, split_rule="half", sellers=None):
             stable=False, matching_weight=integral, half_weight=half, witness=witness
         )
     dual = _old_dual_from_duplicated(inst)
-    sol = stable_from_dual(
-        inst, matching_, dual, split_rule=split_rule, sellers=sellers, _known_optimum=integral
-    )
+    sol = stable_from_dual(inst, matching_, dual, split_rule=split_rule, sellers=sellers)
     return SolveOutcome(
         stable=True, matching_weight=integral, half_weight=half, solution=sol, dual=dual
     )

@@ -162,9 +162,7 @@ def test_dual_stable_round_trip_random():
             continue
         done += 1
         dual = dual_from_stable(inst, outcome.solution)
-        rebuilt = stable_from_dual(
-            inst, outcome.solution.matching, dual, _known_optimum=outcome.matching_weight
-        )
+        rebuilt = stable_from_dual(inst, outcome.solution.matching, dual)
         assert is_stable(inst, rebuilt).stable
 
 
