@@ -21,7 +21,6 @@ from .core import (
 from .errors import InternalError, StableFixturesError
 from .instance import Generated, Instance, generate, induced, validate
 from .matching import (
-    BipartiteDualCertificate,
     HalfBMatching,
     bipartite_max_weight_b_matching_with_duals,
     bipartite_optimum_with_duals,

@@ -17,7 +17,8 @@ Two primitives back the polynomial core-membership test:
   violated path or cycle core constraint and a nonnegative optimum proves
   there is none.
 
-All arithmetic is integer after a common-denominator scaling.
+All arithmetic is integer after a common-denominator scaling, refused past
+`rationals.MAX_SCALE_DIGITS` digits.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import InternalError, PreconditionError
-from .rationals import common_denominator
+from .rationals import scale_to_integers
 
 Pair = tuple[str, str]
 
@@ -63,8 +64,7 @@ def negative_cycle(
 
     Costs are arbitrary rationals on undirected edges keyed by vertex pairs.
     """
-    scale = common_denominator(costs.values())
-    cost = {e: int(c * scale) for e, c in costs.items()}
+    cost, _ = scale_to_integers(costs)
     adj: dict[str, list[tuple[str, Pair]]] = {v: [] for v in vertices}
     for (u, v) in cost:
         adj[u].append((v, (u, v)))
@@ -213,9 +213,10 @@ def min_path_cycle_system(
         if capacity[v] not in (1, 2):
             raise PreconditionError(f"vertex {v} must have capacity 1 or 2")
 
-    scale = 2 * common_denominator(list(weights.values()) + list(x.values()))
-    wx = {v: int(x[v] * scale) for v in vertices}
-    ww = {e: int(w * scale) for e, w in weights.items()}
+    # Edge keys are pairs and vertex keys strings, so one mapping holds both.
+    scaled, _ = scale_to_integers({**weights, **x})
+    wx = {v: 2 * scaled[v] for v in vertices}
+    ww = {e: 2 * scaled[e] for e in weights}
 
     slots: dict[str, list[tuple[tuple, int]]] = {}
     profits: list[tuple[tuple, tuple, int]] = []

@@ -307,7 +307,7 @@ def instance_from_json(data: dict) -> Instance:
         raw = data["edges"]
     except (KeyError, TypeError) as exc:
         raise InputError(f"instance JSON missing field: {exc}") from None
-    if not isinstance(players, list) or not isinstance(capacity, dict):
+    if not (isinstance(players, list) and isinstance(capacity, dict) and isinstance(raw, list)):
         raise InputError("instance JSON has wrong field types")
     edges = []
     for item in raw:

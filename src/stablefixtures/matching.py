@@ -7,8 +7,12 @@ Two engines, both exact over rationals:
   primal-dual matching solver (networkx, imported only when this engine runs)
   on integer-scaled weights, and reads the b-matching off the gadgets;
 * the bipartite engine runs successive shortest paths with vertex potentials
-  on a small flow network, which additionally yields an optimal LP dual
-  certificate (potentials + slacks).
+  on a small flow network, which additionally yields an optimal dual (y, d)
+  of the degree-constrained LP, certified by weak duality.
+
+The LP dual `DualSolution` and its feasibility and objective checks live
+here too, so the engine returns the same dual object the solver builds
+stable payoffs from.
 
 Ties among optimal b-matchings are broken toward the lexicographically
 smallest edge set under the instance's edge order, implemented by a weight
@@ -24,20 +28,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .errors import (
-    BoundExceededError,
-    InternalError,
-    NotBipartiteError,
-    PreconditionError,
-    UnknownEdgeError,
-)
+from .errors import BoundExceededError, InputError, InternalError, NotBipartiteError
 from .instance import Edge, Instance, _fresh_name
-from .rationals import (
-    MAX_SCALE_DIGITS,
-    common_denominator,
-    format_rational,
-    parse_rational,
-)
+from .rationals import format_rational, parse_rational, scale_to_integers
 
 BRUTE_FORCE_EDGE_BOUND = 22
 HALF_BRUTE_FORCE_EDGE_BOUND = 12
@@ -70,20 +63,6 @@ def weight(inst: Instance, edges: Iterable[tuple[str, str]]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _int_weights(inst: Instance) -> tuple[dict[Edge, int], int]:
-    """Weights times their common denominator, and that denominator.
-
-    Raises PreconditionError when the denominator exceeds MAX_SCALE_DIGITS,
-    before any engine spends time on the scaled weights.
-    """
-    scale = common_denominator(inst.edge_weights().values())
-    if scale >= 10**MAX_SCALE_DIGITS:
-        raise PreconditionError(
-            f"common denominator of the weights exceeds {MAX_SCALE_DIGITS} digits"
-        )
-    return {e: int(w * scale) for e, w in inst.edge_weights().items()}, scale
-
-
 def _perturbed_int_weights(inst: Instance) -> dict[Edge, int]:
     """Scaled weights with a bonus of 2^(m-1-k) on the k-th edge.
 
@@ -91,7 +70,7 @@ def _perturbed_int_weights(inst: Instance) -> dict[Edge, int]:
     perturbed optimum is an unperturbed optimum whose edge set is the
     greedy-lexicographically smallest one; in particular it is unique.
     """
-    base, _ = _int_weights(inst)
+    base, _ = scale_to_integers(inst.edge_weights())
     edges = inst.edges
     m = len(edges)
     shift = 1 << (m + 1)
@@ -113,7 +92,7 @@ def max_weight_b_matching(inst: Instance) -> tuple[frozenset[Edge], Fraction]:
         return frozenset(), Fraction(0)
     coloring = inst.two_coloring()
     if coloring is not None:
-        matching = _bipartite_matching(inst, _perturbed_int_weights(inst), coloring)
+        matching, _ = _ssp_flow(inst, _perturbed_int_weights(inst), coloring)
     else:
         matching = _general_matching(inst)
     if not is_b_matching(inst, matching):
@@ -148,6 +127,86 @@ def _general_matching(inst: Instance) -> frozenset[Edge]:
     if any(c not in (1, 2) for c in count.values()):
         raise InternalError(f"unexpected edge gadget states {sorted(set(count.values()))}")
     return frozenset(e for e, c in count.items() if c == 2)
+
+
+# ---------------------------------------------------------------------------
+# The LP dual
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class DualSolution:
+    """Point (y, d) of the dual of the degree-constrained LP
+
+        max sum w(ij) x(ij)   s.t.  sum_j x(ij) <= b(i),  0 <= x <= 1,
+
+    whose constraints are y(i) + y(j) + d(ij) >= w(ij), y >= 0, d >= 0.
+    """
+
+    y: dict[str, Fraction]
+    d: dict[Edge, Fraction]
+
+
+@dataclass(frozen=True)
+class DualFeasibility:
+    feasible: bool
+    violated_edges: tuple[Edge, ...]
+    negative_y: tuple[str, ...]
+    negative_d: tuple[Edge, ...]
+
+
+def dual_objective(inst: Instance, dual: DualSolution) -> Fraction:
+    """sum b(i) y(i) + sum d(ij); every player and edge needs an entry."""
+    missing_y = [p for p in inst.players if p not in dual.y]
+    if missing_y:
+        raise InputError(f"dual vector missing players {missing_y}")
+    d = {inst.edge_key(u, v): q for (u, v), q in dual.d.items()}
+    missing_d = [e for e in inst.edges if e not in d]
+    if missing_d:
+        raise InputError(f"dual vector missing edges {missing_d}")
+    total = sum((Fraction(inst.b(p)) * dual.y[p] for p in inst.players), Fraction(0))
+    return total + sum((d[e] for e in inst.edges), Fraction(0))
+
+
+def is_dual_feasible(inst: Instance, dual: DualSolution) -> DualFeasibility:
+    """Check y(i) + y(j) + d(ij) >= w(ij), y >= 0, d >= 0 exactly."""
+    d = {inst.edge_key(u, v): q for (u, v), q in dual.d.items()}
+    violated = tuple(
+        (u, v)
+        for (u, v) in inst.edges
+        if dual.y.get(u, Fraction(0)) + dual.y.get(v, Fraction(0)) + d.get((u, v), Fraction(0))
+        < inst.weight(u, v)
+    )
+    neg_y = tuple(p for p in inst.players if dual.y.get(p, Fraction(0)) < 0)
+    neg_d = tuple(e for e in inst.edges if d.get(e, Fraction(0)) < 0)
+    return DualFeasibility(
+        feasible=not (violated or neg_y or neg_d),
+        violated_edges=violated,
+        negative_y=neg_y,
+        negative_d=neg_d,
+    )
+
+
+def tighten_d(inst: Instance, y: Mapping[str, Fraction]) -> dict[Edge, Fraction]:
+    """The pointwise smallest feasible d: d(ij) = max(w(ij) - y(i) - y(j), 0)."""
+    out = {}
+    for (u, v) in inst.edges:
+        gap = inst.weight(u, v) - y[u] - y[v]
+        out[(u, v)] = gap if gap > 0 else Fraction(0)
+    return out
+
+
+def priced_dual(inst: Instance, y: Mapping[str, Fraction]) -> DualSolution:
+    """The dual with prices y and the tightened d.
+
+    Capacity-0 players (zero objective coefficient) are priced at their
+    heaviest incident edge, so every such edge keeps zero slack.
+    """
+    y = dict(y)
+    for p in inst.players:
+        if inst.b(p) == 0:
+            y[p] = max([Fraction(0)] + [inst.weight(p, q) for q in inst.neighbors(p)])
+    return DualSolution(y=y, d=tighten_d(inst, y))
 
 
 # ---------------------------------------------------------------------------
@@ -325,122 +384,53 @@ def max_half_b_matching_bruteforce(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BipartiteDualCertificate:
-    """Optimal dual of the degree-constrained LP on a bipartite instance.
-
-    potentials[i] + potentials[j] + slacks[ij] >= w(ij) on every edge, with
-    complementary slackness against the companion matching.
-    """
-
-    potentials: dict[str, Fraction]
-    slacks: dict[Edge, Fraction]
-
-
 def bipartite_max_weight_b_matching_with_duals(
     inst: Instance,
-) -> tuple[frozenset[Edge], BipartiteDualCertificate]:
-    """Exact primal/dual pair for a bipartite instance.
+) -> tuple[frozenset[Edge], DualSolution]:
+    """The tie-broken maximum-weight b-matching of a bipartite instance and
+    an optimal LP dual.
 
-    Runs two integer-exact passes: the perturbed pass yields the returned
-    tie-broken matching, and one unperturbed pass yields the certificate,
-    which is checked against the returned matching. Callers that need only
-    the optimum weight and a dual should use `bipartite_optimum_with_duals`,
-    which runs the unperturbed pass alone.
+    The dual comes from `bipartite_optimum_with_duals`; the perturbed pass
+    must reach its certified optimum, which makes the two complementary
+    slack. Callers that need only the optimum weight and a dual should use
+    `bipartite_optimum_with_duals` alone.
     """
-    coloring = _require_coloring(inst)
-    matching = _bipartite_matching(inst, _perturbed_int_weights(inst), coloring)
-    _, cert = _plain_pass(inst, coloring)
-    _verify_certificate(inst, matching, cert)
-    return matching, cert
+    optimum, dual = bipartite_optimum_with_duals(inst)
+    matching, value = max_weight_b_matching(inst)
+    if value != optimum:
+        raise InternalError(
+            f"tie-broken bipartite matching weighs {format_rational(value)}, "
+            f"optimum is {format_rational(optimum)}"
+        )
+    return matching, dual
 
 
-def bipartite_optimum_with_duals(
-    inst: Instance,
-) -> tuple[Fraction, BipartiteDualCertificate]:
+def bipartite_optimum_with_duals(inst: Instance) -> tuple[Fraction, DualSolution]:
     """Maximum b-matching weight and an optimal LP dual of a bipartite
     instance, from one unperturbed pass.
 
-    The certificate is checked against the pass's own matching: complementary
-    slackness holds between any optimal primal and any optimal dual, so the
-    check certifies both the weight and the dual without a tie-broken pass.
+    Certified by weak duality, also under `python -O`: the pass's matching
+    is a b-matching, the dual read off its potentials is feasible, and the
+    dual objective equals the matching's weight, so both are optimal.
+    Raises InternalError otherwise.
     """
-    coloring = _require_coloring(inst)
-    matching, cert = _plain_pass(inst, coloring)
-    return _verify_certificate(inst, matching, cert), cert
-
-
-def _require_coloring(inst: Instance) -> dict[str, int]:
     coloring = inst.two_coloring()
     if coloring is None:
         raise NotBipartiteError("instance is not bipartite")
-    return coloring
-
-
-def _plain_pass(
-    inst: Instance, coloring: dict[str, int]
-) -> tuple[frozenset[Edge], BipartiteDualCertificate]:
-    """An unperturbed optimum and the dual read off its potentials."""
-    base, scale = _int_weights(inst)
+    base, scale = scale_to_integers(inst.edge_weights())
     matching, raw_y = _ssp_flow(inst, base, coloring)
-    y = {p: Fraction(q, scale) for p, q in raw_y.items()}
-    for p in inst.players:
-        # Capacity-0 players never match; price them high enough to cover
-        # their edges so every such edge can take zero slack.
-        if inst.b(p) == 0:
-            y[p] = max(
-                [Fraction(0)] + [inst.weight(p, q) for q in inst.neighbors(p)]
-            )
-    slacks: dict[Edge, Fraction] = {}
-    for (u, v) in inst.edges:
-        gap = inst.weight(u, v) - y[u] - y[v]
-        slacks[(u, v)] = gap if gap > 0 else Fraction(0)
-    return matching, BipartiteDualCertificate(potentials=y, slacks=slacks)
-
-
-def _verify_certificate(
-    inst: Instance, matching: frozenset[Edge], cert: BipartiteDualCertificate
-) -> Fraction:
-    """Check dual feasibility, zero duality gap and complementary slackness
-    between `matching` and `cert`; return the certified optimum.
-
-    Raises InternalError on any failure, also under `python -O`.
-    """
-    y, slacks = cert.potentials, cert.slacks
-    deg: dict[str, int] = {p: 0 for p in inst.players}
-    for (u, v) in matching:
-        deg[u] += 1
-        deg[v] += 1
-    primal = weight(inst, matching)
-    dual = sum((Fraction(inst.b(p)) * y[p] for p in inst.players), Fraction(0))
-    dual += sum(slacks.values(), Fraction(0))
-    if primal != dual:
+    dual = priced_dual(inst, {p: Fraction(q, scale) for p, q in raw_y.items()})
+    if not is_b_matching(inst, matching):
+        raise InternalError("bipartite engine overfilled a player")
+    if not is_dual_feasible(inst, dual).feasible:
+        raise InternalError("bipartite engine read off an infeasible dual")
+    primal, objective = weight(inst, matching), dual_objective(inst, dual)
+    if primal != objective:
         raise InternalError(
             f"duality gap in bipartite engine: primal {format_rational(primal)}, "
-            f"dual {format_rational(dual)}"
+            f"dual {format_rational(objective)}"
         )
-    for p in inst.players:
-        if y[p] < 0:
-            raise InternalError(f"negative price {format_rational(y[p])} on {p}")
-        if deg[p] != inst.b(p) and y[p] != 0:
-            raise InternalError(f"unsaturated {p} has price {format_rational(y[p])}")
-    for (u, v) in inst.edges:
-        tight = y[u] + y[v] + slacks[(u, v)]
-        if tight < inst.weight(u, v):
-            raise InternalError(f"dual constraint of {u}-{v} violated")
-        if (u, v) in matching:
-            if tight != inst.weight(u, v):
-                raise InternalError(f"matched edge {u}-{v} is not tight")
-        elif slacks[(u, v)] != 0:
-            raise InternalError(f"unmatched edge {u}-{v} has slack")
-    return primal
-
-
-def _bipartite_matching(
-    inst: Instance, int_weights: dict[Edge, int], coloring: dict[str, int]
-) -> frozenset[Edge]:
-    matching, _ = _ssp_flow(inst, int_weights, coloring)
-    return matching
+    return primal, dual
 
 
 def _ssp_flow(
@@ -566,14 +556,6 @@ def matching_to_json(inst: Instance, matching: frozenset[Edge]) -> list:
         {"u": u, "v": v}
         for (u, v) in sorted(matching, key=lambda e: (inst.index(e[0]), inst.index(e[1])))
     ]
-
-
-def matching_from_json(inst: Instance, data) -> frozenset[Edge]:
-    try:
-        pairs = [(item["u"], item["v"]) for item in data]
-    except (KeyError, TypeError) as exc:
-        raise UnknownEdgeError(f"bad matching JSON: {exc!r}") from None
-    return inst.canonical_edge_set(pairs)
 
 
 def half_matching_to_json(inst: Instance, half: HalfBMatching) -> list:

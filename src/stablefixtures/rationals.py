@@ -9,8 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from typing import Hashable, Mapping, TypeVar
 
 from .errors import InputError, PreconditionError
+
+K = TypeVar("K", bound=Hashable)
 
 # Largest rational literal accepted, in decimal digits: the digits written
 # plus the magnitude of any exponent ("1e400" counts 401). Python renders
@@ -81,3 +84,15 @@ def common_denominator(values) -> int:
     for v in values:
         denom = lcm(denom, Fraction(v).denominator)
     return denom
+
+
+def scale_to_integers(values: Mapping[K, Fraction]) -> tuple[dict[K, int], int]:
+    """`values` times their common denominator, and that denominator.
+
+    Raises PreconditionError when the denominator exceeds MAX_SCALE_DIGITS,
+    before any engine spends time on the scaled values.
+    """
+    scale = common_denominator(values.values())
+    if scale >= 10**MAX_SCALE_DIGITS:
+        raise PreconditionError(f"common denominator exceeds {MAX_SCALE_DIGITS} digits")
+    return {k: int(v * scale) for k, v in values.items()}, scale

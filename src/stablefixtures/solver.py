@@ -11,6 +11,11 @@ that case an optimal dual extracted from the bipartite double cover turns a
 maximum-weight b-matching into stable payoffs p(i,j) = y(i) + xi(i,j) with
 xi splitting the slack d(ij) of each matched edge.
 
+The dual type `DualSolution` and its checks (`is_dual_feasible`,
+`dual_objective`, `tighten_d`) are defined in `matching`, whose bipartite
+engine returns certified duals, and re-exported here. `dual_from_duplicated`
+is the one double-cover pass behind `solve` and `has_stable_solution`.
+
 Pure pipeline over immutable inputs; no global state.
 """
 
@@ -28,15 +33,19 @@ from .errors import (
     PreconditionError,
 )
 from .instance import Edge, Instance
-from .matching import (
-    BipartiteDualCertificate,
-    DuplicatedInstance,
+from .matching import (  # DualFeasibility and tighten_d are re-exported
+    DualFeasibility,
+    DualSolution,
     HalfBMatching,
     bipartite_optimum_with_duals,
+    dual_objective,
     duplicated_instance,
     is_b_matching,
+    is_dual_feasible,
     max_half_b_matching_weight,
     max_weight_b_matching,
+    priced_dual,
+    tighten_d,
     weight,
 )
 from .rationals import format_rational
@@ -49,22 +58,6 @@ from .stability import (
 )
 
 SPLIT_RULES = ("half", "seller_side")
-
-
-@dataclass(frozen=True)
-class DualSolution:
-    """Feasible point (y, d) of the dual LP."""
-
-    y: dict[str, Fraction]
-    d: dict[Edge, Fraction]
-
-
-@dataclass(frozen=True)
-class DualFeasibility:
-    feasible: bool
-    violated_edges: tuple[Edge, ...]
-    negative_y: tuple[str, ...]
-    negative_d: tuple[Edge, ...]
 
 
 @dataclass(frozen=True)
@@ -97,77 +90,23 @@ def primal_objective(inst: Instance, x: Mapping[tuple[str, str], Fraction]) -> F
     return sum((inst.weight(u, v) * values[(u, v)] for (u, v) in inst.edges), Fraction(0))
 
 
-def dual_objective(inst: Instance, dual: DualSolution) -> Fraction:
-    """sum b(i) y(i) + sum d(ij); every player and edge needs an entry."""
-    missing_y = [p for p in inst.players if p not in dual.y]
-    if missing_y:
-        raise InputError(f"dual vector missing players {missing_y}")
-    d = {inst.edge_key(u, v): q for (u, v), q in dual.d.items()}
-    missing_d = [e for e in inst.edges if e not in d]
-    if missing_d:
-        raise InputError(f"dual vector missing edges {missing_d}")
-    total = sum((Fraction(inst.b(p)) * dual.y[p] for p in inst.players), Fraction(0))
-    return total + sum((d[e] for e in inst.edges), Fraction(0))
+def dual_from_duplicated(inst: Instance) -> tuple[Fraction, DualSolution]:
+    """The half-b-matching optimum and an optimal dual of Dual-(G, b, w),
+    from one unperturbed pass on the bipartite double cover.
 
-
-def is_dual_feasible(inst: Instance, dual: DualSolution) -> DualFeasibility:
-    """Check y(i) + y(j) + d(ij) >= w(ij), y >= 0, d >= 0 exactly."""
-    d = {inst.edge_key(u, v): q for (u, v), q in dual.d.items()}
-    violated = tuple(
-        (u, v)
-        for (u, v) in inst.edges
-        if dual.y.get(u, Fraction(0)) + dual.y.get(v, Fraction(0)) + d.get((u, v), Fraction(0))
-        < inst.weight(u, v)
-    )
-    neg_y = tuple(p for p in inst.players if dual.y.get(p, Fraction(0)) < 0)
-    neg_d = tuple(e for e in inst.edges if d.get(e, Fraction(0)) < 0)
-    return DualFeasibility(
-        feasible=not (violated or neg_y or neg_d),
-        violated_edges=violated,
-        negative_y=neg_y,
-        negative_d=neg_d,
-    )
-
-
-def tighten_d(inst: Instance, y: Mapping[str, Fraction]) -> dict[Edge, Fraction]:
-    """The pointwise smallest feasible d: d(ij) = max(w(ij) - y(i) - y(j), 0)."""
-    out = {}
-    for (u, v) in inst.edges:
-        gap = inst.weight(u, v) - y[u] - y[v]
-        out[(u, v)] = gap if gap > 0 else Fraction(0)
-    return out
-
-
-def dual_from_duplicated(inst: Instance) -> DualSolution:
-    """Optimal dual of Dual-(G, b, w) from the bipartite double cover.
-
-    Runs one unperturbed pass on the cover. Folding the cover's dual
-    certificate (y(i) = y(i') + y(i''), likewise for slacks) is feasible for
-    the original dual and attains the half-b-matching optimum, which is the
-    LP optimum.
+    Folding the cover's certified dual (y(i) = y(i') + y(i''), d(ij) = the
+    slacks of both cross edges) keeps it feasible and keeps its objective,
+    the half-b-matching optimum, which is the LP optimum.
     """
     dup = duplicated_instance(inst)
-    _, cert = bipartite_optimum_with_duals(dup.instance)
-    return _fold_dual(inst, dup, cert)
-
-
-def _fold_dual(
-    inst: Instance, dup: DuplicatedInstance, cert: BipartiteDualCertificate
-) -> DualSolution:
-    y = {
-        i: cert.potentials[dup.left[i]] + cert.potentials[dup.right[i]]
-        for i in inst.players
+    half, cover = bipartite_optimum_with_duals(dup.instance)
+    key = dup.instance.edge_key
+    y = {i: cover.y[dup.left[i]] + cover.y[dup.right[i]] for i in inst.players}
+    d = {
+        (i, j): cover.d[key(dup.left[i], dup.right[j])] + cover.d[key(dup.left[j], dup.right[i])]
+        for (i, j) in inst.edges
     }
-    d: dict[Edge, Fraction] = {}
-    for (i, j) in inst.edges:
-        total = Fraction(0)
-        for (a, b) in ((dup.left[i], dup.right[j]), (dup.left[j], dup.right[i])):
-            total += cert.slacks[dup.instance.edge_key(a, b)]
-        d[(i, j)] = total
-    dual = DualSolution(y=y, d=d)
-    if not is_dual_feasible(inst, dual).feasible:
-        raise InternalError("folded double-cover dual is infeasible")
-    return dual
+    return half, DualSolution(y=y, d=d)
 
 
 def _check_half_at_least(half: Fraction, integral: Fraction) -> None:
@@ -185,9 +124,8 @@ def has_stable_solution(inst: Instance) -> bool:
     double-cover pass; the instance is stable iff a b-matching of the
     complementary-slack residual reaches it.
     """
-    dup = duplicated_instance(inst)
-    half, cert = bipartite_optimum_with_duals(dup.instance)
-    _, integral = _stable_matching(inst, _fold_dual(inst, dup, cert), half)
+    half, dual = dual_from_duplicated(inst)
+    _, integral = _stable_matching(inst, dual, half)
     return integral == half
 
 
@@ -294,15 +232,10 @@ def dual_from_stable(inst: Instance, sol: Solution) -> DualSolution:
 
     Stability gives feasibility; the objective collapses to the matching
     weight because unsaturated players have zero utility. Capacity-0 players
-    (infinite blocking utility, zero objective coefficient) are priced at
-    their heaviest incident edge so every such edge keeps zero slack.
+    (infinite blocking utility) are priced by `priced_dual`.
     """
     require_stable(inst, sol)
-    y = utilities(inst, sol)
-    for p in inst.players:
-        if inst.b(p) == 0:
-            y[p] = max([Fraction(0)] + [inst.weight(p, q) for q in inst.neighbors(p)])
-    dual = DualSolution(y=y, d=tighten_d(inst, y))
+    dual = priced_dual(inst, utilities(inst, sol))
     if not is_dual_feasible(inst, dual).feasible:
         raise InternalError("dual read off a stable solution is infeasible")
     if dual_objective(inst, dual) != weight(inst, sol.matching):
@@ -325,9 +258,7 @@ def solve(
     the witness, and the full-graph engine the b-matching optimum unless the
     residual was the whole game.
     """
-    dup = duplicated_instance(inst)
-    half, cert = bipartite_optimum_with_duals(dup.instance)
-    dual = _fold_dual(inst, dup, cert)
+    half, dual = dual_from_duplicated(inst)
     matching, integral = _stable_matching(inst, dual, half)
     if integral != half:
         if integral is None:

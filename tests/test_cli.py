@@ -1,6 +1,7 @@
 import itertools
 import json
 
+import networkx
 import pytest
 
 from stablefixtures import matching
@@ -214,6 +215,16 @@ UNHASHABLE_IDS = {
 }
 
 
+@pytest.mark.parametrize("edges", [None, 5], ids=["null", "number"])
+def test_non_list_edges_exit1_with_one_error_line(capsys, tmp_path, edges):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"players": ["a", "b"], "capacity": {"a": 1, "b": 1}, "edges": edges}))
+    assert main(["solve", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: instance JSON has wrong field types\n"
+
+
 @pytest.mark.parametrize("shape", sorted(UNHASHABLE_IDS))
 def test_unhashable_id_exit2_with_one_error_line(capsys, tmp_path, shape):
     path = tmp_path / "bad.json"
@@ -298,3 +309,26 @@ def test_derived_denominator_past_bound_exit2_before_any_engine(capsys, tmp_path
 def test_derived_denominator_within_bound_solves(capsys, tmp_path):
     code, data = run(capsys, "solve", _clique_file(tmp_path, 6, 99))
     assert code in (0, 3) and data["half_b_matching_weight"]
+
+
+def test_allocation_denominator_past_bound_exit2_before_cycle_stage(capsys, tmp_path, monkeypatch):
+    """80 capacity-2 players on a ring, each allocation entry 10 + 1/(10**480 + k):
+    every literal fits, but the common denominator of the cycle costs has
+    tens of thousands of digits."""
+    players = [f"p{k}" for k in range(80)]
+    ring = [{"u": p, "v": players[(k + 1) % 80], "w": "1"} for k, p in enumerate(players)]
+    inst = tmp_path / "ring.json"
+    inst.write_text(json.dumps({"players": players, "capacity": dict.fromkeys(players, 2), "edges": ring}))
+    base = 10**480
+    alloc = tmp_path / "x.json"
+    alloc.write_text(
+        json.dumps({"allocation": {p: f"{10 * (base + k) + 1}/{base + k}" for k, p in enumerate(players)}})
+    )
+    matchings = []
+    monkeypatch.setattr(networkx, "max_weight_matching", lambda *args, **kw: matchings.append(args))
+    assert main(["core-check", str(inst), str(alloc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and matchings == []
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: common denominator")
+    assert f"{MAX_SCALE_DIGITS} digits" in captured.err

@@ -60,6 +60,66 @@ def test_wrong_prices_fail_every_dual_path(monkeypatch):
         matching.bipartite_optimum_with_duals(inst)
 
 
+def _drop_one_matched_edge(inst, matched, prices):
+    return matched - {min(matched)}, prices
+
+
+def _negative_price(inst, matched, prices):
+    first = next(p for p in inst.players if inst.b(p) > 0)
+    return matched, {**prices, first: -1}
+
+
+def _swap_matched_for_unmatched(inst, matched, prices):
+    # A trade that keeps a b-matching; the weights in the games below are
+    # pairwise distinct, so it changes the matching's weight.
+    for e in sorted(matched):
+        for f in inst.edges:
+            swapped = (matched - {e}) | {f}
+            if f not in matched and matching.is_b_matching(inst, swapped):
+                return swapped, prices
+    raise AssertionError("no swap keeps a b-matching")
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (_drop_one_matched_edge, "duality gap"),
+        (_negative_price, "infeasible dual"),
+        (_swap_matched_for_unmatched, "duality gap"),
+    ],
+)
+def test_certificate_catches_each_engine_fault(monkeypatch, fault, message):
+    """The weak-duality certificate catches what a per-condition check of
+    complementary slackness would: a lost matched edge, a negative price and
+    a matched edge traded for an unmatched one."""
+    real = matching._ssp_flow
+
+    def faulty(inst, int_weights, coloring):
+        return fault(inst, *real(inst, int_weights, coloring))
+
+    bipartite = Instance(
+        ["a", "b", "c", "d", "e"],
+        {p: 1 for p in "abcde"},
+        [("a", "b", 5), ("a", "d", 2), ("c", "b", 3), ("c", "d", 7), ("a", "e", 1)],
+    )
+    general = Instance(
+        ["a", "b", "c", "d", "e", "f"],
+        {"a": 2, "b": 1, "c": 1, "d": 1, "e": 1, "f": 1},
+        [
+            ("a", "b", 5), ("b", "c", 1), ("a", "c", 4), ("c", "d", 9),
+            ("a", "d", 3), ("d", "e", 6), ("b", "f", 2),
+        ],
+    )  # fmt: skip
+    monkeypatch.setattr(matching, "_ssp_flow", faulty)
+    with pytest.raises(InternalError, match=message):
+        matching.bipartite_optimum_with_duals(bipartite)
+    for inst in (bipartite, general):
+        with pytest.raises(InternalError, match=message):
+            solver.dual_from_duplicated(inst)
+        with pytest.raises(InternalError, match=message):
+            solver.solve(inst)
+
+
 def test_half_below_integral_fails_solve(monkeypatch):
     real = solver.bipartite_optimum_with_duals
 

@@ -8,7 +8,9 @@ from stablefixtures.errors import BoundExceededError, NotBipartiteError, Unknown
 from stablefixtures.instance import Instance
 from stablefixtures.matching import (
     bipartite_max_weight_b_matching_with_duals,
+    dual_objective,
     duplicated_instance,
+    is_dual_feasible,
     is_b_matching,
     max_half_b_matching_bruteforce,
     max_half_b_matching_weight,
@@ -17,6 +19,7 @@ from stablefixtures.matching import (
     weight,
 )
 from stablefixtures.randomgen import random_instance
+from stablefixtures.solver import verify_complementary_slackness
 
 
 def test_is_b_matching_example3(example3):
@@ -165,28 +168,24 @@ def test_half_at_least_integral_random():
 
 def test_bipartite_duals_single_edge():
     inst = generate("two_player", w=7).instance
-    matching, cert = bipartite_max_weight_b_matching_with_duals(inst)
+    matching, dual = bipartite_max_weight_b_matching_with_duals(inst)
     assert matching == frozenset({("i", "j")})
-    total = cert.potentials["i"] + cert.potentials["j"] + cert.slacks[("i", "j")]
+    total = dual.y["i"] + dual.y["j"] + dual.d[("i", "j")]
     assert total == 7
 
 
 def test_bipartite_duals_example2(example2):
     inst, _, _ = example2
-    matching, cert = bipartite_max_weight_b_matching_with_duals(inst)
-    primal = weight(inst, matching)
-    dual = sum(F(inst.b(p)) * cert.potentials[p] for p in inst.players) + sum(
-        cert.slacks.values()
-    )
-    assert primal == dual == 16
+    matching, dual = bipartite_max_weight_b_matching_with_duals(inst)
+    assert weight(inst, matching) == dual_objective(inst, dual) == 16
 
 
 def test_bipartite_duals_edgeless():
     inst = Instance(["a", "b"], {"a": 1, "b": 1}, [])
-    matching, cert = bipartite_max_weight_b_matching_with_duals(inst)
+    matching, dual = bipartite_max_weight_b_matching_with_duals(inst)
     assert matching == frozenset()
-    assert all(v == 0 for v in cert.potentials.values())
-    assert not cert.slacks
+    assert all(v == 0 for v in dual.y.values())
+    assert not dual.d
 
 
 def test_bipartite_duals_reject_odd_cycle():
@@ -201,11 +200,12 @@ def test_bipartite_duality_random():
         inst = random_instance(
             rng, n_range=(2, 8), b_range=(0, 3), bipartite=True, allow_zero_capacity=True
         )
-        matching, cert = bipartite_max_weight_b_matching_with_duals(inst)
+        matching, dual = bipartite_max_weight_b_matching_with_duals(inst)
         primal = weight(inst, matching)
-        dual = sum(F(inst.b(p)) * cert.potentials[p] for p in inst.players) + sum(
-            cert.slacks.values(), F(0)
-        )
-        assert primal == dual
+        assert is_dual_feasible(inst, dual).feasible
+        assert primal == dual_objective(inst, dual)
         _, brute = max_weight_b_matching_bruteforce(inst)
         assert primal == brute
+        # The tie-broken matching and the returned dual are complementary slack.
+        x = {e: F(e in matching) for e in inst.edges}
+        assert verify_complementary_slackness(inst, x, dual).clean

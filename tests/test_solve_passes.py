@@ -23,7 +23,6 @@ import stablefixtures
 from stablefixtures import generate, matching
 from stablefixtures.instance import Instance, instance_to_json
 from stablefixtures.matching import (
-    _int_weights,
     _perturbed_int_weights,
     bipartite_max_weight_b_matching_with_duals,
     duplicated_instance,
@@ -31,6 +30,7 @@ from stablefixtures.matching import (
     max_weight_b_matching,
 )
 from stablefixtures.randomgen import random_instance
+from stablefixtures.rationals import scale_to_integers
 from stablefixtures.solver import (
     DualSolution,
     SolveOutcome,
@@ -113,7 +113,7 @@ def _spy_passes(monkeypatch, fn, inst, **kwargs):
     kinds = []
     for net, int_weights in calls:
         where = "cover" if net.players == cover_players else "instance"
-        if int_weights == _int_weights(net)[0]:
+        if int_weights == scale_to_integers(net.edge_weights())[0]:
             kinds.append((where, "plain"))
         else:
             assert int_weights == _perturbed_int_weights(net)
@@ -162,13 +162,13 @@ def test_has_stable_solution_makes_one_plain_cover_pass(monkeypatch, diamond):
 
 def _old_dual_from_duplicated(inst):
     dup = duplicated_instance(inst)
-    _, cert = bipartite_max_weight_b_matching_with_duals(dup.instance)
-    y = {i: cert.potentials[dup.left[i]] + cert.potentials[dup.right[i]] for i in inst.players}
+    _, cover = bipartite_max_weight_b_matching_with_duals(dup.instance)
+    y = {i: cover.y[dup.left[i]] + cover.y[dup.right[i]] for i in inst.players}
     d = {}
     for (i, j) in inst.edges:
         d[(i, j)] = sum(
             (
-                cert.slacks[dup.instance.edge_key(a, b)]
+                cover.d[dup.instance.edge_key(a, b)]
                 for (a, b) in ((dup.left[i], dup.right[j]), (dup.left[j], dup.right[i]))
             ),
             F(0),

@@ -79,20 +79,20 @@ def test_tighten_d_example3(example3):
 
 def test_dual_from_duplicated_single_edge():
     inst = generate("two_player", w=7).instance
-    dual = dual_from_duplicated(inst)
-    assert dual_objective(inst, dual) == 7
+    half, dual = dual_from_duplicated(inst)
+    assert dual_objective(inst, dual) == half == 7
 
 
 def test_dual_from_duplicated_diamond(diamond):
-    dual = dual_from_duplicated(diamond)
-    assert dual_objective(diamond, dual) == F(7, 2)
+    half, dual = dual_from_duplicated(diamond)
+    assert dual_objective(diamond, dual) == half == F(7, 2)
 
 
 def test_dual_from_duplicated_example4():
     inst = generate("example4", alpha=2).instance
-    dual = dual_objective(inst, dual_from_duplicated(inst))
-    assert dual == max_half_b_matching_bruteforce(inst, max_edges=6)
-    assert dual >= 4
+    half, dual = dual_from_duplicated(inst)
+    assert dual_objective(inst, dual) == half == max_half_b_matching_bruteforce(inst, max_edges=6)
+    assert half >= 4
 
 
 def test_has_stable_solution(example2, diamond):
@@ -122,7 +122,7 @@ def test_stable_from_dual_split_rules():
 
 def test_stable_from_dual_example2(example2):
     inst, sol, alt = example2
-    dual = dual_from_duplicated(inst)
+    _, dual = dual_from_duplicated(inst)
     matching, _ = max_weight_b_matching(inst)
     built = stable_from_dual(inst, matching, dual)
     assert is_stable(inst, built).stable
@@ -132,7 +132,7 @@ def test_stable_from_dual_example2(example2):
 
 def test_stable_from_dual_gap_detected(diamond):
     matching, _ = max_weight_b_matching(diamond)
-    dual = dual_from_duplicated(diamond)  # objective 7/2 > 3
+    _, dual = dual_from_duplicated(diamond)  # objective 7/2 > 3
     with pytest.raises(DualityGapError):
         stable_from_dual(diamond, matching, dual)
 
