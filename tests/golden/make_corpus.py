@@ -133,8 +133,10 @@ ADVERSARIAL = (
 )  # fmt: skip
 
 
-def run_request(argv, files, main) -> dict:
+def run_request(argv, files) -> dict:
     """Run one CLI request in a fresh directory holding its files."""
+    from stablefixtures.cli import main
+
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -153,30 +155,25 @@ def run_request(argv, files, main) -> dict:
     }
 
 
-def pool_requests(per_pool: int = REQUESTS_PER_POOL, seeds=SEEDS):
-    """(name, argv, files) of the first `per_pool` requests of every pool."""
+def requests():
+    """(name, argv, files) of the first REQUESTS_PER_POOL requests of every
+    pool at each of SEEDS, then of the adversarial shapes."""
     sys.path.insert(0, str(HERE.parents[1] / "perfbench"))
     import workloads
 
     for workload in workloads.WORKLOADS:
-        for seed in seeds:
-            for k, req in enumerate(workloads.build(workload, seed)[:per_pool]):
+        for seed in SEEDS:
+            for k, req in enumerate(workloads.build(workload, seed)[:REQUESTS_PER_POOL]):
                 yield f"{workload}:{seed}:{k}", req.argv, req.files
-
-
-def requests(per_pool: int = REQUESTS_PER_POOL, seeds=SEEDS):
-    yield from pool_requests(per_pool, seeds)
     for k, (argv, files) in enumerate(ADVERSARIAL):
         yield f"adversarial:{k}", argv, files
 
 
 def main() -> None:
-    from stablefixtures.cli import main as cli_main
-
     with open(CORPUS, "w", encoding="utf-8") as fh:
         for name, argv, files in requests():
             entry = {"name": name, "argv": argv, "files": files}
-            entry.update(run_request(argv, files, cli_main))
+            entry.update(run_request(argv, files))
             fh.write(json.dumps(entry, separators=(",", ":")) + "\n")
 
 

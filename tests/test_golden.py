@@ -13,8 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from stablefixtures.cli import main
-
 GOLDEN = Path(__file__).resolve().parent / "golden"
 sys.path.insert(0, str(GOLDEN))
 from make_corpus import CORPUS, run_request  # noqa: E402
@@ -29,5 +27,5 @@ def test_corpus_covers_every_pool_and_the_adversarial_shapes():
 
 @pytest.mark.parametrize("entry", ENTRIES, ids=[entry["name"] for entry in ENTRIES])
 def test_golden_request_is_unchanged(entry):
-    got = run_request(entry["argv"], entry["files"], main)
+    got = run_request(entry["argv"], entry["files"])
     assert got == {key: entry[key] for key in ("exit", "stdout_sha256", "stderr")}

@@ -70,12 +70,17 @@ def _negative_price(inst, matched, prices):
 
 
 def _swap_matched_for_unmatched(inst, matched, prices):
-    # A trade that keeps a b-matching; the weights in the games below are
-    # pairwise distinct, so it changes the matching's weight.
+    # A trade of unequal weights that keeps a b-matching. The double cover
+    # gives each edge two cross edges of equal weight, so equal weights are
+    # skipped: only a lighter matching opens a duality gap.
     for e in sorted(matched):
         for f in inst.edges:
             swapped = (matched - {e}) | {f}
-            if f not in matched and matching.is_b_matching(inst, swapped):
+            if (
+                f not in matched
+                and inst.weight(*f) != inst.weight(*e)
+                and matching.is_b_matching(inst, swapped)
+            ):
                 return swapped, prices
     raise AssertionError("no swap keeps a b-matching")
 
