@@ -22,10 +22,13 @@ from .errors import InternalError, StableFixturesError
 from .instance import Generated, Instance, generate, induced, validate
 from .matching import (
     HalfBMatching,
+    LPOptimum,
     bipartite_max_weight_b_matching_with_duals,
     bipartite_optimum_with_duals,
+    dual_from_duplicated,
     duplicated_instance,
     is_b_matching,
+    lp_optimum,
     max_half_b_matching_weight,
     max_weight_b_matching,
     max_weight_b_matching_bruteforce,
@@ -42,7 +45,6 @@ from .reduction import (
 from .solver import (
     DualSolution,
     SolveOutcome,
-    dual_from_duplicated,
     dual_from_stable,
     has_stable_solution,
     is_dual_feasible,

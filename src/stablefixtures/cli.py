@@ -180,7 +180,7 @@ def _oracle_selftest(count: int, seed: int) -> int:
         inst = random_instance(
             rng, n_range=(3, 8), max_extra_edges=5, b_range=(1, 2), max_weight=7
         )
-        matching, value = matching_mod.max_weight_b_matching(inst)
+        value = matching_mod.lp_optimum(inst).weight
         _, brute = matching_mod.max_weight_b_matching_bruteforce(inst)
         if value != brute:
             print(f"selftest {k}: engine {value} != oracle {brute}", file=sys.stderr)

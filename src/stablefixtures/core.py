@@ -26,12 +26,7 @@ from .errors import (
     PreconditionError,
 )
 from .instance import Edge, Instance, induced
-from .matching import (
-    is_b_matching,
-    max_weight_b_matching,
-    max_weight_b_matching_bruteforce,
-    weight,
-)
+from .matching import is_b_matching, lp_optimum, max_weight_b_matching_bruteforce, weight
 from .rationals import format_rational
 from .stability import PayoffMatrix, total_payoff
 
@@ -46,9 +41,8 @@ def game_value(inst: Instance, coalition: Iterable[str]) -> Fraction:
 def game_value_with_witness(
     inst: Instance, coalition: Iterable[str]
 ) -> tuple[Fraction, frozenset[Edge]]:
-    sub = induced(inst, coalition)
-    matching, value = max_weight_b_matching(sub)
-    return value, matching
+    opt = lp_optimum(induced(inst, coalition))
+    return opt.weight, opt.matching
 
 
 def is_allocation(inst: Instance, x: Mapping[str, Fraction]) -> bool:
@@ -369,8 +363,7 @@ def allocation_to_payoff(
     b-matching: decomposition followed by repair. Row sums equal x exactly.
     """
     m = inst.canonical_edge_set(matching)
-    _, optimum = max_weight_b_matching(inst)
-    if weight(inst, m) != optimum:
+    if weight(inst, m) != lp_optimum(inst).weight:
         raise NotMaximumWeightError("matching is not maximum weight")
     signed = solve_payoff_system(inst, m, x)
     return repair_negative(inst, m, signed, x)
@@ -385,20 +378,19 @@ def core_membership_b2(inst: Instance, x: Mapping[str, Fraction]) -> CoreVerdict
     """Polynomial core membership for b <= 2 with violation certificates.
 
     Stages: singletons x(i) >= 0; efficiency x(N) = v(N); capacity-0
-    players forced to zero and dropped; negative cycles among capacity-2
-    players; then the exact minimum path/cycle system. Any violating
+    players forced to zero and dropped; then the exact minimum path/cycle
+    system, which covers the cycles among capacity-2 players. Any violating
     component is returned as its coalition after engine re-certification.
     """
     heavy = [p for p in inst.players if inst.b(p) > 2]
     if heavy:
         raise CapacityTooLargeError(f"players with b > 2: {heavy}")
-    _coalition_total(inst, x, inst.players)
+    grand_total = _coalition_total(inst, x, inst.players)
 
     for p in inst.players:
         if x[p] < 0:
             return _violation(inst, x, [p])
 
-    grand_total = _coalition_total(inst, x, inst.players)
     grand_value = game_value(inst, inst.players)
     if grand_total < grand_value:
         return _violation(inst, x, inst.players)
@@ -424,18 +416,11 @@ def core_membership_b2(inst: Instance, x: Mapping[str, Fraction]) -> CoreVerdict
 
 
 def _b2_constraint_search(inst: Instance, x) -> tuple[str, ...] | None:
-    """First violated path/cycle coalition among b in {1, 2} players."""
-    two = [p for p in inst.players if inst.b(p) == 2]
-    two_set = set(two)
-    cycle_costs = {
-        (u, v): (x[u] + x[v]) / 2 - inst.weight(u, v)
-        for (u, v) in inst.edges
-        if u in two_set and v in two_set
-    }
-    cycle = cycles.negative_cycle(two, cycle_costs)
-    if cycle is not None:
-        return tuple(sorted({p for e in cycle for p in e}, key=inst.index))
+    """First violated path/cycle coalition among b in {1, 2} players.
 
+    The systems admit every cycle of capacity-2 players at its cost
+    x(V(C)) - w(C), so a negative cycle makes the optimum negative too.
+    """
     total, components = cycles.min_path_cycle_system(
         inst.players,
         {p: inst.b(p) for p in inst.players},

@@ -11,8 +11,11 @@ Two engines, both exact over rationals:
   of the degree-constrained LP, certified by weak duality.
 
 The LP dual `DualSolution` and its feasibility and objective checks live
-here too, so the engine returns the same dual object the solver builds
-stable payoffs from.
+here too. `lp_optimum` is the front end for every question about a game's
+optimum: one pass on the bipartite double cover (`dual_from_duplicated`)
+gives the LP optimum and an optimal dual, and the engine then runs only on
+the dual's complementary-slack residual, or on the whole game when that
+residual cannot reach the LP optimum.
 
 Ties among optimal b-matchings are broken toward the lexicographically
 smallest edge set under the instance's edge order, implemented by a weight
@@ -546,6 +549,91 @@ def _ssp_flow(
     for p in inst.players:
         prices.setdefault(p, 0)
     return matched, prices
+
+
+# ---------------------------------------------------------------------------
+# The dual-first front end
+# ---------------------------------------------------------------------------
+
+
+def dual_from_duplicated(inst: Instance) -> tuple[Fraction, DualSolution]:
+    """The half-b-matching optimum and an optimal dual of Dual-(G, b, w),
+    from one unperturbed pass on the bipartite double cover.
+
+    Folding the cover's certified dual (y(i) = y(i') + y(i''), d(ij) = the
+    slacks of both cross edges) keeps it feasible and keeps its objective,
+    the half-b-matching optimum, which is the LP optimum.
+    """
+    dup = duplicated_instance(inst)
+    half, cover = bipartite_optimum_with_duals(dup.instance)
+    key = dup.instance.edge_key
+    y = {i: cover.y[dup.left[i]] + cover.y[dup.right[i]] for i in inst.players}
+    d = {
+        (i, j): cover.d[key(dup.left[i], dup.right[j])] + cover.d[key(dup.left[j], dup.right[i])]
+        for (i, j) in inst.edges
+    }
+    return half, DualSolution(y=y, d=d)
+
+
+@dataclass(frozen=True)
+class LPOptimum:
+    """The tie-broken maximum-weight b-matching of a game and its weight,
+    the LP (half-b-matching) optimum `half` and an optimal LP dual. The game
+    has a stable solution iff weight == half."""
+
+    matching: frozenset[Edge]
+    weight: Fraction
+    half: Fraction
+    dual: DualSolution
+
+
+def lp_optimum(inst: Instance) -> LPOptimum:
+    """The game's tie-broken maximum-weight b-matching, read off an optimal
+    LP dual where the dual settles it.
+
+    Every LP optimum takes the edges with d > 0 (forced) and otherwise only
+    tight edges (d = 0, y(u) + y(v) = w(uv)). So when the integral optimum
+    reaches the LP optimum, the optimal b-matchings are exactly the forced
+    edges plus a maximum-weight b-matching of the tight residual within the
+    capacity they leave free, and the tie-break on the residual (same edge
+    order) picks the same set as on the whole game. Otherwise the engine
+    runs on the whole game, unless the residual already is the whole game
+    (no forced edge, every edge between players with capacity tight).
+    """
+    half, dual = dual_from_duplicated(inst)
+    forced = frozenset(e for e in inst.edges if dual.d[e] > 0)
+    free = {p: inst.b(p) for p in inst.players}
+    for (u, v) in forced:
+        free[u] -= 1
+        free[v] -= 1
+    if any(c < 0 for c in free.values()):
+        raise InternalError("forced edges of the optimal dual overfill a player")
+    tight = [
+        (u, v, inst.weight(u, v))
+        for (u, v) in inst.edges
+        if dual.d[(u, v)] == 0
+        and free[u]
+        and free[v]
+        and dual.y[u] + dual.y[v] == inst.weight(u, v)
+    ]
+    chosen, residual_weight = max_weight_b_matching(Instance(inst.players, free, tight))
+    matching, total = forced | chosen, weight(inst, forced) + residual_weight
+    whole = not forced and len(tight) == sum(1 for (u, v) in inst.edges if inst.b(u) and inst.b(v))
+    if total != half and not whole:
+        matching, total = max_weight_b_matching(inst)
+        if total == half:
+            raise InternalError(
+                "a b-matching attains the half optimum, but none is "
+                "complementary-slack with the optimal dual"
+            )
+    if half < total:
+        raise InternalError(
+            f"half-b-matching optimum {format_rational(half)} below "
+            f"b-matching optimum {format_rational(total)}"
+        )
+    if not is_b_matching(inst, matching):
+        raise InternalError("forced and residual edges overfill a player")
+    return LPOptimum(matching=matching, weight=total, half=half, dual=dual)
 
 
 # ---------------------------------------------------------------------------

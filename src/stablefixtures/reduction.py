@@ -207,7 +207,7 @@ def srp_rematch(
     vector of a stable solution is a core allocation, those values are
     automatically compatible with any other maximum-weight matching.
     """
-    from .matching import is_b_matching, max_weight_b_matching, weight
+    from .matching import is_b_matching, lp_optimum, weight
 
     if any(g.b(p) != 1 for p in g.players):
         raise PreconditionError("srp_rematch requires unit capacities")
@@ -215,7 +215,7 @@ def srp_rematch(
     target = g.canonical_edge_set(new_matching)
     if not is_b_matching(g, target):
         raise PreconditionError("target edge set is not a matching")
-    _, optimum = max_weight_b_matching(g)
+    optimum = lp_optimum(g).weight
     if weight(g, target) != optimum:
         raise NotMaximumWeightError(
             f"target weight {format_rational(weight(g, target))}"
@@ -237,10 +237,10 @@ def lift_stable(
     vertices of the matched edges. The result is a stable solution of the
     original instance.
     """
-    from .matching import max_weight_b_matching
+    from .matching import lp_optimum
 
     require_stable(reduced.instance, reduced_sol)
-    matching, _ = max_weight_b_matching(inst)
+    matching = lp_optimum(inst).matching
     expanded = reduce_matching(inst, matching, reduced)
     moved = srp_rematch(reduced.instance, reduced_sol, expanded)
     vertex_pay = total_payoff(reduced.instance, moved.payoffs)

@@ -11,10 +11,11 @@ that case an optimal dual extracted from the bipartite double cover turns a
 maximum-weight b-matching into stable payoffs p(i,j) = y(i) + xi(i,j) with
 xi splitting the slack d(ij) of each matched edge.
 
-The dual type `DualSolution` and its checks (`is_dual_feasible`,
-`dual_objective`, `tighten_d`) are defined in `matching`, whose bipartite
-engine returns certified duals, and re-exported here. `dual_from_duplicated`
-is the one double-cover pass behind `solve` and `has_stable_solution`.
+The dual type `DualSolution`, its checks (`is_dual_feasible`,
+`dual_objective`, `tighten_d`) and the double-cover pass
+`dual_from_duplicated` are defined in `matching` and re-exported here.
+`solve` and `has_stable_solution` read one `matching.lp_optimum`: the
+half-b-matching optimum, an optimal dual and the tie-broken b-matching.
 
 Pure pipeline over immutable inputs; no global state.
 """
@@ -33,17 +34,16 @@ from .errors import (
     PreconditionError,
 )
 from .instance import Edge, Instance
-from .matching import (  # DualFeasibility and tighten_d are re-exported
+from .matching import (  # DualFeasibility, tighten_d, dual_from_duplicated are re-exported
     DualFeasibility,
     DualSolution,
     HalfBMatching,
-    bipartite_optimum_with_duals,
+    dual_from_duplicated,
     dual_objective,
-    duplicated_instance,
     is_b_matching,
     is_dual_feasible,
+    lp_optimum,
     max_half_b_matching_weight,
-    max_weight_b_matching,
     priced_dual,
     tighten_d,
     weight,
@@ -90,89 +90,10 @@ def primal_objective(inst: Instance, x: Mapping[tuple[str, str], Fraction]) -> F
     return sum((inst.weight(u, v) * values[(u, v)] for (u, v) in inst.edges), Fraction(0))
 
 
-def dual_from_duplicated(inst: Instance) -> tuple[Fraction, DualSolution]:
-    """The half-b-matching optimum and an optimal dual of Dual-(G, b, w),
-    from one unperturbed pass on the bipartite double cover.
-
-    Folding the cover's certified dual (y(i) = y(i') + y(i''), d(ij) = the
-    slacks of both cross edges) keeps it feasible and keeps its objective,
-    the half-b-matching optimum, which is the LP optimum.
-    """
-    dup = duplicated_instance(inst)
-    half, cover = bipartite_optimum_with_duals(dup.instance)
-    key = dup.instance.edge_key
-    y = {i: cover.y[dup.left[i]] + cover.y[dup.right[i]] for i in inst.players}
-    d = {
-        (i, j): cover.d[key(dup.left[i], dup.right[j])] + cover.d[key(dup.left[j], dup.right[i])]
-        for (i, j) in inst.edges
-    }
-    return half, DualSolution(y=y, d=d)
-
-
-def _check_half_at_least(half: Fraction, integral: Fraction) -> None:
-    if half < integral:
-        raise InternalError(
-            f"half-b-matching optimum {format_rational(half)} below "
-            f"b-matching optimum {format_rational(integral)}"
-        )
-
-
 def has_stable_solution(inst: Instance) -> bool:
-    """Exact equality test between the integral and fractional optima.
-
-    The fractional optimum and an optimal dual come from one unperturbed
-    double-cover pass; the instance is stable iff a b-matching of the
-    complementary-slack residual reaches it.
-    """
-    half, dual = dual_from_duplicated(inst)
-    _, integral = _stable_matching(inst, dual, half)
-    return integral == half
-
-
-def _stable_matching(
-    inst: Instance, dual: DualSolution, half: Fraction
-) -> tuple[frozenset[Edge], Fraction | None]:
-    """A b-matching read off the optimal dual (y, d) and the game's maximum
-    b-matching weight, or (empty set, None) where the dual does not settle
-    that weight. The game is stable iff the weight is the half optimum
-    `half`, and the b-matching is then its tie-broken optimum.
-
-    By complementary slackness, edges with d > 0 are forced, and the rest of
-    the matching uses tight edges (d = 0, y(u) + y(v) = w(uv)) within the
-    capacity the forced edges leave free. When the game is stable its optimal
-    b-matchings are exactly the forced edges plus a maximum-weight b-matching
-    of that residual, so the lexicographic tie-break on the residual (same
-    edge order) picks the same set as on the whole game. If the dual cuts
-    nothing (no forced edge, every edge between players with capacity tight),
-    the residual is the whole game and its optimum is the game's anyway.
-    """
-    forced = frozenset(e for e in inst.edges if dual.d[e] > 0)
-    free = {p: inst.b(p) for p in inst.players}
-    for (u, v) in forced:
-        free[u] -= 1
-        free[v] -= 1
-    if any(c < 0 for c in free.values()):
-        return frozenset(), None
-    tight = [
-        (u, v, inst.weight(u, v))
-        for (u, v) in inst.edges
-        if dual.d[(u, v)] == 0
-        and free[u]
-        and free[v]
-        and dual.y[u] + dual.y[v] == inst.weight(u, v)
-    ]
-    chosen, residual_weight = max_weight_b_matching(Instance(inst.players, free, tight))
-    total = weight(inst, forced) + residual_weight
-    _check_half_at_least(half, total)
-    if total != half:
-        whole = not forced and len(tight) == sum(
-            1 for (u, v) in inst.edges if inst.b(u) and inst.b(v)
-        )
-        return frozenset(), total if whole else None
-    matching = forced | chosen
-    if not is_b_matching(inst, matching):
-        raise InternalError("forced and residual edges overfill a player")
-    return matching, total
+    """Exact equality test between the integral and fractional optima."""
+    opt = lp_optimum(inst)
+    return opt.weight == opt.half
 
 
 def stable_from_dual(
@@ -200,7 +121,7 @@ def stable_from_dual(
     # Weak duality: a feasible dual at objective w(M) certifies M maximum.
     w_m = weight(inst, m)
     if dual_objective(inst, dual) != w_m:
-        _, optimum = max_weight_b_matching(inst)
+        optimum = lp_optimum(inst).weight
         if w_m != optimum:
             raise NotMaximumWeightError(
                 f"matching weight {format_rational(w_m)} below optimum {format_rational(optimum)}"
@@ -251,43 +172,33 @@ def solve(
     """Decide and construct: stable solution + dual certificate, or the
     heavier half-b-matching witness proving none exists.
 
-    One unperturbed double-cover pass gives the half-b-matching optimum and
-    an optimal dual; the stable matching is matched on the complementary-slack
-    residual of that dual alone, and the dual objective check of
-    `stable_from_dual` certifies it. Otherwise the perturbed cover pass gives
-    the witness, and the full-graph engine the b-matching optimum unless the
-    residual was the whole game.
+    `lp_optimum` gives the half-b-matching optimum, an optimal dual and the
+    tie-broken b-matching, matched on the dual's complementary-slack
+    residual where that reaches the half optimum; the dual objective check
+    of `stable_from_dual` certifies the stable answer. Otherwise the
+    perturbed cover pass gives the witness.
     """
-    half, dual = dual_from_duplicated(inst)
-    matching, integral = _stable_matching(inst, dual, half)
-    if integral != half:
-        if integral is None:
-            _, integral = max_weight_b_matching(inst)
-        _check_half_at_least(half, integral)
-        if integral == half:
-            raise InternalError(
-                "a b-matching attains the half optimum, but none is "
-                "complementary-slack with the optimal dual"
-            )
+    opt = lp_optimum(inst)
+    if opt.weight != opt.half:
         witness_weight, witness = max_half_b_matching_weight(inst)
-        if witness_weight != half:
+        if witness_weight != opt.half:
             raise InternalError(
                 f"half-b-matching witness weighs {format_rational(witness_weight)}, "
-                f"optimum is {format_rational(half)}"
+                f"optimum is {format_rational(opt.half)}"
             )
         return SolveOutcome(
             stable=False,
-            matching_weight=integral,
-            half_weight=half,
+            matching_weight=opt.weight,
+            half_weight=opt.half,
             witness=witness,
         )
-    sol = stable_from_dual(inst, matching, dual, split_rule=split_rule, sellers=sellers)
+    sol = stable_from_dual(inst, opt.matching, opt.dual, split_rule=split_rule, sellers=sellers)
     return SolveOutcome(
         stable=True,
-        matching_weight=half,
-        half_weight=half,
+        matching_weight=opt.half,
+        half_weight=opt.half,
         solution=sol,
-        dual=dual,
+        dual=opt.dual,
     )
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from stablefixtures import core, generate
+from stablefixtures import core, cycles, generate, matching
 from stablefixtures.core import (
     CoreViolationError,
     allocation_to_payoff,
@@ -22,7 +22,7 @@ from stablefixtures.errors import (
     InternalError,
 )
 from stablefixtures.instance import Instance
-from stablefixtures.matching import max_weight_b_matching_bruteforce
+from stablefixtures.matching import max_weight_b_matching, max_weight_b_matching_bruteforce
 from stablefixtures.randomgen import (
     random_allocation,
     random_instance,
@@ -46,6 +46,34 @@ def test_game_value_example4_pendant_coalition():
     inst = generate("example4", alpha=2).instance
     coalition = ["s1", "s2", "t1_1", "t2_1"]
     assert game_value(inst, coalition) == 3  # 2*alpha - 1
+
+
+def test_game_value_matches_only_the_residual(monkeypatch):
+    """On a stable general game v(N) is read off the LP dual: blossom runs at
+    most once, on the complementary-slack residual, and the answer is the
+    tie-broken engine optimum."""
+    inst = Instance(
+        ["v1", "v2", "v3", "v4", "v5"],
+        {"v1": 2, "v2": 1, "v3": 1, "v4": 2, "v5": 2},
+        [
+            ("v1", "v3", 7), ("v1", "v4", 3), ("v2", "v3", 2),
+            ("v2", "v4", 5), ("v3", "v4", 9), ("v3", "v5", 1),
+        ],
+    )  # fmt: skip
+    assert inst.two_coloring() is None and solve(inst).stable
+    real = matching._general_matching
+    sizes = []
+
+    def spy(net):
+        sizes.append(net.m)
+        return real(net)
+
+    monkeypatch.setattr(matching, "_general_matching", spy)
+    value, witness = core.game_value_with_witness(inst, inst.players)
+    assert len(sizes) <= 1 and all(m < inst.m for m in sizes)
+    monkeypatch.undo()
+    assert core.game_value(inst, inst.players) == value
+    assert (witness, value) == max_weight_b_matching(inst)
 
 
 def test_is_allocation(example3):
@@ -229,6 +257,42 @@ def test_core_membership_b2_example3_totals(example3):
     inst, sol = example3
     verdict = core_membership_b2(inst, total_payoff(inst, sol.payoffs))
     assert verdict.in_core
+
+
+def test_core_membership_b2_sums_the_grand_coalition_once(monkeypatch, example3):
+    inst, sol = example3
+    real = core._coalition_total
+    grand = []
+
+    def spy(inst_, x, coalition):
+        if list(coalition) == list(inst.players):
+            grand.append(coalition)
+        return real(inst_, x, coalition)
+
+    monkeypatch.setattr(core, "_coalition_total", spy)
+    assert core_membership_b2(inst, total_payoff(inst, sol.payoffs)).in_core
+    assert len(grand) == 1
+
+
+def test_core_membership_b2_negative_capacity_two_cycle(monkeypatch):
+    """A cycle of capacity-2 players paid less than its weight is found by
+    the path/cycle system; no separate negative-cycle stage runs."""
+    inst = Instance(
+        ["a", "b", "c", "d"],
+        {"a": 2, "b": 2, "c": 2, "d": 1},
+        [("a", "b", 4), ("b", "c", 4), ("a", "c", 4), ("a", "d", 10)],
+    )
+    x = {"a": F(2), "b": F(3), "c": F(3), "d": F(10)}  # x(abc) = 8 < w(abc) = 12
+    assert is_allocation(inst, x)
+
+    def unused(vertices, costs):
+        raise AssertionError("negative_cycle ran")
+
+    monkeypatch.setattr(cycles, "negative_cycle", unused)
+    verdict = core_membership_b2(inst, x)
+    assert verdict.kind == "violation" == core_membership_bruteforce(inst, x).kind
+    assert verdict.coalition == ("a", "b", "c")
+    assert verdict.coalition_value == 12 and verdict.deficit == 4
 
 
 def test_core_membership_b2_rejects_large_capacity():

@@ -126,13 +126,13 @@ def test_certificate_catches_each_engine_fault(monkeypatch, fault, message):
 
 
 def test_half_below_integral_fails_solve(monkeypatch):
-    real = solver.bipartite_optimum_with_duals
+    real = matching.bipartite_optimum_with_duals
 
     def light(inst):
         half, cert = real(inst)
         return half - 1, cert
 
-    monkeypatch.setattr(solver, "bipartite_optimum_with_duals", light)
+    monkeypatch.setattr(matching, "bipartite_optimum_with_duals", light)
     with pytest.raises(InternalError, match="below"):
         solver.solve(generate("example2").instance)
 
@@ -215,20 +215,41 @@ def test_overfilling_residual_matching_fails_solve(
     inst = heavy_edge_triangle
     path = tmp_path / "triangle.json"
     path.write_text(json.dumps(instance_to_json(inst)))
-    real = solver.max_weight_b_matching
+    real = matching.max_weight_b_matching
 
     def extra(net):
         # The residual engine adds a-c at the same weight.
         chosen, value = real(net)
         return chosen | {("a", "c")}, value
 
-    monkeypatch.setattr(solver, "max_weight_b_matching", extra)
+    monkeypatch.setattr(matching, "max_weight_b_matching", extra)
     with pytest.raises(InternalError, match="overfill"):
         solver.solve(inst)
     with pytest.raises(InternalError, match="overfill"):
         solver.has_stable_solution(inst)
     assert main(["solve", str(path)]) == EXIT_INTERNAL
     assert capsys.readouterr().err.startswith("error: internal: forced and residual")
+
+
+def test_forced_edges_overfilling_a_player_fail_solve(monkeypatch, capsys, tmp_path):
+    """Every LP optimum takes every edge with d > 0, so an optimal dual never
+    forces more edges at a player than its capacity."""
+    inst = generate("triangle").instance
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(instance_to_json(inst)))
+    real = matching.dual_from_duplicated
+
+    def slack(inst):
+        half, dual = real(inst)
+        return half, solver.DualSolution(y=dual.y, d={e: q + 1 for e, q in dual.d.items()})
+
+    monkeypatch.setattr(matching, "dual_from_duplicated", slack)
+    with pytest.raises(InternalError, match="overfill"):
+        matching.lp_optimum(inst)
+    with pytest.raises(InternalError, match="overfill"):
+        solver.solve(inst)
+    assert main(["solve", str(path)]) == EXIT_INTERNAL
+    assert capsys.readouterr().err.startswith("error: internal: forced edges")
 
 
 def test_unsplit_payoffs_fail_stable_from_dual(monkeypatch, heavy_edge_triangle):
@@ -281,7 +302,7 @@ outcome = solver.solve(inst)
 d = dict(outcome.dual.d)
 d[("a", "b")] += 1
 real_objective, real_utilities, real_engine = (
-    solver.dual_objective, solver.utilities, solver.max_weight_b_matching)
+    solver.dual_objective, solver.utilities, matching.max_weight_b_matching)
 
 def raises(call):
     try:
@@ -299,7 +320,7 @@ read_back = raises(lambda: solver.dual_from_stable(inst, outcome.solution))
 solver.utilities = real_utilities
 ssp = raises(lambda: matching._ssp_flow(
     Instance(["a", "b"], {"a": 1, "b": 1}, [("a", "b", 3)]), {("a", "b"): 3}, {"a": 0, "b": 0}))
-solver.max_weight_b_matching = lambda net: (
+matching.max_weight_b_matching = lambda net: (
     real_engine(net)[0] | {("a", "c")}, real_engine(net)[1])
 print(split, read_back, ssp, main(["solve", sys.argv[1]]))
 """

@@ -1,0 +1,76 @@
+"""Differential properties of the dual-first front end `lp_optimum`.
+
+Hypothesis draws small general games with the shapes that break engines:
+capacities 0 and above the degree, weights 0, 10^12, 10^400 and coprime
+fractions, isolated players and ids that collide with the names the double
+cover and the edge gadgets generate. On every game `lp_optimum` must return
+the tie-broken engine's b-matching, the brute-force optima, and the verdict
+of `solve`. The runs are derandomized, so a failure reproduces as it
+stands; each shrunk failure is pinned as a regression test below the
+properties.
+"""
+
+from fractions import Fraction as F
+from itertools import combinations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stablefixtures.instance import Instance
+from stablefixtures.matching import (
+    lp_optimum,
+    max_half_b_matching_bruteforce,
+    max_weight_b_matching,
+    max_weight_b_matching_bruteforce,
+)
+from stablefixtures.solver import solve
+
+# Gadget-like ids first, so shrinking keeps them.
+IDS = ("a", "a'", "a''", "a^1", "a~b", "a@b", "b", "c", "d")
+# The half-b-matching oracle enumerates 3^m assignments.
+MAX_EDGES = 9
+# Repeated small weights make ties and half-integral optima (no stable
+# solution); the fractions have pairwise coprime denominators.
+WEIGHTS = st.one_of(
+    st.sampled_from((F(1), F(0), F(10**12), F(2), F(10**400))),
+    st.builds(F, st.integers(1, 40), st.sampled_from((2, 3, 5, 7, 11, 13))),
+)
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=250)
+
+
+@st.composite
+def games(draw) -> Instance:
+    players = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=7, unique=True))
+    pairs = list(combinations(players, 2))
+    count = draw(st.integers(min(len(pairs), 3), min(len(pairs), MAX_EDGES - 3)))
+    chosen = draw(st.permutations(pairs))[:count]
+    weights = {e: draw(WEIGHTS) for e in chosen}
+    degree = {p: sum(p in e for e in chosen) for p in players}
+    capacity = {p: draw(st.sampled_from((1, 2, 0, degree[p] + 1))) for p in players}
+    # Often plant a heavy triangle of capacity-1 players, which leaves the
+    # half-b-matching optimum above every b-matching unless the rest of the
+    # game outweighs it: random weights alone rarely lose stability.
+    triangle = list(combinations(players[:3], 2))
+    if len(players) >= 3 and draw(st.booleans()):
+        heavy = draw(WEIGHTS)
+        chosen += [e for e in triangle if e not in weights]
+        weights.update(dict.fromkeys(triangle, heavy))
+        for p in players[:3]:
+            capacity[p] = 1
+    return Instance(players, capacity, [(u, v, weights[(u, v)]) for (u, v) in chosen])
+
+
+@PROPERTY
+@given(games())
+def test_lp_optimum_is_the_tie_broken_engine_optimum(inst):
+    opt = lp_optimum(inst)
+    assert (opt.matching, opt.weight) == max_weight_b_matching(inst)
+    assert opt.weight == max_weight_b_matching_bruteforce(inst)[1]
+
+
+@PROPERTY
+@given(games())
+def test_lp_optimum_half_and_the_solve_verdict(inst):
+    opt = lp_optimum(inst)
+    assert opt.half == max_half_b_matching_bruteforce(inst)
+    assert solve(inst).stable == (opt.weight == opt.half)
