@@ -12,10 +12,11 @@ Two engines, both exact over rationals:
 
 The LP dual `DualSolution` and its feasibility and objective checks live
 here too. `lp_optimum` is the front end for every question about a game's
-optimum: one pass on the bipartite double cover (`dual_from_duplicated`)
-gives the LP optimum and an optimal dual, and the engine then runs only on
-the dual's complementary-slack residual, or on the whole game when that
-residual cannot reach the LP optimum.
+optimum: one unperturbed pass gives the LP optimum and an optimal dual (on
+the game itself when it is bipartite, whose LP is integral, and on the
+bipartite double cover, `dual_from_duplicated`, otherwise), and the engine
+then runs only on the dual's complementary-slack residual, or on the whole
+game when that residual cannot reach the LP optimum.
 
 Ties among optimal b-matchings are broken toward the lexicographically
 smallest edge set under the instance's edge order, implemented by a weight
@@ -447,6 +448,13 @@ def _ssp_flow(
     Arc costs are negated weights; augmentation stops when no residual
     source-sink path has negative true cost. Final potentials are capped so
     that the zero-gap dual can be read off them directly.
+
+    Each Dijkstra stops once the sink is settled (Ahuja, Magnanti & Orlin,
+    Network Flows, ch. 9). That leaves the path and the potentials as a full
+    run would: every unsettled node has tentative distance >= dist[SNK], so
+    an augmenting round raises it by the cut dist[SNK] either way, and the
+    last round by its threshold <= dist[SNK]. A round that never reaches
+    the sink settles every reachable node, as before.
     """
     active = [p for p in inst.players if inst.b(p) > 0]
     ids = {p: k + 2 for k, p in enumerate(active)}
@@ -504,6 +512,8 @@ def _ssp_flow(
             d, node = heapq.heappop(heap)
             if d > dist[node]:
                 continue
+            if node == SNK:
+                break
             for arc in adj[node]:
                 if cap[arc] <= 0:
                     continue
@@ -599,8 +609,19 @@ def lp_optimum(inst: Instance) -> LPOptimum:
     order) picks the same set as on the whole game. Otherwise the engine
     runs on the whole game, unless the residual already is the whole game
     (no forced edge, every edge between players with capacity tight).
+
+    The LP optimum and dual come from one unperturbed pass: on G itself
+    when G is bipartite, whose LP is integral, and on the double cover
+    otherwise. A game without edges needs no pass: its optimum is 0 and its
+    dual y = 0, d = {}.
     """
-    half, dual = dual_from_duplicated(inst)
+    if inst.m == 0:
+        dual = priced_dual(inst, dict.fromkeys(inst.players, Fraction(0)))
+        return LPOptimum(matching=frozenset(), weight=Fraction(0), half=Fraction(0), dual=dual)
+    if inst.is_bipartite():
+        half, dual = bipartite_optimum_with_duals(inst)
+    else:
+        half, dual = dual_from_duplicated(inst)
     forced = frozenset(e for e in inst.edges if dual.d[e] > 0)
     free = {p: inst.b(p) for p in inst.players}
     for (u, v) in forced:

@@ -7,7 +7,8 @@ The degree-constrained LP relaxation of maximum-weight b-matching
 has dual variables y (per player) and d (per edge) with constraints
 y(i) + y(j) + d(ij) >= w(ij), y >= 0, d >= 0. A stable solution exists iff
 the integral optimum equals the fractional (half-b-matching) optimum; in
-that case an optimal dual extracted from the bipartite double cover turns a
+that case an optimal dual (read off one flow pass on the game itself when it
+is bipartite, on its bipartite double cover otherwise) turns a
 maximum-weight b-matching into stable payoffs p(i,j) = y(i) + xi(i,j) with
 xi splitting the slack d(ij) of each matched edge.
 

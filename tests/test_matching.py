@@ -1,12 +1,14 @@
+import heapq
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from stablefixtures import generate
+from stablefixtures import generate, matching
 from stablefixtures.errors import BoundExceededError, NotBipartiteError, UnknownEdgeError
 from stablefixtures.instance import Instance
 from stablefixtures.matching import (
+    _perturbed_int_weights,
     bipartite_max_weight_b_matching_with_duals,
     dual_objective,
     duplicated_instance,
@@ -19,6 +21,7 @@ from stablefixtures.matching import (
     weight,
 )
 from stablefixtures.randomgen import random_instance
+from stablefixtures.rationals import scale_to_integers
 from stablefixtures.solver import verify_complementary_slackness
 
 
@@ -209,3 +212,147 @@ def test_bipartite_duality_random():
         # The tie-broken matching and the returned dual are complementary slack.
         x = {e: F(e in matching) for e in inst.edges}
         assert verify_complementary_slackness(inst, x, dual).clean
+
+
+# ---------------------------------------------------------------------------
+# The SSP engine's early exit against the full-Dijkstra engine
+# ---------------------------------------------------------------------------
+
+
+def _full_dijkstra_ssp_flow(inst, int_weights, coloring):
+    """The SSP engine as it was before Dijkstra stopped at the sink, kept as
+    an oracle: every round settles every reachable node."""
+    active = [p for p in inst.players if inst.b(p) > 0]
+    ids = {p: k + 2 for k, p in enumerate(active)}
+    SRC, SNK = 0, 1
+    nnodes = len(active) + 2
+    to, cap, cost = [], [], []
+    adj = [[] for _ in range(nnodes)]
+
+    def add_arc(a, b, c, w):
+        adj[a].append(len(to))
+        to.append(b)
+        cap.append(c)
+        cost.append(w)
+        adj[b].append(len(to))
+        to.append(a)
+        cap.append(0)
+        cost.append(-w)
+
+    edge_arc = {}
+    for p in active:
+        if coloring[p] == 0:
+            add_arc(SRC, ids[p], inst.b(p), 0)
+        else:
+            add_arc(ids[p], SNK, inst.b(p), 0)
+    for (u, v) in inst.edges:
+        if inst.b(u) == 0 or inst.b(v) == 0:
+            continue
+        a, b = (u, v) if coloring[u] == 0 else (v, u)
+        edge_arc[(u, v)] = len(to)
+        add_arc(ids[a], ids[b], 1, -int_weights[(u, v)])
+
+    INF = float("inf")
+    pi = [0] * nnodes
+    for p in active:
+        if coloring[p] == 1:
+            incident = [
+                -int_weights[inst.edge_key(p, q)] for q in inst.neighbors(p) if inst.b(q) > 0
+            ]
+            pi[ids[p]] = min(incident) if incident else 0
+    sink_in = [pi[ids[p]] for p in active if coloring[p] == 1]
+    pi[SNK] = min(sink_in) if sink_in else 0
+
+    while True:
+        dist = [INF] * nnodes
+        parent = [-1] * nnodes
+        dist[SRC] = 0
+        heap = [(0, SRC)]
+        while heap:
+            d, node = heapq.heappop(heap)
+            if d > dist[node]:
+                continue
+            for arc in adj[node]:
+                if cap[arc] <= 0:
+                    continue
+                reduced = cost[arc] + pi[node] - pi[to[arc]]
+                assert reduced >= 0
+                nd = d + reduced
+                if nd < dist[to[arc]]:
+                    dist[to[arc]] = nd
+                    parent[to[arc]] = arc
+                    heapq.heappush(heap, (nd, to[arc]))
+        if dist[SNK] is not INF and dist[SNK] + pi[SNK] < 0:
+            bottleneck = None
+            node = SNK
+            while node != SRC:
+                arc = parent[node]
+                bottleneck = cap[arc] if bottleneck is None else min(bottleneck, cap[arc])
+                node = to[arc ^ 1]
+            node = SNK
+            while node != SRC:
+                arc = parent[node]
+                cap[arc] -= bottleneck
+                cap[arc ^ 1] += bottleneck
+                node = to[arc ^ 1]
+            cut = dist[SNK]
+            for k in range(nnodes):
+                pi[k] += min(dist[k], cut) if dist[k] is not INF else cut
+        else:
+            threshold = max(0, -pi[SNK])
+            for k in range(nnodes):
+                d = dist[k] if dist[k] is not INF else threshold
+                pi[k] += min(d, threshold)
+            break
+
+    matched = frozenset(e for e, arc in edge_arc.items() if cap[arc] == 0)
+    prices = {}
+    for p in active:
+        prices[p] = max(0, pi[ids[p]]) if coloring[p] == 0 else max(0, -pi[ids[p]])
+    for p in inst.players:
+        prices.setdefault(p, 0)
+    return matched, prices
+
+
+def _bipartite_network(rng):
+    """One to three bipartite components plus isolated players, with zero
+    capacities, capacities above the degree and weights 0 and 10^12."""
+    players, capacity, edges = [], {}, []
+    for c in range(rng.randint(1, 3)):
+        part = random_instance(
+            rng, n_range=(1, 8), max_extra_edges=8, b_range=(0, 3),
+            bipartite=True, allow_zero_capacity=True,
+        )
+        name = {p: f"c{c}{p}" for p in part.players}
+        players += name.values()
+        for p in part.players:
+            capacity[name[p]] = rng.choice(
+                (0, part.b(p), part.b(p), len(part.neighbors(p)) + rng.randint(1, 3))
+            )
+        for (u, v) in part.edges:
+            w = rng.choice((part.weight(u, v), part.weight(u, v), F(0), F(10**12)))
+            edges.append((name[u], name[v], w))
+    for k in range(rng.randint(0, 2)):
+        players.append(f"iso{k}")
+        capacity[f"iso{k}"] = rng.randint(0, 2)
+    return Instance(players, capacity, edges)
+
+
+def test_early_exit_ssp_matches_full_dijkstra():
+    """Stopping Dijkstra at the sink changes neither the matched set nor
+    the integer prices, with plain and with perturbed weights."""
+    rng = random.Random(20261018)
+    shapes = {"components": 0, "isolated": 0, "zero_b": 0, "above_degree": 0, "huge": 0}
+    for _ in range(320):
+        inst = _bipartite_network(rng)
+        coloring = inst.two_coloring()
+        assert coloring is not None
+        for int_weights in (scale_to_integers(inst.edge_weights())[0], _perturbed_int_weights(inst)):
+            expected = _full_dijkstra_ssp_flow(inst, int_weights, coloring)
+            assert matching._ssp_flow(inst, int_weights, coloring) == expected, inst
+        shapes["components"] += len(inst.connected_components()) > 1
+        shapes["isolated"] += any(not inst.neighbors(p) for p in inst.players)
+        shapes["zero_b"] += any(inst.b(p) == 0 for p in inst.players)
+        shapes["above_degree"] += any(inst.b(p) > len(inst.neighbors(p)) for p in inst.players)
+        shapes["huge"] += F(10**12) in inst.edge_weights().values()
+    assert min(shapes.values()) >= 40, shapes

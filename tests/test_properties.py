@@ -5,9 +5,11 @@ capacities 0 and above the degree, weights 0, 10^12, 10^400 and coprime
 fractions, isolated players and ids that collide with the names the double
 cover and the edge gadgets generate. On every game `lp_optimum` must return
 the tie-broken engine's b-matching, the brute-force optima, and the verdict
-of `solve`. The runs are derandomized, so a failure reproduces as it
-stands; each shrunk failure is pinned as a regression test below the
-properties.
+of `solve`. On bipartite games, whose LP `lp_optimum` solves on the game
+itself, the half optimum and the dual must equal the double cover's
+(`dual_from_duplicated`), kept here as the oracle. The runs are
+derandomized, so a failure reproduces as it stands; each shrunk failure is
+pinned as a regression test below the properties.
 """
 
 from fractions import Fraction as F
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 from stablefixtures.instance import Instance
 from stablefixtures.matching import (
+    dual_from_duplicated,
     lp_optimum,
     max_half_b_matching_bruteforce,
     max_weight_b_matching,
@@ -60,6 +63,18 @@ def games(draw) -> Instance:
     return Instance(players, capacity, [(u, v, weights[(u, v)]) for (u, v) in chosen])
 
 
+@st.composite
+def bipartite_games(draw) -> Instance:
+    """The shapes of `games` on a random bipartition, without the triangle."""
+    players = draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=8, unique=True))
+    side = {p: draw(st.booleans()) for p in players}
+    pairs = [(u, v) for (u, v) in combinations(players, 2) if side[u] != side[v]]
+    chosen = draw(st.permutations(pairs))[: draw(st.integers(0, min(len(pairs), 12)))]
+    degree = {p: sum(p in e for e in chosen) for p in players}
+    capacity = {p: draw(st.sampled_from((1, 2, 0, degree[p] + 1))) for p in players}
+    return Instance(players, capacity, [(u, v, draw(WEIGHTS)) for (u, v) in chosen])
+
+
 @PROPERTY
 @given(games())
 def test_lp_optimum_is_the_tie_broken_engine_optimum(inst):
@@ -74,3 +89,13 @@ def test_lp_optimum_half_and_the_solve_verdict(inst):
     opt = lp_optimum(inst)
     assert opt.half == max_half_b_matching_bruteforce(inst)
     assert solve(inst).stable == (opt.weight == opt.half)
+
+
+@PROPERTY
+@given(bipartite_games())
+def test_bipartite_lp_optimum_equals_the_cover_dual(inst):
+    opt = lp_optimum(inst)
+    half, dual = dual_from_duplicated(inst)
+    assert opt.half == half == opt.weight
+    assert opt.dual.y == dual.y
+    assert opt.dual.d == dual.d

@@ -1,7 +1,8 @@
 """The solve pipeline runs each engine once per fact.
 
-* One unperturbed double-cover pass gives the half-b-matching optimum and the
-  optimal dual; a stable game is then matched on the dual's complementary-slack
+* One unperturbed pass gives the half-b-matching optimum and the optimal
+  dual: on the game itself when it is bipartite, on the double cover
+  otherwise. A stable game is then matched on the dual's complementary-slack
   residual alone, and the perturbed cover pass runs only for a no-stable
   witness.
 * networkx is imported only when blossom runs.
@@ -34,6 +35,7 @@ from stablefixtures.rationals import scale_to_integers
 from stablefixtures.solver import (
     DualSolution,
     SolveOutcome,
+    dual_from_duplicated,
     has_stable_solution,
     outcome_to_json,
     solve,
@@ -121,11 +123,31 @@ def _spy_passes(monkeypatch, fn, inst, **kwargs):
     return result, kinds
 
 
-def test_stable_bipartite_solve_makes_one_cover_pass(monkeypatch, example2):
+def test_stable_bipartite_solve_skips_the_cover(monkeypatch, example2):
+    """One plain pass on the game itself, then one perturbed pass on the
+    residual; the double cover is never built."""
     inst, _, _ = example2
+    covers = []
+    real = matching.duplicated_instance
+    monkeypatch.setattr(
+        matching, "duplicated_instance", lambda net: covers.append(net) or real(net)
+    )
     outcome, kinds = _spy_passes(monkeypatch, solve, inst)
     assert outcome.stable
-    assert sorted(kinds) == [("cover", "plain"), ("instance", "perturbed")]
+    assert kinds == [("instance", "plain"), ("instance", "perturbed")]
+    assert covers == []
+
+
+def test_edgeless_lp_optimum_makes_no_pass(monkeypatch):
+    """A game without edges answers at once, with the optimum and the dual
+    that the cover pass gives it."""
+    inst = Instance(["a", "b", "c"], {"a": 0, "b": 1, "c": 3}, [])
+    half, dual = dual_from_duplicated(inst)
+    expected = matching.LPOptimum(matching=frozenset(), weight=F(0), half=half, dual=dual)
+    opt, kinds = _spy_passes(monkeypatch, matching.lp_optimum, inst)
+    assert kinds == []
+    assert opt == expected
+    assert expected.half == 0 and set(expected.dual.y.values()) == {0} and not expected.dual.d
 
 
 def test_stable_general_solve_makes_one_cover_pass(monkeypatch, heavy_edge_triangle):
