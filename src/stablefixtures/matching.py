@@ -454,7 +454,10 @@ def _ssp_flow(
     run would: every unsettled node has tentative distance >= dist[SNK], so
     an augmenting round raises it by the cut dist[SNK] either way, and the
     last round by its threshold <= dist[SNK]. A round that never reaches
-    the sink settles every reachable node, as before.
+    the sink settles every reachable node, as before. The negative-reduced-
+    cost guard covers only the arcs scanned before the sink is settled; the
+    weak-duality certificate of `bipartite_optimum_with_duals` remains the
+    backstop for a wrong dual.
     """
     active = [p for p in inst.players if inst.b(p) > 0]
     ids = {p: k + 2 for k, p in enumerate(active)}
@@ -612,12 +615,8 @@ def lp_optimum(inst: Instance) -> LPOptimum:
 
     The LP optimum and dual come from one unperturbed pass: on G itself
     when G is bipartite, whose LP is integral, and on the double cover
-    otherwise. A game without edges needs no pass: its optimum is 0 and its
-    dual y = 0, d = {}.
+    otherwise.
     """
-    if inst.m == 0:
-        dual = priced_dual(inst, dict.fromkeys(inst.players, Fraction(0)))
-        return LPOptimum(matching=frozenset(), weight=Fraction(0), half=Fraction(0), dual=dual)
     if inst.is_bipartite():
         half, dual = bipartite_optimum_with_duals(inst)
     else:

@@ -35,7 +35,6 @@ from stablefixtures.rationals import scale_to_integers
 from stablefixtures.solver import (
     DualSolution,
     SolveOutcome,
-    dual_from_duplicated,
     has_stable_solution,
     outcome_to_json,
     solve,
@@ -136,18 +135,6 @@ def test_stable_bipartite_solve_skips_the_cover(monkeypatch, example2):
     assert outcome.stable
     assert kinds == [("instance", "plain"), ("instance", "perturbed")]
     assert covers == []
-
-
-def test_edgeless_lp_optimum_makes_no_pass(monkeypatch):
-    """A game without edges answers at once, with the optimum and the dual
-    that the cover pass gives it."""
-    inst = Instance(["a", "b", "c"], {"a": 0, "b": 1, "c": 3}, [])
-    half, dual = dual_from_duplicated(inst)
-    expected = matching.LPOptimum(matching=frozenset(), weight=F(0), half=half, dual=dual)
-    opt, kinds = _spy_passes(monkeypatch, matching.lp_optimum, inst)
-    assert kinds == []
-    assert opt == expected
-    assert expected.half == 0 and set(expected.dual.y.values()) == {0} and not expected.dual.d
 
 
 def test_stable_general_solve_makes_one_cover_pass(monkeypatch, heavy_edge_triangle):
