@@ -12,7 +12,6 @@ from .core import (
     allocation_to_payoff,
     core_membership_b2,
     core_membership_bruteforce,
-    cycle_ratio_diagnostics,
     game_value,
     is_allocation,
     repair_negative,

@@ -435,30 +435,6 @@ def _b2_constraint_search(inst: Instance, x) -> tuple[str, ...] | None:
     return None
 
 
-def cycle_ratio_diagnostics(
-    inst: Instance, x: Mapping[str, Fraction]
-) -> tuple[Fraction | None, tuple[str, ...] | None]:
-    """Maximum w(C)/x-cost ratio over cycles of capacity-2 players.
-
-    The membership test itself only needs the threshold (ratio <= 1, i.e. no
-    negative cycle); this reports the extremal ratio and its cycle for
-    diagnostics. Returns (None, None) when the capacity-2 subgraph is
-    acyclic, and (None, cycle) when the ratio is unbounded.
-    """
-    two = [p for p in inst.players if inst.b(p) == 2]
-    two_set = set(two)
-    profit = {}
-    cost = {}
-    for (u, v) in inst.edges:
-        if u in two_set and v in two_set:
-            profit[(u, v)] = inst.weight(u, v)
-            cost[(u, v)] = (x[u] + x[v]) / 2
-    ratio, cycle = cycles.max_profit_cost_ratio(two, profit, cost)
-    if cycle is None:
-        return ratio, None
-    return ratio, tuple(sorted({p for e in cycle for p in e}, key=inst.index))
-
-
 # ---------------------------------------------------------------------------
 # Membership: exhaustive oracle
 # ---------------------------------------------------------------------------

@@ -1,13 +1,4 @@
-"""Exact negative-cycle detection and path/cycle systems on undirected graphs.
-
-Two primitives back the polynomial core-membership test:
-
-* `negative_cycle` decides whether an undirected graph with rational edge
-  costs contains a simple cycle of negative total cost. Closed walks are not
-  good enough here (walking an edge back and forth is not a cycle), so the
-  test goes through the minimum even-degree subgraph: costs of the negative
-  edge set E- plus a minimum join on the odd-degree vertices of E-, computed
-  with Dijkstra and a minimum-weight perfect matching.
+"""Exact path/cycle systems and negative-cycle detection on undirected graphs.
 
 * `min_path_cycle_system` minimises sum over components of x(V(C)) - w(C)
   over subgraphs whose components are simple paths (endpoints anywhere,
@@ -15,7 +6,13 @@ Two primitives back the polynomial core-membership test:
   capacity-2 players only), by one maximum-weight matching on the 2-vertex
   edge gadget (Shiloach 1981; Gabow 1983). A negative optimum exhibits a
   violated path or cycle core constraint and a nonnegative optimum proves
-  there is none.
+  there is none; this backs the polynomial core-membership test.
+
+* `negative_cycle` decides whether an undirected graph with rational edge
+  costs contains a simple cycle of negative total cost. Closed walks are not
+  good enough here (walking an edge back and forth is not a cycle), so it is
+  one path/cycle system on the same gadget, priced so that a cycle costs its
+  edge costs and every path costs more than zero.
 
 All arithmetic is integer after a common-denominator scaling, refused past
 `rationals.MAX_SCALE_DIGITS` digits.
@@ -23,7 +20,6 @@ All arithmetic is integer after a common-denominator scaling, refused past
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -32,142 +28,6 @@ from .errors import InternalError, PreconditionError
 from .rationals import scale_to_integers
 
 Pair = tuple[str, str]
-
-
-def _min_weight_perfect_matching(nodes: Sequence, weighted_edges) -> set[frozenset] | None:
-    """Minimum-weight perfect matching with integer weights, or None."""
-    import networkx as nx
-
-    graph = nx.Graph()
-    graph.add_nodes_from(nodes)
-    top = 0
-    for (a, b, w) in weighted_edges:
-        top = max(top, abs(w))
-        graph.add_edge(a, b, weight=w)
-    for (a, b) in graph.edges:
-        graph[a][b]["weight"] = 3 * top + 1 - graph[a][b]["weight"]
-    mate = nx.max_weight_matching(graph, maxcardinality=True)
-    if 2 * len(mate) != len(nodes):
-        return None
-    return {frozenset(e) for e in mate}
-
-
-# ---------------------------------------------------------------------------
-# Negative simple cycles
-# ---------------------------------------------------------------------------
-
-
-def negative_cycle(
-    vertices: Sequence[str], costs: Mapping[Pair, Fraction]
-) -> list[Pair] | None:
-    """A simple cycle with negative total cost, or None if none exists.
-
-    Costs are arbitrary rationals on undirected edges keyed by vertex pairs.
-    """
-    cost, _ = scale_to_integers(costs)
-    adj: dict[str, list[tuple[str, Pair]]] = {v: [] for v in vertices}
-    for (u, v) in cost:
-        adj[u].append((v, (u, v)))
-        adj[v].append((u, (u, v)))
-
-    negatives = [e for e, c in cost.items() if c < 0]
-    if not negatives:
-        return None
-    odd: set[str] = set()
-    for (u, v) in negatives:
-        odd ^= {u}
-        odd ^= {v}
-    terminals = sorted(odd)
-
-    join: set[Pair] = set()
-    if terminals:
-        dist: dict[str, dict[str, int]] = {}
-        via: dict[str, dict[str, Pair]] = {}
-        for t in terminals:
-            dist[t], via[t] = _dijkstra(adj, cost, t)
-        matching = _min_weight_perfect_matching(
-            terminals,
-            [
-                (a, b, dist[a][b])
-                for k, a in enumerate(terminals)
-                for b in terminals[k + 1 :]
-                if b in dist[a]
-            ],
-        )
-        if matching is None:
-            raise InternalError("odd-degree terminals must pair up per component")
-        for pair in sorted(matching, key=sorted):
-            a, b = sorted(pair)
-            node = b
-            while node != a:
-                edge = via[a][node]
-                join ^= {edge}
-                node = edge[0] if edge[1] == node else edge[1]
-
-    even_subgraph = set(negatives) ^ join
-    total = sum(cost[e] for e in even_subgraph)
-    if total >= 0:
-        return None
-    for cycle in _peel_cycles(even_subgraph):
-        if sum(cost[e] for e in cycle) < 0:
-            return cycle
-    raise InternalError("negative even subgraph without a negative cycle")
-
-
-def _dijkstra(adj, cost, source):
-    """Shortest paths under |cost| with parent edges."""
-    dist = {source: 0}
-    via: dict[str, Pair] = {}
-    heap = [(0, source)]
-    while heap:
-        d, node = heapq.heappop(heap)
-        if d > dist[node]:
-            continue
-        for (nxt, edge) in adj[node]:
-            nd = d + abs(cost[edge])
-            if nxt not in dist or nd < dist[nxt]:
-                dist[nxt] = nd
-                via[nxt] = edge
-                heapq.heappush(heap, (nd, nxt))
-    return dist, via
-
-
-def _peel_cycles(edges: set[Pair]) -> list[list[Pair]]:
-    """Split an even-degree edge set into edge-disjoint simple cycles."""
-    adj: dict[str, list[Pair]] = {}
-    for (u, v) in sorted(edges):
-        adj.setdefault(u, []).append((u, v))
-        adj.setdefault(v, []).append((u, v))
-    unused = set(edges)
-    cycles: list[list[Pair]] = []
-    for start in sorted(adj):
-        while any(e in unused for e in adj[start]):
-            stack_nodes = [start]
-            stack_edges: list[Pair] = []
-            pos = {start: 0}
-            node = start
-            while True:
-                edge = next(e for e in adj[node] if e in unused)
-                unused.discard(edge)
-                nxt = edge[0] if edge[1] == node else edge[1]
-                if nxt in pos:
-                    k = pos[nxt]
-                    cycles.append(stack_edges[k:] + [edge])
-                    for dropped in stack_nodes[k + 1 :]:
-                        del pos[dropped]
-                    del stack_nodes[k + 1 :]
-                    del stack_edges[k:]
-                    node = nxt
-                    if node == start and not any(e in unused for e in adj[node]):
-                        break
-                else:
-                    pos[nxt] = len(stack_nodes)
-                    stack_nodes.append(nxt)
-                    stack_edges.append(edge)
-                    node = nxt
-    if unused:
-        raise InternalError("even-degree edge set not split into cycles")
-    return cycles
 
 
 # ---------------------------------------------------------------------------
@@ -294,97 +154,30 @@ def _split_components(selected, x, weights) -> list[SystemComponent]:
 
 
 # ---------------------------------------------------------------------------
-# Ratio diagnostics
+# Negative simple cycles
 # ---------------------------------------------------------------------------
 
 
-def max_profit_cost_ratio(
-    vertices: Sequence[str],
-    profit: Mapping[Pair, Fraction],
-    cost: Mapping[Pair, Fraction],
-) -> tuple[Fraction | None, list[Pair] | None]:
-    """Maximum profit(C)/cost(C) over simple cycles (diagnostics).
+def negative_cycle(
+    vertices: Sequence[str], costs: Mapping[Pair, Fraction]
+) -> list[Pair] | None:
+    """A simple cycle with negative total cost, or None if none exists.
 
-    Returns (None, None) when the graph is acyclic and (None, cycle) when a
-    zero-cost positive-profit cycle makes the ratio unbounded. Costs must be
-    nonnegative. Iterates discrete Newton steps: while some cycle is negative
-    under lambda * cost - profit, raise lambda to that cycle's ratio.
+    Costs are arbitrary rationals on undirected edges keyed by vertex pairs.
+    One path/cycle system with capacity 2 everywhere, x = K and
+    w = K - cost for K = 1 + sum |cost|: a cycle C then costs exactly
+    cost(C) and a path P costs K + cost(P) > 0, so the optimum is negative
+    iff a negative cycle exists, and its most negative component is one.
     """
-    for e, c in cost.items():
-        if c < 0:
-            raise PreconditionError(f"negative cost on {e}")
-
-    zero_cost = {e for e, c in cost.items() if c == 0}
-    for (u, v) in sorted(zero_cost):
-        if profit[(u, v)] <= 0:
-            continue
-        path = _connecting_path(zero_cost - {(u, v)}, u, v)
-        if path is not None:
-            return None, path + [(u, v)]
-
-    start = _any_cycle(vertices, list(cost))
-    if start is None:
-        return None, None
-    best = start
-    if sum((cost[e] for e in start), Fraction(0)) == 0:
-        # Zero-cost cycles with positive profit were handled above, so this
-        # one also has zero profit; start the search at ratio 0.
-        ratio = Fraction(0)
-    else:
-        ratio = _cycle_ratio(start, profit, cost)
-    for _ in range(100000):
-        lam_cost = {e: ratio * cost[e] - profit[e] for e in cost}
-        nxt = negative_cycle(vertices, lam_cost)
-        if nxt is None:
-            return ratio, best
-        # An improving cycle has positive total cost: zero-cost cycles with
-        # positive profit cannot reach this point.
-        nxt_ratio = _cycle_ratio(nxt, profit, cost)
-        if nxt_ratio <= ratio:
-            raise InternalError("Newton step did not raise the cycle ratio")
-        best, ratio = nxt, nxt_ratio
-    raise InternalError("ratio search failed to converge")
-
-
-def _cycle_ratio(cycle, profit, cost) -> Fraction:
-    p = sum((profit[e] for e in cycle), Fraction(0))
-    c = sum((cost[e] for e in cycle), Fraction(0))
-    if c == 0:
-        raise PreconditionError("cycle with zero total cost has no finite ratio")
-    return p / c
-
-
-def _connecting_path(edges: set[Pair], a: str, b: str) -> list[Pair] | None:
-    adj: dict[str, list[Pair]] = {}
-    for (u, v) in edges:
-        adj.setdefault(u, []).append((u, v))
-        adj.setdefault(v, []).append((u, v))
-    parent: dict[str, Pair] = {}
-    seen = {a}
-    queue = [a]
-    while queue:
-        node = queue.pop(0)
-        for e in adj.get(node, []):
-            nxt = e[0] if e[1] == node else e[1]
-            if nxt not in seen:
-                seen.add(nxt)
-                parent[nxt] = e
-                queue.append(nxt)
-    if b not in seen:
+    big = 1 + sum((abs(c) for c in costs.values()), Fraction(0))
+    total, components = min_path_cycle_system(
+        vertices,
+        dict.fromkeys(vertices, 2),
+        {e: big - c for e, c in costs.items()},
+        dict.fromkeys(vertices, big),
+    )
+    if total >= 0:
         return None
-    path = []
-    node = b
-    while node != a:
-        e = parent[node]
-        path.append(e)
-        node = e[0] if e[1] == node else e[1]
-    return path
-
-
-def _any_cycle(vertices, edges) -> list[Pair] | None:
-    for k, (u, v) in enumerate(sorted(edges)):
-        rest = set(edges) - {(u, v)}
-        path = _connecting_path(rest, u, v)
-        if path is not None:
-            return path + [(u, v)]
-    return None
+    if components[0].kind != "cycle":
+        raise InternalError("negative path/cycle system whose worst component is a path")
+    return list(components[0].edges)

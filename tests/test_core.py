@@ -9,7 +9,6 @@ from stablefixtures.core import (
     allocation_to_payoff,
     core_membership_b2,
     core_membership_bruteforce,
-    cycle_ratio_diagnostics,
     game_value,
     is_allocation,
     repair_negative,
@@ -398,16 +397,3 @@ def test_oracle_agreement_random():
         fast = core_membership_b2(inst, x)
         slow = core_membership_bruteforce(inst, x)
         assert fast.kind == slow.kind
-
-
-def test_cycle_ratio_diagnostics(diamond):
-    x = {"s1": F(1), "s2": F(1), "s3": F(1), "u": F(0)}
-    ratio, cycle = cycle_ratio_diagnostics(diamond, x)
-    assert ratio == 1
-    assert cycle == ("s1", "s2", "s3")
-
-
-def test_cycle_ratio_diagnostics_acyclic():
-    inst = Instance(["a", "b"], {"a": 2, "b": 2}, [("a", "b", 1)])
-    ratio, cycle = cycle_ratio_diagnostics(inst, {"a": F(1), "b": F(0)})
-    assert ratio is None and cycle is None

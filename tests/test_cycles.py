@@ -6,11 +6,7 @@ import pytest
 
 from stablefixtures import cycles
 from stablefixtures.errors import InternalError
-from stablefixtures.cycles import (
-    min_path_cycle_system,
-    negative_cycle,
-    max_profit_cost_ratio,
-)
+from stablefixtures.cycles import min_path_cycle_system, negative_cycle
 
 
 def brute_negative_cycle(vertices, costs):
@@ -43,8 +39,8 @@ def test_negative_edge_alone_is_not_a_cycle():
 
 
 def test_negative_cycle_needs_join():
-    # The negative edges alone have odd-degree endpoints; only together with
-    # connecting paths do they close into a (negative) cycle.
+    # The negative edges alone form no cycle; only together with the
+    # positive edges do they close into a (negative) cycle.
     costs = {
         ("a", "b"): F(-4),
         ("b", "c"): F(1),
@@ -66,23 +62,44 @@ def test_negative_cycle_absent_despite_negative_edges():
     assert negative_cycle(["a", "b", "c", "d"], costs) is None
 
 
+# Zero, huge and coprime-fraction costs of both signs.
+CYCLE_COSTS = [F(0), F(10**400), F(-(10**400))] + [
+    F(k, d) for k in (-9, -4, -1, 1, 3, 8) for d in (1, 2, 3, 7, 11)
+]
+
+
 def test_negative_cycle_agrees_with_enumeration():
     rng = random.Random(4242)
-    for _ in range(150):
-        n = rng.randint(3, 6)
+    shapes = set()
+    for _ in range(400):
+        n = rng.randint(1, 6)
         vertices = [f"n{k}" for k in range(n)]
         costs = {}
         for a in range(n):
             for b in range(a + 1, n):
                 if rng.random() < 0.6:
-                    costs[(vertices[a], vertices[b])] = F(rng.randint(-4, 5))
+                    costs[(vertices[a], vertices[b])] = rng.choice(CYCLE_COSTS)
         found = negative_cycle(vertices, costs)
         expected = brute_negative_cycle(vertices, costs)
-        assert (found is not None) == expected
+        shapes.add((n, expected))
+        assert (found is not None) == expected, costs
         if found is not None:
             assert sum(costs[e] for e in found) < 0
-            seen = [p for e in found for p in e]
-            assert len(set(seen)) == len(found)  # simple cycle
+            # One simple cycle: every vertex has degree 2, |V| = |E| >= 3, and
+            # walking from one edge along the cycle uses every edge.
+            degree = {}
+            for (u, v) in found:
+                degree[u] = degree.get(u, 0) + 1
+                degree[v] = degree.get(v, 0) + 1
+            assert set(degree.values()) == {2}
+            assert len(degree) == len(found) >= 3
+            walk, node = [found[0]], found[0][1]
+            while len(walk) < len(found):
+                walk.append(next(e for e in found if node in e and e not in walk))
+                node = walk[-1][0] if walk[-1][1] == node else walk[-1][1]
+            assert node == found[0][0]
+    assert {n for (n, _) in shapes} == set(range(1, 7))
+    assert {expected for (_, expected) in shapes} == {True, False}
 
 
 def test_min_system_empty_graph():
@@ -192,11 +209,12 @@ def test_min_system_agrees_with_enumeration():
 
 
 def test_min_system_gadget_is_linear(monkeypatch):
-    sizes = []
+    calls = []
     real = networkx.max_weight_matching
 
     def spy(graph, **kwargs):
-        sizes.append((graph.number_of_nodes(), kwargs))
+        kinds = {type(w) for (_, _, w) in graph.edges(data="weight")}
+        calls.append((graph.number_of_nodes(), kwargs, kinds))
         return real(graph, **kwargs)
 
     monkeypatch.setattr(networkx, "max_weight_matching", spy)
@@ -206,63 +224,35 @@ def test_min_system_gadget_is_linear(monkeypatch):
     weights = {e: F(rng.randint(0, 9), 2) for e in rng.sample(pairs, 50)}
     capacity = {v: rng.choice((1, 2)) for v in vertices}
     x = {v: F(rng.randint(0, 9), 3) for v in vertices}
-    min_path_cycle_system(vertices, capacity, weights, x)
-    [(nodes, kwargs)] = sizes
-    assert nodes <= 3 * len(vertices) + 2 * len(weights)
-    assert kwargs == {}  # a plain maximum-weight matching, no perfect-matching detour
-
-
-def test_ratio_unbounded_zero_cost_cycle():
-    ratio, cycle = max_profit_cost_ratio(
-        ["a", "b", "c"],
-        {("a", "b"): F(1), ("b", "c"): F(1), ("a", "c"): F(1)},
-        {("a", "b"): F(0), ("b", "c"): F(0), ("a", "c"): F(0)},
-    )
-    assert ratio is None and cycle is not None
-
-
-def test_ratio_basic():
-    ratio, cycle = max_profit_cost_ratio(
-        ["a", "b", "c", "d"],
-        {
-            ("a", "b"): F(3),
-            ("b", "c"): F(3),
-            ("a", "c"): F(3),
-            ("c", "d"): F(10),
-            ("b", "d"): F(1),
-        },
-        {
-            ("a", "b"): F(1),
-            ("b", "c"): F(1),
-            ("a", "c"): F(1),
-            ("c", "d"): F(10),
-            ("b", "d"): F(10),
-        },
-    )
-    # Triangle abc: 9/3 = 3; cycle bcd: 14/21; quad abdc...: smaller.
-    assert ratio == 3
-    assert set(cycle) == {("a", "b"), ("b", "c"), ("a", "c")}
+    costs = {e: w - 3 for e, w in weights.items()}
+    bound = 3 * len(vertices) + 2 * len(weights)
+    # Both entry points run one plain maximum-weight matching on integer
+    # weights: no perfect-matching detour and no maxcardinality option.
+    for run in (
+        lambda: min_path_cycle_system(vertices, capacity, weights, x),
+        lambda: negative_cycle(vertices, costs),
+    ):
+        calls.clear()
+        run()
+        [(nodes, kwargs, kinds)] = calls
+        assert nodes <= bound
+        assert kwargs == {}
+        assert kinds == {int}
 
 
 def test_failed_gadget_matching_raises_internal_error(monkeypatch):
-    monkeypatch.setattr(cycles, "_min_weight_perfect_matching", lambda nodes, edges: None)
-    costs = {("a", "b"): F(-4), ("b", "c"): F(1), ("c", "d"): F(-4), ("d", "a"): F(1)}
-    with pytest.raises(InternalError, match="terminals"):
-        negative_cycle(["a", "b", "c", "d"], costs)
     # An empty matching leaves the mandatory edge ends and slots uncovered.
     monkeypatch.setattr(networkx, "max_weight_matching", lambda graph: set())
     with pytest.raises(InternalError, match="uncovered"):
         min_path_cycle_system(["a", "b"], {"a": 2, "b": 1}, {("a", "b"): F(5)}, {"a": F(1), "b": F(1)})
+    # Under negative_cycle's prices every path costs more than zero.
+    path = cycles.SystemComponent("path", ("a", "b"), (("a", "b"),), F(-1))
+    monkeypatch.setattr(cycles, "min_path_cycle_system", lambda *args: (F(-1), [path]))
+    with pytest.raises(InternalError, match="worst component is a path"):
+        negative_cycle(["a", "b"], {("a", "b"): F(-1)})
 
 
 def test_component_that_is_no_path_or_cycle_raises_internal_error():
     k4 = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
     with pytest.raises(InternalError, match="neither a path nor a cycle"):
         cycles._split_components(k4, dict.fromkeys("abcd", F(0)), dict.fromkeys(k4, F(1)))
-
-
-def test_stalled_newton_step_raises_internal_error(monkeypatch):
-    triangle = [("a", "b"), ("b", "c"), ("a", "c")]
-    monkeypatch.setattr(cycles, "negative_cycle", lambda vertices, costs: list(triangle))
-    with pytest.raises(InternalError, match="Newton step"):
-        max_profit_cost_ratio(["a", "b", "c"], dict.fromkeys(triangle, F(3)), dict.fromkeys(triangle, F(1)))

@@ -7,7 +7,10 @@ cover and the edge gadgets generate. On every game `lp_optimum` must return
 the tie-broken engine's b-matching, the brute-force optima, and the verdict
 of `solve`. On bipartite games, whose LP `lp_optimum` solves on the game
 itself, the half optimum and the dual must equal the double cover's
-(`dual_from_duplicated`), kept here as the oracle. The runs are
+(`dual_from_duplicated`), kept here as the oracle. On the same games with
+capacities capped at 2, `core_membership_b2` must give the verdict kind of
+the exhaustive `core_membership_bruteforce` on allocations read off
+`solve`'s payoffs, shaved, shifted or raised. The runs are
 derandomized, so a failure reproduces as it stands; each shrunk failure is
 pinned as a regression test below the properties.
 """
@@ -18,6 +21,7 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablefixtures.core import core_membership_b2, core_membership_bruteforce
 from stablefixtures.instance import Instance
 from stablefixtures.matching import (
     dual_from_duplicated,
@@ -27,6 +31,7 @@ from stablefixtures.matching import (
     max_weight_b_matching_bruteforce,
 )
 from stablefixtures.solver import solve
+from stablefixtures.stability import total_payoff
 
 # Gadget-like ids first, so shrinking keeps them.
 IDS = ("a", "a'", "a''", "a^1", "a~b", "a@b", "b", "c", "d")
@@ -75,6 +80,43 @@ def bipartite_games(draw) -> Instance:
     return Instance(players, capacity, [(u, v, draw(WEIGHTS)) for (u, v) in chosen])
 
 
+@st.composite
+def b2_games(draw) -> Instance:
+    """The games of `games` with every capacity capped at 2."""
+    inst = draw(games())
+    capacity = {p: min(inst.b(p), 2) for p in inst.players}
+    return Instance(inst.players, capacity, [(u, v, inst.weight(u, v)) for (u, v) in inst.edges])
+
+
+# Shaving x(p) by one of these breaks efficiency or a singleton bound;
+# shifting it to another player keeps x(N) and can break a coalition.
+AMOUNTS = (F(1, 7), F(1, 2), F(1), F(10**400))
+
+
+@st.composite
+def b2_allocations(draw):
+    """A b <= 2 game and an allocation near its stable payoffs.
+
+    A game without a stable solution has an empty core, so it gets the even
+    split of v(N) instead, which some coalition must block.
+    """
+    inst = draw(b2_games())
+    outcome = solve(inst)
+    if outcome.stable:
+        x = total_payoff(inst, outcome.solution.payoffs)
+    else:
+        x = {p: outcome.matching_weight / inst.n for p in inst.players}
+    move = draw(st.sampled_from(("keep", "shave", "shift", "raise")))
+    if move != "keep":
+        order = draw(st.permutations(inst.players))
+        p, q = order[0], order[-1]
+        amount = draw(st.sampled_from(AMOUNTS))
+        x[p] += amount if move == "raise" else -amount
+        if move == "shift":
+            x[q] += amount
+    return inst, x
+
+
 @PROPERTY
 @given(games())
 def test_lp_optimum_is_the_tie_broken_engine_optimum(inst):
@@ -99,3 +141,14 @@ def test_bipartite_lp_optimum_equals_the_cover_dual(inst):
     assert opt.half == half == opt.weight
     assert opt.dual.y == dual.y
     assert opt.dual.d == dual.d
+
+
+@PROPERTY
+@given(b2_allocations())
+def test_core_membership_b2_agrees_with_bruteforce(case):
+    inst, x = case
+    fast = core_membership_b2(inst, x)
+    slow = core_membership_bruteforce(inst, x)
+    assert fast.kind == slow.kind
+    for verdict in (fast, slow):
+        assert verdict.kind != "violation" or verdict.deficit > 0
