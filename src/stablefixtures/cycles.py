@@ -4,9 +4,10 @@
   over subgraphs whose components are simple paths (endpoints anywhere,
   inner vertices restricted to capacity-2 players) and simple cycles (on
   capacity-2 players only), by one maximum-weight matching on the 2-vertex
-  edge gadget (Shiloach 1981; Gabow 1983). A negative optimum exhibits a
-  violated path or cycle core constraint and a nonnegative optimum proves
-  there is none; this backs the polynomial core-membership test.
+  edge gadget (Shiloach 1981; Gabow 1983), computed by the exact integer
+  blossom engine of `blossom`. A negative optimum exhibits a violated path
+  or cycle core constraint and a nonnegative optimum proves there is none;
+  this backs the polynomial core-membership test.
 
 * `negative_cycle` decides whether an undirected graph with rational edge
   costs contains a simple cycle of negative total cost. Closed walks are not
@@ -96,19 +97,20 @@ def min_path_cycle_system(
         for p, end in ends.items():
             profits += [(end, slot, w // 2 - price) for (slot, price) in slots[p]]
 
-    import networkx as nx
+    from .blossom import max_weight_matching
 
     bonus = 1 + sum(abs(c) for (_, _, c) in profits)
-    graph = nx.Graph()
-    for (a, b, c) in profits:
-        graph.add_edge(a, b, weight=c + bonus * ((a in mandatory) + (b in mandatory)))
-    mate: dict[tuple, tuple] = {}
-    for (a, b) in nx.max_weight_matching(graph):
-        mate[a], mate[b] = b, a
-    if not mandatory <= mate.keys():
+    index: dict[tuple, int] = {}  # gadget node -> vertex number, in order of appearance
+    gadget = [
+        (index.setdefault(a, len(index)), index.setdefault(b, len(index)),
+         c + bonus * ((a in mandatory) + (b in mandatory)))
+        for (a, b, c) in profits
+    ]
+    mate = max_weight_matching(len(index), gadget)
+    if any(mate[index[v]] == -1 for v in mandatory):
         raise InternalError("path/cycle gadget matching leaves a mandatory vertex uncovered")
 
-    selected = [e for e in ww if mate[("end", e, e[0])] != ("end", e, e[1])]
+    selected = [e for e in ww if mate[index[("end", e, e[0])]] != index[("end", e, e[1])]]
     components = _split_components(selected, x, weights)
     total = sum((c.cost for c in components), Fraction(0))
     return total, components

@@ -3,8 +3,8 @@
 Two engines, both exact over rationals:
 
 * the general-graph engine replaces every edge by a 2-vertex gadget between
-  the copies of its ends (min(b, deg) copies per player), runs a blossom-style
-  primal-dual matching solver (networkx, imported only when this engine runs)
+  the copies of its ends (min(b, deg) copies per player), runs the exact
+  integer blossom engine of `blossom` (imported only when this engine runs)
   on integer-scaled weights, and reads the b-matching off the gadgets;
 * the bipartite engine runs successive shortest paths with vertex potentials
   on a small flow network, which additionally yields an optimal dual (y, d)
@@ -107,27 +107,33 @@ def max_weight_b_matching(inst: Instance) -> tuple[frozenset[Edge], Fraction]:
 def _general_matching(inst: Instance) -> frozenset[Edge]:
     """The tie-broken optimum through the 2-vertex edge gadget.
 
-    Player i gets copies (i, 0), ..., (i, min(b(i), deg(i)) - 1); edge ij
-    gets end vertices (i, ij) and (j, ij), joined to each other and to the
-    copies of their players, all with the perturbed weight of ij. An optimum
-    matches one or two edges of every gadget, and ij is selected iff two.
+    Player i gets min(b(i), deg(i)) copies; edge ij gets an end vertex for
+    i and one for j, joined to each other and to the copies of their
+    players, all with the perturbed weight of ij. An optimum matches one or
+    two edges of every gadget, and ij is selected iff two.
     """
-    import networkx as nx
+    from .blossom import max_weight_matching
 
     perturbed = _perturbed_int_weights(inst)
-    copies = {p: min(inst.b(p), len(inst.neighbors(p))) for p in inst.players}
-    graph = nx.Graph()
-    for (i, j), w in perturbed.items():
-        end_i, end_j = (i, (i, j)), (j, (i, j))
-        graph.add_edge(end_i, end_j, weight=w)
+    # Vertex numbers: player p's copies form copies[p]; the end vertices of
+    # the k-th edge come after all copies, at ends + 2k and ends + 2k + 1.
+    copies, ends = {}, 0
+    for p in inst.players:
+        copies[p] = range(ends, ends + min(inst.b(p), len(inst.neighbors(p))))
+        ends = copies[p].stop
+    gadget = []
+    for k, ((i, j), w) in enumerate(perturbed.items()):
+        end_i, end_j = ends + 2 * k, ends + 2 * k + 1
+        gadget.append((end_i, end_j, w))
         for end, p in ((end_i, i), (end_j, j)):
-            for s in range(copies[p]):
-                graph.add_edge(end, (p, s), weight=w)
+            gadget += [(end, c, w) for c in copies[p]]
 
-    count = dict.fromkeys(perturbed, 0)
-    for (a, b) in nx.max_weight_matching(graph):
-        # Copies are (player, int); every gadget edge has an end vertex.
-        count[a[1] if isinstance(a[1], tuple) else b[1]] += 1
+    mate = max_weight_matching(ends + 2 * len(perturbed), gadget)
+    count = {}
+    for k, e in enumerate(perturbed):
+        end_i, end_j = ends + 2 * k, ends + 2 * k + 1
+        # Matched gadget edges: 1 if e is unused, 2 if e is selected.
+        count[e] = 1 if mate[end_i] == end_j else (mate[end_i] >= 0) + (mate[end_j] >= 0)
     if any(c not in (1, 2) for c in count.values()):
         raise InternalError(f"unexpected edge gadget states {sorted(set(count.values()))}")
     return frozenset(e for e, c in count.items() if c == 2)

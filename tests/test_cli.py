@@ -1,10 +1,9 @@
 import itertools
 import json
 
-import networkx
 import pytest
 
-from stablefixtures import matching
+from stablefixtures import blossom, matching
 from stablefixtures.cli import main
 from stablefixtures.instance import generate, instance_to_json
 from stablefixtures.rationals import MAX_SCALE_DIGITS
@@ -325,7 +324,7 @@ def test_allocation_denominator_past_bound_exit2_before_cycle_stage(capsys, tmp_
         json.dumps({"allocation": {p: f"{10 * (base + k) + 1}/{base + k}" for k, p in enumerate(players)}})
     )
     matchings = []
-    monkeypatch.setattr(networkx, "max_weight_matching", lambda *args, **kw: matchings.append(args))
+    monkeypatch.setattr(blossom, "max_weight_matching", lambda *args, **kw: matchings.append(args))
     assert main(["core-check", str(inst), str(alloc)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and matchings == []

@@ -1,10 +1,9 @@
 import random
 from fractions import Fraction as F
 
-import networkx
 import pytest
 
-from stablefixtures import cycles
+from stablefixtures import blossom, cycles
 from stablefixtures.errors import InternalError
 from stablefixtures.cycles import min_path_cycle_system, negative_cycle
 
@@ -210,14 +209,13 @@ def test_min_system_agrees_with_enumeration():
 
 def test_min_system_gadget_is_linear(monkeypatch):
     calls = []
-    real = networkx.max_weight_matching
+    real = blossom.max_weight_matching
 
-    def spy(graph, **kwargs):
-        kinds = {type(w) for (_, _, w) in graph.edges(data="weight")}
-        calls.append((graph.number_of_nodes(), kwargs, kinds))
-        return real(graph, **kwargs)
+    def spy(n, edges, **kwargs):
+        calls.append((n, kwargs, {type(w) for (_, _, w) in edges}))
+        return real(n, edges, **kwargs)
 
-    monkeypatch.setattr(networkx, "max_weight_matching", spy)
+    monkeypatch.setattr(blossom, "max_weight_matching", spy)
     rng = random.Random(20)
     vertices = [f"p{k}" for k in range(20)]
     pairs = [(a, b) for k, a in enumerate(vertices) for b in vertices[k + 1 :]]
@@ -242,7 +240,7 @@ def test_min_system_gadget_is_linear(monkeypatch):
 
 def test_failed_gadget_matching_raises_internal_error(monkeypatch):
     # An empty matching leaves the mandatory edge ends and slots uncovered.
-    monkeypatch.setattr(networkx, "max_weight_matching", lambda graph: set())
+    monkeypatch.setattr(blossom, "max_weight_matching", lambda n, edges: [-1] * n)
     with pytest.raises(InternalError, match="uncovered"):
         min_path_cycle_system(["a", "b"], {"a": 2, "b": 1}, {("a", "b"): F(5)}, {"a": F(1), "b": F(1)})
     # Under negative_cycle's prices every path costs more than zero.

@@ -20,7 +20,7 @@ from fractions import Fraction as F
 import networkx
 import pytest
 
-from stablefixtures import core, generate, reduction
+from stablefixtures import blossom, core, generate, reduction
 from stablefixtures.instance import Instance, instance_to_json
 from stablefixtures.matching import (
     _general_matching,
@@ -107,15 +107,15 @@ def _gadget_bound(inst):
 
 @pytest.fixture
 def blossom_sizes(monkeypatch):
-    """Node counts of every graph handed to networkx's blossom."""
+    """Node counts of every graph handed to the blossom engine."""
     sizes = []
-    real = networkx.max_weight_matching
+    real = blossom.max_weight_matching
 
-    def spy(graph, *args, **kwargs):
-        sizes.append(graph.number_of_nodes())
-        return real(graph, *args, **kwargs)
+    def spy(n, edges, *args, **kwargs):
+        sizes.append(n)
+        return real(n, edges, *args, **kwargs)
 
-    monkeypatch.setattr(networkx, "max_weight_matching", spy)
+    monkeypatch.setattr(blossom, "max_weight_matching", spy)
     return sizes
 
 

@@ -5,7 +5,7 @@
   otherwise. A stable game is then matched on the dual's complementary-slack
   residual alone, and the perturbed cover pass runs only for a no-stable
   witness.
-* networkx is imported only when blossom runs.
+* The blossom engine is imported only when blossom runs, and networkx never.
 * A differential test pins `solve` to the older composition (full-graph
   engine for the matching, perturbed cover pass for the half weight,
   perturbed plus unperturbed cover passes for the dual), kept here as an
@@ -42,10 +42,10 @@ from stablefixtures.solver import (
 )
 
 # ---------------------------------------------------------------------------
-# networkx stays unloaded until blossom runs
+# The blossom engine stays unloaded until blossom runs; networkx never loads
 # ---------------------------------------------------------------------------
 
-_NETWORKX_PROBE = """
+_BLOSSOM_PROBE = """
 import contextlib, io, json, sys
 from stablefixtures.cli import main
 
@@ -55,23 +55,29 @@ def run(*argv):
         code = main(list(argv))
     return code, out.getvalue()
 
-bip, sol, stable_general, no_stable = sys.argv[1:5]
-codes = []
+bip, sol, stable_general, no_stable, allocation = sys.argv[1:6]
+codes, networkx = [], []
 code, out = run("solve", bip)
 codes.append(code)
 with open(sol, "w", encoding="utf-8") as fh:
     json.dump(json.loads(out)["solution"], fh)
 codes.append(run("verify-stable", bip, sol)[0])
 codes.append(run("solve", stable_general)[0])
-before = "networkx" in sys.modules
+networkx.append("networkx" in sys.modules)
+before = "stablefixtures.blossom" in sys.modules
 codes.append(run("solve", no_stable)[0])
-print(json.dumps({"codes": codes, "before": before, "after": "networkx" in sys.modules}))
+after = "stablefixtures.blossom" in sys.modules
+networkx.append("networkx" in sys.modules)
+codes.append(run("core-check", stable_general, allocation)[0])
+networkx.append("networkx" in sys.modules)
+print(json.dumps({"codes": codes, "blossom": [before, after], "networkx": networkx}))
 """
 
 
-def test_networkx_loaded_only_when_blossom_runs(tmp_path, heavy_edge_triangle):
-    """A stable general game whose residual is bipartite never loads networkx;
-    the no-stable diamond runs the full-graph engine and does."""
+def test_blossom_loaded_only_when_blossom_runs(tmp_path, heavy_edge_triangle):
+    """A stable general game whose residual is bipartite never loads the
+    blossom engine; the no-stable diamond runs the full-graph engine and
+    does. networkx is loaded by no request, a core-check included."""
     paths = []
     for name, inst in (
         ("example2", generate("example2").instance),
@@ -81,17 +87,19 @@ def test_networkx_loaded_only_when_blossom_runs(tmp_path, heavy_edge_triangle):
         paths.append(tmp_path / f"{name}.json")
         paths[-1].write_text(json.dumps(instance_to_json(inst)))
     bip, stable_general, no_stable = map(str, paths)
+    allocation = tmp_path / "x.json"
+    allocation.write_text(json.dumps({"allocation": {"a": "2", "b": "2", "c": "0"}}))
     src = Path(stablefixtures.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", _NETWORKX_PROBE, bip, str(tmp_path / "sol.json"),
-         stable_general, no_stable],
+        [sys.executable, "-c", _BLOSSOM_PROBE, bip, str(tmp_path / "sol.json"),
+         stable_general, no_stable, str(allocation)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
         check=True,
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert result == {"codes": [0, 0, 0, 3], "before": False, "after": True}
+    assert result == {"codes": [0, 0, 0, 3, 0], "blossom": [False, True], "networkx": [False] * 3}
 
 
 # ---------------------------------------------------------------------------
