@@ -12,12 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import sys
 
-from . import core as core_mod
-from . import matching as matching_mod
-from . import solver as solver_mod
 from . import stability as stability_mod
 from .errors import InputError, InternalError, PreconditionError, StableFixturesError
 from .instance import (
@@ -29,6 +25,7 @@ from .instance import (
     instance_to_json,
 )
 from .rationals import format_rational
+# Imported eagerly though only `reduce` runs it: perfbench's tracer wraps only loaded modules.
 from .reduction import provenance_to_json, reduce_instance
 
 EXIT_OK = 0
@@ -59,6 +56,8 @@ def _emit(data) -> None:
 
 
 def _cmd_solve(args) -> int:
+    from . import solver as solver_mod
+
     inst = _load_instance(args.instance)
     sellers = args.sellers.split(",") if args.sellers else None
     outcome = solver_mod.solve(inst, split_rule=args.split_rule, sellers=sellers)
@@ -84,6 +83,8 @@ def _cmd_verify_stable(args) -> int:
 
 
 def _cmd_core_check(args) -> int:
+    from . import core as core_mod
+
     inst = _load_instance(args.instance)
     x = allocation_from_json(_load_json(args.allocation), inst)
     if args.brute_force:
@@ -107,6 +108,9 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_value(args) -> int:
+    from . import core as core_mod
+    from . import matching as matching_mod
+
     inst = _load_instance(args.instance)
     coalition = [p for p in args.coalition.split(",") if p]
     value, witness = core_mod.game_value_with_witness(inst, coalition)
@@ -114,9 +118,7 @@ def _cmd_value(args) -> int:
         {
             "coalition": coalition,
             "value": format_rational(value),
-            "witness_matching": matching_mod.matching_to_json(
-                inst.induced(coalition), witness
-            ),
+            "witness_matching": matching_mod.matching_to_json(inst, witness),
         }
     )
     return EXIT_OK
@@ -141,6 +143,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from . import matching as matching_mod
+
     if args.engine != "selftest" and not args.instance:
         raise InputError(f"oracle {args.engine} needs an instance file")
     if args.engine == "b-matching":
@@ -161,6 +165,8 @@ def _cmd_oracle(args) -> int:
     if args.engine == "core-check":
         if not args.allocation:
             raise InputError("oracle core-check needs an allocation file")
+        from . import core as core_mod
+
         inst = _load_instance(args.instance)
         x = allocation_from_json(_load_json(args.allocation), inst)
         verdict = core_mod.core_membership_bruteforce(inst, x)
@@ -173,6 +179,10 @@ def _cmd_oracle(args) -> int:
 
 def _oracle_selftest(count: int, seed: int) -> int:
     """Random cross-checks of the engines against the brute-force oracles."""
+    import random
+
+    from . import core as core_mod
+    from . import matching as matching_mod
     from .randomgen import random_allocation, random_instance
 
     rng = random.Random(seed)
@@ -204,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="find a stable solution or a fractional witness")
     p.add_argument("instance")
-    p.add_argument("--split-rule", dest="split_rule", choices=solver_mod.SPLIT_RULES, default="half")
+    p.add_argument("--split-rule", dest="split_rule", choices=stability_mod.SPLIT_RULES, default="half")
     p.add_argument("--sellers", help="comma-separated seller side for seller_side splits")
     p.set_defaults(func=_cmd_solve)
 

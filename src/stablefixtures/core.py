@@ -11,9 +11,8 @@ the matching engine before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from . import cycles
 from .errors import (
@@ -63,8 +62,7 @@ def _coalition_total(inst: Instance, x: Mapping[str, Fraction], coalition) -> Fr
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CoreVerdict:
+class CoreVerdict(NamedTuple):
     """InCore, a self-certified Violation, or NotAllocation.
 
     NotAllocation covers x(N) > v(N): the efficiency equality fails but no

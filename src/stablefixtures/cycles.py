@@ -21,9 +21,8 @@ All arithmetic is integer after a common-denominator scaling, refused past
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InternalError, PreconditionError
 from .rationals import scale_to_integers
@@ -36,8 +35,7 @@ Pair = tuple[str, str]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SystemComponent:
+class SystemComponent(NamedTuple):
     kind: str  # "path" | "cycle"
     vertices: tuple[str, ...]
     edges: tuple[Pair, ...]

@@ -12,10 +12,9 @@ mapping) and safe to share between threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     InputError,
@@ -194,8 +193,7 @@ def _fresh_name(used: set, base: str) -> str:
     return name
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[str, ...]
 
     @property
@@ -343,8 +341,7 @@ def allocation_from_json(data: dict, inst: Instance | None = None) -> dict[str, 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Generated:
+class Generated(NamedTuple):
     """A generated instance plus, for some families, a companion allocation."""
 
     instance: Instance

@@ -28,9 +28,8 @@ Everything here is a pure function of immutable inputs.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import BoundExceededError, InputError, InternalError, NotBipartiteError
 from .instance import Edge, Instance, _fresh_name
@@ -144,8 +143,7 @@ def _general_matching(inst: Instance) -> frozenset[Edge]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualSolution:
+class DualSolution(NamedTuple):
     """Point (y, d) of the dual of the degree-constrained LP
 
         max sum w(ij) x(ij)   s.t.  sum_j x(ij) <= b(i),  0 <= x <= 1,
@@ -157,8 +155,7 @@ class DualSolution:
     d: dict[Edge, Fraction]
 
 
-@dataclass(frozen=True)
-class DualFeasibility:
+class DualFeasibility(NamedTuple):
     feasible: bool
     violated_edges: tuple[Edge, ...]
     negative_y: tuple[str, ...]
@@ -268,8 +265,7 @@ def max_weight_b_matching_bruteforce(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HalfBMatching:
+class HalfBMatching(NamedTuple):
     """An assignment of 0, 1/2, or 1 to every edge within the capacities."""
 
     values: dict[Edge, Fraction]
@@ -292,8 +288,7 @@ def is_half_b_matching(inst: Instance, values: Mapping[Edge, Fraction]) -> bool:
     return all(load[p] <= inst.b(p) for p in inst.players)
 
 
-@dataclass(frozen=True)
-class DuplicatedInstance:
+class DuplicatedInstance(NamedTuple):
     """Bipartite double cover with half-weights.
 
     Each player i splits into left/right copies with capacity b(i); each edge
@@ -594,8 +589,7 @@ def dual_from_duplicated(inst: Instance) -> tuple[Fraction, DualSolution]:
     return half, DualSolution(y=y, d=d)
 
 
-@dataclass(frozen=True)
-class LPOptimum:
+class LPOptimum(NamedTuple):
     """The tie-broken maximum-weight b-matching of a game and its weight,
     the LP (half-b-matching) optimum `half` and an optimal LP dual. The game
     has a stable solution iff weight == half."""

@@ -16,9 +16,8 @@ value per vertex (each vertex has at most one matched edge).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InternalError, NotMaximumWeightError, PreconditionError
 from .instance import Edge, Instance, _fresh_name
@@ -33,8 +32,7 @@ from .stability import (
 )
 
 
-@dataclass(frozen=True)
-class ReducedInstance:
+class ReducedInstance(NamedTuple):
     """The expanded unit-capacity instance plus provenance maps.
 
     copies[(i, s)] is the s-th copy of player i (1-based); inner[(i, j)] and

@@ -23,9 +23,8 @@ Pure pipeline over immutable inputs; no global state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     DualityGapError,
@@ -51,6 +50,7 @@ from .matching import (  # DualFeasibility, tighten_d, dual_from_duplicated are 
 )
 from .rationals import format_rational
 from .stability import (
+    SPLIT_RULES,
     PayoffMatrix,
     Solution,
     require_stable,
@@ -58,19 +58,15 @@ from .stability import (
     utilities,
 )
 
-SPLIT_RULES = ("half", "seller_side")
 
-
-@dataclass(frozen=True)
-class SlacknessReport:
+class SlacknessReport(NamedTuple):
     clean: bool
     unsaturated_with_price: tuple[str, ...]
     unmatched_with_slack: tuple[Edge, ...]
     matched_not_tight: tuple[Edge, ...]
 
 
-@dataclass(frozen=True)
-class SolveOutcome:
+class SolveOutcome(NamedTuple):
     """Either a stable solution with its dual certificate, or the fractional
     witness proving none exists."""
 

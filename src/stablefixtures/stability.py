@@ -12,9 +12,8 @@ All functions are pure; inputs are never mutated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     IncompatibleSolutionError,
@@ -30,9 +29,11 @@ from .rationals import format_rational, parse_rational
 
 PayoffMatrix = dict[tuple[str, str], Fraction]
 
+# How `solver.stable_from_dual` shares a matched edge's slack d(ij).
+SPLIT_RULES = ("half", "seller_side")
 
-@dataclass(frozen=True)
-class Solution:
+
+class Solution(NamedTuple):
     """A b-matching plus a compatible directional payoff matrix.
 
     `payoffs` maps ordered pairs (i, j) to p(i, j); omitted entries are zero.
@@ -122,8 +123,7 @@ def _can_block(inst: Instance, edge: Edge) -> bool:
     return inst.b(edge[0]) > 0 and inst.b(edge[1]) > 0
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     stable: bool
     blocking_pairs: tuple[Edge, ...]
     utilities: dict[str, Fraction]

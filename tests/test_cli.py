@@ -43,6 +43,17 @@ def test_solve_stable_exit0(capsys, tmp_path):
     assert {"u", "v", "p_uv", "p_vu"} <= set(data["solution"]["payoffs"][0])
 
 
+def test_split_rule_choices(capsys, tmp_path):
+    path = tmp_path / "ex2.json"
+    path.write_text(json.dumps(instance_to_json(generate("example2").instance)))
+    code, data = run(capsys, "solve", str(path), "--split-rule", "seller_side")
+    assert code == 0 and data["status"] == "stable"
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", str(path), "--split-rule", "thirds"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'thirds'" in capsys.readouterr().err
+
+
 def test_core_check_in_core(capsys, tmp_path, diamond_file):
     alloc = tmp_path / "alloc.json"
     alloc.write_text(json.dumps({"allocation": {"s1": "1", "s2": "1", "s3": "1", "u": "0"}}))
@@ -134,6 +145,10 @@ def test_value_subcommand(capsys, diamond_file):
     assert code == 0
     assert data["value"] == "3"
     assert len(data["witness_matching"]) == 3
+    # The witness is listed in the game's player order, whatever the coalition's.
+    code, shuffled = run(capsys, "value", diamond_file, "--coalition", "s3,s1,s2")
+    assert code == 0
+    assert shuffled["witness_matching"] == data["witness_matching"]
 
 
 def test_gen_example4(capsys):

@@ -1,0 +1,137 @@
+"""The package surface and its records.
+
+* `import stablefixtures` loads no submodule; each public name resolves on
+  first use to the object its home module defines (PEP 562).
+* The result records are immutable `NamedTuple`s with the fields, defaults
+  and `repr` form they had as frozen dataclasses.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import stablefixtures
+from stablefixtures import core, cycles, instance, matching, reduction, solver, stability
+
+PUBLIC_NAMES = [
+    "CoreVerdict", "CoreViolationError", "DualSolution", "Generated", "HalfBMatching",
+    "Instance", "InternalError", "LPOptimum", "ReducedInstance", "Solution", "SolveOutcome",
+    "StabilityVerdict", "StableFixturesError", "allocation_to_payoff", "are_equivalent",
+    "bipartite_max_weight_b_matching_with_duals", "bipartite_optimum_with_duals",
+    "check_solution", "core", "core_membership_b2", "core_membership_bruteforce", "cycles",
+    "dual_from_duplicated", "dual_from_stable", "duplicated_instance", "errors", "game_value",
+    "generate", "has_stable_solution", "induced", "instance", "is_allocation",
+    "is_b_matching", "is_dual_feasible", "is_stable", "lift_stable", "lp_optimum",
+    "make_solution", "matching", "max_half_b_matching_weight", "max_weight_b_matching",
+    "max_weight_b_matching_bruteforce", "meet_join", "rationals", "reduce_instance",
+    "reduce_matching", "reduce_solution", "reduction", "rematch", "repair_negative", "solve",
+    "solve_payoff_system", "solver", "srp_rematch", "stability", "stable_from_dual",
+    "tighten_d", "to_competitive_equilibrium", "total_payoff", "utilities", "validate",
+    "verify_complementary_slackness", "weight",
+]
+
+SUBMODULES = ["core", "cycles", "errors", "instance", "matching", "rationals", "reduction", "solver", "stability"]
+
+_SURFACE_PROBE = """
+import json, sys, types
+import stablefixtures as pkg
+
+loaded = sorted(m for m in sys.modules if m.startswith("stablefixtures."))
+wrong, homes = [], set()
+for name in pkg.__all__:
+    namespace = {}
+    exec(f"from stablefixtures import {name}", namespace)
+    obj = getattr(pkg, name)
+    if isinstance(obj, types.ModuleType):
+        home = sys.modules.get(f"stablefixtures.{name}")
+    else:
+        homes.add(obj.__module__)
+        home = getattr(sys.modules[obj.__module__], name, None)
+    if not (obj is home is namespace[name]):
+        wrong.append(name)
+try:
+    pkg.no_such_name
+    unknown = None
+except AttributeError as exc:
+    unknown = str(exc)
+print(json.dumps({
+    "loaded_on_import": loaded,
+    "all": list(pkg.__all__),
+    "all_is_tuple": type(pkg.__all__) is tuple,
+    "wrong": wrong,
+    "homes": sorted(homes),
+    "not_in_dir": sorted(set(pkg.__all__) - set(dir(pkg))),
+    "unknown": unknown,
+}))
+"""
+
+
+def test_package_surface_resolves_lazily():
+    src = Path(stablefixtures.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SURFACE_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["loaded_on_import"] == []
+    assert result["all"] == PUBLIC_NAMES
+    assert result["all_is_tuple"]
+    assert result["wrong"] == []
+    assert set(result["homes"]) <= {f"stablefixtures.{m}" for m in SUBMODULES}
+    assert result["not_in_dir"] == []
+    assert result["unknown"] == "module 'stablefixtures' has no attribute 'no_such_name'"
+
+
+# (record, its fields in order, its defaults)
+RECORDS = [
+    (instance.ValidationReport, ("violations",), {}),
+    (instance.Generated, ("instance", "allocation"), {"allocation": None}),
+    (stability.Solution, ("matching", "payoffs"), {}),
+    (stability.StabilityVerdict, ("stable", "blocking_pairs", "utilities"), {}),
+    (matching.DualSolution, ("y", "d"), {}),
+    (matching.DualFeasibility, ("feasible", "violated_edges", "negative_y", "negative_d"), {}),
+    (matching.HalfBMatching, ("values",), {}),
+    (matching.DuplicatedInstance, ("instance", "left", "right", "origin"), {}),
+    (matching.LPOptimum, ("matching", "weight", "half", "dual"), {}),
+    (
+        solver.SlacknessReport,
+        ("clean", "unsaturated_with_price", "unmatched_with_slack", "matched_not_tight"),
+        {},
+    ),
+    (
+        solver.SolveOutcome,
+        ("stable", "matching_weight", "half_weight", "solution", "dual", "witness"),
+        {"solution": None, "dual": None, "witness": None},
+    ),
+    (
+        core.CoreVerdict,
+        ("kind", "coalition", "coalition_total", "coalition_value", "deficit",
+         "witness_matching", "grand_total", "grand_value"),
+        dict.fromkeys(
+            ("coalition", "coalition_total", "coalition_value", "deficit",
+             "witness_matching", "grand_total", "grand_value")
+        ),
+    ),
+    (cycles.SystemComponent, ("kind", "vertices", "edges", "cost"), {}),
+    (reduction.ReducedInstance, ("instance", "copies", "inner", "outer", "origin"), {}),
+]
+
+
+@pytest.mark.parametrize("record, fields, defaults", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_record_keeps_fields_defaults_repr_and_immutability(record, fields, defaults):
+    assert record._fields == fields
+    assert record._field_defaults == defaults
+    assert list(record._field_defaults) == [f for f in fields if f in defaults]
+    value = record(*range(len(fields)))
+    args = ", ".join(f"{f}={i}" for i, f in enumerate(fields))
+    assert repr(value) == f"{record.__name__}({args})"
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, field, None)

@@ -5,7 +5,8 @@
   otherwise. A stable game is then matched on the dual's complementary-slack
   residual alone, and the perturbed cover pass runs only for a no-stable
   witness.
-* The blossom engine is imported only when blossom runs, and networkx never.
+* The blossom engine is imported only when blossom runs, and networkx never;
+  each CLI subcommand loads only the modules it runs.
 * A differential test pins `solve` to the older composition (full-graph
   engine for the matching, perturbed cover pass for the half weight,
   perturbed plus unperturbed cover passes for the dual), kept here as an
@@ -40,9 +41,11 @@ from stablefixtures.solver import (
     solve,
     stable_from_dual,
 )
+from stablefixtures.stability import solution_to_json
 
 # ---------------------------------------------------------------------------
-# The blossom engine stays unloaded until blossom runs; networkx never loads
+# The blossom engine stays unloaded until blossom runs; networkx never loads;
+# a subcommand loads only what it runs
 # ---------------------------------------------------------------------------
 
 _BLOSSOM_PROBE = """
@@ -100,6 +103,56 @@ def test_blossom_loaded_only_when_blossom_runs(tmp_path, heavy_edge_triangle):
     )
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result == {"codes": [0, 0, 0, 3, 0], "blossom": [False, True], "networkx": [False] * 3}
+
+
+_MODULES_PROBE = """
+import json, runpy, sys
+sys.argv = ["stablefixtures", *sys.argv[1:]]
+try:
+    runpy.run_module("stablefixtures.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(json.dumps({"code": exc.code, "modules": sorted(sys.modules)}), file=sys.stderr)
+"""
+
+
+def _loaded_modules(src, *argv):
+    """Exit code and `sys.modules` of a fresh process that runs
+    `python -m stablefixtures.cli *argv`."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _MODULES_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    result = json.loads(proc.stderr.strip().splitlines()[-1])
+    return result["code"], set(result["modules"])
+
+
+def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_triangle):
+    """A bipartite solve loads neither the core stages nor any blossom,
+    verify-stable no engine, and core-check not the solver. No request loads
+    `dataclasses`."""
+    inst, sol, _ = example2
+    files = {
+        "bip": instance_to_json(inst),
+        "sol": solution_to_json(inst, sol),
+        "triangle": instance_to_json(heavy_edge_triangle),
+        "x": {"allocation": {"a": "2", "b": "2", "c": "0"}},
+    }
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    bip, sol_path, triangle, x = (str(tmp_path / f"{name}.json") for name in files)
+    src = Path(stablefixtures.__file__).resolve().parents[1]
+    for argv, code, absent in (
+        (["solve", bip], 0, ["core", "cycles", "blossom"]),
+        (["verify-stable", bip, sol_path], 0, ["matching", "solver", "core", "cycles"]),
+        (["core-check", triangle, x], 0, ["solver"]),
+    ):
+        got, loaded = _loaded_modules(src, *argv)
+        assert got == code, argv
+        assert "stablefixtures.instance" in loaded
+        unwanted = {f"stablefixtures.{name}" for name in absent} | {"networkx", "dataclasses"}
+        assert loaded.isdisjoint(unwanted), (argv, sorted(loaded & unwanted))
 
 
 # ---------------------------------------------------------------------------
