@@ -26,7 +26,8 @@ _HOME = {
             "solve_payoff_system",
         ),
         "errors": ("InternalError", "StableFixturesError"),
-        "instance": ("Generated", "Instance", "generate", "induced", "validate"),
+        "families": ("Generated", "generate"),
+        "instance": ("Instance", "induced", "validate"),
         "matching": (
             "DualSolution", "HalfBMatching", "LPOptimum",
             "bipartite_max_weight_b_matching_with_duals", "bipartite_optimum_with_duals",

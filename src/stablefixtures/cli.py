@@ -19,7 +19,6 @@ from .errors import InputError, InternalError, PreconditionError, StableFixtures
 from .instance import (
     Instance,
     allocation_from_json,
-    generate,
     allocation_to_json,
     instance_from_json,
     instance_to_json,
@@ -51,8 +50,7 @@ def _load_instance(path: str) -> Instance:
 
 
 def _emit(data) -> None:
-    json.dump(data, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    sys.stdout.write(json.dumps(data, indent=2) + "\n")
 
 
 def _cmd_solve(args) -> int:
@@ -125,6 +123,8 @@ def _cmd_value(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from .families import generate
+
     params = {}
     if args.alpha is not None:
         params["alpha"] = args.alpha
@@ -187,13 +187,21 @@ def _oracle_selftest(count: int, seed: int) -> int:
 
     rng = random.Random(seed)
     for k in range(count):
+        # Every other game is bipartite, so both integer dual passes (on the
+        # game itself and on its double cover) meet the oracles.
         inst = random_instance(
-            rng, n_range=(3, 8), max_extra_edges=5, b_range=(1, 2), max_weight=7
+            rng, n_range=(3, 8), max_extra_edges=5, b_range=(1, 2), max_weight=7,
+            bipartite=k % 2 == 1,
         )
-        value = matching_mod.lp_optimum(inst).weight
+        opt = matching_mod.lp_optimum(inst)
+        value = opt.weight
         _, brute = matching_mod.max_weight_b_matching_bruteforce(inst)
         if value != brute:
             print(f"selftest {k}: engine {value} != oracle {brute}", file=sys.stderr)
+            return EXIT_NEGATIVE
+        half = matching_mod.max_half_b_matching_bruteforce(inst)
+        if opt.half != half:
+            print(f"selftest {k}: LP optimum {opt.half} != oracle {half}", file=sys.stderr)
             return EXIT_NEGATIVE
         x = random_allocation(rng, inst, value)
         fast = core_mod.core_membership_b2(inst, x)

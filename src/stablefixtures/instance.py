@@ -6,7 +6,9 @@ them, and a partnership ij is worth w(ij) to be split between its two ends.
 
 Construction validates: `Instance(...)` raises InvalidInstanceError listing
 every model violation, so an Instance is valid for its whole life and no
-engine checks it again. Instances are immutable (capacities are a read-only
+engine checks it again. Instances derived from a valid one (subgames, the
+double cover, a dual's residual) are built by `Instance._derived`, which
+skips that check. Instances are immutable (capacities are a read-only
 mapping) and safe to share between threads.
 """
 
@@ -16,14 +18,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import (
-    InputError,
-    InvalidInstanceError,
-    NotBipartiteError,
-    PreconditionError,
-    UnknownEdgeError,
-    UnknownPlayerError,
-)
+from .errors import InputError, InvalidInstanceError, UnknownEdgeError, UnknownPlayerError
 from .rationals import format_rational, parse_rational
 
 Edge = tuple[str, str]
@@ -36,7 +31,7 @@ class Instance:
     for canonical edge keys, deterministic iteration, and tie-breaking.
     """
 
-    __slots__ = ("players", "capacity", "_index", "_weights", "_adj")
+    __slots__ = ("players", "capacity", "_index", "_weights", "_adj", "_edges")
 
     def __init__(
         self,
@@ -44,22 +39,43 @@ class Instance:
         capacity: Mapping[str, int],
         edges: Iterable[tuple[str, str, object]],
     ):
-        self.players: tuple[str, ...] = tuple(players)
-        self.capacity: Mapping[str, int] = MappingProxyType(dict(capacity))
+        players = tuple(players)
+        capacity = MappingProxyType(dict(capacity))
         parsed = [(u, v, parse_rational(w)) for (u, v, w) in edges]
-        report = validate(self.players, self.capacity, parsed)
+        report = validate(players, capacity, parsed)
         if not report.ok:
             raise InvalidInstanceError(report.violations)
-        self._index = {p: k for k, p in enumerate(self.players)}
+        self._build(players, capacity, parsed)
+
+    @classmethod
+    def _derived(
+        cls,
+        players: Sequence[str],
+        capacity: Mapping[str, int],
+        edges: Iterable[tuple[str, str, Fraction]],
+    ) -> "Instance":
+        """An instance from the parts of a valid one (Fraction weights), not
+        parsed or validated again."""
+        inst = cls.__new__(cls)
+        inst._build(tuple(players), MappingProxyType(dict(capacity)), edges)
+        return inst
+
+    def _build(self, players, capacity, edges) -> None:
+        self.players: tuple[str, ...] = players
+        self.capacity: Mapping[str, int] = capacity
+        self._index = {p: k for k, p in enumerate(players)}
         self._weights: dict[Edge, Fraction] = {}
-        self._adj: dict[str, list[str]] = {p: [] for p in self.players}
-        for u, v, w in parsed:
+        self._adj: dict[str, list[str]] = {p: [] for p in players}
+        for u, v, w in edges:
             key = self._key(u, v)
             self._weights[key] = w
             self._adj[key[0]].append(key[1])
             self._adj[key[1]].append(key[0])
-        for p in self.players:
+        for p in players:
             self._adj[p].sort(key=self._index.__getitem__)
+        self._edges: tuple[Edge, ...] = tuple(
+            sorted(self._weights, key=lambda e: (self._index[e[0]], self._index[e[1]]))
+        )
 
     # -- basic accessors -------------------------------------------------
 
@@ -106,9 +122,7 @@ class Instance:
     @property
     def edges(self) -> tuple[Edge, ...]:
         """Canonical edges sorted by (index of u, index of v)."""
-        return tuple(
-            sorted(self._weights, key=lambda e: (self._index[e[0]], self._index[e[1]]))
-        )
+        return self._edges
 
     def edge_weights(self) -> dict[Edge, Fraction]:
         return dict(self._weights)
@@ -262,12 +276,9 @@ def induced(inst: Instance, coalition: Iterable[str]) -> Instance:
     players = [p for p in inst.players if p in members]
     capacity = {p: inst.capacity[p] for p in players}
     edges = [
-        (u, v, w)
-        for (u, v), w in inst.edge_weights().items()
-        if u in members and v in members
+        (u, v, inst._weights[(u, v)]) for (u, v) in inst.edges if u in members and v in members
     ]
-    edges.sort(key=lambda e: (inst.index(e[0]), inst.index(e[1])))
-    return Instance(players, capacity, edges)
+    return Instance._derived(players, capacity, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -334,170 +345,3 @@ def allocation_from_json(data: dict, inst: Instance | None = None) -> dict[str, 
         if missing:
             raise InputError(f"allocation missing players: {missing}")
     return x
-
-
-# ---------------------------------------------------------------------------
-# Instance generators
-# ---------------------------------------------------------------------------
-
-
-class Generated(NamedTuple):
-    """A generated instance plus, for some families, a companion allocation."""
-
-    instance: Instance
-    allocation: dict[str, Fraction] | None = None
-
-
-def generate(family: str, **params) -> Generated:
-    """Construct a named instance family.
-
-    Families: triangle, two_player(w), example1..example4(alpha), diamond,
-    cubic_gadget(graph). example4 and cubic_gadget also return the symmetric
-    companion allocation used in their core analyses.
-    """
-    try:
-        builder = _FAMILIES[family]
-    except KeyError:
-        raise InputError(
-            f"unknown family {family!r}; choose from {sorted(_FAMILIES)}"
-        ) from None
-    return builder(**params)
-
-
-def _triangle(**params) -> Generated:
-    _reject_params("triangle", params)
-    players = ["a", "b", "c"]
-    return Generated(
-        Instance(players, {p: 1 for p in players}, [("a", "b", 1), ("a", "c", 1), ("b", "c", 1)])
-    )
-
-
-def _two_player(w="7", **params) -> Generated:
-    _reject_params("two_player", params)
-    weight = parse_rational(w)
-    return Generated(Instance(["i", "j"], {"i": 1, "j": 1}, [("i", "j", weight)]))
-
-
-def _example1(**params) -> Generated:
-    _reject_params("example1", params)
-    players = ["u1", "v1", "u2", "v2"]
-    edges = [("u1", "v1", 1), ("v1", "u2", 1), ("u2", "v2", 1), ("v2", "u1", 1)]
-    return Generated(Instance(players, {p: 1 for p in players}, edges))
-
-
-def _example2(**params) -> Generated:
-    _reject_params("example2", params)
-    players = ["u1", "u2", "u3", "v1", "v2", "v3"]
-    capacity = {"u1": 2, "u2": 2, "v1": 2, "u3": 1, "v2": 1, "v3": 1}
-    edges = [
-        ("u1", "v1", 4),
-        ("u1", "v2", 6),
-        ("u1", "v3", 5),
-        ("u2", "v1", 4),
-        ("u2", "v2", 1),
-        ("u3", "v1", 1),
-        ("u3", "v2", 3),
-        ("u3", "v3", 2),
-    ]
-    return Generated(Instance(players, capacity, edges))
-
-
-def _example3(**params) -> Generated:
-    _reject_params("example3", params)
-    players = ["v1", "v2", "v3", "v4"]
-    capacity = {"v1": 1, "v2": 1, "v3": 2, "v4": 2}
-    edges = [("v1", "v2", 3), ("v2", "v3", 1), ("v3", "v4", 1), ("v4", "v1", 1)]
-    return Generated(Instance(players, capacity, edges))
-
-
-def _example4(alpha=2, **params) -> Generated:
-    _reject_params("example4", params)
-    alpha = int(alpha)
-    if alpha < 2:
-        raise PreconditionError(f"example4 needs alpha >= 2, got {alpha}")
-    players = ["s1", "s2", "s3"]
-    edges = [("s1", "s2", 1), ("s2", "s3", 1), ("s1", "s3", 1)]
-    for i in (1, 2, 3):
-        for j in range(1, alpha):
-            t = f"t{i}_{j}"
-            players.append(t)
-            edges.append((f"s{i}", t, 1))
-    capacity = {p: alpha for p in players}
-    allocation = {p: Fraction(0) for p in players}
-    for i in (1, 2, 3):
-        allocation[f"s{i}"] = Fraction(alpha) - Fraction(2, 3)
-    return Generated(Instance(players, capacity, edges), allocation)
-
-
-def _diamond(**params) -> Generated:
-    _reject_params("diamond", params)
-    players = ["s1", "s2", "s3", "u"]
-    capacity = {"s1": 2, "s2": 2, "s3": 2, "u": 1}
-    edges = [
-        ("s1", "s2", 1),
-        ("s1", "s3", 1),
-        ("s2", "s3", 1),
-        ("s2", "u", 1),
-        ("s3", "u", 1),
-    ]
-    return Generated(Instance(players, capacity, edges))
-
-
-def _cubic_gadget(graph=None, **params) -> Generated:
-    """Per input vertex u, glue a K_{3,3} block {a_u,b_u,c_u} x {u,x_u,y_u}.
-
-    Capacities are 3 and weights 1 everywhere. The companion allocation gives
-    each original vertex 3/2 - 1/n and each new block vertex 3/2 + 1/(5n);
-    it is violated exactly by the vertex sets of 3-regular subgraphs of the
-    input, which must be bipartite.
-    """
-    _reject_params("cubic_gadget", params)
-    if graph is None:
-        raise PreconditionError("cubic_gadget needs an input graph instance")
-    if isinstance(graph, Generated):
-        graph = graph.instance
-    if not isinstance(graph, Instance):
-        raise PreconditionError("cubic_gadget input must be an Instance")
-    if not graph.is_bipartite():
-        raise NotBipartiteError("cubic_gadget input graph must be bipartite")
-    n = graph.n
-    if n == 0:
-        raise PreconditionError("cubic_gadget input graph must be non-empty")
-    players = list(graph.players)
-    edges: list[tuple[str, str, int]] = [(u, v, 1) for (u, v) in graph.edges]
-    for u in graph.players:
-        left = [f"a_{u}", f"b_{u}", f"c_{u}"]
-        right = [u, f"x_{u}", f"y_{u}"]
-        players.extend(left + [f"x_{u}", f"y_{u}"])
-        for a in left:
-            for r in right:
-                edges.append((a, r, 1))
-    if len(set(players)) != len(players):
-        raise PreconditionError(
-            "cubic_gadget input vertex names collide with generated block names"
-        )
-    capacity = {p: 3 for p in players}
-    inst = Instance(players, capacity, edges)
-    allocation: dict[str, Fraction] = {}
-    for u in graph.players:
-        allocation[u] = Fraction(3, 2) - Fraction(1, n)
-        for p in (f"a_{u}", f"b_{u}", f"c_{u}", f"x_{u}", f"y_{u}"):
-            allocation[p] = Fraction(3, 2) + Fraction(1, 5 * n)
-    return Generated(inst, allocation)
-
-
-def _reject_params(family: str, params: dict) -> None:
-    if params:
-        raise InputError(f"family {family!r} got unexpected parameters {sorted(params)}")
-
-
-_FAMILIES = {
-    "triangle": _triangle,
-    "two_player": _two_player,
-    "example1": _example1,
-    "example2": _example2,
-    "example3": _example3,
-    "example4": _example4,
-    "diamond": _diamond,
-    "cubic_gadget": _cubic_gadget,
-}

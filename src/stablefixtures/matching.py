@@ -10,6 +10,10 @@ Two engines, both exact over rationals:
   on a small flow network, which additionally yields an optimal dual (y, d)
   of the degree-constrained LP, certified by weak duality.
 
+Both run on the weights times their common denominator (`scale_to_integers`);
+the LP pass, its certificate and the cover fold stay in those integers, and
+`Fraction`s are built once, for the results.
+
 The LP dual `DualSolution` and its feasibility and objective checks live
 here too. `lp_optimum` is the front end for every question about a game's
 optimum: one unperturbed pass gives the LP optimum and an optimal dual (on
@@ -67,13 +71,17 @@ def weight(inst: Instance, edges: Iterable[tuple[str, str]]) -> Fraction:
 
 
 def _perturbed_int_weights(inst: Instance) -> dict[Edge, int]:
-    """Scaled weights with a bonus of 2^(m-1-k) on the k-th edge.
+    """The instance's scaled weights, perturbed by `_perturbed`."""
+    return _perturbed(inst, scale_to_integers(inst.edge_weights())[0])
+
+
+def _perturbed(inst: Instance, base: Mapping[Edge, int]) -> dict[Edge, int]:
+    """Integer weights `base` with a bonus of 2^(m-1-k) on the k-th edge.
 
     The bonuses sum to < 2^m while base gaps are multiples of 2^(m+1), so a
     perturbed optimum is an unperturbed optimum whose edge set is the
     greedy-lexicographically smallest one; in particular it is unique.
     """
-    base, _ = scale_to_integers(inst.edge_weights())
     edges = inst.edges
     m = len(edges)
     shift = 1 << (m + 1)
@@ -93,14 +101,21 @@ def max_weight_b_matching(inst: Instance) -> tuple[frozenset[Edge], Fraction]:
     """
     if inst.m == 0:
         return frozenset(), Fraction(0)
+    matching = _tie_broken(inst, scale_to_integers(inst.edge_weights())[0])
+    return matching, weight(inst, matching)
+
+
+def _tie_broken(inst: Instance, base: Mapping[Edge, int]) -> frozenset[Edge]:
+    """The tie-broken optimum: SSP on the perturbed `base` when bipartite,
+    else the edge gadgets (which scale the weights themselves)."""
     coloring = inst.two_coloring()
     if coloring is not None:
-        matching, _ = _ssp_flow(inst, _perturbed_int_weights(inst), coloring)
+        matching, _ = _ssp_flow(inst, _perturbed(inst, base), coloring)
     else:
         matching = _general_matching(inst)
     if not is_b_matching(inst, matching):
         raise InternalError("matching engine overfilled a player")
-    return matching, weight(inst, matching)
+    return matching
 
 
 def _general_matching(inst: Instance) -> frozenset[Edge]:
@@ -168,12 +183,16 @@ def dual_objective(inst: Instance, dual: DualSolution) -> Fraction:
     if missing_y:
         raise InputError(f"dual vector missing players {missing_y}")
     d = {inst.edge_key(u, v): q for (u, v), q in dual.d.items()}
-    edges = inst.edges
-    missing_d = [e for e in edges if e not in d]
+    missing_d = [e for e in inst.edges if e not in d]
     if missing_d:
         raise InputError(f"dual vector missing edges {missing_d}")
-    total = sum((Fraction(inst.b(p)) * dual.y[p] for p in inst.players), Fraction(0))
-    return total + sum((d[e] for e in edges), Fraction(0))
+    return Fraction(_objective(inst, dual.y, d))
+
+
+def _objective(inst: Instance, y: Mapping[str, Fraction], d: Mapping[Edge, Fraction]):
+    """sum b(i) y(i) + sum d(ij) in the entries' own type (Fraction or int)."""
+    capacity = inst.capacity
+    return sum(capacity[p] * y[p] for p in inst.players) + sum(d[e] for e in inst.edges)
 
 
 def is_dual_feasible(inst: Instance, dual: DualSolution) -> DualFeasibility:
@@ -325,7 +344,7 @@ def duplicated_instance(inst: Instance) -> DuplicatedInstance:
         half = inst.weight(i, j) / 2
         edges.append((left[i], right[j], half))
         edges.append((left[j], right[i], half))
-    dup = Instance(players, capacity, edges)
+    dup = Instance._derived(players, capacity, edges)
     if not dup.is_bipartite():
         raise InternalError("double cover is not bipartite")
     return DuplicatedInstance(dup, left, right, origin)
@@ -413,31 +432,49 @@ def bipartite_max_weight_b_matching_with_duals(
 
 def bipartite_optimum_with_duals(inst: Instance) -> tuple[Fraction, DualSolution]:
     """Maximum b-matching weight and an optimal LP dual of a bipartite
-    instance, from one unperturbed pass.
-
-    Certified by weak duality, also under `python -O`: the pass's matching
-    is a b-matching, the dual read off its potentials is feasible, and the
-    dual objective equals the matching's weight, so both are optimal.
-    Raises InternalError otherwise. `priced_dual` tightens d, so d >= 0 and
-    every edge constraint hold by construction and only y >= 0 is checked.
-    """
+    instance, from one unperturbed pass certified by `_certified_pass`."""
     coloring = inst.two_coloring()
     if coloring is None:
         raise NotBipartiteError("instance is not bipartite")
     base, scale = scale_to_integers(inst.edge_weights())
-    matching, raw_y = _ssp_flow(inst, base, coloring)
-    dual = priced_dual(inst, {p: Fraction(q, scale) for p, q in raw_y.items()})
+    primal, y, d = _certified_pass(inst, base, scale, coloring)
+    return Fraction(primal, scale), _fraction_dual(y, d, scale)
+
+
+def _certified_pass(inst: Instance, base: Mapping[Edge, int], scale: int, coloring):
+    """The maximum base(M) of a bipartite instance whose weights times
+    `scale` are `base`, and an optimal dual (y, d) on that scale, from one
+    unperturbed SSP pass. Capacity-0 players (zero objective coefficient)
+    are priced at their heaviest edge and d is tightened, so d >= 0 and the
+    edge constraints hold by construction. Weak duality certifies both, also
+    under `python -O`: M is a b-matching, y >= 0 and base(M) = sum b y +
+    sum d; InternalError otherwise.
+    """
+    matching, y = _ssp_flow(inst, base, coloring)
+    for p in inst.players:
+        if inst.capacity[p] == 0:
+            y[p] = max([0] + [base[inst.edge_key(p, q)] for q in inst.neighbors(p)])
+    d = {}
+    for (u, v) in inst.edges:
+        gap = base[(u, v)] - y[u] - y[v]
+        d[(u, v)] = gap if gap > 0 else 0
     if not is_b_matching(inst, matching):
         raise InternalError("bipartite engine overfilled a player")
-    if any(q < 0 for q in dual.y.values()):
+    if any(q < 0 for q in y.values()):
         raise InternalError("bipartite engine read off an infeasible dual")
-    primal, objective = weight(inst, matching), dual_objective(inst, dual)
+    primal, objective = sum(base[e] for e in matching), _objective(inst, y, d)
     if primal != objective:
         raise InternalError(
-            f"duality gap in bipartite engine: primal {format_rational(primal)}, "
-            f"dual {format_rational(objective)}"
+            f"duality gap in bipartite engine: primal {format_rational(Fraction(primal, scale))}, "
+            f"dual {format_rational(Fraction(objective, scale))}"
         )
-    return primal, dual
+    return primal, y, d
+
+
+def _fraction_dual(y: Mapping[str, int], d: Mapping[Edge, int], scale: int) -> DualSolution:
+    """The dual whose entries times `scale` are (y, d)."""
+    frac = {p: Fraction(q, scale) for p, q in y.items()}
+    return DualSolution(y=frac, d={e: Fraction(q, scale) for e, q in d.items()})
 
 
 def _ssp_flow(
@@ -455,12 +492,14 @@ def _ssp_flow(
     run would: every unsettled node has tentative distance >= dist[SNK], so
     an augmenting round raises it by the cut dist[SNK] either way, and the
     last round by its threshold <= dist[SNK]. A round that never reaches
-    the sink settles every reachable node, as before. The negative-reduced-
-    cost guard covers only the arcs scanned before the sink is settled; the
-    weak-duality certificate of `bipartite_optimum_with_duals` remains the
-    backstop for a wrong dual.
+    the sink settles every reachable node, as before. Every path crosses an
+    edge arc of capacity 1, so each augmentation carries one unit. The
+    negative-reduced-cost guard covers only the arcs scanned before the sink
+    is settled; the weak-duality certificate of `_certified_pass` remains
+    the backstop for a wrong dual.
     """
-    active = [p for p in inst.players if inst.b(p) > 0]
+    capacity = inst.capacity
+    active = [p for p in inst.players if capacity[p] > 0]
     ids = {p: k + 2 for k, p in enumerate(active)}
     SRC, SNK = 0, 1
     nnodes = len(active) + 2
@@ -483,74 +522,67 @@ def _ssp_flow(
     edge_arc: dict[Edge, int] = {}
     for p in active:
         if coloring[p] == 0:
-            add_arc(SRC, ids[p], inst.b(p), 0)
+            add_arc(SRC, ids[p], capacity[p], 0)
         else:
-            add_arc(ids[p], SNK, inst.b(p), 0)
+            add_arc(ids[p], SNK, capacity[p], 0)
+    # Initial potentials from one relaxation pass over the source-to-sink
+    # DAG: a sink-side player at its cheapest arc, the sink at their minimum.
+    pi: list[int] = [0] * nnodes
     for (u, v) in inst.edges:
-        if inst.b(u) == 0 or inst.b(v) == 0:
+        if capacity[u] == 0 or capacity[v] == 0:
             continue
         a, b = (u, v) if coloring[u] == 0 else (v, u)
+        w = -int_weights[(u, v)]
         edge_arc[(u, v)] = len(to)
-        add_arc(ids[a], ids[b], 1, -int_weights[(u, v)])
+        add_arc(ids[a], ids[b], 1, w)
+        for p in (u, v):
+            if coloring[p] == 1 and w < pi[ids[p]]:
+                pi[ids[p]] = w
+    pi[SNK] = min([0] + [pi[ids[p]] for p in active if coloring[p] == 1])
 
-    INF = float("inf")
-    # Initial potentials from one relaxation pass over the source-to-sink DAG.
-    pi: list[float | int] = [0] * nnodes
-    for p in active:
-        if coloring[p] == 1:
-            incident = [
-                -int_weights[inst.edge_key(p, q)]
-                for q in inst.neighbors(p)
-                if inst.b(q) > 0
-            ]
-            pi[ids[p]] = min(incident) if incident else 0
-    sink_in = [pi[ids[p]] for p in active if coloring[p] == 1]
-    pi[SNK] = min(sink_in) if sink_in else 0
-
+    heappush, heappop = heapq.heappush, heapq.heappop
     while True:
-        dist: list[float | int] = [INF] * nnodes
-        parent: list[int] = [-1] * nnodes
+        # None marks a node not reached; ints of any size compare exactly.
+        dist: list[int | None] = [None] * nnodes
+        settled = [False] * nnodes
+        parent = [-1] * nnodes
         dist[SRC] = 0
-        heap: list[tuple[int, int]] = [(0, SRC)]
+        heap = [(0, SRC)]
         while heap:
-            d, node = heapq.heappop(heap)
-            if d > dist[node]:
+            d, node = heappop(heap)
+            if settled[node]:
                 continue
+            settled[node] = True
             if node == SNK:
                 break
+            offset = d + pi[node]
             for arc in adj[node]:
                 if cap[arc] <= 0:
                     continue
-                reduced = cost[arc] + pi[node] - pi[to[arc]]
-                if reduced < 0:
+                head = to[arc]
+                nd = offset + cost[arc] - pi[head]
+                if nd < d:
                     raise InternalError("negative reduced cost in the SSP engine")
-                nd = d + reduced
-                if nd < dist[to[arc]]:
-                    dist[to[arc]] = nd
-                    parent[to[arc]] = arc
-                    heapq.heappush(heap, (nd, to[arc]))
-        if dist[SNK] is not INF and dist[SNK] + pi[SNK] < 0:
-            # Augment one unit (edge arcs bound the bottleneck to 1).
-            bottleneck = None
+                known = dist[head]
+                if known is None or nd < known:
+                    dist[head] = nd
+                    parent[head] = arc
+                    heappush(heap, (nd, head))
+        cut = dist[SNK]
+        augment = cut is not None and cut + pi[SNK] < 0
+        if augment:
             node = SNK
             while node != SRC:
                 arc = parent[node]
-                bottleneck = cap[arc] if bottleneck is None else min(bottleneck, cap[arc])
+                cap[arc] -= 1
+                cap[arc ^ 1] += 1
                 node = to[arc ^ 1]
-            node = SNK
-            while node != SRC:
-                arc = parent[node]
-                cap[arc] -= bottleneck
-                cap[arc ^ 1] += bottleneck
-                node = to[arc ^ 1]
-            cut = dist[SNK]
-            for k in range(nnodes):
-                pi[k] += min(dist[k], cut) if dist[k] is not INF else cut
         else:
-            threshold = max(0, -pi[SNK])
-            for k in range(nnodes):
-                d = dist[k] if dist[k] is not INF else threshold
-                pi[k] += min(d, threshold)
+            cut = max(0, -pi[SNK])
+        for k in range(nnodes):
+            dk = dist[k]
+            pi[k] += cut if dk is None or dk > cut else dk
+        if not augment:
             break
 
     matched = frozenset(e for e, arc in edge_arc.items() if cap[arc] == 0)
@@ -572,21 +604,32 @@ def _ssp_flow(
 
 def dual_from_duplicated(inst: Instance) -> tuple[Fraction, DualSolution]:
     """The half-b-matching optimum and an optimal dual of Dual-(G, b, w),
-    from one unperturbed pass on the bipartite double cover.
+    from one certified pass on the bipartite double cover (`_cover_pass`)."""
+    base, scale = scale_to_integers(inst.edge_weights())
+    half, y, d = _cover_pass(inst, base, scale)
+    return Fraction(half, 2 * scale), _fraction_dual(y, d, 2 * scale)
 
-    Folding the cover's certified dual (y(i) = y(i') + y(i''), d(ij) = the
-    slacks of both cross edges) keeps it feasible and keeps its objective,
-    the half-b-matching optimum, which is the LP optimum.
+
+def _cover_pass(inst: Instance, base: Mapping[Edge, int], scale: int):
+    """The half-b-matching optimum and an optimal dual, times 2 * scale, from
+    one `_certified_pass` on the double cover, whose cross edges of ij weigh
+    w(ij)/2 = base(ij) / (2 * scale). Folding its dual (y(i) = y(i') + y(i''),
+    d(ij) = the slacks of both cross edges) keeps it feasible and keeps its
+    objective, the LP optimum.
     """
     dup = duplicated_instance(inst)
-    half, cover = bipartite_optimum_with_duals(dup.instance)
-    key = dup.instance.edge_key
-    y = {i: cover.y[dup.left[i]] + cover.y[dup.right[i]] for i in inst.players}
+    cover, left, right = dup.instance, dup.left, dup.right
+    key = cover.edge_key
+    cover_base = {}
+    for (i, j) in inst.edges:
+        cover_base[key(left[i], right[j])] = cover_base[key(left[j], right[i])] = base[(i, j)]
+    half, cy, cd = _certified_pass(cover, cover_base, 2 * scale, cover.two_coloring())
+    y = {i: cy[left[i]] + cy[right[i]] for i in inst.players}
     d = {
-        (i, j): cover.d[key(dup.left[i], dup.right[j])] + cover.d[key(dup.left[j], dup.right[i])]
+        (i, j): cd[key(left[i], right[j])] + cd[key(left[j], right[i])]
         for (i, j) in inst.edges
     }
-    return half, DualSolution(y=y, d=d)
+    return half, y, d
 
 
 class LPOptimum(NamedTuple):
@@ -617,30 +660,45 @@ def lp_optimum(inst: Instance) -> LPOptimum:
     when G is bipartite, whose LP is integral, and on the double cover
     otherwise.
     """
-    if inst.is_bipartite():
-        half, dual = bipartite_optimum_with_duals(inst)
+    return _lp_optimum(inst)[0]
+
+
+def _lp_optimum(inst: Instance):
+    """`lp_optimum` and its dual as integers (y, d, denom): the dual times
+    `denom`, the weights' scale (twice it for the cover). All of it, down
+    to the residual's perturbed weights, runs on those integers.
+    """
+    weights = inst.edge_weights()
+    base, scale = scale_to_integers(weights)
+    coloring = inst.two_coloring()
+    if coloring is not None:
+        half, y, d = _certified_pass(inst, base, scale, coloring)
+        denom = scale
     else:
-        half, dual = dual_from_duplicated(inst)
-    forced = frozenset(e for e in inst.edges if dual.d[e] > 0)
-    free = {p: inst.b(p) for p in inst.players}
+        half, y, d = _cover_pass(inst, base, scale)
+        denom = 2 * scale
+    unit = denom // scale
+    forced = frozenset(e for e in inst.edges if d[e] > 0)
+    free = dict(inst.capacity)
     for (u, v) in forced:
         free[u] -= 1
         free[v] -= 1
     if any(c < 0 for c in free.values()):
         raise InternalError("forced edges of the optimal dual overfill a player")
     tight = [
-        (u, v, inst.weight(u, v))
+        (u, v, weights[(u, v)])
         for (u, v) in inst.edges
-        if dual.d[(u, v)] == 0
-        and free[u]
-        and free[v]
-        and dual.y[u] + dual.y[v] == inst.weight(u, v)
+        if d[(u, v)] == 0 and free[u] and free[v] and y[u] + y[v] == unit * base[(u, v)]
     ]
-    chosen, residual_weight = max_weight_b_matching(Instance(inst.players, free, tight))
-    matching, total = forced | chosen, weight(inst, forced) + residual_weight
+    residual = Instance._derived(inst.players, free, tight)
+    matching = forced | (_tie_broken(residual, base) if tight else frozenset())
+    if not is_b_matching(inst, matching):
+        raise InternalError("forced and residual edges overfill a player")
+    total = unit * sum(base[e] for e in matching)
     whole = not forced and len(tight) == sum(1 for (u, v) in inst.edges if inst.b(u) and inst.b(v))
     if total != half and not whole:
-        matching, total = max_weight_b_matching(inst)
+        matching = _tie_broken(inst, base)
+        total = unit * sum(base[e] for e in matching)
         if total == half:
             raise InternalError(
                 "a b-matching attains the half optimum, but none is "
@@ -648,12 +706,11 @@ def lp_optimum(inst: Instance) -> LPOptimum:
             )
     if half < total:
         raise InternalError(
-            f"half-b-matching optimum {format_rational(half)} below "
-            f"b-matching optimum {format_rational(total)}"
+            f"half-b-matching optimum {format_rational(Fraction(half, denom))} below "
+            f"b-matching optimum {format_rational(Fraction(total, denom))}"
         )
-    if not is_b_matching(inst, matching):
-        raise InternalError("forced and residual edges overfill a player")
-    return LPOptimum(matching=matching, weight=total, half=half, dual=dual)
+    dual = _fraction_dual(y, d, denom)
+    return LPOptimum(matching, Fraction(total, denom), Fraction(half, denom), dual), (y, d, denom)
 
 
 # ---------------------------------------------------------------------------

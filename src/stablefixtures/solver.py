@@ -17,6 +17,9 @@ The dual type `DualSolution`, its checks (`is_dual_feasible`,
 `dual_from_duplicated` are defined in `matching` and re-exported here.
 `solve` and `has_stable_solution` read one `matching.lp_optimum`: the
 half-b-matching optimum, an optimal dual and the tie-broken b-matching.
+`solve` certifies that matching once against the pass's integer dual
+(`_stable_solution`), and `stable_from_dual` scales its dual once to reach
+the same check; `require_stable` on the finished solution is the last one.
 
 Pure pipeline over immutable inputs; no global state.
 """
@@ -38,6 +41,8 @@ from .matching import (  # DualFeasibility, tighten_d, dual_from_duplicated are 
     DualFeasibility,
     DualSolution,
     HalfBMatching,
+    _lp_optimum,
+    _objective,
     dual_from_duplicated,
     dual_objective,
     is_b_matching,
@@ -48,7 +53,7 @@ from .matching import (  # DualFeasibility, tighten_d, dual_from_duplicated are 
     tighten_d,
     weight,
 )
-from .rationals import format_rational
+from .rationals import common_denominator, format_rational
 from .stability import (
     SPLIT_RULES,
     PayoffMatrix,
@@ -105,20 +110,43 @@ def stable_from_dual(
 
     split_rule "half" shares each matched slack d(ij) equally; "seller_side"
     hands it entirely to the buyer, reproducing uniform seller prices on
-    bipartite instances.
+    bipartite instances. Certified and split by `_stable_solution`, on the
+    common denominator of the dual and the weights.
+    """
+    m = inst.canonical_edge_set(matching)
+    d = {inst.edge_key(u, v): q for (u, v), q in dual.d.items()}
+    for name, keys, entries in (("players", inst.players, dual.y), ("edges", inst.edges, d)):
+        missing = [k for k in keys if k not in entries]
+        if missing:
+            raise InputError(f"dual vector missing {name} {missing}")
+    y = {p: dual.y[p] for p in inst.players}
+    d = {e: d[e] for e in inst.edges}
+    n = common_denominator([*inst.edge_weights().values(), *y.values(), *d.values()])
+    scaled = ({p: int(q * n) for p, q in y.items()}, {e: int(q * n) for e, q in d.items()}, n)
+    return _stable_solution(inst, m, dual, scaled, split_rule, sellers)
+
+
+def _stable_solution(inst, m, dual, scaled, split_rule, sellers) -> Solution:
+    """Certify the b-matching m against `dual`, given as `scaled` = (y, d,
+    denom), the dual times denom, and split it into payoffs over 2 * denom.
+    Weak duality: a feasible dual whose objective is w(M) certifies M
+    maximum and every matched edge tight.
     """
     if split_rule not in SPLIT_RULES:
         raise InputError(f"split_rule must be one of {SPLIT_RULES}")
-    m = inst.canonical_edge_set(matching)
+    y, d, denom = scaled
     if not is_b_matching(inst, m):
         raise PreconditionError("given edge set is not a b-matching")
-    feas = is_dual_feasible(inst, dual)
-    if not feas.feasible:
-        raise PreconditionError(f"infeasible dual: {feas}")
-    # Weak duality: a feasible dual at objective w(M) certifies M maximum.
-    w_m = weight(inst, m)
-    if dual_objective(inst, dual) != w_m:
-        optimum = lp_optimum(inst).weight
+    w = {e: q.numerator * (denom // q.denominator) for e, q in inst.edge_weights().items()}
+    if (
+        any(q < 0 for q in y.values())
+        or any(q < 0 for q in d.values())
+        or any(y[u] + y[v] + d[(u, v)] < w[(u, v)] for (u, v) in inst.edges)
+    ):
+        raise PreconditionError(f"infeasible dual: {is_dual_feasible(inst, dual)}")
+    w_m = sum(w[e] for e in m)
+    if _objective(inst, y, d) != w_m:
+        w_m, optimum = Fraction(w_m, denom), lp_optimum(inst).weight
         if w_m != optimum:
             raise NotMaximumWeightError(
                 f"matching weight {format_rational(w_m)} below optimum {format_rational(optimum)}"
@@ -130,16 +158,17 @@ def stable_from_dual(
     side = resolve_sides(inst, sellers) if split_rule == "seller_side" else None
     payoffs: PayoffMatrix = {}
     for (u, v) in m:
-        d_uv = dual.d[(u, v)]
+        d_uv = 2 * d[(u, v)]
         if split_rule == "half":
-            xi_u = d_uv / 2
+            xi_u = d[(u, v)]
         else:
-            xi_u = Fraction(0) if u in side else d_uv
-        payoffs[(u, v)] = dual.y[u] + xi_u
-        payoffs[(v, u)] = dual.y[v] + (d_uv - xi_u)
+            xi_u = 0 if u in side else d_uv
+        p_uv, p_vu = 2 * y[u] + xi_u, 2 * y[v] + (d_uv - xi_u)
         # Complementary slackness makes the matched constraint tight.
-        if payoffs[(u, v)] + payoffs[(v, u)] != inst.weight(u, v):
+        if p_uv + p_vu != 2 * w[(u, v)]:
             raise InternalError(f"payoffs on {u}-{v} do not split its weight")
+        payoffs[(u, v)] = Fraction(p_uv, 2 * denom)
+        payoffs[(v, u)] = Fraction(p_vu, 2 * denom)
     sol = Solution(matching=m, payoffs=payoffs)
     require_stable(inst, sol)
     return sol
@@ -171,11 +200,12 @@ def solve(
 
     `lp_optimum` gives the half-b-matching optimum, an optimal dual and the
     tie-broken b-matching, matched on the dual's complementary-slack
-    residual where that reaches the half optimum; the dual objective check
-    of `stable_from_dual` certifies the stable answer. Otherwise the
-    perturbed cover pass gives the witness.
+    residual where that reaches the half optimum; `_stable_solution`
+    certifies the stable answer once against the same dual, in the scaled
+    integers the pass produced. Otherwise the perturbed cover pass gives
+    the witness.
     """
-    opt = lp_optimum(inst)
+    opt, scaled = _lp_optimum(inst)
     if opt.weight != opt.half:
         witness_weight, witness = max_half_b_matching_weight(inst)
         if witness_weight != opt.half:
@@ -189,7 +219,7 @@ def solve(
             half_weight=opt.half,
             witness=witness,
         )
-    sol = stable_from_dual(inst, opt.matching, opt.dual, split_rule=split_rule, sellers=sellers)
+    sol = _stable_solution(inst, opt.matching, opt.dual, scaled, split_rule, sellers)
     return SolveOutcome(
         stable=True,
         matching_weight=opt.half,

@@ -5,7 +5,8 @@ import pytest
 
 from stablefixtures import blossom, matching
 from stablefixtures.cli import main
-from stablefixtures.instance import generate, instance_to_json
+from stablefixtures.families import generate
+from stablefixtures.instance import instance_to_json
 from stablefixtures.rationals import MAX_SCALE_DIGITS
 
 

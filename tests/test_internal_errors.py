@@ -125,14 +125,68 @@ def test_certificate_catches_each_engine_fault(monkeypatch, fault, message):
             solver.solve(inst)
 
 
+def _lowered_price(inst, matched, prices):
+    top = max((p for p in prices if prices[p] > 0), key=lambda p: (prices[p], p))
+    return matched, {**prices, top: prices[top] - 1}
+
+
+def _overfilled_matching(inst, matched, prices):
+    deg = {p: sum(p in e for e in matched) for p in inst.players}
+    extra = next(
+        e for e in inst.edges if e not in matched and any(deg[p] == inst.b(p) for p in e)
+    )
+    return matched | {extra}, prices
+
+
+def _shifted_y(inst, matched, prices):
+    u, v = min(matched)
+    return matched, {**prices, u: prices[u] + 1, v: prices[v] - 1}
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (_lowered_price, "duality gap"),
+        (_overfilled_matching, "overfilled a player"),
+        (_shifted_y, "duality gap|infeasible dual"),
+    ],
+)
+@pytest.mark.parametrize("family", ["example2", "diamond", "triangle"])
+def test_integer_certificate_catches_each_pass_fault(
+    monkeypatch, capsys, tmp_path, family, fault, message
+):
+    """A lowered price, an overfilled matching and a y shifted along a
+    matched edge each break the integer certificate of the pass, on the game
+    itself (example2) and on the double cover (diamond, triangle), and the
+    CLI exits 4. (A price lowered where every other edge keeps slack can
+    leave another optimal dual, which the certificate rightly accepts; on
+    these games each fault breaks optimality.)"""
+    inst = generate(family).instance
+    path = tmp_path / f"{family}.json"
+    path.write_text(json.dumps(instance_to_json(inst)))
+    real = matching._ssp_flow
+
+    def faulty(inst, int_weights, coloring):
+        return fault(inst, *real(inst, int_weights, coloring))
+
+    monkeypatch.setattr(matching, "_ssp_flow", faulty)
+    with pytest.raises(InternalError, match=message):
+        solver.solve(inst)
+    assert main(["solve", str(path)]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("error: internal: ")
+
+
 def test_half_below_integral_fails_solve(monkeypatch):
-    real = matching.bipartite_optimum_with_duals
+    real = matching._certified_pass
 
-    def light(inst):
-        half, cert = real(inst)
-        return half - 1, cert
+    def light(*args):
+        half, y, d = real(*args)
+        return half - 1, y, d
 
-    monkeypatch.setattr(matching, "bipartite_optimum_with_duals", light)
+    monkeypatch.setattr(matching, "_certified_pass", light)
     with pytest.raises(InternalError, match="below"):
         solver.solve(generate("example2").instance)
 
@@ -215,14 +269,13 @@ def test_overfilling_residual_matching_fails_solve(
     inst = heavy_edge_triangle
     path = tmp_path / "triangle.json"
     path.write_text(json.dumps(instance_to_json(inst)))
-    real = matching.max_weight_b_matching
+    real = matching._tie_broken
 
-    def extra(net):
-        # The residual engine adds a-c at the same weight.
-        chosen, value = real(net)
-        return chosen | {("a", "c")}, value
+    def extra(net, base):
+        # The residual engine adds a-c.
+        return real(net, base) | {("a", "c")}
 
-    monkeypatch.setattr(matching, "max_weight_b_matching", extra)
+    monkeypatch.setattr(matching, "_tie_broken", extra)
     with pytest.raises(InternalError, match="overfill"):
         solver.solve(inst)
     with pytest.raises(InternalError, match="overfill"):
@@ -237,13 +290,13 @@ def test_forced_edges_overfilling_a_player_fail_solve(monkeypatch, capsys, tmp_p
     inst = generate("triangle").instance
     path = tmp_path / "triangle.json"
     path.write_text(json.dumps(instance_to_json(inst)))
-    real = matching.dual_from_duplicated
+    real = matching._cover_pass
 
-    def slack(inst):
-        half, dual = real(inst)
-        return half, solver.DualSolution(y=dual.y, d={e: q + 1 for e, q in dual.d.items()})
+    def slack(*args):
+        half, y, d = real(*args)
+        return half, y, {e: q + 1 for e, q in d.items()}
 
-    monkeypatch.setattr(matching, "dual_from_duplicated", slack)
+    monkeypatch.setattr(matching, "_cover_pass", slack)
     with pytest.raises(InternalError, match="overfill"):
         matching.lp_optimum(inst)
     with pytest.raises(InternalError, match="overfill"):
@@ -258,8 +311,9 @@ def test_unsplit_payoffs_fail_stable_from_dual(monkeypatch, heavy_edge_triangle)
     d = dict(outcome.dual.d)
     d[("a", "b")] += 1
     loose = solver.DualSolution(y=outcome.dual.y, d=d)
-    # Only a lying objective lets a loose matched edge reach the split.
-    monkeypatch.setattr(solver, "dual_objective", lambda inst, dual: F(4))
+    # Only a lying objective lets a loose matched edge reach the split; the
+    # dual and the weights are integers, so w(M) = 4 is 4 on the scale too.
+    monkeypatch.setattr(solver, "_objective", lambda inst, y, d: 4)
     with pytest.raises(InternalError, match="split"):
         solver.stable_from_dual(inst, outcome.solution.matching, loose)
 
@@ -302,7 +356,7 @@ outcome = solver.solve(inst)
 d = dict(outcome.dual.d)
 d[("a", "b")] += 1
 real_objective, real_utilities, real_engine = (
-    solver.dual_objective, solver.utilities, matching.max_weight_b_matching)
+    solver._objective, solver.utilities, matching._tie_broken)
 
 def raises(call):
     try:
@@ -311,17 +365,16 @@ def raises(call):
         return True
     return False
 
-solver.dual_objective = lambda inst, dual: Fraction(4)
+solver._objective = lambda inst, y, d: 4
 split = raises(lambda: solver.stable_from_dual(
     inst, outcome.solution.matching, solver.DualSolution(y=outcome.dual.y, d=d)))
-solver.dual_objective = real_objective
+solver._objective = real_objective
 solver.utilities = lambda inst, sol: {p: q + 1 for p, q in real_utilities(inst, sol).items()}
 read_back = raises(lambda: solver.dual_from_stable(inst, outcome.solution))
 solver.utilities = real_utilities
 ssp = raises(lambda: matching._ssp_flow(
     Instance(["a", "b"], {"a": 1, "b": 1}, [("a", "b", 3)]), {("a", "b"): 3}, {"a": 0, "b": 0}))
-matching.max_weight_b_matching = lambda net: (
-    real_engine(net)[0] | {("a", "c")}, real_engine(net)[1])
+matching._tie_broken = lambda net, base: real_engine(net, base) | {("a", "c")}
 print(split, read_back, ssp, main(["solve", sys.argv[1]]))
 """
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import stablefixtures
-from stablefixtures import core, cycles, instance, matching, reduction, solver, stability
+from stablefixtures import core, cycles, families, instance, matching, reduction, solver, stability
 
 PUBLIC_NAMES = [
     "CoreVerdict", "CoreViolationError", "DualSolution", "Generated", "HalfBMatching",
@@ -35,6 +35,9 @@ PUBLIC_NAMES = [
 ]
 
 SUBMODULES = ["core", "cycles", "errors", "instance", "matching", "rationals", "reduction", "solver", "stability"]
+# Modules that define public names: the submodules, and the named-instance
+# families, which only `gen` loads.
+HOMES = [*SUBMODULES, "families"]
 
 _SURFACE_PROBE = """
 import json, sys, types
@@ -84,7 +87,7 @@ def test_package_surface_resolves_lazily():
     assert result["all"] == PUBLIC_NAMES
     assert result["all_is_tuple"]
     assert result["wrong"] == []
-    assert set(result["homes"]) <= {f"stablefixtures.{m}" for m in SUBMODULES}
+    assert set(result["homes"]) <= {f"stablefixtures.{m}" for m in HOMES}
     assert result["not_in_dir"] == []
     assert result["unknown"] == "module 'stablefixtures' has no attribute 'no_such_name'"
 
@@ -92,7 +95,7 @@ def test_package_surface_resolves_lazily():
 # (record, its fields in order, its defaults)
 RECORDS = [
     (instance.ValidationReport, ("violations",), {}),
-    (instance.Generated, ("instance", "allocation"), {"allocation": None}),
+    (families.Generated, ("instance", "allocation"), {"allocation": None}),
     (stability.Solution, ("matching", "payoffs"), {}),
     (stability.StabilityVerdict, ("stable", "blocking_pairs", "utilities"), {}),
     (matching.DualSolution, ("y", "d"), {}),

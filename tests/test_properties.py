@@ -5,9 +5,11 @@ capacities 0 and above the degree, weights 0, 10^12, 10^400 and coprime
 fractions, isolated players and ids that collide with the names the double
 cover and the edge gadgets generate. On every game `lp_optimum` must return
 the tie-broken engine's b-matching, the brute-force optima, and the verdict
-of `solve`. On bipartite games, whose LP `lp_optimum` solves on the game
-itself, the half optimum and the dual must equal the double cover's
-(`dual_from_duplicated`), kept here as the oracle. On the same games with
+of `solve`, and `solve`'s answer must pass the public Fraction checks
+(dual feasibility and objective, complementary slackness, stability). On
+bipartite games, whose LP `lp_optimum` solves on the game itself, the half
+optimum and the dual must equal the double cover's (`dual_from_duplicated`),
+kept here as the oracle. On the same games with
 capacities capped at 2, `core_membership_b2` must give the verdict kind of
 the exhaustive `core_membership_bruteforce` on allocations read off
 `solve`'s payoffs, shaved, shifted or raised. The runs are
@@ -25,13 +27,16 @@ from stablefixtures.core import core_membership_b2, core_membership_bruteforce
 from stablefixtures.instance import Instance
 from stablefixtures.matching import (
     dual_from_duplicated,
+    dual_objective,
+    is_dual_feasible,
+    is_half_b_matching,
     lp_optimum,
     max_half_b_matching_bruteforce,
     max_weight_b_matching,
     max_weight_b_matching_bruteforce,
 )
-from stablefixtures.solver import solve
-from stablefixtures.stability import total_payoff
+from stablefixtures.solver import solve, verify_complementary_slackness
+from stablefixtures.stability import is_stable, total_payoff
 
 # Gadget-like ids first, so shrinking keeps them.
 IDS = ("a", "a'", "a''", "a^1", "a~b", "a@b", "b", "c", "d")
@@ -131,6 +136,23 @@ def test_lp_optimum_half_and_the_solve_verdict(inst):
     opt = lp_optimum(inst)
     assert opt.half == max_half_b_matching_bruteforce(inst)
     assert solve(inst).stable == (opt.weight == opt.half)
+
+
+@PROPERTY
+@given(games())
+def test_solve_outcome_passes_the_fraction_checks(inst):
+    """`solve` certifies in scaled integers; its answer must pass the public
+    checks, which work in Fractions on the game's own weights."""
+    outcome = solve(inst)
+    if outcome.stable:
+        sol, dual = outcome.solution, outcome.dual
+        assert is_dual_feasible(inst, dual).feasible
+        assert dual_objective(inst, dual) == outcome.matching_weight == outcome.half_weight
+        assert verify_complementary_slackness(inst, dict.fromkeys(sol.matching, F(1)), dual).clean
+        assert is_stable(inst, sol).stable
+    else:
+        assert is_half_b_matching(inst, outcome.witness.values)
+        assert outcome.witness.weight(inst) == outcome.half_weight > outcome.matching_weight
 
 
 @PROPERTY

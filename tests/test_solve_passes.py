@@ -22,7 +22,8 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import stablefixtures
-from stablefixtures import generate, matching
+from stablefixtures import generate, instance, matching
+from stablefixtures.cli import main
 from stablefixtures.instance import Instance, instance_to_json
 from stablefixtures.matching import (
     _perturbed_int_weights,
@@ -158,6 +159,38 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_
 # ---------------------------------------------------------------------------
 # Pass counts
 # ---------------------------------------------------------------------------
+
+
+def test_each_request_validates_its_instance_once(monkeypatch, capsys, tmp_path, diamond):
+    """The CLI boundary validates the instance file; the double cover, the
+    dual's residual and every subgame are built from it unvalidated."""
+    triangle = Instance(
+        ["a", "b", "c"], {p: 2 for p in "abc"}, [("a", "b", 4), ("b", "c", 1), ("a", "c", 1)]
+    )
+    files = {
+        "bip": instance_to_json(generate("example2").instance),
+        "triangle": instance_to_json(triangle),
+        "diamond": instance_to_json(diamond),
+        "in_core": {"allocation": {"a": "2", "b": "2", "c": "2"}},
+        "blocked": {"allocation": {"a": "1", "b": "1", "c": "4"}},
+    }
+    for name, data in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(data))
+    path = {name: str(tmp_path / f"{name}.json") for name in files}
+    calls = []
+    real = instance.validate
+    monkeypatch.setattr(instance, "validate", lambda *args: calls.append(args) or real(*args))
+    for argv, code in (
+        (["solve", path["bip"]], 0),
+        (["solve", path["triangle"]], 0),
+        (["solve", path["diamond"]], 3),
+        (["core-check", path["triangle"], path["in_core"]], 0),
+        (["core-check", path["triangle"], path["blocked"]], 3),
+    ):
+        calls.clear()
+        assert main(argv) == code, argv
+        assert len(calls) == 1, argv
+    capsys.readouterr()
 
 
 def _spy_passes(monkeypatch, fn, inst, **kwargs):

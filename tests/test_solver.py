@@ -4,7 +4,12 @@ from fractions import Fraction as F
 import pytest
 
 from stablefixtures import generate
-from stablefixtures.errors import DualityGapError, InputError, PreconditionError
+from stablefixtures.errors import (
+    DualityGapError,
+    InputError,
+    NotMaximumWeightError,
+    PreconditionError,
+)
 from stablefixtures.instance import Instance
 from stablefixtures.matching import (
     max_half_b_matching_bruteforce,
@@ -135,6 +140,73 @@ def test_stable_from_dual_gap_detected(diamond):
     _, dual = dual_from_duplicated(diamond)  # objective 7/2 > 3
     with pytest.raises(DualityGapError):
         stable_from_dual(diamond, matching, dual)
+
+
+def test_stable_from_dual_scales_any_denominator():
+    """A dual whose denominators share nothing with the weights' is scaled
+    over their common denominator; the payoffs come out exact."""
+    inst = generate("two_player", w=7).instance
+    dual = DualSolution(y={"i": F(22, 7), "j": F(27, 7)}, d={("i", "j"): F(0)})
+    sol = stable_from_dual(inst, [("j", "i")], dual)
+    assert sol.payoff("i", "j") == F(22, 7) and sol.payoff("j", "i") == F(27, 7)
+    loose = DualSolution(y={"i": F(1, 3), "j": F(1, 5)}, d={("i", "j"): F(97, 15)})
+    sol = stable_from_dual(inst, [("i", "j")], loose)
+    assert sol.payoff("i", "j") == F(1, 3) + F(97, 30)
+
+
+def _corrupt(inst, matching, dual, how):
+    y, d = dict(dual.y), dict(dual.d)
+    if how == "negative_y":
+        y[inst.players[0]] = F(-1, 3)
+    elif how == "negative_d":
+        d[inst.edges[0]] = F(-1)
+    elif how == "lowered_y":
+        p = next(p for p in inst.players if y[p] > 0)
+        y[p] -= F(1, 2)
+    elif how == "raised_y":
+        y[inst.players[0]] += 1
+    elif how == "dropped_edge":
+        matching = matching - {min(matching)}
+    elif how == "overfilled":
+        matching = frozenset(inst.edges)
+    return matching, DualSolution(y=y, d=d)
+
+
+@pytest.mark.parametrize(
+    "how, error",
+    [
+        ("negative_y", PreconditionError),
+        ("negative_d", PreconditionError),
+        ("lowered_y", PreconditionError),
+        ("overfilled", PreconditionError),
+        ("raised_y", DualityGapError),
+        ("dropped_edge", NotMaximumWeightError),
+    ],
+)
+def test_stable_from_dual_rejects_corrupted_input(example2, how, error):
+    """The certificate on the scaled dual raises the same errors as the
+    Fraction checks: infeasible dual or no b-matching, a feasible dual above
+    the optimum, a matching below it."""
+    inst, _, _ = example2
+    outcome = solve(inst)
+    matching, dual = _corrupt(inst, outcome.solution.matching, outcome.dual, how)
+    infeasible = how in ("negative_y", "negative_d", "lowered_y")
+    assert is_dual_feasible(inst, dual).feasible != infeasible
+    with pytest.raises(error):
+        stable_from_dual(inst, matching, dual)
+
+
+def test_stable_from_dual_needs_every_dual_entry(example2):
+    inst, _, _ = example2
+    outcome = solve(inst)
+    y = dict(outcome.dual.y)
+    del y[inst.players[-1]]
+    with pytest.raises(InputError, match="missing players"):
+        stable_from_dual(inst, outcome.solution.matching, DualSolution(y=y, d=outcome.dual.d))
+    d = dict(outcome.dual.d)
+    del d[inst.edges[0]]
+    with pytest.raises(InputError, match="missing edges"):
+        stable_from_dual(inst, outcome.solution.matching, DualSolution(y=outcome.dual.y, d=d))
 
 
 def test_dual_from_stable_example3(example3):
