@@ -32,9 +32,10 @@ _HOME = {
             "DualSolution", "HalfBMatching", "LPOptimum",
             "bipartite_max_weight_b_matching_with_duals", "bipartite_optimum_with_duals",
             "dual_from_duplicated", "duplicated_instance", "is_b_matching", "is_dual_feasible",
-            "lp_optimum", "max_half_b_matching_weight", "max_weight_b_matching",
-            "max_weight_b_matching_bruteforce", "tighten_d", "weight",
+            "lp_optimum", "max_half_b_matching_weight", "max_weight_b_matching", "tighten_d",
+            "weight",
         ),
+        "oracles": ("max_weight_b_matching_bruteforce",),
         "reduction": (
             "ReducedInstance", "lift_stable", "reduce_instance", "reduce_matching",
             "reduce_solution", "srp_rematch",

@@ -144,12 +144,13 @@ def _cmd_gen(args) -> int:
 
 def _cmd_oracle(args) -> int:
     from . import matching as matching_mod
+    from . import oracles
 
     if args.engine != "selftest" and not args.instance:
         raise InputError(f"oracle {args.engine} needs an instance file")
     if args.engine == "b-matching":
         inst = _load_instance(args.instance)
-        matching, value = matching_mod.max_weight_b_matching_bruteforce(inst)
+        matching, value = oracles.max_weight_b_matching_bruteforce(inst)
         _emit(
             {
                 "weight": format_rational(value),
@@ -159,7 +160,7 @@ def _cmd_oracle(args) -> int:
         return EXIT_OK
     if args.engine == "half":
         inst = _load_instance(args.instance)
-        value = matching_mod.max_half_b_matching_bruteforce(inst)
+        value = oracles.max_half_b_matching_bruteforce(inst)
         _emit({"weight": format_rational(value)})
         return EXIT_OK
     if args.engine == "core-check":
@@ -183,6 +184,7 @@ def _oracle_selftest(count: int, seed: int) -> int:
 
     from . import core as core_mod
     from . import matching as matching_mod
+    from . import oracles
     from .randomgen import random_allocation, random_instance
 
     rng = random.Random(seed)
@@ -195,11 +197,11 @@ def _oracle_selftest(count: int, seed: int) -> int:
         )
         opt = matching_mod.lp_optimum(inst)
         value = opt.weight
-        _, brute = matching_mod.max_weight_b_matching_bruteforce(inst)
+        _, brute = oracles.max_weight_b_matching_bruteforce(inst)
         if value != brute:
             print(f"selftest {k}: engine {value} != oracle {brute}", file=sys.stderr)
             return EXIT_NEGATIVE
-        half = matching_mod.max_half_b_matching_bruteforce(inst)
+        half = oracles.max_half_b_matching_bruteforce(inst)
         if opt.half != half:
             print(f"selftest {k}: LP optimum {opt.half} != oracle {half}", file=sys.stderr)
             return EXIT_NEGATIVE

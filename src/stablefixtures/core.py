@@ -25,7 +25,7 @@ from .errors import (
     PreconditionError,
 )
 from .instance import Edge, Instance, induced
-from .matching import is_b_matching, lp_optimum, max_weight_b_matching_bruteforce, weight
+from .matching import is_b_matching, lp_optimum, weight
 from .rationals import format_rational
 from .stability import PayoffMatrix, total_payoff
 
@@ -449,6 +449,8 @@ def core_membership_bruteforce(
     path fully independent of the main engines (violations are still
     re-certified against the engine before being returned).
     """
+    from .oracles import max_weight_b_matching_bruteforce
+
     if inst.n > max_players:
         raise BoundExceededError(
             f"{inst.n} players exceed the brute-force bound {max_players}"

@@ -4,10 +4,11 @@
   over subgraphs whose components are simple paths (endpoints anywhere,
   inner vertices restricted to capacity-2 players) and simple cycles (on
   capacity-2 players only), by one maximum-weight matching on the 2-vertex
-  edge gadget (Shiloach 1981; Gabow 1983), computed by the exact integer
-  blossom engine of `blossom`. A negative optimum exhibits a violated path
-  or cycle core constraint and a nonnegative optimum proves there is none;
-  this backs the polynomial core-membership test.
+  edge gadget (Shiloach 1981; Gabow 1983), which only edges between
+  capacity-2 players need, computed by the exact integer blossom engine of
+  `blossom`. A negative optimum exhibits a violated path or cycle core
+  constraint and a nonnegative optimum proves there is none; this backs the
+  polynomial core-membership test.
 
 * `negative_cycle` decides whether an undirected graph with rational edge
   costs contains a simple cycle of negative total cost. Closed walks are not
@@ -61,12 +62,15 @@ def min_path_cycle_system(
     capacity-2 vertex v has two mandatory slots joined at profit 0 (degree
     0) and an optional helper at -x(v)/2 to each, which pays the second half
     of x(v) when v ends a path; a capacity-1 vertex has one optional slot.
-    Edge uv has two mandatory ends joined at 0 (unused), each joined to the
-    slots of its player at w(uv)/2 minus the slot's price: x/2 on a
-    capacity-2 slot, x on a capacity-1 slot. uv is selected iff its ends
-    are not matched together. A bonus B = 1 + sum |profit| per mandatory
-    endpoint makes every optimum cover the mandatory vertices, as the
-    all-unused state does.
+    An edge uv between capacity-2 vertices has two mandatory ends joined at
+    0 (unused), each joined to the slots of its player at w(uv)/2 minus the
+    slot's price x/2; uv is selected iff its ends are not matched together.
+    An edge with a capacity-1 end (one slot, price x) joins the slots of
+    its ends directly at w(uv) minus both slot prices, what the two end
+    edges would pay together; the one slot takes at most one of them, and
+    uv is selected iff a slot of u is matched to a slot of v (Gabow 1983).
+    A bonus B = 1 + sum |profit| per mandatory endpoint makes every optimum
+    cover the mandatory vertices, as the all-unused state does.
     """
     for v in vertices:
         if capacity[v] not in (1, 2):
@@ -88,12 +92,19 @@ def min_path_cycle_system(
             slots[v] = [(s1, wx[v] // 2), (s2, wx[v] // 2)]
         else:
             slots[v] = [(("slot", v, 1), wx[v])]
+    # The gadget edges that select each edge when matched.
+    selects: dict[Pair, list[tuple[tuple, tuple]]] = {}
     for (u, v), w in ww.items():
-        ends = {u: ("end", (u, v), u), v: ("end", (u, v), v)}
-        mandatory |= set(ends.values())
-        profits.append((ends[u], ends[v], 0))
-        for p, end in ends.items():
-            profits += [(end, slot, w // 2 - price) for (slot, price) in slots[p]]
+        if capacity[u] == 2 and capacity[v] == 2:
+            ends = {u: ("end", (u, v), u), v: ("end", (u, v), v)}
+            mandatory |= set(ends.values())
+            profits.append((ends[u], ends[v], 0))
+            for p, end in ends.items():
+                profits += [(end, slot, w // 2 - price) for (slot, price) in slots[p]]
+            selects[(u, v)] = [(ends[u], slot) for (slot, _) in slots[u]]
+        else:
+            profits += [(a, b, w - pa - pb) for (a, pa) in slots[u] for (b, pb) in slots[v]]
+            selects[(u, v)] = [(a, b) for (a, _) in slots[u] for (b, _) in slots[v]]
 
     from .blossom import max_weight_matching
 
@@ -108,7 +119,9 @@ def min_path_cycle_system(
     if any(mate[index[v]] == -1 for v in mandatory):
         raise InternalError("path/cycle gadget matching leaves a mandatory vertex uncovered")
 
-    selected = [e for e in ww if mate[index[("end", e, e[0])]] != index[("end", e, e[1])]]
+    selected = [
+        e for e, pairs in selects.items() if any(mate[index[a]] == index[b] for (a, b) in pairs)
+    ]
     components = _split_components(selected, x, weights)
     total = sum((c.cost for c in components), Fraction(0))
     return total, components

@@ -31,7 +31,7 @@ class Instance:
     for canonical edge keys, deterministic iteration, and tie-breaking.
     """
 
-    __slots__ = ("players", "capacity", "_index", "_weights", "_adj", "_edges")
+    __slots__ = ("players", "capacity", "_index", "_weights", "_adj", "_edges", "_coloring")
 
     def __init__(
         self,
@@ -76,6 +76,7 @@ class Instance:
         self._edges: tuple[Edge, ...] = tuple(
             sorted(self._weights, key=lambda e: (self._index[e[0]], self._index[e[1]]))
         )
+        self._coloring: dict[str, int] | None | bool = False  # False: not computed yet
 
     # -- basic accessors -------------------------------------------------
 
@@ -144,8 +145,14 @@ class Instance:
         """Proper 2-coloring by BFS, or None if an odd cycle exists.
 
         Colors are per connected component, with the smallest-index vertex of
-        each component colored 0.
+        each component colored 0. The BFS runs once per instance; each call
+        returns a copy of its result.
         """
+        if self._coloring is False:
+            self._coloring = self._bfs_coloring()
+        return None if self._coloring is None else dict(self._coloring)
+
+    def _bfs_coloring(self) -> dict[str, int] | None:
         color: dict[str, int] = {}
         for start in self.players:
             if start in color:

@@ -2,10 +2,11 @@
 
 Two engines, both exact over rationals:
 
-* the general-graph engine replaces every edge by a 2-vertex gadget between
-  the copies of its ends (min(b, deg) copies per player), runs the exact
-  integer blossom engine of `blossom` (imported only when this engine runs)
-  on integer-scaled weights, and reads the b-matching off the gadgets;
+* the general-graph engine gives each player min(b, deg) copies, joins the
+  copies of an edge's ends by a 2-vertex gadget when both ends have two or
+  more copies and directly otherwise, runs the exact integer blossom engine
+  of `blossom` (imported only when this engine runs) on integer-scaled
+  weights, and reads the b-matching off the gadgets and direct edges;
 * the bipartite engine runs successive shortest paths with vertex potentials
   on a small flow network, which additionally yields an optimal dual (y, d)
   of the degree-constrained LP, certified by weak duality.
@@ -35,12 +36,18 @@ import heapq
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import BoundExceededError, InputError, InternalError, NotBipartiteError
+from .errors import InputError, InternalError, NotBipartiteError
 from .instance import Edge, Instance, _fresh_name
 from .rationals import format_rational, parse_rational, scale_to_integers
 
-BRUTE_FORCE_EDGE_BOUND = 22
-HALF_BRUTE_FORCE_EDGE_BOUND = 12
+
+def __getattr__(name):
+    """The brute-force oracles of `oracles`, loaded on first use (PEP 562)."""
+    if name in ("max_weight_b_matching_bruteforce", "max_half_b_matching_bruteforce"):
+        from . import oracles
+
+        return getattr(oracles, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -89,7 +96,7 @@ def _perturbed(inst: Instance, base: Mapping[Edge, int]) -> dict[Edge, int]:
 
 
 # ---------------------------------------------------------------------------
-# General-graph engine: 2-vertex edge gadgets + blossom matching
+# General-graph engine: edge gadgets + blossom matching
 # ---------------------------------------------------------------------------
 
 
@@ -119,38 +126,56 @@ def _tie_broken(inst: Instance, base: Mapping[Edge, int]) -> frozenset[Edge]:
 
 
 def _general_matching(inst: Instance) -> frozenset[Edge]:
-    """The tie-broken optimum through the 2-vertex edge gadget.
+    """The tie-broken optimum through the edge gadget.
 
-    Player i gets min(b(i), deg(i)) copies; edge ij gets an end vertex for
-    i and one for j, joined to each other and to the copies of their
-    players, all with the perturbed weight of ij. An optimum matches one or
-    two edges of every gadget, and ij is selected iff two.
+    Player i gets min(b(i), deg(i)) copies. An edge ij whose ends both have
+    two or more copies gets an end vertex for i and one for j, joined to
+    each other and to the copies of their players, all with the perturbed
+    weight of ij; an optimum matches one or two of its gadget edges, and ij
+    is selected iff two. Any other edge joins the copies of i and j
+    directly at that weight, and is selected iff a copy of i is mated to a
+    copy of j: a one-copy end takes at most one of them, so ij is still
+    used at most once (Gabow 1983). The mate weighs w(M) plus the weights
+    of the gadget edges, which certifies the read-back.
     """
     from .blossom import max_weight_matching
 
     perturbed = _perturbed_int_weights(inst)
-    # Vertex numbers: player p's copies form copies[p]; the end vertices of
-    # the k-th edge come after all copies, at ends + 2k and ends + 2k + 1.
-    copies, ends = {}, 0
+    # Vertex numbers: player p's copies form copies[p]; end vertices of the
+    # gadgeted edges follow all copies, two by two.
+    copies, n = {}, 0
     for p in inst.players:
-        copies[p] = range(ends, ends + min(inst.b(p), len(inst.neighbors(p))))
-        ends = copies[p].stop
-    gadget = []
-    for k, ((i, j), w) in enumerate(perturbed.items()):
-        end_i, end_j = ends + 2 * k, ends + 2 * k + 1
-        gadget.append((end_i, end_j, w))
-        for end, p in ((end_i, i), (end_j, j)):
-            gadget += [(end, c, w) for c in copies[p]]
+        copies[p] = range(n, n + min(inst.b(p), len(inst.neighbors(p))))
+        n = copies[p].stop
+    gadget, ends = [], {}
+    for (i, j), w in perturbed.items():
+        if len(copies[i]) > 1 and len(copies[j]) > 1:
+            ends[(i, j)] = n, n + 1
+            gadget.append((n, n + 1, w))
+            for end, p in ((n, i), (n + 1, j)):
+                gadget += [(end, c, w) for c in copies[p]]
+            n += 2
+        else:
+            gadget += [(c, d, w) for c in copies[i] for d in copies[j]]
 
-    mate = max_weight_matching(ends + 2 * len(perturbed), gadget)
-    count = {}
-    for k, e in enumerate(perturbed):
-        end_i, end_j = ends + 2 * k, ends + 2 * k + 1
-        # Matched gadget edges: 1 if e is unused, 2 if e is selected.
-        count[e] = 1 if mate[end_i] == end_j else (mate[end_i] >= 0) + (mate[end_j] >= 0)
-    if any(c not in (1, 2) for c in count.values()):
-        raise InternalError(f"unexpected edge gadget states {sorted(set(count.values()))}")
-    return frozenset(e for e, c in count.items() if c == 2)
+    mate = max_weight_matching(n, gadget)
+    selected, states = set(), set()
+    for (i, j) in perturbed:
+        if (i, j) in ends:
+            end_i, end_j = ends[(i, j)]
+            # Matched gadget edges: 1 if ij is unused, 2 if ij is selected.
+            count = 1 if mate[end_i] == end_j else (mate[end_i] >= 0) + (mate[end_j] >= 0)
+            states.add(count)
+        else:
+            count = 2 * any(mate[c] in copies[j] for c in copies[i])
+        if count == 2:
+            selected.add((i, j))
+    if not states <= {1, 2}:
+        raise InternalError(f"unexpected edge gadget states {sorted(states)}")
+    mated = sum(w for (a, b, w) in gadget if mate[a] == b)
+    if mated != sum(perturbed[e] for e in ends) + sum(perturbed[e] for e in selected):
+        raise InternalError("edge gadget matching does not weigh its b-matching plus the gadgets")
+    return frozenset(selected)
 
 
 # ---------------------------------------------------------------------------
@@ -234,49 +259,6 @@ def priced_dual(inst: Instance, y: Mapping[str, Fraction]) -> DualSolution:
         if inst.b(p) == 0:
             y[p] = max([Fraction(0)] + [inst.weight(p, q) for q in inst.neighbors(p)])
     return DualSolution(y=y, d=tighten_d(inst, y))
-
-
-# ---------------------------------------------------------------------------
-# Brute-force oracles
-# ---------------------------------------------------------------------------
-
-
-def max_weight_b_matching_bruteforce(
-    inst: Instance, max_edges: int = BRUTE_FORCE_EDGE_BOUND
-) -> tuple[frozenset[Edge], Fraction]:
-    """Exhaustive optimum by branching over every edge subset."""
-    if inst.m > max_edges:
-        raise BoundExceededError(f"{inst.m} edges exceed brute-force bound {max_edges}")
-    edges = inst.edges
-    weights = [inst.weight(u, v) for (u, v) in edges]
-    order = sorted(range(len(edges)), key=lambda k: -weights[k])
-    suffix = [Fraction(0)] * (len(edges) + 1)
-    for pos in range(len(edges) - 1, -1, -1):
-        suffix[pos] = suffix[pos + 1] + weights[order[pos]]
-    caps = {p: inst.b(p) for p in inst.players}
-    best_weight = Fraction(0)
-    best_set: list[Edge] = []
-    chosen: list[Edge] = []
-
-    def recurse(pos: int, acc: Fraction) -> None:
-        nonlocal best_weight, best_set
-        if acc > best_weight:
-            best_weight, best_set = acc, list(chosen)
-        if pos == len(edges) or acc + suffix[pos] <= best_weight:
-            return
-        u, v = edges[order[pos]]
-        if caps[u] > 0 and caps[v] > 0:
-            caps[u] -= 1
-            caps[v] -= 1
-            chosen.append((u, v))
-            recurse(pos + 1, acc + weights[order[pos]])
-            chosen.pop()
-            caps[u] += 1
-            caps[v] += 1
-        recurse(pos + 1, acc)
-
-    recurse(0, Fraction(0))
-    return frozenset(best_set), best_weight
 
 
 # ---------------------------------------------------------------------------
@@ -373,35 +355,6 @@ def max_half_b_matching_weight(inst: Instance) -> tuple[Fraction, HalfBMatching]
             "double-cover matching does not fold to a half-b-matching of its weight"
         )
     return dup_weight, witness
-
-
-def max_half_b_matching_bruteforce(
-    inst: Instance, max_edges: int = HALF_BRUTE_FORCE_EDGE_BOUND
-) -> Fraction:
-    """Test oracle: enumerate all 3^m half-assignments."""
-    if inst.m > max_edges:
-        raise BoundExceededError(f"{inst.m} edges exceed half brute-force bound {max_edges}")
-    edges = inst.edges
-    load = {p: Fraction(0) for p in inst.players}
-    best = Fraction(0)
-
-    def recurse(pos: int, acc: Fraction) -> None:
-        nonlocal best
-        if pos == len(edges):
-            best = max(best, acc)
-            return
-        u, v = edges[pos]
-        w = inst.weight(u, v)
-        for f in (Fraction(1), Fraction(1, 2), Fraction(0)):
-            if load[u] + f <= inst.b(u) and load[v] + f <= inst.b(v):
-                load[u] += f
-                load[v] += f
-                recurse(pos + 1, acc + w * f)
-                load[u] -= f
-                load[v] -= f
-
-    recurse(0, Fraction(0))
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,9 @@ from .rationals import format_rational, parse_rational
 
 PayoffMatrix = dict[tuple[str, str], Fraction]
 
+# The payoff of an omitted entry; a Fraction is immutable, so one is shared.
+_ZERO = Fraction(0)
+
 # How `solver.stable_from_dual` shares a matched edge's slack d(ij).
 SPLIT_RULES = ("half", "seller_side")
 
@@ -43,7 +46,7 @@ class Solution(NamedTuple):
     payoffs: PayoffMatrix
 
     def payoff(self, i: str, j: str) -> Fraction:
-        return self.payoffs.get((i, j), Fraction(0))
+        return self.payoffs.get((i, j), _ZERO)
 
 
 def make_solution(inst: Instance, matching: Iterable[tuple[str, str]], payoffs: Mapping) -> Solution:

@@ -21,9 +21,9 @@ from stablefixtures.instance import Instance
 from stablefixtures.matching import (
     max_half_b_matching_weight,
     max_weight_b_matching,
-    max_weight_b_matching_bruteforce,
     weight,
 )
+from stablefixtures.oracles import max_weight_b_matching_bruteforce
 from stablefixtures.randomgen import (
     random_allocation,
     random_instance,

@@ -21,7 +21,8 @@ from stablefixtures.errors import (
     InternalError,
 )
 from stablefixtures.instance import Instance
-from stablefixtures.matching import max_weight_b_matching, max_weight_b_matching_bruteforce
+from stablefixtures.matching import max_weight_b_matching
+from stablefixtures.oracles import max_weight_b_matching_bruteforce
 from stablefixtures.randomgen import (
     random_allocation,
     random_instance,

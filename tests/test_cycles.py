@@ -197,14 +197,30 @@ def _check_system(capacity, weights, x, total, comps):
 
 def test_min_system_agrees_with_enumeration():
     rng = random.Random(7)
-    shapes = set()
+    shapes, ends = set(), set()
     for _ in range(600):
         vertices, capacity, weights, x = _random_system(rng)
         shapes.add((len(vertices) == 0, len(weights) == 0))
         total, comps = min_path_cycle_system(vertices, capacity, weights, x)
         assert total == brute_min_system(vertices, capacity, weights, x), (capacity, weights, x)
         _check_system(capacity, weights, x, total, comps)
+        # The capacity-1 ends of each edge: none (the 2-vertex gadget), one
+        # or both (direct slot-slot edges).
+        ends |= {(capacity[u] == 1) + (capacity[v] == 1) for (u, v) in weights}
     assert shapes == {(True, True), (False, True), (False, False)}
+    assert ends == {0, 1, 2}
+
+
+def _system_gadget_size(vertices, capacity, weights):
+    """Three nodes per capacity-2 vertex (two slots and a helper), one slot
+    per capacity-1 vertex with an edge, and two end vertices per edge
+    between capacity-2 vertices; other edges join slots directly."""
+    touched = {v for e in weights for v in e}
+    return (
+        3 * sum(1 for v in vertices if capacity[v] == 2)
+        + sum(1 for v in vertices if capacity[v] == 1 and v in touched)
+        + 2 * sum(1 for (u, v) in weights if capacity[u] == capacity[v] == 2)
+    )
 
 
 def test_min_system_gadget_is_linear(monkeypatch):
@@ -223,17 +239,18 @@ def test_min_system_gadget_is_linear(monkeypatch):
     capacity = {v: rng.choice((1, 2)) for v in vertices}
     x = {v: F(rng.randint(0, 9), 3) for v in vertices}
     costs = {e: w - 3 for e, w in weights.items()}
-    bound = 3 * len(vertices) + 2 * len(weights)
     # Both entry points run one plain maximum-weight matching on integer
-    # weights: no perfect-matching detour and no maxcardinality option.
-    for run in (
-        lambda: min_path_cycle_system(vertices, capacity, weights, x),
-        lambda: negative_cycle(vertices, costs),
+    # weights, on a gadget of exactly `_system_gadget_size` nodes: no
+    # perfect-matching detour and no maxcardinality option. negative_cycle
+    # gives every vertex capacity 2.
+    for run, caps in (
+        (lambda: min_path_cycle_system(vertices, capacity, weights, x), capacity),
+        (lambda: negative_cycle(vertices, costs), dict.fromkeys(vertices, 2)),
     ):
         calls.clear()
         run()
         [(nodes, kwargs, kinds)] = calls
-        assert nodes <= bound
+        assert nodes == _system_gadget_size(vertices, caps, weights)
         assert kwargs == {}
         assert kinds == {int}
 

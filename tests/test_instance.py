@@ -13,7 +13,7 @@ from stablefixtures.errors import (
     PreconditionError,
 )
 from stablefixtures.instance import Instance, instance_from_json, instance_to_json
-from stablefixtures.matching import max_weight_b_matching_bruteforce
+from stablefixtures.oracles import max_weight_b_matching_bruteforce
 from stablefixtures.randomgen import random_instance
 from stablefixtures.rationals import MAX_LITERAL_DIGITS, format_rational, parse_rational
 

@@ -203,6 +203,40 @@ def test_witness_weight_mismatch_fails_solve(monkeypatch):
         solver.solve(generate("diamond").instance)
 
 
+def _no_mates(real, n, edges):
+    return [-1] * n
+
+
+def _swap_first_edge_mates(real, n, edges):
+    """Swap the mates of the ends of the first edge whose ends are matched
+    elsewhere: the read-back sees the same gadget states, but the mate now
+    pairs each end with a vertex it has no edge to."""
+    mate = real(n, edges)
+    a, b = next((a, b) for (a, b, _) in edges if mate[a] not in (-1, b) and mate[b] != -1)
+    mate[a], mate[b] = mate[b], mate[a]
+    return mate
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [(_no_mates, "edge gadget states"), (_swap_first_edge_mates, "does not weigh")],
+)
+def test_edge_gadget_read_back_catches_a_wrong_mate(monkeypatch, fault, message):
+    """Every edge of a capacity-2 triangle gets the 2-vertex gadget and is
+    selected. An empty mate leaves gadgets with no matched edge; swapped
+    mates keep every gadget state and every player's degree, so only the
+    weight check (the mate weighs w(M) plus the gadgets) catches them."""
+    from stablefixtures import blossom
+
+    real = blossom.max_weight_matching
+    monkeypatch.setattr(blossom, "max_weight_matching", lambda n, edges: fault(real, n, edges))
+    triangle = Instance(
+        ["a", "b", "c"], dict.fromkeys("abc", 2), [("a", "b", 1), ("b", "c", 2), ("a", "c", 3)]
+    )
+    with pytest.raises(InternalError, match=message):
+        matching._general_matching(triangle)
+
+
 def test_cli_maps_internal_error_to_exit_4(monkeypatch, capsys, tmp_path):
     path = tmp_path / "example2.json"
     path.write_text(json.dumps(instance_to_json(generate("example2").instance)))

@@ -14,12 +14,11 @@ from stablefixtures.matching import (
     duplicated_instance,
     is_dual_feasible,
     is_b_matching,
-    max_half_b_matching_bruteforce,
     max_half_b_matching_weight,
     max_weight_b_matching,
-    max_weight_b_matching_bruteforce,
     weight,
 )
+from stablefixtures.oracles import max_half_b_matching_bruteforce, max_weight_b_matching_bruteforce
 from stablefixtures.randomgen import random_instance
 from stablefixtures.rationals import scale_to_integers
 from stablefixtures.solver import verify_complementary_slackness

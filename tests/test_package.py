@@ -35,9 +35,9 @@ PUBLIC_NAMES = [
 ]
 
 SUBMODULES = ["core", "cycles", "errors", "instance", "matching", "rationals", "reduction", "solver", "stability"]
-# Modules that define public names: the submodules, and the named-instance
-# families, which only `gen` loads.
-HOMES = [*SUBMODULES, "families"]
+# Modules that define public names: the submodules, the named-instance
+# families, which only `gen` loads, and the brute-force oracles.
+HOMES = [*SUBMODULES, "families", "oracles"]
 
 _SURFACE_PROBE = """
 import json, sys, types
@@ -90,6 +90,18 @@ def test_package_surface_resolves_lazily():
     assert set(result["homes"]) <= {f"stablefixtures.{m}" for m in HOMES}
     assert result["not_in_dir"] == []
     assert result["unknown"] == "module 'stablefixtures' has no attribute 'no_such_name'"
+
+
+def test_oracles_resolve_from_matching_without_being_compiled_there():
+    """The brute-force oracles live in `oracles`; `matching` still resolves
+    them by name (PEP 562) for callers that look them up there."""
+    from stablefixtures import oracles
+
+    for name in ("max_weight_b_matching_bruteforce", "max_half_b_matching_bruteforce"):
+        assert getattr(matching, name) is getattr(oracles, name)
+        assert name not in vars(matching)
+    with pytest.raises(AttributeError, match="no_such_oracle"):
+        matching.no_such_oracle
 
 
 # (record, its fields in order, its defaults)

@@ -7,6 +7,9 @@ cover and the edge gadgets generate. On every game `lp_optimum` must return
 the tie-broken engine's b-matching, the brute-force optima, and the verdict
 of `solve`, and `solve`'s answer must pass the public Fraction checks
 (dual feasibility and objective, complementary slackness, stability). On
+games with a triangle, so that the general engine runs on both its edge
+gadgets and its direct edges, `max_weight_b_matching` must return the
+tie-broken optimum found by enumeration. On
 bipartite games, whose LP `lp_optimum` solves on the game itself, the half
 optimum and the dual must equal the double cover's (`dual_from_duplicated`),
 kept here as the oracle. On the same games with
@@ -29,12 +32,13 @@ from stablefixtures.matching import (
     dual_from_duplicated,
     dual_objective,
     is_dual_feasible,
+    is_b_matching,
     is_half_b_matching,
     lp_optimum,
-    max_half_b_matching_bruteforce,
     max_weight_b_matching,
-    max_weight_b_matching_bruteforce,
+    weight,
 )
+from stablefixtures.oracles import max_half_b_matching_bruteforce, max_weight_b_matching_bruteforce
 from stablefixtures.solver import solve, verify_complementary_slackness
 from stablefixtures.stability import is_stable, total_payoff
 
@@ -71,6 +75,21 @@ def games(draw) -> Instance:
         for p in players[:3]:
             capacity[p] = 1
     return Instance(players, capacity, [(u, v, weights[(u, v)]) for (u, v) in chosen])
+
+
+@st.composite
+def general_games(draw) -> Instance:
+    """Games with a triangle on their first three players, so the general
+    engine runs. Capacities from 0 to 3 or above the degree give edges
+    whose ends have two or more copies (the 2-vertex gadget) and edges with
+    a one-copy end on one side or both (direct edges)."""
+    players = draw(st.lists(st.sampled_from(IDS), min_size=3, max_size=7, unique=True))
+    triangle = list(combinations(players[:3], 2))
+    rest = [e for e in combinations(players, 2) if e not in triangle]
+    chosen = triangle + draw(st.permutations(rest))[: draw(st.integers(0, MAX_EDGES - 3))]
+    degree = {p: sum(p in e for e in chosen) for p in players}
+    capacity = {p: draw(st.sampled_from((1, 2, 0, 3, degree[p] + 1))) for p in players}
+    return Instance(players, capacity, [(u, v, draw(WEIGHTS)) for (u, v) in chosen])
 
 
 @st.composite
@@ -128,6 +147,28 @@ def test_lp_optimum_is_the_tie_broken_engine_optimum(inst):
     opt = lp_optimum(inst)
     assert (opt.matching, opt.weight) == max_weight_b_matching(inst)
     assert opt.weight == max_weight_b_matching_bruteforce(inst)[1]
+
+
+def _tie_broken_by_enumeration(inst: Instance) -> frozenset:
+    """The maximum-weight b-matching that, among those of equal weight,
+    holds the earliest edge (in the instance's order) where they differ."""
+    edges = inst.edges
+    best_key, best = None, frozenset()
+    for mask in range(1 << len(edges)):
+        chosen = [e for k, e in enumerate(edges) if mask >> k & 1]
+        if is_b_matching(inst, chosen):
+            key = (weight(inst, chosen), [e in chosen for e in edges])
+            if best_key is None or key > best_key:
+                best_key, best = key, frozenset(chosen)
+    return best
+
+
+@PROPERTY
+@given(general_games())
+def test_general_engine_is_the_tie_broken_optimum(inst):
+    matching, value = max_weight_b_matching(inst)
+    assert value == max_weight_b_matching_bruteforce(inst)[1]
+    assert matching == _tie_broken_by_enumeration(inst)
 
 
 @PROPERTY

@@ -1,7 +1,8 @@
 """The runtime paths do without the paper's 4-vertex expansion.
 
-* The general engine matches on 2-vertex edge gadgets with min(b, deg)
-  copies per player, so its blossom graph stays small and capacities far
+* The general engine matches on min(b, deg) copies per player, joined by a
+  2-vertex gadget where both ends of an edge have two or more copies and
+  directly otherwise, so its blossom graph stays small and capacities far
   above the degree cost nothing.
 * `rematch` applies the equivalence theorem directly.
 * `reduction.reduce_instance` is never called by solve, core-check, value or
@@ -27,9 +28,9 @@ from stablefixtures.matching import (
     _perturbed_int_weights,
     is_b_matching,
     max_weight_b_matching,
-    max_weight_b_matching_bruteforce,
     weight,
 )
+from stablefixtures.oracles import max_weight_b_matching_bruteforce
 from stablefixtures.randomgen import random_allocation, random_instance
 from stablefixtures.solver import outcome_to_json, solve
 from stablefixtures.stability import Solution, rematch, solution_to_json, total_payoff
@@ -100,9 +101,12 @@ def _adversarial_instance(rng, n_range=(2, 8), max_extra_edges=6, bipartite=Fals
     return Instance([names[p] for p in base.players], capacity, edges)
 
 
-def _gadget_bound(inst):
-    copies = sum(min(inst.b(p), len(inst.neighbors(p))) for p in inst.players)
-    return copies + 2 * inst.m
+def _gadget_size(inst):
+    """Nodes of the edge gadget: every copy, and two end vertices for each
+    edge whose ends both have two or more copies."""
+    copies = {p: min(inst.b(p), len(inst.neighbors(p))) for p in inst.players}
+    gadgeted = sum(1 for (u, v) in inst.edges if copies[u] > 1 and copies[v] > 1)
+    return sum(copies.values()) + 2 * gadgeted
 
 
 @pytest.fixture
@@ -134,7 +138,7 @@ def no_expansion(monkeypatch):
 
 def test_blossom_graph_is_the_edge_gadget(blossom_sizes):
     rng = random.Random(7)
-    checked = 0
+    checked, shapes = 0, set()
     while checked < 40:
         inst = _adversarial_instance(rng, n_range=(4, 10))
         if inst.is_bipartite() or inst.m == 0:
@@ -142,8 +146,13 @@ def test_blossom_graph_is_the_edge_gadget(blossom_sizes):
         del blossom_sizes[:]
         max_weight_b_matching(inst)
         assert len(blossom_sizes) == 1
-        assert blossom_sizes[0] <= _gadget_bound(inst), instance_to_json(inst)
+        assert blossom_sizes[0] == _gadget_size(inst), instance_to_json(inst)
+        copies = {p: min(inst.b(p), len(inst.neighbors(p))) for p in inst.players}
+        shapes |= {(copies[u] > 1) + (copies[v] > 1) for (u, v) in inst.edges}
         checked += 1
+    # Edges with both ends on two or more copies (gadgets), with one such end
+    # and with none (direct edges).
+    assert shapes == {0, 1, 2}
 
 
 def test_high_capacity_costs_nothing(blossom_sizes):
@@ -157,7 +166,7 @@ def test_high_capacity_costs_nothing(blossom_sizes):
 
     heavy = with_capacity(200000)
     max_weight_b_matching(heavy)
-    assert len(blossom_sizes) == 1 and blossom_sizes[0] <= _gadget_bound(heavy)
+    assert len(blossom_sizes) == 1 and blossom_sizes[0] == _gadget_size(heavy)
     out = outcome_to_json(heavy, solve(heavy))
     # Any capacity at or above the degree leaves a unsaturated, so the answer
     # is that of b(a) = 3; b(a) = 2 would saturate a and change its dual.

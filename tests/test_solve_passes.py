@@ -131,7 +131,8 @@ def _loaded_modules(src, *argv):
 
 def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_triangle):
     """A bipartite solve loads neither the core stages nor any blossom,
-    verify-stable no engine, and core-check not the solver. No request loads
+    verify-stable no engine, and core-check not the solver; neither solve
+    nor core-check loads the brute-force oracles. No request loads
     `dataclasses`."""
     inst, sol, _ = example2
     files = {
@@ -145,9 +146,9 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_
     bip, sol_path, triangle, x = (str(tmp_path / f"{name}.json") for name in files)
     src = Path(stablefixtures.__file__).resolve().parents[1]
     for argv, code, absent in (
-        (["solve", bip], 0, ["core", "cycles", "blossom"]),
+        (["solve", bip], 0, ["core", "cycles", "blossom", "oracles"]),
         (["verify-stable", bip, sol_path], 0, ["matching", "solver", "core", "cycles"]),
-        (["core-check", triangle, x], 0, ["solver"]),
+        (["core-check", triangle, x], 0, ["solver", "oracles"]),
     ):
         got, loaded = _loaded_modules(src, *argv)
         assert got == code, argv
@@ -191,6 +192,22 @@ def test_each_request_validates_its_instance_once(monkeypatch, capsys, tmp_path,
         assert main(argv) == code, argv
         assert len(calls) == 1, argv
     capsys.readouterr()
+
+
+def test_each_instance_is_colored_once(monkeypatch, diamond):
+    """A no-stable solve colours the game once, however often its passes
+    ask, and each double cover it builds once (its bipartite guard and its
+    pass share the BFS). Callers get copies, so the memo cannot be spoiled."""
+    colored = []
+    real = Instance._bfs_coloring
+    monkeypatch.setattr(Instance, "_bfs_coloring", lambda net: colored.append(net) or real(net))
+    assert not solve(diamond).stable
+    assert colored.count(diamond) == 1
+    assert len(colored) == len(set(map(id, colored)))
+    cover = duplicated_instance(diamond).instance
+    coloring = cover.two_coloring()
+    coloring[cover.players[0]] = 7
+    assert cover.two_coloring() == real(cover) != coloring
 
 
 def _spy_passes(monkeypatch, fn, inst, **kwargs):

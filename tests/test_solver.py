@@ -11,11 +11,8 @@ from stablefixtures.errors import (
     PreconditionError,
 )
 from stablefixtures.instance import Instance
-from stablefixtures.matching import (
-    max_half_b_matching_bruteforce,
-    max_weight_b_matching,
-    weight,
-)
+from stablefixtures.matching import max_weight_b_matching, weight
+from stablefixtures.oracles import max_half_b_matching_bruteforce
 from stablefixtures.randomgen import random_instance
 from stablefixtures.solver import (
     DualSolution,
