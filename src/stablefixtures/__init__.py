@@ -20,34 +20,30 @@ _SUBMODULES = (
 _HOME = {
     name: module
     for module, names in {
-        "core": (
-            "CoreVerdict", "CoreViolationError", "allocation_to_payoff", "core_membership_b2",
-            "core_membership_bruteforce", "game_value", "is_allocation", "repair_negative",
-            "solve_payoff_system",
+        "core": ("CoreVerdict", "CoreViolationError", "core_membership_b2", "game_value", "is_allocation"),
+        "duals": (
+            "bipartite_max_weight_b_matching_with_duals", "bipartite_optimum_with_duals",
+            "dual_from_duplicated", "dual_from_stable", "has_stable_solution", "is_dual_feasible",
+            "stable_from_dual", "tighten_d", "verify_complementary_slackness",
         ),
         "errors": ("InternalError", "StableFixturesError"),
         "families": ("Generated", "generate"),
         "instance": ("Instance", "induced", "validate"),
         "matching": (
-            "DualSolution", "HalfBMatching", "LPOptimum",
-            "bipartite_max_weight_b_matching_with_duals", "bipartite_optimum_with_duals",
-            "dual_from_duplicated", "duplicated_instance", "is_b_matching", "is_dual_feasible",
-            "lp_optimum", "max_half_b_matching_weight", "max_weight_b_matching", "tighten_d",
-            "weight",
+            "DualSolution", "HalfBMatching", "LPOptimum", "duplicated_instance", "is_b_matching",
+            "lp_optimum", "max_half_b_matching_weight", "max_weight_b_matching", "weight",
         ),
-        "oracles": ("max_weight_b_matching_bruteforce",),
-        "reduction": (
-            "ReducedInstance", "lift_stable", "reduce_instance", "reduce_matching",
-            "reduce_solution", "srp_rematch",
-        ),
-        "solver": (
-            "SolveOutcome", "dual_from_stable", "has_stable_solution", "solve",
-            "stable_from_dual", "verify_complementary_slackness",
-        ),
+        "oracles": ("core_membership_bruteforce", "max_weight_b_matching_bruteforce"),
+        "reduction": ("ReducedInstance", "reduce_instance"),
+        "solver": ("SolveOutcome", "solve"),
         "stability": (
-            "Solution", "StabilityVerdict", "are_equivalent", "check_solution", "is_stable",
-            "make_solution", "meet_join", "rematch", "to_competitive_equilibrium",
+            "Solution", "StabilityVerdict", "check_solution", "is_stable", "make_solution",
             "total_payoff", "utilities",
+        ),
+        "transfers": (
+            "allocation_to_payoff", "are_equivalent", "lift_stable", "meet_join", "reduce_matching",
+            "reduce_solution", "rematch", "repair_negative", "solve_payoff_system", "srp_rematch",
+            "to_competitive_equilibrium",
         ),
     }.items()
     for name in names
@@ -62,6 +58,19 @@ def __getattr__(name):
     if name in _HOME:
         return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _moved_from(module, **homes):
+    """The `__getattr__` (PEP 562) of `module` for the library-only names that
+    left it: each keyword names their new home, imported on first use."""
+    home_of = {name: home for home, names in homes.items() for name in names.split()}
+
+    def moved(name):
+        if name not in home_of:
+            raise AttributeError(f"module {module!r} has no attribute {name!r}")
+        return getattr(importlib.import_module(f"{__name__}.{home_of[name]}"), name)
+
+    return moved
 
 
 def __dir__():

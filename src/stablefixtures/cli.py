@@ -10,11 +10,11 @@ Standard output carries JSON only; diagnostics go to standard error.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+import types
 
-from . import stability as stability_mod
+from . import _moved_from, stability as stability_mod
 from .errors import InputError, InternalError, PreconditionError, StableFixturesError
 from .instance import (
     Instance,
@@ -26,6 +26,8 @@ from .instance import (
 from .rationals import format_rational
 # Imported eagerly though only `reduce` runs it: perfbench's tracer wraps only loaded modules.
 from .reduction import provenance_to_json, reduce_instance
+
+__getattr__ = _moved_from(__name__, oracles="_oracle_selftest")
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -86,7 +88,9 @@ def _cmd_core_check(args) -> int:
     inst = _load_instance(args.instance)
     x = allocation_from_json(_load_json(args.allocation), inst)
     if args.brute_force:
-        verdict = core_mod.core_membership_bruteforce(inst, x)
+        from .oracles import core_membership_bruteforce
+
+        verdict = core_membership_bruteforce(inst, x)
     else:
         verdict = core_mod.core_membership_b2(inst, x)
     _emit(core_mod.verdict_to_json(inst, verdict))
@@ -166,109 +170,131 @@ def _cmd_oracle(args) -> int:
     if args.engine == "core-check":
         if not args.allocation:
             raise InputError("oracle core-check needs an allocation file")
-        from . import core as core_mod
+        from .core import verdict_to_json
 
         inst = _load_instance(args.instance)
         x = allocation_from_json(_load_json(args.allocation), inst)
-        verdict = core_mod.core_membership_bruteforce(inst, x)
-        _emit(core_mod.verdict_to_json(inst, verdict))
+        verdict = oracles.core_membership_bruteforce(inst, x)
+        _emit(verdict_to_json(inst, verdict))
         return EXIT_OK if verdict.in_core else EXIT_NEGATIVE
     if args.engine == "selftest":
-        return _oracle_selftest(args.count, args.seed)
+        failure = oracles._oracle_selftest(args.count, args.seed)
+        if failure:
+            print(failure, file=sys.stderr)
+            return EXIT_NEGATIVE
+        _emit({"selftest": "ok", "trials": args.count})
+        return EXIT_OK
     raise InputError(f"unknown oracle engine {args.engine!r}")
 
 
-def _oracle_selftest(count: int, seed: int) -> int:
-    """Random cross-checks of the engines against the brute-force oracles."""
-    import random
-
-    from . import core as core_mod
-    from . import matching as matching_mod
-    from . import oracles
-    from .randomgen import random_allocation, random_instance
-
-    rng = random.Random(seed)
-    for k in range(count):
-        # Every other game is bipartite, so both integer dual passes (on the
-        # game itself and on its double cover) meet the oracles.
-        inst = random_instance(
-            rng, n_range=(3, 8), max_extra_edges=5, b_range=(1, 2), max_weight=7,
-            bipartite=k % 2 == 1,
-        )
-        opt = matching_mod.lp_optimum(inst)
-        value = opt.weight
-        _, brute = oracles.max_weight_b_matching_bruteforce(inst)
-        if value != brute:
-            print(f"selftest {k}: engine {value} != oracle {brute}", file=sys.stderr)
-            return EXIT_NEGATIVE
-        half = oracles.max_half_b_matching_bruteforce(inst)
-        if opt.half != half:
-            print(f"selftest {k}: LP optimum {opt.half} != oracle {half}", file=sys.stderr)
-            return EXIT_NEGATIVE
-        x = random_allocation(rng, inst, value)
-        fast = core_mod.core_membership_b2(inst, x)
-        slow = core_mod.core_membership_bruteforce(inst, x)
-        if fast.kind != slow.kind:
-            print(f"selftest {k}: core verdicts differ", file=sys.stderr)
-            return EXIT_NEGATIVE
-    _emit({"selftest": "ok", "trials": count})
-    return EXIT_OK
+# Each subcommand: its function, help, positionals (a trailing "?" marks one
+# that may be left out) and options with their defaults: False for a flag, an
+# int or `int` for an int, REQUIRED for a value that must be given. CHOICES
+# holds the values that the command, a positional or an option may take.
+REQUIRED = object()
+COMMANDS = {
+    "solve": (_cmd_solve, "find a stable solution or a fractional witness", ["instance"],
+              {"--split-rule": "half", "--sellers": None}),
+    "verify-stable": (_cmd_verify_stable, "check compatibility and stability of a solution",
+                      ["instance", "solution"], {}),
+    "core-check": (_cmd_core_check, "decide core membership of an allocation", ["instance", "allocation"],
+                   {"--brute-force": False}),
+    "reduce": (_cmd_reduce, "expand to the unit-capacity instance", ["instance"], {}),
+    "value": (_cmd_value, "coalition value v(S)", ["instance"], {"--coalition": REQUIRED}),
+    "gen": (_cmd_gen, "generate a named instance family", [],
+            {"--family": REQUIRED, "--alpha": int, "--weight": None, "--input": None}),
+    "oracle": (_cmd_oracle, "run brute-force oracles", ["engine", "instance?", "allocation?"],
+               {"--count": 25, "--seed": 0}),
+}
+CHOICES = {"command": COMMANDS, "split_rule": stability_mod.SPLIT_RULES,
+           "engine": ("b-matching", "half", "core-check", "selftest")}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="stablefixtures",
-        description="Exact solver for stable fixtures with payments.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _usage(command) -> str:
+    def metavar(name: str) -> str:
+        return "{" + ",".join(CHOICES[name.lower()]) + "}" if name.lower() in CHOICES else name
 
-    p = sub.add_parser("solve", help="find a stable solution or a fractional witness")
-    p.add_argument("instance")
-    p.add_argument("--split-rule", dest="split_rule", choices=stability_mod.SPLIT_RULES, default="half")
-    p.add_argument("--sellers", help="comma-separated seller side for seller_side splits")
-    p.set_defaults(func=_cmd_solve)
+    if command is None:
+        return f"usage: stablefixtures [-h] {metavar('command')} ..."
+    _, _, positionals, options = COMMANDS[command]
+    words = ["usage: stablefixtures", command, "[-h]"]
+    for opt, default in options.items():
+        word = opt if default is False else f"{opt} {metavar(opt[2:].replace('-', '_').upper())}"
+        words.append(word if default is REQUIRED else f"[{word}]")
+    return " ".join(words + [f"[{p[:-1]}]" if p[-1] == "?" else metavar(p) for p in positionals])
 
-    p = sub.add_parser("verify-stable", help="check compatibility and stability of a solution")
-    p.add_argument("instance")
-    p.add_argument("solution")
-    p.set_defaults(func=_cmd_verify_stable)
 
-    p = sub.add_parser("core-check", help="decide core membership of an allocation")
-    p.add_argument("instance")
-    p.add_argument("allocation")
-    p.add_argument("--brute-force", action="store_true", dest="brute_force")
-    p.set_defaults(func=_cmd_core_check)
+def _exit(command, code: int, message: str):
+    """Help on stdout and exit 0, or the usage and one error line on stderr and exit 2."""
+    text = f"stablefixtures: error: {message}" if code else f"\n{message}"
+    (sys.stderr if code else sys.stdout).write(f"{_usage(command)}\n{text}\n")
+    raise SystemExit(code)
 
-    p = sub.add_parser("reduce", help="expand to the unit-capacity instance")
-    p.add_argument("instance")
-    p.set_defaults(func=_cmd_reduce)
 
-    p = sub.add_parser("value", help="coalition value v(S)")
-    p.add_argument("instance")
-    p.add_argument("--coalition", required=True, help="comma-separated player ids")
-    p.set_defaults(func=_cmd_value)
+def _value(command, name: str, default, value: str):
+    """`value` of option or positional `name`, checked against its choices
+    and made an int where its default is one."""
+    choices = CHOICES.get(name.lstrip("-").replace("-", "_"), (value,))
+    if value not in choices:
+        choices = ", ".join(map(repr, choices))
+        _exit(command, 2, f"argument {name}: invalid choice: {value!r} (choose from {choices})")
+    try:
+        return int(value) if default is int or type(default) is int else value
+    except ValueError:
+        _exit(command, 2, f"argument {name}: invalid int value: {value!r}")
 
-    p = sub.add_parser("gen", help="generate a named instance family")
-    p.add_argument("--family", required=True)
-    p.add_argument("--alpha", type=int)
-    p.add_argument("--weight")
-    p.add_argument("--input", help="instance JSON used as the input graph")
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("oracle", help="run brute-force oracles")
-    p.add_argument("engine", choices=["b-matching", "half", "core-check", "selftest"])
-    p.add_argument("instance", nargs="?")
-    p.add_argument("allocation", nargs="?")
-    p.add_argument("--count", type=int, default=25)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_oracle)
+def _is_option(token: str) -> bool:
+    return token[:1] == "-" and token != "-" and not token[1:].replace(".", "", 1).isdigit()
 
-    return parser
+
+def parse_args(argv: list[str]):
+    """The namespace of a command line (program name left out) whose `func`
+    runs its subcommand. Options come anywhere after the subcommand, as
+    `--opt value` or `--opt=value`, `--opt` cut to any unique prefix; `--`
+    ends them. `-h` or `--help` prints help and exits 0; a usage error
+    prints the usage and one `stablefixtures: error:` line and exits 2."""
+    if argv[:1] in (["-h"], ["--help"]):
+        lines = "".join(f"\n  {name:<15}{spec[1]}" for name, spec in COMMANDS.items())
+        _exit(None, 0, "Exact solver for stable fixtures with payments.\n\ncommands:" + lines)
+    if not argv:
+        _exit(None, 2, "the following arguments are required: command")
+    command, tokens = _value(None, "command", None, argv[0]), iter(argv[1:])
+    func, about, positionals, options = COMMANDS[command]
+    values = {opt: None if default in (int, REQUIRED) else default for opt, default in options.items()}
+    given, unknown = [], []
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        found = [opt for opt in ("--help", *options) if opt.startswith(name)] if name[:2] == "--" else [name]
+        opt = name if name in options else found[0] if len(found) == 1 else None
+        if token == "--":
+            given += tokens
+        elif not _is_option(token):
+            given.append(token)
+        elif opt in ("-h", "--help"):
+            _exit(command, 0, about)
+        elif opt not in options or options[opt] is False and eq:
+            unknown.append(token)
+        elif options[opt] is False:
+            values[opt] = True
+        else:
+            if not eq and _is_option(value := next(tokens, "--")):
+                _exit(command, 2, f"argument {opt}: expected one argument")
+            values[opt] = _value(command, opt, options[opt], value)
+    missing = [p for p in positionals[len(given):] if p[-1] != "?"]
+    missing += [opt for opt, default in options.items() if default is REQUIRED and values[opt] is None]
+    if missing:
+        _exit(command, 2, f"the following arguments are required: {', '.join(missing)}")
+    args = {opt[2:].replace("-", "_"): value for opt, value in values.items()}
+    for p, value in zip(positionals, given + [None] * len(positionals)):
+        args[p.rstrip("?")] = value if value is None else _value(command, p, None, value)
+    if unknown + given[len(positionals):]:
+        _exit(None, 2, "unrecognized arguments: " + " ".join(unknown + given[len(positionals):]))
+    return types.SimpleNamespace(command=command, func=func, **args)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except InputError as exc:

@@ -15,13 +15,13 @@ Both run on the weights times their common denominator (`scale_to_integers`);
 the LP pass, its certificate and the cover fold stay in those integers, and
 `Fraction`s are built once, for the results.
 
-The LP dual `DualSolution` and its feasibility and objective checks live
-here too. `lp_optimum` is the front end for every question about a game's
-optimum: one unperturbed pass gives the LP optimum and an optimal dual (on
-the game itself when it is bipartite, whose LP is integral, and on the
-bipartite double cover, `dual_from_duplicated`, otherwise), and the engine
-then runs only on the dual's complementary-slack residual, or on the whole
-game when that residual cannot reach the LP optimum.
+The LP dual `DualSolution` lives here too; its `Fraction` checks, which no
+CLI request runs, live in `duals`. `lp_optimum` is the front end for every
+question about a game's optimum: one unperturbed pass gives the LP optimum
+and an optimal dual (on the game itself when it is bipartite, whose LP is
+integral, and on the bipartite double cover, `_cover_pass`, otherwise),
+and the engine then runs only on the dual's complementary-slack residual,
+or on the whole game when that residual cannot reach the LP optimum.
 
 Ties among optimal b-matchings are broken toward the lexicographically
 smallest edge set under the instance's edge order, implemented by a weight
@@ -36,18 +36,17 @@ import heapq
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import InputError, InternalError, NotBipartiteError
+from . import _moved_from
+from .errors import InternalError
 from .instance import Edge, Instance, _fresh_name
 from .rationals import format_rational, parse_rational, scale_to_integers
 
-
-def __getattr__(name):
-    """The brute-force oracles of `oracles`, loaded on first use (PEP 562)."""
-    if name in ("max_weight_b_matching_bruteforce", "max_half_b_matching_bruteforce"):
-        from . import oracles
-
-        return getattr(oracles, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__ = _moved_from(
+    __name__,
+    oracles="max_half_b_matching_bruteforce max_weight_b_matching_bruteforce",
+    duals="DualFeasibility bipartite_max_weight_b_matching_with_duals bipartite_optimum_with_duals"
+    " dual_from_duplicated dual_objective is_dual_feasible priced_dual tighten_d",
+)
 
 
 # ---------------------------------------------------------------------------
@@ -77,17 +76,13 @@ def weight(inst: Instance, edges: Iterable[tuple[str, str]]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _perturbed_int_weights(inst: Instance) -> dict[Edge, int]:
-    """The instance's scaled weights, perturbed by `_perturbed`."""
-    return _perturbed(inst, scale_to_integers(inst.edge_weights())[0])
-
-
 def _perturbed(inst: Instance, base: Mapping[Edge, int]) -> dict[Edge, int]:
     """Integer weights `base` with a bonus of 2^(m-1-k) on the k-th edge.
 
     The bonuses sum to < 2^m while base gaps are multiples of 2^(m+1), so a
     perturbed optimum is an unperturbed optimum whose edge set is the
-    greedy-lexicographically smallest one; in particular it is unique.
+    greedy-lexicographically smallest one; in particular it is unique, and
+    the same for every positive multiple of `base`.
     """
     edges = inst.edges
     m = len(edges)
@@ -113,20 +108,21 @@ def max_weight_b_matching(inst: Instance) -> tuple[frozenset[Edge], Fraction]:
 
 
 def _tie_broken(inst: Instance, base: Mapping[Edge, int]) -> frozenset[Edge]:
-    """The tie-broken optimum: SSP on the perturbed `base` when bipartite,
-    else the edge gadgets (which scale the weights themselves)."""
+    """The tie-broken optimum of the integer weights `base`, any positive
+    multiple of the scaled weights: SSP on the perturbed `base` when
+    bipartite, else the edge gadgets."""
     coloring = inst.two_coloring()
     if coloring is not None:
         matching, _ = _ssp_flow(inst, _perturbed(inst, base), coloring)
     else:
-        matching = _general_matching(inst)
+        matching = _general_matching(inst, base)
     if not is_b_matching(inst, matching):
         raise InternalError("matching engine overfilled a player")
     return matching
 
 
-def _general_matching(inst: Instance) -> frozenset[Edge]:
-    """The tie-broken optimum through the edge gadget.
+def _general_matching(inst: Instance, base: Mapping[Edge, int]) -> frozenset[Edge]:
+    """The tie-broken optimum of `base` through the edge gadget.
 
     Player i gets min(b(i), deg(i)) copies. An edge ij whose ends both have
     two or more copies gets an end vertex for i and one for j, joined to
@@ -140,7 +136,7 @@ def _general_matching(inst: Instance) -> frozenset[Edge]:
     """
     from .blossom import max_weight_matching
 
-    perturbed = _perturbed_int_weights(inst)
+    perturbed = _perturbed(inst, base)
     # Vertex numbers: player p's copies form copies[p]; end vertices of the
     # gadgeted edges follow all copies, two by two.
     copies, n = {}, 0
@@ -195,70 +191,10 @@ class DualSolution(NamedTuple):
     d: dict[Edge, Fraction]
 
 
-class DualFeasibility(NamedTuple):
-    feasible: bool
-    violated_edges: tuple[Edge, ...]
-    negative_y: tuple[str, ...]
-    negative_d: tuple[Edge, ...]
-
-
-def dual_objective(inst: Instance, dual: DualSolution) -> Fraction:
-    """sum b(i) y(i) + sum d(ij); every player and edge needs an entry."""
-    missing_y = [p for p in inst.players if p not in dual.y]
-    if missing_y:
-        raise InputError(f"dual vector missing players {missing_y}")
-    d = {inst.edge_key(u, v): q for (u, v), q in dual.d.items()}
-    missing_d = [e for e in inst.edges if e not in d]
-    if missing_d:
-        raise InputError(f"dual vector missing edges {missing_d}")
-    return Fraction(_objective(inst, dual.y, d))
-
-
 def _objective(inst: Instance, y: Mapping[str, Fraction], d: Mapping[Edge, Fraction]):
     """sum b(i) y(i) + sum d(ij) in the entries' own type (Fraction or int)."""
     capacity = inst.capacity
     return sum(capacity[p] * y[p] for p in inst.players) + sum(d[e] for e in inst.edges)
-
-
-def is_dual_feasible(inst: Instance, dual: DualSolution) -> DualFeasibility:
-    """Check y(i) + y(j) + d(ij) >= w(ij), y >= 0, d >= 0 exactly."""
-    d = {inst.edge_key(u, v): q for (u, v), q in dual.d.items()}
-    violated = tuple(
-        (u, v)
-        for (u, v) in inst.edges
-        if dual.y.get(u, Fraction(0)) + dual.y.get(v, Fraction(0)) + d.get((u, v), Fraction(0))
-        < inst.weight(u, v)
-    )
-    neg_y = tuple(p for p in inst.players if dual.y.get(p, Fraction(0)) < 0)
-    neg_d = tuple(e for e in inst.edges if d.get(e, Fraction(0)) < 0)
-    return DualFeasibility(
-        feasible=not (violated or neg_y or neg_d),
-        violated_edges=violated,
-        negative_y=neg_y,
-        negative_d=neg_d,
-    )
-
-
-def tighten_d(inst: Instance, y: Mapping[str, Fraction]) -> dict[Edge, Fraction]:
-    """The pointwise smallest feasible d: d(ij) = max(w(ij) - y(i) - y(j), 0)."""
-    out = {}
-    for (u, v) in inst.edges:
-        gap = inst.weight(u, v) - y[u] - y[v]
-        out[(u, v)] = gap if gap > 0 else Fraction(0)
-    return out
-
-
-def priced_dual(inst: Instance, y: Mapping[str, Fraction]) -> DualSolution:
-    """The dual with prices y and the tightened d.
-
-    Capacity-0 players (zero objective coefficient) are priced at their
-    heaviest incident edge, so every such edge keeps zero slack.
-    """
-    y = dict(y)
-    for p in inst.players:
-        if inst.b(p) == 0:
-            y[p] = max([Fraction(0)] + [inst.weight(p, q) for q in inst.neighbors(p)])
-    return DualSolution(y=y, d=tighten_d(inst, y))
 
 
 # ---------------------------------------------------------------------------
@@ -338,10 +274,27 @@ def max_half_b_matching_weight(inst: Instance) -> tuple[Fraction, HalfBMatching]
     Computed as the maximum-weight b-matching of the duplicated instance
     (one perturbed pass on the double cover): f(ij) = (x(i'j'') + x(i''j')) / 2
     preserves the weight exactly. Callers that need only the value should use
-    `bipartite_optimum_with_duals` on the cover, which skips the perturbation.
+    `lp_optimum`, whose unperturbed pass gives it as `half`.
     """
+    return _half_witness(inst, *_cover_weights(inst, scale_to_integers(inst.edge_weights())[0]))
+
+
+def _cover_weights(inst: Instance, base: Mapping[Edge, int]):
+    """The double cover and its integer weights: both cross edges of ij
+    weigh base(ij), that is w(ij)/2 on twice the scale of `base`."""
     dup = duplicated_instance(inst)
-    matching, dup_weight = max_weight_b_matching(dup.instance)
+    key, left, right = dup.instance.edge_key, dup.left, dup.right
+    cover_base = {}
+    for (i, j) in inst.edges:
+        cover_base[key(left[i], right[j])] = cover_base[key(left[j], right[i])] = base[(i, j)]
+    return dup, cover_base
+
+
+def _half_witness(inst: Instance, dup: DuplicatedInstance, cover_base) -> tuple[Fraction, HalfBMatching]:
+    """`max_half_b_matching_weight` from the double cover `dup` and its
+    integer weights `cover_base` (`_cover_weights`)."""
+    matching = _tie_broken(dup.instance, cover_base)
+    dup_weight = weight(dup.instance, matching)
     values: dict[Edge, Fraction] = {}
     for (i, j) in inst.edges:
         hits = 0
@@ -360,38 +313,6 @@ def max_half_b_matching_weight(inst: Instance) -> tuple[Fraction, HalfBMatching]
 # ---------------------------------------------------------------------------
 # Bipartite engine: successive shortest paths with potentials
 # ---------------------------------------------------------------------------
-
-
-def bipartite_max_weight_b_matching_with_duals(
-    inst: Instance,
-) -> tuple[frozenset[Edge], DualSolution]:
-    """The tie-broken maximum-weight b-matching of a bipartite instance and
-    an optimal LP dual.
-
-    The dual comes from `bipartite_optimum_with_duals`; the perturbed pass
-    must reach its certified optimum, which makes the two complementary
-    slack. Callers that need only the optimum weight and a dual should use
-    `bipartite_optimum_with_duals` alone.
-    """
-    optimum, dual = bipartite_optimum_with_duals(inst)
-    matching, value = max_weight_b_matching(inst)
-    if value != optimum:
-        raise InternalError(
-            f"tie-broken bipartite matching weighs {format_rational(value)}, "
-            f"optimum is {format_rational(optimum)}"
-        )
-    return matching, dual
-
-
-def bipartite_optimum_with_duals(inst: Instance) -> tuple[Fraction, DualSolution]:
-    """Maximum b-matching weight and an optimal LP dual of a bipartite
-    instance, from one unperturbed pass certified by `_certified_pass`."""
-    coloring = inst.two_coloring()
-    if coloring is None:
-        raise NotBipartiteError("instance is not bipartite")
-    base, scale = scale_to_integers(inst.edge_weights())
-    primal, y, d = _certified_pass(inst, base, scale, coloring)
-    return Fraction(primal, scale), _fraction_dual(y, d, scale)
 
 
 def _certified_pass(inst: Instance, base: Mapping[Edge, int], scale: int, coloring):
@@ -555,27 +476,15 @@ def _ssp_flow(
 # ---------------------------------------------------------------------------
 
 
-def dual_from_duplicated(inst: Instance) -> tuple[Fraction, DualSolution]:
-    """The half-b-matching optimum and an optimal dual of Dual-(G, b, w),
-    from one certified pass on the bipartite double cover (`_cover_pass`)."""
-    base, scale = scale_to_integers(inst.edge_weights())
-    half, y, d = _cover_pass(inst, base, scale)
-    return Fraction(half, 2 * scale), _fraction_dual(y, d, 2 * scale)
-
-
-def _cover_pass(inst: Instance, base: Mapping[Edge, int], scale: int):
+def _cover_pass(inst: Instance, dup: DuplicatedInstance, cover_base: Mapping[Edge, int], scale: int):
     """The half-b-matching optimum and an optimal dual, times 2 * scale, from
-    one `_certified_pass` on the double cover, whose cross edges of ij weigh
-    w(ij)/2 = base(ij) / (2 * scale). Folding its dual (y(i) = y(i') + y(i''),
-    d(ij) = the slacks of both cross edges) keeps it feasible and keeps its
-    objective, the LP optimum.
+    one `_certified_pass` on the double cover `dup`, whose cross edges of ij
+    weigh w(ij)/2 = base(ij) / (2 * scale) (`_cover_weights`). Folding its
+    dual (y(i) = y(i') + y(i''), d(ij) = the slacks of both cross edges)
+    keeps it feasible and keeps its objective, the LP optimum.
     """
-    dup = duplicated_instance(inst)
     cover, left, right = dup.instance, dup.left, dup.right
     key = cover.edge_key
-    cover_base = {}
-    for (i, j) in inst.edges:
-        cover_base[key(left[i], right[j])] = cover_base[key(left[j], right[i])] = base[(i, j)]
     half, cy, cd = _certified_pass(cover, cover_base, 2 * scale, cover.two_coloring())
     y = {i: cy[left[i]] + cy[right[i]] for i in inst.players}
     d = {
@@ -617,18 +526,21 @@ def lp_optimum(inst: Instance) -> LPOptimum:
 
 
 def _lp_optimum(inst: Instance):
-    """`lp_optimum` and its dual as integers (y, d, denom): the dual times
-    `denom`, the weights' scale (twice it for the cover). All of it, down
-    to the residual's perturbed weights, runs on those integers.
+    """`lp_optimum`, its dual as integers (y, d, denom): the dual times
+    `denom`, the weights' scale (twice it for the cover), and the double
+    cover with its integer weights (`_cover_weights`; None when the game is
+    bipartite). All of it, down to the residual's perturbed weights, runs
+    on those integers.
     """
     weights = inst.edge_weights()
     base, scale = scale_to_integers(weights)
-    coloring = inst.two_coloring()
+    coloring, cover = inst.two_coloring(), None
     if coloring is not None:
         half, y, d = _certified_pass(inst, base, scale, coloring)
         denom = scale
     else:
-        half, y, d = _cover_pass(inst, base, scale)
+        cover = _cover_weights(inst, base)
+        half, y, d = _cover_pass(inst, *cover, scale)
         denom = 2 * scale
     unit = denom // scale
     forced = frozenset(e for e in inst.edges if d[e] > 0)
@@ -663,7 +575,7 @@ def _lp_optimum(inst: Instance):
             f"b-matching optimum {format_rational(Fraction(total, denom))}"
         )
     dual = _fraction_dual(y, d, denom)
-    return LPOptimum(matching, Fraction(total, denom), Fraction(half, denom), dual), (y, d, denom)
+    return LPOptimum(matching, Fraction(total, denom), Fraction(half, denom), dual), (y, d, denom), cover
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Exhaustive brute-force oracles, independent of the matching engines.
+"""Exhaustive brute-force oracles, independent of the matching engines, and
+the cross-checks of `oracle selftest`, which pit the engines against them.
 
 Only the `oracle` commands, `core-check --brute-force` and the tests import
 this module, so `solve`, `core-check` and `value` never compile it.
@@ -7,12 +8,14 @@ this module, so `solve`, `core-check` and `value` never compile it.
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Mapping
 
 from .errors import BoundExceededError
-from .instance import Edge, Instance
+from .instance import Edge, Instance, induced
 
 BRUTE_FORCE_EDGE_BOUND = 22
 HALF_BRUTE_FORCE_EDGE_BOUND = 12
+CORE_BRUTE_FORCE_PLAYER_BOUND = 16
 
 
 def max_weight_b_matching_bruteforce(
@@ -80,3 +83,71 @@ def max_half_b_matching_bruteforce(
 
     recurse(0, Fraction(0))
     return best
+
+
+def core_membership_bruteforce(
+    inst: Instance,
+    x: Mapping[str, Fraction],
+    max_players: int = CORE_BRUTE_FORCE_PLAYER_BOUND,
+):
+    """Enumerate every nonempty coalition; exact but exponential.
+
+    Coalition values come from the brute-force matching oracle, keeping this
+    path fully independent of the main engines (violations are still
+    re-certified against the engine before being returned). Returns a
+    `core.CoreVerdict`.
+    """
+    from .core import CoreVerdict, _coalition_total, _violation
+
+    if inst.n > max_players:
+        raise BoundExceededError(
+            f"{inst.n} players exceed the brute-force bound {max_players}"
+        )
+    _coalition_total(inst, x, inst.players)
+    players = inst.players
+    for mask in range(1, 1 << inst.n):
+        coalition = [players[k] for k in range(inst.n) if mask >> k & 1]
+        sub = induced(inst, coalition)
+        _, value = max_weight_b_matching_bruteforce(sub)
+        if _coalition_total(inst, x, coalition) < value:
+            return _violation(inst, x, coalition)
+    grand_total = _coalition_total(inst, x, players)
+    _, grand_value = max_weight_b_matching_bruteforce(inst)
+    if grand_total != grand_value:
+        return CoreVerdict(
+            kind="not_allocation", grand_total=grand_total, grand_value=grand_value
+        )
+    return CoreVerdict(kind="in_core")
+
+
+def _oracle_selftest(count: int, seed: int) -> str | None:
+    """Random cross-checks of the engines against the brute-force oracles:
+    the first disagreement of `count` trials, or None."""
+    import random
+
+    from .core import core_membership_b2
+    from .matching import lp_optimum
+    from .randomgen import random_allocation, random_instance
+
+    rng = random.Random(seed)
+    for k in range(count):
+        # Every other game is bipartite, so both integer dual passes (on the
+        # game itself and on its double cover) meet the oracles.
+        inst = random_instance(
+            rng, n_range=(3, 8), max_extra_edges=5, b_range=(1, 2), max_weight=7,
+            bipartite=k % 2 == 1,
+        )
+        opt = lp_optimum(inst)
+        value = opt.weight
+        _, brute = max_weight_b_matching_bruteforce(inst)
+        if value != brute:
+            return f"selftest {k}: engine {value} != oracle {brute}"
+        half = max_half_b_matching_bruteforce(inst)
+        if opt.half != half:
+            return f"selftest {k}: LP optimum {opt.half} != oracle {half}"
+        x = random_allocation(rng, inst, value)
+        fast = core_membership_b2(inst, x)
+        slow = core_membership_bruteforce(inst, x)
+        if fast.kind != slow.kind:
+            return f"selftest {k}: core verdicts differ"
+    return None

@@ -12,14 +12,10 @@ is bipartite, on its bipartite double cover otherwise) turns a
 maximum-weight b-matching into stable payoffs p(i,j) = y(i) + xi(i,j) with
 xi splitting the slack d(ij) of each matched edge.
 
-The dual type `DualSolution`, its checks (`is_dual_feasible`,
-`dual_objective`, `tighten_d`) and the double-cover pass
-`dual_from_duplicated` are defined in `matching` and re-exported here.
-`solve` and `has_stable_solution` read one `matching.lp_optimum`: the
-half-b-matching optimum, an optimal dual and the tie-broken b-matching.
-`solve` certifies that matching once against the pass's integer dual
-(`_stable_solution`), and `stable_from_dual` scales its dual once to reach
-the same check; `require_stable` on the finished solution is the last one.
+`solve` reads one `matching.lp_optimum` and certifies its tie-broken
+b-matching once against the pass's integer dual (`_stable_solution`);
+`require_stable` on the finished solution is the last check. The
+`Fraction` dual path (`stable_from_dual`, ...) lives in `duals`.
 
 Pure pipeline over immutable inputs; no global state.
 """
@@ -27,48 +23,23 @@ Pure pipeline over immutable inputs; no global state.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, NamedTuple
 
-from .errors import (
-    DualityGapError,
-    InputError,
-    InternalError,
-    NotMaximumWeightError,
-    PreconditionError,
+from . import _moved_from
+from .errors import DualityGapError, InputError, InternalError, NotMaximumWeightError, PreconditionError
+from .instance import Instance
+from .matching import (
+    DualSolution, HalfBMatching, _half_witness, _lp_optimum, _objective, is_b_matching, lp_optimum
 )
-from .instance import Edge, Instance
-from .matching import (  # DualFeasibility, tighten_d, dual_from_duplicated are re-exported
-    DualFeasibility,
-    DualSolution,
-    HalfBMatching,
-    _lp_optimum,
-    _objective,
-    dual_from_duplicated,
-    dual_objective,
-    is_b_matching,
-    is_dual_feasible,
-    lp_optimum,
-    max_half_b_matching_weight,
-    priced_dual,
-    tighten_d,
-    weight,
-)
-from .rationals import common_denominator, format_rational
-from .stability import (
-    SPLIT_RULES,
-    PayoffMatrix,
-    Solution,
-    require_stable,
-    resolve_sides,
-    utilities,
-)
+from .rationals import format_rational
+from .stability import SPLIT_RULES, PayoffMatrix, Solution, require_stable, resolve_sides
 
-
-class SlacknessReport(NamedTuple):
-    clean: bool
-    unsaturated_with_price: tuple[str, ...]
-    unmatched_with_slack: tuple[Edge, ...]
-    matched_not_tight: tuple[Edge, ...]
+__getattr__ = _moved_from(
+    __name__,
+    duals="DualFeasibility SlacknessReport dual_from_duplicated dual_from_stable dual_objective"
+    " has_stable_solution is_dual_feasible primal_objective stable_from_dual tighten_d"
+    " verify_complementary_slackness",
+)
 
 
 class SolveOutcome(NamedTuple):
@@ -81,49 +52,6 @@ class SolveOutcome(NamedTuple):
     solution: Solution | None = None
     dual: DualSolution | None = None
     witness: HalfBMatching | None = None
-
-
-def primal_objective(inst: Instance, x: Mapping[tuple[str, str], Fraction]) -> Fraction:
-    """sum w(ij) x(ij); every edge needs an entry."""
-    values = {inst.edge_key(u, v): q for (u, v), q in x.items()}
-    missing = [e for e in inst.edges if e not in values]
-    if missing:
-        raise InputError(f"primal vector missing edges {missing}")
-    return sum((inst.weight(u, v) * values[(u, v)] for (u, v) in inst.edges), Fraction(0))
-
-
-def has_stable_solution(inst: Instance) -> bool:
-    """Exact equality test between the integral and fractional optima."""
-    opt = lp_optimum(inst)
-    return opt.weight == opt.half
-
-
-def stable_from_dual(
-    inst: Instance,
-    matching: Iterable[tuple[str, str]],
-    dual: DualSolution,
-    split_rule: str = "half",
-    sellers: Iterable[str] | None = None,
-) -> Solution:
-    """Assemble stable payoffs from a maximum-weight b-matching and an
-    optimal dual: p(i,j) = y(i) + xi(i,j) on matched edges, zero elsewhere.
-
-    split_rule "half" shares each matched slack d(ij) equally; "seller_side"
-    hands it entirely to the buyer, reproducing uniform seller prices on
-    bipartite instances. Certified and split by `_stable_solution`, on the
-    common denominator of the dual and the weights.
-    """
-    m = inst.canonical_edge_set(matching)
-    d = {inst.edge_key(u, v): q for (u, v), q in dual.d.items()}
-    for name, keys, entries in (("players", inst.players, dual.y), ("edges", inst.edges, d)):
-        missing = [k for k in keys if k not in entries]
-        if missing:
-            raise InputError(f"dual vector missing {name} {missing}")
-    y = {p: dual.y[p] for p in inst.players}
-    d = {e: d[e] for e in inst.edges}
-    n = common_denominator([*inst.edge_weights().values(), *y.values(), *d.values()])
-    scaled = ({p: int(q * n) for p, q in y.items()}, {e: int(q * n) for e, q in d.items()}, n)
-    return _stable_solution(inst, m, dual, scaled, split_rule, sellers)
 
 
 def _stable_solution(inst, m, dual, scaled, split_rule, sellers) -> Solution:
@@ -143,6 +71,8 @@ def _stable_solution(inst, m, dual, scaled, split_rule, sellers) -> Solution:
         or any(q < 0 for q in d.values())
         or any(y[u] + y[v] + d[(u, v)] < w[(u, v)] for (u, v) in inst.edges)
     ):
+        from .duals import is_dual_feasible
+
         raise PreconditionError(f"infeasible dual: {is_dual_feasible(inst, dual)}")
     w_m = sum(w[e] for e in m)
     if _objective(inst, y, d) != w_m:
@@ -174,22 +104,6 @@ def _stable_solution(inst, m, dual, scaled, split_rule, sellers) -> Solution:
     return sol
 
 
-def dual_from_stable(inst: Instance, sol: Solution) -> DualSolution:
-    """Read an optimal dual off a stable solution: y = utilities, d tightened.
-
-    Stability gives feasibility; the objective collapses to the matching
-    weight because unsaturated players have zero utility. Capacity-0 players
-    (infinite blocking utility) are priced by `priced_dual`.
-    """
-    require_stable(inst, sol)
-    dual = priced_dual(inst, utilities(inst, sol))
-    if not is_dual_feasible(inst, dual).feasible:
-        raise InternalError("dual read off a stable solution is infeasible")
-    if dual_objective(inst, dual) != weight(inst, sol.matching):
-        raise InternalError("dual read off a stable solution misses the matching weight")
-    return dual
-
-
 def solve(
     inst: Instance,
     split_rule: str = "half",
@@ -202,12 +116,13 @@ def solve(
     tie-broken b-matching, matched on the dual's complementary-slack
     residual where that reaches the half optimum; `_stable_solution`
     certifies the stable answer once against the same dual, in the scaled
-    integers the pass produced. Otherwise the perturbed cover pass gives
-    the witness.
+    integers the pass produced. Otherwise one perturbed pass on the same
+    double cover and integer weights gives the witness.
     """
-    opt, scaled = _lp_optimum(inst)
+    opt, scaled, cover = _lp_optimum(inst)
     if opt.weight != opt.half:
-        witness_weight, witness = max_half_b_matching_weight(inst)
+        # A bipartite game is always stable, so the pass ran on the cover.
+        witness_weight, witness = _half_witness(inst, *cover)
         if witness_weight != opt.half:
             raise InternalError(
                 f"half-b-matching witness weighs {format_rational(witness_weight)}, "
@@ -226,49 +141,6 @@ def solve(
         half_weight=opt.half,
         solution=sol,
         dual=opt.dual,
-    )
-
-
-def verify_complementary_slackness(
-    inst: Instance, x: Mapping[tuple[str, str], Fraction], dual: DualSolution
-) -> SlacknessReport:
-    """The three optimality conditions for a 0/1 primal and a feasible dual.
-
-    Unsaturated player => zero price; unmatched edge => zero slack; matched
-    edge => tight dual constraint. A clean report certifies both optimal.
-    """
-    values = {inst.edge_key(u, v): q for (u, v), q in x.items()}
-    deg: dict[str, Fraction] = {p: Fraction(0) for p in inst.players}
-    for e in inst.edges:
-        q = values.get(e, Fraction(0))
-        if q not in (Fraction(0), Fraction(1)):
-            raise PreconditionError(f"primal value x{e} = {q} is not 0/1")
-        deg[e[0]] += q
-        deg[e[1]] += q
-    for p, load in deg.items():
-        if load > inst.b(p):
-            raise PreconditionError(f"primal infeasible at {p}")
-    feas = is_dual_feasible(inst, dual)
-    if not feas.feasible:
-        raise PreconditionError(f"infeasible dual: {feas}")
-
-    unsaturated = tuple(
-        p for p in inst.players if deg[p] < inst.b(p) and dual.y[p] != 0
-    )
-    unmatched = tuple(
-        e for e in inst.edges if values.get(e, Fraction(0)) == 0 and dual.d[e] != 0
-    )
-    loose = tuple(
-        (u, v)
-        for (u, v) in inst.edges
-        if values.get((u, v), Fraction(0)) == 1
-        and dual.y[u] + dual.y[v] + dual.d[(u, v)] != inst.weight(u, v)
-    )
-    return SlacknessReport(
-        clean=not (unsaturated or unmatched or loose),
-        unsaturated_with_price=unsaturated,
-        unmatched_with_slack=unmatched,
-        matched_not_tight=loose,
     )
 
 

@@ -1,5 +1,5 @@
-"""Solutions (M, p), utilities, stability, equivalence, and the bipartite
-lattice and competitive-equilibrium constructions.
+"""Solutions (M, p), utilities, stability, and the seller side of a
+bipartite game.
 
 A solution pairs a b-matching M with a payoff matrix p that splits the weight
 of every matched edge between its ends and is zero elsewhere. Player i's
@@ -15,24 +15,21 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
+from . import _moved_from
 from .errors import (
-    IncompatibleSolutionError,
-    InputError,
-    InternalError,
-    NotMaximumWeightError,
-    PreconditionError,
-    UnknownEdgeError,
-    UnstableSolutionError,
+    IncompatibleSolutionError, InputError, PreconditionError, UnknownEdgeError, UnstableSolutionError
 )
 from .instance import Edge, Instance
 from .rationals import format_rational, parse_rational
+
+__getattr__ = _moved_from(__name__, transfers="are_equivalent meet_join rematch to_competitive_equilibrium")
 
 PayoffMatrix = dict[tuple[str, str], Fraction]
 
 # The payoff of an omitted entry; a Fraction is immutable, so one is shared.
 _ZERO = Fraction(0)
 
-# How `solver.stable_from_dual` shares a matched edge's slack d(ij).
+# How `solve` and `duals.stable_from_dual` share a matched edge's slack d(ij).
 SPLIT_RULES = ("half", "seller_side")
 
 
@@ -167,68 +164,6 @@ def total_payoff(inst: Instance, payoffs: Mapping[tuple[str, str], Fraction]) ->
     return out
 
 
-def are_equivalent(inst: Instance, sol_a: Solution, sol_b: Solution) -> bool:
-    """The four-condition payoff equivalence.
-
-    Equal utilities everywhere; equal entries on the shared matching; and on
-    each side of the symmetric difference the payoffs are pinned to the
-    utilities of both solutions.
-    """
-    require_compatible(inst, sol_a)
-    require_compatible(inst, sol_b)
-    ua = _utilities_unchecked(inst, sol_a)
-    ub = _utilities_unchecked(inst, sol_b)
-    if ua != ub:
-        return False
-    ma, mb = sol_a.matching, sol_b.matching
-    for (i, j) in ma & mb:
-        if sol_a.payoff(i, j) != sol_b.payoff(i, j) or sol_a.payoff(j, i) != sol_b.payoff(j, i):
-            return False
-    for (i, j) in ma - mb:
-        if sol_a.payoff(i, j) != ua[i] or sol_a.payoff(j, i) != ua[j]:
-            return False
-    for (i, j) in mb - ma:
-        if sol_b.payoff(i, j) != ub[i] or sol_b.payoff(j, i) != ub[j]:
-            return False
-    return True
-
-
-def rematch(inst: Instance, sol: Solution, new_matching: Iterable[tuple[str, str]]) -> Solution:
-    """Move a stable solution onto another maximum-weight b-matching.
-
-    By the equivalence theorem the moved solution keeps p on the edges that
-    M and M' share and pays (u(i), u(j)) on each edge ij of M' outside M.
-    The result is checked to be stable and equivalent to the input.
-    """
-    from . import matching as matching_mod
-
-    u = require_stable(inst, sol).utilities
-    target = inst.canonical_edge_set(new_matching)
-    if not matching_mod.is_b_matching(inst, target):
-        raise PreconditionError("target edge set is not a b-matching")
-    # The matching of a stable solution has maximum weight (its utilities
-    # give a dual of equal value), so it measures the target.
-    optimum = matching_mod.weight(inst, sol.matching)
-    if matching_mod.weight(inst, target) != optimum:
-        raise NotMaximumWeightError(
-            "target matching weight "
-            f"{format_rational(matching_mod.weight(inst, target))} < optimum "
-            f"{format_rational(optimum)}"
-        )
-
-    payoffs: PayoffMatrix = {}
-    for (i, j) in target:
-        shared = (i, j) in sol.matching
-        payoffs[(i, j)] = sol.payoff(i, j) if shared else u[i]
-        payoffs[(j, i)] = sol.payoff(j, i) if shared else u[j]
-    out = Solution(matching=target, payoffs=payoffs)
-    if check_solution(inst, out) or not is_stable(inst, out).stable:
-        raise InternalError("rematch produced an incompatible or unstable solution")
-    if not are_equivalent(inst, sol, out):
-        raise InternalError("rematch produced a non-equivalent payoff vector")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Bipartite-only constructions
 # ---------------------------------------------------------------------------
@@ -266,59 +201,6 @@ def resolve_sides(inst: Instance, sellers: Iterable[str] | None = None) -> froze
         return frozenset()
     comp = set(edge_comps[0])
     return frozenset(p for p in comp if coloring[p] == 0)
-
-
-def meet_join(
-    inst: Instance,
-    sol_a: Solution,
-    sol_b: Solution,
-    op: str,
-    sellers: Iterable[str] | None = None,
-) -> Solution:
-    """Lattice meet/join of two stable payoffs of a bipartite instance.
-
-    The join favours buyers (sellers take the entrywise minimum), the meet
-    favours sellers. Solutions on different matchings are first rematched
-    onto the matching of `sol_a`.
-    """
-    if op not in ("meet", "join"):
-        raise InputError(f"op must be 'meet' or 'join', got {op!r}")
-    side = resolve_sides(inst, sellers)
-    require_stable(inst, sol_a)
-    require_stable(inst, sol_b)
-    if sol_b.matching != sol_a.matching:
-        sol_b = rematch(inst, sol_b, sol_a.matching)
-    pick = min if op == "join" else max
-    payoffs: PayoffMatrix = {}
-    for (u, v) in sol_a.matching:
-        i, j = (u, v) if u in side else (v, u)
-        seller_part = pick(sol_a.payoff(i, j), sol_b.payoff(i, j))
-        payoffs[(i, j)] = seller_part
-        payoffs[(j, i)] = inst.weight(i, j) - seller_part
-    out = Solution(matching=sol_a.matching, payoffs=payoffs)
-    require_stable(inst, out)
-    return out
-
-
-def to_competitive_equilibrium(
-    inst: Instance, sol: Solution, sellers: Iterable[str] | None = None
-) -> Solution:
-    """Flatten a stable bipartite solution into uniform per-seller prices.
-
-    Every seller i is paid exactly u(i) on each of her matched edges (0 when
-    unsaturated); buyers absorb the rest. The result is stable.
-    """
-    side = resolve_sides(inst, sellers)
-    verdict = require_stable(inst, sol)
-    u = verdict.utilities
-    payoffs: PayoffMatrix = {}
-    for (a, b_) in sol.matching:
-        i, j = (a, b_) if a in side else (b_, a)
-        payoffs[(i, j)] = u[i]
-        payoffs[(j, i)] = inst.weight(i, j) - u[i]
-    out = Solution(matching=sol.matching, payoffs=payoffs)
-    require_stable(inst, out)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from stablefixtures import blossom, matching
 from stablefixtures.blossom import max_weight_matching
 from stablefixtures.errors import InternalError, PreconditionError
 from stablefixtures.randomgen import random_instance
+from stablefixtures.rationals import scale_to_integers
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 WEIGHTS = st.one_of(st.sampled_from((0, 1, 10**400)), st.integers(0, 3), st.integers(0, 10**6))
@@ -159,10 +160,11 @@ def test_general_matching_gadgets_read_the_same_b_matching(monkeypatch):
         inst = random_instance(rng, n_range=(3, 9), max_extra_edges=6, b_range=(1, 3), max_weight=5)
         if inst.m == 0:
             continue
-        ours = matching._general_matching(inst)
+        base = scale_to_integers(inst.edge_weights())[0]
+        ours = matching._general_matching(inst, base)
         with monkeypatch.context() as patch:
             patch.setattr(blossom, "max_weight_matching", networkx_mate)
-            theirs = matching._general_matching(inst)
+            theirs = matching._general_matching(inst, base)
         assert ours == theirs
         checked += 1
 

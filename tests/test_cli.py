@@ -55,6 +55,59 @@ def test_split_rule_choices(capsys, tmp_path):
     assert "invalid choice: 'thirds'" in capsys.readouterr().err
 
 
+def test_split_rule_with_or_without_equals_parses_alike(capsys, tmp_path):
+    path = tmp_path / "ex2.json"
+    path.write_text(json.dumps(instance_to_json(generate("example2").instance)))
+    split = run(capsys, "solve", str(path), "--split-rule", "seller_side")
+    joined = run(capsys, "solve", str(path), "--split-rule=seller_side")
+    assert split == joined and split[0] == 0
+    assert split != run(capsys, "solve", str(path))
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "{game}", "--bogus"], "unrecognized arguments: --bogus"),
+        (["verify-stable", "{game}"], "the following arguments are required: solution"),
+        (["value", "{game}"], "the following arguments are required: --coalition"),
+        (["gen", "--alpha", "2"], "the following arguments are required: --family"),
+        (["oracle", "selftest", "--count", "many"], "argument --count: invalid int value: 'many'"),
+        (["oracle", "bogus"], "argument engine: invalid choice: 'bogus'"),
+        (["solve", "{game}", "{game}"], "unrecognized arguments: "),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+    ],
+    ids=["unknown-option", "missing-positional", "missing-coalition", "missing-family", "non-int-count",
+         "invalid-engine", "extra-positional", "unknown-command", "no-command"],
+)
+def test_usage_errors_exit2_with_one_error_line(capsys, diamond_file, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(game=diamond_file) for arg in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("stablefixtures: error: ")]
+    assert len(errors) == 1 and message in errors[0]
+    assert captured.err.startswith("usage: stablefixtures")
+
+
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["--help"], ["solve", "verify-stable", "core-check", "reduce", "value", "gen", "oracle"]),
+        (["solve", "--help"], ["instance", "--split-rule {half,seller_side}", "--sellers"]),
+        (["oracle", "-h"], ["{b-matching,half,core-check,selftest}", "--count", "--seed"]),
+    ],
+)
+def test_help_exits0_and_names_subcommands_or_options(capsys, argv, names):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.startswith("usage: stablefixtures")
+    assert all(name in captured.out for name in names)
+
+
 def test_core_check_in_core(capsys, tmp_path, diamond_file):
     alloc = tmp_path / "alloc.json"
     alloc.write_text(json.dumps({"allocation": {"s1": "1", "s2": "1", "s3": "1", "u": "0"}}))

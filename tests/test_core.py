@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from stablefixtures import core, cycles, generate, matching
+from stablefixtures import core, cycles, generate, matching, transfers
 from stablefixtures.core import (
     CoreViolationError,
     allocation_to_payoff,
@@ -64,9 +64,9 @@ def test_game_value_matches_only_the_residual(monkeypatch):
     real = matching._general_matching
     sizes = []
 
-    def spy(net):
+    def spy(net, base):
         sizes.append(net.m)
-        return real(net)
+        return real(net, base)
 
     monkeypatch.setattr(matching, "_general_matching", spy)
     value, witness = core.game_value_with_witness(inst, inst.players)
@@ -177,7 +177,7 @@ def test_wrong_row_sums_are_internal_errors(monkeypatch):
     inst = Instance(["a", "b"], {"a": 1, "b": 1}, [("a", "b", 4)])
     x = {"a": F(1), "b": F(3)}
     signed = solve_payoff_system(inst, inst.edges, x)
-    monkeypatch.setattr(core, "total_payoff", lambda inst_, p: {q: F(0) for q in inst_.players})
+    monkeypatch.setattr(transfers, "total_payoff", lambda inst_, p: {q: F(0) for q in inst_.players})
     with pytest.raises(InternalError, match="row sums"):
         solve_payoff_system(inst, inst.edges, x)
     with pytest.raises(InternalError, match="row sums"):
@@ -190,7 +190,7 @@ def test_repair_round_bound_is_internal_error(monkeypatch):
     signed = solve_payoff_system(inst, inst.edges, x)
     assert any(q < 0 for q in signed.values())
     # An empty round budget leaves the negative entry in place.
-    monkeypatch.setattr(core, "range", lambda n: (), raising=False)
+    monkeypatch.setattr(transfers, "range", lambda n: (), raising=False)
     with pytest.raises(InternalError, match="round bound"):
         repair_negative(inst, inst.edges, signed, x)
 

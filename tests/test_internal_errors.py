@@ -19,10 +19,11 @@ from pathlib import Path
 import pytest
 
 import stablefixtures
-from stablefixtures import generate, matching, solver
+from stablefixtures import duals, generate, matching, solver
 from stablefixtures.cli import EXIT_INTERNAL, main
 from stablefixtures.errors import InternalError, StableFixturesError
 from stablefixtures.instance import Instance, instance_to_json
+from stablefixtures.rationals import scale_to_integers
 
 
 def _overpriced_ssp(monkeypatch):
@@ -192,13 +193,13 @@ def test_half_below_integral_fails_solve(monkeypatch):
 
 
 def test_witness_weight_mismatch_fails_solve(monkeypatch):
-    real = solver.max_half_b_matching_weight
+    real = solver._half_witness
 
-    def heavy(inst):
-        value, witness = real(inst)
+    def heavy(inst, dup, cover_base):
+        value, witness = real(inst, dup, cover_base)
         return value + 1, witness
 
-    monkeypatch.setattr(solver, "max_half_b_matching_weight", heavy)
+    monkeypatch.setattr(solver, "_half_witness", heavy)
     with pytest.raises(InternalError, match="witness"):
         solver.solve(generate("diamond").instance)
 
@@ -234,7 +235,7 @@ def test_edge_gadget_read_back_catches_a_wrong_mate(monkeypatch, fault, message)
         ["a", "b", "c"], dict.fromkeys("abc", 2), [("a", "b", 1), ("b", "c", 2), ("a", "c", 3)]
     )
     with pytest.raises(InternalError, match=message):
-        matching._general_matching(triangle)
+        matching._general_matching(triangle, scale_to_integers(triangle.edge_weights())[0])
 
 
 def test_cli_maps_internal_error_to_exit_4(monkeypatch, capsys, tmp_path):
@@ -358,13 +359,13 @@ def test_unsplit_payoffs_fail_stable_from_dual(monkeypatch, heavy_edge_triangle)
 def test_wrong_utilities_fail_dual_from_stable(monkeypatch, heavy_edge_triangle, shift, message):
     inst = heavy_edge_triangle
     sol = solver.solve(inst).solution
-    real = solver.utilities
+    real = duals.utilities
 
     def shifted(inst, sol):
         u = real(inst, sol)
         return {p: q + shift.get(p, 0) for p, q in u.items()}
 
-    monkeypatch.setattr(solver, "utilities", shifted)
+    monkeypatch.setattr(duals, "utilities", shifted)
     with pytest.raises(InternalError, match=message):
         solver.dual_from_stable(inst, sol)
 
@@ -379,7 +380,7 @@ def test_negative_reduced_cost_fails_ssp():
 _STABLE_PATH_PROBE = """
 import sys
 from fractions import Fraction
-from stablefixtures import matching, solver
+from stablefixtures import duals, matching, solver
 from stablefixtures.cli import main
 from stablefixtures.errors import InternalError
 from stablefixtures.instance import Instance
@@ -390,7 +391,7 @@ outcome = solver.solve(inst)
 d = dict(outcome.dual.d)
 d[("a", "b")] += 1
 real_objective, real_utilities, real_engine = (
-    solver._objective, solver.utilities, matching._tie_broken)
+    solver._objective, duals.utilities, matching._tie_broken)
 
 def raises(call):
     try:
@@ -403,9 +404,9 @@ solver._objective = lambda inst, y, d: 4
 split = raises(lambda: solver.stable_from_dual(
     inst, outcome.solution.matching, solver.DualSolution(y=outcome.dual.y, d=d)))
 solver._objective = real_objective
-solver.utilities = lambda inst, sol: {p: q + 1 for p, q in real_utilities(inst, sol).items()}
+duals.utilities = lambda inst, sol: {p: q + 1 for p, q in real_utilities(inst, sol).items()}
 read_back = raises(lambda: solver.dual_from_stable(inst, outcome.solution))
-solver.utilities = real_utilities
+duals.utilities = real_utilities
 ssp = raises(lambda: matching._ssp_flow(
     Instance(["a", "b"], {"a": 1, "b": 1}, [("a", "b", 3)]), {("a", "b"): 3}, {"a": 0, "b": 0}))
 matching._tie_broken = lambda net, base: real_engine(net, base) | {("a", "c")}

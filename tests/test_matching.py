@@ -8,7 +8,7 @@ from stablefixtures import generate, matching
 from stablefixtures.errors import BoundExceededError, NotBipartiteError, UnknownEdgeError
 from stablefixtures.instance import Instance
 from stablefixtures.matching import (
-    _perturbed_int_weights,
+    _perturbed,
     bipartite_max_weight_b_matching_with_duals,
     dual_objective,
     duplicated_instance,
@@ -346,7 +346,8 @@ def test_early_exit_ssp_matches_full_dijkstra():
         inst = _bipartite_network(rng)
         coloring = inst.two_coloring()
         assert coloring is not None
-        for int_weights in (scale_to_integers(inst.edge_weights())[0], _perturbed_int_weights(inst)):
+        base = scale_to_integers(inst.edge_weights())[0]
+        for int_weights in (base, _perturbed(inst, base)):
             expected = _full_dijkstra_ssp_flow(inst, int_weights, coloring)
             assert matching._ssp_flow(inst, int_weights, coloring) == expected, inst
         shapes["components"] += len(inst.connected_components()) > 1

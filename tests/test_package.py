@@ -6,6 +6,7 @@
   and `repr` form they had as frozen dataclasses.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -36,8 +37,9 @@ PUBLIC_NAMES = [
 
 SUBMODULES = ["core", "cycles", "errors", "instance", "matching", "rationals", "reduction", "solver", "stability"]
 # Modules that define public names: the submodules, the named-instance
-# families, which only `gen` loads, and the brute-force oracles.
-HOMES = [*SUBMODULES, "families", "oracles"]
+# families, which only `gen` loads, the brute-force oracles, and the
+# library-only `Fraction` dual path and paper constructs.
+HOMES = [*SUBMODULES, "families", "oracles", "duals", "transfers"]
 
 _SURFACE_PROBE = """
 import json, sys, types
@@ -102,6 +104,48 @@ def test_oracles_resolve_from_matching_without_being_compiled_there():
         assert name not in vars(matching)
     with pytest.raises(AttributeError, match="no_such_oracle"):
         matching.no_such_oracle
+
+
+# Names that left the modules CLI requests load: (old module, new home) -> names.
+MOVED = {
+    ("matching", "duals"): [
+        "is_dual_feasible", "dual_objective", "tighten_d", "priced_dual", "DualFeasibility",
+        "bipartite_optimum_with_duals", "bipartite_max_weight_b_matching_with_duals", "dual_from_duplicated",
+    ],
+    ("solver", "duals"): [
+        "primal_objective", "has_stable_solution", "stable_from_dual", "dual_from_stable",
+        "verify_complementary_slackness", "SlacknessReport",
+        # once re-exported from `matching`
+        "DualFeasibility", "dual_from_duplicated", "dual_objective", "is_dual_feasible", "tighten_d",
+    ],
+    ("stability", "transfers"): ["rematch", "meet_join", "to_competitive_equilibrium", "are_equivalent"],
+    ("reduction", "transfers"): [
+        "partner_ranks", "reduce_matching", "reduce_solution", "_vertex_solution", "srp_rematch", "lift_stable",
+    ],
+    ("core", "transfers"): [
+        "allocation_to_payoff", "repair_negative", "solve_payoff_system",
+        "_matching_components", "_find_cycle_edge", "_cycle_edges",
+    ],
+    ("core", "oracles"): ["core_membership_bruteforce", "CORE_BRUTE_FORCE_PLAYER_BOUND"],
+    ("cli", "oracles"): ["_oracle_selftest"],
+}
+
+
+@pytest.mark.parametrize("old, home", MOVED, ids=[f"{old}->{home}" for old, home in MOVED])
+def test_moved_names_resolve_from_their_old_module_without_being_compiled_there(old, home):
+    """Library-only code left the modules that requests load; each moved
+    name still resolves from its old module (PEP 562) to the object its new
+    home defines, and the package points public names at the new home."""
+    old_module = importlib.import_module(f"stablefixtures.{old}")
+    new_module = importlib.import_module(f"stablefixtures.{home}")
+    for name in MOVED[(old, home)]:
+        assert getattr(old_module, name) is vars(new_module)[name], name
+        assert getattr(vars(new_module)[name], "__module__", new_module.__name__) == new_module.__name__
+        assert name not in vars(old_module), name
+        if name in stablefixtures.__all__:
+            assert getattr(stablefixtures, name) is vars(new_module)[name]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        old_module.no_such_name
 
 
 # (record, its fields in order, its defaults)

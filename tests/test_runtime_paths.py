@@ -25,13 +25,14 @@ from stablefixtures import blossom, core, generate, reduction
 from stablefixtures.instance import Instance, instance_to_json
 from stablefixtures.matching import (
     _general_matching,
-    _perturbed_int_weights,
+    _perturbed,
     is_b_matching,
     max_weight_b_matching,
     weight,
 )
 from stablefixtures.oracles import max_weight_b_matching_bruteforce
 from stablefixtures.randomgen import random_allocation, random_instance
+from stablefixtures.rationals import scale_to_integers
 from stablefixtures.solver import outcome_to_json, solve
 from stablefixtures.stability import Solution, rematch, solution_to_json, total_payoff
 
@@ -46,7 +47,7 @@ GADGET_LIKE_IDS = ["a", "b", "a^1", "a~b", "a@b", "a'", "b''", "b@a", "a^1^1", "
 def _old_general_matching(inst):
     """The 4-vertex chain engine: blossom on `reduce_instance(inst)`."""
     reduced = reduction.reduce_instance(inst)
-    perturbed = _perturbed_int_weights(inst)
+    perturbed = _perturbed(inst, scale_to_integers(inst.edge_weights())[0])
     graph = networkx.Graph()
     graph.add_nodes_from(reduced.instance.players)
     owner = {}
@@ -181,7 +182,7 @@ def test_engine_matches_four_chain_engine():
         inst = _adversarial_instance(rng, bipartite=k % 5 == 0)
         if inst.m == 0:
             continue
-        new = _general_matching(inst)
+        new = _general_matching(inst, scale_to_integers(inst.edge_weights())[0])
         assert new == _old_general_matching(inst), instance_to_json(inst)
         assert is_b_matching(inst, new)
         if inst.m <= 12:

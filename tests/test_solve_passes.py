@@ -26,7 +26,7 @@ from stablefixtures import generate, instance, matching
 from stablefixtures.cli import main
 from stablefixtures.instance import Instance, instance_to_json
 from stablefixtures.matching import (
-    _perturbed_int_weights,
+    _perturbed,
     bipartite_max_weight_b_matching_with_duals,
     duplicated_instance,
     max_half_b_matching_weight,
@@ -131,9 +131,10 @@ def _loaded_modules(src, *argv):
 
 def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_triangle):
     """A bipartite solve loads neither the core stages nor any blossom,
-    verify-stable no engine, and core-check not the solver; neither solve
-    nor core-check loads the brute-force oracles. No request loads
-    `dataclasses`."""
+    verify-stable no engine, and core-check and value not the solver; none
+    of them loads the brute-force oracles. No request loads `dataclasses`,
+    the parser's `argparse` (with `gettext` and `locale`), or the
+    library-only `duals` and `transfers`."""
     inst, sol, _ = example2
     files = {
         "bip": instance_to_json(inst),
@@ -149,11 +150,13 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_
         (["solve", bip], 0, ["core", "cycles", "blossom", "oracles"]),
         (["verify-stable", bip, sol_path], 0, ["matching", "solver", "core", "cycles"]),
         (["core-check", triangle, x], 0, ["solver", "oracles"]),
+        (["value", triangle, "--coalition", "a,b"], 0, ["solver", "oracles"]),
     ):
         got, loaded = _loaded_modules(src, *argv)
         assert got == code, argv
         assert "stablefixtures.instance" in loaded
-        unwanted = {f"stablefixtures.{name}" for name in absent} | {"networkx", "dataclasses"}
+        unwanted = {f"stablefixtures.{name}" for name in [*absent, "duals", "transfers"]}
+        unwanted |= {"networkx", "dataclasses", "argparse", "gettext", "locale"}
         assert loaded.isdisjoint(unwanted), (argv, sorted(loaded & unwanted))
 
 
@@ -210,6 +213,15 @@ def test_each_instance_is_colored_once(monkeypatch, diamond):
     assert cover.two_coloring() == real(cover) != coloring
 
 
+def _is_perturbed(net, int_weights):
+    """Whether `int_weights` are `_perturbed` over a positive multiple of
+    the scaled weights of `net`."""
+    base = scale_to_integers(net.edge_weights())[0]
+    plain = {e: w >> (net.m + 1) for e, w in int_weights.items()}
+    k = max(plain.values(), default=1) // max(max(base.values(), default=1), 1) or 1
+    return int_weights == _perturbed(net, {e: k * w for e, w in base.items()})
+
+
 def _spy_passes(monkeypatch, fn, inst, **kwargs):
     """Run fn(inst) and classify every SSP pass it makes."""
     real = matching._ssp_flow
@@ -228,7 +240,7 @@ def _spy_passes(monkeypatch, fn, inst, **kwargs):
         if int_weights == scale_to_integers(net.edge_weights())[0]:
             kinds.append((where, "plain"))
         else:
-            assert int_weights == _perturbed_int_weights(net)
+            assert _is_perturbed(net, int_weights)
             kinds.append((where, "perturbed"))
     return result, kinds
 
@@ -255,7 +267,7 @@ def test_stable_general_solve_makes_one_cover_pass(monkeypatch, heavy_edge_trian
     blossom = []
     real = matching._general_matching
     monkeypatch.setattr(
-        matching, "_general_matching", lambda net: blossom.append(net) or real(net)
+        matching, "_general_matching", lambda net, base: blossom.append(net) or real(net, base)
     )
     outcome, kinds = _spy_passes(monkeypatch, solve, inst)
     assert outcome.stable
@@ -267,6 +279,17 @@ def test_no_stable_solve_adds_one_perturbed_cover_pass(monkeypatch, diamond):
     outcome, kinds = _spy_passes(monkeypatch, solve, diamond)
     assert not outcome.stable
     assert kinds == [("cover", "plain"), ("cover", "perturbed")]
+
+
+def test_no_stable_solve_builds_the_cover_and_scales_once(monkeypatch, diamond):
+    """The witness pass runs on the double cover and the integer weights
+    that the LP pass built, and the whole-game engine on its scaled weights."""
+    covers, scales = [], []
+    real_cover, real_scale = matching.duplicated_instance, matching.scale_to_integers
+    monkeypatch.setattr(matching, "duplicated_instance", lambda net: covers.append(net) or real_cover(net))
+    monkeypatch.setattr(matching, "scale_to_integers", lambda values: scales.append(values) or real_scale(values))
+    assert not solve(diamond).stable
+    assert (len(covers), len(scales)) == (1, 1)
 
 
 def test_has_stable_solution_makes_one_plain_cover_pass(monkeypatch, diamond):

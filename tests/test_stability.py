@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from stablefixtures import generate, stability
+from stablefixtures import generate, stability, transfers
 from stablefixtures.errors import (
     IncompatibleSolutionError,
     InternalError,
@@ -204,7 +204,7 @@ def test_rematch_rejects_bad_targets(example2):
 
 def test_rematch_failed_equivalence_is_internal_error(monkeypatch, example2):
     inst, sol, alt = example2
-    monkeypatch.setattr(stability, "are_equivalent", lambda *args: False)
+    monkeypatch.setattr(transfers, "are_equivalent", lambda *args: False)
     with pytest.raises(InternalError, match="non-equivalent"):
         rematch(inst, sol, alt.matching)
 
@@ -212,14 +212,14 @@ def test_rematch_failed_equivalence_is_internal_error(monkeypatch, example2):
 def test_rematch_unstable_result_is_internal_error(monkeypatch, example2):
     # Utilities read one unit low make the direct formula underpay new edges.
     inst, sol, alt = example2
-    real = stability.require_stable
+    real = transfers.require_stable
 
     def low(inst_, sol_):
         verdict = real(inst_, sol_)
         u = {p: q - 1 for p, q in verdict.utilities.items()}
         return stability.StabilityVerdict(verdict.stable, verdict.blocking_pairs, u)
 
-    monkeypatch.setattr(stability, "require_stable", low)
+    monkeypatch.setattr(transfers, "require_stable", low)
     with pytest.raises(InternalError, match="incompatible or unstable"):
         rematch(inst, sol, alt.matching)
 
