@@ -22,9 +22,9 @@ _HOME = {
     for module, names in {
         "core": ("CoreVerdict", "CoreViolationError", "core_membership_b2", "game_value", "is_allocation"),
         "duals": (
-            "bipartite_max_weight_b_matching_with_duals", "bipartite_optimum_with_duals",
-            "dual_from_duplicated", "dual_from_stable", "has_stable_solution", "is_dual_feasible",
-            "stable_from_dual", "tighten_d", "verify_complementary_slackness",
+            "bipartite_max_weight_b_matching_with_duals", "dual_from_duplicated", "dual_from_stable",
+            "has_stable_solution", "is_dual_feasible", "stable_from_dual",
+            "verify_complementary_slackness",
         ),
         "errors": ("InternalError", "StableFixturesError"),
         "families": ("Generated", "generate"),
@@ -61,8 +61,9 @@ def __getattr__(name):
 
 
 def _moved_from(module, **homes):
-    """The `__getattr__` (PEP 562) of `module` for the library-only names that
-    left it: each keyword names their new home, imported on first use."""
+    """The `__getattr__` (PEP 562) of `module` for the names that left it but
+    that perfbench still looks up there: each keyword names their new home,
+    imported on first use."""
     home_of = {name: home for home, names in homes.items() for name in names.split()}
 
     def moved(name):

@@ -14,7 +14,7 @@ import json
 import sys
 import types
 
-from . import _moved_from, stability as stability_mod
+from . import stability as stability_mod
 from .errors import InputError, InternalError, PreconditionError, StableFixturesError
 from .instance import (
     Instance,
@@ -26,8 +26,6 @@ from .instance import (
 from .rationals import format_rational
 # Imported eagerly though only `reduce` runs it: perfbench's tracer wraps only loaded modules.
 from .reduction import provenance_to_json, reduce_instance
-
-__getattr__ = _moved_from(__name__, oracles="_oracle_selftest")
 
 EXIT_OK = 0
 EXIT_INPUT = 1

@@ -14,18 +14,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from . import _moved_from, cycles
+from . import cycles
 from .errors import CapacityTooLargeError, InputError, InternalError, PreconditionError
 from .instance import Edge, Instance, induced
 from .matching import lp_optimum
 from .rationals import format_rational
-
-__getattr__ = _moved_from(
-    __name__,
-    oracles="CORE_BRUTE_FORCE_PLAYER_BOUND core_membership_bruteforce",
-    transfers="_cycle_edges _find_cycle_edge _matching_components allocation_to_payoff repair_negative"
-    " solve_payoff_system",
-)
 
 
 def game_value(inst: Instance, coalition: Iterable[str]) -> Fraction:

@@ -1,8 +1,7 @@
 """The LP dual in `Fraction`s: feasibility, objective and complementary
-slackness checks, the optimum and dual of one certified pass, and the
+slackness checks, the optimum and dual read off `lp_optimum`, and the
 paper's characterisation of stable payoffs by optimal duals. Library code
-that no CLI request loads (`solve` certifies on `matching`'s integer dual);
-`matching` and `solver` still resolve its names (PEP 562).
+that no CLI request loads (`solve` certifies on `matching`'s integer dual).
 """
 
 from __future__ import annotations
@@ -12,8 +11,8 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError, InternalError, NotBipartiteError, PreconditionError
 from .instance import Edge, Instance
-from .matching import DualSolution, _certified_pass, _cover_pass, _cover_weights, _fraction_dual, _objective
-from .matching import lp_optimum, max_weight_b_matching, weight
+from .matching import DualSolution, _cover_pass, _cover_weights, _fraction_dual, _objective, _priced
+from .matching import lp_optimum, weight
 from .rationals import common_denominator, format_rational, scale_to_integers
 from .solver import _stable_solution
 from .stability import Solution, require_stable, utilities
@@ -55,37 +54,6 @@ def is_dual_feasible(inst: Instance, dual: DualSolution) -> DualFeasibility:
         negative_y=neg_y,
         negative_d=neg_d,
     )
-
-
-def tighten_d(inst: Instance, y: Mapping[str, Fraction]) -> dict[Edge, Fraction]:
-    """The pointwise smallest feasible d: d(ij) = max(w(ij) - y(i) - y(j), 0)."""
-    out = {}
-    for (u, v) in inst.edges:
-        gap = inst.weight(u, v) - y[u] - y[v]
-        out[(u, v)] = gap if gap > 0 else Fraction(0)
-    return out
-
-
-def priced_dual(inst: Instance, y: Mapping[str, Fraction]) -> DualSolution:
-    """The dual with prices y and the tightened d.
-
-    Capacity-0 players (zero objective coefficient) are priced at their
-    heaviest incident edge, so every such edge keeps zero slack.
-    """
-    y = dict(y)
-    for p in inst.players:
-        if inst.b(p) == 0:
-            y[p] = max([Fraction(0)] + [inst.weight(p, q) for q in inst.neighbors(p)])
-    return DualSolution(y=y, d=tighten_d(inst, y))
-
-
-def primal_objective(inst: Instance, x: Mapping[tuple[str, str], Fraction]) -> Fraction:
-    """sum w(ij) x(ij); every edge needs an entry."""
-    values = {inst.edge_key(u, v): q for (u, v), q in x.items()}
-    missing = [e for e in inst.edges if e not in values]
-    if missing:
-        raise InputError(f"primal vector missing edges {missing}")
-    return sum((inst.weight(u, v) * values[(u, v)] for (u, v) in inst.edges), Fraction(0))
 
 
 class SlacknessReport(NamedTuple):
@@ -138,36 +106,23 @@ def verify_complementary_slackness(
     )
 
 
-def bipartite_optimum_with_duals(inst: Instance) -> tuple[Fraction, DualSolution]:
-    """Maximum b-matching weight and an optimal LP dual of a bipartite
-    instance, from one unperturbed pass certified by `_certified_pass`."""
-    coloring = inst.two_coloring()
-    if coloring is None:
-        raise NotBipartiteError("instance is not bipartite")
-    base, scale = scale_to_integers(inst.edge_weights())
-    primal, y, d = _certified_pass(inst, base, scale, coloring)
-    return Fraction(primal, scale), _fraction_dual(y, d, scale)
-
-
 def bipartite_max_weight_b_matching_with_duals(
     inst: Instance,
 ) -> tuple[frozenset[Edge], DualSolution]:
     """The tie-broken maximum-weight b-matching of a bipartite instance and
-    an optimal LP dual.
-
-    The dual comes from `bipartite_optimum_with_duals`; the perturbed pass
-    must reach its certified optimum, which makes the two complementary
-    slack. Callers that need only the optimum weight and a dual should use
-    `bipartite_optimum_with_duals` alone.
+    an optimal LP dual, both read off one `lp_optimum`: the LP of a
+    bipartite game is integral, so the matching must reach the dual's
+    certified optimum, which makes the two complementary slack.
     """
-    optimum, dual = bipartite_optimum_with_duals(inst)
-    matching, value = max_weight_b_matching(inst)
-    if value != optimum:
+    if inst.two_coloring() is None:
+        raise NotBipartiteError("instance is not bipartite")
+    opt = lp_optimum(inst)
+    if opt.weight != opt.half:
         raise InternalError(
-            f"tie-broken bipartite matching weighs {format_rational(value)}, "
-            f"optimum is {format_rational(optimum)}"
+            f"tie-broken bipartite matching weighs {format_rational(opt.weight)}, "
+            f"optimum is {format_rational(opt.half)}"
         )
-    return matching, dual
+    return opt.matching, opt.dual
 
 
 def dual_from_duplicated(inst: Instance) -> tuple[Fraction, DualSolution]:
@@ -217,10 +172,10 @@ def dual_from_stable(inst: Instance, sol: Solution) -> DualSolution:
 
     Stability gives feasibility; the objective collapses to the matching
     weight because unsaturated players have zero utility. Capacity-0 players
-    (infinite blocking utility) are priced by `priced_dual`.
+    (infinite blocking utility) are priced by `matching._priced`.
     """
     require_stable(inst, sol)
-    dual = priced_dual(inst, utilities(inst, sol))
+    dual = _fraction_dual(*_priced(inst, inst.edge_weights(), utilities(inst, sol)), 1)
     if not is_dual_feasible(inst, dual).feasible:
         raise InternalError("dual read off a stable solution is infeasible")
     if dual_objective(inst, dual) != weight(inst, sol.matching):

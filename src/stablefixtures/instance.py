@@ -7,9 +7,9 @@ them, and a partnership ij is worth w(ij) to be split between its two ends.
 Construction validates: `Instance(...)` raises InvalidInstanceError listing
 every model violation, so an Instance is valid for its whole life and no
 engine checks it again. Instances derived from a valid one (subgames, the
-double cover, a dual's residual) are built by `Instance._derived`, which
-skips that check. Instances are immutable (capacities are a read-only
-mapping) and safe to share between threads.
+double cover, a dual's residual, the unit-capacity expansion) are built by
+`Instance._derived`, which skips that check. Instances are immutable
+(capacities are a read-only mapping) and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -190,11 +190,6 @@ class Instance:
                         queue.append(v)
             comps.append(sorted(comp, key=self._index.__getitem__))
         return comps
-
-    # -- derived instances -------------------------------------------------
-
-    def induced(self, coalition: Iterable[str]) -> "Instance":
-        return induced(self, coalition)
 
     def __reduce__(self):
         # Pickle through the constructor: a mapping proxy cannot be pickled.

@@ -15,8 +15,10 @@ Both run on the weights times their common denominator (`scale_to_integers`);
 the LP pass, its certificate and the cover fold stay in those integers, and
 `Fraction`s are built once, for the results.
 
-The LP dual `DualSolution` lives here too; its `Fraction` checks, which no
-CLI request runs, live in `duals`. `lp_optimum` is the front end for every
+The LP dual `DualSolution` and its pricing rule `_priced` live here too;
+its `Fraction` checks, which no CLI request runs, live in `duals`, and
+`matching` resolves two of `duals`' and `oracles`' names only for
+perfbench (PEP 562). `lp_optimum` is the front end for every
 question about a game's optimum: one unperturbed pass gives the LP optimum
 and an optimal dual (on the game itself when it is bipartite, whose LP is
 integral, and on the bipartite double cover, `_cover_pass`, otherwise),
@@ -43,9 +45,8 @@ from .rationals import format_rational, parse_rational, scale_to_integers
 
 __getattr__ = _moved_from(
     __name__,
-    oracles="max_half_b_matching_bruteforce max_weight_b_matching_bruteforce",
-    duals="DualFeasibility bipartite_max_weight_b_matching_with_duals bipartite_optimum_with_duals"
-    " dual_from_duplicated dual_objective is_dual_feasible priced_dual tighten_d",
+    oracles="max_weight_b_matching_bruteforce",
+    duals="bipartite_max_weight_b_matching_with_duals",
 )
 
 
@@ -191,6 +192,22 @@ class DualSolution(NamedTuple):
     d: dict[Edge, Fraction]
 
 
+def _priced(inst: Instance, w: Mapping[Edge, Fraction], y: Mapping[str, Fraction]):
+    """Prices y, with capacity-0 players (zero objective coefficient) priced
+    at their heaviest edge, and the pointwise smallest feasible d(ij) =
+    max(w(ij) - y(i) - y(j), 0), for weights and prices that are all ints
+    or all `Fraction`s."""
+    y = dict(y)
+    for p in inst.players:
+        if inst.capacity[p] == 0:
+            y[p] = max([0] + [w[inst.edge_key(p, q)] for q in inst.neighbors(p)])
+    d = {}
+    for (u, v) in inst.edges:
+        gap = w[(u, v)] - y[u] - y[v]
+        d[(u, v)] = gap if gap > 0 else 0
+    return y, d
+
+
 def _objective(inst: Instance, y: Mapping[str, Fraction], d: Mapping[Edge, Fraction]):
     """sum b(i) y(i) + sum d(ij) in the entries' own type (Fraction or int)."""
     capacity = inst.capacity
@@ -237,7 +254,6 @@ class DuplicatedInstance(NamedTuple):
     instance: Instance
     left: dict[str, str]
     right: dict[str, str]
-    origin: dict[str, tuple[str, str]]
 
 
 def duplicated_instance(inst: Instance) -> DuplicatedInstance:
@@ -245,13 +261,10 @@ def duplicated_instance(inst: Instance) -> DuplicatedInstance:
     players: list[str] = []
     left: dict[str, str] = {}
     right: dict[str, str] = {}
-    origin: dict[str, tuple[str, str]] = {}
     for i in inst.players:
         li = _fresh_name(used, i + "'")
         ri = _fresh_name(used, i + "''")
         left[i], right[i] = li, ri
-        origin[li] = (i, "left")
-        origin[ri] = (i, "right")
         players.extend((li, ri))
     capacity = {}
     for i in inst.players:
@@ -265,7 +278,7 @@ def duplicated_instance(inst: Instance) -> DuplicatedInstance:
     dup = Instance._derived(players, capacity, edges)
     if not dup.is_bipartite():
         raise InternalError("double cover is not bipartite")
-    return DuplicatedInstance(dup, left, right, origin)
+    return DuplicatedInstance(dup, left, right)
 
 
 def max_half_b_matching_weight(inst: Instance) -> tuple[Fraction, HalfBMatching]:
@@ -318,20 +331,13 @@ def _half_witness(inst: Instance, dup: DuplicatedInstance, cover_base) -> tuple[
 def _certified_pass(inst: Instance, base: Mapping[Edge, int], scale: int, coloring):
     """The maximum base(M) of a bipartite instance whose weights times
     `scale` are `base`, and an optimal dual (y, d) on that scale, from one
-    unperturbed SSP pass. Capacity-0 players (zero objective coefficient)
-    are priced at their heaviest edge and d is tightened, so d >= 0 and the
-    edge constraints hold by construction. Weak duality certifies both, also
+    unperturbed SSP pass, priced by `_priced`, so d >= 0 and the edge
+    constraints hold by construction. Weak duality certifies both, also
     under `python -O`: M is a b-matching, y >= 0 and base(M) = sum b y +
     sum d; InternalError otherwise.
     """
     matching, y = _ssp_flow(inst, base, coloring)
-    for p in inst.players:
-        if inst.capacity[p] == 0:
-            y[p] = max([0] + [base[inst.edge_key(p, q)] for q in inst.neighbors(p)])
-    d = {}
-    for (u, v) in inst.edges:
-        gap = base[(u, v)] - y[u] - y[v]
-        d[(u, v)] = gap if gap > 0 else 0
+    y, d = _priced(inst, base, y)
     if not is_b_matching(inst, matching):
         raise InternalError("bipartite engine overfilled a player")
     if any(q < 0 for q in y.values()):

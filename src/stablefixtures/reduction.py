@@ -16,14 +16,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import _moved_from
 from .errors import InternalError
 from .instance import Instance, _fresh_name
-
-__getattr__ = _moved_from(
-    __name__, transfers="_vertex_solution lift_stable partner_ranks reduce_matching reduce_solution"
-    " srp_rematch"
-)
 
 
 class ReducedInstance(NamedTuple):
@@ -87,7 +81,7 @@ def reduce_instance(inst: Instance) -> ReducedInstance:
         for t in range(1, inst.b(j) + 1):
             edges.append((out_j, copies[(j, t)], w))
 
-    reduced = Instance(players, {p: 1 for p in players}, edges)
+    reduced = Instance._derived(players, {p: 1 for p in players}, edges)
     n = sum(inst.b(p) for p in inst.players) + 4 * inst.m
     m = sum(inst.b(u) + inst.b(v) + 3 for (u, v) in inst.edges)
     if (reduced.n, reduced.m) != (n, m):

@@ -15,7 +15,8 @@ xi splitting the slack d(ij) of each matched edge.
 `solve` reads one `matching.lp_optimum` and certifies its tie-broken
 b-matching once against the pass's integer dual (`_stable_solution`);
 `require_stable` on the finished solution is the last check. The
-`Fraction` dual path (`stable_from_dual`, ...) lives in `duals`.
+`Fraction` dual path (`stable_from_dual`, ...) lives in `duals`; `solver`
+resolves four of its names only for perfbench (PEP 562).
 
 Pure pipeline over immutable inputs; no global state.
 """
@@ -35,10 +36,7 @@ from .rationals import format_rational
 from .stability import SPLIT_RULES, PayoffMatrix, Solution, require_stable, resolve_sides
 
 __getattr__ = _moved_from(
-    __name__,
-    duals="DualFeasibility SlacknessReport dual_from_duplicated dual_from_stable dual_objective"
-    " has_stable_solution is_dual_feasible primal_objective stable_from_dual tighten_d"
-    " verify_complementary_slackness",
+    __name__, duals="dual_from_duplicated dual_objective is_dual_feasible stable_from_dual"
 )
 
 

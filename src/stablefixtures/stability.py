@@ -15,14 +15,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from . import _moved_from
 from .errors import (
     IncompatibleSolutionError, InputError, PreconditionError, UnknownEdgeError, UnstableSolutionError
 )
 from .instance import Edge, Instance
 from .rationals import format_rational, parse_rational
-
-__getattr__ = _moved_from(__name__, transfers="are_equivalent meet_join rematch to_competitive_equilibrium")
 
 PayoffMatrix = dict[tuple[str, str], Fraction]
 

@@ -1,6 +1,5 @@
 """The paper's constructs that carry solutions and payoffs elsewhere, kept
-as library code that no CLI request loads (`stability`, `reduction` and
-`core` still resolve their names, PEP 562): `rematch` and payoff
+as library code that no CLI request loads: `rematch` and payoff
 equivalence, the bipartite lattice and competitive prices, the transfer of
 solutions through the unit-capacity expansion (one payoff per expanded
 vertex, which has at most one matched edge), and the decomposition of a

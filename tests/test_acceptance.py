@@ -10,46 +10,31 @@ from fractions import Fraction as F
 
 
 from stablefixtures import generate
-from stablefixtures.core import (
-    allocation_to_payoff,
-    core_membership_b2,
-    core_membership_bruteforce,
-    game_value,
-    is_allocation,
-)
+from stablefixtures.core import core_membership_b2, game_value, is_allocation
+from stablefixtures.duals import has_stable_solution, is_dual_feasible, verify_complementary_slackness
 from stablefixtures.instance import Instance
 from stablefixtures.matching import (
     max_half_b_matching_weight,
     max_weight_b_matching,
     weight,
 )
-from stablefixtures.oracles import max_weight_b_matching_bruteforce
+from stablefixtures.oracles import core_membership_bruteforce, max_weight_b_matching_bruteforce
 from stablefixtures.randomgen import (
     random_allocation,
     random_instance,
     random_nonallocation,
 )
-from stablefixtures.reduction import (
+from stablefixtures.reduction import reduce_instance
+from stablefixtures.solver import solve
+from stablefixtures.stability import check_solution, is_stable, make_solution, total_payoff, utilities
+from stablefixtures.transfers import (
+    allocation_to_payoff,
+    are_equivalent,
     lift_stable,
-    reduce_instance,
+    meet_join,
     reduce_matching,
     reduce_solution,
-)
-from stablefixtures.solver import (
-    has_stable_solution,
-    is_dual_feasible,
-    solve,
-    verify_complementary_slackness,
-)
-from stablefixtures.stability import (
-    are_equivalent,
-    check_solution,
-    is_stable,
-    make_solution,
-    meet_join,
     to_competitive_equilibrium,
-    total_payoff,
-    utilities,
 )
 
 
@@ -152,7 +137,7 @@ def test_criterion_3_reference_examples():
     assert is_stable(inst3, sol3).stable
     assert utilities(inst3, sol3) == {"v1": F(3, 2), "v2": F(3, 2), "v3": 0, "v4": 0}
 
-    from stablefixtures.stability import rematch
+    from stablefixtures.transfers import rematch
 
     target_hat = make_solution(
         inst2,

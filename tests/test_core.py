@@ -4,16 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from stablefixtures import core, cycles, generate, matching, transfers
-from stablefixtures.core import (
-    CoreViolationError,
-    allocation_to_payoff,
-    core_membership_b2,
-    core_membership_bruteforce,
-    game_value,
-    is_allocation,
-    repair_negative,
-    solve_payoff_system,
-)
+from stablefixtures.core import CoreViolationError, core_membership_b2, game_value, is_allocation
 from stablefixtures.errors import (
     BoundExceededError,
     CapacityTooLargeError,
@@ -22,7 +13,7 @@ from stablefixtures.errors import (
 )
 from stablefixtures.instance import Instance
 from stablefixtures.matching import max_weight_b_matching
-from stablefixtures.oracles import max_weight_b_matching_bruteforce
+from stablefixtures.oracles import core_membership_bruteforce, max_weight_b_matching_bruteforce
 from stablefixtures.randomgen import (
     random_allocation,
     random_instance,
@@ -30,6 +21,7 @@ from stablefixtures.randomgen import (
 )
 from stablefixtures.solver import solve
 from stablefixtures.stability import total_payoff
+from stablefixtures.transfers import allocation_to_payoff, repair_negative, solve_payoff_system
 
 
 def test_game_value_example4():

@@ -6,13 +6,16 @@ import pytest
 
 from stablefixtures import generate, matching
 from stablefixtures.errors import BoundExceededError, NotBipartiteError, UnknownEdgeError
+from stablefixtures.duals import (
+    bipartite_max_weight_b_matching_with_duals,
+    dual_objective,
+    is_dual_feasible,
+    verify_complementary_slackness,
+)
 from stablefixtures.instance import Instance
 from stablefixtures.matching import (
     _perturbed,
-    bipartite_max_weight_b_matching_with_duals,
-    dual_objective,
     duplicated_instance,
-    is_dual_feasible,
     is_b_matching,
     max_half_b_matching_weight,
     max_weight_b_matching,
@@ -21,7 +24,6 @@ from stablefixtures.matching import (
 from stablefixtures.oracles import max_half_b_matching_bruteforce, max_weight_b_matching_bruteforce
 from stablefixtures.randomgen import random_instance
 from stablefixtures.rationals import scale_to_integers
-from stablefixtures.solver import verify_complementary_slackness
 
 
 def test_is_b_matching_example3(example3):

@@ -2,13 +2,17 @@
 
 * `import stablefixtures` loads no submodule; each public name resolves on
   first use to the object its home module defines (PEP 562).
+* Every other name resolves only from its home, except the six that
+  perfbench looks up in `matching` and `solver`.
 * The result records are immutable `NamedTuple`s with the fields, defaults
   and `repr` form they had as frozen dataclasses.
 """
 
-import importlib
+import ast
+import importlib.util
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -16,23 +20,24 @@ from pathlib import Path
 import pytest
 
 import stablefixtures
-from stablefixtures import core, cycles, families, instance, matching, reduction, solver, stability
+from stablefixtures import (
+    core, cycles, duals, families, instance, matching, reduction, solver, stability
+)
 
 PUBLIC_NAMES = [
     "CoreVerdict", "CoreViolationError", "DualSolution", "Generated", "HalfBMatching",
     "Instance", "InternalError", "LPOptimum", "ReducedInstance", "Solution", "SolveOutcome",
     "StabilityVerdict", "StableFixturesError", "allocation_to_payoff", "are_equivalent",
-    "bipartite_max_weight_b_matching_with_duals", "bipartite_optimum_with_duals",
-    "check_solution", "core", "core_membership_b2", "core_membership_bruteforce", "cycles",
-    "dual_from_duplicated", "dual_from_stable", "duplicated_instance", "errors", "game_value",
-    "generate", "has_stable_solution", "induced", "instance", "is_allocation",
-    "is_b_matching", "is_dual_feasible", "is_stable", "lift_stable", "lp_optimum",
-    "make_solution", "matching", "max_half_b_matching_weight", "max_weight_b_matching",
-    "max_weight_b_matching_bruteforce", "meet_join", "rationals", "reduce_instance",
-    "reduce_matching", "reduce_solution", "reduction", "rematch", "repair_negative", "solve",
-    "solve_payoff_system", "solver", "srp_rematch", "stability", "stable_from_dual",
-    "tighten_d", "to_competitive_equilibrium", "total_payoff", "utilities", "validate",
-    "verify_complementary_slackness", "weight",
+    "bipartite_max_weight_b_matching_with_duals", "check_solution", "core",
+    "core_membership_b2", "core_membership_bruteforce", "cycles", "dual_from_duplicated",
+    "dual_from_stable", "duplicated_instance", "errors", "game_value", "generate",
+    "has_stable_solution", "induced", "instance", "is_allocation", "is_b_matching",
+    "is_dual_feasible", "is_stable", "lift_stable", "lp_optimum", "make_solution", "matching",
+    "max_half_b_matching_weight", "max_weight_b_matching", "max_weight_b_matching_bruteforce",
+    "meet_join", "rationals", "reduce_instance", "reduce_matching", "reduce_solution",
+    "reduction", "rematch", "repair_negative", "solve", "solve_payoff_system", "solver",
+    "srp_rematch", "stability", "stable_from_dual", "to_competitive_equilibrium",
+    "total_payoff", "utilities", "validate", "verify_complementary_slackness", "weight",
 ]
 
 SUBMODULES = ["core", "cycles", "errors", "instance", "matching", "rationals", "reduction", "solver", "stability"]
@@ -96,46 +101,29 @@ def test_package_surface_resolves_lazily():
 
 def test_oracles_resolve_from_matching_without_being_compiled_there():
     """The brute-force oracles live in `oracles`; `matching` still resolves
-    them by name (PEP 562) for callers that look them up there."""
+    the one that perfbench looks up there (PEP 562), and no other."""
     from stablefixtures import oracles
 
-    for name in ("max_weight_b_matching_bruteforce", "max_half_b_matching_bruteforce"):
-        assert getattr(matching, name) is getattr(oracles, name)
-        assert name not in vars(matching)
-    with pytest.raises(AttributeError, match="no_such_oracle"):
-        matching.no_such_oracle
+    assert matching.max_weight_b_matching_bruteforce is oracles.max_weight_b_matching_bruteforce
+    assert "max_weight_b_matching_bruteforce" not in vars(matching)
+    for name in ("max_half_b_matching_bruteforce", "no_such_oracle"):
+        with pytest.raises(AttributeError, match=name):
+            getattr(matching, name)
 
 
-# Names that left the modules CLI requests load: (old module, new home) -> names.
+# Names that perfbench looks up where they used to live: (old module, new home) -> names.
 MOVED = {
-    ("matching", "duals"): [
-        "is_dual_feasible", "dual_objective", "tighten_d", "priced_dual", "DualFeasibility",
-        "bipartite_optimum_with_duals", "bipartite_max_weight_b_matching_with_duals", "dual_from_duplicated",
-    ],
-    ("solver", "duals"): [
-        "primal_objective", "has_stable_solution", "stable_from_dual", "dual_from_stable",
-        "verify_complementary_slackness", "SlacknessReport",
-        # once re-exported from `matching`
-        "DualFeasibility", "dual_from_duplicated", "dual_objective", "is_dual_feasible", "tighten_d",
-    ],
-    ("stability", "transfers"): ["rematch", "meet_join", "to_competitive_equilibrium", "are_equivalent"],
-    ("reduction", "transfers"): [
-        "partner_ranks", "reduce_matching", "reduce_solution", "_vertex_solution", "srp_rematch", "lift_stable",
-    ],
-    ("core", "transfers"): [
-        "allocation_to_payoff", "repair_negative", "solve_payoff_system",
-        "_matching_components", "_find_cycle_edge", "_cycle_edges",
-    ],
-    ("core", "oracles"): ["core_membership_bruteforce", "CORE_BRUTE_FORCE_PLAYER_BOUND"],
-    ("cli", "oracles"): ["_oracle_selftest"],
+    ("matching", "duals"): ["bipartite_max_weight_b_matching_with_duals"],
+    ("solver", "duals"): ["dual_from_duplicated", "dual_objective", "is_dual_feasible", "stable_from_dual"],
 }
 
 
 @pytest.mark.parametrize("old, home", MOVED, ids=[f"{old}->{home}" for old, home in MOVED])
 def test_moved_names_resolve_from_their_old_module_without_being_compiled_there(old, home):
-    """Library-only code left the modules that requests load; each moved
-    name still resolves from its old module (PEP 562) to the object its new
-    home defines, and the package points public names at the new home."""
+    """Library-only code left the modules that requests load; each name
+    that perfbench reads from its old module still resolves there (PEP 562)
+    to the object its new home defines, and the package points public names
+    at the new home."""
     old_module = importlib.import_module(f"stablefixtures.{old}")
     new_module = importlib.import_module(f"stablefixtures.{home}")
     for name in MOVED[(old, home)]:
@@ -148,6 +136,44 @@ def test_moved_names_resolve_from_their_old_module_without_being_compiled_there(
         old_module.no_such_name
 
 
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def test_every_name_perfbench_reads_resolves(monkeypatch):
+    """perfbench's tracer looks each name up in its listed module and its
+    verifier reads `matching`, `solver` and `stability` attributes; a name
+    deleted or moved from there must fail here, not only in the benchmark.
+    Only the package, `matching` and `solver` resolve names they do not
+    define."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracing)
+    spec.loader.exec_module(tracing)
+    wanted = {(layer, name) for layer, name in tracing.FUNCTIONS}
+    wanted |= {(layer, name) for layer, name, _ in tracing.CLI_FUNCTIONS if layer != "json"}
+    verify = ast.parse((PERFBENCH / "verify.py").read_text(encoding="utf-8"))
+    wanted |= {
+        (node.value.id, node.attr)
+        for node in ast.walk(verify)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("matching", "solver", "stability")
+    }
+    assert ("solver", "is_dual_feasible") in wanted
+    missing = [
+        f"{layer}.{name}"
+        for layer, name in sorted(wanted)
+        if getattr(importlib.import_module(f"stablefixtures.{layer}"), name, None) is None
+    ]
+    assert missing == []
+    resolving = [
+        module.name
+        for module in pkgutil.iter_modules(stablefixtures.__path__)
+        if "__getattr__" in vars(importlib.import_module(f"stablefixtures.{module.name}"))
+    ]
+    assert sorted(resolving) == ["matching", "solver"]
+
+
 # (record, its fields in order, its defaults)
 RECORDS = [
     (instance.ValidationReport, ("violations",), {}),
@@ -155,12 +181,12 @@ RECORDS = [
     (stability.Solution, ("matching", "payoffs"), {}),
     (stability.StabilityVerdict, ("stable", "blocking_pairs", "utilities"), {}),
     (matching.DualSolution, ("y", "d"), {}),
-    (matching.DualFeasibility, ("feasible", "violated_edges", "negative_y", "negative_d"), {}),
+    (duals.DualFeasibility, ("feasible", "violated_edges", "negative_y", "negative_d"), {}),
     (matching.HalfBMatching, ("values",), {}),
-    (matching.DuplicatedInstance, ("instance", "left", "right", "origin"), {}),
+    (matching.DuplicatedInstance, ("instance", "left", "right"), {}),
     (matching.LPOptimum, ("matching", "weight", "half", "dual"), {}),
     (
-        solver.SlacknessReport,
+        duals.SlacknessReport,
         ("clean", "unsaturated_with_price", "unmatched_with_slack", "matched_not_tight"),
         {},
     ),

@@ -26,20 +26,27 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablefixtures.core import core_membership_b2, core_membership_bruteforce
-from stablefixtures.instance import Instance
-from stablefixtures.matching import (
+from stablefixtures.core import core_membership_b2
+from stablefixtures.duals import (
     dual_from_duplicated,
     dual_objective,
     is_dual_feasible,
+    verify_complementary_slackness,
+)
+from stablefixtures.instance import Instance
+from stablefixtures.matching import (
     is_b_matching,
     is_half_b_matching,
     lp_optimum,
     max_weight_b_matching,
     weight,
 )
-from stablefixtures.oracles import max_half_b_matching_bruteforce, max_weight_b_matching_bruteforce
-from stablefixtures.solver import solve, verify_complementary_slackness
+from stablefixtures.oracles import (
+    core_membership_bruteforce,
+    max_half_b_matching_bruteforce,
+    max_weight_b_matching_bruteforce,
+)
+from stablefixtures.solver import solve
 from stablefixtures.stability import is_stable, total_payoff
 
 # Gadget-like ids first, so shrinking keeps them.

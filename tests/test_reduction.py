@@ -2,25 +2,20 @@ import random
 
 import pytest
 
-from stablefixtures import generate, reduction
+from stablefixtures import generate
 from stablefixtures.errors import InternalError, NotMaximumWeightError, PreconditionError
 from stablefixtures.instance import Instance
 from stablefixtures.matching import max_weight_b_matching, weight
 from stablefixtures.randomgen import random_instance
-from stablefixtures.reduction import (
+from stablefixtures.reduction import reduce_instance
+from stablefixtures.solver import solve
+from stablefixtures.stability import is_stable, make_solution, total_payoff, utilities
+from stablefixtures.transfers import (
+    are_equivalent,
     lift_stable,
-    reduce_instance,
     reduce_matching,
     reduce_solution,
     srp_rematch,
-)
-from stablefixtures.solver import solve
-from stablefixtures.stability import (
-    are_equivalent,
-    is_stable,
-    make_solution,
-    total_payoff,
-    utilities,
 )
 
 
@@ -72,10 +67,12 @@ def test_size_formulas_random():
 
 
 def test_wrong_expansion_size_raises_internal_error(monkeypatch):
-    def lossy(players, capacity, edges):
-        return Instance(players, capacity, edges[:-1])
+    real = Instance._derived
 
-    monkeypatch.setattr(reduction, "Instance", lossy)
+    def lossy(players, capacity, edges):
+        return real(players, capacity, edges[:-1])
+
+    monkeypatch.setattr(Instance, "_derived", lossy)
     with pytest.raises(InternalError, match="wrong size"):
         reduce_instance(fig2_instance())
 

@@ -21,7 +21,7 @@ from fractions import Fraction as F
 import networkx
 import pytest
 
-from stablefixtures import blossom, core, generate, reduction
+from stablefixtures import blossom, core, generate, reduction, transfers
 from stablefixtures.instance import Instance, instance_to_json
 from stablefixtures.matching import (
     _general_matching,
@@ -34,7 +34,8 @@ from stablefixtures.oracles import max_weight_b_matching_bruteforce
 from stablefixtures.randomgen import random_allocation, random_instance
 from stablefixtures.rationals import scale_to_integers
 from stablefixtures.solver import outcome_to_json, solve
-from stablefixtures.stability import Solution, rematch, solution_to_json, total_payoff
+from stablefixtures.stability import Solution, solution_to_json, total_payoff
+from stablefixtures.transfers import rematch
 
 GADGET_LIKE_IDS = ["a", "b", "a^1", "a~b", "a@b", "a'", "b''", "b@a", "a^1^1", "c"]
 
@@ -67,9 +68,9 @@ def _old_rematch(inst, sol, target):
     """Push the payoffs down the expansion, re-seat them with `srp_rematch`
     and read them back from the inner vertices."""
     reduced = reduction.reduce_instance(inst)
-    reduced_sol = reduction.reduce_solution(inst, sol, reduced)
-    target_reduced = reduction.reduce_matching(inst, target, reduced)
-    moved = reduction.srp_rematch(reduced.instance, reduced_sol, target_reduced)
+    reduced_sol = transfers.reduce_solution(inst, sol, reduced)
+    target_reduced = transfers.reduce_matching(inst, target, reduced)
+    moved = transfers.srp_rematch(reduced.instance, reduced_sol, target_reduced)
     vertex_pay = total_payoff(reduced.instance, moved.payoffs)
     payoffs = {}
     for (i, j) in target:

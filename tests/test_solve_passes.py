@@ -24,24 +24,22 @@ from pathlib import Path
 import stablefixtures
 from stablefixtures import generate, instance, matching
 from stablefixtures.cli import main
+from stablefixtures.duals import (
+    bipartite_max_weight_b_matching_with_duals,
+    has_stable_solution,
+    stable_from_dual,
+)
 from stablefixtures.instance import Instance, instance_to_json
 from stablefixtures.matching import (
+    DualSolution,
     _perturbed,
-    bipartite_max_weight_b_matching_with_duals,
     duplicated_instance,
     max_half_b_matching_weight,
     max_weight_b_matching,
 )
 from stablefixtures.randomgen import random_instance
 from stablefixtures.rationals import scale_to_integers
-from stablefixtures.solver import (
-    DualSolution,
-    SolveOutcome,
-    has_stable_solution,
-    outcome_to_json,
-    solve,
-    stable_from_dual,
-)
+from stablefixtures.solver import SolveOutcome, outcome_to_json, solve
 from stablefixtures.stability import solution_to_json
 
 # ---------------------------------------------------------------------------
@@ -167,7 +165,8 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_
 
 def test_each_request_validates_its_instance_once(monkeypatch, capsys, tmp_path, diamond):
     """The CLI boundary validates the instance file; the double cover, the
-    dual's residual and every subgame are built from it unvalidated."""
+    dual's residual, every subgame and the unit-capacity expansion are built
+    from it unvalidated."""
     triangle = Instance(
         ["a", "b", "c"], {p: 2 for p in "abc"}, [("a", "b", 4), ("b", "c", 1), ("a", "c", 1)]
     )
@@ -190,6 +189,7 @@ def test_each_request_validates_its_instance_once(monkeypatch, capsys, tmp_path,
         (["solve", path["diamond"]], 3),
         (["core-check", path["triangle"], path["in_core"]], 0),
         (["core-check", path["triangle"], path["blocked"]], 3),
+        (["reduce", path["triangle"]], 0),
     ):
         calls.clear()
         assert main(argv) == code, argv

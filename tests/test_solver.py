@@ -10,38 +10,22 @@ from stablefixtures.errors import (
     NotMaximumWeightError,
     PreconditionError,
 )
-from stablefixtures.instance import Instance
-from stablefixtures.matching import max_weight_b_matching, weight
-from stablefixtures.oracles import max_half_b_matching_bruteforce
-from stablefixtures.randomgen import random_instance
-from stablefixtures.solver import (
-    DualSolution,
+from stablefixtures.duals import (
     dual_from_duplicated,
     dual_from_stable,
     dual_objective,
     has_stable_solution,
     is_dual_feasible,
-    primal_objective,
-    solve,
     stable_from_dual,
-    tighten_d,
     verify_complementary_slackness,
 )
-from stablefixtures.stability import (
-    are_equivalent,
-    is_stable,
-    make_solution,
-    rematch,
-)
-
-
-def test_primal_objective_example3(example3):
-    inst, sol = example3
-    x = {e: F(1 if e in sol.matching else 0) for e in inst.edges}
-    assert primal_objective(inst, x) == 4
-    assert primal_objective(inst, {e: F(0) for e in inst.edges}) == 0
-    with pytest.raises(InputError):
-        primal_objective(inst, {})
+from stablefixtures.instance import Instance
+from stablefixtures.matching import DualSolution, _priced, max_weight_b_matching, weight
+from stablefixtures.oracles import max_half_b_matching_bruteforce
+from stablefixtures.randomgen import random_instance
+from stablefixtures.solver import solve
+from stablefixtures.stability import is_stable, make_solution
+from stablefixtures.transfers import are_equivalent, rematch
 
 
 def test_dual_objective_trivial_feasible(example3):
@@ -62,15 +46,24 @@ def test_dual_infeasible_lists_edges(example3):
 
 
 def test_tighten_d_cases():
+    """`_priced` takes d pointwise smallest, on `Fraction`s and on ints alike,
+    and prices a capacity-0 player at its heaviest edge."""
     inst = generate("two_player", w=7).instance
-    assert tighten_d(inst, {"i": F(0), "j": F(0)}) == {("i", "j"): 7}
-    assert tighten_d(inst, {"i": F(4), "j": F(4)}) == {("i", "j"): 0}
+    w = inst.edge_weights()
+    assert _priced(inst, w, {"i": F(0), "j": F(0)})[1] == {("i", "j"): 7}
+    assert _priced(inst, w, {"i": F(4), "j": F(4)})[1] == {("i", "j"): 0}
+    assert _priced(inst, {("i", "j"): 7}, {"i": 3, "j": 1}) == ({"i": 3, "j": 1}, {("i", "j"): 3})
+    zero = Instance(["i", "j", "k"], {"i": 0, "j": 1, "k": 1}, [("i", "j", 5), ("i", "k", 2)])
+    y, d = _priced(zero, zero.edge_weights(), {p: F(0) for p in "ijk"})
+    assert y == {"i": 5, "j": 0, "k": 0}
+    assert d == {("i", "j"): 0, ("i", "k"): 0}
 
 
 def test_tighten_d_example3(example3):
     inst, _ = example3
     y = {"v1": F(3, 2), "v2": F(3, 2), "v3": F(0), "v4": F(0)}
-    d = tighten_d(inst, y)
+    y_priced, d = _priced(inst, inst.edge_weights(), y)
+    assert y_priced == y
     assert d == {
         ("v1", "v2"): 0,
         ("v2", "v3"): 0,

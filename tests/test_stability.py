@@ -17,17 +17,14 @@ from stablefixtures.randomgen import random_instance
 from stablefixtures.solver import solve
 from stablefixtures.stability import (
     Solution,
-    are_equivalent,
     check_solution,
     is_stable,
     make_solution,
-    meet_join,
-    rematch,
     resolve_sides,
-    to_competitive_equilibrium,
     total_payoff,
     utilities,
 )
+from stablefixtures.transfers import are_equivalent, meet_join, rematch, to_competitive_equilibrium
 
 
 def test_utilities_example3(example3):
