@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InternalError, PreconditionError
+from .instance import _spanning_forest
 from .rationals import scale_to_integers
 
 Pair = tuple[str, str]
@@ -128,36 +129,26 @@ def min_path_cycle_system(
 
 
 def _split_components(selected, x, weights) -> list[SystemComponent]:
-    adj: dict[str, list[Pair]] = {}
-    for (u, v) in selected:
-        adj.setdefault(u, []).append((u, v))
-        adj.setdefault(v, []).append((u, v))
-    seen: set[str] = set()
+    root, _ = _spanning_forest(selected)
+    nodes: dict[str, list[str]] = {}
+    for v in sorted(root):
+        nodes.setdefault(root[v], []).append(v)
+    edges: dict[str, list[Pair]] = {r: [] for r in nodes}
+    for e in sorted(selected):
+        edges[root[e[0]]].append(e)
     out: list[SystemComponent] = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp_nodes = {start}
-        queue = [start]
-        while queue:
-            node = queue.pop()
-            for (a, b) in adj[node]:
-                for nxt in (a, b):
-                    if nxt not in comp_nodes:
-                        comp_nodes.add(nxt)
-                        queue.append(nxt)
-        seen |= comp_nodes
-        comp_edges = sorted({e for v in comp_nodes for e in adj[v]})
+    for r, comp_nodes in nodes.items():
+        comp_edges = edges[r]
         kind = "cycle" if len(comp_edges) == len(comp_nodes) else "path"
         if len(comp_edges) not in (len(comp_nodes), len(comp_nodes) - 1):
-            raise InternalError(f"component at {start} is neither a path nor a cycle")
+            raise InternalError(f"component at {comp_nodes[0]} is neither a path nor a cycle")
         cost = sum((x[v] for v in comp_nodes), Fraction(0)) - sum(
             (weights[e] for e in comp_edges), Fraction(0)
         )
         out.append(
             SystemComponent(
                 kind=kind,
-                vertices=tuple(sorted(comp_nodes)),
+                vertices=tuple(comp_nodes),
                 edges=tuple(comp_edges),
                 cost=cost,
             )

@@ -172,25 +172,6 @@ class Instance:
     def is_bipartite(self) -> bool:
         return self.two_coloring() is not None
 
-    def connected_components(self) -> list[list[str]]:
-        seen: set[str] = set()
-        comps = []
-        for start in self.players:
-            if start in seen:
-                continue
-            comp = [start]
-            seen.add(start)
-            queue = [start]
-            while queue:
-                u = queue.pop()
-                for v in self._adj[u]:
-                    if v not in seen:
-                        seen.add(v)
-                        comp.append(v)
-                        queue.append(v)
-            comps.append(sorted(comp, key=self._index.__getitem__))
-        return comps
-
     def __reduce__(self):
         # Pickle through the constructor: a mapping proxy cannot be pickled.
         edges = [(u, v, w) for (u, v), w in self._weights.items()]
@@ -198,6 +179,28 @@ class Instance:
 
     def __repr__(self) -> str:
         return f"Instance(n={self.n}, m={self.m})"
+
+
+def _spanning_forest(edges: Iterable[Edge]) -> tuple[dict[str, str], list[Edge]]:
+    """Union-find over `edges` in the order given (Kruskal): the component
+    root of every vertex they touch, and the edges that close a cycle."""
+    parent: dict[str, str] = {}
+
+    def find(v: str) -> str:
+        parent.setdefault(v, v)
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    closing: list[Edge] = []
+    for (u, v) in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            closing.append((u, v))
+        else:
+            parent[ru] = rv
+    return {v: find(v) for v in parent}, closing
 
 
 def _fresh_name(used: set, base: str) -> str:

@@ -16,9 +16,10 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
-    IncompatibleSolutionError, InputError, PreconditionError, UnknownEdgeError, UnstableSolutionError
+    IncompatibleSolutionError, InputError, NotBipartiteError, PreconditionError, UnknownEdgeError,
+    UnstableSolutionError,
 )
-from .instance import Edge, Instance
+from .instance import Edge, Instance, _spanning_forest
 from .rationals import format_rational, parse_rational
 
 PayoffMatrix = dict[tuple[str, str], Fraction]
@@ -174,8 +175,6 @@ def resolve_sides(inst: Instance, sellers: Iterable[str] | None = None) -> froze
     component carries all edges, in which case the class containing its
     smallest-index vertex is the seller side.
     """
-    from .errors import NotBipartiteError
-
     if sellers is not None:
         side = frozenset(sellers)
         for p in side:
@@ -189,15 +188,12 @@ def resolve_sides(inst: Instance, sellers: Iterable[str] | None = None) -> froze
     coloring = inst.two_coloring()
     if coloring is None:
         raise NotBipartiteError("instance is not bipartite")
-    edge_comps = [c for c in inst.connected_components() if len(c) > 1]
-    if len(edge_comps) > 1:
+    root, _ = _spanning_forest(inst.edges)
+    if len(set(root.values())) > 1:
         raise PreconditionError(
             "side assignment is ambiguous across components; pass sellers explicitly"
         )
-    if not edge_comps:
-        return frozenset()
-    comp = set(edge_comps[0])
-    return frozenset(p for p in comp if coloring[p] == 0)
+    return frozenset(p for p in root if coloring[p] == 0)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping
 
 from .core import CoreViolationError, _coalition_total, _violation
 from .errors import ComponentSumError, InputError, InternalError, NotMaximumWeightError, PreconditionError
-from .instance import Edge, Instance
+from .instance import Edge, Instance, _spanning_forest
 from .matching import is_b_matching, lp_optimum, weight
 from .rationals import format_rational
 from .reduction import ReducedInstance, reduce_instance
@@ -286,38 +286,45 @@ def solve_payoff_system(
     """Signed payoffs on M* with exact row sums x.
 
     Requires x to sum to the matched weight on every connected component of
-    M* and to vanish on uncovered players. Cycles are broken by paying half
-    the weight of one edge to each side; trees are peeled leaf by leaf,
-    always at the smallest-index leaf.
+    M* and to vanish on uncovered players. Each cycle gives up one edge,
+    paid half its weight at each end: walking M* from its largest canonical
+    edge down, the edges that close a cycle (Kruskal's rejects) are given
+    up, in increasing order. These are the edges that reverse-delete removes
+    by dropping the smallest canonical edge on a cycle again and again. The
+    spanning forest left is peeled leaf by leaf, always at the smallest-index
+    leaf.
     """
     m = inst.canonical_edge_set(matching)
     if not is_b_matching(inst, m):
         raise PreconditionError("edge set is not a b-matching")
     _coalition_total(inst, x, inst.players)
 
-    adj: dict[str, set[str]] = {p: set() for p in inst.players}
-    for (u, v) in sorted(m, key=lambda e: (inst.index(e[0]), inst.index(e[1]))):
-        adj[u].add(v)
-        adj[v].add(u)
-    covered = {p for p in inst.players if adj[p]}
+    decreasing = sorted(m, key=lambda e: (inst.index(e[0]), inst.index(e[1])), reverse=True)
+    root, closing = _spanning_forest(decreasing)
+    comps: dict[str, list[str]] = {}
     for p in inst.players:
-        if p not in covered and x[p] != 0:
+        if p in root:
+            comps.setdefault(root[p], []).append(p)
+        elif x[p] != 0:
             raise ComponentSumError(
                 f"player {p} is uncovered by the matching but has x({p}) = "
                 f"{format_rational(x[p])}"
             )
-    for comp in _matching_components(inst, adj):
+    matched = dict.fromkeys(comps, Fraction(0))
+    for (u, v) in m:
+        matched[root[u]] += inst.weight(u, v)
+    for r, comp in comps.items():
         total = sum((x[p] for p in comp), Fraction(0))
-        wsum = sum(
-            (inst.weight(u, v) for (u, v) in m if u in comp and v in comp), Fraction(0)
-        )
-        if total != wsum:
+        if total != matched[r]:
             raise ComponentSumError(
                 f"component {sorted(comp)} has x = {format_rational(total)}"
-                f" but matched weight {format_rational(wsum)}"
+                f" but matched weight {format_rational(matched[r])}"
             )
 
-    remaining = {p: set(s) for p, s in adj.items()}
+    remaining: dict[str, set[str]] = {p: set() for p in inst.players}
+    for (u, v) in m:
+        remaining[u].add(v)
+        remaining[v].add(u)
     live = dict(x)
     payoffs: PayoffMatrix = {}
 
@@ -325,12 +332,7 @@ def solve_payoff_system(
         remaining[u].discard(v)
         remaining[v].discard(u)
 
-    # Break every cycle: pay half the weight of its smallest edge to each end.
-    while True:
-        cycle_edge = _find_cycle_edge(inst, remaining)
-        if cycle_edge is None:
-            break
-        u, v = cycle_edge
+    for (u, v) in reversed(closing):
         half = inst.weight(u, v) / 2
         payoffs[(u, v)] = payoffs[(v, u)] = half
         live[u] -= half
@@ -355,80 +357,6 @@ def solve_payoff_system(
     if total_payoff(inst, payoffs) != {p: x[p] for p in inst.players}:
         raise InternalError("decomposition row sums disagree with the allocation")
     return payoffs
-
-
-def _matching_components(inst, adj) -> list[set[str]]:
-    seen: set[str] = set()
-    comps = []
-    for start in inst.players:
-        if start in seen or not adj[start]:
-            continue
-        comp = {start}
-        queue = [start]
-        seen.add(start)
-        while queue:
-            u = queue.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.add(v)
-                    queue.append(v)
-        comps.append(comp)
-    return comps
-
-
-def _find_cycle_edge(inst, remaining) -> Edge | None:
-    """Smallest canonical edge lying on some cycle of the matching graph."""
-    visited: set[str] = set()
-    best: Edge | None = None
-    for root in inst.players:
-        if root in visited or not remaining[root]:
-            continue
-        parent: dict[str, str] = {root: ""}
-        order = [root]
-        visited.add(root)
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in sorted(remaining[u], key=inst.index):
-                if v not in parent:
-                    parent[v] = u
-                    visited.add(v)
-                    order.append(v)
-                    stack.append(v)
-                elif parent[u] != v:
-                    # Non-tree edge: the cycle through it exists; candidates
-                    # are this edge and the tree path edges, but the smallest
-                    # canonical edge on the cycle is enough for determinism.
-                    cyc = _cycle_edges(inst, parent, u, v)
-                    cand = min(cyc, key=lambda e: (inst.index(e[0]), inst.index(e[1])))
-                    if best is None or (inst.index(cand[0]), inst.index(cand[1])) < (
-                        inst.index(best[0]),
-                        inst.index(best[1]),
-                    ):
-                        best = cand
-    return best
-
-
-def _cycle_edges(inst, parent, u, v) -> list[Edge]:
-    anc_u = [u]
-    node = u
-    while parent[node]:
-        node = parent[node]
-        anc_u.append(node)
-    anc_v = [v]
-    node = v
-    while parent[node]:
-        node = parent[node]
-        anc_v.append(node)
-    common = set(anc_u) & set(anc_v)
-    edges = [inst.edge_key(u, v)]
-    for chain in (anc_u, anc_v):
-        for node in chain:
-            if node in common:
-                break
-            edges.append(inst.edge_key(node, parent[node]))
-    return edges
 
 
 def repair_negative(

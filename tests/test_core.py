@@ -99,16 +99,78 @@ def test_solve_payoff_system_path():
     assert p[("c", "b")] == 0
 
 
-def test_solve_payoff_system_four_cycle():
-    inst = Instance(
-        ["v1", "v2", "v3", "v4"],
-        {p: 2 for p in ("v1", "v2", "v3", "v4")},
-        [("v1", "v2", 1), ("v2", "v3", 1), ("v3", "v4", 1), ("v4", "v1", 1)],
-    )
-    x = {p: F(1) for p in inst.players}
+def _pairs(*entries):
+    """Payoff items (u, v, p(u, v), p(v, u)) as the matrix lists them."""
+    out = []
+    for (u, v, p_uv, p_vu) in entries:
+        out += [((u, v), F(p_uv)), ((v, u), F(p_vu))]
+    return out
+
+
+# The smallest canonical edge on a cycle is given up, again and again
+# (reverse-delete), and paid half to each end in increasing order; the forest
+# left is peeled at its smallest-index leaf. The item order is pinned too.
+@pytest.mark.parametrize(
+    "inst, x, expected",
+    [
+        (
+            Instance(
+                ["v1", "v2", "v3", "v4"], dict.fromkeys(["v1", "v2", "v3", "v4"], 2),
+                [("v1", "v2", 1), ("v2", "v3", 1), ("v3", "v4", 1), ("v4", "v1", 1)],
+            ),
+            dict.fromkeys(["v1", "v2", "v3", "v4"], 1),
+            _pairs(
+                ("v1", "v2", "1/2", "1/2"), ("v1", "v4", "1/2", "1/2"),
+                ("v2", "v3", "1/2", "1/2"), ("v3", "v4", "1/2", "1/2"),
+            ),
+        ),
+        (
+            # v1v2, v1v3 and v2v3 close cycles; the star at v4 is peeled.
+            Instance(
+                ["v1", "v2", "v3", "v4"], dict.fromkeys(["v1", "v2", "v3", "v4"], 3),
+                [
+                    ("v1", "v2", 1), ("v1", "v3", 2), ("v1", "v4", 3),
+                    ("v2", "v3", 4), ("v2", "v4", 5), ("v3", "v4", 6),
+                ],
+            ),
+            {"v1": 5, "v2": 5, "v3": 5, "v4": 6},
+            _pairs(
+                ("v1", "v2", "1/2", "1/2"), ("v1", "v3", "1", "1"), ("v2", "v3", "2", "2"),
+                ("v1", "v4", "7/2", "-1/2"), ("v2", "v4", "5/2", "5/2"), ("v3", "v4", "2", "4"),
+            ),
+        ),
+        (
+            # A theta graph: the cycles v1v2v3 and v2v4v5v3 share v2v3. v1v2
+            # breaks the first, then the shared edge breaks the second.
+            Instance(
+                ["v1", "v2", "v3", "v4", "v5"], {"v1": 2, "v2": 3, "v3": 3, "v4": 2, "v5": 2},
+                [
+                    ("v1", "v2", 2), ("v1", "v3", 4), ("v2", "v3", 6),
+                    ("v2", "v4", 3), ("v3", "v5", 5), ("v4", "v5", 1),
+                ],
+            ),
+            {"v1": 3, "v2": 7, "v3": 5, "v4": F(1, 2), "v5": F(11, 2)},
+            _pairs(
+                ("v1", "v2", "1", "1"), ("v2", "v3", "3", "3"), ("v1", "v3", "2", "2"),
+                ("v2", "v4", "3", "0"), ("v3", "v5", "0", "5"), ("v4", "v5", "1/2", "1/2"),
+            ),
+        ),
+        (
+            Instance(["a", "b", "c", "d"], dict.fromkeys("abcd", 1), [("a", "b", 4), ("c", "d", 6)]),
+            {"a": 1, "b": 3, "c": 2, "d": 2},
+            r"component \['c', 'd'\] has x = 4 but matched weight 6",
+        ),
+    ],
+    ids=["four_cycle", "k4", "theta", "second_component_sum"],
+)  # fmt: skip
+def test_solve_payoff_system_cycle_choice(inst, x, expected):
+    x = {p: F(v) for p, v in x.items()}
+    if isinstance(expected, str):
+        with pytest.raises(ComponentSumError, match=expected):
+            solve_payoff_system(inst, inst.edges, x)
+        return
     p = solve_payoff_system(inst, inst.edges, x)
-    # The smallest edge of the cycle is split in half, the rest is peeled.
-    assert p[("v1", "v2")] == p[("v2", "v1")] == F(1, 2)
+    assert list(p.items()) == expected
     assert total_payoff(inst, p) == x
 
 

@@ -12,7 +12,7 @@ from stablefixtures.duals import (
     is_dual_feasible,
     verify_complementary_slackness,
 )
-from stablefixtures.instance import Instance
+from stablefixtures.instance import Instance, _spanning_forest
 from stablefixtures.matching import (
     _perturbed,
     duplicated_instance,
@@ -352,7 +352,9 @@ def test_early_exit_ssp_matches_full_dijkstra():
         for int_weights in (base, _perturbed(inst, base)):
             expected = _full_dijkstra_ssp_flow(inst, int_weights, coloring)
             assert matching._ssp_flow(inst, int_weights, coloring) == expected, inst
-        shapes["components"] += len(inst.connected_components()) > 1
+        # Each isolated player is a component of its own.
+        roots, _ = _spanning_forest(inst.edges)
+        shapes["components"] += len({roots.get(p, p) for p in inst.players}) > 1
         shapes["isolated"] += any(not inst.neighbors(p) for p in inst.players)
         shapes["zero_b"] += any(inst.b(p) == 0 for p in inst.players)
         shapes["above_degree"] += any(inst.b(p) > len(inst.neighbors(p)) for p in inst.players)

@@ -48,6 +48,7 @@ from stablefixtures.oracles import (
 )
 from stablefixtures.solver import solve
 from stablefixtures.stability import is_stable, total_payoff
+from stablefixtures.transfers import allocation_to_payoff
 
 # Gadget-like ids first, so shrinking keeps them.
 IDS = ("a", "a'", "a''", "a^1", "a~b", "a@b", "b", "c", "d")
@@ -222,3 +223,8 @@ def test_core_membership_b2_agrees_with_bruteforce(case):
     assert fast.kind == slow.kind
     for verdict in (fast, slow):
         assert verdict.kind != "violation" or verdict.deficit > 0
+    if fast.in_core:
+        # An in-core allocation decomposes into nonnegative payoffs on M*.
+        payoffs = allocation_to_payoff(inst, x, lp_optimum(inst).matching)
+        assert all(q >= 0 for q in payoffs.values())
+        assert total_payoff(inst, payoffs) == x

@@ -240,6 +240,11 @@ def test_resolve_sides_ambiguous_components():
     with pytest.raises(PreconditionError):
         resolve_sides(inst)
     assert resolve_sides(inst, ["a", "c"]) == frozenset({"a", "c"})
+    # An isolated player is no second component: the side is the colour-0
+    # class of the one component with edges, without the isolated player.
+    lone = Instance(["z", "a", "b", "c"], dict.fromkeys("zabc", 1), [("a", "b", 1), ("b", "c", 1)])
+    assert resolve_sides(lone) == frozenset({"a", "c"})
+    assert resolve_sides(Instance(["a", "b"], {"a": 1, "b": 1}, [])) == frozenset()
 
 
 def test_meet_join_idempotent(example2):
