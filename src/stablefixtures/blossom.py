@@ -12,6 +12,11 @@ LP with odd-set constraints: a symmetric matching on the given edges,
 nonnegative vertex and blossom duals, nonnegative slack on every edge, and
 sum u + sum z(B) floor(|B|/2) equal to the matching's weight. A failed
 check raises `InternalError`, also under `python -O`.
+
+`max_weight_degree_subgraph(slots, edges, extra, mandatory)` builds the
+2-vertex edge gadget for degree-constrained subgraphs (Shiloach 1981;
+Gabow 1983) on which both the general b-matching engine and the minimum
+path/cycle systems run, matches it, and reads the selected edges back.
 """
 
 from __future__ import annotations
@@ -27,6 +32,57 @@ def max_weight_matching(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
     matched, dual, blossoms = _primal_dual(n, edges)
     _certify(n, edges, matched, dual, blossoms)
     return [-1 if k < 0 else edges[k][0] + edges[k][1] - v for v, k in enumerate(matched)]
+
+
+_END = object()  # tags the gadget's end nodes, so no caller node equals one
+
+
+def max_weight_degree_subgraph(slots, edges, extra, mandatory):
+    """The edges that one maximum-weight matching of the edge gadget selects,
+    and the gadget's profit: the mate's weight minus the coverage bonuses.
+
+    `slots[v]` lists v's (node, price) pairs, `edges` lists (u, v, w) with
+    w even, `extra` lists more (node, node, profit) gadget edges, none
+    between slots of two vertices, and every optimum covers `mandatory`.
+    An edge whose ends both have two or more slots gets two mandatory end
+    nodes, joined at 0 and each to its vertex's slots at w/2 minus the
+    slot's price; it is selected iff its ends are not matched together.
+    Any other edge joins the slots of its ends directly at w minus both
+    prices and is selected iff a slot of u is mated to a slot of v: a
+    one-slot end takes at most one of them (Gabow 1983). Each mandatory
+    end of a gadget edge adds a bonus of 1 + sum |profit|. Nodes are
+    numbered in order of first appearance, `extra` first, so ties break
+    the same way for the same input.
+    """
+    profits, mandatory, joins = list(extra), set(mandatory), []
+    for k, (u, v, w) in enumerate(edges):
+        if len(slots[u]) > 1 and len(slots[v]) > 1:
+            end_u, end_v = (_END, k, 0), (_END, k, 1)
+            mandatory |= {end_u, end_v}
+            profits.append((end_u, end_v, 0))
+            for end, p in ((end_u, u), (end_v, v)):
+                profits += [(end, slot, w // 2 - price) for (slot, price) in slots[p]]
+            joins.append((True, [(end_u, end_v)]))  # mated iff the edge is unused
+        else:
+            profits += [(a, b, w - pa - pb) for (a, pa) in slots[u] for (b, pb) in slots[v]]
+            joins.append((False, [(a, b) for (a, _) in slots[u] for (b, _) in slots[v]]))
+
+    bonus = 1 + sum(abs(c) for (_, _, c) in profits)
+    index: dict = {}  # gadget node -> vertex number, in order of appearance
+    gadget = [
+        (index.setdefault(a, len(index)), index.setdefault(b, len(index)),
+         c + bonus * ((a in mandatory) + (b in mandatory)))
+        for (a, b, c) in profits
+    ]
+    mate = max_weight_matching(len(index), gadget)
+    if any(mate[index[a]] == -1 for a in mandatory):
+        raise InternalError("edge gadget matching leaves a mandatory node uncovered")
+    selected = [
+        (u, v) for (u, v, _), (gadgeted, pairs) in zip(edges, joins)
+        if any(mate[index[a]] == index[b] for (a, b) in pairs) is not gadgeted
+    ]
+    profit = sum(c for (a, b, _), (_, _, c) in zip(gadget, profits) if mate[a] == b)
+    return selected, profit
 
 
 def _certify(n, edges, matched, dual, blossoms) -> None:

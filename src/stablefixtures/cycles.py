@@ -4,11 +4,10 @@
   over subgraphs whose components are simple paths (endpoints anywhere,
   inner vertices restricted to capacity-2 players) and simple cycles (on
   capacity-2 players only), by one maximum-weight matching on the 2-vertex
-  edge gadget (Shiloach 1981; Gabow 1983), which only edges between
-  capacity-2 players need, computed by the exact integer blossom engine of
-  `blossom`. A negative optimum exhibits a violated path or cycle core
-  constraint and a nonnegative optimum proves there is none; this backs the
-  polynomial core-membership test.
+  edge gadget that `blossom.max_weight_degree_subgraph` builds, matches and
+  reads back (Shiloach 1981; Gabow 1983). A negative optimum exhibits a
+  violated path or cycle core constraint and a nonnegative optimum proves
+  there is none; this backs the polynomial core-membership test.
 
 * `negative_cycle` decides whether an undirected graph with rational edge
   costs contains a simple cycle of negative total cost. Closed walks are not
@@ -58,73 +57,43 @@ def min_path_cycle_system(
     set F with deg_F <= capacity that pays x(v) at each vertex it touches.
     The empty packing is admissible, so the optimum is at most 0.
 
-    Gadget: the 2-vertex edge gadget for degree-constrained subgraphs
+    Gadget: the 2-vertex edge gadget of `blossom.max_weight_degree_subgraph`
     (Shiloach 1981; Gabow 1983) under one maximum-weight matching. A
-    capacity-2 vertex v has two mandatory slots joined at profit 0 (degree
-    0) and an optional helper at -x(v)/2 to each, which pays the second half
-    of x(v) when v ends a path; a capacity-1 vertex has one optional slot.
-    An edge uv between capacity-2 vertices has two mandatory ends joined at
-    0 (unused), each joined to the slots of its player at w(uv)/2 minus the
-    slot's price x/2; uv is selected iff its ends are not matched together.
-    An edge with a capacity-1 end (one slot, price x) joins the slots of
-    its ends directly at w(uv) minus both slot prices, what the two end
-    edges would pay together; the one slot takes at most one of them, and
-    uv is selected iff a slot of u is matched to a slot of v (Gabow 1983).
-    A bonus B = 1 + sum |profit| per mandatory endpoint makes every optimum
-    cover the mandatory vertices, as the all-unused state does.
+    capacity-2 vertex v has two mandatory slots at price x(v)/2, joined at
+    profit 0 (degree 0), and an optional helper at -x(v)/2 to each, which
+    pays the second half of x(v) when v ends a path; a capacity-1 vertex
+    has one optional slot at price x(v). So only edges between capacity-2
+    vertices get end nodes, and the gadget's profit is minus twice the
+    scaled cost of the system it selects, which certifies the read-back.
     """
     for v in vertices:
         if capacity[v] not in (1, 2):
             raise PreconditionError(f"vertex {v} must have capacity 1 or 2")
 
     # Edge keys are pairs and vertex keys strings, so one mapping holds both.
-    scaled, _ = scale_to_integers({**weights, **x})
+    scaled, scale = scale_to_integers({**weights, **x})
     wx = {v: 2 * scaled[v] for v in vertices}
-    ww = {e: 2 * scaled[e] for e in weights}
 
     slots: dict[str, list[tuple[tuple, int]]] = {}
-    profits: list[tuple[tuple, tuple, int]] = []
+    extra: list[tuple[tuple, tuple, int]] = []
     mandatory: set[tuple] = set()
     for v in vertices:
         if capacity[v] == 2:
             s1, s2, helper = ("slot", v, 1), ("slot", v, 2), ("helper", v)
             mandatory |= {s1, s2}
-            profits += [(s1, s2, 0), (helper, s1, -(wx[v] // 2)), (helper, s2, -(wx[v] // 2))]
+            extra += [(s1, s2, 0), (helper, s1, -(wx[v] // 2)), (helper, s2, -(wx[v] // 2))]
             slots[v] = [(s1, wx[v] // 2), (s2, wx[v] // 2)]
         else:
             slots[v] = [(("slot", v, 1), wx[v])]
-    # The gadget edges that select each edge when matched.
-    selects: dict[Pair, list[tuple[tuple, tuple]]] = {}
-    for (u, v), w in ww.items():
-        if capacity[u] == 2 and capacity[v] == 2:
-            ends = {u: ("end", (u, v), u), v: ("end", (u, v), v)}
-            mandatory |= set(ends.values())
-            profits.append((ends[u], ends[v], 0))
-            for p, end in ends.items():
-                profits += [(end, slot, w // 2 - price) for (slot, price) in slots[p]]
-            selects[(u, v)] = [(ends[u], slot) for (slot, _) in slots[u]]
-        else:
-            profits += [(a, b, w - pa - pb) for (a, pa) in slots[u] for (b, pb) in slots[v]]
-            selects[(u, v)] = [(a, b) for (a, _) in slots[u] for (b, _) in slots[v]]
 
-    from .blossom import max_weight_matching
+    from .blossom import max_weight_degree_subgraph
 
-    bonus = 1 + sum(abs(c) for (_, _, c) in profits)
-    index: dict[tuple, int] = {}  # gadget node -> vertex number, in order of appearance
-    gadget = [
-        (index.setdefault(a, len(index)), index.setdefault(b, len(index)),
-         c + bonus * ((a in mandatory) + (b in mandatory)))
-        for (a, b, c) in profits
-    ]
-    mate = max_weight_matching(len(index), gadget)
-    if any(mate[index[v]] == -1 for v in mandatory):
-        raise InternalError("path/cycle gadget matching leaves a mandatory vertex uncovered")
-
-    selected = [
-        e for e, pairs in selects.items() if any(mate[index[a]] == index[b] for (a, b) in pairs)
-    ]
+    edges = [(u, v, 2 * scaled[(u, v)]) for (u, v) in weights]
+    selected, profit = max_weight_degree_subgraph(slots, edges, extra, mandatory)
     components = _split_components(selected, x, weights)
     total = sum((c.cost for c in components), Fraction(0))
+    if profit != -2 * scale * total:
+        raise InternalError("path/cycle gadget matching does not weigh minus its system's cost")
     return total, components
 
 

@@ -2,11 +2,10 @@
 
 Two engines, both exact over rationals:
 
-* the general-graph engine gives each player min(b, deg) copies, joins the
-  copies of an edge's ends by a 2-vertex gadget when both ends have two or
-  more copies and directly otherwise, runs the exact integer blossom engine
-  of `blossom` (imported only when this engine runs) on integer-scaled
-  weights, and reads the b-matching off the gadgets and direct edges;
+* the general-graph engine gives each player min(b, deg) slots and hands
+  them, with the integer-scaled weights, to the edge-gadget builder
+  `blossom.max_weight_degree_subgraph` (imported only when this engine
+  runs), which matches the gadget and reads the b-matching back;
 * the bipartite engine runs successive shortest paths with vertex potentials
   on a small flow network, which additionally yields an optimal dual (y, d)
   of the degree-constrained LP, certified by weak duality.
@@ -125,53 +124,23 @@ def _tie_broken(inst: Instance, base: Mapping[Edge, int]) -> frozenset[Edge]:
 def _general_matching(inst: Instance, base: Mapping[Edge, int]) -> frozenset[Edge]:
     """The tie-broken optimum of `base` through the edge gadget.
 
-    Player i gets min(b(i), deg(i)) copies. An edge ij whose ends both have
-    two or more copies gets an end vertex for i and one for j, joined to
-    each other and to the copies of their players, all with the perturbed
-    weight of ij; an optimum matches one or two of its gadget edges, and ij
-    is selected iff two. Any other edge joins the copies of i and j
-    directly at that weight, and is selected iff a copy of i is mated to a
-    copy of j: a one-copy end takes at most one of them, so ij is still
-    used at most once (Gabow 1983). The mate weighs w(M) plus the weights
-    of the gadget edges, which certifies the read-back.
+    Player i gets min(b(i), deg(i)) zero-price slots, and each edge its
+    doubled perturbed weight, in `blossom.max_weight_degree_subgraph`: an
+    edge is gadgeted when both its ends have two or more slots and joins
+    them directly otherwise. The perturbed optimum is unique, so the
+    gadget's shape cannot change the answer. The gadget's profit is twice
+    the perturbed weight of the edges it selects, which certifies the
+    read-back.
     """
-    from .blossom import max_weight_matching
+    from .blossom import max_weight_degree_subgraph
 
     perturbed = _perturbed(inst, base)
-    # Vertex numbers: player p's copies form copies[p]; end vertices of the
-    # gadgeted edges follow all copies, two by two.
-    copies, n = {}, 0
-    for p in inst.players:
-        copies[p] = range(n, n + min(inst.b(p), len(inst.neighbors(p))))
-        n = copies[p].stop
-    gadget, ends = [], {}
-    for (i, j), w in perturbed.items():
-        if len(copies[i]) > 1 and len(copies[j]) > 1:
-            ends[(i, j)] = n, n + 1
-            gadget.append((n, n + 1, w))
-            for end, p in ((n, i), (n + 1, j)):
-                gadget += [(end, c, w) for c in copies[p]]
-            n += 2
-        else:
-            gadget += [(c, d, w) for c in copies[i] for d in copies[j]]
-
-    mate = max_weight_matching(n, gadget)
-    selected, states = set(), set()
-    for (i, j) in perturbed:
-        if (i, j) in ends:
-            end_i, end_j = ends[(i, j)]
-            # Matched gadget edges: 1 if ij is unused, 2 if ij is selected.
-            count = 1 if mate[end_i] == end_j else (mate[end_i] >= 0) + (mate[end_j] >= 0)
-            states.add(count)
-        else:
-            count = 2 * any(mate[c] in copies[j] for c in copies[i])
-        if count == 2:
-            selected.add((i, j))
-    if not states <= {1, 2}:
-        raise InternalError(f"unexpected edge gadget states {sorted(states)}")
-    mated = sum(w for (a, b, w) in gadget if mate[a] == b)
-    if mated != sum(perturbed[e] for e in ends) + sum(perturbed[e] for e in selected):
-        raise InternalError("edge gadget matching does not weigh its b-matching plus the gadgets")
+    copies = {p: range(min(inst.b(p), len(inst.neighbors(p)))) for p in inst.players}
+    slots = {p: [((p, c), 0) for c in copies[p]] for p in inst.players}
+    edges = [(i, j, 2 * w) for (i, j), w in perturbed.items()]
+    selected, profit = max_weight_degree_subgraph(slots, edges, [], ())
+    if profit != 2 * sum(perturbed[e] for e in selected):
+        raise InternalError("edge gadget matching does not weigh twice its b-matching")
     return frozenset(selected)
 
 

@@ -8,6 +8,7 @@ core allocation into nonnegative payoffs.
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -339,20 +340,21 @@ def solve_payoff_system(
         live[v] -= half
         drop(u, v)
 
-    # Peel the remaining forest at its smallest-index leaf.
-    while True:
-        leaves = sorted(
-            (p for p in inst.players if len(remaining[p]) == 1), key=inst.index
-        )
-        if not leaves:
-            break
-        i = leaves[0]
-        j = min(remaining[i], key=inst.index)
+    # Peel the remaining forest at its smallest-index leaf. Degrees only fall, so a leaf
+    # stays one until peeled: a heap of leaf indices (sorted here) skips peeled entries.
+    leaves = [k for k, p in enumerate(inst.players) if len(remaining[p]) == 1]
+    while leaves:
+        i = inst.players[heapq.heappop(leaves)]
+        if len(remaining[i]) != 1:
+            continue
+        (j,) = remaining[i]
         payoffs[(i, j)] = live[i]
         payoffs[(j, i)] = inst.weight(i, j) - live[i]
         live[j] -= inst.weight(i, j) - live[i]
         live[i] = Fraction(0)
         drop(i, j)
+        if len(remaining[j]) == 1:
+            heapq.heappush(leaves, inst.index(j))
 
     if total_payoff(inst, payoffs) != {p: x[p] for p in inst.players}:
         raise InternalError("decomposition row sums disagree with the allocation")

@@ -255,6 +255,85 @@ def test_min_system_gadget_is_linear(monkeypatch):
         assert kinds == {int}
 
 
+def _old_system_gadget(vertices, capacity, weights, x):
+    """The path/cycle gadget as `min_path_cycle_system` built it by hand
+    before the shared builder: the (n, edges) it handed to the blossom."""
+    scaled, _ = cycles.scale_to_integers({**weights, **x})
+    wx = {v: 2 * scaled[v] for v in vertices}
+    ww = {e: 2 * scaled[e] for e in weights}
+    slots, profits, mandatory = {}, [], set()
+    for v in vertices:
+        if capacity[v] == 2:
+            s1, s2, helper = ("slot", v, 1), ("slot", v, 2), ("helper", v)
+            mandatory |= {s1, s2}
+            profits += [(s1, s2, 0), (helper, s1, -(wx[v] // 2)), (helper, s2, -(wx[v] // 2))]
+            slots[v] = [(s1, wx[v] // 2), (s2, wx[v] // 2)]
+        else:
+            slots[v] = [(("slot", v, 1), wx[v])]
+    for (u, v), w in ww.items():
+        if capacity[u] == 2 and capacity[v] == 2:
+            ends = {u: ("end", (u, v), u), v: ("end", (u, v), v)}
+            mandatory |= set(ends.values())
+            profits.append((ends[u], ends[v], 0))
+            for p, end in ends.items():
+                profits += [(end, slot, w // 2 - price) for (slot, price) in slots[p]]
+        else:
+            profits += [(a, b, w - pa - pb) for (a, pa) in slots[u] for (b, pb) in slots[v]]
+    bonus = 1 + sum(abs(c) for (_, _, c) in profits)
+    index = {}
+    gadget = [
+        (index.setdefault(a, len(index)), index.setdefault(b, len(index)),
+         c + bonus * ((a in mandatory) + (b in mandatory)))
+        for (a, b, c) in profits
+    ]
+    return len(index), gadget
+
+
+def test_system_gadget_is_the_hand_built_one(monkeypatch):
+    # The gadget is not perturbed, so ties among optimal systems (and so the
+    # coalitions core-check reports) depend on the exact graph and its
+    # vertex order: the builder must hand the blossom the same (n, edges).
+    graphs = []
+    real = blossom.max_weight_matching
+
+    def spy(n, edges):
+        graphs.append((n, edges))
+        return real(n, edges)
+
+    monkeypatch.setattr(blossom, "max_weight_matching", spy)
+    rng = random.Random(19)
+    ends = set()
+    for _ in range(300):
+        vertices, capacity, weights, x = _random_system(rng)
+        graphs.clear()
+        min_path_cycle_system(vertices, capacity, weights, x)
+        assert graphs == [_old_system_gadget(vertices, capacity, weights, x)], (capacity, weights, x)
+        ends |= {(capacity[u] == 1) + (capacity[v] == 1) for (u, v) in weights}
+    assert ends == {0, 1, 2}
+
+
+def test_system_read_back_is_certified_by_the_gadget_profit(monkeypatch):
+    """A mate that covers every mandatory node but pairs the slots of a and
+    b and the ends of ab (so ab is unused) while the helpers keep their old
+    mates: the read-back is the empty system, of cost 0, but the mate
+    weighs the helpers' prices, so the profit check refuses it."""
+    real = blossom.max_weight_matching
+
+    def re_paired(n, edges):
+        # Nodes in order of first appearance: a's slots and helper (0-2),
+        # b's (3-5), then the two ends of ab (6, 7).
+        assert n == 8 and {(0, 1), (3, 4), (6, 7)} <= {(a, b) for (a, b, _) in edges}
+        mate = real(n, edges)
+        assert mate[6] != 7  # the optimum selects ab
+        for (a, b) in ((0, 1), (3, 4), (6, 7)):
+            mate[a], mate[b] = b, a
+        return mate
+
+    monkeypatch.setattr(blossom, "max_weight_matching", re_paired)
+    with pytest.raises(InternalError, match="does not weigh"):
+        min_path_cycle_system(["a", "b"], {"a": 2, "b": 2}, {("a", "b"): F(5)}, {"a": F(1), "b": F(1)})
+
+
 def test_failed_gadget_matching_raises_internal_error(monkeypatch):
     # An empty matching leaves the mandatory edge ends and slots uncovered.
     monkeypatch.setattr(blossom, "max_weight_matching", lambda n, edges: [-1] * n)

@@ -210,7 +210,7 @@ def _no_mates(real, n, edges):
 
 def _swap_first_edge_mates(real, n, edges):
     """Swap the mates of the ends of the first edge whose ends are matched
-    elsewhere: the read-back sees the same gadget states, but the mate now
+    elsewhere: the read-back sees the same selected edges, but the mate now
     pairs each end with a vertex it has no edge to."""
     mate = real(n, edges)
     a, b = next((a, b) for (a, b, _) in edges if mate[a] not in (-1, b) and mate[b] != -1)
@@ -220,13 +220,13 @@ def _swap_first_edge_mates(real, n, edges):
 
 @pytest.mark.parametrize(
     "fault, message",
-    [(_no_mates, "edge gadget states"), (_swap_first_edge_mates, "does not weigh")],
+    [(_no_mates, "uncovered"), (_swap_first_edge_mates, "does not weigh")],
 )
 def test_edge_gadget_read_back_catches_a_wrong_mate(monkeypatch, fault, message):
     """Every edge of a capacity-2 triangle gets the 2-vertex gadget and is
-    selected. An empty mate leaves gadgets with no matched edge; swapped
-    mates keep every gadget state and every player's degree, so only the
-    weight check (the mate weighs w(M) plus the gadgets) catches them."""
+    selected. An empty mate leaves the mandatory end nodes uncovered; swapped
+    mates keep every end covered and every edge selected, so only the weight
+    check (the gadget's profit is twice the perturbed w(M)) catches them."""
     from stablefixtures import blossom
 
     real = blossom.max_weight_matching

@@ -124,11 +124,13 @@ def _adversarial_instance(rng, n_range=(2, 8), max_extra_edges=6, bipartite=Fals
 
 
 def _gadget_size(inst):
-    """Nodes of the edge gadget: every copy, and two end vertices for each
-    edge whose ends both have two or more copies."""
+    """Nodes of the edge gadget: every copy that some edge reaches, and two
+    end vertices for each edge whose ends both have two or more copies. An
+    edge reaches every copy of both ends unless one end has no copy."""
     copies = {p: min(inst.b(p), len(inst.neighbors(p))) for p in inst.players}
+    reached = {p for (u, v) in inst.edges if copies[u] and copies[v] for p in (u, v)}
     gadgeted = sum(1 for (u, v) in inst.edges if copies[u] > 1 and copies[v] > 1)
-    return sum(copies.values()) + 2 * gadgeted
+    return sum(copies[p] for p in reached) + 2 * gadgeted
 
 
 @pytest.fixture
