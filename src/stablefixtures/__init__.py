@@ -42,8 +42,7 @@ _HOME = {
         ),
         "transfers": (
             "allocation_to_payoff", "are_equivalent", "lift_stable", "meet_join", "reduce_matching",
-            "reduce_solution", "rematch", "repair_negative", "solve_payoff_system", "srp_rematch",
-            "to_competitive_equilibrium",
+            "reduce_solution", "rematch", "srp_rematch", "to_competitive_equilibrium",
         ),
     }.items()
     for name in names

@@ -62,7 +62,7 @@ class DualityGapError(PreconditionError):
 
 
 class ComponentSumError(PreconditionError):
-    """Allocation does not sum to the matching weight on some component."""
+    """Allocation sums to more than the weight of the matching it is to be split on."""
 
 
 class InternalError(StableFixturesError):

@@ -303,11 +303,7 @@ def instance_to_json(inst: Instance) -> dict:
         "players": list(inst.players),
         "capacity": dict(inst.capacity),
         "edges": [
-            {"u": u, "v": v, "w": format_rational(w)}
-            for (u, v), w in sorted(
-                inst.edge_weights().items(),
-                key=lambda kv: (inst.index(kv[0][0]), inst.index(kv[0][1])),
-            )
+            {"u": u, "v": v, "w": format_rational(inst._weights[(u, v)])} for (u, v) in inst.edges
         ],
     }
 

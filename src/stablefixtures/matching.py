@@ -559,18 +559,14 @@ def _lp_optimum(inst: Instance):
 
 
 def matching_to_json(inst: Instance, matching: frozenset[Edge]) -> list:
-    return [
-        {"u": u, "v": v}
-        for (u, v) in sorted(matching, key=lambda e: (inst.index(e[0]), inst.index(e[1])))
-    ]
+    return [{"u": u, "v": v} for (u, v) in inst.edges if (u, v) in matching]
 
 
 def half_matching_to_json(inst: Instance, half: HalfBMatching) -> list:
     return [
-        {"u": u, "v": v, "value": format_rational(f)}
-        for (u, v), f in sorted(
-            half.values.items(), key=lambda kv: (inst.index(kv[0][0]), inst.index(kv[0][1]))
-        )
+        {"u": u, "v": v, "value": format_rational(half.values[(u, v)])}
+        for (u, v) in inst.edges
+        if (u, v) in half.values
     ]
 
 

@@ -205,7 +205,7 @@ def resolve_sides(inst: Instance, sellers: Iterable[str] | None = None) -> froze
 
 
 def solution_to_json(inst: Instance, sol: Solution) -> dict:
-    edges = sorted(sol.matching, key=lambda e: (inst.index(e[0]), inst.index(e[1])))
+    edges = [e for e in inst.edges if e in sol.matching]
     return {
         "matching": [{"u": u, "v": v} for (u, v) in edges],
         "payoffs": [
@@ -230,6 +230,6 @@ def solution_from_json(inst: Instance, data: dict) -> Solution:
             u, v = item["u"], item["v"]
             payoffs[(u, v)] = parse_rational(item["p_uv"])
             payoffs[(v, u)] = parse_rational(item["p_vu"])
+        return make_solution(inst, matching, payoffs)
     except (KeyError, TypeError) as exc:
         raise InputError(f"bad solution JSON: {exc!r}") from None
-    return make_solution(inst, matching, payoffs)

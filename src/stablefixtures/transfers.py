@@ -8,15 +8,15 @@ core allocation into nonnegative payoffs.
 
 from __future__ import annotations
 
-import heapq
+from collections import deque
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .core import CoreViolationError, _coalition_total, _violation
 from .errors import ComponentSumError, InputError, InternalError, NotMaximumWeightError, PreconditionError
-from .instance import Edge, Instance, _spanning_forest
+from .instance import Edge, Instance
 from .matching import is_b_matching, lp_optimum, weight
-from .rationals import format_rational
+from .rationals import format_rational, scale_to_integers
 from .reduction import ReducedInstance, reduce_instance
 from .stability import PayoffMatrix, Solution, _utilities_unchecked, check_solution, is_stable
 from .stability import require_compatible, require_stable, resolve_sides, total_payoff
@@ -279,179 +279,98 @@ def lift_stable(
     return out
 
 
-def solve_payoff_system(
-    inst: Instance,
-    matching: Iterable[tuple[str, str]],
-    x: Mapping[str, Fraction],
-) -> PayoffMatrix:
-    """Signed payoffs on M* with exact row sums x.
-
-    Requires x to sum to the matched weight on every connected component of
-    M* and to vanish on uncovered players. Each cycle gives up one edge,
-    paid half its weight at each end: walking M* from its largest canonical
-    edge down, the edges that close a cycle (Kruskal's rejects) are given
-    up, in increasing order. These are the edges that reverse-delete removes
-    by dropping the smallest canonical edge on a cycle again and again. The
-    spanning forest left is peeled leaf by leaf, always at the smallest-index
-    leaf.
-    """
-    m = inst.canonical_edge_set(matching)
-    if not is_b_matching(inst, m):
-        raise PreconditionError("edge set is not a b-matching")
-    _coalition_total(inst, x, inst.players)
-
-    decreasing = sorted(m, key=lambda e: (inst.index(e[0]), inst.index(e[1])), reverse=True)
-    root, closing = _spanning_forest(decreasing)
-    comps: dict[str, list[str]] = {}
-    for p in inst.players:
-        if p in root:
-            comps.setdefault(root[p], []).append(p)
-        elif x[p] != 0:
-            raise ComponentSumError(
-                f"player {p} is uncovered by the matching but has x({p}) = "
-                f"{format_rational(x[p])}"
-            )
-    matched = dict.fromkeys(comps, Fraction(0))
-    for (u, v) in m:
-        matched[root[u]] += inst.weight(u, v)
-    for r, comp in comps.items():
-        total = sum((x[p] for p in comp), Fraction(0))
-        if total != matched[r]:
-            raise ComponentSumError(
-                f"component {sorted(comp)} has x = {format_rational(total)}"
-                f" but matched weight {format_rational(matched[r])}"
-            )
-
-    remaining: dict[str, set[str]] = {p: set() for p in inst.players}
-    for (u, v) in m:
-        remaining[u].add(v)
-        remaining[v].add(u)
-    live = dict(x)
-    payoffs: PayoffMatrix = {}
-
-    def drop(u: str, v: str) -> None:
-        remaining[u].discard(v)
-        remaining[v].discard(u)
-
-    for (u, v) in reversed(closing):
-        half = inst.weight(u, v) / 2
-        payoffs[(u, v)] = payoffs[(v, u)] = half
-        live[u] -= half
-        live[v] -= half
-        drop(u, v)
-
-    # Peel the remaining forest at its smallest-index leaf. Degrees only fall, so a leaf
-    # stays one until peeled: a heap of leaf indices (sorted here) skips peeled entries.
-    leaves = [k for k, p in enumerate(inst.players) if len(remaining[p]) == 1]
-    while leaves:
-        i = inst.players[heapq.heappop(leaves)]
-        if len(remaining[i]) != 1:
-            continue
-        (j,) = remaining[i]
-        payoffs[(i, j)] = live[i]
-        payoffs[(j, i)] = inst.weight(i, j) - live[i]
-        live[j] -= inst.weight(i, j) - live[i]
-        live[i] = Fraction(0)
-        drop(i, j)
-        if len(remaining[j]) == 1:
-            heapq.heappush(leaves, inst.index(j))
-
-    if total_payoff(inst, payoffs) != {p: x[p] for p in inst.players}:
-        raise InternalError("decomposition row sums disagree with the allocation")
-    return payoffs
-
-
-def repair_negative(
-    inst: Instance,
-    matching: Iterable[tuple[str, str]],
-    payoffs: PayoffMatrix,
-    x: Mapping[str, Fraction],
-) -> PayoffMatrix:
-    """Shift signed payoffs along directed cycles until all are nonnegative.
-
-    Arc u -> v exists when uv is matched and p(v, u) > 0; augmenting along a
-    cycle through a negative entry raises it while preserving row sums. If
-    the negative entry's endpoint cannot be reached, the unreachable side is
-    a violating coalition and x was not in the core (CoreViolationError).
-    """
-    m = inst.canonical_edge_set(matching)
-    p = dict(payoffs)
-
-    def entries() -> list[tuple[str, str]]:
-        out = []
-        for (u, v) in m:
-            out.append((u, v))
-            out.append((v, u))
-        out.sort(key=lambda t: (inst.index(t[0]), inst.index(t[1])))
-        return out
-
-    # Each round raises the first negative entry and zeroes a positive one;
-    # the negative mass shrinks monotonically on a fixed rational grid, so
-    # this generous cap only guards against implementation bugs.
-    max_rounds = 10000 * (len(m) + 2) ** 2
-    negative_count = None
-    for _ in range(max_rounds):
-        negative = [t for t in entries() if p.get(t, Fraction(0)) < 0]
-        if negative_count is not None and len(negative) > negative_count:
-            raise InternalError("repair increased the number of negative payoffs")
-        negative_count = len(negative)
-        if not negative:
-            break
-        i, j = negative[0]
-        # p(j, i) = w - p(i, j) > 0, so the arc i -> j is present.
-        arcs: dict[str, list[str]] = {q: [] for q in inst.players}
-        for (u, v) in m:
-            if p.get((v, u), Fraction(0)) > 0:
-                arcs[u].append(v)
-            if p.get((u, v), Fraction(0)) > 0:
-                arcs[v].append(u)
-        for q in arcs:
-            arcs[q].sort(key=inst.index)
-
-        parent: dict[str, str] = {j: ""}
-        queue = [j]
-        while queue:
-            u = queue.pop(0)
-            for v in arcs[u]:
-                if v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-        if i not in parent:
-            reached = set(parent)
-            complement = [q for q in inst.players if q not in reached]
-            raise CoreViolationError(_violation(inst, x, complement))
-
-        cycle_arcs = [(i, j)]
-        node = i
-        while node != j:
-            cycle_arcs.append((parent[node], node))
-            node = parent[node]
-        eps = min(p.get((v, u), Fraction(0)) for (u, v) in cycle_arcs)
-        if eps <= 0:
-            raise InternalError("repair cycle has no positive slack")
-        for (u, v) in cycle_arcs:
-            p[(u, v)] = p.get((u, v), Fraction(0)) + eps
-            p[(v, u)] = p.get((v, u), Fraction(0)) - eps
-    else:
-        raise InternalError("repair did not terminate within its round bound")
-
-    if total_payoff(inst, p) != {q: Fraction(x[q]) for q in inst.players}:
-        raise InternalError("repair changed the row sums of the payoffs")
-    if any(q < 0 for q in p.values()):
-        raise InternalError("repair left a negative payoff")
-    return p
-
-
 def allocation_to_payoff(
     inst: Instance,
     x: Mapping[str, Fraction],
     matching: Iterable[tuple[str, str]],
 ) -> PayoffMatrix:
-    """Express a core allocation as nonnegative payoffs on a maximum-weight
-    b-matching: decomposition followed by repair. Row sums equal x exactly.
+    """Express a core allocation x as nonnegative payoffs on a maximum-weight
+    b-matching M: row sums x, p(i, j) + p(j, i) = w(ij) on M, zero elsewhere.
+
+    This is Gale's supply-demand problem (1957): each edge ij of M supplies
+    w(ij) to its two ends and each player i absorbs x(i). It is solved as one
+    max flow in integers over the common denominator of w and x: a greedy
+    start, then shortest augmenting paths (Edmonds-Karp 1972) by one BFS from
+    every edge with supply left, each path alternating edge -> end player ->
+    an edge that pays that player. When no player who still wants is
+    reached, the players reached form S with x(S) < w(M[S]) <= v(S), raised
+    as a re-certified CoreViolationError.
     """
+    total = _coalition_total(inst, x, inst.players)
     m = inst.canonical_edge_set(matching)
-    if weight(inst, m) != lp_optimum(inst).weight:
+    if not is_b_matching(inst, m):
+        raise PreconditionError("edge set is not a b-matching")
+    matched = weight(inst, m)
+    if matched != lp_optimum(inst).weight:
         raise NotMaximumWeightError("matching is not maximum weight")
-    signed = solve_payoff_system(inst, m, x)
-    return repair_negative(inst, m, signed, x)
+    for p in inst.players:
+        if x[p] < 0:
+            raise CoreViolationError(_violation(inst, x, [p]))
+    if total > matched:
+        raise ComponentSumError(
+            f"allocation total {format_rational(total)} exceeds the matched"
+            f" weight {format_rational(matched)}"
+        )
+
+    edges = [e for e in inst.edges if e in m]
+    scaled, scale = scale_to_integers(
+        {**{e: inst.weight(*e) for e in edges}, **{p: x[p] for p in inst.players}}
+    )
+    left = [scaled[e] for e in edges]  # supply each edge has left
+    want = {p: scaled[p] for p in inst.players}  # what each player still wants
+    pay = [[0, 0] for _ in edges]  # pay[k][s]: edge k to its end s
+    paying: dict[str, list[tuple[int, int]]] = {p: [] for p in inst.players}
+    for k, e in enumerate(edges):
+        for s, p in enumerate(e):
+            paying[p].append((k, s))
+            give = min(left[k], want[p])
+            pay[k][s] += give
+            left[k] -= give
+            want[p] -= give
+
+    while any(left):
+        # came[k]: the player and its side in edge k that the BFS reached k
+        # through (None for a source); reached[p]: the edge and side reaching p.
+        came: dict[int, tuple[str, int] | None] = {k: None for k, q in enumerate(left) if q}
+        reached: dict[str, tuple[int, int]] = {}
+        queue = deque(came)
+        target = None
+        while queue and target is None:
+            k = queue.popleft()
+            for s, p in enumerate(edges[k]):
+                if p in reached:
+                    continue
+                reached[p] = (k, s)
+                if want[p]:
+                    target = p
+                    break
+                for (f, t) in paying[p]:
+                    if f not in came and pay[f][t]:
+                        came[f] = (p, t)
+                        queue.append(f)
+        if target is None:
+            raise CoreViolationError(_violation(inst, x, reached))
+
+        steps, p = [], target
+        while p is not None:
+            k, s = reached[p]
+            p, t = came[k] or (None, None)
+            steps.append((k, s, t))
+        source = steps[-1][0]
+        delta = min(want[target], left[source], *(pay[k][t] for (k, _, t) in steps[:-1]))
+        want[target] -= delta
+        left[source] -= delta
+        for (k, s, t) in steps:
+            pay[k][s] += delta
+            if t is not None:
+                pay[k][t] -= delta
+
+    payoffs: PayoffMatrix = {}
+    for (u, v), (pu, pv) in zip(edges, pay):
+        payoffs[(u, v)] = Fraction(pu, scale)
+        payoffs[(v, u)] = Fraction(pv, scale)
+    if total_payoff(inst, payoffs) != {p: x[p] for p in inst.players}:
+        raise InternalError("decomposition row sums disagree with the allocation")
+    if any(q < 0 for q in payoffs.values()):
+        raise InternalError("decomposition left a negative payoff")
+    return payoffs

@@ -186,6 +186,48 @@ def test_verify_unstable_exit3(capsys, tmp_path):
     assert len(data["blocking_pairs"]) == 2
 
 
+def _triangle_request(tmp_path, solution):
+    inst_path, sol_path = tmp_path / "tri.json", tmp_path / "sol.json"
+    inst_path.write_text(json.dumps(instance_to_json(generate("triangle").instance)))
+    sol_path.write_text(json.dumps(solution))
+    return ["verify-stable", str(inst_path), str(sol_path)]
+
+
+def test_verify_incompatible_solution_exit2_with_one_error_line(capsys, tmp_path):
+    argv = _triangle_request(
+        tmp_path,
+        {
+            "matching": [{"u": "a", "v": "b"}],
+            "payoffs": [
+                {"u": "a", "v": "b", "p_uv": "1/2", "p_vu": "1/3"},
+                {"u": "b", "v": "c", "p_uv": "1", "p_vu": "0"},
+            ],
+        },
+    )
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: incompatible solution: p(a,b) + p(b,a) = 5/6 != w = 1;"
+        " nonzero payoff on unmatched edge b-c\n"
+    )
+
+
+@pytest.mark.parametrize("endpoint", [["a"], {"k": 1}], ids=["list", "dict"])
+@pytest.mark.parametrize("field", ["matching", "payoffs"])
+def test_verify_stable_unhashable_endpoint_exit1_with_one_error_line(capsys, tmp_path, field, endpoint):
+    solution = {
+        "matching": [{"u": "a", "v": "b"}],
+        "payoffs": [{"u": "a", "v": "b", "p_uv": "1/2", "p_vu": "1/2"}],
+    }
+    solution[field][0]["u"] = endpoint
+    assert main(_triangle_request(tmp_path, solution)) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("error: bad solution JSON: ")
+
+
 def test_reduce_outputs_provenance(capsys, diamond_file):
     code, data = run(capsys, "reduce", diamond_file)
     assert code == 0

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -12,7 +13,7 @@ from stablefixtures.errors import (
     InternalError,
 )
 from stablefixtures.instance import Instance
-from stablefixtures.matching import max_weight_b_matching
+from stablefixtures.matching import lp_optimum, max_weight_b_matching, weight
 from stablefixtures.oracles import core_membership_bruteforce, max_weight_b_matching_bruteforce
 from stablefixtures.randomgen import (
     random_allocation,
@@ -21,7 +22,7 @@ from stablefixtures.randomgen import (
 )
 from stablefixtures.solver import solve
 from stablefixtures.stability import total_payoff
-from stablefixtures.transfers import allocation_to_payoff, repair_negative, solve_payoff_system
+from stablefixtures.transfers import allocation_to_payoff
 
 
 def test_game_value_example4():
@@ -81,144 +82,123 @@ def test_is_allocation_cubic_gadget():
     assert is_allocation(gen.instance, gen.allocation)
 
 
-def test_solve_payoff_system_single_edge():
+def test_allocation_to_payoff_single_edge():
     inst = generate("two_player", w=7).instance
-    p = solve_payoff_system(inst, [("i", "j")], {"i": F(3), "j": F(4)})
-    assert p[("i", "j")] == 3 and p[("j", "i")] == 4
+    p = allocation_to_payoff(inst, {"i": F(3), "j": F(4)}, [("i", "j")])
+    assert p == {("i", "j"): 3, ("j", "i"): 4}
 
 
-def test_solve_payoff_system_path():
+def test_allocation_to_payoff_path_split_is_unique():
+    # On a forest the payoffs are fixed by x; here all are nonnegative.
     inst = Instance(
         ["a", "b", "c"], {"a": 1, "b": 2, "c": 1}, [("a", "b", 1), ("b", "c", 1)]
     )
-    x = {"a": F(2), "b": F(0), "c": F(0)}
-    p = solve_payoff_system(inst, inst.edges, x)
-    assert p[("a", "b")] == 2
-    assert p[("b", "a")] == -1
-    assert p[("b", "c")] == 1
-    assert p[("c", "b")] == 0
+    x = {"a": F(1, 2), "b": F(1), "c": F(1, 2)}
+    p = allocation_to_payoff(inst, x, inst.edges)
+    half = F(1, 2)
+    assert p == {("a", "b"): half, ("b", "a"): half, ("b", "c"): half, ("c", "b"): half}
 
 
-def _pairs(*entries):
-    """Payoff items (u, v, p(u, v), p(v, u)) as the matrix lists them."""
-    out = []
-    for (u, v, p_uv, p_vu) in entries:
-        out += [((u, v), F(p_uv)), ((v, u), F(p_vu))]
-    return out
-
-
-# The smallest canonical edge on a cycle is given up, again and again
-# (reverse-delete), and paid half to each end in increasing order; the forest
-# left is peeled at its smallest-index leaf. The item order is pinned too.
-@pytest.mark.parametrize(
-    "inst, x, expected",
-    [
-        (
-            Instance(
-                ["v1", "v2", "v3", "v4"], dict.fromkeys(["v1", "v2", "v3", "v4"], 2),
-                [("v1", "v2", 1), ("v2", "v3", 1), ("v3", "v4", 1), ("v4", "v1", 1)],
-            ),
-            dict.fromkeys(["v1", "v2", "v3", "v4"], 1),
-            _pairs(
-                ("v1", "v2", "1/2", "1/2"), ("v1", "v4", "1/2", "1/2"),
-                ("v2", "v3", "1/2", "1/2"), ("v3", "v4", "1/2", "1/2"),
-            ),
-        ),
-        (
-            # v1v2, v1v3 and v2v3 close cycles; the star at v4 is peeled.
-            Instance(
-                ["v1", "v2", "v3", "v4"], dict.fromkeys(["v1", "v2", "v3", "v4"], 3),
-                [
-                    ("v1", "v2", 1), ("v1", "v3", 2), ("v1", "v4", 3),
-                    ("v2", "v3", 4), ("v2", "v4", 5), ("v3", "v4", 6),
-                ],
-            ),
-            {"v1": 5, "v2": 5, "v3": 5, "v4": 6},
-            _pairs(
-                ("v1", "v2", "1/2", "1/2"), ("v1", "v3", "1", "1"), ("v2", "v3", "2", "2"),
-                ("v1", "v4", "7/2", "-1/2"), ("v2", "v4", "5/2", "5/2"), ("v3", "v4", "2", "4"),
-            ),
-        ),
-        (
-            # A theta graph: the cycles v1v2v3 and v2v4v5v3 share v2v3. v1v2
-            # breaks the first, then the shared edge breaks the second.
-            Instance(
-                ["v1", "v2", "v3", "v4", "v5"], {"v1": 2, "v2": 3, "v3": 3, "v4": 2, "v5": 2},
-                [
-                    ("v1", "v2", 2), ("v1", "v3", 4), ("v2", "v3", 6),
-                    ("v2", "v4", 3), ("v3", "v5", 5), ("v4", "v5", 1),
-                ],
-            ),
-            {"v1": 3, "v2": 7, "v3": 5, "v4": F(1, 2), "v5": F(11, 2)},
-            _pairs(
-                ("v1", "v2", "1", "1"), ("v2", "v3", "3", "3"), ("v1", "v3", "2", "2"),
-                ("v2", "v4", "3", "0"), ("v3", "v5", "0", "5"), ("v4", "v5", "1/2", "1/2"),
-            ),
-        ),
-        (
-            Instance(["a", "b", "c", "d"], dict.fromkeys("abcd", 1), [("a", "b", 4), ("c", "d", 6)]),
-            {"a": 1, "b": 3, "c": 2, "d": 2},
-            r"component \['c', 'd'\] has x = 4 but matched weight 6",
-        ),
-    ],
-    ids=["four_cycle", "k4", "theta", "second_component_sum"],
-)  # fmt: skip
-def test_solve_payoff_system_cycle_choice(inst, x, expected):
-    x = {p: F(v) for p, v in x.items()}
-    if isinstance(expected, str):
-        with pytest.raises(ComponentSumError, match=expected):
-            solve_payoff_system(inst, inst.edges, x)
-        return
-    p = solve_payoff_system(inst, inst.edges, x)
-    assert list(p.items()) == expected
-    assert total_payoff(inst, p) == x
-
-
-def test_solve_payoff_system_component_sum_check():
-    inst = generate("two_player", w=7).instance
-    with pytest.raises(ComponentSumError):
-        solve_payoff_system(inst, [("i", "j")], {"i": F(3), "j": F(3)})
-
-
-def test_solve_payoff_system_uncovered_nonzero():
-    inst = Instance(
-        ["a", "b", "c"], {"a": 1, "b": 1, "c": 1}, [("a", "b", 2), ("b", "c", 2)]
-    )
-    with pytest.raises(ComponentSumError):
-        solve_payoff_system(inst, [("a", "b")], {"a": F(1), "b": F(1), "c": F(1)})
-
-
-def test_repair_negative_noop():
-    inst = generate("two_player", w=7).instance
-    p = {("i", "j"): F(3), ("j", "i"): F(4)}
-    assert repair_negative(inst, [("i", "j")], p, {"i": F(3), "j": F(4)}) == p
-
-
-def test_repair_negative_triangle_one_augmentation():
+def test_allocation_to_payoff_triangle():
     inst = Instance(
         ["s1", "s2", "s3"],
         {p: 2 for p in ("s1", "s2", "s3")},
         [("s1", "s2", 1), ("s1", "s3", 1), ("s2", "s3", 1)],
     )
     x = {"s1": F(0), "s2": F(3, 2), "s3": F(3, 2)}
-    signed = solve_payoff_system(inst, inst.edges, x)
-    assert any(v < 0 for v in signed.values())
-    repaired = repair_negative(inst, inst.edges, signed, x)
-    assert all(v >= 0 for v in repaired.values())
-    assert total_payoff(inst, repaired) == x
+    p = allocation_to_payoff(inst, x, inst.edges)
+    assert all(v >= 0 for v in p.values())
+    assert total_payoff(inst, p) == x
 
 
-def test_repair_negative_detects_violation():
-    inst = Instance(
-        ["a", "b", "c"], {"a": 1, "b": 2, "c": 1}, [("a", "b", 1), ("b", "c", 1)]
-    )
-    x = {"a": F(2), "b": F(0), "c": F(0)}  # component sums hold, not in core
-    signed = solve_payoff_system(inst, inst.edges, x)
+def test_allocation_above_the_matched_weight_is_component_sum_error():
+    inst = generate("two_player", w=7).instance
+    with pytest.raises(ComponentSumError, match="total 8 exceeds the matched weight 7"):
+        allocation_to_payoff(inst, {"i": F(4), "j": F(4)}, [("i", "j")])
+
+
+@pytest.mark.parametrize(
+    "inst, x, matching, coalition",
+    [
+        (
+            Instance(["a", "b", "c", "d"], dict.fromkeys("abcd", 1), [("a", "b", 4), ("c", "d", 6)]),
+            {"a": 3, "b": 3, "c": 2, "d": 2},
+            [("a", "b"), ("c", "d")],
+            ("c", "d"),
+        ),
+        (
+            Instance(["a", "b", "c"], dict.fromkeys("abc", 1), [("a", "b", 2), ("b", "c", 2)]),
+            {"a": 1, "b": 0, "c": 1},
+            [("a", "b")],
+            ("a", "b"),
+        ),
+        (
+            Instance(["a", "b", "c"], {"a": 1, "b": 2, "c": 1}, [("a", "b", 1), ("b", "c", 1)]),
+            {"a": 2, "b": 0, "c": 0},
+            [("a", "b"), ("b", "c")],
+            ("b", "c"),
+        ),
+    ],
+    ids=["short_component", "uncovered_player", "path"],
+)  # fmt: skip
+def test_allocation_to_payoff_names_a_short_coalition(inst, x, matching, coalition):
+    x = {p: F(v) for p, v in x.items()}
     with pytest.raises(CoreViolationError) as err:
-        repair_negative(inst, inst.edges, signed, x)
+        allocation_to_payoff(inst, x, matching)
     verdict = err.value.verdict
-    assert verdict.coalition == ("b", "c")
+    assert verdict.coalition == coalition
     assert verdict.coalition_total < verdict.coalition_value
+
+
+def _shortfall(inst, x, m, members):
+    """w(M[S]) - x(S)."""
+    inside = sum(inst.weight(u, v) for (u, v) in m if u in members and v in members)
+    return inside - sum(x[p] for p in members)
+
+
+def _short_coalition_exists(inst, x, m):
+    """Whether some player set S has x(S) < w(M[S]), by brute force."""
+    return any(
+        _shortfall(inst, x, m, members) > 0
+        for r in range(1, inst.n + 1)
+        for members in itertools.combinations(inst.players, r)
+    )
+
+
+def test_allocation_to_payoff_decomposes_iff_no_coalition_is_short():
+    """Gale's supply-demand theorem, checked by brute force over player
+    sets: an efficient x decomposes on a maximum-weight M iff no S has
+    x(S) < w(M[S]); otherwise the coalition raised is short too."""
+    rng = random.Random(1957)
+    kinds = {"decomposed": 0, "violation": 0}
+    for k in range(1000):
+        inst = random_instance(rng, n_range=(3, 8), b_range=(1, 3))
+        m = lp_optimum(inst).matching
+        outcome = solve(inst) if k % 2 else None
+        if outcome is not None and outcome.stable:
+            # A core allocation, sometimes pushed across a coalition's bound.
+            x = total_payoff(inst, outcome.solution.payoffs)
+            giver, taker = rng.sample(inst.players, 2)
+            shift = F(rng.randint(0, 2), rng.choice((1, 2, 4)))
+            x[giver] -= shift
+            x[taker] += shift
+        else:
+            x = random_allocation(rng, inst, weight(inst, m))
+        if _short_coalition_exists(inst, x, m):
+            with pytest.raises(CoreViolationError) as err:
+                allocation_to_payoff(inst, x, m)
+            verdict = err.value.verdict
+            assert verdict.deficit > 0
+            assert _shortfall(inst, x, m, verdict.coalition) > 0
+            kinds["violation"] += 1
+            continue
+        p = allocation_to_payoff(inst, x, m)
+        assert all(q >= 0 for q in p.values())
+        assert all(inst.edge_key(i, j) in m for (i, j) in p)
+        assert all(p[(u, v)] + p[(v, u)] == inst.weight(u, v) for (u, v) in m)
+        assert total_payoff(inst, p) == x
+        kinds["decomposed"] += 1
+    assert min(kinds.values()) >= 300, kinds
 
 
 def test_uncertified_violation_is_internal_error(diamond):
@@ -230,23 +210,9 @@ def test_uncertified_violation_is_internal_error(diamond):
 def test_wrong_row_sums_are_internal_errors(monkeypatch):
     inst = Instance(["a", "b"], {"a": 1, "b": 1}, [("a", "b", 4)])
     x = {"a": F(1), "b": F(3)}
-    signed = solve_payoff_system(inst, inst.edges, x)
     monkeypatch.setattr(transfers, "total_payoff", lambda inst_, p: {q: F(0) for q in inst_.players})
     with pytest.raises(InternalError, match="row sums"):
-        solve_payoff_system(inst, inst.edges, x)
-    with pytest.raises(InternalError, match="row sums"):
-        repair_negative(inst, inst.edges, signed, x)
-
-
-def test_repair_round_bound_is_internal_error(monkeypatch):
-    inst = Instance(["a", "b", "c"], {"a": 1, "b": 2, "c": 1}, [("a", "b", 2), ("b", "c", 2)])
-    x = {"a": F(3), "b": F(0), "c": F(1)}
-    signed = solve_payoff_system(inst, inst.edges, x)
-    assert any(q < 0 for q in signed.values())
-    # An empty round budget leaves the negative entry in place.
-    monkeypatch.setattr(transfers, "range", lambda n: (), raising=False)
-    with pytest.raises(InternalError, match="round bound"):
-        repair_negative(inst, inst.edges, signed, x)
+        allocation_to_payoff(inst, x, inst.edges)
 
 
 def test_allocation_to_payoff_diamond(diamond):

@@ -35,8 +35,7 @@ PUBLIC_NAMES = [
     "is_dual_feasible", "is_stable", "lift_stable", "lp_optimum", "make_solution", "matching",
     "max_half_b_matching_weight", "max_weight_b_matching", "max_weight_b_matching_bruteforce",
     "meet_join", "rationals", "reduce_instance", "reduce_matching", "reduce_solution",
-    "reduction", "rematch", "repair_negative", "solve", "solve_payoff_system", "solver",
-    "srp_rematch", "stability", "stable_from_dual", "to_competitive_equilibrium",
+    "reduction", "rematch", "solve", "solver", "srp_rematch", "stability", "stable_from_dual", "to_competitive_equilibrium",
     "total_payoff", "utilities", "validate", "verify_complementary_slackness", "weight",
 ]
 

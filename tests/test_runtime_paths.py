@@ -7,8 +7,6 @@
 * `rematch` applies the equivalence theorem directly.
 * `reduction.reduce_instance` is never called by solve, core-check, value or
   rematch.
-* `transfers.solve_payoff_system` breaks the cycles of M by one union-find
-  pass instead of one graph search per cycle.
 
 The old composition of each path is kept below as an oracle, and the new
 paths must agree with it exactly on adversarial inputs: zero capacities,
@@ -24,7 +22,6 @@ import networkx
 import pytest
 
 from stablefixtures import blossom, core, generate, reduction, transfers
-from stablefixtures.errors import ComponentSumError
 from stablefixtures.instance import Instance, instance_to_json
 from stablefixtures.matching import (
     _general_matching,
@@ -38,7 +35,7 @@ from stablefixtures.randomgen import random_allocation, random_instance
 from stablefixtures.rationals import scale_to_integers
 from stablefixtures.solver import outcome_to_json, solve
 from stablefixtures.stability import Solution, solution_to_json, total_payoff
-from stablefixtures.transfers import rematch, solve_payoff_system
+from stablefixtures.transfers import rematch
 
 GADGET_LIKE_IDS = ["a", "b", "a^1", "a~b", "a@b", "a'", "b''", "b@a", "a^1^1", "c"]
 
@@ -65,23 +62,6 @@ def _old_general_matching(inst):
         count[owner[reduced.instance.edge_key(a, b)]] += 1
     assert set(count.values()) <= {2, 3}
     return frozenset(e for e, c in count.items() if c == 3)
-
-
-def _reverse_delete(inst, m):
-    """The edges of M that a decomposition must halve: walk M in increasing
-    canonical order and pick an edge when its ends stay connected in what is
-    left of M without it."""
-    left = set(m)
-    picked = []
-    for (u, v) in sorted(m, key=lambda e: (inst.index(e[0]), inst.index(e[1]))):
-        left.discard((u, v))
-        graph = networkx.Graph(list(left))
-        graph.add_nodes_from((u, v))
-        if networkx.has_path(graph, u, v):
-            picked.append((u, v))
-        else:
-            left.add((u, v))
-    return picked
 
 
 def _old_rematch(inst, sol, target):
@@ -251,58 +231,6 @@ def test_rematch_matches_expansion_path_on_every_optimal_target():
                 pairs += 1
                 moved += target != sol.matching
     assert pairs >= 150 and moved >= 30
-
-
-# ---------------------------------------------------------------------------
-# The payoff decomposition
-# ---------------------------------------------------------------------------
-
-
-def _greedy_b_matching(rng, inst):
-    """A maximal b-matching: the edges in random order, each kept while both
-    ends have room."""
-    edges = list(inst.edges)
-    rng.shuffle(edges)
-    load = dict.fromkeys(inst.players, 0)
-    out = []
-    for (u, v) in edges:
-        if load[u] < inst.b(u) and load[v] < inst.b(v):
-            out.append((u, v))
-            load[u] += 1
-            load[v] += 1
-    return out
-
-
-def test_payoff_system_halves_the_reverse_delete_edges():
-    rng = random.Random(18)
-    checked = cyclic = broken = 0
-    for k in range(1200):
-        inst = random_instance(rng, n_range=(3, 9), max_extra_edges=8, b_range=(1, 3))
-        m = _greedy_b_matching(rng, inst)
-        # x splits the matched weight of each component at random.
-        x = dict.fromkeys(inst.players, F(0))
-        for comp in networkx.connected_components(networkx.Graph(m)):
-            comp = sorted(comp, key=inst.index)
-            for p in comp:
-                x[p] = F(rng.randint(-5, 10), rng.choice((1, 2, 3)))
-            matched = sum(inst.weight(u, v) for (u, v) in m if u in comp)
-            x[comp[-1]] += matched - sum(x[p] for p in comp)
-        if k % 6 == 0:
-            x[rng.choice(inst.players)] += F(rng.choice((-1, 1)), rng.choice((1, 3)))
-            with pytest.raises(ComponentSumError):
-                solve_payoff_system(inst, m, x)
-            broken += 1
-            continue
-        picked = _reverse_delete(inst, m)
-        halves = []
-        for (u, v) in picked:
-            halves += [((u, v), inst.weight(u, v) / 2), ((v, u), inst.weight(u, v) / 2)]
-        p = solve_payoff_system(inst, m, x)
-        assert list(p.items())[: len(halves)] == halves, instance_to_json(inst)
-        assert total_payoff(inst, p) == x
-        checked += 1
-        cyclic += bool(picked)
-    assert checked >= 1000 and broken >= 150 and cyclic >= 0.15 * checked, (checked, cyclic)
 
 
 # ---------------------------------------------------------------------------
