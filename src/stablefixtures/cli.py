@@ -6,6 +6,11 @@ Exit codes: 0 = stable solution found / allocation in core / success,
 4 = internal error (an engine's own certificate check failed).
 
 Standard output carries JSON only; diagnostics go to standard error.
+
+Each subcommand imports only the modules it runs. Run as `python -m
+stablefixtures.cli`, the process freezes the garbage collector once `main`
+returns or raises, so that its shutdown collections have nothing to walk;
+`main` itself, called in-process, never does.
 """
 
 from __future__ import annotations
@@ -14,9 +19,9 @@ import json
 import sys
 import types
 
-from . import stability as stability_mod
 from .errors import InputError, InternalError, PreconditionError, StableFixturesError
 from .instance import (
+    SPLIT_RULES,
     Instance,
     allocation_from_json,
     allocation_to_json,
@@ -64,6 +69,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify_stable(args) -> int:
+    from . import stability as stability_mod
+
     inst = _load_instance(args.instance)
     sol = stability_mod.solution_from_json(inst, _load_json(args.solution))
     verdict = stability_mod.is_stable(inst, sol)
@@ -201,7 +208,7 @@ COMMANDS = {
     "oracle": (_cmd_oracle, "run brute-force oracles", ["engine", "instance?", "allocation?"],
                {"--count": 25, "--seed": 0}),
 }
-CHOICES = {"command": COMMANDS, "split_rule": stability_mod.SPLIT_RULES,
+CHOICES = {"command": COMMANDS, "split_rule": SPLIT_RULES,
            "engine": ("b-matching", "half", "core-check", "selftest")}
 
 
@@ -307,4 +314,13 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    import gc
+
+    try:
+        code = main()
+    finally:
+        # The process ends here. Frozen objects are skipped by every collection,
+        # so the interpreter's shutdown collections have nothing to walk; its
+        # stdout flush, atexit hooks and exit code 120 on a failed flush stay.
+        gc.freeze()
+    sys.exit(code)

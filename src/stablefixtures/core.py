@@ -14,16 +14,17 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from . import cycles
 from .errors import CapacityTooLargeError, InputError, InternalError, PreconditionError
 from .instance import Edge, Instance, induced
-from .matching import lp_optimum
+from .matching import _lp_optimum, lp_optimum
 from .rationals import format_rational
 
 
 def game_value(inst: Instance, coalition: Iterable[str]) -> Fraction:
-    """v(S): maximum-weight b-matching value of the induced subgame."""
-    return game_value_with_witness(inst, coalition)[0]
+    """v(S): maximum-weight b-matching value of the induced subgame. Only
+    the weight is read, so a subgame without a stable solution runs the
+    whole-game engine untied (`matching._lp_optimum`)."""
+    return _lp_optimum(induced(inst, coalition), tie_break=False)[0].weight
 
 
 def game_value_with_witness(
@@ -154,7 +155,9 @@ def _b2_constraint_search(inst: Instance, x) -> tuple[str, ...] | None:
     The systems admit every cycle of capacity-2 players at its cost
     x(V(C)) - w(C), so a negative cycle makes the optimum negative too.
     """
-    total, components = cycles.min_path_cycle_system(
+    from .cycles import min_path_cycle_system
+
+    total, components = min_path_cycle_system(
         inst.players,
         {p: inst.b(p) for p in inst.players},
         inst.edge_weights(),

@@ -129,7 +129,7 @@ def dual_from_duplicated(inst: Instance) -> tuple[Fraction, DualSolution]:
     """The half-b-matching optimum and an optimal dual of Dual-(G, b, w),
     from one certified pass on the bipartite double cover (`_cover_pass`)."""
     base, scale = scale_to_integers(inst.edge_weights())
-    half, y, d = _cover_pass(inst, *_cover_weights(inst, base), scale)
+    half, y, d, _ = _cover_pass(inst, *_cover_weights(inst, base), scale)
     return Fraction(half, 2 * scale), _fraction_dual(y, d, 2 * scale)
 
 

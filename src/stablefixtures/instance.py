@@ -23,6 +23,11 @@ from .rationals import format_rational, parse_rational
 
 Edge = tuple[str, str]
 
+# How `solve` and `duals.stable_from_dual` share a matched edge's slack d(ij).
+# Kept here, in the module every request loads, so that the CLI's choices do
+# not load `stability`.
+SPLIT_RULES = ("half", "seller_side")
+
 
 class Instance:
     """A capacitated, weighted graph (players, capacity b, edge weights w).

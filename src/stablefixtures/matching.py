@@ -21,12 +21,17 @@ perfbench (PEP 562). `lp_optimum` is the front end for every
 question about a game's optimum: one unperturbed pass gives the LP optimum
 and an optimal dual (on the game itself when it is bipartite, whose LP is
 integral, and on the bipartite double cover, `_cover_pass`, otherwise),
-and the engine then runs only on the dual's complementary-slack residual,
-or on the whole game when that residual cannot reach the LP optimum.
+and the engine then runs only on the dual's complementary-slack residual
+(`_slack_residual`), or on the whole game when that residual cannot reach
+the LP optimum. The half-b-matching witness is read off the cover's own
+dual the same way (`_half_witness`).
 
 Ties among optimal b-matchings are broken toward the lexicographically
 smallest edge set under the instance's edge order, implemented by a weight
-perturbation that is too small to disturb optimality.
+perturbation that is too small to disturb optimality. Callers that read
+only the weight skip it where it costs most: `_lp_optimum(...,
+tie_break=False)` runs the whole-game engine, which runs only when the game
+has no stable solution, on the plain weights.
 
 Everything here is a pure function of immutable inputs.
 """
@@ -103,43 +108,46 @@ def max_weight_b_matching(inst: Instance) -> tuple[frozenset[Edge], Fraction]:
     """
     if inst.m == 0:
         return frozenset(), Fraction(0)
-    matching = _tie_broken(inst, scale_to_integers(inst.edge_weights())[0])
+    matching = _engine(inst, scale_to_integers(inst.edge_weights())[0])
     return matching, weight(inst, matching)
 
 
-def _tie_broken(inst: Instance, base: Mapping[Edge, int]) -> frozenset[Edge]:
-    """The tie-broken optimum of the integer weights `base`, any positive
-    multiple of the scaled weights: SSP on the perturbed `base` when
-    bipartite, else the edge gadgets."""
+def _engine(inst: Instance, base: Mapping[Edge, int], tie_break: bool = True) -> frozenset[Edge]:
+    """A maximum-weight b-matching for the integer weights `base`, any
+    positive multiple of the scaled weights: SSP when bipartite, else the
+    edge gadgets. With `tie_break` it is the tie-broken optimum, found on
+    the perturbed `base`; without, the engine runs on `base` itself and
+    returns whichever optimum it finds, for callers that read only its
+    weight."""
     coloring = inst.two_coloring()
     if coloring is not None:
-        matching, _ = _ssp_flow(inst, _perturbed(inst, base), coloring)
+        matching, _ = _ssp_flow(inst, _perturbed(inst, base) if tie_break else base, coloring)
     else:
-        matching = _general_matching(inst, base)
+        matching = _general_matching(inst, base, tie_break)
     if not is_b_matching(inst, matching):
         raise InternalError("matching engine overfilled a player")
     return matching
 
 
-def _general_matching(inst: Instance, base: Mapping[Edge, int]) -> frozenset[Edge]:
-    """The tie-broken optimum of `base` through the edge gadget.
+def _general_matching(inst: Instance, base: Mapping[Edge, int], tie_break: bool = True) -> frozenset[Edge]:
+    """`_engine` on a general graph: through the edge gadget.
 
     Player i gets min(b(i), deg(i)) zero-price slots, and each edge its
-    doubled perturbed weight, in `blossom.max_weight_degree_subgraph`: an
-    edge is gadgeted when both its ends have two or more slots and joins
-    them directly otherwise. The perturbed optimum is unique, so the
-    gadget's shape cannot change the answer. The gadget's profit is twice
-    the perturbed weight of the edges it selects, which certifies the
-    read-back.
+    doubled (perturbed, with `tie_break`) weight, in
+    `blossom.max_weight_degree_subgraph`: an edge is gadgeted when both its
+    ends have two or more slots and joins them directly otherwise. The
+    perturbed optimum is unique, so the gadget's shape cannot change the
+    answer. The gadget's profit is twice the weight of the edges it
+    selects, which certifies the read-back.
     """
     from .blossom import max_weight_degree_subgraph
 
-    perturbed = _perturbed(inst, base)
+    weights = _perturbed(inst, base) if tie_break else base
     copies = {p: range(min(inst.b(p), len(inst.neighbors(p)))) for p in inst.players}
     slots = {p: [((p, c), 0) for c in copies[p]] for p in inst.players}
-    edges = [(i, j, 2 * w) for (i, j), w in perturbed.items()]
+    edges = [(i, j, 2 * weights[(i, j)]) for (i, j) in inst.edges]
     selected, profit = max_weight_degree_subgraph(slots, edges, [], ())
-    if profit != 2 * sum(perturbed[e] for e in selected):
+    if profit != 2 * sum(weights[e] for e in selected):
         raise InternalError("edge gadget matching does not weigh twice its b-matching")
     return frozenset(selected)
 
@@ -253,12 +261,16 @@ def duplicated_instance(inst: Instance) -> DuplicatedInstance:
 def max_half_b_matching_weight(inst: Instance) -> tuple[Fraction, HalfBMatching]:
     """Maximum weight over half-b-matchings, with the tie-broken witness.
 
-    Computed as the maximum-weight b-matching of the duplicated instance
-    (one perturbed pass on the double cover): f(ij) = (x(i'j'') + x(i''j')) / 2
-    preserves the weight exactly. Callers that need only the value should use
-    `lp_optimum`, whose unperturbed pass gives it as `half`.
+    Computed as the maximum-weight b-matching of the duplicated instance,
+    read off its optimal dual (`_cover_pass`, `_half_witness`):
+    f(ij) = (x(i'j'') + x(i''j')) / 2 preserves the weight exactly. Callers
+    that need only the value should use `lp_optimum`, whose unperturbed pass
+    gives it as `half`.
     """
-    return _half_witness(inst, *_cover_weights(inst, scale_to_integers(inst.edge_weights())[0]))
+    base, scale = scale_to_integers(inst.edge_weights())
+    cover = _cover_weights(inst, base)
+    half, _, _, cover_dual = _cover_pass(inst, *cover, scale)
+    return _half_witness(inst, *cover, half, cover_dual)
 
 
 def _cover_weights(inst: Instance, base: Mapping[Edge, int]):
@@ -272,10 +284,24 @@ def _cover_weights(inst: Instance, base: Mapping[Edge, int]):
     return dup, cover_base
 
 
-def _half_witness(inst: Instance, dup: DuplicatedInstance, cover_base) -> tuple[Fraction, HalfBMatching]:
-    """`max_half_b_matching_weight` from the double cover `dup` and its
-    integer weights `cover_base` (`_cover_weights`)."""
-    matching = _tie_broken(dup.instance, cover_base)
+def _half_witness(
+    inst: Instance, dup: DuplicatedInstance, cover_base, half: int, cover_dual
+) -> tuple[Fraction, HalfBMatching]:
+    """`max_half_b_matching_weight` from the double cover `dup`, its integer
+    weights `cover_base` (`_cover_weights`), their optimum `half` and an
+    optimal dual `cover_dual` = (y, d) on that scale (`_cover_pass`).
+
+    The cover's tie-broken optimum is its forced edges plus the tie-broken
+    optimum of its complementary-slack residual (`_slack_residual`), whose
+    edges keep their relative order. The cover's LP is integral, so with an
+    optimal dual the two reach `half`; InternalError if they fall short.
+    """
+    forced, residual = _slack_residual(dup.instance, cover_base, *cover_dual)
+    matching = forced | (_engine(residual, cover_base) if residual.m else frozenset())
+    if sum(cover_base[e] for e in matching) != half:
+        raise InternalError(
+            "double cover's forced and residual edges fall short of its optimum"
+        )
     dup_weight = weight(dup.instance, matching)
     values: dict[Edge, Fraction] = {}
     for (i, j) in inst.edges:
@@ -454,9 +480,10 @@ def _ssp_flow(
 def _cover_pass(inst: Instance, dup: DuplicatedInstance, cover_base: Mapping[Edge, int], scale: int):
     """The half-b-matching optimum and an optimal dual, times 2 * scale, from
     one `_certified_pass` on the double cover `dup`, whose cross edges of ij
-    weigh w(ij)/2 = base(ij) / (2 * scale) (`_cover_weights`). Folding its
-    dual (y(i) = y(i') + y(i''), d(ij) = the slacks of both cross edges)
-    keeps it feasible and keeps its objective, the LP optimum.
+    weigh w(ij)/2 = base(ij) / (2 * scale) (`_cover_weights`), and the
+    cover's own dual (y, d) on the scale of `cover_base`. Folding it
+    (y(i) = y(i') + y(i''), d(ij) = the slacks of both cross edges) keeps
+    it feasible and keeps its objective, the LP optimum.
     """
     cover, left, right = dup.instance, dup.left, dup.right
     key = cover.edge_key
@@ -466,7 +493,35 @@ def _cover_pass(inst: Instance, dup: DuplicatedInstance, cover_base: Mapping[Edg
         (i, j): cd[key(left[i], right[j])] + cd[key(left[j], right[i])]
         for (i, j) in inst.edges
     }
-    return half, y, d
+    return half, y, d, (cy, cd)
+
+
+def _slack_residual(inst: Instance, w: Mapping[Edge, int], y, d):
+    """The forced edges (d > 0) of an optimal LP dual (y, d) of `inst` whose
+    integer weights on the dual's scale are `w`, and its complementary-slack
+    residual: the tight edges (d = 0, y(u) + y(v) = w(uv)) between players
+    with capacity left after the forced edges, on that capacity.
+
+    Every LP optimum takes every forced edge and otherwise only tight ones.
+    So when an integral optimum reaches the LP optimum, the optimal
+    b-matchings are exactly the forced edges plus a maximum-weight
+    b-matching of the residual, whose edges keep their order in `inst`, and
+    the tie-break picks the same set on the residual as on `inst`.
+    """
+    forced = frozenset(e for e in inst.edges if d[e] > 0)
+    free = dict(inst.capacity)
+    for (u, v) in forced:
+        free[u] -= 1
+        free[v] -= 1
+    if any(c < 0 for c in free.values()):
+        raise InternalError("forced edges of the optimal dual overfill a player")
+    weights = inst.edge_weights()
+    tight = [
+        (u, v, weights[(u, v)])
+        for (u, v) in inst.edges
+        if d[(u, v)] == 0 and free[u] and free[v] and y[u] + y[v] == w[(u, v)]
+    ]
+    return forced, Instance._derived(inst.players, free, tight)
 
 
 class LPOptimum(NamedTuple):
@@ -484,14 +539,11 @@ def lp_optimum(inst: Instance) -> LPOptimum:
     """The game's tie-broken maximum-weight b-matching, read off an optimal
     LP dual where the dual settles it.
 
-    Every LP optimum takes the edges with d > 0 (forced) and otherwise only
-    tight edges (d = 0, y(u) + y(v) = w(uv)). So when the integral optimum
-    reaches the LP optimum, the optimal b-matchings are exactly the forced
-    edges plus a maximum-weight b-matching of the tight residual within the
-    capacity they leave free, and the tie-break on the residual (same edge
-    order) picks the same set as on the whole game. Otherwise the engine
-    runs on the whole game, unless the residual already is the whole game
-    (no forced edge, every edge between players with capacity tight).
+    When the integral optimum reaches the LP optimum, it is the optimal
+    dual's forced edges plus the tie-broken optimum of its complementary-
+    slack residual (`_slack_residual`). Otherwise the engine runs on the
+    whole game, unless the residual already is the whole game (no forced
+    edge, every edge between players with capacity tight).
 
     The LP optimum and dual come from one unperturbed pass: on G itself
     when G is bipartite, whose LP is integral, and on the double cover
@@ -500,45 +552,37 @@ def lp_optimum(inst: Instance) -> LPOptimum:
     return _lp_optimum(inst)[0]
 
 
-def _lp_optimum(inst: Instance):
+def _lp_optimum(inst: Instance, tie_break: bool = True):
     """`lp_optimum`, its dual as integers (y, d, denom): the dual times
     `denom`, the weights' scale (twice it for the cover), and the double
-    cover with its integer weights (`_cover_weights`; None when the game is
-    bipartite). All of it, down to the residual's perturbed weights, runs
-    on those integers.
+    cover with its integer weights, their optimum and the cover's own dual
+    (`_cover_weights`, `_cover_pass`; None when the game is bipartite). All
+    of it, down to the residual's perturbed weights, runs on those integers.
+
+    Without `tie_break` the whole-game engine, which runs only when the
+    game has no stable solution, runs on the plain weights, so `matching`
+    is then a maximum-weight b-matching but not the tie-broken one: for
+    callers that read only the weight.
     """
-    weights = inst.edge_weights()
-    base, scale = scale_to_integers(weights)
+    base, scale = scale_to_integers(inst.edge_weights())
     coloring, cover = inst.two_coloring(), None
     if coloring is not None:
         half, y, d = _certified_pass(inst, base, scale, coloring)
-        denom = scale
+        denom, w = scale, base
     else:
-        cover = _cover_weights(inst, base)
-        half, y, d = _cover_pass(inst, *cover, scale)
-        denom = 2 * scale
-    unit = denom // scale
-    forced = frozenset(e for e in inst.edges if d[e] > 0)
-    free = dict(inst.capacity)
-    for (u, v) in forced:
-        free[u] -= 1
-        free[v] -= 1
-    if any(c < 0 for c in free.values()):
-        raise InternalError("forced edges of the optimal dual overfill a player")
-    tight = [
-        (u, v, weights[(u, v)])
-        for (u, v) in inst.edges
-        if d[(u, v)] == 0 and free[u] and free[v] and y[u] + y[v] == unit * base[(u, v)]
-    ]
-    residual = Instance._derived(inst.players, free, tight)
-    matching = forced | (_tie_broken(residual, base) if tight else frozenset())
+        dup, cover_base = _cover_weights(inst, base)
+        half, y, d, cover_dual = _cover_pass(inst, dup, cover_base, scale)
+        cover = (dup, cover_base, half, cover_dual)
+        denom, w = 2 * scale, {e: 2 * q for e, q in base.items()}
+    forced, residual = _slack_residual(inst, w, y, d)
+    matching = forced | (_engine(residual, base) if residual.m else frozenset())
     if not is_b_matching(inst, matching):
         raise InternalError("forced and residual edges overfill a player")
-    total = unit * sum(base[e] for e in matching)
-    whole = not forced and len(tight) == sum(1 for (u, v) in inst.edges if inst.b(u) and inst.b(v))
+    total = sum(w[e] for e in matching)
+    whole = not forced and residual.m == sum(1 for (u, v) in inst.edges if inst.b(u) and inst.b(v))
     if total != half and not whole:
-        matching = _tie_broken(inst, base)
-        total = unit * sum(base[e] for e in matching)
+        matching = _engine(inst, base, tie_break)
+        total = sum(w[e] for e in matching)
         if total == half:
             raise InternalError(
                 "a b-matching attains the half optimum, but none is "

@@ -12,9 +12,12 @@ is bipartite, on its bipartite double cover otherwise) turns a
 maximum-weight b-matching into stable payoffs p(i,j) = y(i) + xi(i,j) with
 xi splitting the slack d(ij) of each matched edge.
 
-`solve` reads one `matching.lp_optimum` and certifies its tie-broken
+`solve` reads one `matching._lp_optimum` and certifies its tie-broken
 b-matching once against the pass's integer dual (`_stable_solution`);
-`require_stable` on the finished solution is the last check. The
+`require_stable` on the finished solution is the last check. A game without
+a stable solution prints only its b-matching's weight, so its whole-game
+engine runs untied, and its witness is tie-broken on the double cover's
+complementary-slack residual alone (`matching._half_witness`). The
 `Fraction` dual path (`stable_from_dual`, ...) lives in `duals`; `solver`
 resolves four of its names only for perfbench (PEP 562).
 
@@ -28,12 +31,12 @@ from typing import Iterable, NamedTuple
 
 from . import _moved_from
 from .errors import DualityGapError, InputError, InternalError, NotMaximumWeightError, PreconditionError
-from .instance import Instance
+from .instance import SPLIT_RULES, Instance
 from .matching import (
     DualSolution, HalfBMatching, _half_witness, _lp_optimum, _objective, is_b_matching, lp_optimum
 )
 from .rationals import format_rational
-from .stability import SPLIT_RULES, PayoffMatrix, Solution, require_stable, resolve_sides
+from .stability import PayoffMatrix, Solution, require_stable, resolve_sides
 
 __getattr__ = _moved_from(
     __name__, duals="dual_from_duplicated dual_objective is_dual_feasible stable_from_dual"
@@ -114,10 +117,12 @@ def solve(
     tie-broken b-matching, matched on the dual's complementary-slack
     residual where that reaches the half optimum; `_stable_solution`
     certifies the stable answer once against the same dual, in the scaled
-    integers the pass produced. Otherwise one perturbed pass on the same
-    double cover and integer weights gives the witness.
+    integers the pass produced. Otherwise only the b-matching's weight is
+    printed, so the whole-game engine runs untied, and the witness is the
+    double cover's forced edges plus the tie-broken optimum of its own
+    complementary-slack residual (`_half_witness`).
     """
-    opt, scaled, cover = _lp_optimum(inst)
+    opt, scaled, cover = _lp_optimum(inst, tie_break=False)
     if opt.weight != opt.half:
         # A bipartite game is always stable, so the pass ran on the cover.
         witness_weight, witness = _half_witness(inst, *cover)

@@ -19,16 +19,13 @@ from .errors import (
     IncompatibleSolutionError, InputError, NotBipartiteError, PreconditionError, UnknownEdgeError,
     UnstableSolutionError,
 )
-from .instance import Edge, Instance, _spanning_forest
+from .instance import SPLIT_RULES, Edge, Instance, _spanning_forest  # noqa: F401 (re-exported)
 from .rationals import format_rational, parse_rational
 
 PayoffMatrix = dict[tuple[str, str], Fraction]
 
 # The payoff of an omitted entry; a Fraction is immutable, so one is shared.
 _ZERO = Fraction(0)
-
-# How `solve` and `duals.stable_from_dual` share a matched edge's slack d(ij).
-SPLIT_RULES = ("half", "seller_side")
 
 
 class Solution(NamedTuple):

@@ -57,9 +57,9 @@ def test_game_value_matches_only_the_residual(monkeypatch):
     real = matching._general_matching
     sizes = []
 
-    def spy(net, base):
+    def spy(net, *args):
         sizes.append(net.m)
-        return real(net, base)
+        return real(net, *args)
 
     monkeypatch.setattr(matching, "_general_matching", spy)
     value, witness = core.game_value_with_witness(inst, inst.players)

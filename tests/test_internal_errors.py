@@ -195,8 +195,8 @@ def test_half_below_integral_fails_solve(monkeypatch):
 def test_witness_weight_mismatch_fails_solve(monkeypatch):
     real = solver._half_witness
 
-    def heavy(inst, dup, cover_base):
-        value, witness = real(inst, dup, cover_base)
+    def heavy(*args):
+        value, witness = real(*args)
         return value + 1, witness
 
     monkeypatch.setattr(solver, "_half_witness", heavy)
@@ -304,13 +304,13 @@ def test_overfilling_residual_matching_fails_solve(
     inst = heavy_edge_triangle
     path = tmp_path / "triangle.json"
     path.write_text(json.dumps(instance_to_json(inst)))
-    real = matching._tie_broken
+    real = matching._engine
 
-    def extra(net, base):
+    def extra(net, base, *tie_break):
         # The residual engine adds a-c.
-        return real(net, base) | {("a", "c")}
+        return real(net, base, *tie_break) | {("a", "c")}
 
-    monkeypatch.setattr(matching, "_tie_broken", extra)
+    monkeypatch.setattr(matching, "_engine", extra)
     with pytest.raises(InternalError, match="overfill"):
         solver.solve(inst)
     with pytest.raises(InternalError, match="overfill"):
@@ -328,8 +328,8 @@ def test_forced_edges_overfilling_a_player_fail_solve(monkeypatch, capsys, tmp_p
     real = matching._cover_pass
 
     def slack(*args):
-        half, y, d = real(*args)
-        return half, y, {e: q + 1 for e, q in d.items()}
+        half, y, d, cover_dual = real(*args)
+        return half, y, {e: q + 1 for e, q in d.items()}, cover_dual
 
     monkeypatch.setattr(matching, "_cover_pass", slack)
     with pytest.raises(InternalError, match="overfill"):
@@ -338,6 +338,90 @@ def test_forced_edges_overfilling_a_player_fail_solve(monkeypatch, capsys, tmp_p
         solver.solve(inst)
     assert main(["solve", str(path)]) == EXIT_INTERNAL
     assert capsys.readouterr().err.startswith("error: internal: forced edges")
+
+
+def _raised_cover_prices(y, d):
+    return {p: q + 1 for p, q in y.items()}, d
+
+
+def _zero_cover_dual(y, d):
+    return dict.fromkeys(y, 0), dict.fromkeys(d, 0)
+
+
+def _slack_on_every_cover_edge(y, d):
+    return y, {e: q + 1 for e, q in d.items()}
+
+
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        (_raised_cover_prices, "fall short"),
+        (_zero_cover_dual, "fall short"),
+        (_slack_on_every_cover_edge, "forced edges of the optimal dual overfill"),
+    ],
+)
+def test_wrong_cover_dual_fails_the_witness(monkeypatch, capsys, tmp_path, diamond, fault, message):
+    """The no-stable witness is read off the cover's own dual: its forced
+    edges plus the tie-broken optimum of its residual. A wrong cover dual,
+    with the game's folded dual left right, leaves no tight edge or forces
+    more edges than a player holds, and ends in InternalError, never in a
+    whole-cover fallback or a wrong witness."""
+    path = tmp_path / "diamond.json"
+    path.write_text(json.dumps(instance_to_json(diamond)))
+    real = matching._cover_pass
+
+    def wrong(*args):
+        half, y, d, cover_dual = real(*args)
+        return half, y, d, fault(*cover_dual)
+
+    monkeypatch.setattr(matching, "_cover_pass", wrong)
+    with pytest.raises(InternalError, match=message):
+        solver.solve(diamond)
+    with pytest.raises(InternalError, match=message):
+        matching.max_half_b_matching_weight(diamond)
+    assert main(["solve", str(path)]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal: ") and len(captured.err.splitlines()) == 1
+
+
+_COVER_DUAL_PROBE = """
+import sys
+from stablefixtures import matching
+from stablefixtures.cli import main
+
+try:
+    assert False
+    stripped = True
+except AssertionError:
+    stripped = False
+
+real = matching._cover_pass
+
+def wrong(*args):
+    half, y, d, (cover_y, cover_d) = real(*args)
+    return half, y, d, ({p: q + 1 for p, q in cover_y.items()}, cover_d)
+
+matching._cover_pass = wrong
+print(stripped, main(["solve", sys.argv[1]]))
+"""
+
+
+def test_wrong_cover_dual_fails_under_python_O(tmp_path, diamond):
+    path = tmp_path / "diamond.json"
+    path.write_text(json.dumps(instance_to_json(diamond)))
+    src = Path(stablefixtures.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _COVER_DUAL_PROBE, str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", str(EXIT_INTERNAL)]
+    assert proc.stderr == (
+        "error: internal: double cover's forced and residual edges fall short of its optimum\n"
+    )
 
 
 def test_unsplit_payoffs_fail_stable_from_dual(monkeypatch, heavy_edge_triangle):
@@ -391,7 +475,7 @@ outcome = solver.solve(inst)
 d = dict(outcome.dual.d)
 d[("a", "b")] += 1
 real_objective, real_utilities, real_engine = (
-    solver._objective, duals.utilities, matching._tie_broken)
+    solver._objective, duals.utilities, matching._engine)
 
 def raises(call):
     try:
@@ -409,7 +493,7 @@ read_back = raises(lambda: duals.dual_from_stable(inst, outcome.solution))
 duals.utilities = real_utilities
 ssp = raises(lambda: matching._ssp_flow(
     Instance(["a", "b"], {"a": 1, "b": 1}, [("a", "b", 3)]), {("a", "b"): 3}, {"a": 0, "b": 0}))
-matching._tie_broken = lambda net, base: real_engine(net, base) | {("a", "c")}
+matching._engine = lambda net, base, *tie_break: real_engine(net, base, *tie_break) | {("a", "c")}
 print(split, read_back, ssp, main(["solve", sys.argv[1]]))
 """
 

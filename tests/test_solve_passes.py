@@ -3,14 +3,17 @@
 * One unperturbed pass gives the half-b-matching optimum and the optimal
   dual: on the game itself when it is bipartite, on the double cover
   otherwise. A stable game is then matched on the dual's complementary-slack
-  residual alone, and the perturbed cover pass runs only for a no-stable
-  witness.
+  residual alone. A no-stable game prints only the b-matching's weight, so
+  its whole-game engine runs untied, and its witness is tie-broken on the
+  cover's own complementary-slack residual, never on the whole cover.
 * The blossom engine is imported only when blossom runs, and networkx never;
   each CLI subcommand loads only the modules it runs.
 * A differential test pins `solve` to the older composition (full-graph
-  engine for the matching, perturbed cover pass for the half weight,
-  perturbed plus unperturbed cover passes for the dual), kept here as an
-  oracle.
+  engine for the matching, perturbed pass on the whole cover for the half
+  weight and the witness, perturbed plus unperturbed cover passes for the
+  dual), kept here as an oracle; hypothesis pins the residual witness to
+  the whole-cover one, and the untied weight to `lp_optimum`'s, on
+  no-stable games with several odd cycles.
 """
 
 import json
@@ -19,11 +22,16 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from itertools import combinations
 from pathlib import Path
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import stablefixtures
 from stablefixtures import generate, instance, matching
 from stablefixtures.cli import main
+from stablefixtures.core import core_membership_b2, game_value, game_value_with_witness
 from stablefixtures.duals import (
     bipartite_max_weight_b_matching_with_duals,
     has_stable_solution,
@@ -32,10 +40,15 @@ from stablefixtures.duals import (
 from stablefixtures.instance import Instance, instance_to_json
 from stablefixtures.matching import (
     DualSolution,
+    HalfBMatching,
+    _lp_optimum,
     _perturbed,
     duplicated_instance,
+    is_b_matching,
+    lp_optimum,
     max_half_b_matching_weight,
     max_weight_b_matching,
+    weight,
 )
 from stablefixtures.randomgen import random_instance
 from stablefixtures.rationals import scale_to_integers
@@ -129,10 +142,11 @@ def _loaded_modules(src, *argv):
 
 def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_triangle):
     """A bipartite solve loads neither the core stages nor any blossom,
-    verify-stable no engine, and core-check and value not the solver; none
-    of them loads the brute-force oracles. No request loads `dataclasses`,
-    the parser's `argparse` (with `gettext` and `locale`), or the
-    library-only `duals` and `transfers`."""
+    verify-stable no engine, and core-check and value neither the solver
+    nor `stability`; value does not load the path/cycle systems (`cycles`),
+    which core-check runs. None of them loads the brute-force oracles. No
+    request loads `dataclasses`, the parser's `argparse` (with `gettext`
+    and `locale`), or the library-only `duals` and `transfers`."""
     inst, sol, _ = example2
     files = {
         "bip": instance_to_json(inst),
@@ -147,12 +161,13 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_
     for argv, code, absent in (
         (["solve", bip], 0, ["core", "cycles", "blossom", "oracles"]),
         (["verify-stable", bip, sol_path], 0, ["matching", "solver", "core", "cycles"]),
-        (["core-check", triangle, x], 0, ["solver", "oracles"]),
-        (["value", triangle, "--coalition", "a,b"], 0, ["solver", "oracles"]),
+        (["core-check", triangle, x], 0, ["solver", "oracles", "stability"]),
+        (["value", triangle, "--coalition", "a,b"], 0, ["solver", "oracles", "stability", "cycles"]),
     ):
         got, loaded = _loaded_modules(src, *argv)
         assert got == code, argv
         assert "stablefixtures.instance" in loaded
+        assert ("stablefixtures.cycles" in loaded) == (argv[0] == "core-check"), argv
         unwanted = {f"stablefixtures.{name}" for name in [*absent, "duals", "transfers"]}
         unwanted |= {"networkx", "dataclasses", "argparse", "gettext", "locale"}
         assert loaded.isdisjoint(unwanted), (argv, sorted(loaded & unwanted))
@@ -223,7 +238,8 @@ def _is_perturbed(net, int_weights):
 
 
 def _spy_passes(monkeypatch, fn, inst, **kwargs):
-    """Run fn(inst) and classify every SSP pass it makes."""
+    """Run fn(inst) and classify every SSP pass it makes: on the whole
+    double cover, on a part of it (its residual) or on another instance."""
     real = matching._ssp_flow
     calls = []
 
@@ -233,10 +249,12 @@ def _spy_passes(monkeypatch, fn, inst, **kwargs):
 
     monkeypatch.setattr(matching, "_ssp_flow", spy)
     result = fn(inst, **kwargs)
-    cover_players = duplicated_instance(inst).instance.players
+    cover = duplicated_instance(inst).instance
     kinds = []
     for net, int_weights in calls:
-        where = "cover" if net.players == cover_players else "instance"
+        where = "instance"
+        if net.players == cover.players:
+            where = "cover" if net.m == cover.m else "cover residual"
         if int_weights == scale_to_integers(net.edge_weights())[0]:
             kinds.append((where, "plain"))
         else:
@@ -267,7 +285,7 @@ def test_stable_general_solve_makes_one_cover_pass(monkeypatch, heavy_edge_trian
     blossom = []
     real = matching._general_matching
     monkeypatch.setattr(
-        matching, "_general_matching", lambda net, base: blossom.append(net) or real(net, base)
+        matching, "_general_matching", lambda net, *args: blossom.append(net) or real(net, *args)
     )
     outcome, kinds = _spy_passes(monkeypatch, solve, inst)
     assert outcome.stable
@@ -275,10 +293,21 @@ def test_stable_general_solve_makes_one_cover_pass(monkeypatch, heavy_edge_trian
     assert blossom == []
 
 
-def test_no_stable_solve_adds_one_perturbed_cover_pass(monkeypatch, diamond):
-    outcome, kinds = _spy_passes(monkeypatch, solve, diamond)
+def _pendant_triangle():
+    """No stable solution: a capacity-1 triangle at 10 and a pendant edge at
+    1, which the cover's optimal dual leaves out of its residual, and the
+    game's dual out of the game's."""
+    return Instance(
+        ["a", "b", "c", "u"], dict.fromkeys("abcu", 1),
+        [("a", "b", 10), ("b", "c", 10), ("a", "c", 10), ("a", "u", 1)],
+    )  # fmt: skip
+
+
+def test_no_stable_solve_adds_one_perturbed_cover_pass(monkeypatch):
+    """The witness pass is tie-broken on the cover's residual alone."""
+    outcome, kinds = _spy_passes(monkeypatch, solve, _pendant_triangle())
     assert not outcome.stable
-    assert kinds == [("cover", "plain"), ("cover", "perturbed")]
+    assert kinds == [("cover", "plain"), ("cover residual", "perturbed")]
 
 
 def test_no_stable_solve_builds_the_cover_and_scales_once(monkeypatch, diamond):
@@ -296,6 +325,129 @@ def test_has_stable_solution_makes_one_plain_cover_pass(monkeypatch, diamond):
     stable, kinds = _spy_passes(monkeypatch, has_stable_solution, diamond)
     assert not stable
     assert kinds == [("cover", "plain")]
+
+
+# ---------------------------------------------------------------------------
+# The no-stable branch: no tie-break that no answer prints
+# ---------------------------------------------------------------------------
+
+
+def _whole_cover_witness(inst):
+    """The witness as the older composition found it: the tie-broken
+    optimum of the whole double cover, folded onto the game."""
+    dup, cover_base = matching._cover_weights(inst, scale_to_integers(inst.edge_weights())[0])
+    chosen = matching._engine(dup.instance, cover_base)
+    key, left, right = dup.instance.edge_key, dup.left, dup.right
+    return HalfBMatching({
+        (i, j): F((key(left[i], right[j]) in chosen) + (key(left[j], right[i]) in chosen), 2)
+        for (i, j) in inst.edges
+    })  # fmt: skip
+
+
+def _engine_runs(monkeypatch):
+    """Record (engine, instance, tie-broken) for every engine run: SSP
+    passes and edge-gadget matchings, tie-broken when they run on weights
+    that `_perturbed` made for that instance."""
+    runs = []
+    real_ssp, real_general, real_perturbed = (
+        matching._ssp_flow, matching._general_matching, matching._perturbed
+    )
+    perturbed = []  # (instance, perturbed weights)
+
+    def perturb(net, base):
+        perturbed.append((net, real_perturbed(net, base)))
+        return perturbed[-1][1]
+
+    def ssp(net, int_weights, coloring):
+        runs.append(("ssp", net, any(w is int_weights for _, w in perturbed)))
+        return real_ssp(net, int_weights, coloring)
+
+    def general(net, *args):
+        before = len(perturbed)
+        mate = real_general(net, *args)
+        runs.append(("blossom", net, any(p is net for p, _ in perturbed[before:])))
+        return mate
+
+    monkeypatch.setattr(matching, "_perturbed", perturb)
+    monkeypatch.setattr(matching, "_ssp_flow", ssp)
+    monkeypatch.setattr(matching, "_general_matching", general)
+    return runs
+
+
+def test_weight_only_answers_tie_break_neither_the_game_nor_the_cover(monkeypatch):
+    """`solve`'s no-stable branch and core-check's v(N) print only weights:
+    the whole-game blossom runs on the plain weights, and the only
+    tie-broken runs are on the complementary-slack residuals (the cover's
+    for the witness) and on the violating coalition, whose witness is
+    printed. `value` prints its matching, so it keeps the whole-game
+    tie-break."""
+    inst = _pendant_triangle()
+    cover = duplicated_instance(inst).instance
+    whole = {(inst.players, inst.m), (cover.players, cover.m)}
+    runs = _engine_runs(monkeypatch)
+    assert not solve(inst).stable
+    assert game_value(inst, inst.players) == 11
+    x = dict.fromkeys(inst.players, F(11, 4))
+    assert core_membership_b2(inst, x).kind == "violation"
+    tied = [(net.players, net.m) for _, net, tie_break in runs if tie_break]
+    untied = [(net.players, net.m) for engine, net, tie_break in runs if engine == "blossom" and not tie_break]
+    assert tied and whole.isdisjoint(tied)
+    assert untied == [(inst.players, inst.m)] * 3  # solve, game_value and core-check's v(N)
+    runs.clear()
+    assert game_value_with_witness(inst, inst.players)[0] == 11
+    assert ("blossom", inst.players, inst.m, True) in [(e, net.players, net.m, t) for e, net, t in runs]
+
+
+# Ids that collide with the double cover's primed names come first.
+NO_STABLE_IDS = tuple(p + prime for p in "abcdef" for prime in ("", "'", "''"))
+HEAVY = st.sampled_from((F(10), F(10), F(12), F(10**12)))
+LIGHT = st.sampled_from((F(0), F(1), F(1), F(2), F(1, 2)))
+
+
+@st.composite
+def no_stable_games(draw) -> Instance:
+    """Two or three disjoint odd cycles (triangles or a pentagon) of
+    capacity-1 players, each on one heavy weight, often shared, so ties
+    abound; light edges among all players, tied too; and up to three more
+    players with capacity 0, 1, 2 or above their degree. The edges come in a
+    drawn order, which the tie-break follows."""
+    sizes = draw(st.lists(st.sampled_from((3, 3, 5)), min_size=2, max_size=3))
+    extra = draw(st.integers(0, 3))
+    names = draw(st.permutations(NO_STABLE_IDS))[: sum(sizes) + extra]
+    capacity, edges, start = {}, {}, 0
+    for size in sizes:
+        ring, heavy = names[start:start + size], draw(HEAVY)
+        start += size
+        capacity.update(dict.fromkeys(ring, 1))
+        edges.update({(ring[k], ring[(k + 1) % size]): heavy for k in range(size)})
+    pairs = [e for e in combinations(names, 2) if e not in edges and e[::-1] not in edges]
+    for e in draw(st.permutations(pairs))[: draw(st.integers(0, 8))]:
+        edges[e] = draw(LIGHT)
+    degree = {p: sum(p in e for e in edges) for p in names}
+    for p in names[start:]:
+        capacity[p] = draw(st.sampled_from((0, 1, 2, degree[p] + 1)))
+    order = draw(st.permutations(list(edges)))
+    players = draw(st.permutations(names))
+    return Instance(players, capacity, [(u, v, edges[(u, v)]) for (u, v) in order])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(no_stable_games())
+def test_residual_witness_and_untied_weight_match_the_whole_game(inst):
+    """The witness tie-broken on the cover's residual is the one tie-broken
+    on the whole cover, and the untied whole-game engine finds
+    `lp_optimum`'s weight, on a b-matching."""
+    opt = lp_optimum(inst)
+    assume(opt.weight != opt.half)
+    outcome = solve(inst)
+    witness = _whole_cover_witness(inst)
+    assert outcome.witness == witness
+    assert (outcome.matching_weight, outcome.half_weight) == (opt.weight, opt.half)
+    assert max_half_b_matching_weight(inst) == (opt.half, witness)
+    untied = _lp_optimum(inst, tie_break=False)[0]
+    assert (untied.weight, untied.half, untied.dual) == (opt.weight, opt.half, opt.dual)
+    assert is_b_matching(inst, untied.matching) and weight(inst, untied.matching) == opt.weight
+    assert game_value(inst, inst.players) == opt.weight
 
 
 # ---------------------------------------------------------------------------
@@ -321,7 +473,8 @@ def _old_dual_from_duplicated(inst):
 
 def _old_solve(inst, split_rule="half", sellers=None):
     matching_, integral = max_weight_b_matching(inst)
-    half, witness = max_half_b_matching_weight(inst)
+    witness = _whole_cover_witness(inst)
+    half = witness.weight(inst)
     if integral != half:
         return SolveOutcome(
             stable=False, matching_weight=integral, half_weight=half, witness=witness
