@@ -7,16 +7,25 @@ in Galil 1986, ACM Computing Surveys 18(1)). Vertex duals are doubled, so
 every dual move is an integer. Everything lives in lists scanned in index
 order (the scan queue is a stack), so ties resolve the same way every run.
 
+A cold run starts every vertex free at the largest weight and needs a
+stage per matched pair. A warm run starts from a given matching and vertex
+duals, checked, and needs at most a stage per free vertex with positive
+dual (`_primal_dual`). Only a warm run imports `warmstart`, which checks
+its start and builds the edge gadget's.
+
 Before it returns, the answer is certified by weak duality for the matching
 LP with odd-set constraints: a symmetric matching on the given edges,
 nonnegative vertex and blossom duals, nonnegative slack on every edge, and
 sum u + sum z(B) floor(|B|/2) equal to the matching's weight. A failed
 check raises `InternalError`, also under `python -O`.
 
-`max_weight_degree_subgraph(slots, edges, extra, mandatory)` builds the
-2-vertex edge gadget for degree-constrained subgraphs (Shiloach 1981;
+`max_weight_degree_subgraph(slots, edges, extra, mandatory, start)` builds
+the 2-vertex edge gadget for degree-constrained subgraphs (Shiloach 1981;
 Gabow 1983) on which both the general b-matching engine and the minimum
 path/cycle systems run, matches it, and reads the selected edges back.
+Only the untied whole-game b-matching (`matching._lp_optimum(...,
+tie_break=False)`) starts warm, from its LP optimum; every other run is
+cold.
 """
 
 from __future__ import annotations
@@ -24,12 +33,24 @@ from __future__ import annotations
 from .errors import InternalError, PreconditionError
 
 
-def max_weight_matching(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
-    """mate[v] = v's partner in a maximum-weight matching, or -1."""
+def max_weight_matching(n: int, edges: list[tuple[int, int, int]], start=None) -> list[int]:
+    """mate[v] = v's partner in a maximum-weight matching, or -1.
+
+    `start` = (matched, dual) starts the stages warm, with no blossoms,
+    from matched[v], the index in `edges` of v's matched edge or -1, and
+    doubled vertex duals `dual`. The start must be a symmetric matching with
+    nonnegative int duals, even at every free vertex (so that the S-S slacks
+    stay even), nonnegative slack on every edge and none on a matched one;
+    InternalError otherwise, also under `python -O`.
+    """
     for (i, j, w) in edges:
         if i == j or not (0 <= i < n and 0 <= j < n) or type(w) is not int:
             raise PreconditionError(f"edge {(i, j, w)} is not an int-weighted edge on {n} vertices")
-    matched, dual, blossoms = _primal_dual(n, edges)
+    if start is not None:
+        from .warmstart import _check_start
+
+        _check_start(n, edges, *start)
+    matched, dual, blossoms, _ = _primal_dual(n, edges, start)
     _certify(n, edges, matched, dual, blossoms)
     return [-1 if k < 0 else edges[k][0] + edges[k][1] - v for v, k in enumerate(matched)]
 
@@ -37,7 +58,7 @@ def max_weight_matching(n: int, edges: list[tuple[int, int, int]]) -> list[int]:
 _END = object()  # tags the gadget's end nodes, so no caller node equals one
 
 
-def max_weight_degree_subgraph(slots, edges, extra, mandatory):
+def max_weight_degree_subgraph(slots, edges, extra, mandatory, start=None):
     """The edges that one maximum-weight matching of the edge gadget selects,
     and the gadget's profit: the mate's weight minus the coverage bonuses.
 
@@ -53,6 +74,17 @@ def max_weight_degree_subgraph(slots, edges, extra, mandatory):
     end of a gadget edge adds a bonus of 1 + sum |profit|. Nodes are
     numbered in order of first appearance, `extra` first, so ties break
     the same way for the same input.
+
+    `start` = (y, used) starts the matching warm, for a gadget with no
+    `extra` and no `mandatory` nodes, from integer prices y on the scale of
+    the weights and a b-matching `used` of (u, v) pairs with y(u) + y(v) at
+    most w on it and at least w off it: an optimal LP dual and a
+    complementary-slack b-matching. Each used edge takes the next slot at
+    each end. In the engine's doubled units a slot starts at 2 (y - price),
+    and the one-slot end of a used direct edge adds 2 (w - y(u) - y(v)) if
+    that is positive; an end node starts where its slot edges are tight,
+    and both ends of an unused edge add its surplus y(u) + y(v) - w, so its
+    end-to-end edge is tight too.
     """
     profits, mandatory, joins = list(extra), set(mandatory), []
     for k, (u, v, w) in enumerate(edges):
@@ -74,7 +106,13 @@ def max_weight_degree_subgraph(slots, edges, extra, mandatory):
          c + bonus * ((a in mandatory) + (b in mandatory)))
         for (a, b, c) in profits
     ]
-    mate = max_weight_matching(len(index), gadget)
+    if start is None:
+        mate = max_weight_matching(len(index), gadget)
+    else:
+        from .warmstart import _gadget_start
+
+        start = _gadget_start(slots, edges, gadget, index, bonus, *start)
+        mate = max_weight_matching(len(index), gadget, start)
     if any(mate[index[a]] == -1 for a in mandatory):
         raise InternalError("edge gadget matching leaves a mandatory node uncovered")
     selected = [
@@ -116,9 +154,23 @@ def _certify(n, edges, matched, dual, blossoms) -> None:
         raise InternalError(f"blossom dual objective {objective2}/2 differs from matching weight {weight2}/2")
 
 
-def _primal_dual(n, edges):
-    """Run the stages; return the matched edge at each vertex (or -1), the
-    doubled vertex duals and (z, vertices) of every blossom left."""
+def _primal_dual(n, edges, start=None):
+    """Run the stages from `start` (see `max_weight_matching`), or cold from
+    every vertex free at the largest weight; return the matched edge at each
+    vertex (or -1), the doubled vertex duals, (z, vertices) of every blossom
+    left and the number of stages run.
+
+    A stage grows alternating trees from its roots, the free vertices with
+    positive dual (cold: every free vertex), and moves the duals until one
+    event ends it: an augmenting path along tight edges, to another root or
+    to a free vertex at dual 0; or an S-vertex whose dual reaches 0, since
+    delta1 is the least S-vertex dual. If a root is among those, it just
+    stops being one; else the first such S-vertex v takes its root's place
+    as the free vertex, by a flip of the even path from the root to v. Each
+    event leaves one free vertex with positive dual fewer. Cold, the free
+    vertices share the least dual, so delta1 is the least vertex dual, and
+    the first root to reach 0, which wins every tie, ends the run.
+    """
     m = len(edges)
     # Edge k has endpoints 2k (at its first vertex) and 2k + 1; p ^ 1 is the
     # other endpoint of the same edge.
@@ -130,8 +182,11 @@ def _primal_dual(n, edges):
     top = max([0] + [w for (_, _, w) in edges])
 
     # Ids 0..n-1 are vertices, n..2n-1 are blossoms.
-    dual = [top] * n + [0] * n
-    mate = [-1] * n  # far endpoint of the matched edge
+    cold = start is None
+    matched, dual = start or ([-1] * n, [top] * n)
+    dual = list(dual) + [0] * n
+    # Far endpoint of the matched edge.
+    mate = [-1 if k < 0 else 2 * k + (end[2 * k] == v) for v, k in enumerate(matched)]
     top_of = list(range(n))  # outermost blossom holding each vertex
     parent = [-1] * (2 * n)
     kids: list = [None] * (2 * n)  # sub-blossoms in cycle order, base first
@@ -314,32 +369,36 @@ def _primal_dual(n, edges):
                 mate[end[p]], mate[end[p ^ 1]] = p ^ 1, p
             kids[b], links[b], base[b] = cycle[i:] + cycle[:i], ends[i:] + ends[:i], v
 
-    def augment(k):
-        """Augment along the path through S-S edge k between two roots."""
-        for (s, p) in ((end[2 * k], 2 * k + 1), (end[2 * k + 1], 2 * k)):
-            while True:
-                bs = top_of[s]
-                if bs >= n:
-                    flip(bs, s)
-                mate[s] = p
-                if via[bs] == -1:
-                    break
-                bt = top_of[end[via[bs]]]
-                s, j = end[via[bt]], end[via[bt] ^ 1]
-                if bt >= n:
-                    flip(bt, j)
-                mate[j] = via[bt]
-                p = via[bt] ^ 1
+    def rematch(s, p):
+        """Mate s over endpoint p (-1: leave s free) and swap matched and
+        unmatched edges on the tree path from s up to its root."""
+        while True:
+            bs = top_of[s]
+            if bs >= n:
+                flip(bs, s)
+            mate[s] = p
+            if via[bs] == -1:
+                break
+            bt = top_of[end[via[bs]]]
+            s, j = end[via[bt]], end[via[bt] ^ 1]
+            if bt >= n:
+                flip(bt, j)
+            mate[j] = via[bt]
+            p = via[bt] ^ 1
 
-    for _stage in range(n):
+    stages = 0
+    for _ in range(n):
         label[:] = [0] * (2 * n)
         best[:] = [-1] * (2 * n)
         best_list[n:] = [None] * n
         tight[:] = [False] * m
         queue.clear()
         for v in range(n):
-            if mate[v] == -1 and label[top_of[v]] == 0:
+            if mate[v] == -1 and label[top_of[v]] == 0 and (cold or dual[v] > 0):
                 assign(v, 1, -1)
+        if not queue:
+            break
+        stages += 1
         augmented = False
         while True:
             while queue and not augmented:
@@ -354,15 +413,18 @@ def _primal_dual(n, edges):
                         if s <= 0:
                             tight[k] = True
                     if tight[k]:
-                        if label[bw] == 0:
+                        if label[bw] == 0 and mate[base[bw]] != -1:
                             assign(w, 2, p ^ 1)
-                        elif label[bw] == 1:
-                            root = common_base(v, w)
-                            if root == -1:
-                                augment(k)
-                                augmented = True
-                                break
+                        elif label[bw] == 1 and (root := common_base(v, w)) != -1:
                             shrink(root, k)
+                        elif label[bw] < 2:
+                            # To another tree, or (warm only) to a free vertex at dual 0.
+                            if label[bw] == 0:
+                                via[bw] = -1
+                            rematch(end[2 * k], 2 * k + 1)
+                            rematch(end[2 * k + 1], 2 * k)
+                            augmented = True
+                            break
                         elif label[w] == 0:
                             label[w], via[w] = 2, p ^ 1
                     elif label[bw] == 1 or label[w] == 0:
@@ -372,8 +434,10 @@ def _primal_dual(n, edges):
                             best[x] = k
             if augmented:
                 break
-            # Stuck: the largest dual move that keeps every slack >= 0.
-            delta, kind, at = min(dual[:n]), 1, -1
+            # Stuck: the largest dual move that keeps every slack and S-vertex dual
+            # >= 0. Cold, the free vertices hold the least dual of all.
+            delta = min(dual[:n]) if cold else min(dual[v] for v in range(n) if label[top_of[v]] == 1)
+            kind, at = 1, -1
             for v in range(n):
                 if label[top_of[v]] == 0 and best[v] != -1 and slack(best[v]) < delta:
                     delta, kind, at = slack(best[v]), 2, best[v]
@@ -391,13 +455,20 @@ def _primal_dual(n, edges):
                     if base[b] >= 0 and parent[b] == -1:
                         dual[b] -= move[label[b]]
             if kind == 1:
+                if not cold:
+                    # A root first; else the first S-vertex at 0 takes its root's place.
+                    zero = [v for v in range(n) if dual[v] == 0 and label[top_of[v]] == 1]
+                    v = min(zero, key=lambda v: mate[v] != -1)
+                    if mate[v] != -1:
+                        rematch(v, -1)
+                        augmented = True
                 break
             if kind == 4:
                 expand(at, False)
             else:
                 tight[at] = True
                 queue.append(end[2 * at] if label[top_of[end[2 * at]]] == 1 else end[2 * at + 1])
-        if not augmented:
+        if cold and not augmented:
             break
         for b in range(n, 2 * n):
             if parent[b] == -1 and base[b] >= 0 and label[b] == 1 and dual[b] == 0:
@@ -405,4 +476,4 @@ def _primal_dual(n, edges):
 
     matched = [-1 if p == -1 else p >> 1 for p in mate]
     blossoms = [(dual[b], leaves(b)) for b in range(n, 2 * n) if base[b] >= 0]
-    return matched, dual[:n], blossoms
+    return matched, dual[:n], blossoms, stages

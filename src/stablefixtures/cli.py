@@ -7,10 +7,12 @@ Exit codes: 0 = stable solution found / allocation in core / success,
 
 Standard output carries JSON only; diagnostics go to standard error.
 
-Each subcommand imports only the modules it runs. Run as `python -m
-stablefixtures.cli`, the process freezes the garbage collector once `main`
-returns or raises, so that its shutdown collections have nothing to walk;
-`main` itself, called in-process, never does.
+Each subcommand loads and validates its input before it imports the
+modules it runs, and imports only those. Run as `python -m
+stablefixtures.cli` or as the installed `stablefixtures` script, the
+process exits through `run`, which freezes the garbage collector once
+`main` returns or raises, so that its shutdown collections have nothing to
+walk; `main` itself, called in-process, never does.
 """
 
 from __future__ import annotations
@@ -59,9 +61,9 @@ def _emit(data) -> None:
 
 
 def _cmd_solve(args) -> int:
+    inst = _load_instance(args.instance)
     from . import solver as solver_mod
 
-    inst = _load_instance(args.instance)
     sellers = args.sellers.split(",") if args.sellers else None
     outcome = solver_mod.solve(inst, split_rule=args.split_rule, sellers=sellers)
     _emit(solver_mod.outcome_to_json(inst, outcome))
@@ -69,9 +71,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify_stable(args) -> int:
+    inst = _load_instance(args.instance)
     from . import stability as stability_mod
 
-    inst = _load_instance(args.instance)
     sol = stability_mod.solution_from_json(inst, _load_json(args.solution))
     verdict = stability_mod.is_stable(inst, sol)
     _emit(
@@ -85,10 +87,10 @@ def _cmd_verify_stable(args) -> int:
 
 
 def _cmd_core_check(args) -> int:
-    from . import core as core_mod
-
     inst = _load_instance(args.instance)
     x = allocation_from_json(_load_json(args.allocation), inst)
+    from . import core as core_mod
+
     if args.brute_force:
         from .oracles import core_membership_bruteforce
 
@@ -112,10 +114,10 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_value(args) -> int:
+    inst = _load_instance(args.instance)
     from . import core as core_mod
     from . import matching as matching_mod
 
-    inst = _load_instance(args.instance)
     coalition = [p for p in args.coalition.split(",") if p]
     value, witness = core_mod.game_value_with_witness(inst, coalition)
     _emit(
@@ -313,7 +315,8 @@ def main(argv=None) -> int:
         return EXIT_INPUT
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process's entry point: exit with `main`'s code."""
     import gc
 
     try:
@@ -324,3 +327,7 @@ if __name__ == "__main__":
         # stdout flush, atexit hooks and exit code 120 on a failed flush stay.
         gc.freeze()
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    run()

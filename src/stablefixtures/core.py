@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import CapacityTooLargeError, InputError, InternalError, PreconditionError
 from .instance import Edge, Instance, induced
-from .matching import _lp_optimum, lp_optimum
+from .matching import _lp_optimum, _tie_broken, lp_optimum
 from .rationals import format_rational
 
 
@@ -73,11 +73,15 @@ class CoreVerdict(NamedTuple):
         return self.kind == "in_core"
 
 
-def _violation(inst: Instance, x: Mapping[str, Fraction], coalition) -> CoreVerdict:
-    """Build a Violation verdict, re-verifying x(S) < v(S) with the engine."""
+def _violation(inst: Instance, x: Mapping[str, Fraction], coalition, optimum=None) -> CoreVerdict:
+    """Build a Violation verdict, re-verifying x(S) < v(S) with the engine,
+    or with `optimum`, the subgame's `lp_optimum` when already known."""
     wanted = set(coalition)
     members = tuple(p for p in inst.players if p in wanted)
-    value, witness = game_value_with_witness(inst, members)
+    if optimum is None:
+        value, witness = game_value_with_witness(inst, members)
+    else:
+        value, witness = optimum.weight, optimum.matching
     total = _coalition_total(inst, x, members)
     if not total < value:
         raise InternalError(f"claimed violation by {list(members)} fails certification")
@@ -125,9 +129,12 @@ def core_membership_b2(inst: Instance, x: Mapping[str, Fraction]) -> CoreVerdict
         if x[p] < 0:
             return _violation(inst, x, [p])
 
-    grand_value = game_value(inst, inst.players)
+    # v(N) reads only the weight; a violation by N reuses its pass for the witness.
+    game = induced(inst, inst.players)
+    grand = _lp_optimum(game, tie_break=False)[0]
+    grand_value = grand.weight
     if grand_total < grand_value:
-        return _violation(inst, x, inst.players)
+        return _violation(inst, x, inst.players, _tie_broken(game, grand))
     efficient = grand_total == grand_value
 
     zero_cap = [p for p in inst.players if inst.b(p) == 0]

@@ -31,7 +31,12 @@ smallest edge set under the instance's edge order, implemented by a weight
 perturbation that is too small to disturb optimality. Callers that read
 only the weight skip it where it costs most: `_lp_optimum(...,
 tie_break=False)` runs the whole-game engine, which runs only when the game
-has no stable solution, on the plain weights.
+has no stable solution, on the plain weights, and starts its blossom warm
+from the LP optimum's dual and its forced and residual edges: only the
+slots these edges leave free at a positive dual are left to match.
+`solve`'s no-stable branch and `core.game_value` run it so; `value`, the
+violation witnesses, `max_weight_b_matching` and the path/cycle systems
+run cold.
 
 Everything here is a pure function of immutable inputs.
 """
@@ -112,24 +117,26 @@ def max_weight_b_matching(inst: Instance) -> tuple[frozenset[Edge], Fraction]:
     return matching, weight(inst, matching)
 
 
-def _engine(inst: Instance, base: Mapping[Edge, int], tie_break: bool = True) -> frozenset[Edge]:
+def _engine(inst: Instance, base: Mapping[Edge, int], tie_break: bool = True, start=None) -> frozenset[Edge]:
     """A maximum-weight b-matching for the integer weights `base`, any
     positive multiple of the scaled weights: SSP when bipartite, else the
     edge gadgets. With `tie_break` it is the tie-broken optimum, found on
     the perturbed `base`; without, the engine runs on `base` itself and
     returns whichever optimum it finds, for callers that read only its
-    weight."""
+    weight. `start` warm-starts the edge gadgets (`_general_matching`)."""
     coloring = inst.two_coloring()
     if coloring is not None:
         matching, _ = _ssp_flow(inst, _perturbed(inst, base) if tie_break else base, coloring)
     else:
-        matching = _general_matching(inst, base, tie_break)
+        matching = _general_matching(inst, base, tie_break, start)
     if not is_b_matching(inst, matching):
         raise InternalError("matching engine overfilled a player")
     return matching
 
 
-def _general_matching(inst: Instance, base: Mapping[Edge, int], tie_break: bool = True) -> frozenset[Edge]:
+def _general_matching(
+    inst: Instance, base: Mapping[Edge, int], tie_break: bool = True, start=None
+) -> frozenset[Edge]:
     """`_engine` on a general graph: through the edge gadget.
 
     Player i gets min(b(i), deg(i)) zero-price slots, and each edge its
@@ -139,6 +146,10 @@ def _general_matching(inst: Instance, base: Mapping[Edge, int], tie_break: bool 
     perturbed optimum is unique, so the gadget's shape cannot change the
     answer. The gadget's profit is twice the weight of the edges it
     selects, which certifies the read-back.
+
+    Untied, `start` = (y, used) may start the blossom warm from an optimal
+    LP dual y on the scale of 2 * `base` and a complementary-slack
+    b-matching `used` (`blossom.max_weight_degree_subgraph`).
     """
     from .blossom import max_weight_degree_subgraph
 
@@ -146,7 +157,7 @@ def _general_matching(inst: Instance, base: Mapping[Edge, int], tie_break: bool 
     copies = {p: range(min(inst.b(p), len(inst.neighbors(p)))) for p in inst.players}
     slots = {p: [((p, c), 0) for c in copies[p]] for p in inst.players}
     edges = [(i, j, 2 * weights[(i, j)]) for (i, j) in inst.edges]
-    selected, profit = max_weight_degree_subgraph(slots, edges, [], ())
+    selected, profit = max_weight_degree_subgraph(slots, edges, [], (), start)
     if profit != 2 * sum(weights[e] for e in selected):
         raise InternalError("edge gadget matching does not weigh twice its b-matching")
     return frozenset(selected)
@@ -562,7 +573,9 @@ def _lp_optimum(inst: Instance, tie_break: bool = True):
     Without `tie_break` the whole-game engine, which runs only when the
     game has no stable solution, runs on the plain weights, so `matching`
     is then a maximum-weight b-matching but not the tie-broken one: for
-    callers that read only the weight.
+    callers that read only the weight. Its blossom then starts from the
+    dual (y, d) and the forced and residual edges, which are complementary-
+    slack with it, mapped onto the edge gadget (`_general_matching`).
     """
     base, scale = scale_to_integers(inst.edge_weights())
     coloring, cover = inst.two_coloring(), None
@@ -581,7 +594,8 @@ def _lp_optimum(inst: Instance, tie_break: bool = True):
     total = sum(w[e] for e in matching)
     whole = not forced and residual.m == sum(1 for (u, v) in inst.edges if inst.b(u) and inst.b(v))
     if total != half and not whole:
-        matching = _engine(inst, base, tie_break)
+        # Untied, the blossom starts from the dual and the forced and residual edges.
+        matching = _engine(inst, base, tie_break, None if tie_break else (y, matching))
         total = sum(w[e] for e in matching)
         if total == half:
             raise InternalError(
@@ -595,6 +609,15 @@ def _lp_optimum(inst: Instance, tie_break: bool = True):
         )
     dual = _fraction_dual(y, d, denom)
     return LPOptimum(matching, Fraction(total, denom), Fraction(half, denom), dual), (y, d, denom), cover
+
+
+def _tie_broken(inst: Instance, untied: LPOptimum) -> LPOptimum:
+    """`lp_optimum(inst)` from `untied` = `_lp_optimum(inst,
+    tie_break=False)[0]`: without an LP gap its matching already is the
+    tie-broken one; with a gap only the whole-game engine runs again."""
+    if untied.weight == untied.half:
+        return untied
+    return untied._replace(matching=_engine(inst, scale_to_integers(inst.edge_weights())[0]))
 
 
 # ---------------------------------------------------------------------------

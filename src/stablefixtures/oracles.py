@@ -125,7 +125,7 @@ def _oracle_selftest(count: int, seed: int) -> str | None:
     the first disagreement of `count` trials, or None."""
     import random
 
-    from .core import core_membership_b2
+    from .core import core_membership_b2, game_value
     from .matching import lp_optimum
     from .randomgen import random_allocation, random_instance
 
@@ -142,6 +142,10 @@ def _oracle_selftest(count: int, seed: int) -> str | None:
         _, brute = max_weight_b_matching_bruteforce(inst)
         if value != brute:
             return f"selftest {k}: engine {value} != oracle {brute}"
+        # v(N) reads only the weight: its whole-game blossom runs untied and warm.
+        untied = game_value(inst, inst.players)
+        if untied != brute:
+            return f"selftest {k}: untied engine {untied} != oracle {brute}"
         half = max_half_b_matching_bruteforce(inst)
         if opt.half != half:
             return f"selftest {k}: LP optimum {opt.half} != oracle {half}"

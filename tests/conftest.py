@@ -2,8 +2,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from stablefixtures import generate
+from stablefixtures import generate, matching
 from stablefixtures.instance import Instance
+from stablefixtures.rationals import scale_to_integers
 from stablefixtures.stability import make_solution
 
 
@@ -95,3 +96,23 @@ def heavy_edge_triangle():
     return Instance(
         ["a", "b", "c"], {p: 1 for p in "abc"}, [("a", "b", 4), ("b", "c", 1), ("a", "c", 1)]
     )
+
+
+@pytest.fixture(scope="session")
+def warm_and_cold_weights():
+    """The weights that the untied whole-game engine finds on a general game:
+    started warm from its LP optimum, the dual and the forced and residual
+    edges, as `matching._lp_optimum` starts it when the game has an LP gap;
+    and cold. The warm run's answer must be a b-matching."""
+
+    def weights(inst):
+        _, (y, d, _), _ = matching._lp_optimum(inst, tie_break=False)
+        base = scale_to_integers(inst.edge_weights())[0]
+        forced, residual = matching._slack_residual(inst, {e: 2 * q for e, q in base.items()}, y, d)
+        used = forced | (matching._engine(residual, base) if residual.m else frozenset())
+        warm = matching._general_matching(inst, base, False, (y, used))
+        cold = matching._general_matching(inst, base, False)
+        assert matching.is_b_matching(inst, warm)
+        return matching.weight(inst, warm), matching.weight(inst, cold)
+
+    return weights

@@ -8,6 +8,12 @@ the b-matching read off the mate must be the one networkx's mate gives (the
 gadget itself has ties inside each edge gadget, the b-matching has none).
 Small graphs are checked against an exhaustive search, and corrupting the
 engine's answer or its duals must raise `InternalError`.
+
+A warm start (a matching and vertex duals, every edge feasible and every
+matched edge tight) must reach the cold optimum in at most as many stages
+as it has free vertices with positive dual, also from the LP optimum on
+b-matching games shaped like the nested cycles; a start that breaks a
+condition must raise `InternalError`.
 """
 
 import random
@@ -20,6 +26,8 @@ from hypothesis import strategies as st
 from stablefixtures import blossom, matching
 from stablefixtures.blossom import max_weight_matching
 from stablefixtures.errors import InternalError, PreconditionError
+from stablefixtures.instance import Instance
+from stablefixtures.matching import lp_optimum
 from stablefixtures.randomgen import random_instance
 from stablefixtures.rationals import scale_to_integers
 
@@ -118,7 +126,7 @@ def test_nested_cycles_leave_nested_blossoms():
     nested = 0
     for _ in range(120):
         n, edges = nested_cycles(rng.choice, 3)
-        _, _, blossoms = blossom._primal_dual(n, edges)
+        blossoms = blossom._primal_dual(n, edges)[2]
         sets = [frozenset(members) for (z, members) in blossoms if z > 0]
         nested += any(a < b for a in sets for b in sets)
         assert mate_weight(edges, max_weight_matching(n, edges)) == mate_weight(edges, networkx_mate(n, edges))
@@ -183,6 +191,95 @@ def test_bad_edges_are_refused():
 
 
 # ---------------------------------------------------------------------------
+# Warm starts
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def warm_starts(draw):
+    """(n, edges, start): doubled duals, a matching of tight edges, and
+    weights the duals pay for, tied with them or below; free vertices get
+    even duals."""
+    n = draw(st.integers(2, 12))
+    dual = [draw(st.sampled_from((0, 0, 2, 10**400))) + draw(st.integers(0, 30)) for _ in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    edges, matched = [], [-1] * n
+    for (i, j) in chosen:
+        paid = (dual[i] + dual[j]) // 2
+        if (dual[i] + dual[j]) % 2 == 0 and matched[i] == matched[j] == -1 and draw(st.booleans()):
+            matched[i] = matched[j] = len(edges)
+            edges.append((i, j, paid))
+        else:
+            edges.append((i, j, draw(st.sampled_from((paid, paid, 0))) if paid else 0))
+    dual = [u + u % 2 if k == -1 else u for u, k in zip(dual, matched)]
+    return n, edges, (matched, dual)
+
+
+@PROPERTY
+@given(warm_starts())
+def test_warm_start_reaches_the_cold_optimum(graph):
+    n, edges, start = graph
+    roots = sum(1 for k, u in zip(*start) if k == -1 and u > 0)
+    stages = blossom._primal_dual(n, edges, start)[3]
+    warm = max_weight_matching(n, edges, start)
+    assert mate_weight(edges, warm) == mate_weight(edges, max_weight_matching(n, edges))
+    assert stages <= roots
+
+
+# Edge 0-1 matched and tight, edge 1-2 tight, vertex 2 free at an even dual.
+START_EDGES = [(0, 1, 3), (1, 2, 2)]
+
+
+def test_a_valid_start_is_taken():
+    assert max_weight_matching(3, START_EDGES, ([0, 0, -1], [4, 2, 2])) == [1, 0, -1]
+
+
+@pytest.mark.parametrize(
+    "matched, dual, message",
+    [
+        ([0, 0, -1], [3, 2, 2], "slack -1/2"),  # a dual lowered by 1
+        ([0, 0, -1], [6, 2, 2], "slack 2/2"),  # a matched edge not tight
+        ([0, 0, -1], [4, 2, 3], "odd dual"),
+        ([0, 0, -1], [4, 2, -2], "negative"),
+        ([0, 0, -1], [4, 2], "missing"),
+        ([0, -1, -1], [4, 2, 2], "not a matching edge"),
+        ([1, 0, -1], [4, 2, 2], "not a matching edge"),
+        ([2, 2, -1], [4, 2, 2], "not a matching edge"),
+    ],
+)
+def test_a_bad_start_raises_internal_error(matched, dual, message):
+    with pytest.raises(InternalError, match=message):
+        max_weight_matching(3, START_EDGES, (matched, dual))
+
+
+# Ids that collide with the double cover's primed names.
+SHAPE_IDS = st.sampled_from(("", "'", "''"))
+
+
+@st.composite
+def gadget_shape_games(draw) -> Instance:
+    """A b-matching game on a `nested_cycles` shape: capacities 0, 1, 2 or
+    above the degree (mostly 1, so the odd cycles leave an LP gap), the
+    shape's tied weights, scaled by 1 or 10^12, and ids that collide with
+    the double cover's names."""
+    n, edges = nested_cycles(lambda items: draw(st.sampled_from(items)), draw(st.sampled_from((1, 2))))
+    names = [f"{v}{draw(SHAPE_IDS)}" for v in range(n)]
+    names = [p if names.count(p) == 1 else str(v) for v, p in enumerate(names)]
+    degree = [sum(v in e[:2] for e in edges) for v in range(n)]
+    capacity = {p: draw(st.sampled_from((1, 1, 1, 1, 1, 0, 2, degree[v] + 1))) for v, p in enumerate(names)}
+    scale = draw(st.sampled_from((1, 10**12)))
+    return Instance(names, capacity, [(names[i], names[j], w * scale) for (i, j, w) in edges])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(gadget_shape_games())
+def test_warm_whole_game_matches_cold_on_gadget_shapes(warm_and_cold_weights, inst):
+    assert inst.two_coloring() is None
+    assert warm_and_cold_weights(inst) == (lp_optimum(inst).weight,) * 2
+
+
+# ---------------------------------------------------------------------------
 # Fault injection: the certificate catches a wrong answer, also under -O
 # ---------------------------------------------------------------------------
 
@@ -220,10 +317,10 @@ def test_certificate_checks_each_condition():
 def _corrupted(monkeypatch, corrupt):
     real = blossom._primal_dual
 
-    def wrong(n, edges):
-        matched, dual, blossoms = real(n, edges)
+    def wrong(n, edges, start=None):
+        matched, dual, blossoms, stages = real(n, edges, start)
         corrupt(matched, dual, blossoms)
-        return matched, dual, blossoms
+        return matched, dual, blossoms, stages
 
     monkeypatch.setattr(blossom, "_primal_dual", wrong)
 

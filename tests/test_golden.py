@@ -9,13 +9,16 @@ regenerates the corpus and is listed in CHANGES.md.
 The in-process replay never reaches `cli`'s `__main__` block, whose exit
 path freezes the garbage collector, so one entry per (pool, exit code) pair
 and one usage error also run as `python -m stablefixtures.cli` in a fresh
-process; in-process callers must find the collector unfrozen.
+process; in-process callers must find the collector unfrozen. The
+installed console script must take the same exit path.
 """
 
 import gc
 import hashlib
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,3 +96,31 @@ def test_in_process_main_never_freezes_the_collector():
     with pytest.raises(SystemExit):
         main(["solve"])
     assert gc.get_freeze_count() == 0
+
+
+_RUN_PROBE = """
+import atexit, gc, sys
+from stablefixtures.cli import run
+
+atexit.register(lambda: print(gc.get_freeze_count() > 0))
+sys.argv = ["stablefixtures", "solve"]
+run()
+"""
+
+
+def test_console_script_exits_through_run():
+    """pyproject's `stablefixtures` script is `cli.run`, the exit path of
+    `python -m stablefixtures.cli`, which leaves the collector frozen."""
+    from stablefixtures import cli
+
+    pyproject = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    target = re.search(r'^\[project\.scripts\]\nstablefixtures = "([\w.]+):(\w+)"$', pyproject, re.M)
+    module, name = target.groups()
+    assert getattr(importlib.import_module(module), name) is cli.run
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_PROBE],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+    )
+    assert (proc.returncode, proc.stdout) == (2, "True\n")

@@ -238,6 +238,56 @@ def test_edge_gadget_read_back_catches_a_wrong_mate(monkeypatch, fault, message)
         matching._general_matching(triangle, scale_to_integers(triangle.edge_weights())[0])
 
 
+# A capacity-1 triangle with a pendant edge: no stable solution, so the
+# untied whole-game blossom starts warm from the LP optimum.
+PENDANT_TRIANGLE = Instance(
+    ["a", "b", "c", "u"], dict.fromkeys("abcu", 1),
+    [("a", "b", 10), ("b", "c", 10), ("a", "c", 10), ("a", "u", 1)],
+)  # fmt: skip
+
+_LOWERED_START_PROBE = """
+import sys
+from stablefixtures import warmstart
+from stablefixtures.cli import main
+
+try:
+    assert False
+    stripped = True
+except AssertionError:
+    stripped = False
+
+real = warmstart._gadget_start
+
+def lowered(*args):
+    # The start dual of the first matched gadget node, lowered by 1.
+    matched, dual = real(*args)
+    dual[next(v for v, k in enumerate(matched) if k != -1)] -= 1
+    return matched, dual
+
+warmstart._gadget_start = lowered
+print(stripped, main(["solve", sys.argv[1]]))
+"""
+
+
+def test_lowered_start_dual_fails_solve(tmp_path):
+    """A start dual lowered by 1 leaves a gadget edge infeasible: the start
+    check refuses it, also under `python -O`."""
+    path = tmp_path / "pendant.json"
+    path.write_text(json.dumps(instance_to_json(PENDANT_TRIANGLE)))
+    src = Path(stablefixtures.__file__).resolve().parents[1]
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _LOWERED_START_PROBE, str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(bool(flags)), str(EXIT_INTERNAL)]
+        assert proc.stderr.startswith("error: internal: blossom start leaves edge")
+        assert proc.stderr.endswith(" with slack -1/2\n")
+
+
 def test_cli_maps_internal_error_to_exit_4(monkeypatch, capsys, tmp_path):
     path = tmp_path / "example2.json"
     path.write_text(json.dumps(instance_to_json(generate("example2").instance)))

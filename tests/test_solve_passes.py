@@ -7,7 +7,11 @@
   its whole-game engine runs untied, and its witness is tie-broken on the
   cover's own complementary-slack residual, never on the whole cover.
 * The blossom engine is imported only when blossom runs, and networkx never;
-  each CLI subcommand loads only the modules it runs.
+  each CLI subcommand loads only the modules it runs, and a rejected input
+  none of the engines.
+* The untied whole-game blossom starts warm from the LP optimum, and finds
+  the cold run's weight; core-check's v(N) and its violation by N share one
+  pass.
 * A differential test pins `solve` to the older composition (full-graph
   engine for the matching, perturbed pass on the whole cover for the half
   weight and the witness, perturbed plus unperturbed cover passes for the
@@ -29,7 +33,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import stablefixtures
-from stablefixtures import generate, instance, matching
+from stablefixtures import blossom, generate, instance, matching
 from stablefixtures.cli import main
 from stablefixtures.core import core_membership_b2, game_value, game_value_with_witness
 from stablefixtures.duals import (
@@ -141,7 +145,9 @@ def _loaded_modules(src, *argv):
 
 
 def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_triangle):
-    """A bipartite solve loads neither the core stages nor any blossom,
+    """A solve whose instance is rejected (a float weight) loads no engine;
+    a bipartite solve loads neither the core stages nor any blossom, a
+    core-check's cold blossom not its warm start (`warmstart`),
     verify-stable no engine, and core-check and value neither the solver
     nor `stability`; value does not load the path/cycle systems (`cycles`),
     which core-check runs. None of them loads the brute-force oracles. No
@@ -154,14 +160,18 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_
         "triangle": instance_to_json(heavy_edge_triangle),
         "x": {"allocation": {"a": "2", "b": "2", "c": "0"}},
     }
+    files["float"] = instance_to_json(heavy_edge_triangle)
+    files["float"]["edges"][0]["w"] = 4.5
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
-    bip, sol_path, triangle, x = (str(tmp_path / f"{name}.json") for name in files)
+    bip, sol_path, triangle, x, float_weight = (str(tmp_path / f"{name}.json") for name in files)
     src = Path(stablefixtures.__file__).resolve().parents[1]
+    engines = ["solver", "matching", "stability", "core", "cycles", "blossom", "oracles"]
     for argv, code, absent in (
+        (["solve", float_weight], 1, engines),
         (["solve", bip], 0, ["core", "cycles", "blossom", "oracles"]),
         (["verify-stable", bip, sol_path], 0, ["matching", "solver", "core", "cycles"]),
-        (["core-check", triangle, x], 0, ["solver", "oracles", "stability"]),
+        (["core-check", triangle, x], 0, ["solver", "oracles", "stability", "warmstart"]),
         (["value", triangle, "--coalition", "a,b"], 0, ["solver", "oracles", "stability", "cycles"]),
     ):
         got, loaded = _loaded_modules(src, *argv)
@@ -396,6 +406,61 @@ def test_weight_only_answers_tie_break_neither_the_game_nor_the_cover(monkeypatc
     runs.clear()
     assert game_value_with_witness(inst, inst.players)[0] == 11
     assert ("blossom", inst.players, inst.m, True) in [(e, net.players, net.m, t) for e, net, t in runs]
+
+
+def test_core_check_violated_by_the_grand_coalition_makes_one_cover_pass(monkeypatch):
+    """x(N) < v(N): the v(N) pass gives the violation's value and, with one
+    more tie-broken whole-game run, its witness; the verdict is the one
+    that re-solving N gave."""
+    inst = _pendant_triangle()
+    x = dict.fromkeys(inst.players, F(1))
+    expected = lp_optimum(inst)
+    covers = []
+    real = matching._cover_pass
+    monkeypatch.setattr(matching, "_cover_pass", lambda *args: covers.append(args) or real(*args))
+    runs = _engine_runs(monkeypatch)
+    verdict = core_membership_b2(inst, x)
+    assert (verdict.kind, verdict.coalition) == ("violation", tuple(inst.players))
+    assert (verdict.coalition_value, verdict.witness_matching) == (expected.weight, expected.matching)
+    assert len(covers) == 1
+    assert [(engine, net.m, tied) for engine, net, tied in runs if engine == "blossom"] == [
+        ("blossom", 3, True), ("blossom", inst.m, False), ("blossom", inst.m, True)
+    ]  # the residual triangle, then the whole game untied and tie-broken
+
+
+def _blossom_runs(monkeypatch):
+    """Record (gadget nodes, warm, stages) for every blossom run."""
+    runs = []
+    real = blossom._primal_dual
+
+    def spy(n, edges, start=None):
+        result = real(n, edges, start)
+        runs.append((n, start is not None, result[3]))
+        return result
+
+    monkeypatch.setattr(blossom, "_primal_dual", spy)
+    return runs
+
+
+def test_untied_whole_game_blossom_starts_warm(monkeypatch):
+    """The untied whole-game blossom starts from the LP optimum, which
+    leaves one free slot at a positive dual: at most two stages, where the
+    cold tie-broken run needs more."""
+    inst = _pendant_triangle()
+    runs = _blossom_runs(monkeypatch)
+    assert not solve(inst).stable
+    nodes, warm, stages = runs[-1]
+    assert warm and stages <= 2, runs
+    runs.clear()
+    lp_optimum(inst)
+    assert runs[-1][:2] == (nodes, False) and runs[-1][2] > stages, runs
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.data())
+def test_warm_whole_game_matches_cold_on_no_stable_games(warm_and_cold_weights, data):
+    inst = data.draw(no_stable_games())
+    assert warm_and_cold_weights(inst) == (lp_optimum(inst).weight,) * 2
 
 
 # Ids that collide with the double cover's primed names come first.
