@@ -21,6 +21,7 @@ _HOME = {
     name: module
     for module, names in {
         "core": ("CoreVerdict", "CoreViolationError", "core_membership_b2", "game_value", "is_allocation"),
+        "cover": ("HalfBMatching", "duplicated_instance", "max_half_b_matching_weight"),
         "duals": (
             "bipartite_max_weight_b_matching_with_duals", "dual_from_duplicated", "dual_from_stable",
             "has_stable_solution", "is_dual_feasible", "stable_from_dual",
@@ -30,8 +31,7 @@ _HOME = {
         "families": ("Generated", "generate"),
         "instance": ("Instance", "induced", "validate"),
         "matching": (
-            "DualSolution", "HalfBMatching", "LPOptimum", "duplicated_instance", "is_b_matching",
-            "lp_optimum", "max_half_b_matching_weight", "max_weight_b_matching", "weight",
+            "DualSolution", "LPOptimum", "is_b_matching", "lp_optimum", "max_weight_b_matching", "weight",
         ),
         "oracles": ("core_membership_bruteforce", "max_weight_b_matching_bruteforce"),
         "reduction": ("ReducedInstance", "reduce_instance"),

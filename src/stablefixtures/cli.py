@@ -8,11 +8,15 @@ Exit codes: 0 = stable solution found / allocation in core / success,
 Standard output carries JSON only; diagnostics go to standard error.
 
 Each subcommand loads and validates its input before it imports the
-modules it runs, and imports only those. Run as `python -m
-stablefixtures.cli` or as the installed `stablefixtures` script, the
-process exits through `run`, which freezes the garbage collector once
-`main` returns or raises, so that its shutdown collections have nothing to
-walk; `main` itself, called in-process, never does.
+modules it runs, and imports only those. `gen` and `oracle` run in
+`families.gen_command` and `oracles.oracle_command`, which return what
+`cli` prints and never import `cli` (under `python -m` it is `__main__`, so
+that would compile it twice).
+
+Run as `python -m stablefixtures.cli` or as the installed `stablefixtures`
+script, the process exits through `run`, which freezes the garbage
+collector once `main` returns or raises, so that its shutdown collections
+have nothing to walk; `main` itself, called in-process, never does.
 """
 
 from __future__ import annotations
@@ -22,14 +26,7 @@ import sys
 import types
 
 from .errors import InputError, InternalError, PreconditionError, StableFixturesError
-from .instance import (
-    SPLIT_RULES,
-    Instance,
-    allocation_from_json,
-    allocation_to_json,
-    instance_from_json,
-    instance_to_json,
-)
+from .instance import SPLIT_RULES, Instance, allocation_from_json, instance_from_json, instance_to_json
 from .rationals import format_rational
 # Imported eagerly though only `reduce` runs it: perfbench's tracer wraps only loaded modules.
 from .reduction import provenance_to_json, reduce_instance
@@ -131,64 +128,21 @@ def _cmd_value(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    from .families import generate
+    from .families import gen_command
 
-    params = {}
-    if args.alpha is not None:
-        params["alpha"] = args.alpha
-    if args.weight is not None:
-        params["w"] = args.weight
-    if args.input is not None:
-        params["graph"] = _load_instance(args.input)
-    generated = generate(args.family, **params)
-    # Emit instance JSON directly (plus any companion allocation as an extra
-    # key) so the output file feeds straight into the other subcommands.
-    data = instance_to_json(generated.instance)
-    if generated.allocation is not None:
-        data.update(allocation_to_json(generated.allocation))
-    _emit(data)
+    _emit(gen_command(args, _load_json))
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
-    from . import matching as matching_mod
-    from . import oracles
+    from .oracles import oracle_command
 
-    if args.engine != "selftest" and not args.instance:
-        raise InputError(f"oracle {args.engine} needs an instance file")
-    if args.engine == "b-matching":
-        inst = _load_instance(args.instance)
-        matching, value = oracles.max_weight_b_matching_bruteforce(inst)
-        _emit(
-            {
-                "weight": format_rational(value),
-                "matching": matching_mod.matching_to_json(inst, matching),
-            }
-        )
-        return EXIT_OK
-    if args.engine == "half":
-        inst = _load_instance(args.instance)
-        value = oracles.max_half_b_matching_bruteforce(inst)
-        _emit({"weight": format_rational(value)})
-        return EXIT_OK
-    if args.engine == "core-check":
-        if not args.allocation:
-            raise InputError("oracle core-check needs an allocation file")
-        from .core import verdict_to_json
-
-        inst = _load_instance(args.instance)
-        x = allocation_from_json(_load_json(args.allocation), inst)
-        verdict = oracles.core_membership_bruteforce(inst, x)
-        _emit(verdict_to_json(inst, verdict))
-        return EXIT_OK if verdict.in_core else EXIT_NEGATIVE
-    if args.engine == "selftest":
-        failure = oracles._oracle_selftest(args.count, args.seed)
-        if failure:
-            print(failure, file=sys.stderr)
-            return EXIT_NEGATIVE
-        _emit({"selftest": "ok", "trials": args.count})
-        return EXIT_OK
-    raise InputError(f"unknown oracle engine {args.engine!r}")
+    passed, out = oracle_command(args, _load_json)
+    if isinstance(out, str):
+        print(out, file=sys.stderr)
+    else:
+        _emit(out)
+    return EXIT_OK if passed else EXIT_NEGATIVE
 
 
 # Each subcommand: its function, help, positionals (a trailing "?" marks one

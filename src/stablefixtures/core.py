@@ -16,8 +16,8 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import CapacityTooLargeError, InputError, InternalError, PreconditionError
 from .instance import Edge, Instance, induced
-from .matching import _lp_optimum, _tie_broken, lp_optimum
-from .rationals import format_rational
+from .matching import LPOptimum, _engine, _lp_optimum, lp_optimum
+from .rationals import format_rational, scale_to_integers
 
 
 def game_value(inst: Instance, coalition: Iterable[str]) -> Fraction:
@@ -95,6 +95,15 @@ def _violation(inst: Instance, x: Mapping[str, Fraction], coalition, optimum=Non
     )
 
 
+def _tie_broken(inst: Instance, untied: LPOptimum, tied: bool) -> LPOptimum:
+    """`lp_optimum(inst)` from `untied`, `tied` = `_lp_optimum(inst,
+    tie_break=False)`'s first and last entries: only a matching that is not
+    yet the tie-broken one is found again, by the whole-game engine."""
+    if tied:
+        return untied
+    return untied._replace(matching=_engine(inst, scale_to_integers(inst.edge_weights())[0]))
+
+
 class CoreViolationError(PreconditionError):
     """Raised by the decomposition (`transfers`) when x turns out not to be in
     the core; carries the discovered verdict."""
@@ -131,10 +140,10 @@ def core_membership_b2(inst: Instance, x: Mapping[str, Fraction]) -> CoreVerdict
 
     # v(N) reads only the weight; a violation by N reuses its pass for the witness.
     game = induced(inst, inst.players)
-    grand = _lp_optimum(game, tie_break=False)[0]
+    grand, _, _, tied = _lp_optimum(game, tie_break=False)
     grand_value = grand.weight
     if grand_total < grand_value:
-        return _violation(inst, x, inst.players, _tie_broken(game, grand))
+        return _violation(inst, x, inst.players, _tie_broken(game, grand, tied))
     efficient = grand_total == grand_value
 
     zero_cap = [p for p in inst.players if inst.b(p) == 0]

@@ -1,0 +1,174 @@
+"""Half-b-matchings and the bipartite double cover, whose maximum-weight
+b-matching is a general game's half-b-matching (LP) optimum. A bipartite
+game's LP is integral, so only `matching._lp_optimum`'s branch for a game
+that is not bipartite imports this module: `_cover_pass` gives the LP
+optimum and the folded dual from one certified pass on the cover, and
+`_half_witness` the tie-broken witness from the cover's own dual.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Mapping, NamedTuple
+
+from .errors import InternalError
+from .instance import Edge, Instance, _fresh_name
+from .matching import _certified_pass, _engine, _slack_residual, weight
+from .rationals import format_rational, parse_rational, scale_to_integers
+
+
+class HalfBMatching(NamedTuple):
+    """An assignment of 0, 1/2, or 1 to every edge within the capacities."""
+
+    values: dict[Edge, Fraction]
+
+    def weight(self, inst: Instance) -> Fraction:
+        return sum(
+            (inst.weight(u, v) * f for (u, v), f in self.values.items()),
+            Fraction(0),
+        )
+
+
+def is_half_b_matching(inst: Instance, values: Mapping[Edge, Fraction]) -> bool:
+    load: dict[str, Fraction] = {p: Fraction(0) for p in inst.players}
+    for (u, v), f in values.items():
+        inst.edge_key(u, v)
+        if f not in (Fraction(0), Fraction(1, 2), Fraction(1)):
+            return False
+        load[u] += f
+        load[v] += f
+    return all(load[p] <= inst.b(p) for p in inst.players)
+
+
+class DuplicatedInstance(NamedTuple):
+    """Bipartite double cover with half-weights.
+
+    Each player i splits into left/right copies with capacity b(i); each edge
+    ij becomes the two cross edges left(i)-right(j) and left(j)-right(i) of
+    weight w(ij)/2. Its integral optimum equals the half-b-matching optimum
+    of the original.
+    """
+
+    instance: Instance
+    left: dict[str, str]
+    right: dict[str, str]
+
+
+def duplicated_instance(inst: Instance) -> DuplicatedInstance:
+    used: set[str] = set()
+    players: list[str] = []
+    left: dict[str, str] = {}
+    right: dict[str, str] = {}
+    for i in inst.players:
+        li = _fresh_name(used, i + "'")
+        ri = _fresh_name(used, i + "''")
+        left[i], right[i] = li, ri
+        players.extend((li, ri))
+    capacity = {}
+    for i in inst.players:
+        capacity[left[i]] = inst.b(i)
+        capacity[right[i]] = inst.b(i)
+    edges = []
+    for (i, j) in inst.edges:
+        half = inst.weight(i, j) / 2
+        edges.append((left[i], right[j], half))
+        edges.append((left[j], right[i], half))
+    dup = Instance._derived(players, capacity, edges)
+    if not dup.is_bipartite():
+        raise InternalError("double cover is not bipartite")
+    return DuplicatedInstance(dup, left, right)
+
+
+def max_half_b_matching_weight(inst: Instance) -> tuple[Fraction, HalfBMatching]:
+    """Maximum weight over half-b-matchings, with the tie-broken witness.
+
+    Computed as the maximum-weight b-matching of the duplicated instance,
+    read off its optimal dual (`_cover_pass`, `_half_witness`):
+    f(ij) = (x(i'j'') + x(i''j')) / 2 preserves the weight exactly. Callers
+    that need only the value should use `matching.lp_optimum`, whose
+    unperturbed pass gives it as `half`.
+    """
+    base, scale = scale_to_integers(inst.edge_weights())
+    cover = _cover_weights(inst, base)
+    half, _, _, cover_dual = _cover_pass(inst, *cover, scale)
+    return _half_witness(inst, *cover, half, cover_dual)
+
+
+def _cover_weights(inst: Instance, base: Mapping[Edge, int]):
+    """The double cover and its integer weights: both cross edges of ij
+    weigh base(ij), that is w(ij)/2 on twice the scale of `base`."""
+    dup = duplicated_instance(inst)
+    key, left, right = dup.instance.edge_key, dup.left, dup.right
+    cover_base = {}
+    for (i, j) in inst.edges:
+        cover_base[key(left[i], right[j])] = cover_base[key(left[j], right[i])] = base[(i, j)]
+    return dup, cover_base
+
+
+def _cover_pass(inst: Instance, dup: DuplicatedInstance, cover_base: Mapping[Edge, int], scale: int):
+    """The half-b-matching optimum and an optimal dual, times 2 * scale, from
+    one `_certified_pass` on the double cover `dup`, whose cross edges of ij
+    weigh w(ij)/2 = base(ij) / (2 * scale) (`_cover_weights`), and the
+    cover's own dual (y, d) on the scale of `cover_base`. Folding it
+    (y(i) = y(i') + y(i''), d(ij) = the slacks of both cross edges) keeps
+    it feasible and keeps its objective, the LP optimum.
+    """
+    cover, left, right = dup.instance, dup.left, dup.right
+    key = cover.edge_key
+    half, cy, cd = _certified_pass(cover, cover_base, 2 * scale, cover.two_coloring())
+    y = {i: cy[left[i]] + cy[right[i]] for i in inst.players}
+    d = {
+        (i, j): cd[key(left[i], right[j])] + cd[key(left[j], right[i])]
+        for (i, j) in inst.edges
+    }
+    return half, y, d, (cy, cd)
+
+
+def _half_witness(
+    inst: Instance, dup: DuplicatedInstance, cover_base, half: int, cover_dual
+) -> tuple[Fraction, HalfBMatching]:
+    """`max_half_b_matching_weight` from the double cover `dup`, its integer
+    weights `cover_base` (`_cover_weights`), their optimum `half` and an
+    optimal dual `cover_dual` = (y, d) on that scale (`_cover_pass`).
+
+    The cover's tie-broken optimum is its forced edges plus the tie-broken
+    optimum of its complementary-slack residual (`_slack_residual`), whose
+    edges keep their relative order. The cover's LP is integral, so with an
+    optimal dual the two reach `half`; InternalError if they fall short.
+    """
+    forced, residual = _slack_residual(dup.instance, cover_base, *cover_dual)
+    matching = forced | (_engine(residual, cover_base) if residual.m else frozenset())
+    if sum(cover_base[e] for e in matching) != half:
+        raise InternalError(
+            "double cover's forced and residual edges fall short of its optimum"
+        )
+    dup_weight = weight(dup.instance, matching)
+    values: dict[Edge, Fraction] = {}
+    for (i, j) in inst.edges:
+        hits = 0
+        for (a, b) in ((dup.left[i], dup.right[j]), (dup.left[j], dup.right[i])):
+            if dup.instance.edge_key(a, b) in matching:
+                hits += 1
+        values[(i, j)] = Fraction(hits, 2)
+    witness = HalfBMatching(values)
+    if not is_half_b_matching(inst, values) or witness.weight(inst) != dup_weight:
+        raise InternalError(
+            "double-cover matching does not fold to a half-b-matching of its weight"
+        )
+    return dup_weight, witness
+
+
+def half_matching_to_json(inst: Instance, half: HalfBMatching) -> list:
+    return [
+        {"u": u, "v": v, "value": format_rational(half.values[(u, v)])}
+        for (u, v) in inst.edges
+        if (u, v) in half.values
+    ]
+
+
+def half_matching_from_json(inst: Instance, data) -> HalfBMatching:
+    values = {}
+    for item in data:
+        key = inst.edge_key(item["u"], item["v"])
+        values[key] = parse_rational(item["value"])
+    return HalfBMatching(values)

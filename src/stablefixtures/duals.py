@@ -9,10 +9,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
+from .cover import _cover_pass, _cover_weights
 from .errors import InputError, InternalError, NotBipartiteError, PreconditionError
 from .instance import Edge, Instance
-from .matching import DualSolution, _cover_pass, _cover_weights, _fraction_dual, _objective, _priced
-from .matching import lp_optimum, weight
+from .matching import DualSolution, _fraction_dual, _objective, _priced, lp_optimum, weight
 from .rationals import common_denominator, format_rational, scale_to_integers
 from .solver import _stable_solution
 from .stability import Solution, require_stable, utilities

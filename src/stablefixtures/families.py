@@ -1,5 +1,5 @@
-"""Named instance families (the paper's examples and gadgets); only the
-`gen` subcommand and the tests load this module."""
+"""Named instance families (the paper's examples and gadgets) and the body
+of the `gen` subcommand; only `gen` and the tests load this module."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InputError, NotBipartiteError, PreconditionError
-from .instance import Instance
+from .instance import Instance, allocation_to_json, instance_from_json, instance_to_json
 from .rationals import parse_rational
 
 
@@ -32,6 +32,25 @@ def generate(family: str, **params) -> Generated:
             f"unknown family {family!r}; choose from {sorted(_FAMILIES)}"
         ) from None
     return builder(**params)
+
+
+def gen_command(args, load_json) -> dict:
+    """The JSON that `stablefixtures gen` prints for the parsed command line
+    `args`, reading an `--input` graph with `load_json`: the instance, plus
+    any companion allocation as an extra key, so that the output feeds
+    straight into the other subcommands."""
+    params = {}
+    if args.alpha is not None:
+        params["alpha"] = args.alpha
+    if args.weight is not None:
+        params["w"] = args.weight
+    if args.input is not None:
+        params["graph"] = instance_from_json(load_json(args.input))
+    generated = generate(args.family, **params)
+    data = instance_to_json(generated.instance)
+    if generated.allocation is not None:
+        data.update(allocation_to_json(generated.allocation))
+    return data
 
 
 def _triangle(**params) -> Generated:

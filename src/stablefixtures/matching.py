@@ -1,4 +1,4 @@
-"""b-matchings, half-b-matchings, and the exact maximum-weight engines.
+"""b-matchings and the exact maximum-weight engines.
 
 Two engines, both exact over rationals:
 
@@ -11,20 +11,23 @@ Two engines, both exact over rationals:
   of the degree-constrained LP, certified by weak duality.
 
 Both run on the weights times their common denominator (`scale_to_integers`);
-the LP pass, its certificate and the cover fold stay in those integers, and
-`Fraction`s are built once, for the results.
+the LP pass and its certificate stay in those integers, and `Fraction`s are
+built once, for the results.
 
-The LP dual `DualSolution` and its pricing rule `_priced` live here too;
-its `Fraction` checks, which no CLI request runs, live in `duals`, and
-`matching` resolves two of `duals`' and `oracles`' names only for
-perfbench (PEP 562). `lp_optimum` is the front end for every
-question about a game's optimum: one unperturbed pass gives the LP optimum
-and an optimal dual (on the game itself when it is bipartite, whose LP is
-integral, and on the bipartite double cover, `_cover_pass`, otherwise),
-and the engine then runs only on the dual's complementary-slack residual
+The LP dual `DualSolution` and its pricing rule `_priced` live here too.
+`lp_optimum` is the front end for every question about a game's optimum:
+one unperturbed pass gives the LP optimum and an optimal dual (on the game
+itself when it is bipartite, whose LP is integral, and otherwise on the
+bipartite double cover of `cover`, which only that branch imports), and
+the engine then runs only on the dual's complementary-slack residual
 (`_slack_residual`), or on the whole game when that residual cannot reach
-the LP optimum. The half-b-matching witness is read off the cover's own
-dual the same way (`_half_witness`).
+the LP optimum.
+
+Names that left this module resolve here only for perfbench, on first use
+(PEP 562): `max_weight_b_matching_bruteforce` from `oracles`,
+`bipartite_max_weight_b_matching_with_duals` from `duals`, and
+`duplicated_instance`, `max_half_b_matching_weight`, `is_half_b_matching`
+and `half_matching_from_json` from `cover`.
 
 Ties among optimal b-matchings are broken toward the lexicographically
 smallest edge set under the instance's edge order, implemented by a weight
@@ -49,13 +52,14 @@ from typing import Iterable, Mapping, NamedTuple
 
 from . import _moved_from
 from .errors import InternalError
-from .instance import Edge, Instance, _fresh_name
-from .rationals import format_rational, parse_rational, scale_to_integers
+from .instance import Edge, Instance
+from .rationals import format_rational, scale_to_integers
 
 __getattr__ = _moved_from(
     __name__,
     oracles="max_weight_b_matching_bruteforce",
     duals="bipartite_max_weight_b_matching_with_duals",
+    cover="duplicated_instance half_matching_from_json is_half_b_matching max_half_b_matching_weight",
 )
 
 
@@ -200,133 +204,6 @@ def _objective(inst: Instance, y: Mapping[str, Fraction], d: Mapping[Edge, Fract
     """sum b(i) y(i) + sum d(ij) in the entries' own type (Fraction or int)."""
     capacity = inst.capacity
     return sum(capacity[p] * y[p] for p in inst.players) + sum(d[e] for e in inst.edges)
-
-
-# ---------------------------------------------------------------------------
-# Half-b-matchings and the duplicated instance
-# ---------------------------------------------------------------------------
-
-
-class HalfBMatching(NamedTuple):
-    """An assignment of 0, 1/2, or 1 to every edge within the capacities."""
-
-    values: dict[Edge, Fraction]
-
-    def weight(self, inst: Instance) -> Fraction:
-        return sum(
-            (inst.weight(u, v) * f for (u, v), f in self.values.items()),
-            Fraction(0),
-        )
-
-
-def is_half_b_matching(inst: Instance, values: Mapping[Edge, Fraction]) -> bool:
-    load: dict[str, Fraction] = {p: Fraction(0) for p in inst.players}
-    for (u, v), f in values.items():
-        inst.edge_key(u, v)
-        if f not in (Fraction(0), Fraction(1, 2), Fraction(1)):
-            return False
-        load[u] += f
-        load[v] += f
-    return all(load[p] <= inst.b(p) for p in inst.players)
-
-
-class DuplicatedInstance(NamedTuple):
-    """Bipartite double cover with half-weights.
-
-    Each player i splits into left/right copies with capacity b(i); each edge
-    ij becomes the two cross edges left(i)-right(j) and left(j)-right(i) of
-    weight w(ij)/2. Its integral optimum equals the half-b-matching optimum
-    of the original.
-    """
-
-    instance: Instance
-    left: dict[str, str]
-    right: dict[str, str]
-
-
-def duplicated_instance(inst: Instance) -> DuplicatedInstance:
-    used: set[str] = set()
-    players: list[str] = []
-    left: dict[str, str] = {}
-    right: dict[str, str] = {}
-    for i in inst.players:
-        li = _fresh_name(used, i + "'")
-        ri = _fresh_name(used, i + "''")
-        left[i], right[i] = li, ri
-        players.extend((li, ri))
-    capacity = {}
-    for i in inst.players:
-        capacity[left[i]] = inst.b(i)
-        capacity[right[i]] = inst.b(i)
-    edges = []
-    for (i, j) in inst.edges:
-        half = inst.weight(i, j) / 2
-        edges.append((left[i], right[j], half))
-        edges.append((left[j], right[i], half))
-    dup = Instance._derived(players, capacity, edges)
-    if not dup.is_bipartite():
-        raise InternalError("double cover is not bipartite")
-    return DuplicatedInstance(dup, left, right)
-
-
-def max_half_b_matching_weight(inst: Instance) -> tuple[Fraction, HalfBMatching]:
-    """Maximum weight over half-b-matchings, with the tie-broken witness.
-
-    Computed as the maximum-weight b-matching of the duplicated instance,
-    read off its optimal dual (`_cover_pass`, `_half_witness`):
-    f(ij) = (x(i'j'') + x(i''j')) / 2 preserves the weight exactly. Callers
-    that need only the value should use `lp_optimum`, whose unperturbed pass
-    gives it as `half`.
-    """
-    base, scale = scale_to_integers(inst.edge_weights())
-    cover = _cover_weights(inst, base)
-    half, _, _, cover_dual = _cover_pass(inst, *cover, scale)
-    return _half_witness(inst, *cover, half, cover_dual)
-
-
-def _cover_weights(inst: Instance, base: Mapping[Edge, int]):
-    """The double cover and its integer weights: both cross edges of ij
-    weigh base(ij), that is w(ij)/2 on twice the scale of `base`."""
-    dup = duplicated_instance(inst)
-    key, left, right = dup.instance.edge_key, dup.left, dup.right
-    cover_base = {}
-    for (i, j) in inst.edges:
-        cover_base[key(left[i], right[j])] = cover_base[key(left[j], right[i])] = base[(i, j)]
-    return dup, cover_base
-
-
-def _half_witness(
-    inst: Instance, dup: DuplicatedInstance, cover_base, half: int, cover_dual
-) -> tuple[Fraction, HalfBMatching]:
-    """`max_half_b_matching_weight` from the double cover `dup`, its integer
-    weights `cover_base` (`_cover_weights`), their optimum `half` and an
-    optimal dual `cover_dual` = (y, d) on that scale (`_cover_pass`).
-
-    The cover's tie-broken optimum is its forced edges plus the tie-broken
-    optimum of its complementary-slack residual (`_slack_residual`), whose
-    edges keep their relative order. The cover's LP is integral, so with an
-    optimal dual the two reach `half`; InternalError if they fall short.
-    """
-    forced, residual = _slack_residual(dup.instance, cover_base, *cover_dual)
-    matching = forced | (_engine(residual, cover_base) if residual.m else frozenset())
-    if sum(cover_base[e] for e in matching) != half:
-        raise InternalError(
-            "double cover's forced and residual edges fall short of its optimum"
-        )
-    dup_weight = weight(dup.instance, matching)
-    values: dict[Edge, Fraction] = {}
-    for (i, j) in inst.edges:
-        hits = 0
-        for (a, b) in ((dup.left[i], dup.right[j]), (dup.left[j], dup.right[i])):
-            if dup.instance.edge_key(a, b) in matching:
-                hits += 1
-        values[(i, j)] = Fraction(hits, 2)
-    witness = HalfBMatching(values)
-    if not is_half_b_matching(inst, values) or witness.weight(inst) != dup_weight:
-        raise InternalError(
-            "double-cover matching does not fold to a half-b-matching of its weight"
-        )
-    return dup_weight, witness
 
 
 # ---------------------------------------------------------------------------
@@ -488,25 +365,6 @@ def _ssp_flow(
 # ---------------------------------------------------------------------------
 
 
-def _cover_pass(inst: Instance, dup: DuplicatedInstance, cover_base: Mapping[Edge, int], scale: int):
-    """The half-b-matching optimum and an optimal dual, times 2 * scale, from
-    one `_certified_pass` on the double cover `dup`, whose cross edges of ij
-    weigh w(ij)/2 = base(ij) / (2 * scale) (`_cover_weights`), and the
-    cover's own dual (y, d) on the scale of `cover_base`. Folding it
-    (y(i) = y(i') + y(i''), d(ij) = the slacks of both cross edges) keeps
-    it feasible and keeps its objective, the LP optimum.
-    """
-    cover, left, right = dup.instance, dup.left, dup.right
-    key = cover.edge_key
-    half, cy, cd = _certified_pass(cover, cover_base, 2 * scale, cover.two_coloring())
-    y = {i: cy[left[i]] + cy[right[i]] for i in inst.players}
-    d = {
-        (i, j): cd[key(left[i], right[j])] + cd[key(left[j], right[i])]
-        for (i, j) in inst.edges
-    }
-    return half, y, d, (cy, cd)
-
-
 def _slack_residual(inst: Instance, w: Mapping[Edge, int], y, d):
     """The forced edges (d > 0) of an optimal LP dual (y, d) of `inst` whose
     integer weights on the dual's scale are `w`, and its complementary-slack
@@ -565,10 +423,12 @@ def lp_optimum(inst: Instance) -> LPOptimum:
 
 def _lp_optimum(inst: Instance, tie_break: bool = True):
     """`lp_optimum`, its dual as integers (y, d, denom): the dual times
-    `denom`, the weights' scale (twice it for the cover), and the double
-    cover with its integer weights, their optimum and the cover's own dual
-    (`_cover_weights`, `_cover_pass`; None when the game is bipartite). All
-    of it, down to the residual's perturbed weights, runs on those integers.
+    `denom`, the weights' scale (twice it for the cover), the double cover
+    with its integer weights, their optimum and the cover's own dual
+    (`cover._cover_weights`, `cover._cover_pass`; None when the game is
+    bipartite, which never imports `cover`), and whether `matching` is the
+    tie-broken one. All of it, down to the residual's perturbed weights,
+    runs on those integers.
 
     Without `tie_break` the whole-game engine, which runs only when the
     game has no stable solution, runs on the plain weights, so `matching`
@@ -576,6 +436,7 @@ def _lp_optimum(inst: Instance, tie_break: bool = True):
     callers that read only the weight. Its blossom then starts from the
     dual (y, d) and the forced and residual edges, which are complementary-
     slack with it, mapped onto the edge gadget (`_general_matching`).
+    A residual that is the whole game is matched tie-broken either way.
     """
     base, scale = scale_to_integers(inst.edge_weights())
     coloring, cover = inst.two_coloring(), None
@@ -583,6 +444,8 @@ def _lp_optimum(inst: Instance, tie_break: bool = True):
         half, y, d = _certified_pass(inst, base, scale, coloring)
         denom, w = scale, base
     else:
+        from .cover import _cover_pass, _cover_weights
+
         dup, cover_base = _cover_weights(inst, base)
         half, y, d, cover_dual = _cover_pass(inst, dup, cover_base, scale)
         cover = (dup, cover_base, half, cover_dual)
@@ -593,10 +456,11 @@ def _lp_optimum(inst: Instance, tie_break: bool = True):
         raise InternalError("forced and residual edges overfill a player")
     total = sum(w[e] for e in matching)
     whole = not forced and residual.m == sum(1 for (u, v) in inst.edges if inst.b(u) and inst.b(v))
-    if total != half and not whole:
+    tied = total == half or whole
+    if not tied:
         # Untied, the blossom starts from the dual and the forced and residual edges.
         matching = _engine(inst, base, tie_break, None if tie_break else (y, matching))
-        total = sum(w[e] for e in matching)
+        tied, total = tie_break, sum(w[e] for e in matching)
         if total == half:
             raise InternalError(
                 "a b-matching attains the half optimum, but none is "
@@ -608,16 +472,7 @@ def _lp_optimum(inst: Instance, tie_break: bool = True):
             f"b-matching optimum {format_rational(Fraction(total, denom))}"
         )
     dual = _fraction_dual(y, d, denom)
-    return LPOptimum(matching, Fraction(total, denom), Fraction(half, denom), dual), (y, d, denom), cover
-
-
-def _tie_broken(inst: Instance, untied: LPOptimum) -> LPOptimum:
-    """`lp_optimum(inst)` from `untied` = `_lp_optimum(inst,
-    tie_break=False)[0]`: without an LP gap its matching already is the
-    tie-broken one; with a gap only the whole-game engine runs again."""
-    if untied.weight == untied.half:
-        return untied
-    return untied._replace(matching=_engine(inst, scale_to_integers(inst.edge_weights())[0]))
+    return LPOptimum(matching, Fraction(total, denom), Fraction(half, denom), dual), (y, d, denom), cover, tied
 
 
 # ---------------------------------------------------------------------------
@@ -627,19 +482,3 @@ def _tie_broken(inst: Instance, untied: LPOptimum) -> LPOptimum:
 
 def matching_to_json(inst: Instance, matching: frozenset[Edge]) -> list:
     return [{"u": u, "v": v} for (u, v) in inst.edges if (u, v) in matching]
-
-
-def half_matching_to_json(inst: Instance, half: HalfBMatching) -> list:
-    return [
-        {"u": u, "v": v, "value": format_rational(half.values[(u, v)])}
-        for (u, v) in inst.edges
-        if (u, v) in half.values
-    ]
-
-
-def half_matching_from_json(inst: Instance, data) -> HalfBMatching:
-    values = {}
-    for item in data:
-        key = inst.edge_key(item["u"], item["v"])
-        values[key] = parse_rational(item["value"])
-    return HalfBMatching(values)

@@ -1,5 +1,6 @@
-"""Exhaustive brute-force oracles, independent of the matching engines, and
-the cross-checks of `oracle selftest`, which pit the engines against them.
+"""Exhaustive brute-force oracles, independent of the matching engines, the
+cross-checks of `oracle selftest`, which pit the engines against them, and
+the body of the `oracle` subcommand.
 
 Only the `oracle` commands, `core-check --brute-force` and the tests import
 this module, so `solve`, `core-check` and `value` never compile it.
@@ -10,8 +11,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import BoundExceededError
-from .instance import Edge, Instance, induced
+from .errors import BoundExceededError, InputError
+from .instance import Edge, Instance, allocation_from_json, induced, instance_from_json
+from .rationals import format_rational
 
 BRUTE_FORCE_EDGE_BOUND = 22
 HALF_BRUTE_FORCE_EDGE_BOUND = 12
@@ -155,3 +157,33 @@ def _oracle_selftest(count: int, seed: int) -> str | None:
         if fast.kind != slow.kind:
             return f"selftest {k}: core verdicts differ"
     return None
+
+
+def oracle_command(args, load_json) -> tuple[bool, dict | str]:
+    """Run `stablefixtures oracle` for the parsed command line `args`,
+    reading its files with `load_json`: whether it passed (exit 0, else 3)
+    and what to print, JSON for standard output or a selftest failure line
+    for standard error."""
+    if args.engine != "selftest" and not args.instance:
+        raise InputError(f"oracle {args.engine} needs an instance file")
+    if args.engine == "b-matching":
+        from .matching import matching_to_json
+
+        inst = instance_from_json(load_json(args.instance))
+        matching, value = max_weight_b_matching_bruteforce(inst)
+        return True, {"weight": format_rational(value), "matching": matching_to_json(inst, matching)}
+    if args.engine == "half":
+        inst = instance_from_json(load_json(args.instance))
+        return True, {"weight": format_rational(max_half_b_matching_bruteforce(inst))}
+    if args.engine == "core-check":
+        if not args.allocation:
+            raise InputError("oracle core-check needs an allocation file")
+        from .core import verdict_to_json
+
+        inst = instance_from_json(load_json(args.instance))
+        verdict = core_membership_bruteforce(inst, allocation_from_json(load_json(args.allocation), inst))
+        return verdict.in_core, verdict_to_json(inst, verdict)
+    if args.engine == "selftest":
+        failure = _oracle_selftest(args.count, args.seed)
+        return failure is None, failure or {"selftest": "ok", "trials": args.count}
+    raise InputError(f"unknown oracle engine {args.engine!r}")

@@ -17,9 +17,11 @@ b-matching once against the pass's integer dual (`_stable_solution`);
 `require_stable` on the finished solution is the last check. A game without
 a stable solution prints only its b-matching's weight, so its whole-game
 engine runs untied, and its witness is tie-broken on the double cover's
-complementary-slack residual alone (`matching._half_witness`). The
-`Fraction` dual path (`stable_from_dual`, ...) lives in `duals`; `solver`
-resolves four of its names only for perfbench (PEP 562).
+complementary-slack residual alone (`cover._half_witness`). Each answer
+imports only what it runs: the stable one `stability`, the other `cover`.
+The `Fraction` dual path (`stable_from_dual`, ...) lives in `duals`;
+`solver` resolves four of its names only for perfbench (PEP 562), and
+binds `DualSolution`, which perfbench also reads here.
 
 Pure pipeline over immutable inputs; no global state.
 """
@@ -27,16 +29,17 @@ Pure pipeline over immutable inputs; no global state.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from . import _moved_from
 from .errors import DualityGapError, InputError, InternalError, NotMaximumWeightError, PreconditionError
 from .instance import SPLIT_RULES, Instance
-from .matching import (
-    DualSolution, HalfBMatching, _half_witness, _lp_optimum, _objective, is_b_matching, lp_optimum
-)
+from .matching import DualSolution, _lp_optimum, _objective, is_b_matching, lp_optimum
 from .rationals import format_rational
-from .stability import PayoffMatrix, Solution, require_stable, resolve_sides
+
+if TYPE_CHECKING:
+    from .cover import HalfBMatching
+    from .stability import Solution
 
 __getattr__ = _moved_from(
     __name__, duals="dual_from_duplicated dual_objective is_dual_feasible stable_from_dual"
@@ -61,6 +64,8 @@ def _stable_solution(inst, m, dual, scaled, split_rule, sellers) -> Solution:
     Weak duality: a feasible dual whose objective is w(M) certifies M
     maximum and every matched edge tight.
     """
+    from .stability import PayoffMatrix, Solution, require_stable, resolve_sides
+
     if split_rule not in SPLIT_RULES:
         raise InputError(f"split_rule must be one of {SPLIT_RULES}")
     y, d, denom = scaled
@@ -120,11 +125,13 @@ def solve(
     integers the pass produced. Otherwise only the b-matching's weight is
     printed, so the whole-game engine runs untied, and the witness is the
     double cover's forced edges plus the tie-broken optimum of its own
-    complementary-slack residual (`_half_witness`).
+    complementary-slack residual (`cover._half_witness`).
     """
-    opt, scaled, cover = _lp_optimum(inst, tie_break=False)
+    opt, scaled, cover, _ = _lp_optimum(inst, tie_break=False)
     if opt.weight != opt.half:
         # A bipartite game is always stable, so the pass ran on the cover.
+        from .cover import _half_witness
+
         witness_weight, witness = _half_witness(inst, *cover)
         if witness_weight != opt.half:
             raise InternalError(
@@ -163,17 +170,18 @@ def dual_to_json(inst: Instance, dual: DualSolution) -> dict:
 
 
 def outcome_to_json(inst: Instance, outcome: SolveOutcome) -> dict:
-    from .matching import half_matching_to_json
-    from .stability import solution_to_json
-
     data = {
         "status": "stable" if outcome.stable else "no_stable",
         "b_matching_weight": format_rational(outcome.matching_weight),
         "half_b_matching_weight": format_rational(outcome.half_weight),
     }
     if outcome.stable:
+        from .stability import solution_to_json
+
         data["solution"] = solution_to_json(inst, outcome.solution)
         data["dual"] = dual_to_json(inst, outcome.dual)
     else:
+        from .cover import half_matching_to_json
+
         data["witness"] = half_matching_to_json(inst, outcome.witness)
     return data

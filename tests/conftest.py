@@ -106,7 +106,7 @@ def warm_and_cold_weights():
     and cold. The warm run's answer must be a b-matching."""
 
     def weights(inst):
-        _, (y, d, _), _ = matching._lp_optimum(inst, tie_break=False)
+        _, (y, d, _), _, _ = matching._lp_optimum(inst, tie_break=False)
         base = scale_to_integers(inst.edge_weights())[0]
         forced, residual = matching._slack_residual(inst, {e: 2 * q for e, q in base.items()}, y, d)
         used = forced | (matching._engine(residual, base) if residual.m else frozenset())

@@ -11,13 +11,10 @@ from fractions import Fraction as F
 
 from stablefixtures import generate
 from stablefixtures.core import core_membership_b2, game_value, is_allocation
+from stablefixtures.cover import max_half_b_matching_weight
 from stablefixtures.duals import has_stable_solution, is_dual_feasible, verify_complementary_slackness
 from stablefixtures.instance import Instance
-from stablefixtures.matching import (
-    max_half_b_matching_weight,
-    max_weight_b_matching,
-    weight,
-)
+from stablefixtures.matching import max_weight_b_matching, weight
 from stablefixtures.oracles import core_membership_bruteforce, max_weight_b_matching_bruteforce
 from stablefixtures.randomgen import (
     random_allocation,

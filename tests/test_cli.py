@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from stablefixtures import blossom, matching
+from stablefixtures import blossom, matching, oracles
 from stablefixtures.cli import main
 from stablefixtures.families import generate
 from stablefixtures.instance import instance_to_json
@@ -377,13 +377,17 @@ def test_json_integer_past_digit_limit_exit1(capsys, tmp_path):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-def test_oracle_commands(capsys, diamond_file, tmp_path):
+def test_oracle_commands(monkeypatch, capsys, diamond_file, tmp_path):
     code, data = run(capsys, "oracle", "b-matching", diamond_file)
     assert code == 0 and data["weight"] == "3"
     code, data = run(capsys, "oracle", "half", diamond_file)
     assert code == 0 and data["weight"] == "7/2"
     code, data = run(capsys, "oracle", "selftest", "--count", "5", "--seed", "3")
     assert code == 0 and data["selftest"] == "ok"
+    # A disagreement goes to stderr alone, with exit 3.
+    monkeypatch.setattr(oracles, "_oracle_selftest", lambda count, seed: "selftest 0: engine 1 != oracle 2")
+    assert main(["oracle", "selftest"]) == 3
+    assert capsys.readouterr() == ("", "selftest 0: engine 1 != oracle 2\n")
 
 
 def test_outputs_render_rationals_as_fractions(capsys, diamond_file):

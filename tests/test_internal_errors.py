@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import stablefixtures
-from stablefixtures import duals, generate, matching, solver
+from stablefixtures import cover, duals, generate, matching, solver
 from stablefixtures.cli import EXIT_INTERNAL, main
 from stablefixtures.errors import InternalError, StableFixturesError
 from stablefixtures.instance import Instance, instance_to_json
@@ -193,13 +193,13 @@ def test_half_below_integral_fails_solve(monkeypatch):
 
 
 def test_witness_weight_mismatch_fails_solve(monkeypatch):
-    real = solver._half_witness
+    real = cover._half_witness
 
     def heavy(*args):
         value, witness = real(*args)
         return value + 1, witness
 
-    monkeypatch.setattr(solver, "_half_witness", heavy)
+    monkeypatch.setattr(cover, "_half_witness", heavy)
     with pytest.raises(InternalError, match="witness"):
         solver.solve(generate("diamond").instance)
 
@@ -375,13 +375,13 @@ def test_forced_edges_overfilling_a_player_fail_solve(monkeypatch, capsys, tmp_p
     inst = generate("triangle").instance
     path = tmp_path / "triangle.json"
     path.write_text(json.dumps(instance_to_json(inst)))
-    real = matching._cover_pass
+    real = cover._cover_pass
 
     def slack(*args):
         half, y, d, cover_dual = real(*args)
         return half, y, {e: q + 1 for e, q in d.items()}, cover_dual
 
-    monkeypatch.setattr(matching, "_cover_pass", slack)
+    monkeypatch.setattr(cover, "_cover_pass", slack)
     with pytest.raises(InternalError, match="overfill"):
         matching.lp_optimum(inst)
     with pytest.raises(InternalError, match="overfill"):
@@ -418,17 +418,17 @@ def test_wrong_cover_dual_fails_the_witness(monkeypatch, capsys, tmp_path, diamo
     whole-cover fallback or a wrong witness."""
     path = tmp_path / "diamond.json"
     path.write_text(json.dumps(instance_to_json(diamond)))
-    real = matching._cover_pass
+    real = cover._cover_pass
 
     def wrong(*args):
         half, y, d, cover_dual = real(*args)
         return half, y, d, fault(*cover_dual)
 
-    monkeypatch.setattr(matching, "_cover_pass", wrong)
+    monkeypatch.setattr(cover, "_cover_pass", wrong)
     with pytest.raises(InternalError, match=message):
         solver.solve(diamond)
     with pytest.raises(InternalError, match=message):
-        matching.max_half_b_matching_weight(diamond)
+        cover.max_half_b_matching_weight(diamond)
     assert main(["solve", str(path)]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -437,7 +437,7 @@ def test_wrong_cover_dual_fails_the_witness(monkeypatch, capsys, tmp_path, diamo
 
 _COVER_DUAL_PROBE = """
 import sys
-from stablefixtures import matching
+from stablefixtures import cover
 from stablefixtures.cli import main
 
 try:
@@ -446,13 +446,13 @@ try:
 except AssertionError:
     stripped = False
 
-real = matching._cover_pass
+real = cover._cover_pass
 
 def wrong(*args):
     half, y, d, (cover_y, cover_d) = real(*args)
     return half, y, d, ({p: q + 1 for p, q in cover_y.items()}, cover_d)
 
-matching._cover_pass = wrong
+cover._cover_pass = wrong
 print(stripped, main(["solve", sys.argv[1]]))
 """
 

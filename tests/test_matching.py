@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from stablefixtures import generate, matching
+from stablefixtures.cover import duplicated_instance, max_half_b_matching_weight
 from stablefixtures.errors import BoundExceededError, NotBipartiteError, UnknownEdgeError
 from stablefixtures.duals import (
     bipartite_max_weight_b_matching_with_duals,
@@ -15,9 +16,7 @@ from stablefixtures.duals import (
 from stablefixtures.instance import Instance, _spanning_forest
 from stablefixtures.matching import (
     _perturbed,
-    duplicated_instance,
     is_b_matching,
-    max_half_b_matching_weight,
     max_weight_b_matching,
     weight,
 )

@@ -2,8 +2,9 @@
 
 * `import stablefixtures` loads no submodule; each public name resolves on
   first use to the object its home module defines (PEP 562).
-* Every other name resolves only from its home, except the six that
-  perfbench looks up in `matching` and `solver`.
+* Every other name resolves only from its home, except the ten that
+  perfbench looks up in `matching` and `solver`, each to the object its
+  home defines.
 * The result records are immutable `NamedTuple`s with the fields, defaults
   and `repr` form they had as frozen dataclasses.
 """
@@ -21,7 +22,7 @@ import pytest
 
 import stablefixtures
 from stablefixtures import (
-    core, cycles, duals, families, instance, matching, reduction, solver, stability
+    core, cover, cycles, duals, families, instance, matching, reduction, solver, stability
 )
 
 PUBLIC_NAMES = [
@@ -40,10 +41,11 @@ PUBLIC_NAMES = [
 ]
 
 SUBMODULES = ["core", "cycles", "errors", "instance", "matching", "rationals", "reduction", "solver", "stability"]
-# Modules that define public names: the submodules, the named-instance
-# families, which only `gen` loads, the brute-force oracles, and the
-# library-only `Fraction` dual path and paper constructs.
-HOMES = [*SUBMODULES, "families", "oracles", "duals", "transfers"]
+# Modules that define public names: the submodules, the double cover, which
+# only a game that is not bipartite loads, the named-instance families, which
+# only `gen` loads, the brute-force oracles, and the library-only `Fraction`
+# dual path and paper constructs.
+HOMES = [*SUBMODULES, "cover", "families", "oracles", "duals", "transfers"]
 
 _SURFACE_PROBE = """
 import json, sys, types
@@ -113,6 +115,9 @@ def test_oracles_resolve_from_matching_without_being_compiled_there():
 # Names that perfbench looks up where they used to live: (old module, new home) -> names.
 MOVED = {
     ("matching", "duals"): ["bipartite_max_weight_b_matching_with_duals"],
+    ("matching", "cover"): [
+        "duplicated_instance", "half_matching_from_json", "is_half_b_matching", "max_half_b_matching_weight"
+    ],
     ("solver", "duals"): ["dual_from_duplicated", "dual_objective", "is_dual_feasible", "stable_from_dual"],
 }
 
@@ -138,12 +143,10 @@ def test_moved_names_resolve_from_their_old_module_without_being_compiled_there(
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def test_every_name_perfbench_reads_resolves(monkeypatch):
-    """perfbench's tracer looks each name up in its listed module and its
-    verifier reads `matching`, `solver` and `stability` attributes; a name
-    deleted or moved from there must fail here, not only in the benchmark.
-    Only the package, `matching` and `solver` resolve names they do not
-    define."""
+def _perfbench_reads(monkeypatch, modules):
+    """The (module, name) pairs of `stablefixtures` that perfbench's tracer
+    lists (`tracing.FUNCTIONS`, `tracing.CLI_FUNCTIONS`) and its verifier
+    reads as `module.name`, for the given modules."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)
@@ -154,10 +157,18 @@ def test_every_name_perfbench_reads_resolves(monkeypatch):
     wanted |= {
         (node.value.id, node.attr)
         for node in ast.walk(verify)
-        if isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id in ("matching", "solver", "stability")
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
     }
+    return {(module, name) for module, name in wanted if module in modules}
+
+
+def test_every_name_perfbench_reads_resolves(monkeypatch):
+    """perfbench's tracer looks each name up in its listed module and its
+    verifier reads `matching`, `solver` and `stability` attributes; a name
+    deleted or moved from there must fail here, not only in the benchmark.
+    Only the package, `matching` and `solver` resolve names they do not
+    define."""
+    wanted = _perfbench_reads(monkeypatch, ("matching", "solver", "stability"))
     assert ("solver", "is_dual_feasible") in wanted
     missing = [
         f"{layer}.{name}"
@@ -173,6 +184,40 @@ def test_every_name_perfbench_reads_resolves(monkeypatch):
     assert sorted(resolving) == ["matching", "solver"]
 
 
+# Every name perfbench reads from `matching` or `solver`, and its home.
+PERFBENCH_HOMES = {
+    ("matching", "bipartite_max_weight_b_matching_with_duals"): "duals",
+    ("matching", "duplicated_instance"): "cover",
+    ("matching", "half_matching_from_json"): "cover",
+    ("matching", "is_half_b_matching"): "cover",
+    ("matching", "max_half_b_matching_weight"): "cover",
+    ("matching", "max_weight_b_matching"): "matching",
+    ("matching", "max_weight_b_matching_bruteforce"): "oracles",
+    ("matching", "weight"): "matching",
+    ("solver", "DualSolution"): "matching",
+    ("solver", "dual_from_duplicated"): "duals",
+    ("solver", "dual_objective"): "duals",
+    ("solver", "is_dual_feasible"): "duals",
+    ("solver", "outcome_to_json"): "solver",
+    ("solver", "solve"): "solver",
+    ("solver", "stable_from_dual"): "duals",
+}
+
+
+def test_names_perfbench_reads_are_the_objects_their_homes_define(monkeypatch):
+    """perfbench's tracer wraps a listed function wherever a loaded module
+    binds that very object, and its verifier calls what it reads: each name
+    it reads from `matching` or `solver` must be its home's own object, so
+    that a later move cannot silently zero a per-layer metric or break the
+    verifier."""
+    wanted = _perfbench_reads(monkeypatch, ("matching", "solver"))
+    assert wanted == set(PERFBENCH_HOMES)
+    for (module, name), home in PERFBENCH_HOMES.items():
+        obj = getattr(importlib.import_module(f"stablefixtures.{module}"), name)
+        assert obj is vars(importlib.import_module(f"stablefixtures.{home}"))[name], (module, name)
+        assert obj.__module__ == f"stablefixtures.{home}", (module, name)
+
+
 # (record, its fields in order, its defaults)
 RECORDS = [
     (instance.ValidationReport, ("violations",), {}),
@@ -181,8 +226,8 @@ RECORDS = [
     (stability.StabilityVerdict, ("stable", "blocking_pairs", "utilities"), {}),
     (matching.DualSolution, ("y", "d"), {}),
     (duals.DualFeasibility, ("feasible", "violated_edges", "negative_y", "negative_d"), {}),
-    (matching.HalfBMatching, ("values",), {}),
-    (matching.DuplicatedInstance, ("instance", "left", "right"), {}),
+    (cover.HalfBMatching, ("values",), {}),
+    (cover.DuplicatedInstance, ("instance", "left", "right"), {}),
     (matching.LPOptimum, ("matching", "weight", "half", "dual"), {}),
     (
         duals.SlacknessReport,

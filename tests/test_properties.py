@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablefixtures.core import core_membership_b2
+from stablefixtures.cover import is_half_b_matching
 from stablefixtures.duals import (
     dual_from_duplicated,
     dual_objective,
@@ -36,7 +37,6 @@ from stablefixtures.duals import (
 from stablefixtures.instance import Instance
 from stablefixtures.matching import (
     is_b_matching,
-    is_half_b_matching,
     lp_optimum,
     max_weight_b_matching,
     weight,

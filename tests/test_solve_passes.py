@@ -34,8 +34,10 @@ from hypothesis import strategies as st
 
 import stablefixtures
 from stablefixtures import blossom, generate, instance, matching
+from stablefixtures import cover as cover_mod
 from stablefixtures.cli import main
 from stablefixtures.core import core_membership_b2, game_value, game_value_with_witness
+from stablefixtures.cover import HalfBMatching, duplicated_instance, max_half_b_matching_weight
 from stablefixtures.duals import (
     bipartite_max_weight_b_matching_with_duals,
     has_stable_solution,
@@ -44,13 +46,10 @@ from stablefixtures.duals import (
 from stablefixtures.instance import Instance, instance_to_json
 from stablefixtures.matching import (
     DualSolution,
-    HalfBMatching,
     _lp_optimum,
     _perturbed,
-    duplicated_instance,
     is_b_matching,
     lp_optimum,
-    max_half_b_matching_weight,
     max_weight_b_matching,
     weight,
 )
@@ -146,39 +145,55 @@ def _loaded_modules(src, *argv):
 
 def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_triangle):
     """A solve whose instance is rejected (a float weight) loads no engine;
-    a bipartite solve loads neither the core stages nor any blossom, a
-    core-check's cold blossom not its warm start (`warmstart`),
-    verify-stable no engine, and core-check and value neither the solver
-    nor `stability`; value does not load the path/cycle systems (`cycles`),
-    which core-check runs. None of them loads the brute-force oracles. No
-    request loads `dataclasses`, the parser's `argparse` (with `gettext`
-    and `locale`), or the library-only `duals` and `transfers`."""
+    a bipartite solve loads neither the core stages, nor the double cover
+    (`cover`), nor any blossom; a no-stable solve loads the cover and the
+    blossom but not `stability`, and the blossom's warm start (`warmstart`)
+    only when its whole-game run starts warm: the pendant triangle's does,
+    and the diamond's, whose complementary-slack residual is the whole
+    game, is that residual's tie-broken cold run. A core-check's cold
+    blossom does not load its warm start, verify-stable loads no engine and
+    no cover, and core-check and value neither the solver nor `stability`;
+    value does not load the path/cycle systems (`cycles`), which core-check
+    runs. Only gen loads the named families and only
+    oracle the brute-force oracles. No request loads `dataclasses`, the
+    parser's `argparse` (with `gettext` and `locale`), or the library-only
+    `duals` and `transfers`, nor `stablefixtures.cli` itself: it runs as
+    `__main__`, and importing it would compile it a second time."""
     inst, sol, _ = example2
     files = {
         "bip": instance_to_json(inst),
         "sol": solution_to_json(inst, sol),
         "triangle": instance_to_json(heavy_edge_triangle),
         "x": {"allocation": {"a": "2", "b": "2", "c": "0"}},
+        "diamond": instance_to_json(generate("diamond").instance),
+        "pendant": instance_to_json(_pendant_triangle()),
     }
     files["float"] = instance_to_json(heavy_edge_triangle)
     files["float"]["edges"][0]["w"] = 4.5
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
-    bip, sol_path, triangle, x, float_weight = (str(tmp_path / f"{name}.json") for name in files)
+    bip, sol_path, triangle, x, diamond, pendant, float_weight = (str(tmp_path / f"{name}.json") for name in files)
     src = Path(stablefixtures.__file__).resolve().parents[1]
-    engines = ["solver", "matching", "stability", "core", "cycles", "blossom", "oracles"]
-    for argv, code, absent in (
-        (["solve", float_weight], 1, engines),
-        (["solve", bip], 0, ["core", "cycles", "blossom", "oracles"]),
-        (["verify-stable", bip, sol_path], 0, ["matching", "solver", "core", "cycles"]),
-        (["core-check", triangle, x], 0, ["solver", "oracles", "stability", "warmstart"]),
-        (["value", triangle, "--coalition", "a,b"], 0, ["solver", "oracles", "stability", "cycles"]),
+    engines = ["solver", "matching", "cover", "stability", "core", "cycles", "blossom", "oracles"]
+    for argv, code, absent, present in (
+        (["solve", float_weight], 1, engines, []),
+        (["solve", bip], 0, ["core", "cycles", "cover", "blossom", "oracles"], ["stability"]),
+        (["solve", diamond], 3, ["core", "cycles", "stability", "oracles", "warmstart"], ["cover", "blossom"]),
+        (["solve", pendant], 3, ["core", "cycles", "stability", "oracles"], ["cover", "blossom", "warmstart"]),
+        (["verify-stable", bip, sol_path], 0, ["matching", "cover", "solver", "core", "cycles"], []),
+        (["core-check", triangle, x], 0, ["solver", "oracles", "stability", "warmstart"], []),
+        (["value", triangle, "--coalition", "a,b"], 0, ["solver", "oracles", "stability", "cycles"], []),
+        (["gen", "--family", "example2"], 0, engines, ["families"]),
+        (["oracle", "half", bip], 0, ["solver", "cover", "stability", "core", "blossom"], ["oracles"]),
     ):
         got, loaded = _loaded_modules(src, *argv)
         assert got == code, argv
         assert "stablefixtures.instance" in loaded
         assert ("stablefixtures.cycles" in loaded) == (argv[0] == "core-check"), argv
-        unwanted = {f"stablefixtures.{name}" for name in [*absent, "duals", "transfers"]}
+        assert ("stablefixtures.families" in loaded) == (argv[0] == "gen"), argv
+        assert ("stablefixtures.oracles" in loaded) == (argv[0] == "oracle"), argv
+        assert {f"stablefixtures.{name}" for name in present} <= loaded, argv
+        unwanted = {f"stablefixtures.{name}" for name in [*absent, "duals", "transfers", "cli"]}
         unwanted |= {"networkx", "dataclasses", "argparse", "gettext", "locale"}
         assert loaded.isdisjoint(unwanted), (argv, sorted(loaded & unwanted))
 
@@ -278,9 +293,9 @@ def test_stable_bipartite_solve_skips_the_cover(monkeypatch, example2):
     residual; the double cover is never built."""
     inst, _, _ = example2
     covers = []
-    real = matching.duplicated_instance
+    real = cover_mod.duplicated_instance
     monkeypatch.setattr(
-        matching, "duplicated_instance", lambda net: covers.append(net) or real(net)
+        cover_mod, "duplicated_instance", lambda net: covers.append(net) or real(net)
     )
     outcome, kinds = _spy_passes(monkeypatch, solve, inst)
     assert outcome.stable
@@ -324,8 +339,8 @@ def test_no_stable_solve_builds_the_cover_and_scales_once(monkeypatch, diamond):
     """The witness pass runs on the double cover and the integer weights
     that the LP pass built, and the whole-game engine on its scaled weights."""
     covers, scales = [], []
-    real_cover, real_scale = matching.duplicated_instance, matching.scale_to_integers
-    monkeypatch.setattr(matching, "duplicated_instance", lambda net: covers.append(net) or real_cover(net))
+    real_cover, real_scale = cover_mod.duplicated_instance, matching.scale_to_integers
+    monkeypatch.setattr(cover_mod, "duplicated_instance", lambda net: covers.append(net) or real_cover(net))
     monkeypatch.setattr(matching, "scale_to_integers", lambda values: scales.append(values) or real_scale(values))
     assert not solve(diamond).stable
     assert (len(covers), len(scales)) == (1, 1)
@@ -345,7 +360,7 @@ def test_has_stable_solution_makes_one_plain_cover_pass(monkeypatch, diamond):
 def _whole_cover_witness(inst):
     """The witness as the older composition found it: the tie-broken
     optimum of the whole double cover, folded onto the game."""
-    dup, cover_base = matching._cover_weights(inst, scale_to_integers(inst.edge_weights())[0])
+    dup, cover_base = cover_mod._cover_weights(inst, scale_to_integers(inst.edge_weights())[0])
     chosen = matching._engine(dup.instance, cover_base)
     key, left, right = dup.instance.edge_key, dup.left, dup.right
     return HalfBMatching({
@@ -416,8 +431,8 @@ def test_core_check_violated_by_the_grand_coalition_makes_one_cover_pass(monkeyp
     x = dict.fromkeys(inst.players, F(1))
     expected = lp_optimum(inst)
     covers = []
-    real = matching._cover_pass
-    monkeypatch.setattr(matching, "_cover_pass", lambda *args: covers.append(args) or real(*args))
+    real = cover_mod._cover_pass
+    monkeypatch.setattr(cover_mod, "_cover_pass", lambda *args: covers.append(args) or real(*args))
     runs = _engine_runs(monkeypatch)
     verdict = core_membership_b2(inst, x)
     assert (verdict.kind, verdict.coalition) == ("violation", tuple(inst.players))
@@ -440,6 +455,19 @@ def _blossom_runs(monkeypatch):
 
     monkeypatch.setattr(blossom, "_primal_dual", spy)
     return runs
+
+
+def test_core_check_violated_by_n_reuses_a_whole_game_residual(monkeypatch, diamond):
+    """The diamond's complementary-slack residual is the whole game, so v(N)'s
+    pass already took the tie-broken whole-game matching from it: a
+    violation by N reuses it, and the cold blossom runs once, not twice."""
+    x = dict.fromkeys(diamond.players, F(0))
+    expected = lp_optimum(diamond)
+    runs = _blossom_runs(monkeypatch)
+    verdict = core_membership_b2(diamond, x)
+    assert (verdict.kind, verdict.coalition) == ("violation", tuple(diamond.players))
+    assert (verdict.coalition_value, verdict.witness_matching) == (expected.weight, expected.matching)
+    assert [(n, warm) for n, warm, _ in runs] == [(13, False)]
 
 
 def test_untied_whole_game_blossom_starts_warm(monkeypatch):
