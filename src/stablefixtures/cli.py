@@ -26,7 +26,7 @@ import sys
 import types
 
 from .errors import InputError, InternalError, PreconditionError, StableFixturesError
-from .instance import SPLIT_RULES, Instance, allocation_from_json, instance_from_json, instance_to_json
+from .instance import SPLIT_RULES, _load_instance, _load_json, allocation_from_json, instance_to_json
 from .rationals import format_rational
 # Imported eagerly though only `reduce` runs it: perfbench's tracer wraps only loaded modules.
 from .reduction import provenance_to_json, reduce_instance
@@ -36,21 +36,6 @@ EXIT_INPUT = 1
 EXIT_PRECONDITION = 2
 EXIT_NEGATIVE = 3
 EXIT_INTERNAL = 4
-
-
-def _load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:
-        # JSONDecodeError, or an integer past Python's digit limit.
-        raise InputError(f"{path} is not valid JSON: {exc}") from None
-
-
-def _load_instance(path: str) -> Instance:
-    return instance_from_json(_load_json(path))
 
 
 def _emit(data) -> None:
@@ -130,18 +115,18 @@ def _cmd_value(args) -> int:
 def _cmd_gen(args) -> int:
     from .families import gen_command
 
-    _emit(gen_command(args, _load_json))
+    _emit(gen_command(args))
     return EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
     from .oracles import oracle_command
 
-    passed, out = oracle_command(args, _load_json)
-    if isinstance(out, str):
-        print(out, file=sys.stderr)
+    passed, data, failure = oracle_command(args)
+    if failure is None:
+        _emit(data)
     else:
-        _emit(out)
+        print(failure, file=sys.stderr)
     return EXIT_OK if passed else EXIT_NEGATIVE
 
 

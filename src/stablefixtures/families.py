@@ -7,7 +7,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InputError, NotBipartiteError, PreconditionError
-from .instance import Instance, allocation_to_json, instance_from_json, instance_to_json
+from .instance import Instance, _load_instance, allocation_to_json, instance_to_json
 from .rationals import parse_rational
 
 
@@ -34,9 +34,9 @@ def generate(family: str, **params) -> Generated:
     return builder(**params)
 
 
-def gen_command(args, load_json) -> dict:
+def gen_command(args) -> dict:
     """The JSON that `stablefixtures gen` prints for the parsed command line
-    `args`, reading an `--input` graph with `load_json`: the instance, plus
+    `args`: the instance, plus
     any companion allocation as an extra key, so that the output feeds
     straight into the other subcommands."""
     params = {}
@@ -45,7 +45,7 @@ def gen_command(args, load_json) -> dict:
     if args.weight is not None:
         params["w"] = args.weight
     if args.input is not None:
-        params["graph"] = instance_from_json(load_json(args.input))
+        params["graph"] = _load_instance(args.input)
     generated = generate(args.family, **params)
     data = instance_to_json(generated.instance)
     if generated.allocation is not None:

@@ -14,6 +14,7 @@ double cover, a dual's residual, the unit-capacity expansion) are built by
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -351,3 +352,19 @@ def allocation_from_json(data: dict, inst: Instance | None = None) -> dict[str, 
         if missing:
             raise InputError(f"allocation missing players: {missing}")
     return x
+
+
+def _load_json(path: str):
+    """The JSON document in file `path`; an unreadable file or bad JSON is an InputError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
+    except ValueError as exc:
+        # JSONDecodeError, or an integer past Python's digit limit.
+        raise InputError(f"{path} is not valid JSON: {exc}") from None
+
+
+def _load_instance(path: str) -> Instance:
+    return instance_from_json(_load_json(path))

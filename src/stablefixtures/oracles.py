@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import BoundExceededError, InputError
-from .instance import Edge, Instance, allocation_from_json, induced, instance_from_json
+from .instance import Edge, Instance, _load_instance, _load_json, allocation_from_json, induced
 from .rationals import format_rational
 
 BRUTE_FORCE_EDGE_BOUND = 22
@@ -159,31 +159,31 @@ def _oracle_selftest(count: int, seed: int) -> str | None:
     return None
 
 
-def oracle_command(args, load_json) -> tuple[bool, dict | str]:
-    """Run `stablefixtures oracle` for the parsed command line `args`,
-    reading its files with `load_json`: whether it passed (exit 0, else 3)
-    and what to print, JSON for standard output or a selftest failure line
-    for standard error."""
+def oracle_command(args) -> tuple[bool, dict | None, str | None]:
+    """Run `stablefixtures oracle` for the parsed command line `args`:
+    whether it passed (exit 0, else 3), the JSON for standard output, and
+    the selftest failure line for standard error; one of the last two is
+    None."""
     if args.engine != "selftest" and not args.instance:
         raise InputError(f"oracle {args.engine} needs an instance file")
     if args.engine == "b-matching":
         from .matching import matching_to_json
 
-        inst = instance_from_json(load_json(args.instance))
+        inst = _load_instance(args.instance)
         matching, value = max_weight_b_matching_bruteforce(inst)
-        return True, {"weight": format_rational(value), "matching": matching_to_json(inst, matching)}
+        return True, {"weight": format_rational(value), "matching": matching_to_json(inst, matching)}, None
     if args.engine == "half":
-        inst = instance_from_json(load_json(args.instance))
-        return True, {"weight": format_rational(max_half_b_matching_bruteforce(inst))}
+        inst = _load_instance(args.instance)
+        return True, {"weight": format_rational(max_half_b_matching_bruteforce(inst))}, None
     if args.engine == "core-check":
         if not args.allocation:
             raise InputError("oracle core-check needs an allocation file")
         from .core import verdict_to_json
 
-        inst = instance_from_json(load_json(args.instance))
-        verdict = core_membership_bruteforce(inst, allocation_from_json(load_json(args.allocation), inst))
-        return verdict.in_core, verdict_to_json(inst, verdict)
+        inst = _load_instance(args.instance)
+        verdict = core_membership_bruteforce(inst, allocation_from_json(_load_json(args.allocation), inst))
+        return verdict.in_core, verdict_to_json(inst, verdict), None
     if args.engine == "selftest":
         failure = _oracle_selftest(args.count, args.seed)
-        return failure is None, failure or {"selftest": "ok", "trials": args.count}
+        return failure is None, {"selftest": "ok", "trials": args.count} if failure is None else None, failure
     raise InputError(f"unknown oracle engine {args.engine!r}")

@@ -143,10 +143,10 @@ def test_moved_names_resolve_from_their_old_module_without_being_compiled_there(
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _perfbench_reads(monkeypatch, modules):
+def _perfbench_reads(monkeypatch):
     """The (module, name) pairs of `stablefixtures` that perfbench's tracer
     lists (`tracing.FUNCTIONS`, `tracing.CLI_FUNCTIONS`) and its verifier
-    reads as `module.name`, for the given modules."""
+    reads as `matching`, `solver` and `stability` attributes."""
     spec = importlib.util.spec_from_file_location("perfbench_tracing", PERFBENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, tracing)
@@ -157,9 +157,11 @@ def _perfbench_reads(monkeypatch, modules):
     wanted |= {
         (node.value.id, node.attr)
         for node in ast.walk(verify)
-        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id in ("matching", "solver", "stability")
     }
-    return {(module, name) for module, name in wanted if module in modules}
+    return wanted
 
 
 def test_every_name_perfbench_reads_resolves(monkeypatch):
@@ -168,7 +170,7 @@ def test_every_name_perfbench_reads_resolves(monkeypatch):
     deleted or moved from there must fail here, not only in the benchmark.
     Only the package, `matching` and `solver` resolve names they do not
     define."""
-    wanted = _perfbench_reads(monkeypatch, ("matching", "solver", "stability"))
+    wanted = _perfbench_reads(monkeypatch)
     assert ("solver", "is_dual_feasible") in wanted
     missing = [
         f"{layer}.{name}"
@@ -210,7 +212,7 @@ def test_names_perfbench_reads_are_the_objects_their_homes_define(monkeypatch):
     it reads from `matching` or `solver` must be its home's own object, so
     that a later move cannot silently zero a per-layer metric or break the
     verifier."""
-    wanted = _perfbench_reads(monkeypatch, ("matching", "solver"))
+    wanted = {pair for pair in _perfbench_reads(monkeypatch) if pair[0] in ("matching", "solver")}
     assert wanted == set(PERFBENCH_HOMES)
     for (module, name), home in PERFBENCH_HOMES.items():
         obj = getattr(importlib.import_module(f"stablefixtures.{module}"), name)
