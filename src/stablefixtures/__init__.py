@@ -24,8 +24,7 @@ _HOME = {
         "cover": ("HalfBMatching", "duplicated_instance", "max_half_b_matching_weight"),
         "duals": (
             "bipartite_max_weight_b_matching_with_duals", "dual_from_duplicated", "dual_from_stable",
-            "has_stable_solution", "is_dual_feasible", "stable_from_dual",
-            "verify_complementary_slackness",
+            "is_dual_feasible", "stable_from_dual", "verify_complementary_slackness",
         ),
         "errors": ("InternalError", "StableFixturesError"),
         "families": ("Generated", "generate"),

@@ -23,9 +23,8 @@ check raises `InternalError`, also under `python -O`.
 the 2-vertex edge gadget for degree-constrained subgraphs (Shiloach 1981;
 Gabow 1983) on which both the general b-matching engine and the minimum
 path/cycle systems run, matches it, and reads the selected edges back.
-Only the untied whole-game b-matching (`matching._lp_optimum(...,
-tie_break=False)`) starts warm, from its LP optimum; every other run is
-cold.
+Only `matching._lp_optimum`'s whole-game b-matching, of a game with an
+LP gap, starts warm, from its LP optimum; every other run is cold.
 """
 
 from __future__ import annotations
@@ -111,7 +110,7 @@ def max_weight_degree_subgraph(slots, edges, extra, mandatory, start=None):
     else:
         from .warmstart import _gadget_start
 
-        start = _gadget_start(slots, edges, gadget, index, bonus, *start)
+        start = _gadget_start(slots, edges, joins, gadget, index, bonus, *start)
         mate = max_weight_matching(len(index), gadget, start)
     if any(mate[index[a]] == -1 for a in mandatory):
         raise InternalError("edge gadget matching leaves a mandatory node uncovered")

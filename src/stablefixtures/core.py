@@ -6,7 +6,8 @@ coalition. For capacities at most 2 a maximum b-matching inside any
 coalition splits into paths and cycles, so membership reduces to
 nonnegativity of singletons plus the path/cycle constraints checked by the
 exact detectors in `cycles`. Every violation verdict is re-certified against
-the matching engine before being returned.
+the matching engine before being returned. A value reads only the weight of
+`matching._lp_optimum`; a witness is `lp_optimum`'s tie-broken matching.
 """
 
 from __future__ import annotations
@@ -16,15 +17,15 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import CapacityTooLargeError, InputError, InternalError, PreconditionError
 from .instance import Edge, Instance, induced
-from .matching import LPOptimum, _engine, _lp_optimum, lp_optimum
-from .rationals import format_rational, scale_to_integers
+from .matching import _lp_optimum, _tie_broken, lp_optimum
+from .rationals import format_rational
 
 
 def game_value(inst: Instance, coalition: Iterable[str]) -> Fraction:
     """v(S): maximum-weight b-matching value of the induced subgame. Only
-    the weight is read, so a subgame without a stable solution runs the
-    whole-game engine untied (`matching._lp_optimum`)."""
-    return _lp_optimum(induced(inst, coalition), tie_break=False)[0].weight
+    the weight is read, so the tie-break that `lp_optimum` adds to a
+    subgame without a stable solution is skipped (`matching._lp_optimum`)."""
+    return _lp_optimum(induced(inst, coalition))[0].weight
 
 
 def game_value_with_witness(
@@ -95,15 +96,6 @@ def _violation(inst: Instance, x: Mapping[str, Fraction], coalition, optimum=Non
     )
 
 
-def _tie_broken(inst: Instance, untied: LPOptimum, tied: bool) -> LPOptimum:
-    """`lp_optimum(inst)` from `untied`, `tied` = `_lp_optimum(inst,
-    tie_break=False)`'s first and last entries: only a matching that is not
-    yet the tie-broken one is found again, by the whole-game engine."""
-    if tied:
-        return untied
-    return untied._replace(matching=_engine(inst, scale_to_integers(inst.edge_weights())[0]))
-
-
 class CoreViolationError(PreconditionError):
     """Raised by the decomposition (`transfers`) when x turns out not to be in
     the core; carries the discovered verdict."""
@@ -140,7 +132,7 @@ def core_membership_b2(inst: Instance, x: Mapping[str, Fraction]) -> CoreVerdict
 
     # v(N) reads only the weight; a violation by N reuses its pass for the witness.
     game = induced(inst, inst.players)
-    grand, _, _, tied = _lp_optimum(game, tie_break=False)
+    grand, _, _, tied = _lp_optimum(game)
     grand_value = grand.weight
     if grand_total < grand_value:
         return _violation(inst, x, inst.players, _tie_broken(game, grand, tied))

@@ -2,8 +2,9 @@
 b-matching is a general game's half-b-matching (LP) optimum. A bipartite
 game's LP is integral, so only `matching._lp_optimum`'s branch for a game
 that is not bipartite imports this module: `_cover_pass` gives the LP
-optimum and the folded dual from one certified pass on the cover, and
-`_half_witness` the tie-broken witness from the cover's own dual.
+optimum and the folded dual from one certified pass on the cover, with the
+cover's state, and `_half_witness` reads the tie-broken witness off that
+state alone.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from typing import Mapping, NamedTuple
 
 from .errors import InternalError
 from .instance import Edge, Instance, _fresh_name
-from .matching import _certified_pass, _engine, _slack_residual, weight
+from .matching import _certified_pass, _slack_matching, weight
 from .rationals import format_rational, parse_rational, scale_to_integers
 
 
@@ -88,56 +89,46 @@ def max_half_b_matching_weight(inst: Instance) -> tuple[Fraction, HalfBMatching]
     that need only the value should use `matching.lp_optimum`, whose
     unperturbed pass gives it as `half`.
     """
-    base, scale = scale_to_integers(inst.edge_weights())
-    cover = _cover_weights(inst, base)
-    half, _, _, cover_dual = _cover_pass(inst, *cover, scale)
-    return _half_witness(inst, *cover, half, cover_dual)
+    return _half_witness(inst, _cover_pass(inst, *scale_to_integers(inst.edge_weights()))[3])
 
 
-def _cover_weights(inst: Instance, base: Mapping[Edge, int]):
-    """The double cover and its integer weights: both cross edges of ij
-    weigh base(ij), that is w(ij)/2 on twice the scale of `base`."""
+def _cover_pass(inst: Instance, base: Mapping[Edge, int], scale: int):
+    """The half-b-matching optimum and an optimal dual (y, d), times
+    2 * scale, of a game whose weights times `scale` are `base`, from one
+    `_certified_pass` on its double cover, and the cover's state for
+    `_half_witness`: the cover, its integer weights (both cross edges of ij
+    weigh base(ij), that is w(ij)/2 on twice the scale), their optimum and
+    the cover's own optimal dual on that scale. Folding that dual (y(i) =
+    y(i') + y(i''), d(ij) = the slacks of both cross edges) keeps it
+    feasible and keeps its objective, the LP optimum.
+    """
     dup = duplicated_instance(inst)
-    key, left, right = dup.instance.edge_key, dup.left, dup.right
+    cover, left, right = dup.instance, dup.left, dup.right
+    key = cover.edge_key
     cover_base = {}
     for (i, j) in inst.edges:
         cover_base[key(left[i], right[j])] = cover_base[key(left[j], right[i])] = base[(i, j)]
-    return dup, cover_base
-
-
-def _cover_pass(inst: Instance, dup: DuplicatedInstance, cover_base: Mapping[Edge, int], scale: int):
-    """The half-b-matching optimum and an optimal dual, times 2 * scale, from
-    one `_certified_pass` on the double cover `dup`, whose cross edges of ij
-    weigh w(ij)/2 = base(ij) / (2 * scale) (`_cover_weights`), and the
-    cover's own dual (y, d) on the scale of `cover_base`. Folding it
-    (y(i) = y(i') + y(i''), d(ij) = the slacks of both cross edges) keeps
-    it feasible and keeps its objective, the LP optimum.
-    """
-    cover, left, right = dup.instance, dup.left, dup.right
-    key = cover.edge_key
     half, cy, cd = _certified_pass(cover, cover_base, 2 * scale, cover.two_coloring())
     y = {i: cy[left[i]] + cy[right[i]] for i in inst.players}
     d = {
         (i, j): cd[key(left[i], right[j])] + cd[key(left[j], right[i])]
         for (i, j) in inst.edges
     }
-    return half, y, d, (cy, cd)
+    return half, y, d, (dup, cover_base, half, cy, cd)
 
 
-def _half_witness(
-    inst: Instance, dup: DuplicatedInstance, cover_base, half: int, cover_dual
-) -> tuple[Fraction, HalfBMatching]:
-    """`max_half_b_matching_weight` from the double cover `dup`, its integer
-    weights `cover_base` (`_cover_weights`), their optimum `half` and an
-    optimal dual `cover_dual` = (y, d) on that scale (`_cover_pass`).
+def _half_witness(inst: Instance, state) -> tuple[Fraction, HalfBMatching]:
+    """`max_half_b_matching_weight` from the cover's state that
+    `_cover_pass` returns: the double cover, its integer weights, their
+    optimum and an optimal dual (y, d) on that scale.
 
     The cover's tie-broken optimum is its forced edges plus the tie-broken
-    optimum of its complementary-slack residual (`_slack_residual`), whose
+    optimum of its complementary-slack residual (`_slack_matching`), whose
     edges keep their relative order. The cover's LP is integral, so with an
-    optimal dual the two reach `half`; InternalError if they fall short.
+    optimal dual the two reach the optimum; InternalError if they fall short.
     """
-    forced, residual = _slack_residual(dup.instance, cover_base, *cover_dual)
-    matching = forced | (_engine(residual, cover_base) if residual.m else frozenset())
+    dup, cover_base, half, y, d = state
+    matching, _ = _slack_matching(dup.instance, cover_base, y, d)
     if sum(cover_base[e] for e in matching) != half:
         raise InternalError(
             "double cover's forced and residual edges fall short of its optimum"

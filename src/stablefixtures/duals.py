@@ -2,6 +2,7 @@
 slackness checks, the optimum and dual read off `lp_optimum`, and the
 paper's characterisation of stable payoffs by optimal duals. Library code
 that no CLI request loads (`solve` certifies on `matching`'s integer dual).
+A game has a stable solution iff `lp_optimum`'s weight equals its half.
 """
 
 from __future__ import annotations
@@ -9,12 +10,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .cover import _cover_pass, _cover_weights
+from .cover import _cover_pass
 from .errors import InputError, InternalError, NotBipartiteError, PreconditionError
 from .instance import Edge, Instance
 from .matching import DualSolution, _fraction_dual, _objective, _priced, lp_optimum, weight
 from .rationals import common_denominator, format_rational, scale_to_integers
-from .solver import _stable_solution
+from .solver import _split_arguments, _stable_solution
 from .stability import Solution, require_stable, utilities
 
 
@@ -129,14 +130,8 @@ def dual_from_duplicated(inst: Instance) -> tuple[Fraction, DualSolution]:
     """The half-b-matching optimum and an optimal dual of Dual-(G, b, w),
     from one certified pass on the bipartite double cover (`_cover_pass`)."""
     base, scale = scale_to_integers(inst.edge_weights())
-    half, y, d, _ = _cover_pass(inst, *_cover_weights(inst, base), scale)
+    half, y, d, _ = _cover_pass(inst, base, scale)
     return Fraction(half, 2 * scale), _fraction_dual(y, d, 2 * scale)
-
-
-def has_stable_solution(inst: Instance) -> bool:
-    """Exact equality test between the integral and fractional optima."""
-    opt = lp_optimum(inst)
-    return opt.weight == opt.half
 
 
 def stable_from_dual(
@@ -151,9 +146,12 @@ def stable_from_dual(
 
     split_rule "half" shares each matched slack d(ij) equally; "seller_side"
     hands it entirely to the buyer, reproducing uniform seller prices on
-    bipartite instances. Certified and split by `solver._stable_solution`,
-    on the common denominator of the dual and the weights.
+    bipartite instances. Its arguments are checked first, as `solve`'s are
+    (`solver._split_arguments`); then it is certified and split by
+    `solver._stable_solution`, on the common denominator of the dual and
+    the weights.
     """
+    sellers = _split_arguments(inst, split_rule, sellers)
     m = inst.canonical_edge_set(matching)
     d = {inst.edge_key(u, v): q for (u, v), q in dual.d.items()}
     for name, keys, entries in (("players", inst.players, dual.y), ("edges", inst.edges, d)):

@@ -20,7 +20,7 @@ one unperturbed pass gives the LP optimum and an optimal dual (on the game
 itself when it is bipartite, whose LP is integral, and otherwise on the
 bipartite double cover of `cover`, which only that branch imports), and
 the engine then runs only on the dual's complementary-slack residual
-(`_slack_residual`), or on the whole game when that residual cannot reach
+(`_slack_matching`), or on the whole game when that residual cannot reach
 the LP optimum.
 
 Names that left this module resolve here only for perfbench, on first use
@@ -31,15 +31,15 @@ and `half_matching_from_json` from `cover`.
 
 Ties among optimal b-matchings are broken toward the lexicographically
 smallest edge set under the instance's edge order, implemented by a weight
-perturbation that is too small to disturb optimality. Callers that read
-only the weight skip it where it costs most: `_lp_optimum(...,
-tie_break=False)` runs the whole-game engine, which runs only when the game
-has no stable solution, on the plain weights, and starts its blossom warm
-from the LP optimum's dual and its forced and residual edges: only the
-slots these edges leave free at a positive dual are left to match.
-`solve`'s no-stable branch and `core.game_value` run it so; `value`, the
-violation witnesses, `max_weight_b_matching` and the path/cycle systems
-run cold.
+perturbation that is too small to disturb optimality. One rule decides
+where it is paid: a cold engine run is tie-broken, and a warm one is not.
+The only warm run is `_lp_optimum`'s whole-game engine, which runs only
+when the game has no stable solution and whose weight is all that `solve`,
+`core.game_value` and `core-check`'s v(N) read: its blossom starts from the
+LP optimum's dual and its forced and residual edges, so only the slots
+these edges leave free at a positive dual are left to match. `lp_optimum`,
+whose matching `value` and the violation witnesses print, then finds that
+game's tie-broken matching with one cold run (`_tie_broken`).
 
 Everything here is a pure function of immutable inputs.
 """
@@ -121,43 +121,40 @@ def max_weight_b_matching(inst: Instance) -> tuple[frozenset[Edge], Fraction]:
     return matching, weight(inst, matching)
 
 
-def _engine(inst: Instance, base: Mapping[Edge, int], tie_break: bool = True, start=None) -> frozenset[Edge]:
+def _engine(inst: Instance, base: Mapping[Edge, int], start=None) -> frozenset[Edge]:
     """A maximum-weight b-matching for the integer weights `base`, any
     positive multiple of the scaled weights: SSP when bipartite, else the
-    edge gadgets. With `tie_break` it is the tie-broken optimum, found on
-    the perturbed `base`; without, the engine runs on `base` itself and
-    returns whichever optimum it finds, for callers that read only its
-    weight. `start` warm-starts the edge gadgets (`_general_matching`)."""
+    edge gadgets. Cold it is the tie-broken optimum, found on the perturbed
+    `base`; a `start`, given only on a game with an LP gap (never
+    bipartite), warms the edge gadgets on `base` itself and returns
+    whichever optimum they find (`_general_matching`)."""
     coloring = inst.two_coloring()
     if coloring is not None:
-        matching, _ = _ssp_flow(inst, _perturbed(inst, base) if tie_break else base, coloring)
+        matching, _ = _ssp_flow(inst, _perturbed(inst, base), coloring)
     else:
-        matching = _general_matching(inst, base, tie_break, start)
+        matching = _general_matching(inst, base, start)
     if not is_b_matching(inst, matching):
         raise InternalError("matching engine overfilled a player")
     return matching
 
 
-def _general_matching(
-    inst: Instance, base: Mapping[Edge, int], tie_break: bool = True, start=None
-) -> frozenset[Edge]:
+def _general_matching(inst: Instance, base: Mapping[Edge, int], start=None) -> frozenset[Edge]:
     """`_engine` on a general graph: through the edge gadget.
 
     Player i gets min(b(i), deg(i)) zero-price slots, and each edge its
-    doubled (perturbed, with `tie_break`) weight, in
-    `blossom.max_weight_degree_subgraph`: an edge is gadgeted when both its
-    ends have two or more slots and joins them directly otherwise. The
-    perturbed optimum is unique, so the gadget's shape cannot change the
-    answer. The gadget's profit is twice the weight of the edges it
-    selects, which certifies the read-back.
+    doubled perturbed weight, in `blossom.max_weight_degree_subgraph`: an
+    edge is gadgeted when both its ends have two or more slots and joins
+    them directly otherwise. The perturbed optimum is unique, so the
+    gadget's shape cannot change the answer. The gadget's profit is twice
+    the weight of the edges it selects, which certifies the read-back.
 
-    Untied, `start` = (y, used) may start the blossom warm from an optimal
-    LP dual y on the scale of 2 * `base` and a complementary-slack
-    b-matching `used` (`blossom.max_weight_degree_subgraph`).
+    `start` = (y, used), an optimal LP dual on the scale of 2 * `base` and
+    a complementary-slack b-matching, instead starts the blossom warm on
+    `base` itself (`blossom.max_weight_degree_subgraph`).
     """
     from .blossom import max_weight_degree_subgraph
 
-    weights = _perturbed(inst, base) if tie_break else base
+    weights = _perturbed(inst, base) if start is None else base
     copies = {p: range(min(inst.b(p), len(inst.neighbors(p)))) for p in inst.players}
     slots = {p: [((p, c), 0) for c in copies[p]] for p in inst.players}
     edges = [(i, j, 2 * weights[(i, j)]) for (i, j) in inst.edges]
@@ -365,11 +362,12 @@ def _ssp_flow(
 # ---------------------------------------------------------------------------
 
 
-def _slack_residual(inst: Instance, w: Mapping[Edge, int], y, d):
+def _slack_matching(inst: Instance, w: Mapping[Edge, int], y, d):
     """The forced edges (d > 0) of an optimal LP dual (y, d) of `inst` whose
-    integer weights on the dual's scale are `w`, and its complementary-slack
-    residual: the tight edges (d = 0, y(u) + y(v) = w(uv)) between players
-    with capacity left after the forced edges, on that capacity.
+    integer weights on the dual's scale are `w`, plus the tie-broken
+    optimum of its complementary-slack residual, and that residual: the
+    tight edges (d = 0, y(u) + y(v) = w(uv)) between players with capacity
+    left after the forced edges, on that capacity.
 
     Every LP optimum takes every forced edge and otherwise only tight ones.
     So when an integral optimum reaches the LP optimum, the optimal
@@ -390,7 +388,8 @@ def _slack_residual(inst: Instance, w: Mapping[Edge, int], y, d):
         for (u, v) in inst.edges
         if d[(u, v)] == 0 and free[u] and free[v] and y[u] + y[v] == w[(u, v)]
     ]
-    return forced, Instance._derived(inst.players, free, tight)
+    residual = Instance._derived(inst.players, free, tight)
+    return forced | (_engine(residual, w) if residual.m else frozenset()), residual
 
 
 class LPOptimum(NamedTuple):
@@ -410,33 +409,36 @@ def lp_optimum(inst: Instance) -> LPOptimum:
 
     When the integral optimum reaches the LP optimum, it is the optimal
     dual's forced edges plus the tie-broken optimum of its complementary-
-    slack residual (`_slack_residual`). Otherwise the engine runs on the
-    whole game, unless the residual already is the whole game (no forced
-    edge, every edge between players with capacity tight).
+    slack residual (`_slack_matching`). Otherwise the engine runs on the
+    whole game, unless the residual already is the whole game (every edge
+    between players with capacity tight, none forced): warm for the weight
+    (`_lp_optimum`), then cold for the tie-broken matching (`_tie_broken`).
 
     The LP optimum and dual come from one unperturbed pass: on G itself
     when G is bipartite, whose LP is integral, and on the double cover
     otherwise.
     """
-    return _lp_optimum(inst)[0]
+    opt, _, _, tied = _lp_optimum(inst)
+    return _tie_broken(inst, opt, tied)
 
 
-def _lp_optimum(inst: Instance, tie_break: bool = True):
-    """`lp_optimum`, its dual as integers (y, d, denom): the dual times
-    `denom`, the weights' scale (twice it for the cover), the double cover
-    with its integer weights, their optimum and the cover's own dual
-    (`cover._cover_weights`, `cover._cover_pass`; None when the game is
-    bipartite, which never imports `cover`), and whether `matching` is the
-    tie-broken one. All of it, down to the residual's perturbed weights,
-    runs on those integers.
+def _tie_broken(inst: Instance, opt: LPOptimum, tied: bool) -> LPOptimum:
+    """`lp_optimum(inst)` from `_lp_optimum(inst)`'s first and last
+    entries: only a matching that is not yet the tie-broken one is found
+    again, by the cold whole-game engine."""
+    if tied:
+        return opt
+    return opt._replace(matching=_engine(inst, scale_to_integers(inst.edge_weights())[0]))
 
-    Without `tie_break` the whole-game engine, which runs only when the
-    game has no stable solution, runs on the plain weights, so `matching`
-    is then a maximum-weight b-matching but not the tie-broken one: for
-    callers that read only the weight. Its blossom then starts from the
-    dual (y, d) and the forced and residual edges, which are complementary-
-    slack with it, mapped onto the edge gadget (`_general_matching`).
-    A residual that is the whole game is matched tie-broken either way.
+
+def _lp_optimum(inst: Instance):
+    """`lp_optimum` up to the tie-break, its dual as integers (y, d, denom):
+    the dual times `denom`, the weights' scale (twice it for the cover),
+    the double cover's state for `cover._half_witness` (`cover._cover_pass`;
+    None when the game is bipartite, which never imports `cover`), and
+    whether `matching` is the tie-broken one: it is unless the whole-game
+    engine ran, warm from the dual and the forced and residual edges, which
+    are complementary-slack with it. All of it runs on those integers.
     """
     base, scale = scale_to_integers(inst.edge_weights())
     coloring, cover = inst.two_coloring(), None
@@ -444,23 +446,19 @@ def _lp_optimum(inst: Instance, tie_break: bool = True):
         half, y, d = _certified_pass(inst, base, scale, coloring)
         denom, w = scale, base
     else:
-        from .cover import _cover_pass, _cover_weights
+        from .cover import _cover_pass
 
-        dup, cover_base = _cover_weights(inst, base)
-        half, y, d, cover_dual = _cover_pass(inst, dup, cover_base, scale)
-        cover = (dup, cover_base, half, cover_dual)
+        half, y, d, cover = _cover_pass(inst, base, scale)
         denom, w = 2 * scale, {e: 2 * q for e, q in base.items()}
-    forced, residual = _slack_residual(inst, w, y, d)
-    matching = forced | (_engine(residual, base) if residual.m else frozenset())
+    matching, residual = _slack_matching(inst, w, y, d)
     if not is_b_matching(inst, matching):
         raise InternalError("forced and residual edges overfill a player")
     total = sum(w[e] for e in matching)
-    whole = not forced and residual.m == sum(1 for (u, v) in inst.edges if inst.b(u) and inst.b(v))
-    tied = total == half or whole
+    # A forced edge joins two players with capacity and is never in the residual.
+    tied = total == half or residual.m == sum(1 for (u, v) in inst.edges if inst.b(u) and inst.b(v))
     if not tied:
-        # Untied, the blossom starts from the dual and the forced and residual edges.
-        matching = _engine(inst, base, tie_break, None if tie_break else (y, matching))
-        tied, total = tie_break, sum(w[e] for e in matching)
+        matching = _engine(inst, base, (y, matching))
+        total = sum(w[e] for e in matching)
         if total == half:
             raise InternalError(
                 "a b-matching attains the half optimum, but none is "

@@ -12,11 +12,12 @@ is bipartite, on its bipartite double cover otherwise) turns a
 maximum-weight b-matching into stable payoffs p(i,j) = y(i) + xi(i,j) with
 xi splitting the slack d(ij) of each matched edge.
 
-`solve` reads one `matching._lp_optimum` and certifies its tie-broken
-b-matching once against the pass's integer dual (`_stable_solution`);
-`require_stable` on the finished solution is the last check. A game without
-a stable solution prints only its b-matching's weight, so its whole-game
-engine runs untied, and its witness is tie-broken on the double cover's
+`solve` checks its arguments (`_split_arguments`), reads one
+`matching._lp_optimum` and certifies its tie-broken b-matching once against
+the pass's integer dual (`_stable_solution`); `require_stable` on the
+finished solution is the last check. A game without a stable solution
+prints only its b-matching's weight, which the warm whole-game engine
+finds, and its witness is tie-broken on the double cover's
 complementary-slack residual alone (`cover._half_witness`). Each answer
 imports only what it runs: the stable one `stability`, the other `cover`.
 The `Fraction` dual path (`stable_from_dual`, ...) lives in `duals`;
@@ -58,16 +59,30 @@ class SolveOutcome(NamedTuple):
     witness: HalfBMatching | None = None
 
 
+def _split_arguments(inst: Instance, split_rule: str, sellers: Iterable[str] | None):
+    """`sellers` as a tuple, or None, once `split_rule` is known
+    (InputError otherwise) and every seller is a player
+    (UnknownPlayerError otherwise): the entry check of `solve` and
+    `duals.stable_from_dual`."""
+    if split_rule not in SPLIT_RULES:
+        raise InputError(f"split_rule must be one of {SPLIT_RULES}")
+    if sellers is None:
+        return None
+    sellers = tuple(sellers)
+    for p in sellers:
+        inst.index(p)
+    return sellers
+
+
 def _stable_solution(inst, m, dual, scaled, split_rule, sellers) -> Solution:
     """Certify the b-matching m against `dual`, given as `scaled` = (y, d,
-    denom), the dual times denom, and split it into payoffs over 2 * denom.
-    Weak duality: a feasible dual whose objective is w(M) certifies M
-    maximum and every matched edge tight.
+    denom), the dual times denom, and split it into payoffs over 2 * denom,
+    for arguments that `_split_arguments` checked. Weak duality: a feasible
+    dual whose objective is w(M) certifies M maximum and every matched edge
+    tight.
     """
     from .stability import PayoffMatrix, Solution, require_stable, resolve_sides
 
-    if split_rule not in SPLIT_RULES:
-        raise InputError(f"split_rule must be one of {SPLIT_RULES}")
     y, d, denom = scaled
     if not is_b_matching(inst, m):
         raise PreconditionError("given edge set is not a b-matching")
@@ -123,16 +138,19 @@ def solve(
     residual where that reaches the half optimum; `_stable_solution`
     certifies the stable answer once against the same dual, in the scaled
     integers the pass produced. Otherwise only the b-matching's weight is
-    printed, so the whole-game engine runs untied, and the witness is the
+    printed, which the warm whole-game engine finds, and the witness is the
     double cover's forced edges plus the tie-broken optimum of its own
-    complementary-slack residual (`cover._half_witness`).
+    complementary-slack residual (`cover._half_witness`). An unknown
+    `split_rule` or a seller who is not a player is refused first, on
+    either branch.
     """
-    opt, scaled, cover, _ = _lp_optimum(inst, tie_break=False)
+    sellers = _split_arguments(inst, split_rule, sellers)
+    opt, scaled, cover, _ = _lp_optimum(inst)
     if opt.weight != opt.half:
         # A bipartite game is always stable, so the pass ran on the cover.
         from .cover import _half_witness
 
-        witness_weight, witness = _half_witness(inst, *cover)
+        witness_weight, witness = _half_witness(inst, cover)
         if witness_weight != opt.half:
             raise InternalError(
                 f"half-b-matching witness weighs {format_rational(witness_weight)}, "

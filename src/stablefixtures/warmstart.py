@@ -1,7 +1,7 @@
 """Warm starts for the blossom engine, imported only by a run that starts
-warm: the untied whole-game b-matching of a game whose integral optimum
-falls short of its LP optimum (`matching._lp_optimum(..., tie_break=False)`).
-Every other blossom run, `core-check`'s path/cycle systems included, is
+warm: the whole-game b-matching of a game whose integral optimum falls
+short of its LP optimum (`matching._lp_optimum`). Every other blossom run,
+the tie-broken ones and `core-check`'s path/cycle systems included, is
 cold and does not compile this module.
 
 `_gadget_start` maps an LP optimum onto the edge gadget of
@@ -11,22 +11,21 @@ that `blossom.max_weight_matching` cannot take, also under `python -O`.
 
 from __future__ import annotations
 
-from .blossom import _END
 from .errors import InternalError
 
 
-def _gadget_start(slots, edges, gadget, index, bonus, y, used):
+def _gadget_start(slots, edges, joins, gadget, index, bonus, y, used):
     """The (matched, dual) start of `blossom.max_weight_matching` on the edge
     gadget for prices y and b-matching `used`, as
-    `blossom.max_weight_degree_subgraph` describes it."""
+    `blossom.max_weight_degree_subgraph` describes it, given the gadget's
+    `joins`: for each edge, whether it is gadgeted and its node pairs."""
     dual, pairs = {}, []
     for p, own in slots.items():
         dual.update((slot, 2 * (y[p] - price)) for (slot, price) in own)
     free = {p: iter(own) for p, own in slots.items()}
-    for k, (u, v, w) in enumerate(edges):
-        ends = (_END, k, 0), (_END, k, 1)
-        gadgeted = len(slots[u]) > 1 and len(slots[v]) > 1
+    for (u, v, w), (gadgeted, join) in zip(edges, joins):
         if gadgeted:
+            ends = join[0]
             surplus = 0 if (u, v) in used else y[u] + y[v] - w
             for end, p in zip(ends, (u, v)):
                 dual[end] = w + 2 * bonus - 2 * y[p] + surplus

@@ -100,18 +100,18 @@ def heavy_edge_triangle():
 
 @pytest.fixture(scope="session")
 def warm_and_cold_weights():
-    """The weights that the untied whole-game engine finds on a general game:
+    """The weights that the whole-game engine finds on a general game:
     started warm from its LP optimum, the dual and the forced and residual
     edges, as `matching._lp_optimum` starts it when the game has an LP gap;
-    and cold. The warm run's answer must be a b-matching."""
+    and cold, tie-broken, whose weight is the optimum too. The warm run's
+    answer must be a b-matching."""
 
     def weights(inst):
-        _, (y, d, _), _, _ = matching._lp_optimum(inst, tie_break=False)
+        _, (y, d, _), _, _ = matching._lp_optimum(inst)
         base = scale_to_integers(inst.edge_weights())[0]
-        forced, residual = matching._slack_residual(inst, {e: 2 * q for e, q in base.items()}, y, d)
-        used = forced | (matching._engine(residual, base) if residual.m else frozenset())
-        warm = matching._general_matching(inst, base, False, (y, used))
-        cold = matching._general_matching(inst, base, False)
+        used, _ = matching._slack_matching(inst, {e: 2 * q for e, q in base.items()}, y, d)
+        warm = matching._general_matching(inst, base, (y, used))
+        cold = matching._general_matching(inst, base)
         assert matching.is_b_matching(inst, warm)
         return matching.weight(inst, warm), matching.weight(inst, cold)
 

@@ -12,9 +12,9 @@ from fractions import Fraction as F
 from stablefixtures import generate
 from stablefixtures.core import core_membership_b2, game_value, is_allocation
 from stablefixtures.cover import max_half_b_matching_weight
-from stablefixtures.duals import has_stable_solution, is_dual_feasible, verify_complementary_slackness
+from stablefixtures.duals import is_dual_feasible, verify_complementary_slackness
 from stablefixtures.instance import Instance
-from stablefixtures.matching import max_weight_b_matching, weight
+from stablefixtures.matching import lp_optimum, max_weight_b_matching, weight
 from stablefixtures.oracles import core_membership_bruteforce, max_weight_b_matching_bruteforce
 from stablefixtures.randomgen import (
     random_allocation,
@@ -172,7 +172,8 @@ def test_criterion_4_pipeline():
         assert integral == brute
         half, witness = max_half_b_matching_weight(inst)
         outcome = solve(inst)
-        assert outcome.stable == (integral == half) == has_stable_solution(inst)
+        opt = lp_optimum(inst)
+        assert outcome.stable == (integral == half) == (opt.weight == opt.half)
         if outcome.stable:
             stable_count += 1
             assert is_stable(inst, outcome.solution).stable
@@ -204,7 +205,8 @@ def test_criterion_5_reduction():
         assert weight(reduced.instance, expanded) == value + 2 * inst.total_weight()
 
         outcome = solve(inst)
-        assert has_stable_solution(reduced.instance) == outcome.stable
+        opt = lp_optimum(reduced.instance)
+        assert (opt.weight == opt.half) == outcome.stable
         if outcome.stable:
             rsol = reduce_solution(inst, outcome.solution, reduced)
             assert is_stable(reduced.instance, rsol).stable

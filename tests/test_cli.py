@@ -34,6 +34,16 @@ def test_solve_diamond_exit3(capsys, diamond_file):
     assert witness_total == 3.5
 
 
+def test_solve_unknown_seller_exit2_before_the_lp_pass(capsys, monkeypatch, diamond_file):
+    """An unknown seller is refused at entry, even on a game without a
+    stable solution, where the split is never used."""
+    monkeypatch.setattr(matching, "_certified_pass", lambda *args: pytest.fail("the LP pass ran"))
+    assert main(["solve", diamond_file, "--sellers", "nobody"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown player 'nobody'\n"
+
+
 def test_solve_stable_exit0(capsys, tmp_path):
     path = tmp_path / "ex2.json"
     path.write_text(json.dumps(instance_to_json(generate("example2").instance)))

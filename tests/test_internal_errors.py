@@ -52,8 +52,6 @@ def test_wrong_prices_fail_every_dual_path(monkeypatch):
     inst = generate("example2").instance
     _overpriced_ssp(monkeypatch)
     with pytest.raises(InternalError):
-        duals.has_stable_solution(inst)
-    with pytest.raises(InternalError):
         duals.dual_from_duplicated(inst)
     with pytest.raises(InternalError):
         duals.bipartite_max_weight_b_matching_with_duals(inst)
@@ -356,15 +354,15 @@ def test_overfilling_residual_matching_fails_solve(
     path.write_text(json.dumps(instance_to_json(inst)))
     real = matching._engine
 
-    def extra(net, base, *tie_break):
+    def extra(net, base, *start):
         # The residual engine adds a-c.
-        return real(net, base, *tie_break) | {("a", "c")}
+        return real(net, base, *start) | {("a", "c")}
 
     monkeypatch.setattr(matching, "_engine", extra)
     with pytest.raises(InternalError, match="overfill"):
         solver.solve(inst)
     with pytest.raises(InternalError, match="overfill"):
-        duals.has_stable_solution(inst)
+        matching.lp_optimum(inst)
     assert main(["solve", str(path)]) == EXIT_INTERNAL
     assert capsys.readouterr().err.startswith("error: internal: forced and residual")
 
@@ -421,8 +419,8 @@ def test_wrong_cover_dual_fails_the_witness(monkeypatch, capsys, tmp_path, diamo
     real = cover._cover_pass
 
     def wrong(*args):
-        half, y, d, cover_dual = real(*args)
-        return half, y, d, fault(*cover_dual)
+        half, y, d, (dup, cover_base, cover_half, *cover_dual) = real(*args)
+        return half, y, d, (dup, cover_base, cover_half, *fault(*cover_dual))
 
     monkeypatch.setattr(cover, "_cover_pass", wrong)
     with pytest.raises(InternalError, match=message):
@@ -449,8 +447,8 @@ except AssertionError:
 real = cover._cover_pass
 
 def wrong(*args):
-    half, y, d, (cover_y, cover_d) = real(*args)
-    return half, y, d, ({p: q + 1 for p, q in cover_y.items()}, cover_d)
+    half, y, d, (dup, cover_base, cover_half, cover_y, cover_d) = real(*args)
+    return half, y, d, (dup, cover_base, cover_half, {p: q + 1 for p, q in cover_y.items()}, cover_d)
 
 cover._cover_pass = wrong
 print(stripped, main(["solve", sys.argv[1]]))
@@ -543,7 +541,7 @@ read_back = raises(lambda: duals.dual_from_stable(inst, outcome.solution))
 duals.utilities = real_utilities
 ssp = raises(lambda: matching._ssp_flow(
     Instance(["a", "b"], {"a": 1, "b": 1}, [("a", "b", 3)]), {("a", "b"): 3}, {"a": 0, "b": 0}))
-matching._engine = lambda net, base, *tie_break: real_engine(net, base, *tie_break) | {("a", "c")}
+matching._engine = lambda net, base, *start: real_engine(net, base, *start) | {("a", "c")}
 print(split, read_back, ssp, main(["solve", sys.argv[1]]))
 """
 

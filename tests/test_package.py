@@ -32,7 +32,7 @@ PUBLIC_NAMES = [
     "bipartite_max_weight_b_matching_with_duals", "check_solution", "core",
     "core_membership_b2", "core_membership_bruteforce", "cycles", "dual_from_duplicated",
     "dual_from_stable", "duplicated_instance", "errors", "game_value", "generate",
-    "has_stable_solution", "induced", "instance", "is_allocation", "is_b_matching",
+    "induced", "instance", "is_allocation", "is_b_matching",
     "is_dual_feasible", "is_stable", "lift_stable", "lp_optimum", "make_solution", "matching",
     "max_half_b_matching_weight", "max_weight_b_matching", "max_weight_b_matching_bruteforce",
     "meet_join", "rationals", "reduce_instance", "reduce_matching", "reduce_solution",

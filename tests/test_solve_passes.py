@@ -38,11 +38,7 @@ from stablefixtures import cover as cover_mod
 from stablefixtures.cli import main
 from stablefixtures.core import core_membership_b2, game_value, game_value_with_witness
 from stablefixtures.cover import HalfBMatching, duplicated_instance, max_half_b_matching_weight
-from stablefixtures.duals import (
-    bipartite_max_weight_b_matching_with_duals,
-    has_stable_solution,
-    stable_from_dual,
-)
+from stablefixtures.duals import bipartite_max_weight_b_matching_with_duals, stable_from_dual
 from stablefixtures.instance import Instance, instance_to_json
 from stablefixtures.matching import (
     DualSolution,
@@ -150,9 +146,11 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_
     blossom but not `stability`, and the blossom's warm start (`warmstart`)
     only when its whole-game run starts warm: the pendant triangle's does,
     and the diamond's, whose complementary-slack residual is the whole
-    game, is that residual's tie-broken cold run. A core-check's cold
-    blossom does not load its warm start, verify-stable loads no engine and
-    no cover, and core-check and value neither the solver nor `stability`;
+    game, is that residual's tie-broken cold run. value on example4's grand
+    coalition, which has an LP gap (4 against 9/2) and a residual that is
+    not the whole game, starts warm too. A core-check's cold blossom does
+    not load its warm start, verify-stable loads no engine and no cover,
+    and core-check and value neither the solver nor `stability`;
     value does not load the path/cycle systems (`cycles`), which core-check
     runs. Only gen loads the named families and only
     oracle the brute-force oracles. No request loads `dataclasses`, the
@@ -167,12 +165,15 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_
         "x": {"allocation": {"a": "2", "b": "2", "c": "0"}},
         "diamond": instance_to_json(generate("diamond").instance),
         "pendant": instance_to_json(_pendant_triangle()),
+        "example4": instance_to_json(generate("example4").instance),
     }
     files["float"] = instance_to_json(heavy_edge_triangle)
     files["float"]["edges"][0]["w"] = 4.5
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
-    bip, sol_path, triangle, x, diamond, pendant, float_weight = (str(tmp_path / f"{name}.json") for name in files)
+    bip, sol_path, triangle, x, diamond, pendant, example4, float_weight = (
+        str(tmp_path / f"{name}.json") for name in files
+    )
     src = Path(stablefixtures.__file__).resolve().parents[1]
     engines = ["solver", "matching", "cover", "stability", "core", "cycles", "blossom", "oracles"]
     for argv, code, absent, present in (
@@ -183,6 +184,8 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_
         (["verify-stable", bip, sol_path], 0, ["matching", "cover", "solver", "core", "cycles"], []),
         (["core-check", triangle, x], 0, ["solver", "oracles", "stability", "warmstart"], []),
         (["value", triangle, "--coalition", "a,b"], 0, ["solver", "oracles", "stability", "cycles"], []),
+        (["value", example4, "--coalition", "s1,s2,s3,t1_1,t2_1,t3_1"], 0,
+         ["solver", "oracles", "stability", "cycles"], ["blossom", "warmstart"]),
         (["gen", "--family", "example2"], 0, engines, ["families"]),
         (["oracle", "half", bip], 0, ["solver", "cover", "stability", "core", "blossom"], ["oracles"]),
     ):
@@ -347,8 +350,8 @@ def test_no_stable_solve_builds_the_cover_and_scales_once(monkeypatch, diamond):
 
 
 def test_has_stable_solution_makes_one_plain_cover_pass(monkeypatch, diamond):
-    stable, kinds = _spy_passes(monkeypatch, has_stable_solution, diamond)
-    assert not stable
+    opt, kinds = _spy_passes(monkeypatch, lp_optimum, diamond)
+    assert opt.weight != opt.half
     assert kinds == [("cover", "plain")]
 
 
@@ -360,7 +363,7 @@ def test_has_stable_solution_makes_one_plain_cover_pass(monkeypatch, diamond):
 def _whole_cover_witness(inst):
     """The witness as the older composition found it: the tie-broken
     optimum of the whole double cover, folded onto the game."""
-    dup, cover_base = cover_mod._cover_weights(inst, scale_to_integers(inst.edge_weights())[0])
+    dup, cover_base = cover_mod._cover_pass(inst, *scale_to_integers(inst.edge_weights()))[3][:2]
     chosen = matching._engine(dup.instance, cover_base)
     key, left, right = dup.instance.edge_key, dup.left, dup.right
     return HalfBMatching({
@@ -470,6 +473,34 @@ def test_core_check_violated_by_n_reuses_a_whole_game_residual(monkeypatch, diam
     assert [(n, warm) for n, warm, _ in runs] == [(13, False)]
 
 
+def test_one_rule_decides_every_whole_game_run(monkeypatch, diamond):
+    """(gadget nodes, warm) of every blossom run. With an LP gap and a
+    residual that is not the whole game, the callers that read only the
+    weight (`solve`, `game_value`, core-check's v(N)) match the residual
+    cold and then the whole game warm; `lp_optimum` and `value`, which
+    print the matching, and a violation by N, which prints v(N)'s, add one
+    cold whole-game run. The diamond's residual is the whole game, so every
+    caller makes the one cold run."""
+    inst = _pendant_triangle()
+    weight_only = [(3, False), (4, True)]
+    printed = [*weight_only, (4, False)]
+    calls = [
+        (solve, weight_only),
+        (lambda game: game_value(game, game.players), weight_only),
+        (lp_optimum, printed),
+        (lambda game: game_value_with_witness(game, game.players), printed),
+        (lambda game: core_membership_b2(game, dict.fromkeys(game.players, F(0))), printed),
+    ]
+    for game in (inst, diamond):
+        assert core_membership_b2(game, dict.fromkeys(game.players, F(0))).coalition == tuple(game.players)
+    runs = _blossom_runs(monkeypatch)
+    for call, expected in calls:
+        for game, want in ((inst, expected), (diamond, [(13, False)])):
+            runs.clear()
+            call(game)
+            assert [(n, warm) for n, warm, _ in runs] == want, (game.players, runs)
+
+
 def test_untied_whole_game_blossom_starts_warm(monkeypatch):
     """The untied whole-game blossom starts from the LP optimum, which
     leaves one free slot at a positive dual: at most two stages, where the
@@ -537,7 +568,7 @@ def test_residual_witness_and_untied_weight_match_the_whole_game(inst):
     assert outcome.witness == witness
     assert (outcome.matching_weight, outcome.half_weight) == (opt.weight, opt.half)
     assert max_half_b_matching_weight(inst) == (opt.half, witness)
-    untied = _lp_optimum(inst, tie_break=False)[0]
+    untied = _lp_optimum(inst)[0]
     assert (untied.weight, untied.half, untied.dual) == (opt.weight, opt.half, opt.dual)
     assert is_b_matching(inst, untied.matching) and weight(inst, untied.matching) == opt.weight
     assert game_value(inst, inst.players) == opt.weight

@@ -3,24 +3,24 @@ from fractions import Fraction as F
 
 import pytest
 
-from stablefixtures import generate
+from stablefixtures import generate, solver
 from stablefixtures.errors import (
     DualityGapError,
     InputError,
     NotMaximumWeightError,
     PreconditionError,
+    UnknownPlayerError,
 )
 from stablefixtures.duals import (
     dual_from_duplicated,
     dual_from_stable,
     dual_objective,
-    has_stable_solution,
     is_dual_feasible,
     stable_from_dual,
     verify_complementary_slackness,
 )
 from stablefixtures.instance import Instance
-from stablefixtures.matching import DualSolution, _priced, max_weight_b_matching, weight
+from stablefixtures.matching import DualSolution, _priced, lp_optimum, max_weight_b_matching, weight
 from stablefixtures.oracles import max_half_b_matching_bruteforce
 from stablefixtures.randomgen import random_instance
 from stablefixtures.solver import solve
@@ -91,10 +91,10 @@ def test_dual_from_duplicated_example4():
 
 
 def test_has_stable_solution(example2, diamond):
-    assert not has_stable_solution(diamond)
     inst2, _, _ = example2
-    assert has_stable_solution(inst2)
-    assert not has_stable_solution(generate("triangle").instance)
+    for inst, stable in ((diamond, False), (inst2, True), (generate("triangle").instance, False)):
+        opt = lp_optimum(inst)
+        assert (opt.weight == opt.half) == stable
 
 
 def test_stable_from_dual_single_edge():
@@ -186,6 +186,40 @@ def test_stable_from_dual_rejects_corrupted_input(example2, how, error):
         stable_from_dual(inst, matching, dual)
 
 
+BAD_SPLIT_ARGUMENTS = [
+    ({"split_rule": "bogus"}, InputError),
+    ({"sellers": ["nobody"]}, UnknownPlayerError),
+    ({"split_rule": "seller_side", "sellers": ["u1", "nobody"]}, UnknownPlayerError),
+]
+
+
+@pytest.mark.parametrize("kwargs, error", BAD_SPLIT_ARGUMENTS)
+def test_solve_refuses_bad_split_arguments_before_the_lp_pass(monkeypatch, example2, diamond, kwargs, error):
+    """On either branch, stable or not: an unknown split rule or a seller
+    who is not a player stops `solve` before its LP pass."""
+    monkeypatch.setattr(solver, "_lp_optimum", lambda inst: pytest.fail("the LP pass ran"))
+    for inst in (example2[0], diamond):
+        with pytest.raises(error):
+            solve(inst, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs, error", BAD_SPLIT_ARGUMENTS)
+def test_stable_from_dual_refuses_bad_split_arguments(example2, kwargs, error):
+    inst, _, _ = example2
+    outcome = solve(inst)
+    with pytest.raises(error):
+        stable_from_dual(inst, outcome.solution.matching, outcome.dual, **kwargs)
+
+
+def test_split_sellers_may_be_any_iterable(example2):
+    inst, _, _ = example2
+    outcome = solve(inst, split_rule="seller_side", sellers=["u1", "u2", "u3"])
+    assert solve(inst, split_rule="seller_side", sellers=iter(["u1", "u2", "u3"])) == outcome
+    sellers = (p for p in ("u1", "u2", "u3"))
+    built = stable_from_dual(inst, outcome.solution.matching, outcome.dual, split_rule="seller_side", sellers=sellers)
+    assert built == outcome.solution
+
+
 def test_stable_from_dual_needs_every_dual_entry(example2):
     inst, _, _ = example2
     outcome = solve(inst)
@@ -254,7 +288,8 @@ def test_solve_matches_existence_test():
     rng = random.Random(31)
     for _ in range(40):
         inst = random_instance(rng, n_range=(3, 7), b_range=(1, 3))
-        assert solve(inst).stable == has_stable_solution(inst)
+        opt = lp_optimum(inst)
+        assert solve(inst).stable == (opt.weight == opt.half)
 
 
 def test_complementary_slackness_clean_single_edge():
