@@ -5,8 +5,12 @@ allocation x (with x(N) = v(N)) is in the core when x(S) >= v(S) for every
 coalition. For capacities at most 2 a maximum b-matching inside any
 coalition splits into paths and cycles, so membership reduces to
 nonnegativity of singletons plus the path/cycle constraints checked by the
-exact detectors in `cycles`. Every violation verdict is re-certified against
-the matching engine before being returned. A value reads only the weight of
+exact detectors in `cycles`. Before that search, an O(m) dual screen tests
+whether y = x/b is a feasible dual of the degree LP; if it is, weak duality
+gives x(S) >= LP(S) >= v(S) for every coalition S (as for the core of the
+assignment game, Shapley and Shubik 1971), so no search runs and `cycles`
+is never imported. Every violation verdict is re-certified against the
+matching engine before being returned. A value reads only the weight of
 `matching._lp_optimum`; a witness is `lp_optimum`'s tie-broken matching.
 """
 
@@ -18,7 +22,7 @@ from typing import Iterable, Mapping, NamedTuple
 from .errors import CapacityTooLargeError, InputError, InternalError, PreconditionError
 from .instance import Edge, Instance, induced
 from .matching import _lp_optimum, _tie_broken, lp_optimum
-from .rationals import format_rational
+from .rationals import format_rational, scale_to_integers
 
 
 def game_value(inst: Instance, coalition: Iterable[str]) -> Fraction:
@@ -117,9 +121,12 @@ def core_membership_b2(inst: Instance, x: Mapping[str, Fraction]) -> CoreVerdict
     """Polynomial core membership for b <= 2 with violation certificates.
 
     Stages: singletons x(i) >= 0; efficiency x(N) = v(N); capacity-0
-    players forced to zero and dropped; then the exact minimum path/cycle
-    system, which covers the cycles among capacity-2 players. Any violating
-    component is returned as its coalition after engine re-certification.
+    players forced to zero and dropped; the dual screen (`_pays_every_edge`
+    on the scaled weights and x), which proves that no coalition violates;
+    only when it fails, the exact minimum path/cycle system on the same
+    scaled values, which covers the cycles among capacity-2 players. Any
+    violating component is returned as its coalition after engine
+    re-certification.
     """
     heavy = [p for p in inst.players if inst.b(p) > 2]
     if heavy:
@@ -146,9 +153,13 @@ def core_membership_b2(inst: Instance, x: Mapping[str, Fraction]) -> CoreVerdict
                 return _violation(inst, x, [q for q in inst.players if q != p])
     work = induced(inst, [p for p in inst.players if inst.b(p) > 0])
 
-    verdict = _b2_constraint_search(work, x)
-    if verdict is not None:
-        return _violation(inst, x, verdict)
+    # Scaled as the path/cycle stage scales them: edge keys are pairs and
+    # player keys strings, so one mapping holds both.
+    values, scale = scale_to_integers({**work.edge_weights(), **{p: x[p] for p in work.players}})
+    if not _pays_every_edge(work, values, values):
+        verdict = _b2_constraint_search(work, x, (values, scale))
+        if verdict is not None:
+            return _violation(inst, x, verdict)
 
     if not efficient:
         return CoreVerdict(
@@ -157,11 +168,23 @@ def core_membership_b2(inst: Instance, x: Mapping[str, Fraction]) -> CoreVerdict
     return CoreVerdict(kind="in_core")
 
 
-def _b2_constraint_search(inst: Instance, x) -> tuple[str, ...] | None:
+def _pays_every_edge(inst: Instance, x, w) -> bool:
+    """Whether y = x/b is a feasible dual of the degree LP of `inst`, for
+    x >= 0: b(v) x(u) + b(u) x(v) >= b(u) b(v) w(uv) on every edge, tested
+    on ints or `Fraction`s and stopping at the first edge that fails. An
+    edge with a capacity-0 end always passes (its y is unbounded). When it
+    holds, weak duality gives x(S) >= LP(S) >= v(S) for every coalition S.
+    """
+    b = inst.capacity
+    return all(b[v] * x[u] + b[u] * x[v] >= b[u] * b[v] * w[(u, v)] for u, v in inst.edges)
+
+
+def _b2_constraint_search(inst: Instance, x, scaled=None) -> tuple[str, ...] | None:
     """First violated path/cycle coalition among b in {1, 2} players.
 
     The systems admit every cycle of capacity-2 players at its cost
     x(V(C)) - w(C), so a negative cycle makes the optimum negative too.
+    `scaled` is the weights and x already put through `scale_to_integers`.
     """
     from .cycles import min_path_cycle_system
 
@@ -170,6 +193,7 @@ def _b2_constraint_search(inst: Instance, x) -> tuple[str, ...] | None:
         {p: inst.b(p) for p in inst.players},
         inst.edge_weights(),
         {p: x[p] for p in inst.players},
+        scaled=scaled,
     )
     if total < 0:
         worst = components[0]

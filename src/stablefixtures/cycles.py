@@ -48,9 +48,12 @@ def min_path_cycle_system(
     capacity: Mapping[str, int],
     weights: Mapping[Pair, Fraction],
     x: Mapping[str, Fraction],
+    scaled: tuple[dict, int] | None = None,
 ) -> tuple[Fraction, list[SystemComponent]]:
     """Minimise sum of x(V(C)) - w(C) over disjoint admissible path/cycle
     packings; returns the optimum and the components of a minimiser.
+    `scaled`, when given, is `scale_to_integers({**weights, **x})`, which
+    a caller that already scaled them passes on.
 
     Admissible: paths may end anywhere but pass only through capacity-2
     vertices; cycles consist of capacity-2 vertices. So a packing is an edge
@@ -71,7 +74,7 @@ def min_path_cycle_system(
             raise PreconditionError(f"vertex {v} must have capacity 1 or 2")
 
     # Edge keys are pairs and vertex keys strings, so one mapping holds both.
-    scaled, scale = scale_to_integers({**weights, **x})
+    scaled, scale = scaled or scale_to_integers({**weights, **x})
     wx = {v: 2 * scaled[v] for v in vertices}
 
     slots: dict[str, list[tuple[tuple, int]]] = {}

@@ -130,6 +130,8 @@ def _oracle_selftest(count: int, seed: int) -> str | None:
     from .core import core_membership_b2, game_value
     from .matching import lp_optimum
     from .randomgen import random_allocation, random_instance
+    from .solver import solve
+    from .stability import total_payoff
 
     rng = random.Random(seed)
     for k in range(count):
@@ -156,6 +158,15 @@ def _oracle_selftest(count: int, seed: int) -> str | None:
         slow = core_membership_bruteforce(inst, x)
         if fast.kind != slow.kind:
             return f"selftest {k}: core verdicts differ"
+        # The row sums of a stable solution are a core allocation. The dual
+        # screen proves some of them in the core and leaves the others (a
+        # capacity-2 player paid unevenly) to the path/cycle stage.
+        outcome = solve(inst)
+        if outcome.stable:
+            paid = total_payoff(inst, outcome.solution.payoffs)
+            kinds = {core_membership_b2(inst, paid).kind, core_membership_bruteforce(inst, paid).kind}
+            if kinds != {"in_core"}:
+                return f"selftest {k}: core verdicts on solve's payoff row sums: {sorted(kinds)}"
     return None
 
 

@@ -12,7 +12,7 @@ from collections import deque
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .core import CoreViolationError, _coalition_total, _violation
+from .core import CoreViolationError, _coalition_total, _pays_every_edge, _violation
 from .errors import ComponentSumError, InputError, InternalError, NotMaximumWeightError, PreconditionError
 from .instance import Edge, Instance
 from .matching import is_b_matching, lp_optimum, weight
@@ -301,7 +301,14 @@ def allocation_to_payoff(
     if not is_b_matching(inst, m):
         raise PreconditionError("edge set is not a b-matching")
     matched = weight(inst, m)
-    if matched != lp_optimum(inst).weight:
+    # With x >= 0 and x/b a feasible dual, weak duality gives
+    # w(M) >= x(N) >= LP(N) >= v(N): M is maximum without re-solving the game.
+    certified = (
+        total <= matched
+        and all(x[p] >= 0 for p in inst.players)
+        and _pays_every_edge(inst, x, inst.edge_weights())
+    )
+    if not certified and matched != lp_optimum(inst).weight:
         raise NotMaximumWeightError("matching is not maximum weight")
     for p in inst.players:
         if x[p] < 0:

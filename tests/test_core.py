@@ -3,6 +3,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablefixtures import core, cycles, generate, matching, transfers
 from stablefixtures.core import CoreViolationError, core_membership_b2, game_value, is_allocation
@@ -11,8 +13,9 @@ from stablefixtures.errors import (
     CapacityTooLargeError,
     ComponentSumError,
     InternalError,
+    NotMaximumWeightError,
 )
-from stablefixtures.instance import Instance
+from stablefixtures.instance import Instance, induced
 from stablefixtures.matching import lp_optimum, max_weight_b_matching, weight
 from stablefixtures.oracles import core_membership_bruteforce, max_weight_b_matching_bruteforce
 from stablefixtures.randomgen import (
@@ -115,6 +118,19 @@ def test_allocation_above_the_matched_weight_is_component_sum_error():
     inst = generate("two_player", w=7).instance
     with pytest.raises(ComponentSumError, match="total 8 exceeds the matched weight 7"):
         allocation_to_payoff(inst, {"i": F(4), "j": F(4)}, [("i", "j")])
+
+
+def test_allocation_to_payoff_certifies_the_matching_by_weak_duality(monkeypatch, heavy_edge_triangle):
+    """x >= 0 with x/b a feasible dual and w(M) >= x(N) proves M maximum, so
+    no `lp_optimum` runs; a lighter M still re-solves the game and raises."""
+    tri, x = heavy_edge_triangle, {"a": F(2), "b": F(2), "c": F(0)}
+    runs = []
+    monkeypatch.setattr(transfers, "lp_optimum", lambda inst: runs.append(inst) or lp_optimum(inst))
+    assert allocation_to_payoff(tri, x, [("a", "b")]) == {("a", "b"): 2, ("b", "a"): 2}
+    assert runs == []
+    with pytest.raises(NotMaximumWeightError):
+        allocation_to_payoff(tri, x, [("b", "c")])
+    assert len(runs) == 1
 
 
 @pytest.mark.parametrize(
@@ -418,3 +434,73 @@ def test_oracle_agreement_random():
         fast = core_membership_b2(inst, x)
         slow = core_membership_bruteforce(inst, x)
         assert fast.kind == slow.kind
+
+
+@st.composite
+def planted_b2_allocations(draw):
+    """A b <= 2 game with capacity-0 players, capacities above degree and
+    weight-0 edges, a b-matching M, and x = b y for a dual y that is tight
+    on M and zero at every player M leaves short: x is in the core. Then
+    x made infeasible on one edge (its mass moved to a third player), and
+    x raised above v(N)."""
+    n = draw(st.integers(2, 7))
+    players = [f"p{k}" for k in range(n)]
+    pairs = list(itertools.combinations(players, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=9))
+    caps = {p: draw(st.sampled_from((0, 1, 1, 2, 2))) for p in players}
+    load, matched = dict.fromkeys(players, 0), set()
+    for u, v in edges:  # greedily, in the drawn order
+        if load[u] < caps[u] and load[v] < caps[v]:
+            matched.add((u, v))
+            load[u] += 1
+            load[v] += 1
+    y = {
+        p: F(draw(st.integers(0, 6)), draw(st.sampled_from((1, 2, 3)))) if load[p] == caps[p] > 0 else F(0)
+        for p in players
+    }
+    weighted = []
+    for u, v in edges:
+        if (u, v) in matched:
+            w = y[u] + y[v]
+        elif caps[u] == 0 or caps[v] == 0:
+            w = F(draw(st.integers(0, 12)))  # y is unbounded at a capacity-0 end
+        else:
+            w = (y[u] + y[v]) * F(draw(st.integers(0, 4)), 4)
+        weighted.append((u, v, w))
+    inst = Instance(players, caps, weighted)
+    planted = {p: caps[p] * y[p] for p in players}
+    allocations = [("planted", planted)]
+
+    paying = [(u, v, w) for u, v, w in weighted if caps[u] and caps[v] and w > 0]
+    if paying and n > 2:
+        u, v, w = draw(st.sampled_from(paying))
+        # Cut y(u) + y(v) to w - eps, from y(u) first, then from y(v).
+        cut = y[u] + y[v] - w + w * F(draw(st.integers(1, 4)), 4)
+        from_u = min(y[u], cut)
+        taken = {u: caps[u] * from_u, v: caps[v] * (cut - from_u)}
+        short = {p: q - taken.get(p, 0) for p, q in planted.items()}
+        short[draw(st.sampled_from([p for p in players if p not in taken]))] += sum(taken.values())
+        allocations.append(("short", short))
+
+    above = dict(planted)
+    above[draw(st.sampled_from(players))] += F(draw(st.integers(1, 6)), draw(st.sampled_from((1, 2))))
+    allocations.append(("above", above))
+    return inst, allocations
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(planted_b2_allocations())
+def test_dual_screen_agrees_with_the_bruteforce_oracle(game):
+    """Equal verdicts with the brute-force oracle on every kind of
+    allocation; where x/b is a feasible dual, the path/cycle search finds
+    no violation either, so the screen never hides one."""
+    inst, allocations = game
+    work = induced(inst, [p for p in inst.players if inst.b(p) > 0])
+    for kind, x in allocations:
+        screened = core._pays_every_edge(work, x, work.edge_weights())
+        assert screened == (kind != "short"), kind
+        verdict = core_membership_b2(inst, x)
+        assert verdict.kind == core_membership_bruteforce(inst, x).kind, kind
+        if kind != "short":
+            assert verdict.kind == ("in_core" if kind == "planted" else "not_allocation")
+            assert core._b2_constraint_search(work, x) is None

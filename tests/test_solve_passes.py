@@ -11,7 +11,7 @@
   none of the engines.
 * The untied whole-game blossom starts warm from the LP optimum, and finds
   the cold run's weight; core-check's v(N) and its violation by N share one
-  pass.
+  pass, and its path/cycle system runs only when the dual screen fails.
 * A differential test pins `solve` to the older composition (full-graph
   engine for the matching, perturbed pass on the whole cover for the half
   weight and the witness, perturbed plus unperturbed cover passes for the
@@ -33,7 +33,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import stablefixtures
-from stablefixtures import blossom, generate, instance, matching
+from stablefixtures import blossom, cycles, generate, instance, matching
 from stablefixtures import cover as cover_mod
 from stablefixtures.cli import main
 from stablefixtures.core import core_membership_b2, game_value, game_value_with_witness
@@ -150,9 +150,11 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_
     coalition, which has an LP gap (4 against 9/2) and a residual that is
     not the whole game, starts warm too. A core-check's cold blossom does
     not load its warm start, verify-stable loads no engine and no cover,
-    and core-check and value neither the solver nor `stability`;
-    value does not load the path/cycle systems (`cycles`), which core-check
-    runs. Only gen loads the named families and only
+    and core-check and value neither the solver nor `stability`. Only a
+    core-check whose x/b is not a feasible dual loads the path/cycle
+    systems (`cycles`): the triangle's x = (2, 2, 0) is one, so its dual
+    screen proves it in the core, and x = (0, 4, 0) underpays the edge a-c.
+    Only gen loads the named families and only
     oracle the brute-force oracles. No request loads `dataclasses`, the
     parser's `argparse` (with `gettext` and `locale`), or the library-only
     `duals` and `transfers`, nor `stablefixtures.cli` itself: it runs as
@@ -163,6 +165,7 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_
         "sol": solution_to_json(inst, sol),
         "triangle": instance_to_json(heavy_edge_triangle),
         "x": {"allocation": {"a": "2", "b": "2", "c": "0"}},
+        "x_violated": {"allocation": {"a": "0", "b": "4", "c": "0"}},
         "diamond": instance_to_json(generate("diamond").instance),
         "pendant": instance_to_json(_pendant_triangle()),
         "example4": instance_to_json(generate("example4").instance),
@@ -171,7 +174,7 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_
     files["float"]["edges"][0]["w"] = 4.5
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
-    bip, sol_path, triangle, x, diamond, pendant, example4, float_weight = (
+    bip, sol_path, triangle, x, x_violated, diamond, pendant, example4, float_weight = (
         str(tmp_path / f"{name}.json") for name in files
     )
     src = Path(stablefixtures.__file__).resolve().parents[1]
@@ -182,7 +185,8 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_
         (["solve", diamond], 3, ["core", "cycles", "stability", "oracles", "warmstart"], ["cover", "blossom"]),
         (["solve", pendant], 3, ["core", "cycles", "stability", "oracles"], ["cover", "blossom", "warmstart"]),
         (["verify-stable", bip, sol_path], 0, ["matching", "cover", "solver", "core", "cycles"], []),
-        (["core-check", triangle, x], 0, ["solver", "oracles", "stability", "warmstart"], []),
+        (["core-check", triangle, x], 0, ["solver", "oracles", "stability", "cycles", "warmstart"], []),
+        (["core-check", triangle, x_violated], 3, ["solver", "oracles", "stability", "warmstart"], ["cycles"]),
         (["value", triangle, "--coalition", "a,b"], 0, ["solver", "oracles", "stability", "cycles"], []),
         (["value", example4, "--coalition", "s1,s2,s3,t1_1,t2_1,t3_1"], 0,
          ["solver", "oracles", "stability", "cycles"], ["blossom", "warmstart"]),
@@ -192,7 +196,7 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_
         got, loaded = _loaded_modules(src, *argv)
         assert got == code, argv
         assert "stablefixtures.instance" in loaded
-        assert ("stablefixtures.cycles" in loaded) == (argv[0] == "core-check"), argv
+        assert ("stablefixtures.cycles" in loaded) == (argv[-1] == x_violated), argv
         assert ("stablefixtures.families" in loaded) == (argv[0] == "gen"), argv
         assert ("stablefixtures.oracles" in loaded) == (argv[0] == "oracle"), argv
         assert {f"stablefixtures.{name}" for name in present} <= loaded, argv
@@ -424,6 +428,27 @@ def test_weight_only_answers_tie_break_neither_the_game_nor_the_cover(monkeypatc
     runs.clear()
     assert game_value_with_witness(inst, inst.players)[0] == 11
     assert ("blossom", inst.players, inst.m, True) in [(e, net.players, net.m, t) for e, net, t in runs]
+
+
+def test_core_check_runs_the_path_cycle_system_only_past_the_dual_screen(monkeypatch, heavy_edge_triangle):
+    """An allocation whose x/b is a feasible dual is certified with no
+    path/cycle system; one that underpays an edge runs exactly one, on the
+    values the screen already scaled, whether it is violated or, with a
+    capacity-2 player paid unevenly, in the core after all."""
+    calls = []
+    real = cycles.min_path_cycle_system
+    monkeypatch.setattr(cycles, "min_path_cycle_system", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    monkeypatch.setattr(cycles, "scale_to_integers", None)  # the stage must not scale again
+    tri = heavy_edge_triangle
+    assert core_membership_b2(tri, {"a": F(2), "b": F(2), "c": F(0)}).in_core
+    assert calls == []
+    verdict = core_membership_b2(tri, {"a": F(0), "b": F(4), "c": F(0)})
+    assert (verdict.kind, verdict.coalition) == ("violation", ("a", "c"))
+    assert len(calls) == 1
+    # The star's centre c (b = 2) takes 10 of 12: y(c) + y(a) = 5 + 2 < 10, yet no coalition is short.
+    star = Instance(["a", "b", "c"], {"a": 1, "b": 1, "c": 2}, [("a", "c", 10), ("b", "c", 2)])
+    assert core_membership_b2(star, {"a": F(2), "b": F(0), "c": F(10)}).in_core
+    assert len(calls) == 2
 
 
 def test_core_check_violated_by_the_grand_coalition_makes_one_cover_pass(monkeypatch):
