@@ -7,11 +7,12 @@ in Galil 1986, ACM Computing Surveys 18(1)). Vertex duals are doubled, so
 every dual move is an integer. Everything lives in lists scanned in index
 order (the scan queue is a stack), so ties resolve the same way every run.
 
-A cold run starts every vertex free at the largest weight and needs a
-stage per matched pair. A warm run starts from a given matching and vertex
-duals, checked, and needs at most a stage per free vertex with positive
-dual (`_primal_dual`). Only a warm run imports `warmstart`, which checks
-its start and builds the edge gadget's.
+Every run is one stage loop (`_primal_dual`), and needs at most a stage
+per free vertex with positive dual. A cold run starts every vertex free at
+the largest weight, so with no positive weight it matches nothing; a warm
+run starts from a given matching and vertex duals, checked. Only a warm
+run imports `warmstart`, which checks its start and builds the edge
+gadget's.
 
 Before it returns, the answer is certified by weak duality for the matching
 LP with odd-set constraints: a symmetric matching on the given edges,
@@ -35,7 +36,9 @@ from .errors import InternalError, PreconditionError
 def max_weight_matching(n: int, edges: list[tuple[int, int, int]], start=None) -> list[int]:
     """mate[v] = v's partner in a maximum-weight matching, or -1.
 
-    `start` = (matched, dual) starts the stages warm, with no blossoms,
+    By default every vertex starts free at the largest weight, and the
+    stages grow only from free vertices with positive dual, so with no
+    positive weight mate is all -1. `start` = (matched, dual) starts the stages warm, with no blossoms,
     from matched[v], the index in `edges` of v's matched edge or -1, and
     doubled vertex duals `dual`. The start must be a symmetric matching with
     nonnegative int duals, even at every free vertex (so that the S-S slacks
@@ -154,21 +157,22 @@ def _certify(n, edges, matched, dual, blossoms) -> None:
 
 
 def _primal_dual(n, edges, start=None):
-    """Run the stages from `start` (see `max_weight_matching`), or cold from
-    every vertex free at the largest weight; return the matched edge at each
-    vertex (or -1), the doubled vertex duals, (z, vertices) of every blossom
-    left and the number of stages run.
+    """Run the stages from `start` (see `max_weight_matching`), by default
+    every vertex free at the largest weight (0 if none is positive); return
+    the matched edge at each vertex (or -1), the doubled vertex duals, (z,
+    vertices) of every blossom left and the number of stages run.
 
     A stage grows alternating trees from its roots, the free vertices with
-    positive dual (cold: every free vertex), and moves the duals until one
-    event ends it: an augmenting path along tight edges, to another root or
-    to a free vertex at dual 0; or an S-vertex whose dual reaches 0, since
-    delta1 is the least S-vertex dual. If a root is among those, it just
-    stops being one; else the first such S-vertex v takes its root's place
-    as the free vertex, by a flip of the even path from the root to v. Each
-    event leaves one free vertex with positive dual fewer. Cold, the free
-    vertices share the least dual, so delta1 is the least vertex dual, and
-    the first root to reach 0, which wins every tie, ends the run.
+    positive dual, and moves the duals until one event ends it: an
+    augmenting path along tight edges, to another root or to a free vertex
+    at dual 0; or an S-vertex whose dual reaches 0, since delta1 is the
+    least S-vertex dual. If a root is among those, it just stops being one;
+    else the first such S-vertex v takes its root's place as the free
+    vertex, by a flip of the even path from the root to v. Each event leaves
+    one free vertex with positive dual fewer, and the run ends at the first
+    stage with no root. From the default start the free vertices share the
+    least dual of all, so the first root to reach 0 takes every root with
+    it and ends the run.
     """
     m = len(edges)
     # Edge k has endpoints 2k (at its first vertex) and 2k + 1; p ^ 1 is the
@@ -181,7 +185,6 @@ def _primal_dual(n, edges, start=None):
     top = max([0] + [w for (_, _, w) in edges])
 
     # Ids 0..n-1 are vertices, n..2n-1 are blossoms.
-    cold = start is None
     matched, dual = start or ([-1] * n, [top] * n)
     dual = list(dual) + [0] * n
     # Far endpoint of the matched edge.
@@ -393,7 +396,7 @@ def _primal_dual(n, edges, start=None):
         tight[:] = [False] * m
         queue.clear()
         for v in range(n):
-            if mate[v] == -1 and label[top_of[v]] == 0 and (cold or dual[v] > 0):
+            if mate[v] == -1 and label[top_of[v]] == 0 and dual[v] > 0:
                 assign(v, 1, -1)
         if not queue:
             break
@@ -417,7 +420,7 @@ def _primal_dual(n, edges, start=None):
                         elif label[bw] == 1 and (root := common_base(v, w)) != -1:
                             shrink(root, k)
                         elif label[bw] < 2:
-                            # To another tree, or (warm only) to a free vertex at dual 0.
+                            # To another tree, or to a free vertex at dual 0.
                             if label[bw] == 0:
                                 via[bw] = -1
                             rematch(end[2 * k], 2 * k + 1)
@@ -433,9 +436,8 @@ def _primal_dual(n, edges, start=None):
                             best[x] = k
             if augmented:
                 break
-            # Stuck: the largest dual move that keeps every slack and S-vertex dual
-            # >= 0. Cold, the free vertices hold the least dual of all.
-            delta = min(dual[:n]) if cold else min(dual[v] for v in range(n) if label[top_of[v]] == 1)
+            # Stuck: the largest dual move that keeps every slack and S-vertex dual >= 0.
+            delta = min(dual[v] for v in range(n) if label[top_of[v]] == 1)
             kind, at = 1, -1
             for v in range(n):
                 if label[top_of[v]] == 0 and best[v] != -1 and slack(best[v]) < delta:
@@ -454,21 +456,17 @@ def _primal_dual(n, edges, start=None):
                     if base[b] >= 0 and parent[b] == -1:
                         dual[b] -= move[label[b]]
             if kind == 1:
-                if not cold:
-                    # A root first; else the first S-vertex at 0 takes its root's place.
-                    zero = [v for v in range(n) if dual[v] == 0 and label[top_of[v]] == 1]
-                    v = min(zero, key=lambda v: mate[v] != -1)
-                    if mate[v] != -1:
-                        rematch(v, -1)
-                        augmented = True
+                # A root first; else the first S-vertex at 0 takes its root's place.
+                zero = [v for v in range(n) if dual[v] == 0 and label[top_of[v]] == 1]
+                v = min(zero, key=lambda v: mate[v] != -1)
+                if mate[v] != -1:
+                    rematch(v, -1)
                 break
             if kind == 4:
                 expand(at, False)
             else:
                 tight[at] = True
                 queue.append(end[2 * at] if label[top_of[end[2 * at]]] == 1 else end[2 * at + 1])
-        if cold and not augmented:
-            break
         for b in range(n, 2 * n):
             if parent[b] == -1 and base[b] >= 0 and label[b] == 1 and dual[b] == 0:
                 expand(b, True)

@@ -138,11 +138,10 @@ def core_membership_b2(inst: Instance, x: Mapping[str, Fraction]) -> CoreVerdict
             return _violation(inst, x, [p])
 
     # v(N) reads only the weight; a violation by N reuses its pass for the witness.
-    game = induced(inst, inst.players)
-    grand, _, _, tied = _lp_optimum(game)
+    grand, _, _, tied = _lp_optimum(inst)
     grand_value = grand.weight
     if grand_total < grand_value:
-        return _violation(inst, x, inst.players, _tie_broken(game, grand, tied))
+        return _violation(inst, x, inst.players, _tie_broken(inst, grand, tied))
     efficient = grand_total == grand_value
 
     zero_cap = [p for p in inst.players if inst.b(p) == 0]

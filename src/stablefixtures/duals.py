@@ -162,7 +162,7 @@ def stable_from_dual(
     d = {e: d[e] for e in inst.edges}
     n = common_denominator([*inst.edge_weights().values(), *y.values(), *d.values()])
     scaled = ({p: int(q * n) for p, q in y.items()}, {e: int(q * n) for e, q in d.items()}, n)
-    return _stable_solution(inst, m, dual, scaled, split_rule, sellers)
+    return _stable_solution(inst, m, scaled, split_rule, sellers)
 
 
 def dual_from_stable(inst: Instance, sol: Solution) -> DualSolution:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import BoundExceededError, InputError
+from .errors import BoundExceededError, InputError, PreconditionError
 from .instance import Edge, Instance, _load_instance, _load_json, allocation_from_json, induced
 from .rationals import format_rational
 
@@ -195,6 +195,8 @@ def oracle_command(args) -> tuple[bool, dict | None, str | None]:
         verdict = core_membership_bruteforce(inst, allocation_from_json(_load_json(args.allocation), inst))
         return verdict.in_core, verdict_to_json(inst, verdict), None
     if args.engine == "selftest":
+        if args.count < 0:
+            raise PreconditionError(f"oracle selftest needs --count >= 0, got {args.count}")
         failure = _oracle_selftest(args.count, args.seed)
         return failure is None, {"selftest": "ok", "trials": args.count} if failure is None else None, failure
     raise InputError(f"unknown oracle engine {args.engine!r}")

@@ -74,8 +74,8 @@ def _split_arguments(inst: Instance, split_rule: str, sellers: Iterable[str] | N
     return sellers
 
 
-def _stable_solution(inst, m, dual, scaled, split_rule, sellers) -> Solution:
-    """Certify the b-matching m against `dual`, given as `scaled` = (y, d,
+def _stable_solution(inst, m, scaled, split_rule, sellers) -> Solution:
+    """Certify the b-matching m against a dual, given as `scaled` = (y, d,
     denom), the dual times denom, and split it into payoffs over 2 * denom,
     for arguments that `_split_arguments` checked. Weak duality: a feasible
     dual whose objective is w(M) certifies M maximum and every matched edge
@@ -87,14 +87,10 @@ def _stable_solution(inst, m, dual, scaled, split_rule, sellers) -> Solution:
     if not is_b_matching(inst, m):
         raise PreconditionError("given edge set is not a b-matching")
     w = {e: q.numerator * (denom // q.denominator) for e, q in inst.edge_weights().items()}
-    if (
-        any(q < 0 for q in y.values())
-        or any(q < 0 for q in d.values())
-        or any(y[u] + y[v] + d[(u, v)] < w[(u, v)] for (u, v) in inst.edges)
-    ):
-        from .duals import is_dual_feasible
-
-        raise PreconditionError(f"infeasible dual: {is_dual_feasible(inst, dual)}")
+    negative = [k for k, q in (*y.items(), *d.items()) if q < 0]
+    short = [(u, v) for (u, v) in inst.edges if y[u] + y[v] + d[(u, v)] < w[(u, v)]]
+    if negative or short:
+        raise PreconditionError(f"infeasible dual: negative at {negative}, short on edges {short}")
     w_m = sum(w[e] for e in m)
     if _objective(inst, y, d) != w_m:
         w_m, optimum = Fraction(w_m, denom), lp_optimum(inst).weight
@@ -162,7 +158,7 @@ def solve(
             half_weight=opt.half,
             witness=witness,
         )
-    sol = _stable_solution(inst, opt.matching, opt.dual, scaled, split_rule, sellers)
+    sol = _stable_solution(inst, opt.matching, scaled, split_rule, sellers)
     return SolveOutcome(
         stable=True,
         matching_weight=opt.half,

@@ -2,7 +2,8 @@
 warm: the whole-game b-matching of a game whose integral optimum falls
 short of its LP optimum (`matching._lp_optimum`). Every other blossom run,
 the tie-broken ones and `core-check`'s path/cycle systems included, is
-cold and does not compile this module.
+cold: the same stage loop from the default start, every vertex free at the
+largest weight, which needs no check, so it does not compile this module.
 
 `_gadget_start` maps an LP optimum onto the edge gadget of
 `blossom.max_weight_degree_subgraph`, and `_check_start` refuses a start

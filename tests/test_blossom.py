@@ -7,7 +7,8 @@ blossoms. On the perturbed edge gadgets of `matching._general_matching`
 the b-matching read off the mate must be the one networkx's mate gives (the
 gadget itself has ties inside each edge gadget, the b-matching has none).
 Small graphs are checked against an exhaustive search, and corrupting the
-engine's answer or its duals must raise `InternalError`.
+engine's answer or its duals must raise `InternalError`. With no positive
+weight the matching is empty.
 
 A warm start (a matching and vertex duals, every edge feasible and every
 matched edge tight) must reach the cold optimum in at most as many stages
@@ -182,6 +183,9 @@ def test_ties_resolve_the_same_way_every_run():
     first = max_weight_matching(8, edges)
     assert all(max_weight_matching(8, edges) == first for _ in range(5))
     assert first[7] == -1
+    # A weight-0 edge ties with leaving its ends free, which wins: with no
+    # positive weight no stage runs and every vertex stays free.
+    assert max_weight_matching(4, [(0, 1, 0), (1, 2, -3), (2, 3, 0)]) == [-1] * 4
 
 
 def test_bad_edges_are_refused():

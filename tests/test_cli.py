@@ -394,6 +394,8 @@ def test_oracle_commands(monkeypatch, capsys, diamond_file, tmp_path):
     assert code == 0 and data["weight"] == "7/2"
     code, data = run(capsys, "oracle", "selftest", "--count", "5", "--seed", "3")
     assert code == 0 and data["selftest"] == "ok"
+    assert main(["oracle", "selftest", "--count", "-3"]) == 2
+    assert capsys.readouterr() == ("", "error: oracle selftest needs --count >= 0, got -3\n")
     # A disagreement goes to stderr alone, with exit 3.
     monkeypatch.setattr(oracles, "_oracle_selftest", lambda count, seed: "selftest 0: engine 1 != oracle 2")
     assert main(["oracle", "selftest"]) == 3

@@ -7,6 +7,8 @@
   home defines.
 * The result records are immutable `NamedTuple`s with the fields, defaults
   and `repr` form they had as frozen dataclasses.
+* `src/` has no `assert` statement, so every check survives `python -O`
+  as a typed error.
 """
 
 import ast
@@ -138,6 +140,17 @@ def test_moved_names_resolve_from_their_old_module_without_being_compiled_there(
             assert getattr(stablefixtures, name) is vars(new_module)[name]
     with pytest.raises(AttributeError, match="no_such_name"):
         old_module.no_such_name
+
+
+def test_no_assert_statement_in_the_package():
+    """`python -O` strips `assert`; every check must raise a typed error."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(stablefixtures.__file__).resolve().parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
