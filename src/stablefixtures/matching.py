@@ -7,8 +7,11 @@ Two engines, both exact over rationals:
   `blossom.max_weight_degree_subgraph` (imported only when this engine
   runs), which matches the gadget and reads the b-matching back;
 * the bipartite engine runs successive shortest paths with vertex potentials
-  on a small flow network, which additionally yields an optimal dual (y, d)
-  of the degree-constrained LP, certified by weak duality.
+  on a small flow network with no super-source: each unit of a source-side
+  player's capacity is routed from that player by one Dijkstra, which
+  stops at the sink and stays short, since the player's own arc to the
+  sink ("unit unused") bounds it. It additionally yields an optimal dual
+  (y, d) of the degree-constrained LP, certified by weak duality.
 
 Both run on the weights times their common denominator (`scale_to_integers`);
 the LP pass and its certificate stay in those integers, and `Fraction`s are
@@ -243,31 +246,39 @@ def _ssp_flow(
     """Max-weight flow via successive shortest paths; returns matching and
     integer dual prices.
 
-    Arc costs are negated weights; augmentation stops when no residual
-    source-sink path has negative true cost. Final potentials are capped so
-    that the zero-gap dual can be read off them directly.
+    Arc costs are negated weights, and every active player has an arc of
+    capacity b and cost 0 to the sink, which from a source-side player means
+    "this unit stays unused". Each unit is routed from its own player (Ahuja,
+    Magnanti & Orlin, Network Flows, sec. 9.7), source-side players in player
+    order, by one Dijkstra that stops once the sink is settled. Every search
+    reaches the sink: nothing enters a player before its turn, so its
+    unused-unit arc is still free. Adding dist - dist[SNK] to the settled
+    nodes' potentials is the full update shifted by a constant, so reduced
+    costs stay >= 0 and the sink's potential never moves.
 
-    Each Dijkstra stops once the sink is settled (Ahuja, Magnanti & Orlin,
-    Network Flows, ch. 9). That leaves the path and the potentials as a full
-    run would: every unsettled node has tentative distance >= dist[SNK], so
-    an augmenting round raises it by the cut dist[SNK] either way, and the
-    last round by its threshold <= dist[SNK]. A round that never reaches
-    the sink settles every reachable node, as before. Every path crosses an
-    edge arc of capacity 1, so each augmentation carries one unit. The
-    negative-reduced-cost guard covers only the arcs scanned before the sink
-    is settled; the weak-duality certificate of `_certified_pass` remains
-    the backstop for a wrong dual.
+    A player stops at its first unused unit: every later one would take the
+    same arc at reduced cost 0 and move no potential. At most deg units are
+    matched, so a player costs at most min(b, deg + 1) searches, and that
+    unused unit is what prices a player with b above its degree at 0.
+
+    Prices are max(0, +-(pi(p) - pi(SNK))), + on the source side, so an
+    edge's residual arc gives y(u) + y(v) >= w(uv) if it is unmatched and <=
+    if matched. They are complementary slack: a player with room left keeps
+    an arc to the sink (sink side) or from it (an unused unit), which caps
+    its price at 0, and one with a matched edge keeps the other, so only
+    unmatched players are clipped. The negative-reduced-cost guard covers
+    only the arcs scanned before the sink is settled; the weak-duality
+    certificate of `_certified_pass` remains the backstop for a wrong dual.
     """
     capacity = inst.capacity
     active = [p for p in inst.players if capacity[p] > 0]
-    ids = {p: k + 2 for k, p in enumerate(active)}
-    SRC, SNK = 0, 1
-    nnodes = len(active) + 2
+    ids = {p: k + 1 for k, p in enumerate(active)}
+    SNK = 0
 
     to: list[int] = []
     cap: list[int] = []
     cost: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(nnodes)]
+    adj: list[list[int]] = [[] for _ in range(len(active) + 1)]
 
     def add_arc(a: int, b: int, c: int, w: int) -> None:
         adj[a].append(len(to))
@@ -279,15 +290,13 @@ def _ssp_flow(
         cap.append(0)
         cost.append(-w)
 
-    edge_arc: dict[Edge, int] = {}
+    # A player's first arc is its arc to the sink.
     for p in active:
-        if coloring[p] == 0:
-            add_arc(SRC, ids[p], capacity[p], 0)
-        else:
-            add_arc(ids[p], SNK, capacity[p], 0)
+        add_arc(ids[p], SNK, capacity[p], 0)
     # Initial potentials from one relaxation pass over the source-to-sink
     # DAG: a sink-side player at its cheapest arc, the sink at their minimum.
-    pi: list[int] = [0] * nnodes
+    edge_arc: dict[Edge, int] = {}
+    pi: list[int] = [0] * len(adj)
     for (u, v) in inst.edges:
         if capacity[u] == 0 or capacity[v] == 0:
             continue
@@ -295,65 +304,53 @@ def _ssp_flow(
         w = -int_weights[(u, v)]
         edge_arc[(u, v)] = len(to)
         add_arc(ids[a], ids[b], 1, w)
-        for p in (u, v):
-            if coloring[p] == 1 and w < pi[ids[p]]:
-                pi[ids[p]] = w
+        if w < pi[ids[b]]:
+            pi[ids[b]] = w
     pi[SNK] = min([0] + [pi[ids[p]] for p in active if coloring[p] == 1])
 
     heappush, heappop = heapq.heappush, heapq.heappop
-    while True:
-        # None marks a node not reached; ints of any size compare exactly.
-        dist: list[int | None] = [None] * nnodes
-        settled = [False] * nnodes
-        parent = [-1] * nnodes
-        dist[SRC] = 0
-        heap = [(0, SRC)]
-        while heap:
-            d, node = heappop(heap)
-            if settled[node]:
-                continue
-            settled[node] = True
-            if node == SNK:
-                break
-            offset = d + pi[node]
-            for arc in adj[node]:
-                if cap[arc] <= 0:
+    for source in [ids[p] for p in active if coloring[p] == 0]:
+        unused = adj[source][0]
+        for _ in range(cap[unused]):
+            # `settled` maps each settled node to its dist, for the update below.
+            dist, parent, settled = {source: 0}, {}, {}
+            heap = [(0, source)]
+            while True:
+                d, node = heappop(heap)
+                if node in settled:
                     continue
-                head = to[arc]
-                nd = offset + cost[arc] - pi[head]
-                if nd < d:
-                    raise InternalError("negative reduced cost in the SSP engine")
-                known = dist[head]
-                if known is None or nd < known:
-                    dist[head] = nd
-                    parent[head] = arc
-                    heappush(heap, (nd, head))
-        cut = dist[SNK]
-        augment = cut is not None and cut + pi[SNK] < 0
-        if augment:
+                settled[node] = d
+                if node == SNK:
+                    break
+                offset = d + pi[node]
+                for arc in adj[node]:
+                    if cap[arc] <= 0:
+                        continue
+                    head = to[arc]
+                    nd = offset + cost[arc] - pi[head]
+                    if nd < d:
+                        raise InternalError("negative reduced cost in the SSP engine")
+                    known = dist.get(head)
+                    if known is None or nd < known:
+                        dist[head] = nd
+                        parent[head] = arc
+                        heappush(heap, (nd, head))
             node = SNK
-            while node != SRC:
+            while node != source:
                 arc = parent[node]
                 cap[arc] -= 1
                 cap[arc ^ 1] += 1
                 node = to[arc ^ 1]
-        else:
-            cut = max(0, -pi[SNK])
-        for k in range(nnodes):
-            dk = dist[k]
-            pi[k] += cut if dk is None or dk > cut else dk
-        if not augment:
-            break
+            for node, dk in settled.items():
+                pi[node] += dk - d
+            if parent[SNK] == unused:
+                break
 
     matched = frozenset(e for e, arc in edge_arc.items() if cap[arc] == 0)
-    prices: dict[str, int] = {}
+    prices = dict.fromkeys(inst.players, 0)
     for p in active:
-        if coloring[p] == 0:
-            prices[p] = max(0, pi[ids[p]])
-        else:
-            prices[p] = max(0, -pi[ids[p]])
-    for p in inst.players:
-        prices.setdefault(p, 0)
+        gap = pi[ids[p]] - pi[SNK]
+        prices[p] = max(0, gap if coloring[p] == 0 else -gap)
     return matched, prices
 
 

@@ -503,10 +503,11 @@ def test_wrong_utilities_fail_dual_from_stable(monkeypatch, heavy_edge_triangle,
 
 
 def test_negative_reduced_cost_fails_ssp():
-    inst = Instance(["a", "b"], {"a": 1, "b": 1}, [("a", "b", 3)])
-    # A coloring that puts both ends on the source side breaks the potentials.
+    inst = Instance(["a", "b", "c"], {p: 1 for p in "abc"}, [("a", "b", 1), ("b", "c", 5)])
+    # A coloring that puts both ends of ab on the source side breaks the
+    # potentials: a's search reaches b and scans b's arc to c.
     with pytest.raises(InternalError, match="reduced cost"):
-        matching._ssp_flow(inst, {("a", "b"): 3}, {"a": 0, "b": 0})
+        matching._ssp_flow(inst, {("a", "b"): 1, ("b", "c"): 5}, {"a": 0, "b": 0, "c": 1})
 
 
 _STABLE_PATH_PROBE = """
@@ -540,7 +541,8 @@ duals.utilities = lambda inst, sol: {p: q + 1 for p, q in real_utilities(inst, s
 read_back = raises(lambda: duals.dual_from_stable(inst, outcome.solution))
 duals.utilities = real_utilities
 ssp = raises(lambda: matching._ssp_flow(
-    Instance(["a", "b"], {"a": 1, "b": 1}, [("a", "b", 3)]), {("a", "b"): 3}, {"a": 0, "b": 0}))
+    Instance(["a", "b", "c"], {p: 1 for p in "abc"}, [("a", "b", 1), ("b", "c", 5)]),
+    {("a", "b"): 1, ("b", "c"): 5}, {"a": 0, "b": 0, "c": 1}))
 matching._engine = lambda net, base, *start: real_engine(net, base, *start) | {("a", "c")}
 print(split, read_back, ssp, main(["solve", sys.argv[1]]))
 """

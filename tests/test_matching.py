@@ -1,8 +1,11 @@
 import heapq
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablefixtures import generate, matching
 from stablefixtures.cover import duplicated_instance, max_half_b_matching_weight
@@ -359,3 +362,182 @@ def test_early_exit_ssp_matches_full_dijkstra():
         shapes["above_degree"] += any(inst.b(p) > len(inst.neighbors(p)) for p in inst.players)
         shapes["huge"] += F(10**12) in inst.edge_weights().values()
     assert min(shapes.values()) >= 40, shapes
+
+
+# ---------------------------------------------------------------------------
+# The per-player SSP engine against the super-source engine it replaced
+# ---------------------------------------------------------------------------
+
+
+def _super_source_ssp_flow(inst, int_weights, coloring):
+    """The SSP engine as it was before each unit was routed from its own
+    player, kept as an oracle: a super-source feeds every source-side
+    player, each Dijkstra stops once the sink is settled, and augmenting
+    goes on while the cheapest path costs less than 0."""
+    active = [p for p in inst.players if inst.b(p) > 0]
+    ids = {p: k + 2 for k, p in enumerate(active)}
+    SRC, SNK = 0, 1
+    nnodes = len(active) + 2
+    to, cap, cost = [], [], []
+    adj = [[] for _ in range(nnodes)]
+
+    def add_arc(a, b, c, w):
+        adj[a].append(len(to))
+        to.append(b)
+        cap.append(c)
+        cost.append(w)
+        adj[b].append(len(to))
+        to.append(a)
+        cap.append(0)
+        cost.append(-w)
+
+    edge_arc = {}
+    for p in active:
+        if coloring[p] == 0:
+            add_arc(SRC, ids[p], inst.b(p), 0)
+        else:
+            add_arc(ids[p], SNK, inst.b(p), 0)
+    pi = [0] * nnodes
+    for (u, v) in inst.edges:
+        if inst.b(u) == 0 or inst.b(v) == 0:
+            continue
+        a, b = (u, v) if coloring[u] == 0 else (v, u)
+        w = -int_weights[(u, v)]
+        edge_arc[(u, v)] = len(to)
+        add_arc(ids[a], ids[b], 1, w)
+        pi[ids[b]] = min(pi[ids[b]], w)
+    pi[SNK] = min([0] + [pi[ids[p]] for p in active if coloring[p] == 1])
+
+    while True:
+        dist = [None] * nnodes
+        settled = [False] * nnodes
+        parent = [-1] * nnodes
+        dist[SRC] = 0
+        heap = [(0, SRC)]
+        while heap:
+            d, node = heapq.heappop(heap)
+            if settled[node]:
+                continue
+            settled[node] = True
+            if node == SNK:
+                break
+            for arc in adj[node]:
+                if cap[arc] <= 0:
+                    continue
+                head = to[arc]
+                nd = d + pi[node] + cost[arc] - pi[head]
+                assert nd >= d
+                if dist[head] is None or nd < dist[head]:
+                    dist[head] = nd
+                    parent[head] = arc
+                    heapq.heappush(heap, (nd, head))
+        cut = dist[SNK]
+        augment = cut is not None and cut + pi[SNK] < 0
+        if augment:
+            node = SNK
+            while node != SRC:
+                arc = parent[node]
+                cap[arc] -= 1
+                cap[arc ^ 1] += 1
+                node = to[arc ^ 1]
+        else:
+            cut = max(0, -pi[SNK])
+        for k in range(nnodes):
+            pi[k] += cut if dist[k] is None or dist[k] > cut else dist[k]
+        if not augment:
+            break
+
+    matched = frozenset(e for e, arc in edge_arc.items() if cap[arc] == 0)
+    prices = dict.fromkeys(inst.players, 0)
+    for p in active:
+        prices[p] = max(0, pi[ids[p]] if coloring[p] == 0 else -pi[ids[p]])
+    return matched, prices
+
+
+# Few distinct values, so that ties are common.
+SSP_WEIGHTS = st.sampled_from((F(0), F(0), F(10**12), F(1), F(2), F(3), F(1, 2), F(5, 3), F(7, 6)))
+
+
+@st.composite
+def ssp_networks(draw):
+    """A bipartite game or the double cover of a general one, with
+    capacity-0 players, capacities 10^6 and more above the degree, isolated
+    players, and weights 0, 10^12 and small rationals."""
+    n = draw(st.integers(1, 10))
+    cover = draw(st.booleans())
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if cover or (j - i) % 2]
+    chosen = sorted(draw(st.lists(st.sampled_from(pairs), unique=True, max_size=16))) if pairs else []
+    degree = Counter(k for pair in chosen for k in pair)
+    players = [f"p{k}" for k in range(n)]
+    capacity = {
+        players[k]: draw(st.sampled_from((0, 1, 1, 2, 3, degree[k] + 10**6 + draw(st.integers(0, 9)))))
+        for k in range(n)
+    }
+    inst = Instance(players, capacity, [(players[i], players[j], draw(SSP_WEIGHTS)) for (i, j) in chosen])
+    return duplicated_instance(inst).instance if cover else inst
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(ssp_networks())
+def test_per_player_ssp_matches_super_source(inst):
+    """Routing each unit from its own player finds an optimum of the same
+    weight, the same integer prices and, on the perturbed weights, whose
+    optimum is unique, the same matched set."""
+    coloring = inst.two_coloring()
+    base = scale_to_integers(inst.edge_weights())[0]
+    for int_weights in (base, _perturbed(inst, base)):
+        got, prices = matching._ssp_flow(inst, int_weights, coloring)
+        want, want_prices = _super_source_ssp_flow(inst, int_weights, coloring)
+        assert sum(int_weights[e] for e in got) == sum(int_weights[e] for e in want)
+        assert prices == want_prices
+    assert got == want
+
+
+class _CountingHeapq:
+    """`heapq` for `matching` that counts Dijkstra searches: each search
+    pops from a heap of its own."""
+
+    heappush = staticmethod(heapq.heappush)
+
+    def __init__(self):
+        self.heaps = []
+
+    def heappop(self, heap):
+        if not self.heaps or self.heaps[-1] is not heap:
+            self.heaps.append(heap)
+        return heapq.heappop(heap)
+
+
+def _prices_are_optimal(inst, int_weights, matched, prices):
+    """Weak duality: the prices, with the pointwise smallest d, cost what
+    the matching weighs."""
+    y, d = matching._priced(inst, int_weights, prices)
+    return min(y.values()) >= 0 and matching._objective(inst, y, d) == sum(int_weights[e] for e in matched)
+
+
+def test_a_huge_capacity_costs_at_most_deg_plus_one_searches(monkeypatch):
+    leaves = [f"l{k}" for k in range(300)]
+    inst = Instance(
+        ["hub", *leaves],
+        {"hub": 10**12, **dict.fromkeys(leaves, 1)},
+        [("hub", leaf, 1 + k % 7) for k, leaf in enumerate(leaves)],
+    )
+    int_weights = scale_to_integers(inst.edge_weights())[0]
+    counter = _CountingHeapq()
+    monkeypatch.setattr(matching, "heapq", counter)
+    matched, prices = matching._ssp_flow(inst, int_weights, {"hub": 0, **dict.fromkeys(leaves, 1)})
+    assert 0 < len(counter.heaps) <= len(leaves) + 1
+    assert matched == frozenset(inst.edges)
+    assert prices["hub"] == 0 and _prices_are_optimal(inst, int_weights, matched, prices)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_a_full_player_with_b_above_its_degree_is_priced_zero(side):
+    """u meets both its edges with one unit of b left, so complementary
+    slackness prices it at 0, on either side of the network."""
+    inst = Instance(["u", "v", "x"], {"u": 3, "v": 1, "x": 1}, [("u", "v", 4), ("u", "x", 6)])
+    int_weights = {("u", "v"): 4, ("u", "x"): 6}
+    coloring = {"u": side, "v": 1 - side, "x": 1 - side}
+    matched, prices = matching._ssp_flow(inst, int_weights, coloring)
+    assert matched == frozenset(inst.edges)
+    assert prices["u"] == 0 and _prices_are_optimal(inst, int_weights, matched, prices)
