@@ -11,9 +11,12 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from .cover import _cover_pass
-from .errors import InputError, InternalError, NotBipartiteError, PreconditionError
+from .errors import (
+    DualityGapError, InputError, InternalError, NotBipartiteError, NotMaximumWeightError,
+    PreconditionError,
+)
 from .instance import Edge, Instance
-from .matching import DualSolution, _fraction_dual, _objective, _priced, lp_optimum, weight
+from .matching import DualSolution, _fraction_dual, _objective, _priced, is_b_matching, lp_optimum, weight
 from .rationals import common_denominator, format_rational, scale_to_integers
 from .solver import _split_arguments, _stable_solution
 from .stability import Solution, require_stable, utilities
@@ -147,9 +150,11 @@ def stable_from_dual(
     split_rule "half" shares each matched slack d(ij) equally; "seller_side"
     hands it entirely to the buyer, reproducing uniform seller prices on
     bipartite instances. Its arguments are checked first, as `solve`'s are
-    (`solver._split_arguments`); then it is certified and split by
-    `solver._stable_solution`, on the common denominator of the dual and
-    the weights.
+    (`solver._split_arguments`). Then, on the common denominator of the
+    dual and the weights, the matching and the dual are certified by weak
+    duality: a feasible dual whose objective is w(M) proves M maximum and
+    every matched edge tight. A gap is classified by one `lp_optimum`.
+    `solver._stable_solution` splits the certified dual.
     """
     sellers = _split_arguments(inst, split_rule, sellers)
     m = inst.canonical_edge_set(matching)
@@ -161,8 +166,25 @@ def stable_from_dual(
     y = {p: dual.y[p] for p in inst.players}
     d = {e: d[e] for e in inst.edges}
     n = common_denominator([*inst.edge_weights().values(), *y.values(), *d.values()])
-    scaled = ({p: int(q * n) for p, q in y.items()}, {e: int(q * n) for e, q in d.items()}, n)
-    return _stable_solution(inst, m, scaled, split_rule, sellers)
+    y, d = {p: int(q * n) for p, q in y.items()}, {e: int(q * n) for e, q in d.items()}
+    if not is_b_matching(inst, m):
+        raise PreconditionError("given edge set is not a b-matching")
+    w = {e: int(q * n) for e, q in inst.edge_weights().items()}
+    negative = [k for k, q in (*y.items(), *d.items()) if q < 0]
+    short = [(u, v) for (u, v) in inst.edges if y[u] + y[v] + d[(u, v)] < w[(u, v)]]
+    if negative or short:
+        raise PreconditionError(f"infeasible dual: negative at {negative}, short on edges {short}")
+    w_m = sum(w[e] for e in m)
+    if _objective(inst, y, d) != w_m:
+        w_m, optimum = Fraction(w_m, n), lp_optimum(inst).weight
+        if w_m != optimum:
+            raise NotMaximumWeightError(
+                f"matching weight {format_rational(w_m)} below optimum {format_rational(optimum)}"
+            )
+        raise DualityGapError(
+            "dual objective differs from the matching weight; no stable solution"
+        )
+    return _stable_solution(inst, m, (y, d, n), split_rule, sellers)
 
 
 def dual_from_stable(inst: Instance, sol: Solution) -> DualSolution:

@@ -12,17 +12,18 @@ is bipartite, on its bipartite double cover otherwise) turns a
 maximum-weight b-matching into stable payoffs p(i,j) = y(i) + xi(i,j) with
 xi splitting the slack d(ij) of each matched edge.
 
-`solve` checks its arguments (`_split_arguments`), reads one
-`matching._lp_optimum` and certifies its tie-broken b-matching once against
-the pass's integer dual (`_stable_solution`); `require_stable` on the
-finished solution is the last check. A game without a stable solution
-prints only its b-matching's weight, which the warm whole-game engine
-finds, and its witness is tie-broken on the double cover's
-complementary-slack residual alone (`cover._half_witness`). Each answer
-imports only what it runs: the stable one `stability`, the other `cover`.
-The `Fraction` dual path (`stable_from_dual`, ...) lives in `duals`;
-`solver` resolves four of its names only for perfbench (PEP 562), and
-binds `DualSolution`, which perfbench also reads here.
+`solve` checks its arguments (`_split_arguments`) and reads one
+`matching._lp_optimum`, which certifies its tie-broken b-matching and
+integer dual by weak duality; `_stable_solution` splits that dual, and one
+stability pass on the payoffs, whose failure is an InternalError, is the
+last check. A game without a stable solution prints only its b-matching's
+weight, which the warm whole-game engine finds, and its witness is
+tie-broken on the double cover's complementary-slack residual alone
+(`cover._half_witness`). Each answer imports only what it runs: the stable
+one `stability`, the other `cover`. The `Fraction` dual path
+(`stable_from_dual`, which certifies a caller's dual itself) lives in
+`duals`; `solver` resolves four of its names only for perfbench (PEP 562),
+and binds `DualSolution`, which perfbench also reads here.
 
 Pure pipeline over immutable inputs; no global state.
 """
@@ -33,9 +34,9 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from . import _moved_from
-from .errors import DualityGapError, InputError, InternalError, NotMaximumWeightError, PreconditionError
+from .errors import InputError, InternalError
 from .instance import SPLIT_RULES, Instance
-from .matching import DualSolution, _lp_optimum, _objective, is_b_matching, lp_optimum
+from .matching import DualSolution, _lp_optimum
 from .rationals import format_rational
 
 if TYPE_CHECKING:
@@ -75,33 +76,17 @@ def _split_arguments(inst: Instance, split_rule: str, sellers: Iterable[str] | N
 
 
 def _stable_solution(inst, m, scaled, split_rule, sellers) -> Solution:
-    """Certify the b-matching m against a dual, given as `scaled` = (y, d,
-    denom), the dual times denom, and split it into payoffs over 2 * denom,
-    for arguments that `_split_arguments` checked. Weak duality: a feasible
-    dual whose objective is w(M) certifies M maximum and every matched edge
-    tight.
+    """Split a certified optimal dual, given as `scaled` = (y, d, denom), the
+    dual times denom, into payoffs on the maximum-weight b-matching m over
+    2 * denom, for arguments that `_split_arguments` checked. The caller has
+    certified both by weak duality (`matching._lp_optimum` for `solve`,
+    `duals.stable_from_dual` for a caller's dual), so every matched edge is
+    tight and the payoffs are stable; one final compatibility-and-stability
+    check confirms it, and its failure is an InternalError.
     """
-    from .stability import PayoffMatrix, Solution, require_stable, resolve_sides
+    from .stability import PayoffMatrix, Solution, _require_own_stable, resolve_sides
 
     y, d, denom = scaled
-    if not is_b_matching(inst, m):
-        raise PreconditionError("given edge set is not a b-matching")
-    w = {e: q.numerator * (denom // q.denominator) for e, q in inst.edge_weights().items()}
-    negative = [k for k, q in (*y.items(), *d.items()) if q < 0]
-    short = [(u, v) for (u, v) in inst.edges if y[u] + y[v] + d[(u, v)] < w[(u, v)]]
-    if negative or short:
-        raise PreconditionError(f"infeasible dual: negative at {negative}, short on edges {short}")
-    w_m = sum(w[e] for e in m)
-    if _objective(inst, y, d) != w_m:
-        w_m, optimum = Fraction(w_m, denom), lp_optimum(inst).weight
-        if w_m != optimum:
-            raise NotMaximumWeightError(
-                f"matching weight {format_rational(w_m)} below optimum {format_rational(optimum)}"
-            )
-        raise DualityGapError(
-            "dual objective differs from the matching weight; no stable solution"
-        )
-
     side = resolve_sides(inst, sellers) if split_rule == "seller_side" else None
     payoffs: PayoffMatrix = {}
     for (u, v) in m:
@@ -110,14 +95,10 @@ def _stable_solution(inst, m, scaled, split_rule, sellers) -> Solution:
             xi_u = d[(u, v)]
         else:
             xi_u = 0 if u in side else d_uv
-        p_uv, p_vu = 2 * y[u] + xi_u, 2 * y[v] + (d_uv - xi_u)
-        # Complementary slackness makes the matched constraint tight.
-        if p_uv + p_vu != 2 * w[(u, v)]:
-            raise InternalError(f"payoffs on {u}-{v} do not split its weight")
-        payoffs[(u, v)] = Fraction(p_uv, 2 * denom)
-        payoffs[(v, u)] = Fraction(p_vu, 2 * denom)
+        payoffs[(u, v)] = Fraction(2 * y[u] + xi_u, 2 * denom)
+        payoffs[(v, u)] = Fraction(2 * y[v] + d_uv - xi_u, 2 * denom)
     sol = Solution(matching=m, payoffs=payoffs)
-    require_stable(inst, sol)
+    _require_own_stable(inst, sol, "the dual split")
     return sol
 
 
@@ -131,9 +112,9 @@ def solve(
 
     `lp_optimum` gives the half-b-matching optimum, an optimal dual and the
     tie-broken b-matching, matched on the dual's complementary-slack
-    residual where that reaches the half optimum; `_stable_solution`
-    certifies the stable answer once against the same dual, in the scaled
-    integers the pass produced. Otherwise only the b-matching's weight is
+    residual where that reaches the half optimum, both certified by weak
+    duality; `_stable_solution` splits the same dual, in the scaled integers
+    the pass produced. Otherwise only the b-matching's weight is
     printed, which the warm whole-game engine finds, and the witness is the
     double cover's forced edges plus the tie-broken optimum of its own
     complementary-slack residual (`cover._half_witness`). An unknown

@@ -16,8 +16,8 @@ from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
-    IncompatibleSolutionError, InputError, NotBipartiteError, PreconditionError, UnknownEdgeError,
-    UnstableSolutionError,
+    IncompatibleSolutionError, InputError, InternalError, NotBipartiteError, PreconditionError,
+    UnknownEdgeError, UnstableSolutionError,
 )
 from .instance import SPLIT_RULES, Edge, Instance, _spanning_forest  # noqa: F401 (re-exported)
 from .rationals import format_rational, parse_rational
@@ -147,6 +147,16 @@ def require_stable(inst: Instance, sol: Solution) -> StabilityVerdict:
     if not verdict.stable:
         raise UnstableSolutionError(f"blocking pairs: {list(verdict.blocking_pairs)}")
     return verdict
+
+
+def _require_own_stable(inst: Instance, sol: Solution, source: str) -> None:
+    """`require_stable` on a solution that `source` built itself: its one
+    compatibility-and-stability pass failing is a bug, not bad input, so it
+    raises InternalError."""
+    try:
+        require_stable(inst, sol)
+    except (IncompatibleSolutionError, UnstableSolutionError) as exc:
+        raise InternalError(f"{source} produced an incompatible or unstable solution: {exc}") from None
 
 
 def total_payoff(inst: Instance, payoffs: Mapping[tuple[str, str], Fraction]) -> dict[str, Fraction]:

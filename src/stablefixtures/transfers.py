@@ -18,7 +18,7 @@ from .instance import Edge, Instance
 from .matching import is_b_matching, lp_optimum, weight
 from .rationals import format_rational, scale_to_integers
 from .reduction import ReducedInstance, reduce_instance
-from .stability import PayoffMatrix, Solution, _utilities_unchecked, check_solution, is_stable
+from .stability import PayoffMatrix, Solution, _require_own_stable, _utilities_unchecked
 from .stability import require_compatible, require_stable, resolve_sides, total_payoff
 
 
@@ -75,8 +75,7 @@ def rematch(inst: Instance, sol: Solution, new_matching: Iterable[tuple[str, str
         payoffs[(i, j)] = sol.payoff(i, j) if shared else u[i]
         payoffs[(j, i)] = sol.payoff(j, i) if shared else u[j]
     out = Solution(matching=target, payoffs=payoffs)
-    if check_solution(inst, out) or not is_stable(inst, out).stable:
-        raise InternalError("rematch produced an incompatible or unstable solution")
+    _require_own_stable(inst, out, "rematch")
     if not are_equivalent(inst, sol, out):
         raise InternalError("rematch produced a non-equivalent payoff vector")
     return out
@@ -110,7 +109,7 @@ def meet_join(
         payoffs[(i, j)] = seller_part
         payoffs[(j, i)] = inst.weight(i, j) - seller_part
     out = Solution(matching=sol_a.matching, payoffs=payoffs)
-    require_stable(inst, out)
+    _require_own_stable(inst, out, "meet_join")
     return out
 
 
@@ -131,7 +130,7 @@ def to_competitive_equilibrium(
         payoffs[(i, j)] = u[i]
         payoffs[(j, i)] = inst.weight(i, j) - u[i]
     out = Solution(matching=sol.matching, payoffs=payoffs)
-    require_stable(inst, out)
+    _require_own_stable(inst, out, "to_competitive_equilibrium")
     return out
 
 
@@ -231,28 +230,13 @@ def _vertex_solution(
 def srp_rematch(
     g: Instance, sol: Solution, new_matching: Iterable[tuple[str, str]]
 ) -> Solution:
-    """Re-seat a stable unit-capacity solution on another maximum matching.
-
-    The per-vertex payoff values are kept verbatim; because the total payoff
-    vector of a stable solution is a core allocation, those values are
-    automatically compatible with any other maximum-weight matching.
+    """Re-seat a stable unit-capacity solution on another maximum matching:
+    `rematch` for b = 1, where a matched vertex's one payoff is its
+    utility, so every vertex keeps its total payoff.
     """
     if any(g.b(p) != 1 for p in g.players):
         raise PreconditionError("srp_rematch requires unit capacities")
-    require_stable(g, sol)
-    target = g.canonical_edge_set(new_matching)
-    if not is_b_matching(g, target):
-        raise PreconditionError("target edge set is not a matching")
-    optimum = lp_optimum(g).weight
-    if weight(g, target) != optimum:
-        raise NotMaximumWeightError(
-            f"target weight {format_rational(weight(g, target))}"
-            f" != optimum {format_rational(optimum)}"
-        )
-    vertex_pay = total_payoff(g, sol.payoffs)
-    out = _vertex_solution(g, target, vertex_pay)
-    require_stable(g, out)
-    return out
+    return rematch(g, sol, new_matching)
 
 
 def lift_stable(
@@ -275,7 +259,7 @@ def lift_stable(
         payoffs[(i, j)] = vertex_pay[reduced.inner[(i, j)]]
         payoffs[(j, i)] = vertex_pay[reduced.inner[(j, i)]]
     out = Solution(matching=matching, payoffs=payoffs)
-    require_stable(inst, out)
+    _require_own_stable(inst, out, "lift_stable")
     return out
 
 

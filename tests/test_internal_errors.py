@@ -3,10 +3,10 @@
 Once the half-b-matching optimum comes from a single unperturbed pass, the
 dual certificate check is the only guard on it, so it must not be an
 `assert`. The same holds for the checks on the stable answer read off the
-dual: the residual matching, the payoff split and the SSP reduced costs.
-pytest rewrites the asserts of test modules into explicit checks, so this
-module also tests something when pytest itself runs under `python -O` (as
-the CI does).
+dual: the residual matching, the final stability check and the SSP
+reduced costs. pytest rewrites the asserts of test modules into explicit
+checks, so this module also tests something when pytest itself runs under
+`python -O` (as the CI does).
 """
 
 import json
@@ -19,11 +19,13 @@ from pathlib import Path
 import pytest
 
 import stablefixtures
-from stablefixtures import cover, duals, generate, matching, solver
+from stablefixtures import cover, duals, generate, matching, solver, stability, transfers
 from stablefixtures.cli import EXIT_INTERNAL, main
 from stablefixtures.errors import InternalError, StableFixturesError
 from stablefixtures.instance import Instance, instance_to_json
 from stablefixtures.rationals import scale_to_integers
+from stablefixtures.reduction import reduce_instance
+from stablefixtures.stability import Solution
 
 
 def _overpriced_ssp(monkeypatch):
@@ -342,7 +344,7 @@ def test_certificate_checks_survive_python_O(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Checks on the stable path: residual matching, payoff split, dual read-back
+# Checks on the stable path: residual matching, final stability check, dual read-back
 # ---------------------------------------------------------------------------
 
 
@@ -480,9 +482,45 @@ def test_unsplit_payoffs_fail_stable_from_dual(monkeypatch, heavy_edge_triangle)
     loose = solver.DualSolution(y=outcome.dual.y, d=d)
     # Only a lying objective lets a loose matched edge reach the split; the
     # dual and the weights are integers, so w(M) = 4 is 4 on the scale too.
-    monkeypatch.setattr(solver, "_objective", lambda inst, y, d: 4)
-    with pytest.raises(InternalError, match="split"):
+    monkeypatch.setattr(duals, "_objective", lambda inst, y, d: 4)
+    with pytest.raises(InternalError, match="dual split produced an incompatible"):
         duals.stable_from_dual(inst, outcome.solution.matching, loose)
+
+
+def test_unstable_final_answer_fails_solve(monkeypatch, capsys, tmp_path):
+    """A stable `solve` is certified by the LP pass, so its final stability
+    check failing is an internal error, not a caller's precondition."""
+    path = tmp_path / "example2.json"
+    path.write_text(json.dumps(instance_to_json(generate("example2").instance)))
+    monkeypatch.setattr(
+        stability, "_utilities_unchecked", lambda inst, sol: dict.fromkeys(inst.players, F(0))
+    )
+    assert main(["solve", str(path)]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal: the dual split produced an incompatible or unstable")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("name", ["meet_join", "to_competitive_equilibrium", "lift_stable"])
+def test_unstable_transfer_output_fails_internally(monkeypatch, name):
+    """The transfers check their own output last; a stable input that comes
+    out unstable is a bug, so it raises InternalError."""
+    inst = generate("example2").instance
+    sol = solver.solve(inst).solution
+    reduced = reduce_instance(inst)
+    reduced_sol = transfers.reduce_solution(inst, sol, reduced)
+    calls = {
+        "meet_join": lambda: transfers.meet_join(inst, sol, sol, "join"),
+        "to_competitive_equilibrium": lambda: transfers.to_competitive_equilibrium(inst, sol),
+        "lift_stable": lambda: transfers.lift_stable(inst, reduced, reduced_sol),
+    }
+    # Every solution that `transfers` builds pays 0 on each matched edge.
+    monkeypatch.setattr(
+        transfers, "Solution", lambda matching, payoffs: Solution(matching, dict.fromkeys(payoffs, F(0)))
+    )
+    with pytest.raises(InternalError, match="produced an incompatible or unstable solution"):
+        calls[name]()
 
 
 @pytest.mark.parametrize(
@@ -524,7 +562,7 @@ outcome = solver.solve(inst)
 d = dict(outcome.dual.d)
 d[("a", "b")] += 1
 real_objective, real_utilities, real_engine = (
-    solver._objective, duals.utilities, matching._engine)
+    duals._objective, duals.utilities, matching._engine)
 
 def raises(call):
     try:
@@ -533,10 +571,10 @@ def raises(call):
         return True
     return False
 
-solver._objective = lambda inst, y, d: 4
+duals._objective = lambda inst, y, d: 4
 split = raises(lambda: duals.stable_from_dual(
     inst, outcome.solution.matching, solver.DualSolution(y=outcome.dual.y, d=d)))
-solver._objective = real_objective
+duals._objective = real_objective
 duals.utilities = lambda inst, sol: {p: q + 1 for p, q in real_utilities(inst, sol).items()}
 read_back = raises(lambda: duals.dual_from_stable(inst, outcome.solution))
 duals.utilities = real_utilities

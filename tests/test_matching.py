@@ -342,8 +342,10 @@ def _bipartite_network(rng):
 
 
 def test_early_exit_ssp_matches_full_dijkstra():
-    """Stopping Dijkstra at the sink changes neither the matched set nor
-    the integer prices, with plain and with perturbed weights."""
+    """Stopping Dijkstra at the sink changes neither the matched weight nor
+    the integer prices, with plain and with perturbed weights, nor, on the
+    perturbed weights, whose optimum is unique, the matched set. Plain
+    optima tie, so there either matched set is correct."""
     rng = random.Random(20261018)
     shapes = {"components": 0, "isolated": 0, "zero_b": 0, "above_degree": 0, "huge": 0}
     for _ in range(320):
@@ -352,8 +354,11 @@ def test_early_exit_ssp_matches_full_dijkstra():
         assert coloring is not None
         base = scale_to_integers(inst.edge_weights())[0]
         for int_weights in (base, _perturbed(inst, base)):
-            expected = _full_dijkstra_ssp_flow(inst, int_weights, coloring)
-            assert matching._ssp_flow(inst, int_weights, coloring) == expected, inst
+            got, prices = matching._ssp_flow(inst, int_weights, coloring)
+            want, want_prices = _full_dijkstra_ssp_flow(inst, int_weights, coloring)
+            assert sum(int_weights[e] for e in got) == sum(int_weights[e] for e in want), inst
+            assert prices == want_prices, inst
+        assert got == want, inst
         # Each isolated player is a component of its own.
         roots, _ = _spanning_forest(inst.edges)
         shapes["components"] += len({roots.get(p, p) for p in inst.players}) > 1

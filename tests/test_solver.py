@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from stablefixtures import generate, solver
+from stablefixtures import generate, matching, solver
 from stablefixtures.errors import (
     DualityGapError,
     InputError,
@@ -290,6 +290,40 @@ def test_solve_matches_existence_test():
         inst = random_instance(rng, n_range=(3, 7), b_range=(1, 3))
         opt = lp_optimum(inst)
         assert solve(inst).stable == (opt.weight == opt.half)
+
+
+def test_a_stable_solve_runs_the_engines_only_in_its_lp_pass(monkeypatch, example1, example2):
+    """`_lp_optimum` certifies the stable answer by weak duality, so nothing
+    after it re-solves the game."""
+    inside, calls = [False], []
+    real_pass = solver._lp_optimum
+
+    def lp_pass(inst):
+        inside[0] = True
+        try:
+            return real_pass(inst)
+        finally:
+            inside[0] = False
+
+    def spy(name):
+        real = getattr(matching, name)
+
+        def call(*args):
+            calls.append((name, inside[0]))
+            return real(*args)
+
+        monkeypatch.setattr(matching, name, call)
+
+    games = [example1[0], example2[0], *(random_instance(random.Random(k), n_range=(4, 8)) for k in range(30))]
+    stable = [inst for inst in games if solve(inst).stable]
+    assert len(stable) >= 10
+    monkeypatch.setattr(solver, "_lp_optimum", lp_pass)
+    spy("lp_optimum")
+    spy("_engine")
+    for inst in stable:
+        solve(inst)
+    assert ("_engine", True) in calls
+    assert all(within for _, within in calls), calls
 
 
 def test_complementary_slackness_clean_single_edge():
