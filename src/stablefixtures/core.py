@@ -182,7 +182,9 @@ def _b2_constraint_search(inst: Instance, x, scaled=None) -> tuple[str, ...] | N
     """First violated path/cycle coalition among b in {1, 2} players.
 
     The systems admit every cycle of capacity-2 players at its cost
-    x(V(C)) - w(C), so a negative cycle makes the optimum negative too.
+    x(V(C)) - w(C), so a negative cycle makes the optimum negative too. The
+    optimum sums its components' costs, so the first, cheapest, is then
+    negative.
     `scaled` is the weights and x already put through `scale_to_integers`.
     """
     from .cycles import min_path_cycle_system
@@ -195,10 +197,7 @@ def _b2_constraint_search(inst: Instance, x, scaled=None) -> tuple[str, ...] | N
         scaled=scaled,
     )
     if total < 0:
-        worst = components[0]
-        if worst.cost >= 0:
-            raise InternalError("negative path/cycle system has no negative component")
-        return tuple(sorted(worst.vertices, key=inst.index))
+        return tuple(sorted(components[0].vertices, key=inst.index))
     return None
 
 

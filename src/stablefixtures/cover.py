@@ -14,7 +14,7 @@ from typing import Mapping, NamedTuple
 
 from .errors import InternalError
 from .instance import Edge, Instance, _fresh_name
-from .matching import _certified_pass, _slack_matching, weight
+from .matching import _certified_pass, _slack_matching
 from .rationals import format_rational, parse_rational, scale_to_integers
 
 
@@ -85,11 +85,13 @@ def max_half_b_matching_weight(inst: Instance) -> tuple[Fraction, HalfBMatching]
 
     Computed as the maximum-weight b-matching of the duplicated instance,
     read off its optimal dual (`_cover_pass`, `_half_witness`):
-    f(ij) = (x(i'j'') + x(i''j')) / 2 preserves the weight exactly. Callers
-    that need only the value should use `matching.lp_optimum`, whose
-    unperturbed pass gives it as `half`.
+    f(ij) = (x(i'j'') + x(i''j')) / 2 preserves the weight exactly, so the
+    value is the cover's optimum. Callers that need only the value should
+    use `matching.lp_optimum`, whose unperturbed pass gives it as `half`.
     """
-    return _half_witness(inst, _cover_pass(inst, *scale_to_integers(inst.edge_weights()))[3])
+    base, scale = scale_to_integers(inst.edge_weights())
+    half, _, _, state = _cover_pass(inst, base, scale)
+    return Fraction(half, 2 * scale), _half_witness(inst, state)
 
 
 def _cover_pass(inst: Instance, base: Mapping[Edge, int], scale: int):
@@ -117,36 +119,31 @@ def _cover_pass(inst: Instance, base: Mapping[Edge, int], scale: int):
     return half, y, d, (dup, cover_base, half, cy, cd)
 
 
-def _half_witness(inst: Instance, state) -> tuple[Fraction, HalfBMatching]:
-    """`max_half_b_matching_weight` from the cover's state that
-    `_cover_pass` returns: the double cover, its integer weights, their
-    optimum and an optimal dual (y, d) on that scale.
+def _half_witness(inst: Instance, state) -> HalfBMatching:
+    """The tie-broken witness of `max_half_b_matching_weight`, from the
+    cover's state that `_cover_pass` returns: the double cover, its integer
+    weights, their optimum and an optimal dual (y, d) on that scale.
 
     The cover's tie-broken optimum is its forced edges plus the tie-broken
     optimum of its complementary-slack residual (`_slack_matching`), whose
-    edges keep their relative order. The cover's LP is integral, so with an
-    optimal dual the two reach the optimum; InternalError if they fall short.
+    edges keep their relative order. It folds to f(ij) = hits(ij) / 2 over
+    ij's two cross edges, which both weigh base(ij) on the cover's scale.
+    The cover's LP is integral, so with an optimal dual the sum of
+    hits(ij) * base(ij) is the optimum; InternalError if it falls short or
+    the fold is no half-b-matching.
     """
     dup, cover_base, half, y, d = state
     matching, _ = _slack_matching(dup.instance, cover_base, y, d)
-    if sum(cover_base[e] for e in matching) != half:
-        raise InternalError(
-            "double cover's forced and residual edges fall short of its optimum"
-        )
-    dup_weight = weight(dup.instance, matching)
-    values: dict[Edge, Fraction] = {}
+    key = dup.instance.edge_key
+    total, values = 0, {}
     for (i, j) in inst.edges:
-        hits = 0
-        for (a, b) in ((dup.left[i], dup.right[j]), (dup.left[j], dup.right[i])):
-            if dup.instance.edge_key(a, b) in matching:
-                hits += 1
+        cross = (key(dup.left[i], dup.right[j]), key(dup.left[j], dup.right[i]))
+        hits = sum(e in matching for e in cross)
+        total += hits * cover_base[cross[0]]
         values[(i, j)] = Fraction(hits, 2)
-    witness = HalfBMatching(values)
-    if not is_half_b_matching(inst, values) or witness.weight(inst) != dup_weight:
-        raise InternalError(
-            "double-cover matching does not fold to a half-b-matching of its weight"
-        )
-    return dup_weight, witness
+    if total != half or not is_half_b_matching(inst, values):
+        raise InternalError("double cover's forced and residual edges fall short of its optimum")
+    return HalfBMatching(values)
 
 
 def half_matching_to_json(inst: Instance, half: HalfBMatching) -> list:

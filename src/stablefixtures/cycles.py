@@ -67,7 +67,8 @@ def min_path_cycle_system(
     pays the second half of x(v) when v ends a path; a capacity-1 vertex
     has one optional slot at price x(v). So only edges between capacity-2
     vertices get end nodes, and the gadget's profit is minus twice the
-    scaled cost of the system it selects, which certifies the read-back.
+    scaled cost of the system it selects, which certifies the read-back in
+    those integers before each component's cost becomes a `Fraction`.
     """
     for v in vertices:
         if capacity[v] not in (1, 2):
@@ -93,14 +94,16 @@ def min_path_cycle_system(
 
     edges = [(u, v, 2 * scaled[(u, v)]) for (u, v) in weights]
     selected, profit = max_weight_degree_subgraph(slots, edges, extra, mandatory)
-    components = _split_components(selected, x, weights)
-    total = sum((c.cost for c in components), Fraction(0))
-    if profit != -2 * scale * total:
+    components, total = _split_components(selected, scaled)
+    if profit != -2 * total:
         raise InternalError("path/cycle gadget matching does not weigh minus its system's cost")
-    return total, components
+    return Fraction(total, scale), [c._replace(cost=Fraction(c.cost, scale)) for c in components]
 
 
-def _split_components(selected, x, weights) -> list[SystemComponent]:
+def _split_components(selected, scaled) -> tuple[list[SystemComponent], int]:
+    """The components of the edge set `selected`, each costing x(V) - w(E)
+    in the scaled integers `scaled` (vertex and edge keys), sorted by cost
+    and vertices, and their total cost on that scale."""
     root, _ = _spanning_forest(selected)
     nodes: dict[str, list[str]] = {}
     for v in sorted(root):
@@ -114,19 +117,10 @@ def _split_components(selected, x, weights) -> list[SystemComponent]:
         kind = "cycle" if len(comp_edges) == len(comp_nodes) else "path"
         if len(comp_edges) not in (len(comp_nodes), len(comp_nodes) - 1):
             raise InternalError(f"component at {comp_nodes[0]} is neither a path nor a cycle")
-        cost = sum((x[v] for v in comp_nodes), Fraction(0)) - sum(
-            (weights[e] for e in comp_edges), Fraction(0)
-        )
-        out.append(
-            SystemComponent(
-                kind=kind,
-                vertices=tuple(comp_nodes),
-                edges=tuple(comp_edges),
-                cost=cost,
-            )
-        )
+        cost = sum(scaled[v] for v in comp_nodes) - sum(scaled[e] for e in comp_edges)
+        out.append(SystemComponent(kind, tuple(comp_nodes), tuple(comp_edges), cost))
     out.sort(key=lambda c: (c.cost, c.vertices))
-    return out
+    return out, sum(c.cost for c in out)
 
 
 # ---------------------------------------------------------------------------

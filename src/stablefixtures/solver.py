@@ -17,8 +17,9 @@ xi splitting the slack d(ij) of each matched edge.
 integer dual by weak duality; `_stable_solution` splits that dual, and one
 stability pass on the payoffs, whose failure is an InternalError, is the
 last check. A game without a stable solution prints only its b-matching's
-weight, which the warm whole-game engine finds, and its witness is
-tie-broken on the double cover's complementary-slack residual alone
+weight, which the warm whole-game engine finds, and its witness, tie-broken
+on the double cover's complementary-slack residual alone and certified
+there, in the pass's integers, to reach the half optimum
 (`cover._half_witness`). Each answer imports only what it runs: the stable
 one `stability`, the other `cover`. The `Fraction` dual path
 (`stable_from_dual`, which certifies a caller's dual itself) lives in
@@ -34,7 +35,7 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from . import _moved_from
-from .errors import InputError, InternalError
+from .errors import InputError
 from .instance import SPLIT_RULES, Instance
 from .matching import DualSolution, _lp_optimum
 from .rationals import format_rational
@@ -117,7 +118,8 @@ def solve(
     the pass produced. Otherwise only the b-matching's weight is
     printed, which the warm whole-game engine finds, and the witness is the
     double cover's forced edges plus the tie-broken optimum of its own
-    complementary-slack residual (`cover._half_witness`). An unknown
+    complementary-slack residual, which `cover._half_witness` certifies to
+    reach the half optimum. An unknown
     `split_rule` or a seller who is not a player is refused first, on
     either branch.
     """
@@ -127,17 +129,11 @@ def solve(
         # A bipartite game is always stable, so the pass ran on the cover.
         from .cover import _half_witness
 
-        witness_weight, witness = _half_witness(inst, cover)
-        if witness_weight != opt.half:
-            raise InternalError(
-                f"half-b-matching witness weighs {format_rational(witness_weight)}, "
-                f"optimum is {format_rational(opt.half)}"
-            )
         return SolveOutcome(
             stable=False,
             matching_weight=opt.weight,
             half_weight=opt.half,
-            witness=witness,
+            witness=_half_witness(inst, cover),
         )
     sol = _stable_solution(inst, opt.matching, scaled, split_rule, sellers)
     return SolveOutcome(

@@ -19,7 +19,7 @@ from .errors import (
     IncompatibleSolutionError, InputError, InternalError, NotBipartiteError, PreconditionError,
     UnknownEdgeError, UnstableSolutionError,
 )
-from .instance import SPLIT_RULES, Edge, Instance, _spanning_forest  # noqa: F401 (re-exported)
+from .instance import Edge, Instance, _spanning_forest
 from .rationals import format_rational, parse_rational
 
 PayoffMatrix = dict[tuple[str, str], Fraction]

@@ -98,6 +98,13 @@ IDS_NO_STABLE = _instance(
 )  # fmt: skip
 
 
+TRIANGLE = _instance(
+    ["a", "b", "c"],
+    {"a": 1, "b": 1, "c": 1},
+    [_edge("a", "b", "1"), _edge("a", "c", "1"), _edge("b", "c", "1")],
+)
+
+
 def _allocation(x):
     return {"allocation": x}
 
@@ -130,11 +137,27 @@ ADVERSARIAL = (
      {"g.json": _instance(["a", "b"], {"a": 1, "b": 1}, [_edge("a", "b", 1.5)])}),
     (["solve", "g.json"],
      {"g.json": _instance(["a", "b"], {"a": 1, "b": 1}, [_edge("a", "b", "1"), _edge("a", "a", "1")])}),
+    # Rejections at the boundary: malformed instance, allocation and
+    # solution files, a file that does not exist, a matching over capacity
+    # and the command line's own edge cases.
+    (["solve", "g.json"], {"g.json": []}),
+    (["solve", "g.json"], {"g.json": {"players": ["a", "b"], "edges": [_edge("a", "b", "1")]}}),
+    (["solve", "g.json"], {"g.json": _instance(["a", "b"], {"a": 1, "b": 1}, [{"u": "a"}])}),
+    (["solve", "missing.json"], {}),
+    (["core-check", "g.json", "x.json"], {"g.json": TRIANGLE, "x.json": _allocation({"a": "1"})}),
+    (["core-check", "g.json", "x.json"], {"g.json": TRIANGLE, "x.json": _allocation(["1", "0", "0"])}),
+    (["core-check", "g.json", "x.json"], {"g.json": TRIANGLE, "x.json": []}),
+    (["verify-stable", "g.json", "s.json"],
+     {"g.json": TRIANGLE, "s.json": {"matching": [{"u": "a", "v": "b"}, {"u": "a", "v": "c"}]}}),
+    (["verify-stable", "g.json", "s.json"], {"g.json": TRIANGLE, "s.json": []}),
+    (["solve", "g.json", "--split-rule"], {"g.json": TRIANGLE}),
+    (["solve", "--", "g.json"], {"g.json": TRIANGLE}),
 )  # fmt: skip
 
 
 def run_request(argv, files) -> dict:
-    """Run one CLI request in a fresh directory holding its files."""
+    """Run one CLI request in a fresh directory holding its files. A usage
+    error leaves `main` as SystemExit, whose code is the request's exit."""
     from stablefixtures.cli import main
 
     out, err = io.StringIO(), io.StringIO()
@@ -146,6 +169,8 @@ def run_request(argv, files) -> dict:
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
         finally:
             os.chdir(cwd)
     return {

@@ -12,6 +12,7 @@ from stablefixtures.errors import (
     BoundExceededError,
     CapacityTooLargeError,
     ComponentSumError,
+    InputError,
     InternalError,
     NotMaximumWeightError,
 )
@@ -76,6 +77,12 @@ def test_is_allocation(example3):
     inst, sol = example3
     assert is_allocation(inst, total_payoff(inst, sol.payoffs))
     assert not is_allocation(inst, {p: F(0) for p in inst.players})
+
+
+def test_core_membership_b2_refuses_an_allocation_missing_a_player():
+    tri = generate("triangle").instance
+    with pytest.raises(InputError, match=r"allocation missing players \['b', 'c'\]"):
+        core_membership_b2(tri, {"a": F(1)})
 
 
 def test_is_allocation_cubic_gadget():

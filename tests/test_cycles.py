@@ -349,4 +349,4 @@ def test_failed_gadget_matching_raises_internal_error(monkeypatch):
 def test_component_that_is_no_path_or_cycle_raises_internal_error():
     k4 = [("a", "b"), ("a", "c"), ("a", "d"), ("b", "c"), ("b", "d"), ("c", "d")]
     with pytest.raises(InternalError, match="neither a path nor a cycle"):
-        cycles._split_components(k4, dict.fromkeys("abcd", F(0)), dict.fromkeys(k4, F(1)))
+        cycles._split_components(k4, {**dict.fromkeys("abcd", 0), **dict.fromkeys(k4, 1)})

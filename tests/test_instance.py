@@ -11,6 +11,7 @@ from stablefixtures.errors import (
     InvalidInstanceError,
     NotBipartiteError,
     PreconditionError,
+    UnknownEdgeError,
 )
 from stablefixtures.instance import Instance, instance_from_json, instance_to_json
 from stablefixtures.oracles import max_weight_b_matching_bruteforce
@@ -39,6 +40,14 @@ def test_validate_multi_edge_and_unknown_endpoint():
     report = validate(["a", "b"], {"a": 1, "b": 1}, edges)
     assert any("multi-edge" in v for v in report.violations)
     assert any("undeclared" in v for v in report.violations)
+
+
+def test_a_loop_is_no_edge():
+    tri = generate("triangle").instance
+    with pytest.raises(UnknownEdgeError, match="loop 'a'-'a' is not an edge"):
+        tri.edge_key("a", "a")
+    assert not tri.has_edge("a", "a")
+    assert tri.has_edge("b", "a")
 
 
 def test_validate_capacity_issues():

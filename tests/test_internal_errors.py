@@ -192,16 +192,26 @@ def test_half_below_integral_fails_solve(monkeypatch):
         solver.solve(generate("example2").instance)
 
 
-def test_witness_weight_mismatch_fails_solve(monkeypatch):
-    real = cover._half_witness
+def test_witness_weight_mismatch_fails_solve(monkeypatch, capsys, tmp_path):
+    """The witness is certified once, by the integer weight of its fold:
+    a cover matching that loses an edge falls short of the optimum, and
+    `solve` exits 4."""
+    diamond = generate("diamond").instance
+    path = tmp_path / "diamond.json"
+    path.write_text(json.dumps(instance_to_json(diamond)))
+    real = cover._slack_matching
 
-    def heavy(*args):
-        value, witness = real(*args)
-        return value + 1, witness
+    def light(inst, w, y, d):
+        matching, residual = real(inst, w, y, d)
+        return matching - {max(matching, key=w.get)}, residual
 
-    monkeypatch.setattr(cover, "_half_witness", heavy)
-    with pytest.raises(InternalError, match="witness"):
-        solver.solve(generate("diamond").instance)
+    monkeypatch.setattr(cover, "_slack_matching", light)
+    with pytest.raises(InternalError, match="fall short of its optimum"):
+        solver.solve(diamond)
+    assert main(["solve", str(path)]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal: ") and len(captured.err.splitlines()) == 1
 
 
 def _no_mates(real, n, edges):

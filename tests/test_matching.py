@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablefixtures import generate, matching
-from stablefixtures.cover import duplicated_instance, max_half_b_matching_weight
+from stablefixtures.cover import duplicated_instance, is_half_b_matching, max_half_b_matching_weight
 from stablefixtures.errors import BoundExceededError, NotBipartiteError, UnknownEdgeError
 from stablefixtures.duals import (
     bipartite_max_weight_b_matching_with_duals,
@@ -138,6 +138,13 @@ def test_half_weight_diamond(diamond):
     value, witness = max_half_b_matching_weight(diamond)
     assert value == F(7, 2)
     assert witness.weight(diamond) == F(7, 2)
+
+
+def test_is_half_b_matching_rejects_values_outside_zero_half_one():
+    tri = generate("triangle").instance
+    assert is_half_b_matching(tri, dict.fromkeys(tri.edges, F(1, 2)))
+    assert not is_half_b_matching(tri, {("a", "b"): F(1, 3)})
+    assert not is_half_b_matching(tri, {("a", "b"): F(2)})
 
 
 def test_half_weight_triangle_vs_enumeration():
