@@ -28,7 +28,7 @@ _HOME = {
         ),
         "errors": ("InternalError", "StableFixturesError"),
         "families": ("Generated", "generate"),
-        "instance": ("Instance", "induced", "validate"),
+        "instance": ("Instance", "Solution", "induced", "validate"),
         "matching": (
             "DualSolution", "LPOptimum", "is_b_matching", "lp_optimum", "max_weight_b_matching", "weight",
         ),
@@ -36,8 +36,7 @@ _HOME = {
         "reduction": ("ReducedInstance", "reduce_instance"),
         "solver": ("SolveOutcome", "solve"),
         "stability": (
-            "Solution", "StabilityVerdict", "check_solution", "is_stable", "make_solution",
-            "total_payoff", "utilities",
+            "StabilityVerdict", "check_solution", "is_stable", "make_solution", "total_payoff", "utilities",
         ),
         "transfers": (
             "allocation_to_payoff", "are_equivalent", "lift_stable", "meet_join", "reduce_matching",

@@ -38,8 +38,41 @@ EXIT_NEGATIVE = 3
 EXIT_INTERNAL = 4
 
 
+# `json`'s own string quoting (its C version where there is one).
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _emit(data) -> None:
-    sys.stdout.write(json.dumps(data, indent=2) + "\n")
+    """Write `data` and a newline to stdout as `json.dumps(data, indent=2)`
+    writes it, without `json`'s pure-Python indenting encoder."""
+    out: list[str] = []
+    _indented(data, "\n", out)
+    out.append("\n")
+    sys.stdout.write("".join(out))
+
+
+def _indented(value, newline: str, out: list[str]) -> None:
+    """Append the indent-2 JSON text of `value`, whose dict keys are
+    strings, nested at `newline` (a newline and the indent); scalars, {}
+    and [] are written by `json.dumps`."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value and isinstance(value, dict):
+        inner, sep = newline + "  ", "{"
+        for key, item in value.items():
+            out.append(f"{sep}{inner}{_quote(key)}: ")
+            _indented(item, inner, out)
+            sep = ","
+        out.append(newline + "}")
+    elif value and isinstance(value, (list, tuple)):
+        inner, sep = newline + "  ", "["
+        for item in value:
+            out.append(sep + inner)
+            _indented(item, inner, out)
+            sep = ","
+        out.append(newline + "]")
+    else:
+        out.append(json.dumps(value))
 
 
 def _cmd_solve(args) -> int:

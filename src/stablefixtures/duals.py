@@ -184,7 +184,7 @@ def stable_from_dual(
         raise DualityGapError(
             "dual objective differs from the matching weight; no stable solution"
         )
-    return _stable_solution(inst, m, (y, d, n), split_rule, sellers)
+    return _stable_solution(inst, m, (y, d, n, w), split_rule, sellers)
 
 
 def dual_from_stable(inst: Instance, sol: Solution) -> DualSolution:

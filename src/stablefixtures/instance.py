@@ -26,8 +26,26 @@ Edge = tuple[str, str]
 
 # How `solve` and `duals.stable_from_dual` share a matched edge's slack d(ij).
 # Kept here, in the module every request loads, so that the CLI's choices do
-# not load `stability`.
+# not load `stability`; so is the solution record that `solve` prints.
 SPLIT_RULES = ("half", "seller_side")
+
+PayoffMatrix = dict[tuple[str, str], Fraction]
+
+# The payoff of an omitted entry; a Fraction is immutable, so one is shared.
+_ZERO = Fraction(0)
+
+
+class Solution(NamedTuple):
+    """A b-matching plus a compatible directional payoff matrix.
+
+    `payoffs` maps ordered pairs (i, j) to p(i, j); omitted entries are zero.
+    """
+
+    matching: frozenset[Edge]
+    payoffs: PayoffMatrix
+
+    def payoff(self, i: str, j: str) -> Fraction:
+        return self.payoffs.get((i, j), _ZERO)
 
 
 class Instance:
@@ -310,6 +328,28 @@ def instance_to_json(inst: Instance) -> dict:
         "capacity": dict(inst.capacity),
         "edges": [
             {"u": u, "v": v, "w": format_rational(inst._weights[(u, v)])} for (u, v) in inst.edges
+        ],
+    }
+
+
+# A solution, as `solve` prints it and `stability.solution_from_json` reads it:
+#
+# {"matching": [{"u": ..., "v": ...}],
+#  "payoffs": [{"u": ..., "v": ..., "p_uv": "3", "p_vu": "1"}]}
+
+
+def solution_to_json(inst: Instance, sol: Solution) -> dict:
+    edges = [e for e in inst.edges if e in sol.matching]
+    return {
+        "matching": [{"u": u, "v": v} for (u, v) in edges],
+        "payoffs": [
+            {
+                "u": u,
+                "v": v,
+                "p_uv": format_rational(sol.payoff(u, v)),
+                "p_vu": format_rational(sol.payoff(v, u)),
+            }
+            for (u, v) in edges
         ],
     }
 

@@ -15,7 +15,9 @@ Two engines, both exact over rationals:
 
 Both run on the weights times their common denominator (`scale_to_integers`);
 the LP pass and its certificate stay in those integers, and `Fraction`s are
-built once, for the results.
+built once, for the results. `_lp_optimum` also hands on its integer dual
+and the integer weights on the dual's scale, in which `solver` splits and
+checks a stable answer's payoffs.
 
 The LP dual `DualSolution` and its pricing rule `_priced` live here too.
 `lp_optimum` is the front end for every question about a game's optimum:
@@ -429,10 +431,11 @@ def _tie_broken(inst: Instance, opt: LPOptimum, tied: bool) -> LPOptimum:
 
 
 def _lp_optimum(inst: Instance):
-    """`lp_optimum` up to the tie-break, its dual as integers (y, d, denom):
-    the dual times `denom`, the weights' scale (twice it for the cover),
-    the double cover's state for `cover._half_witness` (`cover._cover_pass`;
-    None when the game is bipartite, which never imports `cover`), and
+    """`lp_optimum` up to the tie-break, its dual as integers (y, d, denom,
+    w): the dual times `denom`, the weights' scale (twice it for the
+    cover), and the weights on that scale; the double cover's state for
+    `cover._half_witness` (`cover._cover_pass`; None when the game is
+    bipartite, which never imports `cover`); and
     whether `matching` is the tie-broken one: it is unless the whole-game
     engine ran, warm from the dual and the forced and residual edges, which
     are complementary-slack with it. All of it runs on those integers.
@@ -467,7 +470,7 @@ def _lp_optimum(inst: Instance):
             f"b-matching optimum {format_rational(Fraction(total, denom))}"
         )
     dual = _fraction_dual(y, d, denom)
-    return LPOptimum(matching, Fraction(total, denom), Fraction(half, denom), dual), (y, d, denom), cover, tied
+    return LPOptimum(matching, Fraction(total, denom), Fraction(half, denom), dual), (y, d, denom, w), cover, tied
 
 
 # ---------------------------------------------------------------------------

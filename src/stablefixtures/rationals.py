@@ -71,23 +71,27 @@ def _literal_digits(text: str) -> int:
 
 
 def format_rational(q: Fraction) -> str:
-    """Render as "num/den" (bare integer when the denominator is 1)."""
+    """Render an int or Fraction in lowest terms as "num/den" (bare integer
+    when the denominator is 1), as `str(Fraction(q))` does."""
+    num, den = q.numerator, q.denominator
     try:
-        return str(Fraction(q))
+        return str(num) if den == 1 else f"{num}/{den}"
     except ValueError:
         raise PreconditionError("value has too many digits to render") from None
 
 
 def common_denominator(values) -> int:
-    """Least common multiple of the denominators of `values` (at least 1)."""
-    denom = 1
-    for v in values:
-        denom = lcm(denom, Fraction(v).denominator)
-    return denom
+    """Least common multiple of the denominators of the ints or Fractions
+    `values` (at least 1); any other value is an InputError."""
+    try:
+        return lcm(*{v.denominator for v in values})
+    except AttributeError:
+        raise InputError("rationals must be ints or Fractions") from None
 
 
 def scale_to_integers(values: Mapping[K, Fraction]) -> tuple[dict[K, int], int]:
-    """`values` times their common denominator, and that denominator.
+    """`values`, ints or Fractions, times their common denominator, and that
+    denominator.
 
     Raises PreconditionError when the denominator exceeds MAX_SCALE_DIGITS,
     before any engine spends time on the scaled values.
@@ -95,4 +99,4 @@ def scale_to_integers(values: Mapping[K, Fraction]) -> tuple[dict[K, int], int]:
     scale = common_denominator(values.values())
     if scale >= 10**MAX_SCALE_DIGITS:
         raise PreconditionError(f"common denominator exceeds {MAX_SCALE_DIGITS} digits")
-    return {k: int(v * scale) for k, v in values.items()}, scale
+    return {k: v.numerator * (scale // v.denominator) for k, v in values.items()}, scale

@@ -14,14 +14,17 @@ xi splitting the slack d(ij) of each matched edge.
 
 `solve` checks its arguments (`_split_arguments`) and reads one
 `matching._lp_optimum`, which certifies its tie-broken b-matching and
-integer dual by weak duality; `_stable_solution` splits that dual, and one
-stability pass on the payoffs, whose failure is an InternalError, is the
-last check. A game without a stable solution prints only its b-matching's
-weight, which the warm whole-game engine finds, and its witness, tie-broken
-on the double cover's complementary-slack residual alone and certified
-there, in the pass's integers, to reach the half optimum
-(`cover._half_witness`). Each answer imports only what it runs: the stable
-one `stability`, the other `cover`. The `Fraction` dual path
+integer dual by weak duality; `_stable_solution` splits that dual into
+integer payoffs, and one compatibility-and-stability check of them against
+the pass's integer weights (`_split_fault`), whose failure is an
+InternalError, is the last check. A game without a stable solution prints
+only its b-matching's weight, which the warm whole-game engine finds, and
+its witness, tie-broken on the double cover's complementary-slack residual
+alone and certified there, in the pass's integers, to reach the half
+optimum (`cover._half_witness`). Each answer imports only what it runs:
+the stable one neither `cover` (unless the game is not bipartite) nor
+`stability` (unless `seller_side` needs its seller side), the other
+`cover`. The `Fraction` dual path
 (`stable_from_dual`, which certifies a caller's dual itself) lives in
 `duals`; `solver` resolves four of its names only for perfbench (PEP 562),
 and binds `DualSolution`, which perfbench also reads here.
@@ -35,14 +38,13 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from . import _moved_from
-from .errors import InputError
-from .instance import SPLIT_RULES, Instance
+from .errors import InputError, InternalError
+from .instance import SPLIT_RULES, Instance, Solution, solution_to_json
 from .matching import DualSolution, _lp_optimum
 from .rationals import format_rational
 
 if TYPE_CHECKING:
     from .cover import HalfBMatching
-    from .stability import Solution
 
 __getattr__ = _moved_from(
     __name__, duals="dual_from_duplicated dual_objective is_dual_feasible stable_from_dual"
@@ -77,30 +79,70 @@ def _split_arguments(inst: Instance, split_rule: str, sellers: Iterable[str] | N
 
 
 def _stable_solution(inst, m, scaled, split_rule, sellers) -> Solution:
-    """Split a certified optimal dual, given as `scaled` = (y, d, denom), the
-    dual times denom, into payoffs on the maximum-weight b-matching m over
-    2 * denom, for arguments that `_split_arguments` checked. The caller has
-    certified both by weak duality (`matching._lp_optimum` for `solve`,
-    `duals.stable_from_dual` for a caller's dual), so every matched edge is
-    tight and the payoffs are stable; one final compatibility-and-stability
-    check confirms it, and its failure is an InternalError.
+    """Split a certified optimal dual, given as `scaled` = (y, d, denom, w),
+    the dual and the weights times denom, into payoffs on the maximum-weight
+    b-matching m over 2 * denom, for arguments that `_split_arguments`
+    checked. The caller has certified both by weak duality
+    (`matching._lp_optimum` for `solve`, `duals.stable_from_dual` for a
+    caller's dual), so every matched edge is tight and the payoffs are
+    stable; one final check of the integer payoffs against 2w
+    (`_split_fault`) confirms it, and its failure is an InternalError.
     """
-    from .stability import PayoffMatrix, Solution, _require_own_stable, resolve_sides
+    y, d, denom, w = scaled
+    if split_rule == "seller_side":
+        from .stability import resolve_sides
 
-    y, d, denom = scaled
-    side = resolve_sides(inst, sellers) if split_rule == "seller_side" else None
-    payoffs: PayoffMatrix = {}
+        side = resolve_sides(inst, sellers)
+    payoffs = {}
     for (u, v) in m:
         d_uv = 2 * d[(u, v)]
         if split_rule == "half":
             xi_u = d[(u, v)]
         else:
             xi_u = 0 if u in side else d_uv
-        payoffs[(u, v)] = Fraction(2 * y[u] + xi_u, 2 * denom)
-        payoffs[(v, u)] = Fraction(2 * y[v] + d_uv - xi_u, 2 * denom)
-    sol = Solution(matching=m, payoffs=payoffs)
-    _require_own_stable(inst, sol, "the dual split")
-    return sol
+        payoffs[(u, v)] = 2 * y[u] + xi_u
+        payoffs[(v, u)] = 2 * y[v] + d_uv - xi_u
+    fault = _split_fault(inst, m, payoffs, w)
+    if fault is not None:
+        raise InternalError(f"the dual split produced an incompatible or unstable solution: {fault}")
+    scale = 2 * denom
+    return Solution(matching=m, payoffs={k: Fraction(q, scale) for k, q in payoffs.items()})
+
+
+def _split_fault(inst: Instance, m, payoffs, w) -> str | None:
+    """Why the b-matching m with the integer payoffs `payoffs`, given for
+    both ends of each matched edge, is not a stable solution for the
+    integer weights 2w, or None if it is one. This is `stability`'s
+    compatibility and stability test in the integers of the pass, and it
+    shares no code with the engine: each matched edge is a canonical edge
+    (a key of w), no player has more than b matched edges, payoffs are
+    nonnegative and split 2w, and no unmatched edge between players with
+    capacity pays more than its ends' utilities, a saturated player's least
+    matched payoff and 0 otherwise.
+    """
+    capacity = inst.capacity
+    got: dict[str, list[int]] = {p: [] for p in inst.players}
+    for (u, v) in m:
+        if (u, v) not in w:
+            return f"matching contains non-edge or non-canonical pair {u}-{v}"
+        p_uv, p_vu = payoffs[(u, v)], payoffs[(v, u)]
+        if p_uv < 0 or p_vu < 0:
+            return f"negative payoff on matched edge {u}-{v}"
+        if p_uv + p_vu != 2 * w[(u, v)]:
+            return f"payoffs on {u}-{v} do not sum to its weight"
+        got[u].append(p_uv)
+        got[v].append(p_vu)
+    utility = {}
+    for p, paid in got.items():
+        if len(paid) > capacity[p]:
+            return f"degree {len(paid)} exceeds b({p}) = {capacity[p]}"
+        utility[p] = min(paid) if paid and len(paid) == capacity[p] else 0
+    blocking = [
+        (u, v)
+        for (u, v) in inst.edges
+        if capacity[u] and capacity[v] and (u, v) not in m and utility[u] + utility[v] < 2 * w[(u, v)]
+    ]
+    return f"blocking pairs: {blocking}" if blocking else None
 
 
 def solve(
@@ -167,8 +209,6 @@ def outcome_to_json(inst: Instance, outcome: SolveOutcome) -> dict:
         "half_b_matching_weight": format_rational(outcome.half_weight),
     }
     if outcome.stable:
-        from .stability import solution_to_json
-
         data["solution"] = solution_to_json(inst, outcome.solution)
         data["dual"] = dual_to_json(inst, outcome.dual)
     else:

@@ -7,6 +7,13 @@ utility is her worst payoff across matched edges when saturated, 0 otherwise;
 a solution is stable when no unmatched edge pays more than the combined
 utilities of its ends.
 
+The solution record (`Solution`, `PayoffMatrix`) and its JSON writer
+(`solution_to_json`) live in `instance`, so that `solve`, which prints a
+solution that it checks in its own integers (`solver._split_fault`), never
+loads this module; they are bound here too, as the same objects. This
+module checks a caller's solution (`verify-stable`), finds the seller side
+for `--split-rule seller_side`, and serves `transfers` and `duals`.
+
 All functions are pure; inputs are never mutated.
 """
 
@@ -19,26 +26,8 @@ from .errors import (
     IncompatibleSolutionError, InputError, InternalError, NotBipartiteError, PreconditionError,
     UnknownEdgeError, UnstableSolutionError,
 )
-from .instance import Edge, Instance, _spanning_forest
+from .instance import Edge, Instance, PayoffMatrix, Solution, _spanning_forest, solution_to_json
 from .rationals import format_rational, parse_rational
-
-PayoffMatrix = dict[tuple[str, str], Fraction]
-
-# The payoff of an omitted entry; a Fraction is immutable, so one is shared.
-_ZERO = Fraction(0)
-
-
-class Solution(NamedTuple):
-    """A b-matching plus a compatible directional payoff matrix.
-
-    `payoffs` maps ordered pairs (i, j) to p(i, j); omitted entries are zero.
-    """
-
-    matching: frozenset[Edge]
-    payoffs: PayoffMatrix
-
-    def payoff(self, i: str, j: str) -> Fraction:
-        return self.payoffs.get((i, j), _ZERO)
 
 
 def make_solution(inst: Instance, matching: Iterable[tuple[str, str]], payoffs: Mapping) -> Solution:
@@ -204,27 +193,8 @@ def resolve_sides(inst: Instance, sellers: Iterable[str] | None = None) -> froze
 
 
 # ---------------------------------------------------------------------------
-# JSON wire format
+# JSON wire format (`instance.solution_to_json` writes it)
 # ---------------------------------------------------------------------------
-#
-# {"matching": [{"u": ..., "v": ...}],
-#  "payoffs": [{"u": ..., "v": ..., "p_uv": "3", "p_vu": "1"}]}
-
-
-def solution_to_json(inst: Instance, sol: Solution) -> dict:
-    edges = [e for e in inst.edges if e in sol.matching]
-    return {
-        "matching": [{"u": u, "v": v} for (u, v) in edges],
-        "payoffs": [
-            {
-                "u": u,
-                "v": v,
-                "p_uv": format_rational(sol.payoff(u, v)),
-                "p_vu": format_rational(sol.payoff(v, u)),
-            }
-            for (u, v) in edges
-        ],
-    }
 
 
 def solution_from_json(inst: Instance, data: dict) -> Solution:

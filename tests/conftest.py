@@ -107,7 +107,7 @@ def warm_and_cold_weights():
     answer must be a b-matching."""
 
     def weights(inst):
-        _, (y, d, _), _, _ = matching._lp_optimum(inst)
+        _, (y, d, _, _), _, _ = matching._lp_optimum(inst)
         base = scale_to_integers(inst.edge_weights())[0]
         used, _ = matching._slack_matching(inst, {e: 2 * q for e, q in base.items()}, y, d)
         warm = matching._general_matching(inst, base, (y, used))

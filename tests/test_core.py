@@ -230,6 +230,16 @@ def test_uncertified_violation_is_internal_error(diamond):
         core._violation(diamond, x, ["s1", "s2"])
 
 
+def test_violation_tied_with_its_value_is_internal_error(diamond):
+    """x(S) = v(S) is no violation: `_violation` refuses a tie with the
+    optimum it is handed as it refuses a surplus."""
+    x = {"s1": F(1), "s2": F(1), "s3": F(1), "u": F(0)}
+    members = ["s1", "s2"]
+    tie = lp_optimum(induced(diamond, members))._replace(weight=F(2))
+    with pytest.raises(InternalError, match=r"violation by \['s1', 's2'\] fails certification"):
+        core._violation(diamond, x, members, tie)
+
+
 def test_wrong_row_sums_are_internal_errors(monkeypatch):
     inst = Instance(["a", "b"], {"a": 1, "b": 1}, [("a", "b", 4)])
     x = {"a": F(1), "b": F(3)}

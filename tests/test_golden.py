@@ -13,9 +13,11 @@ process; in-process callers must find the collector unfrozen. The
 installed console script must take the same exit path.
 """
 
+import contextlib
 import gc
 import hashlib
 import importlib
+import io
 import json
 import os
 import re
@@ -55,6 +57,34 @@ def test_corpus_covers_every_pool_and_the_adversarial_shapes():
 def test_golden_request_is_unchanged(entry):
     got = run_request(entry["argv"], entry["files"])
     assert got == {key: entry[key] for key in ("exit", "stdout_sha256", "stderr")}
+
+
+def _emitted(emit, data) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        emit(data)
+    return out.getvalue()
+
+
+def test_emit_writes_what_json_dumps_writes(monkeypatch):
+    """`cli._emit` has its own indent-2 writer; on every output of the
+    corpus, and on empty containers, a non-ASCII player name and bool, int
+    and None values, it writes what `json.dumps(data, indent=2)` does."""
+    from stablefixtures import cli
+
+    emit, seen = cli._emit, []
+    monkeypatch.setattr(cli, "_emit", seen.append)
+    for entry in ENTRIES:
+        run_request(entry["argv"], entry["files"])
+    assert len(seen) == sum(entry["exit"] in (0, 3) for entry in ENTRIES)
+    extra = [
+        {}, [], (), "", 0, None, {"a": {}, "b": [], "c": [{}, [[]]]},
+        {"players": ["Zoë", "山田", "a\"b\\c\n", "\U0001f600"], "capacity": {"Zoë": 2, "山田": 0}},
+        {"stable": True, "blocking": False, "count": -12, "big": 10**40, "witness": None},
+        [True, False, None, 1, [None, {"": ""}]],
+    ]
+    for data in seen + extra:
+        assert _emitted(emit, data) == json.dumps(data, indent=2) + "\n", data
 
 
 def _entry_point(argv, cwd):

@@ -16,7 +16,9 @@ from stablefixtures.errors import (
 from stablefixtures.instance import Instance, instance_from_json, instance_to_json
 from stablefixtures.oracles import max_weight_b_matching_bruteforce
 from stablefixtures.randomgen import random_instance
-from stablefixtures.rationals import MAX_LITERAL_DIGITS, format_rational, parse_rational
+from stablefixtures.rationals import (
+    MAX_LITERAL_DIGITS, common_denominator, format_rational, parse_rational, scale_to_integers,
+)
 
 
 def test_validate_triangle_clean():
@@ -226,6 +228,41 @@ def test_parse_rational_digit_bound():
 def test_format_rational_past_digit_limit():
     with pytest.raises(PreconditionError):
         format_rational(F(1, 10**5000))
+
+
+# ints and Fractions, as the engines hand them to the rational helpers.
+RATIONALS = [0, 7, -3, 10**4299, F(0), F(7, 2), F(-1, 3), F(6, 3), F(10**4299, 7), F(5, 10**2000)]
+
+
+def test_rational_helpers_agree_with_fraction_on_ints_and_fractions():
+    """The helpers read numerator and denominator directly; they give what
+    the `Fraction` copies they replace gave."""
+    for q in RATIONALS:
+        assert format_rational(q) == str(F(q)), q
+    assert common_denominator(RATIONALS) == 2 * 3 * 7 * 10**1999  # 5/10**2000 is 1/(2 * 10**1999)
+    assert common_denominator([3, -1]) == common_denominator([]) == 1
+    values = dict(enumerate(RATIONALS))
+    scaled, scale = scale_to_integers(values)
+    assert scale == 42 * 10**1999
+    assert scaled == {k: int(F(q) * scale) for k, q in values.items()}
+    assert all(type(v) is int for v in scaled.values())
+    assert scale_to_integers({"a": 4, "b": F(1, 2)}) == ({"a": 8, "b": 1}, 2)
+    for other in (0.5, "1/2"):
+        with pytest.raises(InputError, match="^rationals must be ints or Fractions$"):
+            scale_to_integers({"a": 1, "b": other})
+
+
+@pytest.mark.parametrize(
+    "q", [10**4300, -(10**4300), F(1, 10**4300), F(10**4300, 3)], ids=["int", "-int", "den", "num"]
+)
+def test_format_rational_refuses_past_4300_digits(q):
+    with pytest.raises(PreconditionError, match="^value has too many digits to render$"):
+        format_rational(q)
+
+
+def test_scale_to_integers_refuses_a_3000_digit_denominator():
+    with pytest.raises(PreconditionError, match="^common denominator exceeds 3000 digits$"):
+        scale_to_integers({"a": 1, "b": F(1, 10**3000)})
 
 
 def test_json_rational_strings():

@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 import stablefixtures
-from stablefixtures import cover, duals, generate, matching, solver, stability, transfers
+from stablefixtures import cover, duals, generate, matching, solver, transfers
 from stablefixtures.cli import EXIT_INTERNAL, main
 from stablefixtures.errors import InternalError, StableFixturesError
 from stablefixtures.instance import Instance, instance_to_json
@@ -298,6 +298,44 @@ def test_lowered_start_dual_fails_solve(tmp_path):
         assert proc.stderr.endswith(" with slack -1/2\n")
 
 
+_TIED_VIOLATION_PROBE = """
+import sys
+from fractions import Fraction
+from stablefixtures import core
+from stablefixtures.cli import main
+
+try:
+    assert False
+    stripped = True
+except AssertionError:
+    stripped = False
+
+# The engine values every coalition at exactly what x pays it.
+core.game_value_with_witness = lambda inst, members: (Fraction(0), frozenset())
+print(stripped, main(["core-check", *sys.argv[1:]]))
+"""
+
+
+def test_tied_violation_fails_core_check(tmp_path, heavy_edge_triangle):
+    """x = (0, 4, 0) underpays the edge a-c. Once the engine values {a, c}
+    at x(a) + x(c) = 0, the claimed violation is a tie, which the
+    re-certification refuses: exit 4 with one line, also under `python -O`."""
+    paths = [tmp_path / "triangle.json", tmp_path / "x.json"]
+    paths[0].write_text(json.dumps(instance_to_json(heavy_edge_triangle)))
+    paths[1].write_text(json.dumps({"allocation": {"a": "0", "b": "4", "c": "0"}}))
+    src = Path(stablefixtures.__file__).resolve().parents[1]
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _TIED_VIOLATION_PROBE, *map(str, paths)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(bool(flags)), str(EXIT_INTERNAL)]
+        assert proc.stderr == "error: internal: claimed violation by ['a', 'c'] fails certification\n"
+
+
 def test_cli_maps_internal_error_to_exit_4(monkeypatch, capsys, tmp_path):
     path = tmp_path / "example2.json"
     path.write_text(json.dumps(instance_to_json(generate("example2").instance)))
@@ -499,16 +537,25 @@ def test_unsplit_payoffs_fail_stable_from_dual(monkeypatch, heavy_edge_triangle)
 
 def test_unstable_final_answer_fails_solve(monkeypatch, capsys, tmp_path):
     """A stable `solve` is certified by the LP pass, so its final stability
-    check failing is an internal error, not a caller's precondition."""
+    check, on the integer payoffs of the split, failing is an internal
+    error, not a caller's precondition. Here the pass hands the split a
+    feasible dual that is not optimal: no prices, and each edge's whole
+    weight as its slack. Each end of a matched edge is then paid half its
+    weight, which u1 and v3 together would beat on their unmatched edge."""
     path = tmp_path / "example2.json"
     path.write_text(json.dumps(instance_to_json(generate("example2").instance)))
-    monkeypatch.setattr(
-        stability, "_utilities_unchecked", lambda inst, sol: dict.fromkeys(inst.players, F(0))
-    )
+    real = solver._lp_optimum
+
+    def unpriced(inst):
+        opt, (y, _, denom, w), cover, tied = real(inst)
+        return opt, (dict.fromkeys(y, 0), w, denom, w), cover, tied
+
+    monkeypatch.setattr(solver, "_lp_optimum", unpriced)
     assert main(["solve", str(path)]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: internal: the dual split produced an incompatible or unstable")
+    assert captured.err.endswith("blocking pairs: [('u1', 'v3')]\n")
     assert len(captured.err.splitlines()) == 1
 
 

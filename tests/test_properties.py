@@ -36,6 +36,7 @@ from stablefixtures.duals import (
 )
 from stablefixtures.instance import Instance
 from stablefixtures.matching import (
+    _lp_optimum,
     is_b_matching,
     lp_optimum,
     max_weight_b_matching,
@@ -46,8 +47,8 @@ from stablefixtures.oracles import (
     max_half_b_matching_bruteforce,
     max_weight_b_matching_bruteforce,
 )
-from stablefixtures.solver import solve
-from stablefixtures.stability import is_stable, total_payoff
+from stablefixtures.solver import _split_fault, solve
+from stablefixtures.stability import Solution, check_solution, is_stable, total_payoff
 from stablefixtures.transfers import allocation_to_payoff
 
 # Gadget-like ids first, so shrinking keeps them.
@@ -202,6 +203,41 @@ def test_solve_outcome_passes_the_fraction_checks(inst):
     else:
         assert is_half_b_matching(inst, outcome.witness.values)
         assert outcome.witness.weight(inst) == outcome.half_weight > outcome.matching_weight
+
+
+# Moves of a matched edge's integer payoffs: from one end to the other
+# (the sum kept), and off its weight. "neg" leaves the first end at -1.
+MOVES = st.sampled_from((0, 0, 1, -1, 3, "neg"))
+OFFSETS = st.sampled_from((0, 0, 0, 1, -1))
+
+
+@PROPERTY
+@given(games(), st.data())
+def test_integer_split_check_agrees_with_the_fraction_checks(inst, data):
+    """`solver._split_fault` checks `solve`'s stable answer in the integers
+    of its pass. From the payoffs `solve` splits off the pass's dual, with
+    payoff moved between the ends of matched edges, pushed off their weight
+    or made negative, and with a matched edge dropped or an unmatched one
+    added, it accepts exactly when `check_solution` and `is_stable` accept
+    the same payoffs in Fractions."""
+    opt, (y, d, denom, w), _, _ = _lp_optimum(inst)
+    m = set(opt.matching)
+    if m and data.draw(st.booleans()):
+        m.discard(data.draw(st.sampled_from(sorted(m))))
+    unmatched = [e for e in inst.edges if e not in m]
+    if unmatched and data.draw(st.booleans()):
+        m.add(data.draw(st.sampled_from(unmatched)))
+    payoffs = {}
+    for (u, v) in sorted(m):
+        p_uv, p_vu = 2 * y[u] + d[(u, v)], 2 * y[v] + d[(u, v)]
+        move = data.draw(MOVES)
+        move = p_uv + 1 if move == "neg" else move
+        payoffs[(u, v)] = p_uv - move + data.draw(OFFSETS)
+        payoffs[(v, u)] = p_vu + move
+    m = frozenset(m)
+    sol = Solution(m, {k: F(q, 2 * denom) for k, q in payoffs.items()})
+    accepted = not check_solution(inst, sol) and is_stable(inst, sol).stable
+    assert (_split_fault(inst, m, payoffs, w) is None) == accepted
 
 
 @PROPERTY

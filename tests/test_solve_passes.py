@@ -142,8 +142,12 @@ def _loaded_modules(src, *argv):
 def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_triangle):
     """A solve whose instance is rejected (a float weight) loads no engine;
     a bipartite solve loads neither the core stages, nor the double cover
-    (`cover`), nor any blossom; a no-stable solve loads the cover and the
-    blossom but not `stability`, and the blossom's warm start (`warmstart`)
+    (`cover`), nor any blossom. No solve loads `stability`, which checks a
+    caller's solution, unless `--split-rule seller_side` needs its seller
+    side (`stability.resolve_sides`): a stable one certifies its own answer
+    in the integers of its pass, a general one (the triangle) on the cover.
+    A no-stable solve loads the cover and the blossom, and the blossom's
+    warm start (`warmstart`)
     only when its whole-game run starts warm: the pendant triangle's does,
     and the diamond's, whose complementary-slack residual is the whole
     game, is that residual's tie-broken cold run. value on example4's grand
@@ -181,7 +185,10 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_
     engines = ["solver", "matching", "cover", "stability", "core", "cycles", "blossom", "oracles"]
     for argv, code, absent, present in (
         (["solve", float_weight], 1, engines, []),
-        (["solve", bip], 0, ["core", "cycles", "cover", "blossom", "oracles"], ["stability"]),
+        (["solve", bip], 0, ["core", "cycles", "cover", "blossom", "oracles", "stability"], []),
+        (["solve", bip, "--split-rule", "seller_side"], 0, ["core", "cycles", "cover", "blossom", "oracles"],
+         ["stability"]),
+        (["solve", triangle], 0, ["core", "cycles", "stability", "oracles"], ["cover"]),
         (["solve", diamond], 3, ["core", "cycles", "stability", "oracles", "warmstart"], ["cover", "blossom"]),
         (["solve", pendant], 3, ["core", "cycles", "stability", "oracles"], ["cover", "blossom", "warmstart"]),
         (["verify-stable", bip, sol_path], 0, ["matching", "cover", "solver", "core", "cycles"], []),
