@@ -19,7 +19,7 @@ from .instance import Edge, Instance
 from .matching import DualSolution, _fraction_dual, _objective, _priced, is_b_matching, lp_optimum, weight
 from .rationals import common_denominator, format_rational, scale_to_integers
 from .solver import _split_arguments, _stable_solution
-from .stability import Solution, require_stable, utilities
+from .stability import Solution, require_stable
 
 
 class DualFeasibility(NamedTuple):
@@ -194,8 +194,8 @@ def dual_from_stable(inst: Instance, sol: Solution) -> DualSolution:
     weight because unsaturated players have zero utility. Capacity-0 players
     (infinite blocking utility) are priced by `matching._priced`.
     """
-    require_stable(inst, sol)
-    dual = _fraction_dual(*_priced(inst, inst.edge_weights(), utilities(inst, sol)), 1)
+    u = require_stable(inst, sol).utilities
+    dual = _fraction_dual(*_priced(inst, inst.edge_weights(), u), 1)
     if not is_dual_feasible(inst, dual).feasible:
         raise InternalError("dual read off a stable solution is infeasible")
     if dual_objective(inst, dual) != weight(inst, sol.matching):

@@ -10,6 +10,10 @@ engine checks it again. Instances derived from a valid one (subgames, the
 double cover, a dual's residual, the unit-capacity expansion) are built by
 `Instance._derived`, which skips that check. Instances are immutable
 (capacities are a read-only mapping) and safe to share between threads.
+
+The solution record, its JSON writer and the one compatibility-and-stability
+check (`_solution_faults`, in ints or Fractions) live here too, so that
+`solve` checks its answer without loading `stability`.
 """
 
 from __future__ import annotations
@@ -19,14 +23,15 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import InputError, InvalidInstanceError, UnknownEdgeError, UnknownPlayerError
+from .errors import IncompatibleSolutionError, InputError, InternalError, InvalidInstanceError
+from .errors import UnknownEdgeError, UnknownPlayerError
 from .rationals import format_rational, parse_rational
 
 Edge = tuple[str, str]
 
 # How `solve` and `duals.stable_from_dual` share a matched edge's slack d(ij).
 # Kept here, in the module every request loads, so that the CLI's choices do
-# not load `stability`; so is the solution record that `solve` prints.
+# not load `stability`.
 SPLIT_RULES = ("half", "seller_side")
 
 PayoffMatrix = dict[tuple[str, str], Fraction]
@@ -46,6 +51,64 @@ class Solution(NamedTuple):
 
     def payoff(self, i: str, j: str) -> Fraction:
         return self.payoffs.get((i, j), _ZERO)
+
+
+def _solution_faults(inst: "Instance", sol: Solution, w: Mapping[Edge, object]):
+    """The paper's compatibility-and-stability rule, written once:
+    (violations, utilities, blocking pairs) of `sol` for the weights `w` of
+    every canonical edge, all ints (`solve`'s split, on its pass's scale) or
+    all Fractions; zeros take the weights' type. The violations come in
+    `stability.check_solution`'s words: stray matched pairs sorted, degrees
+    in player order, payoff entries, then edges in `inst.edges` order. Only
+    without any come the utilities (a saturated player's least matched
+    payoff, else 0) and the unmatched edges ij between players with capacity
+    that block, u(i) + u(j) < w(ij), in `inst.edges` order.
+    """
+    zero = 0 * next(iter(w.values()), _ZERO)
+    capacity, matching, payoffs = inst.capacity, sol.matching, sol.payoffs
+    paid: dict[str, list] = {p: [] for p in inst.players}
+    strays = sorted(matching - w.keys())
+    out = [f"matching contains non-edge or non-canonical pair {u}-{v}" for (u, v) in strays]
+    for (u, v) in matching:
+        if (u, v) in w:
+            paid[u].append(payoffs.get((u, v), zero))
+            paid[v].append(payoffs.get((v, u), zero))
+    for p, got in paid.items():
+        if len(got) > capacity[p]:
+            out.append(f"degree {len(got)} exceeds b({p}) = {capacity[p]}")
+    for (i, j), q in payoffs.items():
+        if (i, j) not in w and (j, i) not in w:
+            out.append(f"payoff entry on non-edge ({i},{j})")
+        elif q < 0:
+            out.append(f"negative payoff p({i},{j}) = {format_rational(q)}")
+    utility = {p: min(got) if got and len(got) == capacity[p] else zero for p, got in paid.items()}
+    blocking = []
+    for e in inst.edges:
+        u, v = e
+        p_uv, p_vu = payoffs.get(e, zero), payoffs.get((v, u), zero)
+        if e in matching:
+            if p_uv + p_vu != w[e]:
+                out.append(
+                    f"p({u},{v}) + p({v},{u}) = {format_rational(p_uv + p_vu)}"
+                    f" != w = {format_rational(w[e])}"
+                )
+        elif p_uv or p_vu:
+            out.append(f"nonzero payoff on unmatched edge {u}-{v}")
+        elif capacity[u] and capacity[v] and utility[u] + utility[v] < w[e]:
+            blocking.append(e)
+    if out:
+        return out, None, ()
+    return out, utility, tuple(blocking)
+
+
+def _require_own_stable(inst: "Instance", sol: Solution, source: str, w: Mapping[Edge, object]) -> None:
+    """`_solution_faults` on a solution that `source` built itself: a
+    violation or a blocking pair is a bug, not bad input, so it raises
+    InternalError, also under `python -O`."""
+    violations, _, blocking = _solution_faults(inst, sol, w)
+    if violations or blocking:
+        fault = IncompatibleSolutionError(violations) if violations else f"blocking pairs: {list(blocking)}"
+        raise InternalError(f"{source} produced an incompatible or unstable solution: {fault}")
 
 
 class Instance:

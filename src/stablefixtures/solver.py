@@ -15,19 +15,19 @@ xi splitting the slack d(ij) of each matched edge.
 `solve` checks its arguments (`_split_arguments`) and reads one
 `matching._lp_optimum`, which certifies its tie-broken b-matching and
 integer dual by weak duality; `_stable_solution` splits that dual into
-integer payoffs, and one compatibility-and-stability check of them against
-the pass's integer weights (`_split_fault`), whose failure is an
-InternalError, is the last check. A game without a stable solution prints
-only its b-matching's weight, which the warm whole-game engine finds, and
-its witness, tie-broken on the double cover's complementary-slack residual
-alone and certified there, in the pass's integers, to reach the half
-optimum (`cover._half_witness`). Each answer imports only what it runs:
-the stable one neither `cover` (unless the game is not bipartite) nor
-`stability` (unless `seller_side` needs its seller side), the other
-`cover`. The `Fraction` dual path
-(`stable_from_dual`, which certifies a caller's dual itself) lives in
-`duals`; `solver` resolves four of its names only for perfbench (PEP 562),
-and binds `DualSolution`, which perfbench also reads here.
+integer payoffs, and the package's one compatibility-and-stability check
+of them against the pass's integer weights (`instance._require_own_stable`),
+whose failure is an InternalError, is the last check. A game without a
+stable solution prints only its b-matching's weight, which the warm
+whole-game engine finds, and its witness, tie-broken on the double cover's
+complementary-slack residual alone and certified there, in the pass's
+integers, to reach the half optimum (`cover._half_witness`). Each answer
+imports only what it runs: the stable one neither `cover` (unless the game
+is not bipartite) nor `stability` (unless `seller_side` needs its seller
+side), the other `cover`. The `Fraction` dual path (`stable_from_dual`,
+which certifies a caller's dual itself) lives in `duals`; `solver`
+resolves four of its names only for perfbench (PEP 562), and binds
+`DualSolution`, which perfbench also reads here.
 
 Pure pipeline over immutable inputs; no global state.
 """
@@ -38,8 +38,8 @@ from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from . import _moved_from
-from .errors import InputError, InternalError
-from .instance import SPLIT_RULES, Instance, Solution, solution_to_json
+from .errors import InputError
+from .instance import SPLIT_RULES, Instance, Solution, _require_own_stable, solution_to_json
 from .matching import DualSolution, _lp_optimum
 from .rationals import format_rational
 
@@ -86,7 +86,7 @@ def _stable_solution(inst, m, scaled, split_rule, sellers) -> Solution:
     (`matching._lp_optimum` for `solve`, `duals.stable_from_dual` for a
     caller's dual), so every matched edge is tight and the payoffs are
     stable; one final check of the integer payoffs against 2w
-    (`_split_fault`) confirms it, and its failure is an InternalError.
+    (`instance._require_own_stable`) confirms it; its failure is an InternalError.
     """
     y, d, denom, w = scaled
     if split_rule == "seller_side":
@@ -102,47 +102,10 @@ def _stable_solution(inst, m, scaled, split_rule, sellers) -> Solution:
             xi_u = 0 if u in side else d_uv
         payoffs[(u, v)] = 2 * y[u] + xi_u
         payoffs[(v, u)] = 2 * y[v] + d_uv - xi_u
-    fault = _split_fault(inst, m, payoffs, w)
-    if fault is not None:
-        raise InternalError(f"the dual split produced an incompatible or unstable solution: {fault}")
+    twice = {e: 2 * q for e, q in w.items()}
+    _require_own_stable(inst, Solution(matching=m, payoffs=payoffs), "the dual split", twice)
     scale = 2 * denom
     return Solution(matching=m, payoffs={k: Fraction(q, scale) for k, q in payoffs.items()})
-
-
-def _split_fault(inst: Instance, m, payoffs, w) -> str | None:
-    """Why the b-matching m with the integer payoffs `payoffs`, given for
-    both ends of each matched edge, is not a stable solution for the
-    integer weights 2w, or None if it is one. This is `stability`'s
-    compatibility and stability test in the integers of the pass, and it
-    shares no code with the engine: each matched edge is a canonical edge
-    (a key of w), no player has more than b matched edges, payoffs are
-    nonnegative and split 2w, and no unmatched edge between players with
-    capacity pays more than its ends' utilities, a saturated player's least
-    matched payoff and 0 otherwise.
-    """
-    capacity = inst.capacity
-    got: dict[str, list[int]] = {p: [] for p in inst.players}
-    for (u, v) in m:
-        if (u, v) not in w:
-            return f"matching contains non-edge or non-canonical pair {u}-{v}"
-        p_uv, p_vu = payoffs[(u, v)], payoffs[(v, u)]
-        if p_uv < 0 or p_vu < 0:
-            return f"negative payoff on matched edge {u}-{v}"
-        if p_uv + p_vu != 2 * w[(u, v)]:
-            return f"payoffs on {u}-{v} do not sum to its weight"
-        got[u].append(p_uv)
-        got[v].append(p_vu)
-    utility = {}
-    for p, paid in got.items():
-        if len(paid) > capacity[p]:
-            return f"degree {len(paid)} exceeds b({p}) = {capacity[p]}"
-        utility[p] = min(paid) if paid and len(paid) == capacity[p] else 0
-    blocking = [
-        (u, v)
-        for (u, v) in inst.edges
-        if capacity[u] and capacity[v] and (u, v) not in m and utility[u] + utility[v] < 2 * w[(u, v)]
-    ]
-    return f"blocking pairs: {blocking}" if blocking else None
 
 
 def solve(

@@ -7,12 +7,12 @@ utility is her worst payoff across matched edges when saturated, 0 otherwise;
 a solution is stable when no unmatched edge pays more than the combined
 utilities of its ends.
 
-The solution record (`Solution`, `PayoffMatrix`) and its JSON writer
-(`solution_to_json`) live in `instance`, so that `solve`, which prints a
-solution that it checks in its own integers (`solver._split_fault`), never
-loads this module; they are bound here too, as the same objects. This
-module checks a caller's solution (`verify-stable`), finds the seller side
-for `--split-rule seller_side`, and serves `transfers` and `duals`.
+The solution record (`Solution`, `PayoffMatrix`), its JSON writer and the
+one compatibility-and-stability check (`instance._solution_faults`) live in
+`instance`, so that `solve`, which runs that check in its pass's integers,
+never loads this module; the first two are bound here too. The checks here
+read it once each, in Fractions, for `verify-stable`, `transfers` and
+`duals`; this module also finds the seller side for `seller_side`.
 
 All functions are pure; inputs are never mutated.
 """
@@ -22,16 +22,16 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import (
-    IncompatibleSolutionError, InputError, InternalError, NotBipartiteError, PreconditionError,
-    UnknownEdgeError, UnstableSolutionError,
-)
-from .instance import Edge, Instance, PayoffMatrix, Solution, _spanning_forest, solution_to_json
-from .rationals import format_rational, parse_rational
+from .errors import IncompatibleSolutionError, InputError, NotBipartiteError, PreconditionError
+from .errors import UnknownEdgeError, UnstableSolutionError
+from .instance import Edge, Instance, PayoffMatrix, Solution, _solution_faults, _spanning_forest
+from .instance import solution_to_json
+from .rationals import parse_rational
 
 
 def make_solution(inst: Instance, matching: Iterable[tuple[str, str]], payoffs: Mapping) -> Solution:
-    """Canonicalise raw matching/payoff data into a Solution (no checks)."""
+    """Canonicalise raw matching/payoff data into a Solution; an unknown
+    player or edge raises, but compatibility is not checked."""
     m = inst.canonical_edge_set(matching)
     p: PayoffMatrix = {}
     for (i, j), q in payoffs.items():
@@ -42,34 +42,7 @@ def make_solution(inst: Instance, matching: Iterable[tuple[str, str]], payoffs: 
 
 def check_solution(inst: Instance, sol: Solution) -> list[str]:
     """All compatibility violations of (M, p); empty means compatible."""
-    out: list[str] = []
-    deg: dict[str, int] = {}
-    for (u, v) in sol.matching:
-        if not inst.has_edge(u, v) or inst.edge_key(u, v) != (u, v):
-            out.append(f"matching contains non-edge or non-canonical pair {u}-{v}")
-            continue
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-    for p, d in deg.items():
-        if d > inst.b(p):
-            out.append(f"degree {d} exceeds b({p}) = {inst.b(p)}")
-    for (i, j), q in sol.payoffs.items():
-        if not inst.has_edge(i, j):
-            out.append(f"payoff entry on non-edge ({i},{j})")
-        elif q < 0:
-            out.append(f"negative payoff p({i},{j}) = {format_rational(q)}")
-    for (u, v) in inst.edges:
-        puv, pvu = sol.payoff(u, v), sol.payoff(v, u)
-        if (u, v) in sol.matching:
-            w = inst.weight(u, v)
-            if puv + pvu != w:
-                out.append(
-                    f"p({u},{v}) + p({v},{u}) = {format_rational(puv + pvu)}"
-                    f" != w = {format_rational(w)}"
-                )
-        elif puv != 0 or pvu != 0:
-            out.append(f"nonzero payoff on unmatched edge {u}-{v}")
-    return out
+    return _solution_faults(inst, sol, inst.edge_weights())[0]
 
 
 def require_compatible(inst: Instance, sol: Solution) -> None:
@@ -85,26 +58,7 @@ def utilities(inst: Instance, sol: Solution) -> dict[str, Fraction]:
     empty set is +infinity, meaning such players can never block. The vector
     stores 0 for them; blocking tests special-case b(i) = 0 instead.
     """
-    require_compatible(inst, sol)
-    return _utilities_unchecked(inst, sol)
-
-
-def _utilities_unchecked(inst: Instance, sol: Solution) -> dict[str, Fraction]:
-    matched: dict[str, list[Fraction]] = {p: [] for p in inst.players}
-    for (u, v) in sol.matching:
-        matched[u].append(sol.payoff(u, v))
-        matched[v].append(sol.payoff(v, u))
-    out = {}
-    for p in inst.players:
-        if matched[p] and len(matched[p]) == inst.b(p):
-            out[p] = min(matched[p])
-        else:
-            out[p] = Fraction(0)
-    return out
-
-
-def _can_block(inst: Instance, edge: Edge) -> bool:
-    return inst.b(edge[0]) > 0 and inst.b(edge[1]) > 0
+    return is_stable(inst, sol).utilities
 
 
 class StabilityVerdict(NamedTuple):
@@ -119,15 +73,9 @@ def is_stable(inst: Instance, sol: Solution) -> StabilityVerdict:
     A pair ij outside M blocks when u(i) + u(j) < w(ij); pairs with a
     capacity-0 end cannot form a partnership and never block.
     """
-    require_compatible(inst, sol)
-    u = _utilities_unchecked(inst, sol)
-    blocking = tuple(
-        e
-        for e in inst.edges
-        if e not in sol.matching
-        and _can_block(inst, e)
-        and u[e[0]] + u[e[1]] < inst.weight(*e)
-    )
+    violations, u, blocking = _solution_faults(inst, sol, inst.edge_weights())
+    if violations:
+        raise IncompatibleSolutionError(violations)
     return StabilityVerdict(stable=not blocking, blocking_pairs=blocking, utilities=u)
 
 
@@ -136,16 +84,6 @@ def require_stable(inst: Instance, sol: Solution) -> StabilityVerdict:
     if not verdict.stable:
         raise UnstableSolutionError(f"blocking pairs: {list(verdict.blocking_pairs)}")
     return verdict
-
-
-def _require_own_stable(inst: Instance, sol: Solution, source: str) -> None:
-    """`require_stable` on a solution that `source` built itself: its one
-    compatibility-and-stability pass failing is a bug, not bad input, so it
-    raises InternalError."""
-    try:
-        require_stable(inst, sol)
-    except (IncompatibleSolutionError, UnstableSolutionError) as exc:
-        raise InternalError(f"{source} produced an incompatible or unstable solution: {exc}") from None
 
 
 def total_payoff(inst: Instance, payoffs: Mapping[tuple[str, str], Fraction]) -> dict[str, Fraction]:

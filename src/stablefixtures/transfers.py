@@ -3,7 +3,8 @@ as library code that no CLI request loads: `rematch` and payoff
 equivalence, the bipartite lattice and competitive prices, the transfer of
 solutions through the unit-capacity expansion (one payoff per expanded
 vertex, which has at most one matched edge), and the decomposition of a
-core allocation into nonnegative payoffs.
+core allocation into nonnegative payoffs. Each solution built here is
+checked last by `instance._require_own_stable`, so a fault is an InternalError.
 """
 
 from __future__ import annotations
@@ -14,12 +15,12 @@ from typing import Iterable, Mapping
 
 from .core import CoreViolationError, _coalition_total, _pays_every_edge, _violation
 from .errors import ComponentSumError, InputError, InternalError, NotMaximumWeightError, PreconditionError
-from .instance import Edge, Instance
+from .instance import Edge, Instance, _require_own_stable
 from .matching import is_b_matching, lp_optimum, weight
 from .rationals import format_rational, scale_to_integers
 from .reduction import ReducedInstance, reduce_instance
-from .stability import PayoffMatrix, Solution, _require_own_stable, _utilities_unchecked
-from .stability import require_compatible, require_stable, resolve_sides, total_payoff
+from .stability import PayoffMatrix, Solution, require_compatible, require_stable, resolve_sides
+from .stability import total_payoff, utilities
 
 
 def are_equivalent(inst: Instance, sol_a: Solution, sol_b: Solution) -> bool:
@@ -29,10 +30,7 @@ def are_equivalent(inst: Instance, sol_a: Solution, sol_b: Solution) -> bool:
     each side of the symmetric difference the payoffs are pinned to the
     utilities of both solutions.
     """
-    require_compatible(inst, sol_a)
-    require_compatible(inst, sol_b)
-    ua = _utilities_unchecked(inst, sol_a)
-    ub = _utilities_unchecked(inst, sol_b)
+    ua, ub = utilities(inst, sol_a), utilities(inst, sol_b)
     if ua != ub:
         return False
     ma, mb = sol_a.matching, sol_b.matching
@@ -75,7 +73,7 @@ def rematch(inst: Instance, sol: Solution, new_matching: Iterable[tuple[str, str
         payoffs[(i, j)] = sol.payoff(i, j) if shared else u[i]
         payoffs[(j, i)] = sol.payoff(j, i) if shared else u[j]
     out = Solution(matching=target, payoffs=payoffs)
-    _require_own_stable(inst, out, "rematch")
+    _require_own_stable(inst, out, "rematch", inst.edge_weights())
     if not are_equivalent(inst, sol, out):
         raise InternalError("rematch produced a non-equivalent payoff vector")
     return out
@@ -109,7 +107,7 @@ def meet_join(
         payoffs[(i, j)] = seller_part
         payoffs[(j, i)] = inst.weight(i, j) - seller_part
     out = Solution(matching=sol_a.matching, payoffs=payoffs)
-    _require_own_stable(inst, out, "meet_join")
+    _require_own_stable(inst, out, "meet_join", inst.edge_weights())
     return out
 
 
@@ -122,15 +120,14 @@ def to_competitive_equilibrium(
     unsaturated); buyers absorb the rest. The result is stable.
     """
     side = resolve_sides(inst, sellers)
-    verdict = require_stable(inst, sol)
-    u = verdict.utilities
+    u = require_stable(inst, sol).utilities
     payoffs: PayoffMatrix = {}
     for (a, b_) in sol.matching:
         i, j = (a, b_) if a in side else (b_, a)
         payoffs[(i, j)] = u[i]
         payoffs[(j, i)] = inst.weight(i, j) - u[i]
     out = Solution(matching=sol.matching, payoffs=payoffs)
-    _require_own_stable(inst, out, "to_competitive_equilibrium")
+    _require_own_stable(inst, out, "to_competitive_equilibrium", inst.edge_weights())
     return out
 
 
@@ -190,8 +187,7 @@ def reduce_solution(
     """
     if reduced is None:
         reduced = reduce_instance(inst)
-    require_compatible(inst, sol)
-    u = _utilities_unchecked(inst, sol)
+    u = utilities(inst, sol)
     matching = reduce_matching(inst, sol.matching, reduced)
 
     vertex_pay: dict[str, Fraction] = {}
@@ -259,7 +255,7 @@ def lift_stable(
         payoffs[(i, j)] = vertex_pay[reduced.inner[(i, j)]]
         payoffs[(j, i)] = vertex_pay[reduced.inner[(j, i)]]
     out = Solution(matching=matching, payoffs=payoffs)
-    _require_own_stable(inst, out, "lift_stable")
+    _require_own_stable(inst, out, "lift_stable", inst.edge_weights())
     return out
 
 

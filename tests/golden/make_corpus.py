@@ -104,6 +104,12 @@ TRIANGLE = _instance(
     [_edge("a", "b", "1"), _edge("a", "c", "1"), _edge("b", "c", "1")],
 )
 
+SQUARE = _instance(
+    ["a", "b", "c", "d"],
+    {"a": 1, "b": 1, "c": 1, "d": 1},
+    [_edge("a", "b", "1"), _edge("a", "c", "1"), _edge("b", "d", "1"), _edge("c", "d", "1")],
+)
+
 
 def _allocation(x):
     return {"allocation": x}
@@ -152,6 +158,12 @@ ADVERSARIAL = (
     (["verify-stable", "g.json", "s.json"], {"g.json": TRIANGLE, "s.json": []}),
     (["solve", "g.json", "--split-rule"], {"g.json": TRIANGLE}),
     (["solve", "--", "g.json"], {"g.json": TRIANGLE}),
+    # Every player of a unit-capacity 4-cycle over its degree: the faults
+    # come in player order, whatever the hash seed.
+    (["verify-stable", "g.json", "s.json"],
+     {"g.json": SQUARE,
+      "s.json": {"matching": [{"u": "a", "v": "b"}, {"u": "a", "v": "c"},
+                              {"u": "b", "v": "d"}, {"u": "c", "v": "d"}]}}),
 )  # fmt: skip
 
 

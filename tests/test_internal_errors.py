@@ -559,6 +559,46 @@ def test_unstable_final_answer_fails_solve(monkeypatch, capsys, tmp_path):
     assert len(captured.err.splitlines()) == 1
 
 
+_DOUBLED_SLACK_PROBE = """
+import sys
+from stablefixtures import solver
+from stablefixtures.cli import main
+
+real = solver._lp_optimum
+
+def doubled(inst):
+    opt, (y, d, denom, w), cover, tied = real(inst)
+    return opt, (y, {e: 2 * q for e, q in d.items()}, denom, w), cover, tied
+
+solver._lp_optimum = doubled
+sys.exit(main(["solve", sys.argv[1]]))
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "python-O"])
+def test_incompatible_split_fails_solve(tmp_path, flags):
+    """The final check of a stable `solve` also catches payoffs that do not
+    split a matched edge's weight. Here the pass hands the split each slack
+    d doubled: example2's matched edge u2-v1, priced 0 at both ends with
+    slack 4, pays 8 to each end on the split's scale, where 2w is 8. The
+    fault reads as `check_solution` words it, on that scale."""
+    path = tmp_path / "example2.json"
+    path.write_text(json.dumps(instance_to_json(generate("example2").instance)))
+    src = Path(stablefixtures.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, *flags, "-c", _DOUBLED_SLACK_PROBE, str(path)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == EXIT_INTERNAL
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "error: internal: the dual split produced an incompatible or unstable solution:"
+        " incompatible solution: p(u2,v1) + p(v1,u2) = 16 != w = 8\n"
+    )
+
+
 @pytest.mark.parametrize("name", ["meet_join", "to_competitive_equilibrium", "lift_stable"])
 def test_unstable_transfer_output_fails_internally(monkeypatch, name):
     """The transfers check their own output last; a stable input that comes
@@ -586,13 +626,13 @@ def test_unstable_transfer_output_fails_internally(monkeypatch, name):
 def test_wrong_utilities_fail_dual_from_stable(monkeypatch, heavy_edge_triangle, shift, message):
     inst = heavy_edge_triangle
     sol = solver.solve(inst).solution
-    real = duals.utilities
+    real = duals.require_stable
 
     def shifted(inst, sol):
-        u = real(inst, sol)
-        return {p: q + shift.get(p, 0) for p, q in u.items()}
+        verdict = real(inst, sol)
+        return verdict._replace(utilities={p: q + shift.get(p, 0) for p, q in verdict.utilities.items()})
 
-    monkeypatch.setattr(duals, "utilities", shifted)
+    monkeypatch.setattr(duals, "require_stable", shifted)
     with pytest.raises(InternalError, match=message):
         duals.dual_from_stable(inst, sol)
 
@@ -618,8 +658,8 @@ inst = Instance(["a", "b", "c"], {p: 1 for p in "abc"},
 outcome = solver.solve(inst)
 d = dict(outcome.dual.d)
 d[("a", "b")] += 1
-real_objective, real_utilities, real_engine = (
-    duals._objective, duals.utilities, matching._engine)
+real_objective, real_require_stable, real_engine = (
+    duals._objective, duals.require_stable, matching._engine)
 
 def raises(call):
     try:
@@ -632,9 +672,13 @@ duals._objective = lambda inst, y, d: 4
 split = raises(lambda: duals.stable_from_dual(
     inst, outcome.solution.matching, solver.DualSolution(y=outcome.dual.y, d=d)))
 duals._objective = real_objective
-duals.utilities = lambda inst, sol: {p: q + 1 for p, q in real_utilities(inst, sol).items()}
+def raised_utilities(inst, sol):
+    verdict = real_require_stable(inst, sol)
+    return verdict._replace(utilities={p: q + 1 for p, q in verdict.utilities.items()})
+
+duals.require_stable = raised_utilities
 read_back = raises(lambda: duals.dual_from_stable(inst, outcome.solution))
-duals.utilities = real_utilities
+duals.require_stable = real_require_stable
 ssp = raises(lambda: matching._ssp_flow(
     Instance(["a", "b", "c"], {p: 1 for p in "abc"}, [("a", "b", 1), ("b", "c", 5)]),
     {("a", "b"): 1, ("b", "c"): 5}, {"a": 0, "b": 0, "c": 1}))

@@ -34,7 +34,7 @@ from stablefixtures.duals import (
     is_dual_feasible,
     verify_complementary_slackness,
 )
-from stablefixtures.instance import Instance
+from stablefixtures.instance import Instance, _solution_faults
 from stablefixtures.matching import (
     _lp_optimum,
     is_b_matching,
@@ -47,7 +47,7 @@ from stablefixtures.oracles import (
     max_half_b_matching_bruteforce,
     max_weight_b_matching_bruteforce,
 )
-from stablefixtures.solver import _split_fault, solve
+from stablefixtures.solver import solve
 from stablefixtures.stability import Solution, check_solution, is_stable, total_payoff
 from stablefixtures.transfers import allocation_to_payoff
 
@@ -214,12 +214,15 @@ OFFSETS = st.sampled_from((0, 0, 0, 1, -1))
 @PROPERTY
 @given(games(), st.data())
 def test_integer_split_check_agrees_with_the_fraction_checks(inst, data):
-    """`solver._split_fault` checks `solve`'s stable answer in the integers
-    of its pass. From the payoffs `solve` splits off the pass's dual, with
-    payoff moved between the ends of matched edges, pushed off their weight
-    or made negative, and with a matched edge dropped or an unmatched one
-    added, it accepts exactly when `check_solution` and `is_stable` accept
-    the same payoffs in Fractions."""
+    """`instance._solution_faults` checks `solve`'s stable answer in the
+    integers of its pass, and every other solution in Fractions. From the
+    payoffs `solve` splits off the pass's dual, with payoff moved between
+    the ends of matched edges, pushed off their weight or made negative, and
+    with a matched edge dropped or an unmatched one added, the integer
+    payoffs against 2w and the same payoffs as Fractions over 2 * denom
+    against the game's weights (`check_solution`, `is_stable`) are both
+    compatible or both not, and then have the same blocking pairs and
+    utilities equal up to the scale, which the integer check keeps in ints."""
     opt, (y, d, denom, w), _, _ = _lp_optimum(inst)
     m = set(opt.matching)
     if m and data.draw(st.booleans()):
@@ -235,9 +238,16 @@ def test_integer_split_check_agrees_with_the_fraction_checks(inst, data):
         payoffs[(u, v)] = p_uv - move + data.draw(OFFSETS)
         payoffs[(v, u)] = p_vu + move
     m = frozenset(m)
-    sol = Solution(m, {k: F(q, 2 * denom) for k, q in payoffs.items()})
-    accepted = not check_solution(inst, sol) and is_stable(inst, sol).stable
-    assert (_split_fault(inst, m, payoffs, w) is None) == accepted
+    scale = 2 * denom
+    sol = Solution(m, {k: F(q, scale) for k, q in payoffs.items()})
+    violations, utility, blocking = _solution_faults(inst, Solution(m, payoffs), {e: 2 * q for e, q in w.items()})
+    assert bool(violations) == bool(check_solution(inst, sol))
+    if not violations:
+        verdict = is_stable(inst, sol)
+        assert blocking == verdict.blocking_pairs
+        assert {p: F(q, scale) for p, q in utility.items()} == verdict.utilities
+        # Zeros take the weights' type; a game without edges has none.
+        assert not inst.edges or all(type(q) is int for q in utility.values())
 
 
 @PROPERTY

@@ -54,6 +54,31 @@ def test_incompatible_rejected(example3):
     assert check_solution(inst, bad)
 
 
+def test_check_solution_lists_every_violation_in_a_fixed_order():
+    """Stray matched pairs sorted, degrees in player order, payoff entries
+    in their order, then edges in `inst.edges` order; a payoff on one end
+    of an unmatched edge is a violation by itself."""
+    tri = generate("triangle").instance
+    sol = Solution(
+        matching=frozenset({("c", "b"), ("a", "b"), ("b", "c"), ("c", "a")}),
+        payoffs={("a", "b"): F(-1), ("b", "a"): F(1), ("a", "c"): F(1), ("z", "a"): F(0)},
+    )
+    violations = [
+        "matching contains non-edge or non-canonical pair c-a",
+        "matching contains non-edge or non-canonical pair c-b",
+        "degree 2 exceeds b(b) = 1",
+        "negative payoff p(a,b) = -1",
+        "payoff entry on non-edge (z,a)",
+        "p(a,b) + p(b,a) = 0 != w = 1",
+        "nonzero payoff on unmatched edge a-c",
+        "p(b,c) + p(c,b) = 0 != w = 1",
+    ]
+    assert check_solution(tri, sol) == violations
+    with pytest.raises(IncompatibleSolutionError) as raised:
+        is_stable(tri, sol)
+    assert raised.value.violations == violations
+
+
 def test_is_stable_reference_solutions(example1, example3):
     inst1, sol1, _ = example1
     assert is_stable(inst1, sol1).stable
