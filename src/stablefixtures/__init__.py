@@ -20,20 +20,20 @@ _SUBMODULES = (
 _HOME = {
     name: module
     for module, names in {
+        "blossom": ("max_weight_b_matching",),
         "core": ("CoreVerdict", "CoreViolationError", "core_membership_b2", "game_value", "is_allocation"),
-        "cover": ("HalfBMatching", "duplicated_instance", "max_half_b_matching_weight"),
+        "cover": ("duplicated_instance",),
         "duals": (
             "bipartite_max_weight_b_matching_with_duals", "dual_from_duplicated", "dual_from_stable",
             "is_dual_feasible", "stable_from_dual", "verify_complementary_slackness",
         ),
         "errors": ("InternalError", "StableFixturesError"),
         "families": ("Generated", "generate"),
-        "instance": ("Instance", "Solution", "induced", "validate"),
-        "matching": (
-            "DualSolution", "LPOptimum", "is_b_matching", "lp_optimum", "max_weight_b_matching", "weight",
-        ),
+        "instance": ("Instance", "induced", "validate"),
+        "matching": ("DualSolution", "LPOptimum", "is_b_matching", "lp_optimum", "weight"),
         "oracles": ("core_membership_bruteforce", "max_weight_b_matching_bruteforce"),
         "reduction": ("ReducedInstance", "reduce_instance"),
+        "solution": ("Solution",),
         "solver": ("SolveOutcome", "solve"),
         "stability": (
             "StabilityVerdict", "check_solution", "is_stable", "make_solution", "total_payoff", "utilities",
@@ -42,6 +42,7 @@ _HOME = {
             "allocation_to_payoff", "are_equivalent", "lift_stable", "meet_join", "reduce_matching",
             "reduce_solution", "rematch", "srp_rematch", "to_competitive_equilibrium",
         ),
+        "witness": ("HalfBMatching", "max_half_b_matching_weight"),
     }.items()
     for name in names
 }

@@ -26,11 +26,20 @@ Gabow 1983) on which both the general b-matching engine and the minimum
 path/cycle systems run, matches it, and reads the selected edges back.
 Only `matching._lp_optimum`'s whole-game b-matching, of a game with an
 LP gap, starts warm, from its LP optimum; every other run is cold.
+
+The general b-matching engine that feeds the gadget lives here too:
+`_general_matching`, which `matching._engine` runs on a game that is not
+bipartite, and the library front end `max_weight_b_matching`, which
+`matching` still resolves (PEP 562) because perfbench looks it up there.
+So a request that never runs blossom never compiles either.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .errors import InternalError, PreconditionError
+from .rationals import scale_to_integers
 
 
 def max_weight_matching(n: int, edges: list[tuple[int, int, int]], start=None) -> list[int]:
@@ -123,6 +132,45 @@ def max_weight_degree_subgraph(slots, edges, extra, mandatory, start=None):
     ]
     profit = sum(c for (a, b, _), (_, _, c) in zip(gadget, profits) if mate[a] == b)
     return selected, profit
+
+
+def _general_matching(inst, base, start=None) -> frozenset:
+    """`matching._engine` on a general graph: through the edge gadget.
+
+    Player i gets min(b(i), deg(i)) zero-price slots, and each edge its
+    doubled perturbed weight (`matching._perturbed` of the integer weights
+    `base`), in `max_weight_degree_subgraph`: an edge is gadgeted when both
+    its ends have two or more slots and joins them directly otherwise. The
+    perturbed optimum is unique, so the gadget's shape cannot change the
+    answer. The gadget's profit is twice the weight of the edges it
+    selects, which certifies the read-back.
+
+    `start` = (y, used), an optimal LP dual on the scale of 2 * `base` and
+    a complementary-slack b-matching, instead starts the blossom warm on
+    `base` itself.
+    """
+    from .matching import _perturbed
+
+    weights = _perturbed(inst, base) if start is None else base
+    copies = {p: range(min(inst.b(p), len(inst.neighbors(p)))) for p in inst.players}
+    slots = {p: [((p, c), 0) for c in copies[p]] for p in inst.players}
+    edges = [(i, j, 2 * weights[(i, j)]) for (i, j) in inst.edges]
+    selected, profit = max_weight_degree_subgraph(slots, edges, [], (), start)
+    if profit != 2 * sum(weights[e] for e in selected):
+        raise InternalError("edge gadget matching does not weigh twice its b-matching")
+    return frozenset(selected)
+
+
+def max_weight_b_matching(inst):
+    """A maximum-weight b-matching of the game `inst` and its exact weight:
+    the tie-broken optimum of `matching._engine`, which runs the flow
+    engine on a bipartite game and `_general_matching` on any other."""
+    from .matching import _engine, weight
+
+    if inst.m == 0:
+        return frozenset(), Fraction(0)
+    matching = _engine(inst, scale_to_integers(inst.edge_weights())[0])
+    return matching, weight(inst, matching)
 
 
 def _certify(n, edges, matched, dual, blossoms) -> None:

@@ -7,8 +7,13 @@ Exit codes: 0 = stable solution found / allocation in core / success,
 
 Standard output carries JSON only; diagnostics go to standard error.
 
-Each subcommand loads and validates its input before it imports the
-modules it runs, and imports only those. `gen` and `oracle` run in
+Each subcommand loads and validates its instance before it imports the
+modules it runs, and imports only those: `value` reads v(S) and its
+witness off `matching.lp_optimum` of the subgame and never loads `core`;
+`core-check` loads `core`, which reads the allocation and imports the
+engine only once the capacities allow it; only a stable `solve` and
+`verify-stable` load the solution check (`solution`), and only a `solve`
+without a stable solution the witness (`witness`). `gen` and `oracle` run in
 `families.gen_command` and `oracles.oracle_command`, which return what
 `cli` prints and never import `cli` (under `python -m` it is `__main__`, so
 that would compile it twice).
@@ -26,7 +31,7 @@ import sys
 import types
 
 from .errors import InputError, InternalError, PreconditionError, StableFixturesError
-from .instance import SPLIT_RULES, _load_instance, _load_json, allocation_from_json, instance_to_json
+from .instance import SPLIT_RULES, _load_instance, _load_json, induced
 from .rationals import format_rational
 # Imported eagerly though only `reduce` runs it: perfbench's tracer wraps only loaded modules.
 from .reduction import provenance_to_json, reduce_instance
@@ -103,9 +108,9 @@ def _cmd_verify_stable(args) -> int:
 
 def _cmd_core_check(args) -> int:
     inst = _load_instance(args.instance)
-    x = allocation_from_json(_load_json(args.allocation), inst)
     from . import core as core_mod
 
+    x = core_mod.allocation_from_json(_load_json(args.allocation), inst)
     if args.brute_force:
         from .oracles import core_membership_bruteforce
 
@@ -118,6 +123,8 @@ def _cmd_core_check(args) -> int:
 
 def _cmd_reduce(args) -> int:
     inst = _load_instance(args.instance)
+    from .families import instance_to_json
+
     reduced = reduce_instance(inst)
     _emit(
         {
@@ -130,16 +137,16 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_value(args) -> int:
     inst = _load_instance(args.instance)
-    from . import core as core_mod
+    coalition = [p for p in args.coalition.split(",") if p]
+    subgame = induced(inst, coalition)
     from . import matching as matching_mod
 
-    coalition = [p for p in args.coalition.split(",") if p]
-    value, witness = core_mod.game_value_with_witness(inst, coalition)
+    opt = matching_mod.lp_optimum(subgame)
     _emit(
         {
             "coalition": coalition,
-            "value": format_rational(value),
-            "witness_matching": matching_mod.matching_to_json(inst, witness),
+            "value": format_rational(opt.weight),
+            "witness_matching": matching_mod.matching_to_json(inst, opt.matching),
         }
     )
     return EXIT_OK

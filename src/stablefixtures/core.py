@@ -12,6 +12,12 @@ assignment game, Shapley and Shubik 1971), so no search runs and `cycles`
 is never imported. Every violation verdict is re-certified against the
 matching engine before being returned. A value reads only the weight of
 `matching._lp_optimum`; a witness is `lp_optimum`'s tie-broken matching.
+
+The engine is imported inside the functions that run it, so a `core-check`
+refused for a capacity above 2 compiles no `matching`. The `value` command
+reads `matching.lp_optimum` of the subgame itself and never loads this
+module. The allocation reader `allocation_from_json` lives here, with
+`core-check`, its only reader besides the `oracle core-check` command.
 """
 
 from __future__ import annotations
@@ -21,20 +27,23 @@ from typing import Iterable, Mapping, NamedTuple
 
 from .errors import CapacityTooLargeError, InputError, InternalError, PreconditionError
 from .instance import Edge, Instance, induced
-from .matching import _lp_optimum, _tie_broken, lp_optimum
-from .rationals import format_rational, scale_to_integers
+from .rationals import format_rational, parse_rational, scale_to_integers
 
 
 def game_value(inst: Instance, coalition: Iterable[str]) -> Fraction:
     """v(S): maximum-weight b-matching value of the induced subgame. Only
     the weight is read, so the tie-break that `lp_optimum` adds to a
     subgame without a stable solution is skipped (`matching._lp_optimum`)."""
+    from .matching import _lp_optimum
+
     return _lp_optimum(induced(inst, coalition))[0].weight
 
 
 def game_value_with_witness(
     inst: Instance, coalition: Iterable[str]
 ) -> tuple[Fraction, frozenset[Edge]]:
+    from .matching import lp_optimum
+
     opt = lp_optimum(induced(inst, coalition))
     return opt.weight, opt.matching
 
@@ -131,6 +140,8 @@ def core_membership_b2(inst: Instance, x: Mapping[str, Fraction]) -> CoreVerdict
     heavy = [p for p in inst.players if inst.b(p) > 2]
     if heavy:
         raise CapacityTooLargeError(f"players with b > 2: {heavy}")
+    from .matching import _lp_optimum, _tie_broken
+
     grand_total = _coalition_total(inst, x, inst.players)
 
     for p in inst.players:
@@ -202,8 +213,27 @@ def _b2_constraint_search(inst: Instance, x, scaled=None) -> tuple[str, ...] | N
 
 
 # ---------------------------------------------------------------------------
-# JSON wire format
+# JSON wire formats
 # ---------------------------------------------------------------------------
+
+
+def allocation_from_json(data: dict, inst: Instance | None = None) -> dict[str, Fraction]:
+    """The allocation x of `{"allocation": {player: rational}}` (or of the
+    bare mapping); with `inst`, every player must have an entry and every
+    entry must be a player."""
+    if not isinstance(data, dict):
+        raise InputError("allocation JSON must be an object")
+    payload = data.get("allocation", data)
+    if not isinstance(payload, dict):
+        raise InputError("allocation JSON must map players to rationals")
+    x = {p: parse_rational(v) for p, v in payload.items()}
+    if inst is not None:
+        for p in x:
+            inst.index(p)
+        missing = [p for p in inst.players if p not in x]
+        if missing:
+            raise InputError(f"allocation missing players: {missing}")
+    return x
 
 
 def verdict_to_json(inst: Instance, verdict: CoreVerdict) -> dict:

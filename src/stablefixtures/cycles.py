@@ -16,19 +16,80 @@
   edge costs and every path costs more than zero.
 
 All arithmetic is integer after a common-denominator scaling, refused past
-`rationals.MAX_SCALE_DIGITS` digits.
+`rationals.MAX_SCALE_DIGITS` digits. The selected edges are split into
+components by `_spanning_forest`, the package's one union-find. The seller
+side of a bipartite game (`resolve_sides`, for `--split-rule seller_side`
+and the bipartite constructions of `transfers`) lives here too, since it
+reads the game's components off that union-find; `verify-stable` never
+compiles it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import InternalError, PreconditionError
-from .instance import _spanning_forest
+from .errors import InternalError, NotBipartiteError, PreconditionError
+from .instance import Instance
 from .rationals import scale_to_integers
 
 Pair = tuple[str, str]
+
+
+def _spanning_forest(edges: Iterable[Pair]) -> tuple[dict[str, str], list[Pair]]:
+    """Union-find over `edges` in the order given (Kruskal): the component
+    root of every vertex they touch, and the edges that close a cycle."""
+    parent: dict[str, str] = {}
+
+    def find(v: str) -> str:
+        parent.setdefault(v, v)
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    closing: list[Pair] = []
+    for (u, v) in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            closing.append((u, v))
+        else:
+            parent[ru] = rv
+    return {v: find(v) for v in parent}, closing
+
+
+# ---------------------------------------------------------------------------
+# The seller side of a bipartite game
+# ---------------------------------------------------------------------------
+
+
+def resolve_sides(inst: Instance, sellers: Iterable[str] | None = None) -> frozenset[str]:
+    """The seller side of a bipartite instance.
+
+    With explicit `sellers`, verifies every edge crosses the bipartition.
+    Otherwise 2-colors the graph; this is only unambiguous when a single
+    component carries all edges, in which case the class containing its
+    smallest-index vertex is the seller side.
+    """
+    if sellers is not None:
+        side = frozenset(sellers)
+        for p in side:
+            inst.index(p)
+        for (u, v) in inst.edges:
+            if (u in side) == (v in side):
+                raise NotBipartiteError(
+                    f"edge {u}-{v} does not cross the declared seller side"
+                )
+        return side
+    coloring = inst.two_coloring()
+    if coloring is None:
+        raise NotBipartiteError("instance is not bipartite")
+    root, _ = _spanning_forest(inst.edges)
+    if len(set(root.values())) > 1:
+        raise PreconditionError(
+            "side assignment is ambiguous across components; pass sellers explicitly"
+        )
+    return frozenset(p for p in root if coloring[p] == 0)
 
 
 # ---------------------------------------------------------------------------

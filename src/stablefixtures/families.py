@@ -1,5 +1,7 @@
-"""Named instance families (the paper's examples and gadgets) and the body
-of the `gen` subcommand; only `gen` and the tests load this module."""
+"""Named instance families (the paper's examples and gadgets), the body of
+the `gen` subcommand and the instance and allocation writers it prints
+with; only `gen`, `reduce` (for `instance_to_json`) and the tests load this
+module."""
 
 from __future__ import annotations
 
@@ -7,8 +9,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import InputError, NotBipartiteError, PreconditionError
-from .instance import Instance, _load_instance, allocation_to_json, instance_to_json
-from .rationals import parse_rational
+from .instance import Instance, _load_instance
+from .rationals import format_rational, parse_rational
 
 
 class Generated(NamedTuple):
@@ -51,6 +53,27 @@ def gen_command(args) -> dict:
     if generated.allocation is not None:
         data.update(allocation_to_json(generated.allocation))
     return data
+
+
+# The instance wire format that every subcommand reads (`instance.instance_from_json`):
+#
+# {"players": ["u1", ...],
+#  "capacity": {"u1": 2, ...},
+#  "edges": [{"u": "u1", "v": "v1", "w": "4"}, ...]}
+
+
+def instance_to_json(inst: Instance) -> dict:
+    return {
+        "players": list(inst.players),
+        "capacity": dict(inst.capacity),
+        "edges": [
+            {"u": u, "v": v, "w": format_rational(inst._weights[(u, v)])} for (u, v) in inst.edges
+        ],
+    }
+
+
+def allocation_to_json(x) -> dict:
+    return {"allocation": {p: format_rational(q) for p, q in x.items()}}
 
 
 def _triangle(**params) -> Generated:

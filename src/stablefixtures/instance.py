@@ -11,9 +11,12 @@ double cover, a dual's residual, the unit-capacity expansion) are built by
 `Instance._derived`, which skips that check. Instances are immutable
 (capacities are a read-only mapping) and safe to share between threads.
 
-The solution record, its JSON writer and the one compatibility-and-stability
-check (`_solution_faults`, in ints or Fractions) live here too, so that
-`solve` checks its answer without loading `stability`.
+Every request loads this module, so it holds only what every request
+runs: construction, validation, subgames and the file readers. The solution
+record and its check live in `solution`, the instance writer in `families`,
+the allocation reader in `core` and the union-find in `cycles`, each with
+its callers; `allocation_from_json` still resolves here (PEP 562), only
+because perfbench looks it up here.
 """
 
 from __future__ import annotations
@@ -23,9 +26,11 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import IncompatibleSolutionError, InputError, InternalError, InvalidInstanceError
-from .errors import UnknownEdgeError, UnknownPlayerError
+from . import _moved_from
+from .errors import InputError, InvalidInstanceError, UnknownEdgeError, UnknownPlayerError
 from .rationals import format_rational, parse_rational
+
+__getattr__ = _moved_from(__name__, core="allocation_from_json")
 
 Edge = tuple[str, str]
 
@@ -33,82 +38,6 @@ Edge = tuple[str, str]
 # Kept here, in the module every request loads, so that the CLI's choices do
 # not load `stability`.
 SPLIT_RULES = ("half", "seller_side")
-
-PayoffMatrix = dict[tuple[str, str], Fraction]
-
-# The payoff of an omitted entry; a Fraction is immutable, so one is shared.
-_ZERO = Fraction(0)
-
-
-class Solution(NamedTuple):
-    """A b-matching plus a compatible directional payoff matrix.
-
-    `payoffs` maps ordered pairs (i, j) to p(i, j); omitted entries are zero.
-    """
-
-    matching: frozenset[Edge]
-    payoffs: PayoffMatrix
-
-    def payoff(self, i: str, j: str) -> Fraction:
-        return self.payoffs.get((i, j), _ZERO)
-
-
-def _solution_faults(inst: "Instance", sol: Solution, w: Mapping[Edge, object]):
-    """The paper's compatibility-and-stability rule, written once:
-    (violations, utilities, blocking pairs) of `sol` for the weights `w` of
-    every canonical edge, all ints (`solve`'s split, on its pass's scale) or
-    all Fractions; zeros take the weights' type. The violations come in
-    `stability.check_solution`'s words: stray matched pairs sorted, degrees
-    in player order, payoff entries, then edges in `inst.edges` order. Only
-    without any come the utilities (a saturated player's least matched
-    payoff, else 0) and the unmatched edges ij between players with capacity
-    that block, u(i) + u(j) < w(ij), in `inst.edges` order.
-    """
-    zero = 0 * next(iter(w.values()), _ZERO)
-    capacity, matching, payoffs = inst.capacity, sol.matching, sol.payoffs
-    paid: dict[str, list] = {p: [] for p in inst.players}
-    strays = sorted(matching - w.keys())
-    out = [f"matching contains non-edge or non-canonical pair {u}-{v}" for (u, v) in strays]
-    for (u, v) in matching:
-        if (u, v) in w:
-            paid[u].append(payoffs.get((u, v), zero))
-            paid[v].append(payoffs.get((v, u), zero))
-    for p, got in paid.items():
-        if len(got) > capacity[p]:
-            out.append(f"degree {len(got)} exceeds b({p}) = {capacity[p]}")
-    for (i, j), q in payoffs.items():
-        if (i, j) not in w and (j, i) not in w:
-            out.append(f"payoff entry on non-edge ({i},{j})")
-        elif q < 0:
-            out.append(f"negative payoff p({i},{j}) = {format_rational(q)}")
-    utility = {p: min(got) if got and len(got) == capacity[p] else zero for p, got in paid.items()}
-    blocking = []
-    for e in inst.edges:
-        u, v = e
-        p_uv, p_vu = payoffs.get(e, zero), payoffs.get((v, u), zero)
-        if e in matching:
-            if p_uv + p_vu != w[e]:
-                out.append(
-                    f"p({u},{v}) + p({v},{u}) = {format_rational(p_uv + p_vu)}"
-                    f" != w = {format_rational(w[e])}"
-                )
-        elif p_uv or p_vu:
-            out.append(f"nonzero payoff on unmatched edge {u}-{v}")
-        elif capacity[u] and capacity[v] and utility[u] + utility[v] < w[e]:
-            blocking.append(e)
-    if out:
-        return out, None, ()
-    return out, utility, tuple(blocking)
-
-
-def _require_own_stable(inst: "Instance", sol: Solution, source: str, w: Mapping[Edge, object]) -> None:
-    """`_solution_faults` on a solution that `source` built itself: a
-    violation or a blocking pair is a bug, not bad input, so it raises
-    InternalError, also under `python -O`."""
-    violations, _, blocking = _solution_faults(inst, sol, w)
-    if violations or blocking:
-        fault = IncompatibleSolutionError(violations) if violations else f"blocking pairs: {list(blocking)}"
-        raise InternalError(f"{source} produced an incompatible or unstable solution: {fault}")
 
 
 class Instance:
@@ -268,28 +197,6 @@ class Instance:
         return f"Instance(n={self.n}, m={self.m})"
 
 
-def _spanning_forest(edges: Iterable[Edge]) -> tuple[dict[str, str], list[Edge]]:
-    """Union-find over `edges` in the order given (Kruskal): the component
-    root of every vertex they touch, and the edges that close a cycle."""
-    parent: dict[str, str] = {}
-
-    def find(v: str) -> str:
-        parent.setdefault(v, v)
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    closing: list[Edge] = []
-    for (u, v) in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            closing.append((u, v))
-        else:
-            parent[ru] = rv
-    return {v: find(v) for v in parent}, closing
-
-
 def _fresh_name(used: set, base: str) -> str:
     """Deterministically de-collide a generated player name."""
     name = base
@@ -385,38 +292,6 @@ def induced(inst: Instance, coalition: Iterable[str]) -> Instance:
 # for all CLI commands.
 
 
-def instance_to_json(inst: Instance) -> dict:
-    return {
-        "players": list(inst.players),
-        "capacity": dict(inst.capacity),
-        "edges": [
-            {"u": u, "v": v, "w": format_rational(inst._weights[(u, v)])} for (u, v) in inst.edges
-        ],
-    }
-
-
-# A solution, as `solve` prints it and `stability.solution_from_json` reads it:
-#
-# {"matching": [{"u": ..., "v": ...}],
-#  "payoffs": [{"u": ..., "v": ..., "p_uv": "3", "p_vu": "1"}]}
-
-
-def solution_to_json(inst: Instance, sol: Solution) -> dict:
-    edges = [e for e in inst.edges if e in sol.matching]
-    return {
-        "matching": [{"u": u, "v": v} for (u, v) in edges],
-        "payoffs": [
-            {
-                "u": u,
-                "v": v,
-                "p_uv": format_rational(sol.payoff(u, v)),
-                "p_vu": format_rational(sol.payoff(v, u)),
-            }
-            for (u, v) in edges
-        ],
-    }
-
-
 def instance_from_json(data: dict) -> Instance:
     if not isinstance(data, dict):
         raise InputError("instance JSON must be an object")
@@ -435,26 +310,6 @@ def instance_from_json(data: dict) -> Instance:
         except (KeyError, TypeError):
             raise InputError(f"bad edge entry {item!r}") from None
     return Instance(players, capacity, edges)
-
-
-def allocation_to_json(x: Mapping[str, Fraction]) -> dict:
-    return {"allocation": {p: format_rational(q) for p, q in x.items()}}
-
-
-def allocation_from_json(data: dict, inst: Instance | None = None) -> dict[str, Fraction]:
-    if not isinstance(data, dict):
-        raise InputError("allocation JSON must be an object")
-    payload = data.get("allocation", data)
-    if not isinstance(payload, dict):
-        raise InputError("allocation JSON must map players to rationals")
-    x = {p: parse_rational(v) for p, v in payload.items()}
-    if inst is not None:
-        for p in x:
-            inst.index(p)
-        missing = [p for p in inst.players if p not in x]
-        if missing:
-            raise InputError(f"allocation missing players: {missing}")
-    return x
 
 
 def _load_json(path: str):

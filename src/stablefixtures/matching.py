@@ -2,10 +2,12 @@
 
 Two engines, both exact over rationals:
 
-* the general-graph engine gives each player min(b, deg) slots and hands
-  them, with the integer-scaled weights, to the edge-gadget builder
-  `blossom.max_weight_degree_subgraph` (imported only when this engine
-  runs), which matches the gadget and reads the b-matching back;
+* the general-graph engine, which lives in `blossom` next to the
+  edge-gadget builder it feeds (`blossom._general_matching`, imported only
+  when this engine runs), gives each player min(b, deg) slots and hands
+  them, with the integer-scaled weights, to
+  `blossom.max_weight_degree_subgraph`, which matches the gadget and reads
+  the b-matching back;
 * the bipartite engine runs successive shortest paths with vertex potentials
   on a small flow network with no super-source: each unit of a source-side
   player's capacity is routed from that player by one Dijkstra, which
@@ -30,9 +32,10 @@ the LP optimum.
 
 Names that left this module resolve here only for perfbench, on first use
 (PEP 562): `max_weight_b_matching_bruteforce` from `oracles`,
-`bipartite_max_weight_b_matching_with_duals` from `duals`, and
-`duplicated_instance`, `max_half_b_matching_weight`, `is_half_b_matching`
-and `half_matching_from_json` from `cover`.
+`bipartite_max_weight_b_matching_with_duals` from `duals`,
+`duplicated_instance` from `cover`, `max_half_b_matching_weight`,
+`is_half_b_matching` and `half_matching_from_json` from `witness`, and
+`max_weight_b_matching` from `blossom`.
 
 Ties among optimal b-matchings are broken toward the lexicographically
 smallest edge set under the instance's edge order, implemented by a weight
@@ -64,7 +67,9 @@ __getattr__ = _moved_from(
     __name__,
     oracles="max_weight_b_matching_bruteforce",
     duals="bipartite_max_weight_b_matching_with_duals",
-    cover="duplicated_instance half_matching_from_json is_half_b_matching max_half_b_matching_weight",
+    cover="duplicated_instance",
+    witness="half_matching_from_json is_half_b_matching max_half_b_matching_weight",
+    blossom="max_weight_b_matching",
 )
 
 
@@ -110,20 +115,8 @@ def _perturbed(inst: Instance, base: Mapping[Edge, int]) -> dict[Edge, int]:
 
 
 # ---------------------------------------------------------------------------
-# General-graph engine: edge gadgets + blossom matching
+# The engine: SSP when bipartite, else the edge gadgets of `blossom`
 # ---------------------------------------------------------------------------
-
-
-def max_weight_b_matching(inst: Instance) -> tuple[frozenset[Edge], Fraction]:
-    """A maximum-weight b-matching and its exact weight.
-
-    Bipartite instances go through the flow engine; general instances through
-    the edge-gadget graph and an exact integer blossom matching.
-    """
-    if inst.m == 0:
-        return frozenset(), Fraction(0)
-    matching = _engine(inst, scale_to_integers(inst.edge_weights())[0])
-    return matching, weight(inst, matching)
 
 
 def _engine(inst: Instance, base: Mapping[Edge, int], start=None) -> frozenset[Edge]:
@@ -132,41 +125,17 @@ def _engine(inst: Instance, base: Mapping[Edge, int], start=None) -> frozenset[E
     edge gadgets. Cold it is the tie-broken optimum, found on the perturbed
     `base`; a `start`, given only on a game with an LP gap (never
     bipartite), warms the edge gadgets on `base` itself and returns
-    whichever optimum they find (`_general_matching`)."""
+    whichever optimum they find (`blossom._general_matching`)."""
     coloring = inst.two_coloring()
     if coloring is not None:
         matching, _ = _ssp_flow(inst, _perturbed(inst, base), coloring)
     else:
+        from .blossom import _general_matching
+
         matching = _general_matching(inst, base, start)
     if not is_b_matching(inst, matching):
         raise InternalError("matching engine overfilled a player")
     return matching
-
-
-def _general_matching(inst: Instance, base: Mapping[Edge, int], start=None) -> frozenset[Edge]:
-    """`_engine` on a general graph: through the edge gadget.
-
-    Player i gets min(b(i), deg(i)) zero-price slots, and each edge its
-    doubled perturbed weight, in `blossom.max_weight_degree_subgraph`: an
-    edge is gadgeted when both its ends have two or more slots and joins
-    them directly otherwise. The perturbed optimum is unique, so the
-    gadget's shape cannot change the answer. The gadget's profit is twice
-    the weight of the edges it selects, which certifies the read-back.
-
-    `start` = (y, used), an optimal LP dual on the scale of 2 * `base` and
-    a complementary-slack b-matching, instead starts the blossom warm on
-    `base` itself (`blossom.max_weight_degree_subgraph`).
-    """
-    from .blossom import max_weight_degree_subgraph
-
-    weights = _perturbed(inst, base) if start is None else base
-    copies = {p: range(min(inst.b(p), len(inst.neighbors(p)))) for p in inst.players}
-    slots = {p: [((p, c), 0) for c in copies[p]] for p in inst.players}
-    edges = [(i, j, 2 * weights[(i, j)]) for (i, j) in inst.edges]
-    selected, profit = max_weight_degree_subgraph(slots, edges, [], (), start)
-    if profit != 2 * sum(weights[e] for e in selected):
-        raise InternalError("edge gadget matching does not weigh twice its b-matching")
-    return frozenset(selected)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +403,7 @@ def _lp_optimum(inst: Instance):
     """`lp_optimum` up to the tie-break, its dual as integers (y, d, denom,
     w): the dual times `denom`, the weights' scale (twice it for the
     cover), and the weights on that scale; the double cover's state for
-    `cover._half_witness` (`cover._cover_pass`; None when the game is
+    `witness._half_witness` (`cover._cover_pass`; None when the game is
     bipartite, which never imports `cover`); and
     whether `matching` is the tie-broken one: it is unless the whole-game
     engine ran, warm from the dual and the forced and residual edges, which

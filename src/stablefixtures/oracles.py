@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from .errors import BoundExceededError, InputError, PreconditionError
-from .instance import Edge, Instance, _load_instance, _load_json, allocation_from_json, induced
+from .instance import Edge, Instance, _load_instance, _load_json, induced
 from .rationals import format_rational
 
 BRUTE_FORCE_EDGE_BOUND = 22
@@ -189,7 +189,7 @@ def oracle_command(args) -> tuple[bool, dict | None, str | None]:
     if args.engine == "core-check":
         if not args.allocation:
             raise InputError("oracle core-check needs an allocation file")
-        from .core import verdict_to_json
+        from .core import allocation_from_json, verdict_to_json
 
         inst = _load_instance(args.instance)
         verdict = core_membership_bruteforce(inst, allocation_from_json(_load_json(args.allocation), inst))

@@ -36,6 +36,17 @@ def parse_rational(value) -> Fraction:
     would silently poison exact comparisons downstream. Literals longer than
     MAX_LITERAL_DIGITS raise PreconditionError.
     """
+    if type(value) is str:
+        # Fast path, ahead of the isinstance tests (Fraction's is an ABC
+        # check): "digits" or "digits/digits" in ASCII with a nonzero
+        # denominator, within the bound. Every other string, errors
+        # included, takes the general path below.
+        num, slash, den = value.partition("/")
+        if (
+            num.isdigit() and num.isascii() and len(num) + len(den) <= MAX_LITERAL_DIGITS
+            and (not slash or den.isdigit() and den.isascii() and den.strip("0"))
+        ):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):

@@ -16,16 +16,19 @@ xi splitting the slack d(ij) of each matched edge.
 `matching._lp_optimum`, which certifies its tie-broken b-matching and
 integer dual by weak duality; `_stable_solution` splits that dual into
 integer payoffs, and the package's one compatibility-and-stability check
-of them against the pass's integer weights (`instance._require_own_stable`),
+of them against the pass's integer weights (`solution._require_own_stable`),
 whose failure is an InternalError, is the last check. A game without a
 stable solution prints only its b-matching's weight, which the warm
 whole-game engine finds, and its witness, tie-broken on the double cover's
 complementary-slack residual alone and certified there, in the pass's
-integers, to reach the half optimum (`cover._half_witness`). Each answer
-imports only what it runs: the stable one neither `cover` (unless the game
-is not bipartite) nor `stability` (unless `seller_side` needs its seller
-side), the other `cover`. The `Fraction` dual path (`stable_from_dual`,
-which certifies a caller's dual itself) lives in `duals`; `solver`
+integers, to reach the half optimum (`witness._half_witness`). Each answer
+imports only what it runs: the stable one `solution`, neither `cover`
+(unless the game is not bipartite) nor `stability` (`seller_side` finds
+its seller side in `cycles`), and never `witness`; the other `cover` and
+`witness`, never `solution`. The solution writer `solution_to_json` lives
+here, with its one caller, so that `verify-stable` never compiles it. The
+`Fraction` dual path (`stable_from_dual`, which certifies a caller's dual
+itself) lives in `duals`; `solver`
 resolves four of its names only for perfbench (PEP 562), and binds
 `DualSolution`, which perfbench also reads here.
 
@@ -39,12 +42,13 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from . import _moved_from
 from .errors import InputError
-from .instance import SPLIT_RULES, Instance, Solution, _require_own_stable, solution_to_json
+from .instance import SPLIT_RULES, Instance
 from .matching import DualSolution, _lp_optimum
 from .rationals import format_rational
 
 if TYPE_CHECKING:
-    from .cover import HalfBMatching
+    from .solution import Solution
+    from .witness import HalfBMatching
 
 __getattr__ = _moved_from(
     __name__, duals="dual_from_duplicated dual_objective is_dual_feasible stable_from_dual"
@@ -86,11 +90,14 @@ def _stable_solution(inst, m, scaled, split_rule, sellers) -> Solution:
     (`matching._lp_optimum` for `solve`, `duals.stable_from_dual` for a
     caller's dual), so every matched edge is tight and the payoffs are
     stable; one final check of the integer payoffs against 2w
-    (`instance._require_own_stable`) confirms it; its failure is an InternalError.
+    (`solution._require_own_stable`) confirms it; its failure is an
+    InternalError.
     """
+    from .solution import Solution, _require_own_stable
+
     y, d, denom, w = scaled
     if split_rule == "seller_side":
-        from .stability import resolve_sides
+        from .cycles import resolve_sides
 
         side = resolve_sides(inst, sellers)
     payoffs = {}
@@ -123,7 +130,7 @@ def solve(
     the pass produced. Otherwise only the b-matching's weight is
     printed, which the warm whole-game engine finds, and the witness is the
     double cover's forced edges plus the tie-broken optimum of its own
-    complementary-slack residual, which `cover._half_witness` certifies to
+    complementary-slack residual, which `witness._half_witness` certifies to
     reach the half optimum. An unknown
     `split_rule` or a seller who is not a player is refused first, on
     either branch.
@@ -132,7 +139,7 @@ def solve(
     opt, scaled, cover, _ = _lp_optimum(inst)
     if opt.weight != opt.half:
         # A bipartite game is always stable, so the pass ran on the cover.
-        from .cover import _half_witness
+        from .witness import _half_witness
 
         return SolveOutcome(
             stable=False,
@@ -155,6 +162,28 @@ def solve(
 # ---------------------------------------------------------------------------
 
 
+# A solution, as `solve` prints it and `stability.solution_from_json` reads it:
+#
+# {"matching": [{"u": ..., "v": ...}],
+#  "payoffs": [{"u": ..., "v": ..., "p_uv": "3", "p_vu": "1"}]}
+
+
+def solution_to_json(inst: Instance, sol: Solution) -> dict:
+    edges = [e for e in inst.edges if e in sol.matching]
+    return {
+        "matching": [{"u": u, "v": v} for (u, v) in edges],
+        "payoffs": [
+            {
+                "u": u,
+                "v": v,
+                "p_uv": format_rational(sol.payoff(u, v)),
+                "p_vu": format_rational(sol.payoff(v, u)),
+            }
+            for (u, v) in edges
+        ],
+    }
+
+
 def dual_to_json(inst: Instance, dual: DualSolution) -> dict:
     return {
         "y": {p: format_rational(dual.y[p]) for p in inst.players},
@@ -175,7 +204,7 @@ def outcome_to_json(inst: Instance, outcome: SolveOutcome) -> dict:
         data["solution"] = solution_to_json(inst, outcome.solution)
         data["dual"] = dual_to_json(inst, outcome.dual)
     else:
-        from .cover import half_matching_to_json
+        from .witness import half_matching_to_json
 
         data["witness"] = half_matching_to_json(inst, outcome.witness)
     return data

@@ -1,5 +1,5 @@
-"""Solutions (M, p), utilities, stability, and the seller side of a
-bipartite game.
+"""Solutions (M, p), utilities and stability: the checks of a caller's
+solution.
 
 A solution pairs a b-matching M with a payoff matrix p that splits the weight
 of every matched edge between its ends and is zero elsewhere. Player i's
@@ -7,12 +7,14 @@ utility is her worst payoff across matched edges when saturated, 0 otherwise;
 a solution is stable when no unmatched edge pays more than the combined
 utilities of its ends.
 
-The solution record (`Solution`, `PayoffMatrix`), its JSON writer and the
-one compatibility-and-stability check (`instance._solution_faults`) live in
-`instance`, so that `solve`, which runs that check in its pass's integers,
-never loads this module; the first two are bound here too. The checks here
+The solution record (`Solution`, `PayoffMatrix`) and the one
+compatibility-and-stability check (`solution._solution_faults`) live in
+`solution`, so that `solve`, which runs that check in its pass's integers,
+never loads this module; the record is bound here too. The checks here
 read it once each, in Fractions, for `verify-stable`, `transfers` and
-`duals`; this module also finds the seller side for `seller_side`.
+`duals`. The seller side of a bipartite game (`cycles.resolve_sides`) and
+the solution writer (`solver.solution_to_json`) live with the code that
+runs them, so `verify-stable` compiles neither.
 
 All functions are pure; inputs are never mutated.
 """
@@ -22,11 +24,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import IncompatibleSolutionError, InputError, NotBipartiteError, PreconditionError
-from .errors import UnknownEdgeError, UnstableSolutionError
-from .instance import Edge, Instance, PayoffMatrix, Solution, _solution_faults, _spanning_forest
-from .instance import solution_to_json
+from .errors import IncompatibleSolutionError, InputError, UnknownEdgeError, UnstableSolutionError
+from .instance import Edge, Instance
 from .rationals import parse_rational
+from .solution import PayoffMatrix, Solution, _solution_faults
 
 
 def make_solution(inst: Instance, matching: Iterable[tuple[str, str]], payoffs: Mapping) -> Solution:
@@ -97,41 +98,7 @@ def total_payoff(inst: Instance, payoffs: Mapping[tuple[str, str], Fraction]) ->
 
 
 # ---------------------------------------------------------------------------
-# Bipartite-only constructions
-# ---------------------------------------------------------------------------
-
-
-def resolve_sides(inst: Instance, sellers: Iterable[str] | None = None) -> frozenset[str]:
-    """The seller side of a bipartite instance.
-
-    With explicit `sellers`, verifies every edge crosses the bipartition.
-    Otherwise 2-colors the graph; this is only unambiguous when a single
-    component carries all edges, in which case the class containing its
-    smallest-index vertex is the seller side.
-    """
-    if sellers is not None:
-        side = frozenset(sellers)
-        for p in side:
-            inst.index(p)
-        for (u, v) in inst.edges:
-            if (u in side) == (v in side):
-                raise NotBipartiteError(
-                    f"edge {u}-{v} does not cross the declared seller side"
-                )
-        return side
-    coloring = inst.two_coloring()
-    if coloring is None:
-        raise NotBipartiteError("instance is not bipartite")
-    root, _ = _spanning_forest(inst.edges)
-    if len(set(root.values())) > 1:
-        raise PreconditionError(
-            "side assignment is ambiguous across components; pass sellers explicitly"
-        )
-    return frozenset(p for p in root if coloring[p] == 0)
-
-
-# ---------------------------------------------------------------------------
-# JSON wire format (`instance.solution_to_json` writes it)
+# JSON wire format (`solver.solution_to_json` writes it)
 # ---------------------------------------------------------------------------
 
 

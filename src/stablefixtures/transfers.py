@@ -4,7 +4,11 @@ equivalence, the bipartite lattice and competitive prices, the transfer of
 solutions through the unit-capacity expansion (one payoff per expanded
 vertex, which has at most one matched edge), and the decomposition of a
 core allocation into nonnegative payoffs. Each solution built here is
-checked last by `instance._require_own_stable`, so a fault is an InternalError.
+checked last by `solution._require_own_stable`, so a fault is an
+InternalError. The check runs once per solution: its utilities are handed
+on to the equivalence test and to the re-seating of the unit-capacity
+solution, so `rematch` checks its input and its output once each, and
+`lift_stable` the expanded solution, its re-seated copy and the result.
 """
 
 from __future__ import annotations
@@ -14,13 +18,14 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .core import CoreViolationError, _coalition_total, _pays_every_edge, _violation
+from .cycles import resolve_sides
 from .errors import ComponentSumError, InputError, InternalError, NotMaximumWeightError, PreconditionError
-from .instance import Edge, Instance, _require_own_stable
+from .instance import Edge, Instance
 from .matching import is_b_matching, lp_optimum, weight
 from .rationals import format_rational, scale_to_integers
 from .reduction import ReducedInstance, reduce_instance
-from .stability import PayoffMatrix, Solution, require_compatible, require_stable, resolve_sides
-from .stability import total_payoff, utilities
+from .solution import PayoffMatrix, Solution, _require_own_stable
+from .stability import require_compatible, require_stable, total_payoff, utilities
 
 
 def are_equivalent(inst: Instance, sol_a: Solution, sol_b: Solution) -> bool:
@@ -30,7 +35,11 @@ def are_equivalent(inst: Instance, sol_a: Solution, sol_b: Solution) -> bool:
     each side of the symmetric difference the payoffs are pinned to the
     utilities of both solutions.
     """
-    ua, ub = utilities(inst, sol_a), utilities(inst, sol_b)
+    return _equivalent(sol_a, utilities(inst, sol_a), sol_b, utilities(inst, sol_b))
+
+
+def _equivalent(sol_a: Solution, ua: Mapping, sol_b: Solution, ub: Mapping) -> bool:
+    """`are_equivalent` of two solutions whose utilities ua and ub are known."""
     if ua != ub:
         return False
     ma, mb = sol_a.matching, sol_b.matching
@@ -53,7 +62,11 @@ def rematch(inst: Instance, sol: Solution, new_matching: Iterable[tuple[str, str
     M and M' share and pays (u(i), u(j)) on each edge ij of M' outside M.
     The result is checked to be stable and equivalent to the input.
     """
-    u = require_stable(inst, sol).utilities
+    return _rematch(inst, sol, require_stable(inst, sol).utilities, new_matching)
+
+
+def _rematch(inst: Instance, sol: Solution, u: Mapping[str, Fraction], new_matching) -> Solution:
+    """`rematch` of a stable solution whose utilities u are known."""
     target = inst.canonical_edge_set(new_matching)
     if not is_b_matching(inst, target):
         raise PreconditionError("target edge set is not a b-matching")
@@ -73,8 +86,7 @@ def rematch(inst: Instance, sol: Solution, new_matching: Iterable[tuple[str, str
         payoffs[(i, j)] = sol.payoff(i, j) if shared else u[i]
         payoffs[(j, i)] = sol.payoff(j, i) if shared else u[j]
     out = Solution(matching=target, payoffs=payoffs)
-    _require_own_stable(inst, out, "rematch", inst.edge_weights())
-    if not are_equivalent(inst, sol, out):
+    if not _equivalent(sol, u, out, _require_own_stable(inst, out, "rematch", inst.edge_weights())):
         raise InternalError("rematch produced a non-equivalent payoff vector")
     return out
 
@@ -96,9 +108,9 @@ def meet_join(
         raise InputError(f"op must be 'meet' or 'join', got {op!r}")
     side = resolve_sides(inst, sellers)
     require_stable(inst, sol_a)
-    require_stable(inst, sol_b)
+    ub = require_stable(inst, sol_b).utilities
     if sol_b.matching != sol_a.matching:
-        sol_b = rematch(inst, sol_b, sol_a.matching)
+        sol_b = _rematch(inst, sol_b, ub, sol_a.matching)
     pick = min if op == "join" else max
     payoffs: PayoffMatrix = {}
     for (u, v) in sol_a.matching:
@@ -245,10 +257,11 @@ def lift_stable(
     vertices of the matched edges. The result is a stable solution of the
     original instance.
     """
-    require_stable(reduced.instance, reduced_sol)
+    u = require_stable(reduced.instance, reduced_sol).utilities
     matching = lp_optimum(inst).matching
     expanded = reduce_matching(inst, matching, reduced)
-    moved = srp_rematch(reduced.instance, reduced_sol, expanded)
+    # `srp_rematch` without re-checking the input: the expansion has unit capacities.
+    moved = _rematch(reduced.instance, reduced_sol, u, expanded)
     vertex_pay = total_payoff(reduced.instance, moved.payoffs)
     payoffs: PayoffMatrix = {}
     for (i, j) in matching:

@@ -2,7 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from stablefixtures import generate, matching
+from stablefixtures import blossom, generate, matching
 from stablefixtures.instance import Instance
 from stablefixtures.rationals import scale_to_integers
 from stablefixtures.stability import make_solution
@@ -110,8 +110,8 @@ def warm_and_cold_weights():
         _, (y, d, _, _), _, _ = matching._lp_optimum(inst)
         base = scale_to_integers(inst.edge_weights())[0]
         used, _ = matching._slack_matching(inst, {e: 2 * q for e, q in base.items()}, y, d)
-        warm = matching._general_matching(inst, base, (y, used))
-        cold = matching._general_matching(inst, base)
+        warm = blossom._general_matching(inst, base, (y, used))
+        cold = blossom._general_matching(inst, base)
         assert matching.is_b_matching(inst, warm)
         return matching.weight(inst, warm), matching.weight(inst, cold)
 

@@ -10,11 +10,11 @@ from fractions import Fraction as F
 
 
 from stablefixtures import generate
+from stablefixtures.blossom import max_weight_b_matching
 from stablefixtures.core import core_membership_b2, game_value, is_allocation
-from stablefixtures.cover import max_half_b_matching_weight
 from stablefixtures.duals import is_dual_feasible, verify_complementary_slackness
 from stablefixtures.instance import Instance
-from stablefixtures.matching import lp_optimum, max_weight_b_matching, weight
+from stablefixtures.matching import lp_optimum, weight
 from stablefixtures.oracles import core_membership_bruteforce, max_weight_b_matching_bruteforce
 from stablefixtures.randomgen import (
     random_allocation,
@@ -33,6 +33,7 @@ from stablefixtures.transfers import (
     reduce_solution,
     to_competitive_equilibrium,
 )
+from stablefixtures.witness import max_half_b_matching_weight
 
 
 def criterion(number, description):

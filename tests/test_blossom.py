@@ -3,7 +3,7 @@
 networkx is a test-only oracle here: a derandomized hypothesis differential
 compares the matching weight on graphs with weights 0, 1 and 10^400, many
 ties, isolated vertices and nested odd cycles that force blossoms inside
-blossoms. On the perturbed edge gadgets of `matching._general_matching`
+blossoms. On the perturbed edge gadgets of `blossom._general_matching`
 the b-matching read off the mate must be the one networkx's mate gives (the
 gadget itself has ties inside each edge gadget, the b-matching has none).
 Small graphs are checked against an exhaustive search, and corrupting the
@@ -170,10 +170,10 @@ def test_general_matching_gadgets_read_the_same_b_matching(monkeypatch):
         if inst.m == 0:
             continue
         base = scale_to_integers(inst.edge_weights())[0]
-        ours = matching._general_matching(inst, base)
+        ours = blossom._general_matching(inst, base)
         with monkeypatch.context() as patch:
             patch.setattr(blossom, "max_weight_matching", networkx_mate)
-            theirs = matching._general_matching(inst, base)
+            theirs = blossom._general_matching(inst, base)
         assert ours == theirs
         checked += 1
 

@@ -5,8 +5,7 @@ import pytest
 
 from stablefixtures import blossom, matching, oracles
 from stablefixtures.cli import main
-from stablefixtures.families import generate
-from stablefixtures.instance import instance_to_json
+from stablefixtures.families import generate, instance_to_json
 from stablefixtures.rationals import MAX_SCALE_DIGITS
 
 

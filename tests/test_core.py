@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stablefixtures import core, cycles, generate, matching, transfers
+from stablefixtures import blossom, core, cycles, generate, transfers
+from stablefixtures.blossom import max_weight_b_matching
 from stablefixtures.core import CoreViolationError, core_membership_b2, game_value, is_allocation
 from stablefixtures.errors import (
     BoundExceededError,
@@ -17,7 +18,7 @@ from stablefixtures.errors import (
     NotMaximumWeightError,
 )
 from stablefixtures.instance import Instance, induced
-from stablefixtures.matching import lp_optimum, max_weight_b_matching, weight
+from stablefixtures.matching import lp_optimum, weight
 from stablefixtures.oracles import core_membership_bruteforce, max_weight_b_matching_bruteforce
 from stablefixtures.randomgen import (
     random_allocation,
@@ -58,14 +59,14 @@ def test_game_value_matches_only_the_residual(monkeypatch):
         ],
     )  # fmt: skip
     assert inst.two_coloring() is None and solve(inst).stable
-    real = matching._general_matching
+    real = blossom._general_matching
     sizes = []
 
     def spy(net, *args):
         sizes.append(net.m)
         return real(net, *args)
 
-    monkeypatch.setattr(matching, "_general_matching", spy)
+    monkeypatch.setattr(blossom, "_general_matching", spy)
     value, witness = core.game_value_with_witness(inst, inst.players)
     assert len(sizes) <= 1 and all(m < inst.m for m in sizes)
     monkeypatch.undo()

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stablefixtures import generate, induced, validate
 from stablefixtures.errors import (
@@ -13,7 +15,8 @@ from stablefixtures.errors import (
     PreconditionError,
     UnknownEdgeError,
 )
-from stablefixtures.instance import Instance, instance_from_json, instance_to_json
+from stablefixtures.families import instance_to_json
+from stablefixtures.instance import Instance, instance_from_json
 from stablefixtures.oracles import max_weight_b_matching_bruteforce
 from stablefixtures.randomgen import random_instance
 from stablefixtures.rationals import (
@@ -223,6 +226,67 @@ def test_parse_rational_digit_bound():
             parse_rational(literal)
     with pytest.raises(InputError):
         parse_rational("1e")
+
+
+def _old_parse_string(value: str) -> F:
+    """`parse_rational` of a string as it was before its fast path, kept as
+    the oracle: the digit bound (digits written plus the exponent's
+    magnitude), then `Fraction`'s own parser on the stripped text."""
+    mantissa, _, exponent = value.replace("_", "").lower().partition("e")
+    digits = sum(ch.isdecimal() for ch in mantissa)
+    magnitude = exponent.strip().lstrip("+-")
+    if magnitude.isdecimal():
+        digits += int(magnitude) if len(magnitude) <= 9 else 10**9
+    if digits > MAX_LITERAL_DIGITS:
+        shown = value if len(value) <= 20 else value[:20] + "..."
+        raise PreconditionError(f"rational literal {shown!r} exceeds {MAX_LITERAL_DIGITS} digits")
+    try:
+        return F(value.strip())
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"bad rational literal {value!r}") from exc
+
+
+def _outcome(parse, value):
+    """The value `parse` returns, or the type and message of what it raises."""
+    try:
+        return parse(value)
+    except Exception as exc:  # noqa: BLE001 - the oracle's errors are compared, not handled
+        return type(exc), str(exc)
+
+
+LITERALS = [
+    "\u0661\u0662", "\u0661/\u0662", "12/\u0663", "\u00b2", "007", "0007/0014", "0", "00/5", "0/0", "1/0",
+    "3/000",
+    "+1", "-1", "-7/2", " 1 ", "1 ", "1/ 2", "1_000", "1_0/2", "1e3", "1E3", "2.5", "1/2/3", "1//2", "", "/",
+    "1/", "/1", "0x10", "\uff11", "1" * MAX_LITERAL_DIGITS, "1" * (MAX_LITERAL_DIGITS + 1),
+    "7" * 500 + "/" + "3" * 500, "7" * 500 + "/" + "3" * 501, "0" * MAX_LITERAL_DIGITS + "/1",
+]
+
+
+@pytest.mark.parametrize("value", LITERALS, ids=range(len(LITERALS)))
+def test_parse_rational_fast_path_agrees_with_the_old_parser(value):
+    """Plain ASCII digits and digits/digits with a nonzero denominator skip
+    the digit count and `Fraction`'s parser; every other literal (Unicode
+    digits, signs, blanks, underscores, exponents, a zero denominator, past
+    the bound) gives the old path's `Fraction`, or its error and message."""
+    got, want = _outcome(parse_rational, value), _outcome(_old_parse_string, value)
+    assert got == want and type(got) is type(want)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(
+    st.one_of(
+        st.from_regex(r"\A[0-9]{1,30}(/[0-9]{1,30})?\Z"),
+        st.text(alphabet="0123456789/ +-_.eE\u0661\u0662\u00b2", max_size=12),
+        st.integers(min_value=0, max_value=10**60).map(str),
+        st.tuples(st.integers(0, MAX_LITERAL_DIGITS + 2), st.integers(0, 3)).map(
+            lambda k: "9" * k[0] + ("/" + "1" * k[1] if k[1] else "")
+        ),
+    )
+)
+def test_parse_rational_fast_path_agrees_with_the_old_parser_on_random_literals(value):
+    got, want = _outcome(parse_rational, value), _outcome(_old_parse_string, value)
+    assert got == want and type(got) is type(want)
 
 
 def test_format_rational_past_digit_limit():

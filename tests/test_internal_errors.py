@@ -19,10 +19,11 @@ from pathlib import Path
 import pytest
 
 import stablefixtures
-from stablefixtures import cover, duals, generate, matching, solver, transfers
+from stablefixtures import cover, duals, generate, matching, solver, transfers, witness
 from stablefixtures.cli import EXIT_INTERNAL, main
 from stablefixtures.errors import InternalError, StableFixturesError
-from stablefixtures.instance import Instance, instance_to_json
+from stablefixtures.families import instance_to_json
+from stablefixtures.instance import Instance
 from stablefixtures.rationals import scale_to_integers
 from stablefixtures.reduction import reduce_instance
 from stablefixtures.stability import Solution
@@ -199,13 +200,13 @@ def test_witness_weight_mismatch_fails_solve(monkeypatch, capsys, tmp_path):
     diamond = generate("diamond").instance
     path = tmp_path / "diamond.json"
     path.write_text(json.dumps(instance_to_json(diamond)))
-    real = cover._slack_matching
+    real = witness._slack_matching
 
     def light(inst, w, y, d):
         matching, residual = real(inst, w, y, d)
         return matching - {max(matching, key=w.get)}, residual
 
-    monkeypatch.setattr(cover, "_slack_matching", light)
+    monkeypatch.setattr(witness, "_slack_matching", light)
     with pytest.raises(InternalError, match="fall short of its optimum"):
         solver.solve(diamond)
     assert main(["solve", str(path)]) == EXIT_INTERNAL
@@ -245,7 +246,7 @@ def test_edge_gadget_read_back_catches_a_wrong_mate(monkeypatch, fault, message)
         ["a", "b", "c"], dict.fromkeys("abc", 2), [("a", "b", 1), ("b", "c", 2), ("a", "c", 3)]
     )
     with pytest.raises(InternalError, match=message):
-        matching._general_matching(triangle, scale_to_integers(triangle.edge_weights())[0])
+        blossom._general_matching(triangle, scale_to_integers(triangle.edge_weights())[0])
 
 
 # A capacity-1 triangle with a pendant edge: no stable solution, so the
@@ -473,10 +474,11 @@ def test_wrong_cover_dual_fails_the_witness(monkeypatch, capsys, tmp_path, diamo
         return half, y, d, (dup, cover_base, cover_half, *fault(*cover_dual))
 
     monkeypatch.setattr(cover, "_cover_pass", wrong)
+    monkeypatch.setattr(witness, "_cover_pass", wrong)
     with pytest.raises(InternalError, match=message):
         solver.solve(diamond)
     with pytest.raises(InternalError, match=message):
-        cover.max_half_b_matching_weight(diamond)
+        witness.max_half_b_matching_weight(diamond)
     assert main(["solve", str(path)]) == EXIT_INTERNAL
     captured = capsys.readouterr()
     assert captured.out == ""

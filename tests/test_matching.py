@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stablefixtures import generate, matching
-from stablefixtures.cover import duplicated_instance, is_half_b_matching, max_half_b_matching_weight
+from stablefixtures.blossom import max_weight_b_matching
+from stablefixtures.cover import duplicated_instance
+from stablefixtures.cycles import _spanning_forest
 from stablefixtures.errors import BoundExceededError, NotBipartiteError, UnknownEdgeError
 from stablefixtures.duals import (
     bipartite_max_weight_b_matching_with_duals,
@@ -16,16 +18,12 @@ from stablefixtures.duals import (
     is_dual_feasible,
     verify_complementary_slackness,
 )
-from stablefixtures.instance import Instance, _spanning_forest
-from stablefixtures.matching import (
-    _perturbed,
-    is_b_matching,
-    max_weight_b_matching,
-    weight,
-)
+from stablefixtures.instance import Instance
+from stablefixtures.matching import _perturbed, is_b_matching, weight
 from stablefixtures.oracles import max_half_b_matching_bruteforce, max_weight_b_matching_bruteforce
 from stablefixtures.randomgen import random_instance
 from stablefixtures.rationals import scale_to_integers
+from stablefixtures.witness import is_half_b_matching, max_half_b_matching_weight
 
 
 def test_is_b_matching_example3(example3):

@@ -2,9 +2,9 @@
 
 * `import stablefixtures` loads no submodule; each public name resolves on
   first use to the object its home module defines (PEP 562).
-* Every other name resolves only from its home, except the ten that
-  perfbench looks up in `matching` and `solver`, each to the object its
-  home defines.
+* Every other name resolves only from its home, except the twelve that
+  perfbench looks up in `instance`, `matching` and `solver`, each to the
+  object its home defines.
 * The result records are immutable `NamedTuple`s with the fields, defaults
   and `repr` form they had as frozen dataclasses.
 * `src/` has no `assert` statement, so every check survives `python -O`
@@ -24,7 +24,7 @@ import pytest
 
 import stablefixtures
 from stablefixtures import (
-    core, cover, cycles, duals, families, instance, matching, reduction, solver, stability
+    core, cover, cycles, duals, families, instance, matching, reduction, solver, stability, witness
 )
 
 PUBLIC_NAMES = [
@@ -44,10 +44,13 @@ PUBLIC_NAMES = [
 
 SUBMODULES = ["core", "cycles", "errors", "instance", "matching", "rationals", "reduction", "solver", "stability"]
 # Modules that define public names: the submodules, the double cover, which
-# only a game that is not bipartite loads, the named-instance families, which
-# only `gen` loads, the brute-force oracles, and the library-only `Fraction`
-# dual path and paper constructs.
-HOMES = [*SUBMODULES, "cover", "families", "oracles", "duals", "transfers"]
+# only a game that is not bipartite loads, the no-stable witness, the solution
+# record and its check, the general engine next to its blossom gadget, the
+# named-instance families, which only `gen` loads, the brute-force oracles,
+# and the library-only `Fraction` dual path and paper constructs.
+HOMES = [
+    *SUBMODULES, "cover", "witness", "solution", "blossom", "families", "oracles", "duals", "transfers"
+]
 
 _SURFACE_PROBE = """
 import json, sys, types
@@ -117,9 +120,10 @@ def test_oracles_resolve_from_matching_without_being_compiled_there():
 # Names that perfbench looks up where they used to live: (old module, new home) -> names.
 MOVED = {
     ("matching", "duals"): ["bipartite_max_weight_b_matching_with_duals"],
-    ("matching", "cover"): [
-        "duplicated_instance", "half_matching_from_json", "is_half_b_matching", "max_half_b_matching_weight"
-    ],
+    ("matching", "cover"): ["duplicated_instance"],
+    ("matching", "witness"): ["half_matching_from_json", "is_half_b_matching", "max_half_b_matching_weight"],
+    ("matching", "blossom"): ["max_weight_b_matching"],
+    ("instance", "core"): ["allocation_from_json"],
     ("solver", "duals"): ["dual_from_duplicated", "dual_objective", "is_dual_feasible", "stable_from_dual"],
 }
 
@@ -181,8 +185,8 @@ def test_every_name_perfbench_reads_resolves(monkeypatch):
     """perfbench's tracer looks each name up in its listed module and its
     verifier reads `matching`, `solver` and `stability` attributes; a name
     deleted or moved from there must fail here, not only in the benchmark.
-    Only the package, `matching` and `solver` resolve names they do not
-    define."""
+    Only the package, `instance`, `matching` and `solver` resolve names
+    they do not define."""
     wanted = _perfbench_reads(monkeypatch)
     assert ("solver", "is_dual_feasible") in wanted
     missing = [
@@ -196,17 +200,17 @@ def test_every_name_perfbench_reads_resolves(monkeypatch):
         for module in pkgutil.iter_modules(stablefixtures.__path__)
         if "__getattr__" in vars(importlib.import_module(f"stablefixtures.{module.name}"))
     ]
-    assert sorted(resolving) == ["matching", "solver"]
+    assert sorted(resolving) == ["instance", "matching", "solver"]
 
 
 # Every name perfbench reads from `matching` or `solver`, and its home.
 PERFBENCH_HOMES = {
     ("matching", "bipartite_max_weight_b_matching_with_duals"): "duals",
     ("matching", "duplicated_instance"): "cover",
-    ("matching", "half_matching_from_json"): "cover",
-    ("matching", "is_half_b_matching"): "cover",
-    ("matching", "max_half_b_matching_weight"): "cover",
-    ("matching", "max_weight_b_matching"): "matching",
+    ("matching", "half_matching_from_json"): "witness",
+    ("matching", "is_half_b_matching"): "witness",
+    ("matching", "max_half_b_matching_weight"): "witness",
+    ("matching", "max_weight_b_matching"): "blossom",
     ("matching", "max_weight_b_matching_bruteforce"): "oracles",
     ("matching", "weight"): "matching",
     ("solver", "DualSolution"): "matching",
@@ -241,7 +245,7 @@ RECORDS = [
     (stability.StabilityVerdict, ("stable", "blocking_pairs", "utilities"), {}),
     (matching.DualSolution, ("y", "d"), {}),
     (duals.DualFeasibility, ("feasible", "violated_edges", "negative_y", "negative_d"), {}),
-    (cover.HalfBMatching, ("values",), {}),
+    (witness.HalfBMatching, ("values",), {}),
     (cover.DuplicatedInstance, ("instance", "left", "right"), {}),
     (matching.LPOptimum, ("matching", "weight", "half", "dual"), {}),
     (

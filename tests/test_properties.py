@@ -26,20 +26,19 @@ from itertools import combinations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablefixtures.blossom import max_weight_b_matching
 from stablefixtures.core import core_membership_b2
-from stablefixtures.cover import is_half_b_matching
 from stablefixtures.duals import (
     dual_from_duplicated,
     dual_objective,
     is_dual_feasible,
     verify_complementary_slackness,
 )
-from stablefixtures.instance import Instance, _solution_faults
+from stablefixtures.instance import Instance
 from stablefixtures.matching import (
     _lp_optimum,
     is_b_matching,
     lp_optimum,
-    max_weight_b_matching,
     weight,
 )
 from stablefixtures.oracles import (
@@ -47,9 +46,11 @@ from stablefixtures.oracles import (
     max_half_b_matching_bruteforce,
     max_weight_b_matching_bruteforce,
 )
+from stablefixtures.solution import _solution_faults
 from stablefixtures.solver import solve
 from stablefixtures.stability import Solution, check_solution, is_stable, total_payoff
 from stablefixtures.transfers import allocation_to_payoff
+from stablefixtures.witness import is_half_b_matching
 
 # Gadget-like ids first, so shrinking keeps them.
 IDS = ("a", "a'", "a''", "a^1", "a~b", "a@b", "b", "c", "d")
@@ -214,7 +215,7 @@ OFFSETS = st.sampled_from((0, 0, 0, 1, -1))
 @PROPERTY
 @given(games(), st.data())
 def test_integer_split_check_agrees_with_the_fraction_checks(inst, data):
-    """`instance._solution_faults` checks `solve`'s stable answer in the
+    """`solution._solution_faults` checks `solve`'s stable answer in the
     integers of its pass, and every other solution in Fractions. From the
     payoffs `solve` splits off the pass's dual, with payoff moved between
     the ends of matched edges, pushed off their weight or made negative, and

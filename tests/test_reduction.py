@@ -3,9 +3,10 @@ import random
 import pytest
 
 from stablefixtures import generate
+from stablefixtures.blossom import max_weight_b_matching
 from stablefixtures.errors import InternalError, NotMaximumWeightError, PreconditionError
 from stablefixtures.instance import Instance
-from stablefixtures.matching import max_weight_b_matching, weight
+from stablefixtures.matching import weight
 from stablefixtures.randomgen import random_instance
 from stablefixtures.reduction import reduce_instance
 from stablefixtures.solver import solve

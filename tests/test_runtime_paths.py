@@ -22,19 +22,15 @@ import networkx
 import pytest
 
 from stablefixtures import blossom, core, generate, reduction, transfers
-from stablefixtures.instance import Instance, instance_to_json
-from stablefixtures.matching import (
-    _general_matching,
-    _perturbed,
-    is_b_matching,
-    max_weight_b_matching,
-    weight,
-)
+from stablefixtures.blossom import _general_matching, max_weight_b_matching
+from stablefixtures.families import instance_to_json
+from stablefixtures.instance import Instance
+from stablefixtures.matching import _perturbed, is_b_matching, weight
 from stablefixtures.oracles import max_weight_b_matching_bruteforce
 from stablefixtures.randomgen import random_allocation, random_instance
 from stablefixtures.rationals import scale_to_integers
-from stablefixtures.solver import outcome_to_json, solve
-from stablefixtures.stability import Solution, solution_to_json, total_payoff
+from stablefixtures.solver import outcome_to_json, solution_to_json, solve
+from stablefixtures.stability import Solution, total_payoff
 from stablefixtures.transfers import rematch
 
 GADGET_LIKE_IDS = ["a", "b", "a^1", "a~b", "a@b", "a'", "b''", "b@a", "a^1^1", "c"]

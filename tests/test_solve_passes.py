@@ -36,23 +36,24 @@ import stablefixtures
 from stablefixtures import blossom, cycles, generate, instance, matching
 from stablefixtures import cover as cover_mod
 from stablefixtures.cli import main
+from stablefixtures.blossom import max_weight_b_matching
 from stablefixtures.core import core_membership_b2, game_value, game_value_with_witness
-from stablefixtures.cover import HalfBMatching, duplicated_instance, max_half_b_matching_weight
+from stablefixtures.cover import duplicated_instance
 from stablefixtures.duals import bipartite_max_weight_b_matching_with_duals, stable_from_dual
-from stablefixtures.instance import Instance, instance_to_json
+from stablefixtures.families import instance_to_json
+from stablefixtures.instance import Instance
 from stablefixtures.matching import (
     DualSolution,
     _lp_optimum,
     _perturbed,
     is_b_matching,
     lp_optimum,
-    max_weight_b_matching,
     weight,
 )
 from stablefixtures.randomgen import random_instance
 from stablefixtures.rationals import scale_to_integers
-from stablefixtures.solver import SolveOutcome, outcome_to_json, solve
-from stablefixtures.stability import solution_to_json
+from stablefixtures.solver import SolveOutcome, outcome_to_json, solution_to_json, solve
+from stablefixtures.witness import HalfBMatching, max_half_b_matching_weight
 
 # ---------------------------------------------------------------------------
 # The blossom engine stays unloaded until blossom runs; networkx never loads;
@@ -140,29 +141,35 @@ def _loaded_modules(src, *argv):
 
 
 def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_triangle):
-    """A solve whose instance is rejected (a float weight) loads no engine;
-    a bipartite solve loads neither the core stages, nor the double cover
-    (`cover`), nor any blossom. No solve loads `stability`, which checks a
-    caller's solution, unless `--split-rule seller_side` needs its seller
-    side (`stability.resolve_sides`): a stable one certifies its own answer
-    in the integers of its pass, a general one (the triangle) on the cover.
-    A no-stable solve loads the cover and the blossom, and the blossom's
-    warm start (`warmstart`)
-    only when its whole-game run starts warm: the pendant triangle's does,
-    and the diamond's, whose complementary-slack residual is the whole
-    game, is that residual's tie-broken cold run. value on example4's grand
+    """A solve whose instance is rejected (a float weight) loads no engine; a
+    bipartite solve loads neither the core stages, nor the double cover
+    (`cover`), nor the no-stable witness (`witness`), nor the general
+    engine and its blossom (`blossom`). No solve loads `stability`, which
+    checks a caller's solution: a stable one certifies its own answer in
+    the integers of its pass with the solution check (`solution`), a
+    general one (the triangle) on the cover, and `--split-rule seller_side`
+    finds its seller side in `cycles` (`cycles.resolve_sides`). A no-stable
+    solve loads the cover, the witness and the blossom, never the solution
+    check, and the blossom's warm start (`warmstart`) only when its
+    whole-game run starts warm: the pendant triangle's does, and the
+    diamond's, whose complementary-slack residual is the whole game, is
+    that residual's tie-broken cold run. value on example4's grand
     coalition, which has an LP gap (4 against 9/2) and a residual that is
     not the whole game, starts warm too. A core-check's cold blossom does
-    not load its warm start, verify-stable loads no engine and no cover,
-    and core-check and value neither the solver nor `stability`. Only a
-    core-check whose x/b is not a feasible dual loads the path/cycle
-    systems (`cycles`): the triangle's x = (2, 2, 0) is one, so its dual
-    screen proves it in the core, and x = (0, 4, 0) underpays the edge a-c.
-    Only gen loads the named families and only
-    oracle the brute-force oracles. No request loads `dataclasses`, the
-    parser's `argparse` (with `gettext` and `locale`), or the library-only
-    `duals` and `transfers`, nor `stablefixtures.cli` itself: it runs as
-    `__main__`, and importing it would compile it a second time."""
+    not load its warm start, verify-stable loads the solution check but no
+    engine, no cover and no witness, and core-check and value neither the
+    solver, nor `stability`, nor the solution check, nor the witness. value
+    reads the subgame's `matching.lp_optimum` and loads no `core`, and a
+    core-check refused for a capacity above 2 loads `core` but no engine
+    (`matching`). Only a core-check whose x/b is not a feasible dual, or a
+    seller_side solve, loads `cycles`: the triangle's x = (2, 2, 0) is one,
+    so its dual screen proves it in the core, and x = (0, 4, 0) underpays
+    the edge a-c. Only gen and reduce load the named families (with the
+    instance writer) and only oracle the brute-force oracles. No request
+    loads `dataclasses`, the parser's `argparse` (with `gettext` and
+    `locale`), or the library-only `duals` and `transfers`, nor
+    `stablefixtures.cli` itself: it runs as `__main__`, and importing it
+    would compile it a second time."""
     inst, sol, _ = example2
     files = {
         "bip": instance_to_json(inst),
@@ -176,35 +183,48 @@ def test_each_subcommand_loads_only_what_it_runs(tmp_path, example2, heavy_edge_
     }
     files["float"] = instance_to_json(heavy_edge_triangle)
     files["float"]["edges"][0]["w"] = 4.5
+    files["b3"] = instance_to_json(heavy_edge_triangle)
+    files["b3"]["capacity"]["a"] = 3
     for name, data in files.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(data))
-    bip, sol_path, triangle, x, x_violated, diamond, pendant, example4, float_weight = (
+    bip, sol_path, triangle, x, x_violated, diamond, pendant, example4, float_weight, b3 = (
         str(tmp_path / f"{name}.json") for name in files
     )
     src = Path(stablefixtures.__file__).resolve().parents[1]
-    engines = ["solver", "matching", "cover", "stability", "core", "cycles", "blossom", "oracles"]
+    engines = [
+        "solver", "matching", "cover", "witness", "solution", "stability", "core", "cycles", "blossom",
+        "oracles",
+    ]
+    checks = ["solver", "oracles", "stability", "solution", "witness"]
     for argv, code, absent, present in (
         (["solve", float_weight], 1, engines, []),
-        (["solve", bip], 0, ["core", "cycles", "cover", "blossom", "oracles", "stability"], []),
-        (["solve", bip, "--split-rule", "seller_side"], 0, ["core", "cycles", "cover", "blossom", "oracles"],
-         ["stability"]),
-        (["solve", triangle], 0, ["core", "cycles", "stability", "oracles"], ["cover"]),
-        (["solve", diamond], 3, ["core", "cycles", "stability", "oracles", "warmstart"], ["cover", "blossom"]),
-        (["solve", pendant], 3, ["core", "cycles", "stability", "oracles"], ["cover", "blossom", "warmstart"]),
-        (["verify-stable", bip, sol_path], 0, ["matching", "cover", "solver", "core", "cycles"], []),
-        (["core-check", triangle, x], 0, ["solver", "oracles", "stability", "cycles", "warmstart"], []),
-        (["core-check", triangle, x_violated], 3, ["solver", "oracles", "stability", "warmstart"], ["cycles"]),
-        (["value", triangle, "--coalition", "a,b"], 0, ["solver", "oracles", "stability", "cycles"], []),
+        (["solve", bip], 0, ["core", "cycles", "cover", "witness", "blossom", "oracles", "stability"],
+         ["solution"]),
+        (["solve", bip, "--split-rule", "seller_side"], 0,
+         ["core", "cover", "witness", "blossom", "oracles", "stability"], ["solution", "cycles"]),
+        (["solve", triangle], 0, ["core", "cycles", "stability", "witness", "oracles"], ["cover", "solution"]),
+        (["solve", diamond], 3, ["core", "cycles", "stability", "solution", "oracles", "warmstart"],
+         ["cover", "witness", "blossom"]),
+        (["solve", pendant], 3, ["core", "cycles", "stability", "solution", "oracles"],
+         ["cover", "witness", "blossom", "warmstart"]),
+        (["verify-stable", bip, sol_path], 0, ["matching", "cover", "witness", "solver", "core", "cycles"],
+         ["stability", "solution"]),
+        (["core-check", triangle, x], 0, [*checks, "cycles", "warmstart"], ["core", "matching"]),
+        (["core-check", triangle, x_violated], 3, [*checks, "warmstart"], ["core", "cycles"]),
+        (["core-check", b3, x], 2, [*checks, "matching", "cover", "cycles", "blossom"], ["core"]),
+        (["value", triangle, "--coalition", "a,b"], 0, [*checks, "core", "cycles"], ["matching"]),
         (["value", example4, "--coalition", "s1,s2,s3,t1_1,t2_1,t3_1"], 0,
-         ["solver", "oracles", "stability", "cycles"], ["blossom", "warmstart"]),
+         [*checks, "core", "cycles"], ["cover", "blossom", "warmstart"]),
         (["gen", "--family", "example2"], 0, engines, ["families"]),
-        (["oracle", "half", bip], 0, ["solver", "cover", "stability", "core", "blossom"], ["oracles"]),
+        (["reduce", bip], 0, engines, ["families"]),
+        (["oracle", "half", bip], 0, ["solver", "cover", "witness", "stability", "core", "blossom"], ["oracles"]),
     ):
         got, loaded = _loaded_modules(src, *argv)
         assert got == code, argv
         assert "stablefixtures.instance" in loaded
-        assert ("stablefixtures.cycles" in loaded) == (argv[-1] == x_violated), argv
-        assert ("stablefixtures.families" in loaded) == (argv[0] == "gen"), argv
+        uses_cycles = argv[-1] == x_violated or "seller_side" in argv
+        assert ("stablefixtures.cycles" in loaded) == uses_cycles, argv
+        assert ("stablefixtures.families" in loaded) == (argv[0] in ("gen", "reduce")), argv
         assert ("stablefixtures.oracles" in loaded) == (argv[0] == "oracle"), argv
         assert {f"stablefixtures.{name}" for name in present} <= loaded, argv
         unwanted = {f"stablefixtures.{name}" for name in [*absent, "duals", "transfers", "cli"]}
@@ -321,15 +341,15 @@ def test_stable_general_solve_makes_one_cover_pass(monkeypatch, heavy_edge_trian
     """One plain cover pass, then one perturbed pass on the bipartite residual."""
     inst = heavy_edge_triangle
     assert not inst.is_bipartite()
-    blossom = []
-    real = matching._general_matching
+    gadgets = []
+    real = blossom._general_matching
     monkeypatch.setattr(
-        matching, "_general_matching", lambda net, *args: blossom.append(net) or real(net, *args)
+        blossom, "_general_matching", lambda net, *args: gadgets.append(net) or real(net, *args)
     )
     outcome, kinds = _spy_passes(monkeypatch, solve, inst)
     assert outcome.stable
     assert kinds == [("cover", "plain"), ("instance", "perturbed")]
-    assert blossom == []
+    assert gadgets == []
 
 
 def _pendant_triangle():
@@ -389,7 +409,7 @@ def _engine_runs(monkeypatch):
     that `_perturbed` made for that instance."""
     runs = []
     real_ssp, real_general, real_perturbed = (
-        matching._ssp_flow, matching._general_matching, matching._perturbed
+        matching._ssp_flow, blossom._general_matching, matching._perturbed
     )
     perturbed = []  # (instance, perturbed weights)
 
@@ -409,7 +429,7 @@ def _engine_runs(monkeypatch):
 
     monkeypatch.setattr(matching, "_perturbed", perturb)
     monkeypatch.setattr(matching, "_ssp_flow", ssp)
-    monkeypatch.setattr(matching, "_general_matching", general)
+    monkeypatch.setattr(blossom, "_general_matching", general)
     return runs
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from stablefixtures import generate, matching, solver
+from stablefixtures.blossom import max_weight_b_matching
 from stablefixtures.errors import (
     DualityGapError,
     InputError,
@@ -20,7 +21,7 @@ from stablefixtures.duals import (
     verify_complementary_slackness,
 )
 from stablefixtures.instance import Instance
-from stablefixtures.matching import DualSolution, _priced, lp_optimum, max_weight_b_matching, weight
+from stablefixtures.matching import DualSolution, _priced, lp_optimum, weight
 from stablefixtures.oracles import max_half_b_matching_bruteforce
 from stablefixtures.randomgen import random_instance
 from stablefixtures.solver import solve

@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from stablefixtures import generate, stability, transfers
+from stablefixtures import generate, solution, stability, transfers
+from stablefixtures.cycles import resolve_sides
 from stablefixtures.errors import (
     IncompatibleSolutionError,
     InternalError,
@@ -14,13 +15,13 @@ from stablefixtures.errors import (
 )
 from stablefixtures.instance import Instance
 from stablefixtures.randomgen import random_instance
+from stablefixtures.reduction import reduce_instance
 from stablefixtures.solver import solve
 from stablefixtures.stability import (
     Solution,
     check_solution,
     is_stable,
     make_solution,
-    resolve_sides,
     total_payoff,
     utilities,
 )
@@ -226,7 +227,7 @@ def test_rematch_rejects_bad_targets(example2):
 
 def test_rematch_failed_equivalence_is_internal_error(monkeypatch, example2):
     inst, sol, alt = example2
-    monkeypatch.setattr(transfers, "are_equivalent", lambda *args: False)
+    monkeypatch.setattr(transfers, "_equivalent", lambda *args: False)
     with pytest.raises(InternalError, match="non-equivalent"):
         rematch(inst, sol, alt.matching)
 
@@ -244,6 +245,37 @@ def test_rematch_unstable_result_is_internal_error(monkeypatch, example2):
     monkeypatch.setattr(transfers, "require_stable", low)
     with pytest.raises(InternalError, match="incompatible or unstable"):
         rematch(inst, sol, alt.matching)
+
+
+def test_transfers_check_each_solution_once(monkeypatch, example2):
+    """The transfers run the one compatibility-and-stability check
+    (`solution._solution_faults`) once per solution they read or build:
+    `rematch` its input and its output, `meet_join` both inputs, the second
+    one rematched onto the first one's matching and the result, and
+    `lift_stable` the expanded solution, its re-seated copy and the
+    result. The equivalence test and the re-seating reuse the utilities."""
+    inst, sol, alt = example2
+    reduced = reduce_instance(inst)
+    reduced_sol = transfers.reduce_solution(inst, sol, reduced)
+    checked = []
+    real = solution._solution_faults
+
+    def spy(inst_, sol_, w):
+        checked.append(sol_)
+        return real(inst_, sol_, w)
+
+    for module in (solution, stability):
+        monkeypatch.setattr(module, "_solution_faults", spy)
+    for name, call, count in (
+        ("rematch", lambda: rematch(inst, sol, alt.matching), 2),
+        ("meet_join", lambda: meet_join(inst, sol, sol._replace(), "join"), 3),
+        ("meet_join onto another matching", lambda: meet_join(inst, sol, alt, "meet"), 4),
+        ("lift_stable", lambda: transfers.lift_stable(inst, reduced, reduced_sol), 3),
+    ):
+        checked.clear()
+        out = call()
+        assert len(checked) == count, name
+        assert len({id(s) for s in checked}) == count and checked[-1] is out, name
 
 
 def test_resolve_sides_explicit_and_auto(example2):
