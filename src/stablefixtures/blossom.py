@@ -134,24 +134,21 @@ def max_weight_degree_subgraph(slots, edges, extra, mandatory, start=None):
     return selected, profit
 
 
-def _general_matching(inst, base, start=None) -> frozenset:
-    """`matching._engine` on a general graph: through the edge gadget.
+def _general_matching(inst, weights, start=None) -> frozenset:
+    """`matching._engine` on a general graph: a maximum-weight b-matching
+    for exactly the integer `weights`, through the edge gadget.
 
     Player i gets min(b(i), deg(i)) zero-price slots, and each edge its
-    doubled perturbed weight (`matching._perturbed` of the integer weights
-    `base`), in `max_weight_degree_subgraph`: an edge is gadgeted when both
-    its ends have two or more slots and joins them directly otherwise. The
-    perturbed optimum is unique, so the gadget's shape cannot change the
-    answer. The gadget's profit is twice the weight of the edges it
-    selects, which certifies the read-back.
+    doubled weight, in `max_weight_degree_subgraph`: an edge is gadgeted
+    when both its ends have two or more slots and joins them directly
+    otherwise. On `matching._perturbed` weights the optimum is unique, so
+    the gadget's shape cannot change the answer. The gadget's profit is
+    twice the weight of the edges it selects, which certifies the read-back.
 
-    `start` = (y, used), an optimal LP dual on the scale of 2 * `base` and
-    a complementary-slack b-matching, instead starts the blossom warm on
-    `base` itself.
+    `start` = (y, used), an optimal LP dual on the scale of 2 * `weights`
+    and a complementary-slack b-matching, starts the blossom warm; it
+    changes only how fast the run gets to an optimum.
     """
-    from .matching import _perturbed
-
-    weights = _perturbed(inst, base) if start is None else base
     copies = {p: range(min(inst.b(p), len(inst.neighbors(p)))) for p in inst.players}
     slots = {p: [((p, c), 0) for c in copies[p]] for p in inst.players}
     edges = [(i, j, 2 * weights[(i, j)]) for (i, j) in inst.edges]
@@ -163,13 +160,14 @@ def _general_matching(inst, base, start=None) -> frozenset:
 
 def max_weight_b_matching(inst):
     """A maximum-weight b-matching of the game `inst` and its exact weight:
-    the tie-broken optimum of `matching._engine`, which runs the flow
-    engine on a bipartite game and `_general_matching` on any other."""
-    from .matching import _engine, weight
+    the tie-broken optimum, from `matching._engine` on the perturbed scaled
+    weights, which runs the flow engine on a bipartite game and
+    `_general_matching` on any other."""
+    from .matching import _engine, _perturbed, weight
 
     if inst.m == 0:
         return frozenset(), Fraction(0)
-    matching = _engine(inst, scale_to_integers(inst.edge_weights())[0])
+    matching = _engine(inst, _perturbed(inst, scale_to_integers(inst.edge_weights())[0]))
     return matching, weight(inst, matching)
 
 

@@ -149,10 +149,10 @@ def core_membership_b2(inst: Instance, x: Mapping[str, Fraction]) -> CoreVerdict
             return _violation(inst, x, [p])
 
     # v(N) reads only the weight; a violation by N reuses its pass for the witness.
-    grand, _, _, tied = _lp_optimum(inst)
+    grand, scaled, _, tied = _lp_optimum(inst)
     grand_value = grand.weight
     if grand_total < grand_value:
-        return _violation(inst, x, inst.players, _tie_broken(inst, grand, tied))
+        return _violation(inst, x, inst.players, _tie_broken(inst, grand, scaled, tied))
     efficient = grand_total == grand_value
 
     zero_cap = [p for p in inst.players if inst.b(p) == 0]

@@ -61,20 +61,17 @@ def _cover_pass(inst: Instance, base: Mapping[Edge, int], scale: int):
     `_certified_pass` on its double cover, and the cover's state for
     `witness._half_witness`: the cover, its integer weights (both cross
     edges of ij weigh base(ij), that is w(ij)/2 on twice the scale), their
-    optimum and the cover's own optimal dual on that scale. Folding that dual (y(i) =
-    y(i') + y(i''), d(ij) = the slacks of both cross edges) keeps it
-    feasible and keeps its objective, the LP optimum.
+    optimum, the cover's own optimal dual on that scale and the keys of
+    each game edge's two cross edges, in `inst.edges` order. Folding that
+    dual (y(i) = y(i') + y(i''), d(ij) = the slacks of both cross edges)
+    keeps it feasible and keeps its objective, the LP optimum.
     """
     dup = duplicated_instance(inst)
     cover, left, right = dup.instance, dup.left, dup.right
     key = cover.edge_key
-    cover_base = {}
-    for (i, j) in inst.edges:
-        cover_base[key(left[i], right[j])] = cover_base[key(left[j], right[i])] = base[(i, j)]
+    cross = [(key(left[i], right[j]), key(left[j], right[i])) for (i, j) in inst.edges]
+    cover_base = {c: base[e] for e, pair in zip(inst.edges, cross) for c in pair}
     half, cy, cd = _certified_pass(cover, cover_base, 2 * scale, cover.two_coloring())
     y = {i: cy[left[i]] + cy[right[i]] for i in inst.players}
-    d = {
-        (i, j): cd[key(left[i], right[j])] + cd[key(left[j], right[i])]
-        for (i, j) in inst.edges
-    }
-    return half, y, d, (dup, cover_base, half, cy, cd)
+    d = {e: cd[ij] + cd[ji] for e, (ij, ji) in zip(inst.edges, cross)}
+    return half, y, d, (dup, cover_base, half, cy, cd, cross)

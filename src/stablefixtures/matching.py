@@ -39,15 +39,16 @@ Names that left this module resolve here only for perfbench, on first use
 
 Ties among optimal b-matchings are broken toward the lexicographically
 smallest edge set under the instance's edge order, implemented by a weight
-perturbation that is too small to disturb optimality. One rule decides
-where it is paid: a cold engine run is tie-broken, and a warm one is not.
-The only warm run is `_lp_optimum`'s whole-game engine, which runs only
-when the game has no stable solution and whose weight is all that `solve`,
-`core.game_value` and `core-check`'s v(N) read: its blossom starts from the
-LP optimum's dual and its forced and residual edges, so only the slots
-these edges leave free at a positive dual are left to match. `lp_optimum`,
-whose matching `value` and the violation witnesses print, then finds that
-game's tie-broken matching with one cold run (`_tie_broken`).
+perturbation that is too small to disturb optimality (`_perturbed`). One
+rule decides where it is paid: the engines match exactly the weights they
+are handed, so a run is tie-broken iff its weights are `_perturbed`, and a
+start changes only how fast it gets there. `_lp_optimum`'s whole-game run
+(a game with no stable solution), whose weight is all that `solve`,
+`core.game_value` and `core-check`'s v(N) read, matches the plain weights,
+warm from the LP optimum's dual and its forced and residual edges.
+`lp_optimum`, whose matching `value` and the violation witnesses print,
+then finds that game's tie-broken matching on the pass's integers
+(`_tie_broken`), as `_slack_matching` finds a residual's.
 
 Everything here is a pure function of immutable inputs.
 """
@@ -119,20 +120,18 @@ def _perturbed(inst: Instance, base: Mapping[Edge, int]) -> dict[Edge, int]:
 # ---------------------------------------------------------------------------
 
 
-def _engine(inst: Instance, base: Mapping[Edge, int], start=None) -> frozenset[Edge]:
-    """A maximum-weight b-matching for the integer weights `base`, any
-    positive multiple of the scaled weights: SSP when bipartite, else the
-    edge gadgets. Cold it is the tie-broken optimum, found on the perturbed
-    `base`; a `start`, given only on a game with an LP gap (never
-    bipartite), warms the edge gadgets on `base` itself and returns
-    whichever optimum they find (`blossom._general_matching`)."""
+def _engine(inst: Instance, weights: Mapping[Edge, int], start=None) -> frozenset[Edge]:
+    """A maximum-weight b-matching for exactly the integer `weights`: SSP
+    when bipartite, else the edge gadgets (`blossom._general_matching`),
+    which a `start`, given only on a game with an LP gap (never bipartite),
+    warms. On `_perturbed` weights it is the tie-broken optimum."""
     coloring = inst.two_coloring()
     if coloring is not None:
-        matching, _ = _ssp_flow(inst, _perturbed(inst, base), coloring)
+        matching, _ = _ssp_flow(inst, weights, coloring)
     else:
         from .blossom import _general_matching
 
-        matching = _general_matching(inst, base, start)
+        matching = _general_matching(inst, weights, start)
     if not is_b_matching(inst, matching):
         raise InternalError("matching engine overfilled a player")
     return matching
@@ -357,7 +356,7 @@ def _slack_matching(inst: Instance, w: Mapping[Edge, int], y, d):
         if d[(u, v)] == 0 and free[u] and free[v] and y[u] + y[v] == w[(u, v)]
     ]
     residual = Instance._derived(inst.players, free, tight)
-    return forced | (_engine(residual, w) if residual.m else frozenset()), residual
+    return forced | (_engine(residual, _perturbed(residual, w)) if residual.m else frozenset()), residual
 
 
 class LPOptimum(NamedTuple):
@@ -386,17 +385,18 @@ def lp_optimum(inst: Instance) -> LPOptimum:
     when G is bipartite, whose LP is integral, and on the double cover
     otherwise.
     """
-    opt, _, _, tied = _lp_optimum(inst)
-    return _tie_broken(inst, opt, tied)
+    opt, scaled, _, tied = _lp_optimum(inst)
+    return _tie_broken(inst, opt, scaled, tied)
 
 
-def _tie_broken(inst: Instance, opt: LPOptimum, tied: bool) -> LPOptimum:
-    """`lp_optimum(inst)` from `_lp_optimum(inst)`'s first and last
-    entries: only a matching that is not yet the tie-broken one is found
-    again, by the cold whole-game engine."""
+def _tie_broken(inst: Instance, opt: LPOptimum, scaled, tied: bool) -> LPOptimum:
+    """`lp_optimum(inst)` from `_lp_optimum(inst)`'s entries: only a
+    matching that is not yet the tie-broken one is found again, by the
+    whole-game engine on the pass's integer weights `scaled[3]`, perturbed
+    (a positive multiple of the scaled weights, so the same optimum)."""
     if tied:
         return opt
-    return opt._replace(matching=_engine(inst, scale_to_integers(inst.edge_weights())[0]))
+    return opt._replace(matching=_engine(inst, _perturbed(inst, scaled[3])))
 
 
 def _lp_optimum(inst: Instance):
@@ -404,9 +404,9 @@ def _lp_optimum(inst: Instance):
     w): the dual times `denom`, the weights' scale (twice it for the
     cover), and the weights on that scale; the double cover's state for
     `witness._half_witness` (`cover._cover_pass`; None when the game is
-    bipartite, which never imports `cover`); and
-    whether `matching` is the tie-broken one: it is unless the whole-game
-    engine ran, warm from the dual and the forced and residual edges, which
+    bipartite, which never imports `cover`); and whether `matching` is the
+    tie-broken one: it is unless the whole-game engine ran, on the plain
+    weights, warm from the dual and the forced and residual edges, which
     are complementary-slack with it. All of it runs on those integers.
     """
     base, scale = scale_to_integers(inst.edge_weights())

@@ -1,7 +1,8 @@
 """Warm starts for the blossom engine, imported only by a run that starts
-warm: the whole-game b-matching of a game whose integral optimum falls
-short of its LP optimum (`matching._lp_optimum`). Every other blossom run,
-the tie-broken ones and `core-check`'s path/cycle systems included, is
+warm: the whole-game b-matching, on the plain weights, of a game whose
+integral optimum falls short of its LP optimum (`matching._lp_optimum`).
+A start changes only how fast a run gets to an optimum; its weights alone
+decide whether it is tie-broken (`matching`). Every other blossom run is
 cold: the same stage loop from the default start, every vertex free at the
 largest weight, which needs no check, so it does not compile this module.
 

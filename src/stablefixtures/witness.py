@@ -60,7 +60,8 @@ def max_half_b_matching_weight(inst: Instance) -> tuple[Fraction, HalfBMatching]
 def _half_witness(inst: Instance, state) -> HalfBMatching:
     """The tie-broken witness of `max_half_b_matching_weight`, from the
     cover's state that `_cover_pass` returns: the double cover, its integer
-    weights, their optimum and an optimal dual (y, d) on that scale.
+    weights, their optimum, an optimal dual (y, d) on that scale and each
+    game edge's two cross edges.
 
     The cover's tie-broken optimum is its forced edges plus the tie-broken
     optimum of its complementary-slack residual (`_slack_matching`), whose
@@ -68,18 +69,18 @@ def _half_witness(inst: Instance, state) -> HalfBMatching:
     ij's two cross edges, which both weigh base(ij) on the cover's scale.
     The cover's LP is integral, so with an optimal dual the sum of
     hits(ij) * base(ij) is the optimum; InternalError if it falls short or
-    the fold is no half-b-matching.
+    the fold is no half-b-matching: more than 2 b(p) hits at a player p.
     """
-    dup, cover_base, half, y, d = state
+    dup, cover_base, half, y, d, cross = state
     matching, _ = _slack_matching(dup.instance, cover_base, y, d)
-    key = dup.instance.edge_key
-    total, values = 0, {}
-    for (i, j) in inst.edges:
-        cross = (key(dup.left[i], dup.right[j]), key(dup.left[j], dup.right[i]))
-        hits = sum(e in matching for e in cross)
-        total += hits * cover_base[cross[0]]
+    total, values, load = 0, {}, dict.fromkeys(inst.players, 0)
+    for (i, j), (ij, ji) in zip(inst.edges, cross):
+        hits = (ij in matching) + (ji in matching)
+        total += hits * cover_base[ij]
         values[(i, j)] = Fraction(hits, 2)
-    if total != half or not is_half_b_matching(inst, values):
+        load[i] += hits
+        load[j] += hits
+    if total != half or any(load[p] > 2 * inst.b(p) for p in inst.players):
         raise InternalError("double cover's forced and residual edges fall short of its optimum")
     return HalfBMatching(values)
 

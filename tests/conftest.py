@@ -102,16 +102,16 @@ def heavy_edge_triangle():
 def warm_and_cold_weights():
     """The weights that the whole-game engine finds on a general game:
     started warm from its LP optimum, the dual and the forced and residual
-    edges, as `matching._lp_optimum` starts it when the game has an LP gap;
-    and cold, tie-broken, whose weight is the optimum too. The warm run's
-    answer must be a b-matching."""
+    edges, as `matching._lp_optimum` starts it when the game has an LP gap,
+    on the plain weights; and cold on the perturbed ones, tie-broken, whose
+    weight is the optimum too. The warm run's answer must be a b-matching."""
 
     def weights(inst):
         _, (y, d, _, _), _, _ = matching._lp_optimum(inst)
         base = scale_to_integers(inst.edge_weights())[0]
         used, _ = matching._slack_matching(inst, {e: 2 * q for e, q in base.items()}, y, d)
         warm = blossom._general_matching(inst, base, (y, used))
-        cold = blossom._general_matching(inst, base)
+        cold = blossom._general_matching(inst, matching._perturbed(inst, base))
         assert matching.is_b_matching(inst, warm)
         return matching.weight(inst, warm), matching.weight(inst, cold)
 

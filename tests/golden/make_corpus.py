@@ -1,6 +1,7 @@
 """Write the golden CLI corpus replayed by tests/test_golden.py.
 
     PYTHONPATH=src python tests/golden/make_corpus.py
+    PYTHONPATH=src python tests/golden/make_corpus.py --digest 1 2 101
 
 Each line of corpus.jsonl is one `stablefixtures` CLI request: its argv,
 the JSON files it reads (names relative to the directory it runs in), its
@@ -12,6 +13,10 @@ ids that collide with generated names.
 
 Run it on the commit whose outputs are the reference; an intended change of
 output regenerates the corpus and is listed in CHANGES.md.
+
+With `--digest SEED...` it writes nothing and prints one line per request
+of every pool at those seeds (name, exit code, sha256 of stdout and of
+stderr); the output of two commits compares with `diff`.
 """
 
 from __future__ import annotations
@@ -111,6 +116,39 @@ SQUARE = _instance(
 )
 
 
+# Games with an LP gap whose residual is not the whole game, so the
+# tie-broken matching that `value` and a violation by the grand coalition
+# print is found again after the whole-game run (here it differs from that
+# run's): a triangle with a light pendant at each corner, and a 5-cycle with
+# a capacity-2 hub that a coalition without `q` leaves gapped.
+TRIANGLE_PENDANTS = _instance(
+    ["a", "b", "c", "d", "e", "f"],
+    dict.fromkeys("abcdef", 1),
+    [
+        _edge("a", "b", "2"), _edge("a", "c", "2"), _edge("b", "c", "2"),
+        _edge("a", "d", "1/2"), _edge("b", "e", "1/2"), _edge("c", "f", "1/2"),
+    ],
+)  # fmt: skip
+HUB_PENTAGON = _instance(
+    ["h", "p1", "p2", "p3", "p4", "p5", "q"],
+    {"h": 2, "p1": 1, "p2": 1, "p3": 1, "p4": 1, "p5": 1, "q": 1},
+    [
+        _edge("p1", "p2", "3"), _edge("p2", "p3", "3"), _edge("p3", "p4", "3"),
+        _edge("p4", "p5", "3"), _edge("p1", "p5", "3"), _edge("h", "p1", "1"),
+        _edge("h", "p3", "1"), _edge("h", "q", "4"), _edge("q", "p2", "1"),
+    ],
+)  # fmt: skip
+# The `diamond` family: gapped, and its residual is the whole game.
+DIAMOND = _instance(
+    ["s1", "s2", "s3", "u"],
+    {"s1": 2, "s2": 2, "s3": 2, "u": 1},
+    [
+        _edge("s1", "s2", "1"), _edge("s1", "s3", "1"), _edge("s2", "s3", "1"),
+        _edge("s2", "u", "1"), _edge("s3", "u", "1"),
+    ],
+)  # fmt: skip
+
+
 def _allocation(x):
     return {"allocation": x}
 
@@ -164,6 +202,12 @@ ADVERSARIAL = (
      {"g.json": SQUARE,
       "s.json": {"matching": [{"u": "a", "v": "b"}, {"u": "a", "v": "c"},
                               {"u": "b", "v": "d"}, {"u": "c", "v": "d"}]}}),
+    # The tie-broken matching after a whole-game run: a violation by the
+    # grand coalition, a gapped coalition and a residual that is the game.
+    (["core-check", "g.json", "x.json"],
+     {"g.json": TRIANGLE_PENDANTS, "x.json": _allocation(dict.fromkeys("abcdef", "1/3"))}),
+    (["value", "g.json", "--coalition", "h,p1,p2,p3,p4,p5"], {"g.json": HUB_PENTAGON}),
+    (["value", "g.json", "--coalition", "s1,s2,s3,u"], {"g.json": DIAMOND}),
 )  # fmt: skip
 
 
@@ -192,21 +236,40 @@ def run_request(argv, files) -> dict:
     }
 
 
-def requests():
-    """(name, argv, files) of the first REQUESTS_PER_POOL requests of every
-    pool at each of SEEDS, then of the adversarial shapes."""
+def pool_requests(seeds, per_pool=None):
+    """(name, argv, files) of the first `per_pool` requests (all when None)
+    of every perfbench pool at each of `seeds`."""
     sys.path.insert(0, str(HERE.parents[1] / "perfbench"))
     import workloads
 
     for workload in workloads.WORKLOADS:
-        for seed in SEEDS:
-            for k, req in enumerate(workloads.build(workload, seed)[:REQUESTS_PER_POOL]):
+        for seed in seeds:
+            for k, req in enumerate(workloads.build(workload, seed)[:per_pool]):
                 yield f"{workload}:{seed}:{k}", req.argv, req.files
+
+
+def requests():
+    """(name, argv, files) of the first REQUESTS_PER_POOL requests of every
+    pool at each of SEEDS, then of the adversarial shapes."""
+    yield from pool_requests(SEEDS, REQUESTS_PER_POOL)
     for k, (argv, files) in enumerate(ADVERSARIAL):
         yield f"adversarial:{k}", argv, files
 
 
-def main() -> None:
+def digest(seeds) -> None:
+    """Print one line per request of every pool at `seeds`: its name, exit
+    code and the sha256 of its stdout and of its stderr, so that two
+    commits' outputs compare with `diff`."""
+    for name, argv, files in pool_requests(seeds):
+        got = run_request(argv, files)
+        err = hashlib.sha256(got["stderr"].encode()).hexdigest()
+        print(name, got["exit"], got["stdout_sha256"], err)
+
+
+def main(argv) -> None:
+    if argv[:1] == ["--digest"]:
+        digest([int(seed) for seed in argv[1:]])
+        return
     with open(CORPUS, "w", encoding="utf-8") as fh:
         for name, argv, files in requests():
             entry = {"name": name, "argv": argv, "files": files}
@@ -215,4 +278,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -169,11 +169,11 @@ def test_general_matching_gadgets_read_the_same_b_matching(monkeypatch):
         inst = random_instance(rng, n_range=(3, 9), max_extra_edges=6, b_range=(1, 3), max_weight=5)
         if inst.m == 0:
             continue
-        base = scale_to_integers(inst.edge_weights())[0]
-        ours = blossom._general_matching(inst, base)
+        weights = matching._perturbed(inst, scale_to_integers(inst.edge_weights())[0])
+        ours = blossom._general_matching(inst, weights)
         with monkeypatch.context() as patch:
             patch.setattr(blossom, "max_weight_matching", networkx_mate)
-            theirs = blossom._general_matching(inst, base)
+            theirs = blossom._general_matching(inst, weights)
         assert ours == theirs
         checked += 1
 

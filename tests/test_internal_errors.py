@@ -245,8 +245,9 @@ def test_edge_gadget_read_back_catches_a_wrong_mate(monkeypatch, fault, message)
     triangle = Instance(
         ["a", "b", "c"], dict.fromkeys("abc", 2), [("a", "b", 1), ("b", "c", 2), ("a", "c", 3)]
     )
+    weights = matching._perturbed(triangle, scale_to_integers(triangle.edge_weights())[0])
     with pytest.raises(InternalError, match=message):
-        blossom._general_matching(triangle, scale_to_integers(triangle.edge_weights())[0])
+        blossom._general_matching(triangle, weights)
 
 
 # A capacity-1 triangle with a pendant edge: no stable solution, so the
@@ -405,9 +406,9 @@ def test_overfilling_residual_matching_fails_solve(
     path.write_text(json.dumps(instance_to_json(inst)))
     real = matching._engine
 
-    def extra(net, base, *start):
+    def extra(net, weights, *start):
         # The residual engine adds a-c.
-        return real(net, base, *start) | {("a", "c")}
+        return real(net, weights, *start) | {("a", "c")}
 
     monkeypatch.setattr(matching, "_engine", extra)
     with pytest.raises(InternalError, match="overfill"):
@@ -470,8 +471,8 @@ def test_wrong_cover_dual_fails_the_witness(monkeypatch, capsys, tmp_path, diamo
     real = cover._cover_pass
 
     def wrong(*args):
-        half, y, d, (dup, cover_base, cover_half, *cover_dual) = real(*args)
-        return half, y, d, (dup, cover_base, cover_half, *fault(*cover_dual))
+        half, y, d, (dup, cover_base, cover_half, cover_y, cover_d, cross) = real(*args)
+        return half, y, d, (dup, cover_base, cover_half, *fault(cover_y, cover_d), cross)
 
     monkeypatch.setattr(cover, "_cover_pass", wrong)
     monkeypatch.setattr(witness, "_cover_pass", wrong)
@@ -499,8 +500,8 @@ except AssertionError:
 real = cover._cover_pass
 
 def wrong(*args):
-    half, y, d, (dup, cover_base, cover_half, cover_y, cover_d) = real(*args)
-    return half, y, d, (dup, cover_base, cover_half, {p: q + 1 for p, q in cover_y.items()}, cover_d)
+    half, y, d, (dup, cover_base, cover_half, cover_y, cover_d, cross) = real(*args)
+    return half, y, d, (dup, cover_base, cover_half, {p: q + 1 for p, q in cover_y.items()}, cover_d, cross)
 
 cover._cover_pass = wrong
 print(stripped, main(["solve", sys.argv[1]]))
@@ -522,6 +523,57 @@ def test_wrong_cover_dual_fails_under_python_O(tmp_path, diamond):
     assert proc.stderr == (
         "error: internal: double cover's forced and residual edges fall short of its optimum\n"
     )
+
+
+# A capacity-1 triangle, with no stable solution, and a weight-0 edge at c:
+# both of its cross edges in the cover's matching leave the fold's total at
+# the half optimum but give c four hits, where b(c) = 1 allows two.
+ZERO_EDGE_TRIANGLE = Instance(
+    ["a", "b", "c", "d"], dict.fromkeys("abcd", 1),
+    [("a", "b", 1), ("b", "c", 1), ("a", "c", 1), ("c", "d", 0)],
+)  # fmt: skip
+
+_OVERFILLED_FOLD_PROBE = """
+import sys
+from stablefixtures import witness
+from stablefixtures.cli import main
+
+try:
+    assert False
+    stripped = True
+except AssertionError:
+    stripped = False
+
+real = witness._slack_matching
+
+def with_weightless_edges(net, w, y, d):
+    matching, residual = real(net, w, y, d)
+    return matching | {e for e in net.edges if w[e] == 0}, residual
+
+witness._slack_matching = with_weightless_edges
+print(stripped, main(["solve", sys.argv[1]]))
+"""
+
+
+def test_overfilled_fold_fails_the_witness(tmp_path):
+    """The fold reaches the half optimum, yet overfills c: the witness's own
+    load check, on its hit counts, ends the run in InternalError (exit 4),
+    also under `python -O`."""
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(instance_to_json(ZERO_EDGE_TRIANGLE)))
+    src = Path(stablefixtures.__file__).resolve().parents[1]
+    for flags in ([], ["-O"]):
+        proc = subprocess.run(
+            [sys.executable, *flags, "-c", _OVERFILLED_FOLD_PROBE, str(path)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [str(flags == ["-O"]), str(EXIT_INTERNAL)]
+        assert proc.stderr == (
+            "error: internal: double cover's forced and residual edges fall short of its optimum\n"
+        )
 
 
 def test_unsplit_payoffs_fail_stable_from_dual(monkeypatch, heavy_edge_triangle):
@@ -684,7 +736,7 @@ duals.require_stable = real_require_stable
 ssp = raises(lambda: matching._ssp_flow(
     Instance(["a", "b", "c"], {p: 1 for p in "abc"}, [("a", "b", 1), ("b", "c", 5)]),
     {("a", "b"): 1, ("b", "c"): 5}, {"a": 0, "b": 0, "c": 1}))
-matching._engine = lambda net, base, *start: real_engine(net, base, *start) | {("a", "c")}
+matching._engine = lambda net, weights, *start: real_engine(net, weights, *start) | {("a", "c")}
 print(split, read_back, ssp, main(["solve", sys.argv[1]]))
 """
 

@@ -181,7 +181,7 @@ def test_engine_matches_four_chain_engine():
         inst = _adversarial_instance(rng, bipartite=k % 5 == 0)
         if inst.m == 0:
             continue
-        new = _general_matching(inst, scale_to_integers(inst.edge_weights())[0])
+        new = _general_matching(inst, _perturbed(inst, scale_to_integers(inst.edge_weights())[0]))
         assert new == _old_general_matching(inst), instance_to_json(inst)
         assert is_b_matching(inst, new)
         if inst.m <= 12:

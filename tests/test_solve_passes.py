@@ -395,7 +395,7 @@ def _whole_cover_witness(inst):
     """The witness as the older composition found it: the tie-broken
     optimum of the whole double cover, folded onto the game."""
     dup, cover_base = cover_mod._cover_pass(inst, *scale_to_integers(inst.edge_weights()))[3][:2]
-    chosen = matching._engine(dup.instance, cover_base)
+    chosen = matching._engine(dup.instance, _perturbed(dup.instance, cover_base))
     key, left, right = dup.instance.edge_key, dup.left, dup.right
     return HalfBMatching({
         (i, j): F((key(left[i], right[j]) in chosen) + (key(left[j], right[i]) in chosen), 2)
@@ -405,29 +405,19 @@ def _whole_cover_witness(inst):
 
 def _engine_runs(monkeypatch):
     """Record (engine, instance, tie-broken) for every engine run: SSP
-    passes and edge-gadget matchings, tie-broken when they run on weights
-    that `_perturbed` made for that instance."""
+    passes and edge-gadget matchings, tie-broken when the weights handed to
+    the engine are `_perturbed` for that instance (`_is_perturbed`)."""
     runs = []
-    real_ssp, real_general, real_perturbed = (
-        matching._ssp_flow, blossom._general_matching, matching._perturbed
-    )
-    perturbed = []  # (instance, perturbed weights)
-
-    def perturb(net, base):
-        perturbed.append((net, real_perturbed(net, base)))
-        return perturbed[-1][1]
+    real_ssp, real_general = matching._ssp_flow, blossom._general_matching
 
     def ssp(net, int_weights, coloring):
-        runs.append(("ssp", net, any(w is int_weights for _, w in perturbed)))
+        runs.append(("ssp", net, _is_perturbed(net, int_weights)))
         return real_ssp(net, int_weights, coloring)
 
-    def general(net, *args):
-        before = len(perturbed)
-        mate = real_general(net, *args)
-        runs.append(("blossom", net, any(p is net for p, _ in perturbed[before:])))
-        return mate
+    def general(net, weights, *start):
+        runs.append(("blossom", net, _is_perturbed(net, weights)))
+        return real_general(net, weights, *start)
 
-    monkeypatch.setattr(matching, "_perturbed", perturb)
     monkeypatch.setattr(matching, "_ssp_flow", ssp)
     monkeypatch.setattr(blossom, "_general_matching", general)
     return runs
@@ -480,11 +470,15 @@ def test_core_check_runs_the_path_cycle_system_only_past_the_dual_screen(monkeyp
 
 def test_core_check_violated_by_the_grand_coalition_makes_one_cover_pass(monkeypatch):
     """x(N) < v(N): the v(N) pass gives the violation's value and, with one
-    more tie-broken whole-game run, its witness; the verdict is the one
-    that re-solving N gave."""
+    more tie-broken whole-game run on the weights that pass scaled, its
+    witness; the verdict is the one that re-solving N gave."""
     inst = _pendant_triangle()
     x = dict.fromkeys(inst.players, F(1))
+    scales = []
+    real_scale = matching.scale_to_integers
+    monkeypatch.setattr(matching, "scale_to_integers", lambda values: scales.append(values) or real_scale(values))
     expected = lp_optimum(inst)
+    assert len(scales) == 1
     covers = []
     real = cover_mod._cover_pass
     monkeypatch.setattr(cover_mod, "_cover_pass", lambda *args: covers.append(args) or real(*args))
@@ -492,7 +486,7 @@ def test_core_check_violated_by_the_grand_coalition_makes_one_cover_pass(monkeyp
     verdict = core_membership_b2(inst, x)
     assert (verdict.kind, verdict.coalition) == ("violation", tuple(inst.players))
     assert (verdict.coalition_value, verdict.witness_matching) == (expected.weight, expected.matching)
-    assert len(covers) == 1
+    assert len(covers) == 1 and len(scales) == 2
     assert [(engine, net.m, tied) for engine, net, tied in runs if engine == "blossom"] == [
         ("blossom", 3, True), ("blossom", inst.m, False), ("blossom", inst.m, True)
     ]  # the residual triangle, then the whole game untied and tie-broken
@@ -624,6 +618,40 @@ def test_residual_witness_and_untied_weight_match_the_whole_game(inst):
     assert (untied.weight, untied.half, untied.dual) == (opt.weight, opt.half, opt.dual)
     assert is_b_matching(inst, untied.matching) and weight(inst, untied.matching) == opt.weight
     assert game_value(inst, inst.players) == opt.weight
+
+
+@st.composite
+def gapped_games(draw) -> Instance:
+    """General games drawn from `no_stable_games`, or seeded from the
+    adversarial generators below: zero capacities, capacities above degree,
+    tied weights and ids that collide with the cover's names."""
+    kind = draw(st.sampled_from(("odd cycles", "adversarial", "tie-heavy")))
+    if kind == "odd cycles":
+        return draw(no_stable_games())
+    make = _adversarial_instance if kind == "adversarial" else _tie_heavy_instance
+    return make(random.Random(draw(st.integers(0, 2**32))), False)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(gapped_games())
+def test_perturbed_weights_alone_make_a_run_tie_broken(inst):
+    """A run is tie-broken iff its weights are `_perturbed`; a start changes
+    only how fast it gets there. On a game with an LP gap, the blossom on
+    the perturbed weights, warm from the pass's integer dual y (on the scale
+    of twice the weights) raised to 2^(m+1) y + 2^m at every player with the
+    forced edges matched, returns the cold run's matching, which is
+    `lp_optimum`'s."""
+    opt, (y, d, _, w), _, _ = _lp_optimum(inst)
+    assume(opt.weight != opt.half)
+    base = scale_to_integers(inst.edge_weights())[0]
+    assert w == {e: 2 * q for e, q in base.items()}
+    m = inst.m
+    start = {p: (q << (m + 1)) + (1 << m) for p, q in y.items()}
+    forced = frozenset(e for e in inst.edges if d[e] > 0)
+    perturbed = _perturbed(inst, base)
+    cold = blossom._general_matching(inst, perturbed)
+    assert blossom._general_matching(inst, perturbed, (start, forced)) == cold
+    assert cold == lp_optimum(inst).matching
 
 
 # ---------------------------------------------------------------------------
